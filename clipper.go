@@ -33,10 +33,10 @@ package clipper
 import (
 	"time"
 
+	"clipper/internal/adapter/httpjson"
 	"clipper/internal/batching"
 	"clipper/internal/container"
 	"clipper/internal/core"
-	"clipper/internal/frontend"
 	"clipper/internal/metrics"
 	"clipper/internal/selection"
 	"clipper/internal/statestore"
@@ -70,17 +70,9 @@ type (
 	SchedPolicy = core.SchedPolicy
 	// SchedulerStats is one model's dispatch/hedge counters.
 	SchedulerStats = core.SchedulerStats
-	// ReplicaStatus is one replica's operational snapshot, including the
-	// scheduler's live load estimate.
-	ReplicaStatus = core.ReplicaStatus
-	// TenantStatus is one tenant's slice of a replica's batch queue
-	// (ReplicaStatus.Tenants).
-	TenantStatus = core.TenantStatus
 	// ShedPolicy selects SLO admission control (AppConfig.Shed):
 	// ShedNone, ShedReject, or ShedDegrade.
 	ShedPolicy = core.ShedPolicy
-	// AppStatus is one application's QoS/serving snapshot.
-	AppStatus = core.AppStatus
 	// MetricsRegistry is the node's Prometheus exposition registry
 	// (Clipper.Metrics): embedders may Register additional families; the
 	// REST server scrapes it at GET /metrics.
@@ -158,15 +150,13 @@ type (
 type (
 	// Policy is the model selection policy interface (paper Listing 2).
 	Policy = selection.Policy
-	// SelectionState is a policy's explicit, serializable state.
-	SelectionState = selection.State
 )
 
 // Store is the per-context selection-state store interface.
 type Store = statestore.Store
 
 // RESTServer is the application-facing HTTP API server.
-type RESTServer = frontend.Server
+type RESTServer = httpjson.Server
 
 // New returns a Clipper serving node.
 func New(cfg Config) *Clipper { return core.New(cfg) }
@@ -214,23 +204,8 @@ func NewExp4(eta float64) Policy { return selection.NewExp4(eta) }
 // NewStaticPolicy returns a policy pinned to one model index.
 func NewStaticPolicy(i int) Policy { return selection.NewStatic(i) }
 
-// NewExp3Decayed returns Exp3 with forgetting: weight mass decays toward
-// uniform so the policy recovers from model-quality flips in bounded time
-// (non-stationary workloads / concept drift).
-func NewExp3Decayed(eta, gamma float64) Policy { return selection.NewExp3Decayed(eta, gamma) }
-
-// NewUCB1 returns the UCB1 single-model selection policy, a
-// stochastic-bandit alternative to Exp3 that converges faster on
-// stationary workloads.
-func NewUCB1() Policy { return selection.NewUCB1() }
-
 // NewThompson returns the Thompson-sampling single-model selection policy.
 func NewThompson() Policy { return selection.NewThompson() }
-
-// NewEpsilonGreedy returns an epsilon-greedy single-model selection policy.
-func NewEpsilonGreedy(epsilon, alpha float64) Policy {
-	return selection.NewEpsilonGreedy(epsilon, alpha)
-}
 
 // NewMemStore returns an in-memory selection-state store.
 func NewMemStore() Store { return statestore.NewMemStore() }
@@ -247,7 +222,7 @@ func DialStateStore(addr string, timeout time.Duration) (Store, error) {
 }
 
 // NewRESTServer returns the REST API frontend over a Clipper node.
-func NewRESTServer(cl *Clipper) *RESTServer { return frontend.NewServer(cl) }
+func NewRESTServer(cl *Clipper) *RESTServer { return httpjson.NewServer(cl) }
 
 // ServeContainer hosts a Predictor as a standalone RPC model container on
 // addr (":0" picks a port) and returns the bound address and a shutdown

@@ -7,8 +7,8 @@
 //	bench -experiment all -scale quick
 //	bench -experiment fig4 -scale full
 //	bench -list
-//	bench -perf BENCH_PR10.json -id pr10-openloop
-//	bench -check BENCH_PR10.json
+//	bench -perf OUT.json -id some-id
+//	bench -check OUT.json
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 		scaleName  = flag.String("scale", "quick", "experiment fidelity: quick or full")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		perfOut    = flag.String("perf", "", "run the hot-path perf suite and write its JSON report to this path ('-' for stdout)")
-		perfID     = flag.String("id", "pr10-openloop", "report id recorded in the -perf JSON")
+		perfID     = flag.String("id", "", "report id recorded in the -perf JSON (required with -perf)")
 		perfDur    = flag.Duration("dur", 2*time.Second, "duration of each -perf throughput measurement")
 		checkPath  = flag.String("check", "", "validate the perf report JSON at this path (schema sanity; the CI bench gate) and exit")
 	)
@@ -58,6 +58,10 @@ func main() {
 	}
 
 	if *perfOut != "" {
+		if *perfID == "" {
+			fmt.Fprintln(os.Stderr, "bench: -perf needs -id")
+			os.Exit(2)
+		}
 		rep := perf.Run(*perfID, *perfDur)
 		out := os.Stdout
 		if *perfOut != "-" {

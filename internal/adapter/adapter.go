@@ -1,294 +1,27 @@
-// Package adapter holds the plumbing shared by Clipper's protocol
-// adapters: a framed TCP server with graceful connection draining and
-// the binary wire codec the binrpc and stream adapters speak. The
-// adapters themselves are subpackages — httpjson (the REST API), binrpc
+// Package adapter holds what Clipper's protocol adapters share: the
+// binary wire codec the binrpc and stream adapters speak, the handler
+// that dispatches those frames to a gateway, and the drain window their
+// Close grants. The framed adapters serve through internal/rpc's server
+// — the same one model containers use — so request leases, response
+// scratch and graceful drain are implemented once. The adapters
+// themselves are subpackages — httpjson (the REST API), binrpc
 // (request/response binary RPC), and stream (pipelined predicts with
 // correlation IDs) — each a thin shell over one internal/gateway core.
 package adapter
 
 import (
 	"context"
-	"errors"
-	"net"
-	"sync"
 	"time"
-
-	"clipper/internal/rpc"
 )
 
 // CloseGrace is the drain window Close grants in-flight requests before
 // forcing connections shut, mirroring http.Server.Shutdown-with-timeout.
 const CloseGrace = 5 * time.Second
 
-// ErrServerClosed is returned by Listen on a server that has been shut
-// down.
-var ErrServerClosed = errors.New("adapter: server closed")
-
-// Response scratch buffers mirror internal/rpc's server pool: handlers
-// append into a leased buffer recycled after the response frame hits the
-// wire, with the same 1 MiB retention cap so one outlier response cannot
-// pin a giant buffer.
-const maxPooledScratch = 1 << 20
-
-var scratchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-func getScratch() *[]byte { return scratchPool.Get().(*[]byte) }
-
-func putScratch(b *[]byte) {
-	if cap(*b) > maxPooledScratch || cap(*b) < 512 {
-		return
-	}
-	*b = (*b)[:0]
-	scratchPool.Put(b)
-}
-
-// FramedServer accepts TCP connections and serves length-prefixed
-// rpc.Frame requests through an rpc.Handler, with the same request-loop
-// shape as internal/rpc's server: leased request payloads, pooled
-// response scratch, parked request workers (grown to the connection's
-// peak concurrency, never per-request), and out-of-order responses keyed
-// by frame ID.
-//
-// Unlike rpc.Server.Close, shutdown drains: Shutdown refuses new
-// connections, waits until every accepted request's response has been
-// written, then closes connections. Close is Shutdown bounded by
+// CloseGracefully is every adapter's Close: its Shutdown, bounded by
 // CloseGrace.
-type FramedServer struct {
-	handler rpc.Handler
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	closed   bool
-	inflight int
-	drained  chan struct{} // non-nil while a Shutdown waits on inflight
-	wg       sync.WaitGroup
-}
-
-// NewFramedServer returns a server dispatching to h.
-func NewFramedServer(h rpc.Handler) *FramedServer {
-	return &FramedServer{handler: h, conns: make(map[net.Conn]struct{})}
-}
-
-// beginRequest counts a request from the moment its frame is read;
-// endRequest runs only after the response frame has been written, so a
-// drain that observes inflight == 0 knows every accepted request's
-// answer reached the wire.
-func (fs *FramedServer) beginRequest() {
-	fs.mu.Lock()
-	fs.inflight++
-	fs.mu.Unlock()
-}
-
-func (fs *FramedServer) endRequest() {
-	fs.mu.Lock()
-	fs.inflight--
-	if fs.inflight == 0 && fs.drained != nil {
-		close(fs.drained)
-		fs.drained = nil
-	}
-	fs.mu.Unlock()
-}
-
-// Listen starts accepting on addr (":0" picks a port) and returns the
-// bound address. Serving proceeds in the background until Shutdown or
-// Close.
-func (fs *FramedServer) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	fs.mu.Lock()
-	if fs.draining || fs.closed {
-		fs.mu.Unlock()
-		ln.Close()
-		return "", ErrServerClosed
-	}
-	fs.ln = ln
-	fs.mu.Unlock()
-	fs.wg.Add(1)
-	go func() {
-		defer fs.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if tcp, ok := conn.(*net.TCPConn); ok {
-				tcp.SetNoDelay(true)
-			}
-			if !fs.track(conn) {
-				conn.Close()
-				continue
-			}
-			fs.wg.Add(1)
-			go func() {
-				defer fs.wg.Done()
-				fs.serveConn(conn)
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-func (fs *FramedServer) track(conn net.Conn) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.draining || fs.closed {
-		return false
-	}
-	fs.conns[conn] = struct{}{}
-	return true
-}
-
-func (fs *FramedServer) untrack(conn net.Conn) {
-	fs.mu.Lock()
-	delete(fs.conns, conn)
-	fs.mu.Unlock()
-}
-
-// serveConn reads frames until the connection fails or closes, handing
-// each request to a parked worker (growing the pool only when every
-// worker is mid-request, the rpc.Server discipline that avoids
-// per-request stack regrowth).
-func (fs *FramedServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	defer fs.untrack(conn)
-	var writeMu sync.Mutex
-	var reqWG sync.WaitGroup
-	reqCh := make(chan *rpc.Frame)
-	defer reqWG.Wait()
-	defer close(reqCh)
-	for {
-		f, err := rpc.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		switch f.Type {
-		case rpc.MsgPing:
-			id := f.ID
-			f.Release()
-			writeMu.Lock()
-			rpc.WriteFrame(conn, &rpc.Frame{ID: id, Type: rpc.MsgPong})
-			writeMu.Unlock()
-		case rpc.MsgRequest:
-			fs.beginRequest()
-			select {
-			case reqCh <- f:
-			default:
-				reqWG.Add(1)
-				go fs.serveRequests(conn, &writeMu, reqCh, f, &reqWG)
-			}
-		default:
-			// Ignore unexpected frame kinds rather than killing the
-			// connection (forward compatibility) — but end their lease.
-			f.Release()
-		}
-	}
-}
-
-// serveRequests is one request worker: it serves its seed frame, then
-// parks on reqCh for more until the connection's read loop closes it.
-func (fs *FramedServer) serveRequests(conn net.Conn, writeMu *sync.Mutex, reqCh <-chan *rpc.Frame, f *rpc.Frame, wg *sync.WaitGroup) {
-	defer wg.Done()
-	out := new(rpc.Frame) // reused response frame; one alloc per worker
-	for {
-		fs.serveRequest(conn, writeMu, f, out)
-		var ok bool
-		if f, ok = <-reqCh; !ok {
-			return
-		}
-	}
-}
-
-func (fs *FramedServer) serveRequest(conn net.Conn, writeMu *sync.Mutex, f, out *rpc.Frame) {
-	defer fs.endRequest()
-	scratch := getScratch()
-	resp, err := fs.handler(f.Method, f.Payload, (*scratch)[:0])
-	*out = rpc.Frame{ID: f.ID, Type: rpc.MsgResponse, Method: f.Method, Payload: resp}
-	if err != nil {
-		out.Type = rpc.MsgError
-		out.Payload = []byte(err.Error())
-	}
-	writeMu.Lock()
-	rpc.WriteFrame(conn, out)
-	writeMu.Unlock()
-	// Release points after the write, successful or not: the request
-	// frame's body lease ends, and the response scratch is recycled —
-	// adopting a handler-grown buffer so the pool converges on the
-	// adapter's stable response size.
-	f.Release()
-	if err == nil && cap(resp) > cap(*scratch) {
-		*scratch = resp[:0]
-	}
-	putScratch(scratch)
-	out.Payload = nil
-}
-
-// Shutdown gracefully stops the server: the listener closes immediately
-// (new accepts refused), requests already read run to completion and
-// their responses are written, then connections close. If ctx expires
-// first, remaining connections are closed anyway and ctx's error is
-// returned.
-func (fs *FramedServer) Shutdown(ctx context.Context) error {
-	fs.mu.Lock()
-	if fs.closed {
-		fs.mu.Unlock()
-		return nil
-	}
-	fs.draining = true
-	ln := fs.ln
-	var wait chan struct{}
-	if fs.inflight > 0 {
-		if fs.drained == nil {
-			fs.drained = make(chan struct{})
-		}
-		wait = fs.drained
-	}
-	fs.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	var err error
-	if wait != nil {
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-	}
-	fs.closeConns()
-	return err
-}
-
-// Close is Shutdown with the default CloseGrace drain window.
-func (fs *FramedServer) Close() error {
+func CloseGracefully(shutdown func(context.Context) error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), CloseGrace)
 	defer cancel()
-	return fs.Shutdown(ctx)
-}
-
-func (fs *FramedServer) closeConns() {
-	fs.mu.Lock()
-	if fs.closed {
-		fs.mu.Unlock()
-		fs.wg.Wait()
-		return
-	}
-	fs.closed = true
-	conns := make([]net.Conn, 0, len(fs.conns))
-	for c := range fs.conns {
-		conns = append(conns, c)
-	}
-	fs.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	fs.wg.Wait()
+	return shutdown(ctx)
 }

@@ -12,16 +12,17 @@ import (
 	"clipper/internal/adapter"
 	"clipper/internal/core"
 	"clipper/internal/gateway"
+	"clipper/internal/rpc"
 )
 
 // Server serves the full gateway operation surface over framed TCP.
 type Server struct {
-	fs *adapter.FramedServer
+	srv *rpc.Server
 }
 
 // New returns a server bound to g's "binrpc" adapter instrumentation.
 func New(g *gateway.Gateway) *Server {
-	return &Server{fs: adapter.NewFramedServer(adapter.NewHandler(g.Bind("binrpc"), true))}
+	return &Server{srv: rpc.NewServer(adapter.NewHandler(g.Bind("binrpc"), true))}
 }
 
 // NewServer returns a server over its own gateway on cl.
@@ -29,11 +30,11 @@ func NewServer(cl *core.Clipper) *Server { return New(gateway.New(cl)) }
 
 // Listen starts serving on addr (":0" picks a port) and returns the
 // bound address.
-func (s *Server) Listen(addr string) (string, error) { return s.fs.Listen(addr) }
+func (s *Server) Listen(addr string) (string, error) { return s.srv.Listen(addr) }
 
 // Shutdown drains gracefully: in-flight requests get their responses,
-// then connections close. See adapter.FramedServer.Shutdown.
-func (s *Server) Shutdown(ctx context.Context) error { return s.fs.Shutdown(ctx) }
+// then connections close. See rpc.Server.Shutdown.
+func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
 // Close is Shutdown bounded by adapter.CloseGrace.
-func (s *Server) Close() error { return s.fs.Close() }
+func (s *Server) Close() error { return adapter.CloseGracefully(s.srv.Shutdown) }

@@ -185,11 +185,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Close is Shutdown bounded by adapter.CloseGrace.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), adapter.CloseGrace)
-	defer cancel()
-	return s.Shutdown(ctx)
-}
+func (s *Server) Close() error { return adapter.CloseGracefully(s.Shutdown) }
 
 // decodePost enforces the POST + JSON-body preamble shared by all
 // mutating endpoints, recording refusals against op.

@@ -471,21 +471,6 @@ func TestAdapterShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestFramedListenAfterClose: a drained server refuses new listeners.
-func TestFramedListenAfterClose(t *testing.T) {
-	cl := newParityNode(t)
-	s := binrpc.New(gateway.New(cl))
-	if _, err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Listen("127.0.0.1:0"); err == nil {
-		t.Fatal("Listen after Close succeeded, want error")
-	}
-}
-
 // TestBinrpcColdOps: the JSON-bodied cold operations round-trip over the
 // wire and match the HTTP bodies.
 func TestBinrpcColdOps(t *testing.T) {

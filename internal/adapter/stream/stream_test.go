@@ -40,9 +40,8 @@ func (f *fixedModel) PredictBatch(xs [][]float64) ([]container.Prediction, error
 	return out, nil
 }
 
-// newStreamNode serves a "fast" app and a "slow" app (40ms model) on one
-// stream server and returns a connected client.
-func newStreamNode(t *testing.T) (*Server, *Conn) {
+// newNode returns a node with a "fast" app and a "slow" app (40ms model).
+func newNode(t *testing.T) *core.Clipper {
 	t.Helper()
 	cl := core.New(core.Config{})
 	t.Cleanup(cl.Close)
@@ -61,7 +60,14 @@ func newStreamNode(t *testing.T) (*Server, *Conn) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer(cl)
+	return cl
+}
+
+// newStreamNode serves newNode's apps on one stream server and returns a
+// connected client.
+func newStreamNode(t *testing.T) (*Server, *Conn) {
+	t.Helper()
+	srv := NewServer(newNode(t))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,11 @@ import (
 	"clipper/internal/container"
 )
 
-// The flat data plane: a queue whose predictor implements viewCaller
-// (container.Remote does) collects each batch straight into a pooled
-// flat tensor and scatters results from the response view. These tests
-// pin the routing decision, the exactly-one-Result contract on both the
-// success and error paths, and panic isolation through the flat path.
+// The queue's one call: a predictor that implements viewCaller itself
+// (container.Remote does) is called through its own method, never wrapped
+// as an in-process predictor. These tests pin that choice, the
+// exactly-one-Result contract on both the success and error paths, and
+// panic isolation, against such a predictor.
 
 // flatSpy is a viewCaller that records the batches it receives as flat
 // views and answers with the first feature of each row as the label.
@@ -28,7 +28,7 @@ type flatSpy struct {
 func (p *flatSpy) Info() container.Info { return container.Info{Name: "flatspy", Version: 1} }
 
 func (p *flatSpy) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
-	return nil, errors.New("flatspy: rows path must not be used")
+	return nil, errors.New("flatspy: wrapped as an in-process predictor")
 }
 
 func (p *flatSpy) PredictViewContext(ctx context.Context, v *container.BatchView, deliver func(i int, pr container.Prediction)) error {
@@ -48,9 +48,9 @@ func (p *flatSpy) PredictViewContext(ctx context.Context, v *container.BatchView
 	return nil
 }
 
-// TestQueueRoutesToFlatPath: a predictor exposing PredictViewContext is
-// served through the flat collector — the rows path never runs.
-func TestQueueRoutesToFlatPath(t *testing.T) {
+// TestQueueCallsViewCallerDirectly: a predictor exposing
+// PredictViewContext receives the queue's batches through it.
+func TestQueueCallsViewCallerDirectly(t *testing.T) {
 	pred := &flatSpy{}
 	q := NewQueue(pred, QueueConfig{Controller: NewFixed(4)})
 	defer q.Close()
@@ -78,7 +78,7 @@ func TestQueueRoutesToFlatPath(t *testing.T) {
 	pred.mu.Lock()
 	defer pred.mu.Unlock()
 	if len(pred.batches) == 0 {
-		t.Fatal("flat path never ran")
+		t.Fatal("PredictViewContext never ran")
 	}
 	for _, b := range pred.batches {
 		if b > 4 {
@@ -118,9 +118,9 @@ func TestQueueFlatErrorFansOut(t *testing.T) {
 	}
 }
 
-// TestQueueFlatSurvivesPanic: panic isolation holds on the flat path —
-// the batch fails, the pipeline worker survives, and the queue keeps
-// serving.
+// TestQueueFlatSurvivesPanic: a panic inside PredictViewContext is
+// isolated — the batch fails, the pipeline worker survives, and the queue
+// keeps serving.
 func TestQueueFlatSurvivesPanic(t *testing.T) {
 	pred := &flatSpy{panics: true}
 	q := NewQueue(pred, QueueConfig{Controller: NewFixed(4)})

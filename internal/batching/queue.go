@@ -117,11 +117,11 @@ type QueueConfig struct {
 	Adaptive *Adaptive
 }
 
-// viewCaller is the flat data-plane surface container.Remote exposes:
-// send a flat-collected batch, scatter one Prediction per row via deliver
-// (exactly once per row, in row order, iff the call returns nil). When a
-// queue's predictor implements it, batches flow submit → flat tensor →
-// wire with no [][]float64 assembly.
+// viewCaller is the one call the queue makes on a replica: take a
+// flat-collected batch, scatter one Prediction per row via deliver
+// (exactly once per row, in row order, iff the call returns nil).
+// container.Remote implements it across the wire; an in-process predictor
+// of either shape is given it by container.NewLocal.
 type viewCaller interface {
 	PredictViewContext(ctx context.Context, v *container.BatchView, deliver func(i int, p container.Prediction)) error
 }
@@ -134,15 +134,13 @@ type viewCaller interface {
 // one round trip per batch. Every dispatched batch feeds its (size,
 // latency) observation back to the controller.
 //
-// When the predictor supports the flat data plane (container.Remote
-// does), each batch is accumulated straight into a pooled flat tensor
+// Each batch is accumulated straight into a pooled flat tensor
 // (container.BatchView) and results scatter from the response view into
 // each submitter's Result slot — no per-query rows, no per-batch
-// [][]float64. Other predictors take the classic PredictBatch path,
-// unchanged.
+// [][]float64 — whatever the predictor's shape: the only thing that
+// differs is the viewCaller NewQueue binds.
 type Queue struct {
-	pred    container.Predictor
-	flat    viewCaller // non-nil when pred supports the flat data plane
+	call    viewCaller
 	ctrl    Controller
 	timeout time.Duration
 
@@ -207,10 +205,15 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 	if window <= 0 {
 		window = DefaultInFlight
 	}
-	flat, _ := pred.(viewCaller)
+	// A predictor that already serves the flat call (container.Remote, or
+	// anything embedding it) is called through its own method; an
+	// in-process predictor is wrapped, here and nowhere else.
+	call, ok := pred.(viewCaller)
+	if !ok {
+		call = container.NewLocal(pred)
+	}
 	q := &Queue{
-		pred:         pred,
-		flat:         flat,
+		call:         call,
 		ctrl:         cfg.Controller,
 		timeout:      cfg.BatchTimeout,
 		in:           make(chan *request, depth),
@@ -429,89 +432,48 @@ func (q *Queue) dispatchLoop() {
 	}
 }
 
-// runBatch is one pipeline stage execution: it serializes, invokes the
-// container, feeds the controller, and delivers exactly one Result per
-// request.
+// runBatch is one pipeline stage execution: it gathers the batch into a
+// pooled flat tensor, invokes the container, feeds the controllers, and
+// delivers exactly one Result per request — predictions scatter into each
+// submitter's slot as the call produces them, and on error every row not
+// yet delivered gets the error (none has been, under PredictViewContext's
+// all-or-nothing contract; the prefix tracking is defense in depth
+// against a deliver panic mid-scatter).
 func (q *Queue) runBatch(batch []*request) {
-	n := int64(len(batch))
+	n := len(batch)
 	q.inflightBatches.Add(1)
-	q.inflightReqs.Add(n)
+	q.inflightReqs.Add(int64(n))
 	defer func() {
 		q.inflightBatches.Add(-1)
-		q.inflightReqs.Add(-n)
+		q.inflightReqs.Add(-int64(n))
 	}()
-	if q.flat != nil {
-		q.runBatchFlat(batch)
-		return
-	}
 	dispatch := time.Now()
-	xs := make([][]float64, len(batch))
-	for i, r := range batch {
-		xs[i] = r.x
+	v := container.GetBatchView()
+	for _, r := range batch {
+		v.AppendRow(r.x)
 		// Time-in-queue per request: submit to dispatch. (Not batch-collect
 		// time — a request that waited buffered behind earlier batches has
 		// been queued far longer than the collect window.)
 		q.QueueDelay.ObserveDuration(dispatch.Sub(r.enq))
 	}
 	start := time.Now()
-	preds, err := q.predictBatch(xs)
-	lat := time.Since(start)
-	q.observeService(len(batch), lat)
-	q.ctrl.Observe(len(batch), lat)
-	if q.adapt != nil {
-		// The controller resizes the bound window semaphore itself,
-		// inside its own critical section.
-		q.adapt.ObserveBatch(len(batch), lat)
-	}
-	q.BatchLatency.ObserveDuration(lat)
-	q.BatchSizes.Observe(float64(len(batch)))
-	q.Throughput.Mark(int64(len(batch)))
-
-	if err == nil {
-		if verr := container.Validate(preds, len(xs)); verr != nil {
-			err = verr
-		}
-	}
-	for i, r := range batch {
-		if err != nil {
-			r.done <- Result{Err: err}
-		} else {
-			r.done <- Result{Pred: preds[i]}
-		}
-	}
-}
-
-// runBatchFlat is runBatch over the flat data plane: the batch
-// accumulates straight into a pooled flat tensor (no [][]float64
-// assembly), and results scatter from the response view into each
-// submitter's Result slot as the client decodes them. Telemetry and the
-// exactly-one-Result contract are identical to runBatch; on error, rows
-// already delivered (none, under PredictViewContext's all-or-nothing
-// contract — the prefix tracking is defense in depth against a deliver
-// panic mid-scatter) keep their predictions and the rest get the error.
-func (q *Queue) runBatchFlat(batch []*request) {
-	dispatch := time.Now()
-	v := container.GetBatchView()
-	for _, r := range batch {
-		v.AppendRow(r.x)
-		q.QueueDelay.ObserveDuration(dispatch.Sub(r.enq))
-	}
-	start := time.Now()
 	next := 0 // rows [0, next) have received their Result
-	err := q.predictView(v, func(i int, p container.Prediction) {
+	err := q.predict(v, func(i int, p container.Prediction) {
 		batch[i].done <- Result{Pred: p}
 		next = i + 1
 	})
 	lat := time.Since(start)
 	container.PutBatchView(v)
-	q.observeService(len(batch), lat)
-	q.ctrl.Observe(len(batch), lat)
+	q.observeService(n, lat)
+	q.ctrl.Observe(n, lat)
 	if q.adapt != nil {
-		q.adapt.ObserveBatch(len(batch), lat)
+		// The controller resizes the bound window semaphore itself,
+		// inside its own critical section.
+		q.adapt.ObserveBatch(n, lat)
 	}
 	q.BatchLatency.ObserveDuration(lat)
-	q.BatchSizes.Observe(float64(len(batch)))
-	q.Throughput.Mark(int64(len(batch)))
+	q.BatchSizes.Observe(float64(n))
+	q.Throughput.Mark(int64(n))
 	if err != nil {
 		for _, r := range batch[next:] {
 			r.done <- Result{Err: err}
@@ -519,27 +481,16 @@ func (q *Queue) runBatchFlat(batch []*request) {
 	}
 }
 
-// predictView invokes the container's flat path with the same panic
-// isolation as predictBatch.
-func (q *Queue) predictView(v *container.BatchView, deliver func(i int, p container.Prediction)) (err error) {
+// predict invokes the container, converting panics into errors: a
+// misbehaving model must fail its batch, not kill its pipeline worker and
+// hang every caller in the batch (the isolation §4.4 promises).
+func (q *Queue) predict(v *container.BatchView, deliver func(i int, p container.Prediction)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batching: container panicked: %v", r)
 		}
 	}()
-	return q.flat.PredictViewContext(context.Background(), v, deliver)
-}
-
-// predictBatch invokes the container, converting panics into errors: a
-// misbehaving model must fail its batch, not kill its pipeline worker and
-// hang every caller in the batch (the isolation §4.4 promises).
-func (q *Queue) predictBatch(xs [][]float64) (preds []container.Prediction, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			preds, err = nil, fmt.Errorf("batching: container panicked: %v", r)
-		}
-	}()
-	return q.pred.PredictBatch(xs)
+	return q.call.PredictViewContext(context.Background(), v, deliver)
 }
 
 // collect assembles a batch starting from first, honoring the controller's

@@ -2,7 +2,6 @@ package container
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -101,6 +100,15 @@ func (r *Remote) PredictBatch(xs [][]float64) ([]Prediction, error) {
 	return r.PredictBatchContext(context.Background(), xs)
 }
 
+// PredictBatchContext is PredictBatch with caller-controlled
+// cancellation. Rows go out through PredictViewContext, the one path to
+// the wire.
+func (r *Remote) PredictBatchContext(ctx context.Context, xs [][]float64) ([]Prediction, error) {
+	return viaView(xs, func(v *BatchView, deliver func(int, Prediction)) error {
+		return r.PredictViewContext(ctx, v, deliver)
+	})
+}
+
 // encBufPool recycles batch-encoding buffers across RPCs: the request
 // payload is fully written before Call returns, so the buffer is safe to
 // reuse immediately after.
@@ -131,35 +139,6 @@ func putEncBuf(buf *[]byte, b []byte) bool {
 	return true
 }
 
-// PredictBatchContext is PredictBatch with caller-controlled cancellation.
-func (r *Remote) PredictBatchContext(ctx context.Context, xs [][]float64) ([]Prediction, error) {
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return nil, ErrContainerClosed
-	}
-	buf := encBufPool.Get().(*[]byte)
-	payload := AppendBatch((*buf)[:0], xs)
-	raw, err := r.client.Call(ctx, rpc.MethodPredict, payload)
-	putEncBuf(buf, payload)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := DecodePredictions(raw.Data)
-	// Client-side release point: DecodePredictions copied every label and
-	// score out of the frame body, so the lease ends here — before
-	// validation, whose errors carry no reference to the payload.
-	raw.Release()
-	if err != nil {
-		return nil, err
-	}
-	if err := Validate(preds, len(xs)); err != nil {
-		return nil, err
-	}
-	return preds, nil
-}
-
 // PredictViewContext sends a flat-collected batch and scatters the
 // decoded results straight into the caller's slots: deliver is invoked
 // exactly once per row, in row order, if and only if the call succeeds —
@@ -170,10 +149,9 @@ func (r *Remote) PredictBatchContext(ctx context.Context, xs [][]float64) ([]Pre
 // before the frame lease is released.
 //
 // Scores handed to deliver are caller-owned copies sharing one per-batch
-// backing array (the same sharing DecodePredictions gives); label-only
-// responses allocate nothing. The view v is fully encoded before
-// PredictViewContext uses the wire, so the caller may reuse it as soon as
-// the call returns.
+// backing array; label-only responses allocate nothing. The view v is
+// fully encoded before PredictViewContext uses the wire, so the caller
+// may reuse it as soon as the call returns.
 func (r *Remote) PredictViewContext(ctx context.Context, v *BatchView, deliver func(i int, p Prediction)) error {
 	r.mu.Lock()
 	closed := r.closed
@@ -195,32 +173,14 @@ func (r *Remote) PredictViewContext(ctx context.Context, v *BatchView, deliver f
 	// ends here — before validation and the scatter, neither of which
 	// touches the payload.
 	raw.Release()
-	if err != nil {
-		putPredView(pv)
-		return err
+	if err == nil {
+		err = checkCount(pv.Count(), v.Rows())
 	}
-	if pv.Count() != v.Rows() {
-		putPredView(pv)
-		return fmt.Errorf("container: got %d predictions for %d inputs", pv.Count(), v.Rows())
-	}
-	// Scatter. The pooled view's score tensor is about to be reused, so
-	// rows that carry scores are copied out into one batch-shared backing
-	// array the callers own; labels scatter directly.
-	var backing []float64
-	if len(pv.Scores) > 0 {
-		backing = make([]float64, len(pv.Scores))
-		copy(backing, pv.Scores)
-	}
-	for i := 0; i < pv.Count(); i++ {
-		p := Prediction{Label: pv.Label(i)}
-		lo, hi := pv.offsets[i], pv.offsets[i+1]
-		if lo < hi {
-			p.Scores = backing[lo:hi:hi]
-		}
-		deliver(i, p)
+	if err == nil {
+		pv.scatter(deliver)
 	}
 	putPredView(pv)
-	return nil
+	return err
 }
 
 // Ping checks container liveness.

@@ -2,65 +2,46 @@ package container
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
 // The codec decodes payloads that arrive off the network; hostile row
 // counts, truncated rows, and zero-length rows must only ever produce
-// errors — never panics or oversized allocations — and the zero-copy
-// BatchView decoder must accept and reject exactly the same inputs as
-// DecodeBatch, with identical values. CI runs each target with
+// errors — never panics or oversized allocations — and whatever a decoder
+// accepts must survive the encoder unchanged. CI runs each target with
 // -fuzz=FuzzDecode... -fuzztime=5s.
 
-func fuzzBatchCorpus(f *testing.F) {
+func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})                                   // empty buffer
 	f.Add([]byte{0, 0, 0, 0})                         // zero rows
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})             // hostile row count
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // two zero-length rows
-	f.Add(EncodeBatch([][]float64{{1, 2, 3}, {4, 5, 6}}))
-	f.Add(EncodeBatch([][]float64{{1}, {}, {2, 3}})) // ragged with empty row
-	full := EncodeBatch([][]float64{{1, 2, 3, 4}})
+	f.Add(encodeRows([][]float64{{1, 2, 3}, {4, 5, 6}}))
+	f.Add(encodeRows([][]float64{{1}, {}, {2, 3}})) // ragged with empty row
+	full := encodeRows([][]float64{{1, 2, 3, 4}})
 	f.Add(full[:len(full)-3]) // truncated mid-row
-}
-
-func FuzzDecodeBatch(f *testing.F) {
-	fuzzBatchCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		xs, err := DecodeBatch(data)
-
-		// Cross-check the zero-copy decoder: same accept/reject decision,
-		// same shape, same values.
 		var v BatchView
-		verr := DecodeBatchView(data, &v)
-		if (err == nil) != (verr == nil) {
-			t.Fatalf("DecodeBatch err=%v but DecodeBatchView err=%v", err, verr)
-		}
-		if err != nil {
+		if err := DecodeBatchView(data, &v); err != nil {
 			return
 		}
-		if v.Rows() != len(xs) {
-			t.Fatalf("view has %d rows, DecodeBatch %d", v.Rows(), len(xs))
+		// encode∘decode is the identity on what the decoder consumed (it
+		// tolerates trailing bytes the encoder never emits): values are
+		// moved as bits, so even NaN payloads survive.
+		enc := AppendBatchView(nil, &v)
+		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("re-encoding differs from the accepted payload:\n got %v\nfrom %v", enc, data)
 		}
-		for r := range xs {
-			row := v.Row(r)
-			if len(row) != len(xs[r]) {
-				t.Fatalf("row %d: view len %d, batch len %d", r, len(row), len(xs[r]))
-			}
-			for i := range row {
-				// Both decoders read the same bits through Float64frombits;
-				// NaNs (which compare unequal to themselves) count as equal
-				// by position.
-				if row[i] != xs[r][i] && !(math.IsNaN(row[i]) && math.IsNaN(xs[r][i])) {
-					t.Fatalf("row %d[%d]: view %v, batch %v", r, i, row[i], xs[r][i])
-				}
-			}
+		// decode∘encode is the identity on views: same shape, same bits.
+		var back BatchView
+		if err := DecodeBatchView(enc, &back); err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
 		}
-		// A decoded batch must re-encode to a parseable payload of the
-		// same shape (not necessarily identical bytes: the decoder accepts
-		// trailing garbage the encoder never emits).
-		if _, err := DecodeBatch(EncodeBatch(xs)); err != nil {
-			t.Fatalf("re-encode round trip failed: %v", err)
+		if back.Rows() != v.Rows() || back.Dim() != v.Dim() {
+			t.Fatalf("round trip shape %d/%d, want %d/%d", back.Rows(), back.Dim(), v.Rows(), v.Dim())
+		}
+		if !bytes.Equal(AppendBatchView(nil, &back), enc) {
+			t.Fatal("round trip changed the batch")
 		}
 	})
 }
@@ -69,90 +50,58 @@ func FuzzDecodePredictions(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count
-	f.Add(EncodePredictions([]Prediction{{Label: 1, Scores: []float64{0.5, 0.5}}}))
-	f.Add(EncodePredictions([]Prediction{{Label: -1}, {Label: 2}})) // label-only
-	full := EncodePredictions([]Prediction{{Label: 0, Scores: []float64{1, 2, 3}}})
-	f.Add(full[:len(full)-5]) // truncated scores
-	f.Fuzz(func(t *testing.T, data []byte) {
-		preds, err := DecodePredictions(data)
-		if err != nil {
-			return
-		}
-		reenc := EncodePredictions(preds)
-		back, err := DecodePredictions(reenc)
-		if err != nil {
-			t.Fatalf("re-encode round trip failed: %v", err)
-		}
-		if len(back) != len(preds) {
-			t.Fatalf("round trip count %d, want %d", len(back), len(preds))
-		}
-	})
-}
-
-// FuzzDecodePredictionView cross-checks the flat response decoder against
-// DecodePredictions: same accept/reject decision on every input, same
-// labels and scores by position, and byte-identical re-encoding through
-// AppendPredictionView vs EncodePredictions.
-func FuzzDecodePredictionView(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count
-	f.Add(EncodePredictions([]Prediction{{Label: 1, Scores: []float64{0.5, 0.5}}}))
-	f.Add(EncodePredictions([]Prediction{{Label: -1}, {Label: 2}})) // label-only
-	f.Add(EncodePredictions([]Prediction{
+	f.Add(encodePreds([]Prediction{{Label: 1, Scores: []float64{0.5, 0.5}}}))
+	f.Add(encodePreds([]Prediction{{Label: -1}, {Label: 2}})) // label-only
+	f.Add(encodePreds([]Prediction{
 		{Label: 0, Scores: []float64{1}}, {Label: 1}, {Label: 2, Scores: []float64{2, 3}},
 	})) // ragged
-	full := EncodePredictions([]Prediction{{Label: 0, Scores: []float64{1, 2, 3}}})
+	full := encodePreds([]Prediction{{Label: 0, Scores: []float64{1, 2, 3}}})
 	f.Add(full[:len(full)-5]) // truncated scores
 	f.Fuzz(func(t *testing.T, data []byte) {
-		preds, err := DecodePredictions(data)
 		var v PredictionView
-		verr := DecodePredictionView(data, &v)
-		if (err == nil) != (verr == nil) {
-			t.Fatalf("DecodePredictions err=%v but DecodePredictionView err=%v", err, verr)
-		}
-		if err != nil {
+		if err := DecodePredictionView(data, &v); err != nil {
 			return
 		}
-		if v.Count() != len(preds) {
-			t.Fatalf("view has %d predictions, DecodePredictions %d", v.Count(), len(preds))
+		enc := AppendPredictionView(nil, &v)
+		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("re-encoding differs from the accepted payload:\n got %v\nfrom %v", enc, data)
 		}
-		for i, p := range preds {
-			if v.Label(i) != p.Label {
-				t.Fatalf("prediction %d: view label %d, struct label %d", i, v.Label(i), p.Label)
-			}
-			s := v.ScoresOf(i)
-			if len(s) != len(p.Scores) {
-				t.Fatalf("prediction %d: view %d scores, struct %d", i, len(s), len(p.Scores))
-			}
-			for j := range s {
-				if s[j] != p.Scores[j] && !(math.IsNaN(s[j]) && math.IsNaN(p.Scores[j])) {
-					t.Fatalf("prediction %d score %d: view %v, struct %v", i, j, s[j], p.Scores[j])
-				}
+		var back PredictionView
+		if err := DecodePredictionView(enc, &back); err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if back.Count() != v.Count() || back.Width() != v.Width() {
+			t.Fatalf("round trip shape %d/%d, want %d/%d", back.Count(), back.Width(), v.Count(), v.Width())
+		}
+		for i := 0; i < v.Count(); i++ {
+			if back.Label(i) != v.Label(i) || len(back.ScoresOf(i)) != len(v.ScoresOf(i)) {
+				t.Fatalf("prediction %d changed in the round trip", i)
 			}
 		}
-		// Both encoders must serialize the decoded set to identical bytes.
-		if !bytes.Equal(AppendPredictionView(nil, &v), EncodePredictions(preds)) {
-			t.Fatal("AppendPredictionView bytes differ from EncodePredictions")
+		if !bytes.Equal(AppendPredictionView(nil, &back), enc) {
+			t.Fatal("round trip changed the predictions")
 		}
 	})
 }
 
-// TestHostileRowCountDoesNotAllocate pins the validation order both batch
-// decoders share: a huge claimed row count over a tiny buffer must fail
-// in the header scan, before anything is sized from attacker-controlled
-// numbers.
+// TestHostileRowCountDoesNotAllocate pins the validation order: a huge
+// claimed row count over a tiny buffer must fail in the header scan,
+// before anything is sized from attacker-controlled numbers.
 func TestHostileRowCountDoesNotAllocate(t *testing.T) {
 	hostile := []byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4}
-	if _, err := DecodeBatch(hostile); err == nil {
-		t.Fatal("hostile row count accepted")
-	}
 	var v BatchView
 	if err := DecodeBatchView(hostile, &v); err == nil {
-		t.Fatal("hostile row count accepted by view decoder")
+		t.Fatal("hostile row count accepted by the batch decoder")
 	}
 	if v.Data != nil || v.offsets != nil {
-		t.Fatal("view decoder sized arrays from a hostile header")
+		t.Fatal("batch decoder sized arrays from a hostile header")
+	}
+	var pv PredictionView
+	if err := DecodePredictionView(hostile, &pv); err == nil {
+		t.Fatal("hostile count accepted by the prediction decoder")
+	}
+	if pv.Scores != nil || pv.Labels != nil || pv.offsets != nil {
+		t.Fatal("prediction decoder sized arrays from a hostile header")
 	}
 	if !bytes.Equal(hostile, []byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4}) {
 		t.Fatal("decoder mutated its input")

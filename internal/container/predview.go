@@ -111,12 +111,13 @@ func (v *PredictionView) Append(label int, scores []float64) {
 	}
 }
 
-// DecodePredictionView decodes an EncodePredictions payload into v,
-// reusing v's backing arrays. It performs the same two-pass hostile-input
-// validation as DecodePredictions (a hostile count or truncated score
-// vector fails in the header scan, before anything is sized), then copies
-// labels and scores straight into the flat tensors. With a reused view
-// the steady-state decode is allocation-free at any batch size.
+// DecodePredictionView decodes a predictions payload (the layout
+// AppendPredictionView writes) into v, reusing v's backing arrays.
+// Validation is two-pass, as in DecodeBatchView: a hostile count or
+// truncated score vector fails in the header scan, before anything is
+// sized; then labels and scores are copied straight into the flat
+// tensors. With a reused view the steady-state decode is allocation-free
+// at any batch size.
 func DecodePredictionView(buf []byte, v *PredictionView) error {
 	count, off, err := readU32(buf, 0)
 	if err != nil {
@@ -176,11 +177,13 @@ func DecodePredictionView(buf []byte, v *PredictionView) error {
 	return nil
 }
 
-// AppendPredictionView appends the EncodePredictions serialization of the
-// flat view v to dst and returns the extended slice. The bytes are
-// identical to AppendPredictions of the equivalent []Prediction — the
-// server's ViewPredictor path encodes straight from the flat response
-// tensor without ever building Prediction structs.
+// AppendPredictionView appends the serialization of the flat view v to
+// dst and returns the extended slice — the server encodes every response
+// straight from the flat response tensor into its pooled scratch, without
+// building Prediction structs.
+//
+// Layout: u32 count, then per prediction: i32 label, u32 scoreLen,
+// f64 × scoreLen.
 func AppendPredictionView(dst []byte, v *PredictionView) []byte {
 	need := 4 + 8*len(v.Labels) + 8*len(v.Scores)
 	off := len(dst)
@@ -207,9 +210,9 @@ func AppendPredictionView(dst []byte, v *PredictionView) []byte {
 }
 
 // predViewPool recycles PredictionViews across batches on both sides of
-// the wire: the server's ViewPredictor path fills one per request, and
-// Remote's scatter path decodes one per response. Steady state allocates
-// neither the view nor (after warm-up) its backing arrays.
+// the wire: the server and Local fill one per batch, and Remote decodes
+// one per response. Steady state allocates neither the view nor (after
+// warm-up) its backing arrays.
 var predViewPool = sync.Pool{
 	New: func() any { return new(PredictionView) },
 }

@@ -18,7 +18,8 @@ func samplePredictions() []Prediction {
 }
 
 // TestPredictionViewAppendRoundTrip: the ragged producer path fills a
-// view whose encoding and accessors match the []Prediction equivalent.
+// view whose accessors, and whose trip across the wire, match the
+// []Prediction equivalent.
 func TestPredictionViewAppendRoundTrip(t *testing.T) {
 	preds := samplePredictions()
 	var v PredictionView
@@ -39,8 +40,12 @@ func TestPredictionViewAppendRoundTrip(t *testing.T) {
 			t.Fatalf("ScoresOf(%d) = %v, want %v", i, v.ScoresOf(i), p.Scores)
 		}
 	}
-	if !bytes.Equal(AppendPredictionView(nil, &v), EncodePredictions(preds)) {
-		t.Fatal("AppendPredictionView bytes differ from EncodePredictions")
+	back, err := decodePreds(AppendPredictionView(nil, &v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, preds) {
+		t.Fatalf("wire round trip = %v, want %v", back, preds)
 	}
 }
 
@@ -65,20 +70,20 @@ func TestPredictionViewSize(t *testing.T) {
 		{Label: 0, Scores: []float64{2, 3}},
 		{Label: 1, Scores: []float64{4, 5}},
 	}
-	if !bytes.Equal(AppendPredictionView(nil, &v), EncodePredictions(want)) {
+	if !bytes.Equal(AppendPredictionView(nil, &v), encodePreds(want)) {
 		t.Fatal("Size-produced view encodes differently from the struct equivalent")
 	}
 	// Label-only shape: zero-width rows, no scores.
 	v.Size(2, 0)
-	if got := AppendPredictionView(nil, &v); !bytes.Equal(got, EncodePredictions([]Prediction{{}, {}})) {
+	if got := AppendPredictionView(nil, &v); !bytes.Equal(got, encodePreds([]Prediction{{}, {}})) {
 		t.Fatalf("label-only Size encoding = %v", got)
 	}
 }
 
-// TestAppendBatchViewBytesIdentical: a flat-collected batch must hit the
-// wire byte-for-byte as AppendBatch of the equivalent rows — the plain
-// [][]float64 path stays byte-compatible with the flat collector.
-func TestAppendBatchViewBytesIdentical(t *testing.T) {
+// TestAppendBatchViewRoundTrip: a flat-collected batch crosses the wire
+// with its rows and its shape (uniform width, ragged, empty) intact. The
+// byte layout itself is pinned by TestWireLayoutPinned.
+func TestAppendBatchViewRoundTrip(t *testing.T) {
 	cases := [][][]float64{
 		{{1, 2, 3}, {4, 5, 6}},
 		{{1}, {}, {2, 3}}, // ragged
@@ -86,44 +91,19 @@ func TestAppendBatchViewBytesIdentical(t *testing.T) {
 		{{}, {}},          // label-only rows
 	}
 	for _, xs := range cases {
-		var v BatchView
-		for _, x := range xs {
-			v.AppendRow(x)
-		}
-		if !bytes.Equal(AppendBatchView(nil, &v), AppendBatch(nil, xs)) {
-			t.Fatalf("AppendBatchView bytes differ from AppendBatch for %v", xs)
-		}
-		// The round trip through the wire restores the same view shape.
+		v := viewOf(xs)
 		var back BatchView
-		if err := DecodeBatchView(AppendBatchView(nil, &v), &back); err != nil {
+		if err := DecodeBatchView(AppendBatchView(nil, v), &back); err != nil {
 			t.Fatal(err)
 		}
 		if back.Rows() != len(xs) || back.Dim() != v.Dim() {
 			t.Fatalf("round trip shape %d/%d, want %d/%d", back.Rows(), back.Dim(), len(xs), v.Dim())
 		}
-	}
-}
-
-// TestEncodePredictionsEmptyNoAlloc is the satellite regression: an empty
-// prediction set short-circuits to the shared zero-count payload without
-// allocating, and a label-only set costs exactly the one output buffer.
-func TestEncodePredictionsEmptyNoAlloc(t *testing.T) {
-	if allocs := testing.AllocsPerRun(100, func() {
-		if len(EncodePredictions(nil)) != 4 {
-			t.Fatal("empty encoding has wrong size")
+		for i, x := range xs {
+			if len(x) > 0 && !reflect.DeepEqual(back.Row(i), x) {
+				t.Fatalf("row %d = %v, want %v", i, back.Row(i), x)
+			}
 		}
-	}); allocs != 0 {
-		t.Fatalf("empty EncodePredictions allocates %v/op, want 0", allocs)
-	}
-	labelOnly := []Prediction{{Label: 1}, {Label: 2}}
-	if allocs := testing.AllocsPerRun(100, func() {
-		EncodePredictions(labelOnly)
-	}); allocs > 1 {
-		t.Fatalf("label-only EncodePredictions allocates %v/op, want <= 1", allocs)
-	}
-	// The shared empty payload must decode as zero predictions.
-	if preds, err := DecodePredictions(EncodePredictions(nil)); err != nil || len(preds) != 0 {
-		t.Fatalf("empty payload decode: %v, %v", preds, err)
 	}
 }
 
@@ -131,8 +111,8 @@ func TestEncodePredictionsEmptyNoAlloc(t *testing.T) {
 // steady state: once the view's backing arrays are warm, decoding any
 // response that fits them allocates nothing.
 func TestDecodePredictionViewReuse(t *testing.T) {
-	big := EncodePredictions(benchPreds(64, 10))
-	small := EncodePredictions(samplePredictions())
+	big := encodePreds(benchPreds(64, 10))
+	small := encodePreds(samplePredictions())
 	var v PredictionView
 	if err := DecodePredictionView(big, &v); err != nil {
 		t.Fatal(err)
@@ -183,71 +163,25 @@ func TestPutBatchViewRetentionCap(t *testing.T) {
 	}
 }
 
-// viewSpy is tensorSpy plus PredictView, recording which path the Handler
-// dispatches to.
-type viewSpy struct {
-	tensorSpy
-	viewCalls int
-}
-
-func (p *viewSpy) PredictView(v BatchView, out *PredictionView) error {
-	p.viewCalls++
-	out.Reset()
-	for i := 0; i < v.Rows(); i++ {
-		x := v.Row(i)
-		out.Append(int(x[0]), []float64{x[0], x[1]})
-	}
-	return nil
-}
-
-// TestHandlerPrefersViewPath: a ViewPredictor is served tensor-native in
-// both directions, and its response bytes are identical to the rows path.
-func TestHandlerPrefersViewPath(t *testing.T) {
-	xs := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	spy := &viewSpy{tensorSpy: tensorSpy{info: Info{Name: "spy", Version: 1, InputDim: 2}}}
-	viewResp, err := Handler(spy)(rpc.MethodPredict, EncodeBatch(xs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spy.viewCalls != 1 || spy.tensorCalls != 0 || spy.rowsCalls != 0 {
-		t.Fatalf("view=%d tensor=%d rows=%d, want the view path",
-			spy.viewCalls, spy.tensorCalls, spy.rowsCalls)
-	}
-	plain := NewFunc(spy.info, func(xs [][]float64) ([]Prediction, error) {
-		out := make([]Prediction, len(xs))
-		for i, x := range xs {
-			out[i] = Prediction{Label: int(x[0]), Scores: []float64{x[0], x[1]}}
-		}
-		return out, nil
-	})
-	rowsResp, err := Handler(plain)(rpc.MethodPredict, EncodeBatch(xs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viewResp, rowsResp) {
-		t.Fatal("view path and rows path produced different response bytes")
-	}
-}
-
 // TestHandlerViewCountMismatch: a ViewPredictor returning the wrong
-// number of predictions must fail the request, like Validate does for the
-// struct paths.
+// number of predictions must fail the request, as Validate does behind
+// the rows adapter.
 func TestHandlerViewCountMismatch(t *testing.T) {
 	bad := NewFuncView(Info{Name: "bad", Version: 1},
 		func(v BatchView, out *PredictionView) error {
 			out.Size(v.Rows()+1, 0)
 			return nil
 		})
-	if _, err := Handler(bad)(rpc.MethodPredict, EncodeBatch([][]float64{{1}}), nil); err == nil {
+	if _, err := Handler(bad)(rpc.MethodPredict, encodeRows([][]float64{{1}}), nil); err == nil {
 		t.Fatal("count mismatch accepted")
 	}
 }
 
-// TestPredictViewContextMatchesPredictBatch drives both client paths over
-// one Loopback ViewPredictor and requires identical predictions — the
-// flat scatter is a transport detail, not a semantic change.
+// TestPredictViewContextMatchesPredictBatch drives both client entry
+// points over one Loopback ViewPredictor and requires identical
+// predictions: the row-slice call is a wrapper, not a second path.
 func TestPredictViewContextMatchesPredictBatch(t *testing.T) {
-	spy := &viewSpy{tensorSpy: tensorSpy{info: Info{Name: "spy", Version: 1, InputDim: 2}}}
+	spy := &viewSpy{rowsSpy: rowsSpy{info: Info{Name: "spy", Version: 1, InputDim: 2}}}
 	remote, stop, err := Loopback(spy)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +214,7 @@ func TestPredictViewContextMatchesPredictBatch(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("flat path predictions %v differ from rows path %v", got, want)
+		t.Fatalf("PredictViewContext predictions %v differ from PredictBatchContext %v", got, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package container
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // The paper ships language bindings (C++, Java, Python) so that "the model
 // container implementations for most of the models in this paper only
@@ -57,29 +60,12 @@ func (f *FuncView) PredictView(v BatchView, out *PredictionView) error {
 	return f.fn(v, out)
 }
 
-// PredictBatch implements Predictor by adapting rows through the flat
-// views — correctness fallback for callers that bypass the view path.
+// PredictBatch implements Predictor for callers that hold rows: the same
+// function, reached through the flat views.
 func (f *FuncView) PredictBatch(xs [][]float64) ([]Prediction, error) {
-	var v BatchView
-	for _, x := range xs {
-		v.AppendRow(x)
-	}
-	var out PredictionView
-	if err := f.fn(v, &out); err != nil {
-		return nil, err
-	}
-	preds := make([]Prediction, out.Count())
-	for i := range preds {
-		p := Prediction{Label: out.Label(i)}
-		if s := out.ScoresOf(i); s != nil {
-			p.Scores = append([]float64(nil), s...)
-		}
-		preds[i] = p
-	}
-	if err := Validate(preds, len(xs)); err != nil {
-		return nil, fmt.Errorf("container %s: %w", f.info.Name, err)
-	}
-	return preds, nil
+	return viaView(xs, func(v *BatchView, deliver func(int, Prediction)) error {
+		return Local{f}.PredictViewContext(context.Background(), v, deliver)
+	})
 }
 
 // Info implements Predictor.

@@ -21,13 +21,6 @@ var viewPool = sync.Pool{
 // millions of zero-length rows grows offsets, not Data.
 const maxPooledViewFloats = maxPooledEncBuf / 8
 
-func putView(v *BatchView) {
-	if cap(v.Data) > maxPooledViewFloats || cap(v.offsets) > maxPooledViewFloats {
-		return
-	}
-	viewPool.Put(v)
-}
-
 // GetBatchView leases an empty BatchView from the shared pool. It is the
 // producer-side twin of the handler's decode views: the batching queue's
 // flat collector accumulates each batch into one (AppendRow), sends it,
@@ -51,51 +44,19 @@ func PutBatchView(v *BatchView) bool {
 }
 
 // Handler adapts a Predictor to the RPC server's handler signature,
-// implementing the container side of the narrow-waist protocol. Dispatch
-// prefers the flattest path the predictor supports: a ViewPredictor
-// serves payload → BatchView → flat PredictionView → scratch with no
-// per-query structures at all; a TensorPredictor gets the zero-copy
-// request decode but returns []Prediction; a plain Predictor takes the
-// [][]float64 path, byte-for-byte unchanged on the wire. Every path
-// copies the payload out before returning and appends its response into
-// the server's pooled scratch, satisfying both sides of the rpc.Handler
-// payload-lifetime contract.
+// implementing the container side of the narrow-waist protocol. There is
+// one predict path: payload → pooled BatchView → PredictView into a
+// pooled PredictionView → encoded straight from the flat response tensor
+// into the server's scratch; a row-slice predictor reaches it through
+// asView, bound here once. The path copies the payload out before
+// returning and appends its response into the server's pooled scratch,
+// satisfying both sides of the rpc.Handler payload-lifetime contract.
 func Handler(p Predictor) rpc.Handler {
-	vp, _ := p.(ViewPredictor)
-	tp, _ := p.(TensorPredictor)
+	vp := asView(p)
 	return func(method rpc.Method, payload, scratch []byte) ([]byte, error) {
 		switch method {
 		case rpc.MethodPredict:
-			// One Info lookup per batch. This used to sit inside the
-			// per-query dim-check loop — an interface call (and for some
-			// predictors a lock) per query on the hot path.
-			info := p.Info()
-			if vp != nil {
-				return predictView(vp, info, payload, scratch)
-			}
-			if tp != nil {
-				return predictTensor(tp, info, payload, scratch)
-			}
-			xs, err := DecodeBatch(payload)
-			if err != nil {
-				return nil, err
-			}
-			if dim := info.InputDim; dim > 0 {
-				for i, x := range xs {
-					if len(x) != dim {
-						return nil, fmt.Errorf("container: query %d has dim %d, model %s wants %d",
-							i, len(x), info.Name, dim)
-					}
-				}
-			}
-			preds, err := p.PredictBatch(xs)
-			if err != nil {
-				return nil, err
-			}
-			if err := Validate(preds, len(xs)); err != nil {
-				return nil, err
-			}
-			return AppendPredictions(scratch, preds), nil
+			return predict(vp, payload, scratch)
 		case rpc.MethodInfo:
 			return EncodeInfo(p.Info()), nil
 		default:
@@ -105,8 +66,7 @@ func Handler(p Predictor) rpc.Handler {
 }
 
 // checkViewDim validates a decoded batch's row widths against the model's
-// advertised input dimensionality, reporting the same error (same
-// offending query index) as the [][]float64 path.
+// advertised input dimensionality, naming the first offending query.
 func checkViewDim(v *BatchView, info Info) error {
 	if dim := info.InputDim; dim > 0 && v.Rows() > 0 && v.Dim() != dim {
 		for i := 0; i < v.Rows(); i++ {
@@ -119,49 +79,23 @@ func checkViewDim(v *BatchView, info Info) error {
 	return nil
 }
 
-// predictTensor serves one predict request through the flat-tensor fast
-// path: payload → pooled BatchView → PredictTensor → encoded predictions.
-func predictTensor(tp TensorPredictor, info Info, payload, scratch []byte) ([]byte, error) {
-	v := viewPool.Get().(*BatchView)
-	defer putView(v)
+// predict serves one predict request. With a native ViewPredictor the
+// steady state allocates nothing.
+func predict(vp ViewPredictor, payload, scratch []byte) ([]byte, error) {
+	v := GetBatchView()
+	defer PutBatchView(v)
 	if err := DecodeBatchView(payload, v); err != nil {
 		return nil, err
 	}
-	if err := checkViewDim(v, info); err != nil {
-		return nil, err
-	}
-	preds, err := tp.PredictTensor(*v)
-	if err != nil {
-		return nil, err
-	}
-	if err := Validate(preds, v.Rows()); err != nil {
-		return nil, err
-	}
-	return AppendPredictions(scratch, preds), nil
-}
-
-// predictView serves one predict request tensor-native in both
-// directions: payload → pooled BatchView → PredictView into a pooled
-// PredictionView → encoded straight from the flat response tensor into
-// the server's scratch. Steady state allocates nothing.
-func predictView(vp ViewPredictor, info Info, payload, scratch []byte) ([]byte, error) {
-	v := viewPool.Get().(*BatchView)
-	defer putView(v)
-	if err := DecodeBatchView(payload, v); err != nil {
-		return nil, err
-	}
-	if err := checkViewDim(v, info); err != nil {
+	// One Info lookup per batch, never per query: for some predictors it
+	// is an interface call behind a lock.
+	if err := checkViewDim(v, vp.Info()); err != nil {
 		return nil, err
 	}
 	out := getPredView()
 	defer putPredView(out)
-	out.Reset()
-	if err := vp.PredictView(*v, out); err != nil {
+	if err := predictInto(vp, v, out); err != nil {
 		return nil, err
-	}
-	if out.Count() != v.Rows() {
-		// The flat rendering of Validate's misbehaving-container guard.
-		return nil, fmt.Errorf("container: got %d predictions for %d inputs", out.Count(), v.Rows())
 	}
 	return AppendPredictionView(scratch, out), nil
 }

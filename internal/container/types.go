@@ -2,7 +2,8 @@
 // "narrow waist" batch-prediction API (Listing 1 of the paper) behind which
 // every model, regardless of framework, is deployed.
 //
-// A container can run in-process (LocalContainer) or in a separate process
+// A container can run in-process (Loopback, behind the full RPC codec on an
+// in-memory pipe; or Local, called directly) or in a separate process
 // reached over the lightweight RPC system (Serve / Dial). The paper hosts
 // each container in Docker; here process- or goroutine-level isolation
 // behind the same RPC boundary preserves the architectural property under
@@ -64,40 +65,22 @@ type Predictor interface {
 	PredictBatch(xs [][]float64) ([]Prediction, error)
 }
 
-// TensorPredictor is optionally implemented by Predictors that can
-// consume a whole batch as a flat tensor. The RPC Handler (and therefore
-// every local Loopback deployment, which crosses the same codec) prefers
-// this path when the model implements it: the batch payload decodes
-// straight into a pooled BatchView via DecodeBatchView, skipping the
-// [][]float64 materialization entirely. Predictors that don't implement
-// it are served by the existing DecodeBatch path, unchanged.
-type TensorPredictor interface {
-	Predictor
-	// PredictTensor computes one prediction per row of v. The view — its
-	// Data and every Row slice — is valid only for the duration of the
-	// call: it is returned to a pool afterwards, so implementations must
-	// not retain it or alias its Data in the returned predictions.
-	// Like PredictBatch, it must return either v.Rows() predictions or an
-	// error, and must produce identical predictions to PredictBatch on
-	// the equivalent [][]float64 input.
-	PredictTensor(v BatchView) ([]Prediction, error)
-}
-
-// ViewPredictor is optionally implemented by Predictors that can write a
-// whole batch's outputs straight into a flat PredictionView. It is the
-// response-direction completion of TensorPredictor: the RPC Handler
-// prefers it above every other path, so a request served by a
-// ViewPredictor flows payload → BatchView → flat score tensor → wire
-// with no per-query Prediction structs or score slices on either side.
+// ViewPredictor is the second predictor shape, and the form every
+// internal path speaks: a batch arrives as one flat row-major tensor and
+// the outputs are written straight into a flat PredictionView, so a
+// request flows payload → BatchView → flat score tensor → wire with no
+// per-query Prediction structs or score slices on either side. Handler
+// and the batching queue detect it by method presence; a plain Predictor
+// is brought to this shape once, at construction, by asView.
 type ViewPredictor interface {
 	Predictor
 	// PredictView fills out with exactly one prediction per row of v —
 	// identical labels and scores, bit for bit, to what PredictBatch
 	// returns for the equivalent [][]float64 input. Both views are pooled:
-	// v is valid only for the duration of the call, and out must not be
-	// retained or aliased after return. Implementations start from
-	// out.Reset() or out.Size(...) — the view arrives holding a previous
-	// batch's data.
+	// v (its Data and every Row slice) is valid only for the duration of
+	// the call, and out must not be retained or aliased after return.
+	// Implementations start from out.Reset() or out.Size(...) — the view
+	// arrives holding a previous batch's data.
 	PredictView(v BatchView, out *PredictionView) error
 }
 
@@ -107,9 +90,13 @@ var ErrContainerClosed = errors.New("container: closed")
 
 // Validate checks that preds matches the batch size n, guarding against
 // misbehaving model containers.
-func Validate(preds []Prediction, n int) error {
-	if len(preds) != n {
-		return fmt.Errorf("container: got %d predictions for %d inputs", len(preds), n)
+func Validate(preds []Prediction, n int) error { return checkCount(len(preds), n) }
+
+// checkCount is the container contract — exactly one prediction per
+// input — in whichever form the predictions are held.
+func checkCount(got, want int) error {
+	if got != want {
+		return fmt.Errorf("container: got %d predictions for %d inputs", got, want)
 	}
 	return nil
 }

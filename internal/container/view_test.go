@@ -3,7 +3,6 @@ package container
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"clipper/internal/rpc"
@@ -24,7 +23,7 @@ func TestDecodeBatchViewRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var v BatchView
-			if err := DecodeBatchView(EncodeBatch(tc.in), &v); err != nil {
+			if err := DecodeBatchView(encodeRows(tc.in), &v); err != nil {
 				t.Fatal(err)
 			}
 			if v.Rows() != len(tc.in) {
@@ -49,7 +48,7 @@ func TestDecodeBatchViewRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBatchViewTruncated(t *testing.T) {
-	buf := EncodeBatch([][]float64{{1, 2, 3, 4}})
+	buf := encodeRows([][]float64{{1, 2, 3, 4}})
 	for _, cut := range []int{1, 3, 5, 9, len(buf) - 1} {
 		var v BatchView
 		if err := DecodeBatchView(buf[:cut], &v); err == nil {
@@ -62,8 +61,8 @@ func TestDecodeBatchViewTruncated(t *testing.T) {
 // the view's backing arrays are warm, decoding any batch that fits them
 // allocates nothing.
 func TestDecodeBatchViewReuse(t *testing.T) {
-	big := EncodeBatch(benchRows(64, 128))
-	small := EncodeBatch(benchRows(3, 16))
+	big := encodeRows(benchRows(64, 128))
+	small := encodeRows(benchRows(3, 16))
 	var v BatchView
 	if err := DecodeBatchView(big, &v); err != nil {
 		t.Fatal(err)
@@ -81,40 +80,17 @@ func TestDecodeBatchViewReuse(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchEmptyAllocs is the -benchmem regression for the
-// total == 0 guard: decoding empty or label-only batches must not pay a
-// zero-length backing-array allocation (one allocation for the row
-// headers is all a label-only batch costs; a zero-row batch costs none).
-func TestDecodeBatchEmptyAllocs(t *testing.T) {
-	labelOnly := EncodeBatch([][]float64{{}, {}, {}})
-	empty := EncodeBatch(nil)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeBatch(labelOnly); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 1 {
-		t.Fatalf("label-only DecodeBatch allocates %v/op, want <= 1", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeBatch(empty); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("empty DecodeBatch allocates %v/op, want 0", allocs)
-	}
+// rowsSpy is a row-shape Predictor that counts its calls; viewSpy adds the
+// view shape on top, so the handler's one dispatch decision — made by
+// asView at construction — is observable.
+type rowsSpy struct {
+	info      Info
+	rowsCalls int
 }
 
-// tensorSpy implements TensorPredictor and records which path served each
-// batch, so the handler's dispatch preference is observable.
-type tensorSpy struct {
-	info        Info
-	tensorCalls int
-	rowsCalls   int
-}
+func (p *rowsSpy) Info() Info { return p.info }
 
-func (p *tensorSpy) Info() Info { return p.info }
-
-func (p *tensorSpy) PredictBatch(xs [][]float64) ([]Prediction, error) {
+func (p *rowsSpy) PredictBatch(xs [][]float64) ([]Prediction, error) {
 	p.rowsCalls++
 	out := make([]Prediction, len(xs))
 	for i, x := range xs {
@@ -123,68 +99,92 @@ func (p *tensorSpy) PredictBatch(xs [][]float64) ([]Prediction, error) {
 	return out, nil
 }
 
-func (p *tensorSpy) PredictTensor(v BatchView) ([]Prediction, error) {
-	p.tensorCalls++
-	out := make([]Prediction, v.Rows())
-	for i := range out {
+type viewSpy struct {
+	rowsSpy
+	viewCalls int
+}
+
+func (p *viewSpy) PredictView(v BatchView, out *PredictionView) error {
+	p.viewCalls++
+	out.Reset()
+	for i := 0; i < v.Rows(); i++ {
 		x := v.Row(i)
-		out[i] = Prediction{Label: int(x[0]), Scores: []float64{x[0], x[1]}}
+		out.Append(int(x[0]), []float64{x[0], x[1]})
 	}
-	return out, nil
+	return nil
 }
 
-func TestHandlerPrefersTensorPath(t *testing.T) {
+// TestHandlerDispatch: a ViewPredictor is served through PredictView
+// alone, a plain Predictor through PredictBatch behind the rows adapter,
+// and the two answer with identical response bytes.
+func TestHandlerDispatch(t *testing.T) {
 	xs := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	spy := &tensorSpy{info: Info{Name: "spy", Version: 1, InputDim: 2}}
-	tensorResp, err := Handler(spy)(rpc.MethodPredict, EncodeBatch(xs), nil)
+	info := Info{Name: "spy", Version: 1, InputDim: 2}
+	view := &viewSpy{rowsSpy: rowsSpy{info: info}}
+	viewResp, err := Handler(view)(rpc.MethodPredict, encodeRows(xs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spy.tensorCalls != 1 || spy.rowsCalls != 0 {
-		t.Fatalf("tensor=%d rows=%d, want the tensor path", spy.tensorCalls, spy.rowsCalls)
+	if view.viewCalls != 1 || view.rowsCalls != 0 {
+		t.Fatalf("view=%d rows=%d, want the view shape served natively", view.viewCalls, view.rowsCalls)
 	}
-
-	// A plain Predictor with the same outputs must produce identical
-	// response bytes through the [][]float64 path.
-	plain := NewFunc(spy.info, func(xs [][]float64) ([]Prediction, error) {
-		out := make([]Prediction, len(xs))
-		for i, x := range xs {
-			out[i] = Prediction{Label: int(x[0]), Scores: []float64{x[0], x[1]}}
-		}
-		return out, nil
-	})
-	rowsResp, err := Handler(plain)(rpc.MethodPredict, EncodeBatch(xs), nil)
+	rows := &rowsSpy{info: info}
+	rowsResp, err := Handler(rows)(rpc.MethodPredict, encodeRows(xs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tensorResp, rowsResp) {
-		t.Fatal("tensor path and rows path produced different response bytes")
+	if rows.rowsCalls != 1 {
+		t.Fatalf("rows=%d, want one PredictBatch call", rows.rowsCalls)
+	}
+	if !reflect.DeepEqual(viewResp, rowsResp) {
+		t.Fatal("the two shapes produced different response bytes")
 	}
 }
 
-// TestHandlerTensorDimError: the tensor path must reject dimension
-// mismatches with the same error (same offending query index) as the
-// rows path.
-func TestHandlerTensorDimError(t *testing.T) {
+// TestHandlerDimError: a dimension mismatch is rejected before the
+// predictor runs, with the same error — naming the first offending query
+// — whichever shape sits behind the handler.
+func TestHandlerDimError(t *testing.T) {
 	bad := [][]float64{{1, 10}, {2}, {3, 30}} // query 1 has dim 1
-	spy := &tensorSpy{info: Info{Name: "spy", Version: 1, InputDim: 2}}
-	_, terr := Handler(spy)(rpc.MethodPredict, EncodeBatch(bad), nil)
-	if terr == nil {
-		t.Fatal("tensor path accepted a dim mismatch")
+	info := Info{Name: "spy", Version: 1, InputDim: 2}
+	view := &viewSpy{rowsSpy: rowsSpy{info: info}}
+	_, verr := Handler(view)(rpc.MethodPredict, encodeRows(bad), nil)
+	rows := &rowsSpy{info: info}
+	_, rerr := Handler(rows)(rpc.MethodPredict, encodeRows(bad), nil)
+	if verr == nil || rerr == nil {
+		t.Fatalf("dim mismatch accepted: view err %v, rows err %v", verr, rerr)
 	}
-	if spy.tensorCalls != 0 {
+	if view.viewCalls+view.rowsCalls+rows.rowsCalls != 0 {
 		t.Fatal("predictor ran despite dim mismatch")
 	}
-	plain := NewFunc(spy.info, func(xs [][]float64) ([]Prediction, error) { return nil, nil })
-	_, rerr := Handler(plain)(rpc.MethodPredict, EncodeBatch(bad), nil)
-	if rerr == nil {
-		t.Fatal("rows path accepted a dim mismatch")
+	if verr.Error() != rerr.Error() {
+		t.Fatalf("view error %q != rows error %q", verr, rerr)
 	}
-	if terr.Error() != rerr.Error() {
-		t.Fatalf("tensor error %q != rows error %q", terr, rerr)
+	if want := "container: query 1 has dim 1, model spy wants 2"; verr.Error() != want {
+		t.Fatalf("error %q, want %q", verr, want)
 	}
-	if !strings.Contains(terr.Error(), "query 1") {
-		t.Fatalf("error %q does not name the offending query", terr)
+}
+
+// TestRowsAdapterOwnsItsInput: the rows a Predictor receives behind the
+// adapter are copies, not aliases of the pooled view — a predictor that
+// keeps its input (as it always could) must not see it rewritten by the
+// next batch.
+func TestRowsAdapterOwnsItsInput(t *testing.T) {
+	var kept [][]float64
+	p := NewFunc(Info{Name: "keeper", Version: 1}, func(xs [][]float64) ([]Prediction, error) {
+		kept = xs
+		return make([]Prediction, len(xs)), nil
+	})
+	v := viewOf([][]float64{{1, 2}, {3}})
+	var out PredictionView
+	if err := asView(p).PredictView(*v, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range v.Data {
+		v.Data[i] = -1 // the pooled view moves on to another batch
+	}
+	if !reflect.DeepEqual(kept, [][]float64{{1, 2}, {3}}) {
+		t.Fatalf("retained rows were rewritten through the view: %v", kept)
 	}
 }
 
@@ -203,24 +203,5 @@ func TestPutEncBufRetentionCap(t *testing.T) {
 	huge := make([]byte, 0, maxPooledEncBuf+1)
 	if putEncBuf(&huge, huge) {
 		t.Fatal("oversized encode buffer retained in the pool")
-	}
-}
-
-// TestPutViewRetentionCap: the handler's pooled decode views obey the
-// same retention rule — a view grown by one giant batch is dropped, not
-// pooled. (Observable via pointer identity: a capped view must never
-// come back out of the pool.)
-func TestPutViewRetentionCap(t *testing.T) {
-	// Both backing arrays count: a giant batch grows Data, a batch of
-	// millions of zero-length rows grows the offsets table instead.
-	bigData := &BatchView{Data: make([]float64, maxPooledViewFloats+1)}
-	bigOffsets := &BatchView{offsets: make([]int, maxPooledViewFloats+1)}
-	putView(bigData)
-	putView(bigOffsets)
-	for i := 0; i < 100; i++ {
-		got := viewPool.Get().(*BatchView)
-		if got == bigData || got == bigOffsets {
-			t.Fatal("oversized view retained in the pool")
-		}
 	}
 }

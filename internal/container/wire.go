@@ -12,97 +12,15 @@ import (
 // Python-vs-C++ gap); keeping the codec explicit lets the benchmarks model
 // that cost faithfully.
 
-// EncodeBatch serializes a batch of dense feature vectors.
-//
-// Layout: u32 rows, then per row: u32 len, f64 × len.
-func EncodeBatch(xs [][]float64) []byte {
-	return AppendBatch(nil, xs)
-}
-
-// AppendBatch appends the EncodeBatch serialization of xs to dst and
-// returns the extended slice. Callers on the hot path reuse dst across
-// batches (e.g. from a sync.Pool) so steady-state encoding allocates
-// nothing.
-func AppendBatch(dst []byte, xs [][]float64) []byte {
-	need := 4
-	for _, x := range xs {
-		need += 4 + 8*len(x)
-	}
-	off := len(dst)
-	if cap(dst)-off < need {
-		grown := make([]byte, off, off+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:off+need]
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(xs)))
-	off += 4
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(dst[off:], uint32(len(x)))
-		off += 4
-		for _, v := range x {
-			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
-			off += 8
-		}
-	}
-	return dst
-}
-
-// DecodeBatch reverses EncodeBatch. All rows share one backing array, so
-// decoding a batch costs two allocations regardless of row count.
-func DecodeBatch(buf []byte) ([][]float64, error) {
-	rows, off, err := readU32(buf, 0)
-	if err != nil {
-		return nil, err
-	}
-	// First pass: walk the row headers to validate the layout and size the
-	// shared backing array before allocating anything (a hostile row count
-	// fails here, since every row consumes at least its length prefix).
-	total := 0
-	scan := off
-	for r := uint32(0); r < rows; r++ {
-		var n uint32
-		n, scan, err = readU32(buf, scan)
-		if err != nil {
-			return nil, err
-		}
-		if int(n)*8 > len(buf)-scan {
-			return nil, fmt.Errorf("container: row %d truncated", r)
-		}
-		total += int(n)
-		scan += int(n) * 8
-	}
-	xs := make([][]float64, rows)
-	// Mirror DecodePredictions' guard: an empty or label-only batch (every
-	// row zero-length) must not pay for a zero-length backing allocation.
-	var backing []float64
-	if total > 0 {
-		backing = make([]float64, total)
-	}
-	for r := range xs {
-		var n uint32
-		n, off, _ = readU32(buf, off)
-		row := backing[:n:n]
-		backing = backing[n:]
-		for i := range row {
-			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		xs[r] = row
-	}
-	return xs, nil
-}
-
-// BatchView is a flat, row-major tensor view over a decoded batch: every
-// row's values sit back to back in one Data slice, so a model with a
-// tensor fast path (TensorPredictor) can consume the whole batch without
-// the per-row [][]float64 materialization DecodeBatch pays for.
+// BatchView is a flat, row-major tensor view over a batch: every row's
+// values sit back to back in one Data slice, so a ViewPredictor consumes
+// the whole batch without per-row [][]float64 slices.
 //
 // A view decoded by DecodeBatchView owns no payload memory — the decoder
 // copies values out of the wire buffer — but its backing arrays are meant
 // to be reused: decoding into the same view reuses Data and the offset
 // table, so the steady-state decode allocates nothing. Consumers must
-// treat a view handed to them (e.g. via PredictTensor) as valid only for
+// treat a view handed to them (e.g. via PredictView) as valid only for
 // the duration of the call, and must not alias Data in anything they
 // return.
 type BatchView struct {
@@ -157,13 +75,14 @@ func (v *BatchView) Row(r int) []float64 {
 	return v.Data[v.offsets[r]:v.offsets[r+1]]
 }
 
-// DecodeBatchView decodes an EncodeBatch payload into v, reusing v's
-// backing arrays. It performs the same two-pass validation as DecodeBatch
-// (hostile row counts and truncated rows fail before anything is sized),
-// then copies the values straight into the flat tensor — no per-row
-// slices, no second copy. With a reused view the steady-state decode is
-// allocation-free at any batch size; a fresh view pays at most one
-// allocation each for Data and the offset table.
+// DecodeBatchView decodes a batch payload (the layout AppendBatchView
+// writes) into v, reusing v's backing arrays. Validation is two-pass: the
+// first walks the row headers, so a hostile row count or a truncated row
+// fails before anything is sized (every row consumes at least its length
+// prefix); the second copies the values straight into the flat tensor —
+// no per-row slices, no second copy. With a reused view the steady-state
+// decode is allocation-free at any batch size; a fresh view pays at most
+// one allocation each for Data and the offset table.
 func DecodeBatchView(buf []byte, v *BatchView) error {
 	rows, off, err := readU32(buf, 0)
 	if err != nil {
@@ -212,11 +131,12 @@ func DecodeBatchView(buf []byte, v *BatchView) error {
 	return nil
 }
 
-// AppendBatchView appends the EncodeBatch serialization of the flat batch
-// v to dst and returns the extended slice. The bytes are identical to
-// AppendBatch of the equivalent [][]float64 rows — this is how a
-// flat-collected batch (batching's tensor collector) reaches the wire
-// without ever materializing per-query row slices.
+// AppendBatchView appends the serialization of the flat batch v to dst
+// and returns the extended slice. Callers on the hot path reuse dst
+// across batches (e.g. from a sync.Pool) so steady-state encoding
+// allocates nothing.
+//
+// Layout: u32 rows, then per row: u32 len, f64 × len.
 func AppendBatchView(dst []byte, v *BatchView) []byte {
 	rows := v.Rows()
 	need := 4 + 4*rows + 8*len(v.Data)
@@ -239,109 +159,6 @@ func AppendBatchView(dst []byte, v *BatchView) []byte {
 		}
 	}
 	return dst
-}
-
-// emptyPredictions is the canonical zero-count predictions payload.
-// EncodePredictions returns it for empty sets so that the empty encode
-// allocates nothing; callers must treat encoder output as read-only.
-var emptyPredictions = [4]byte{}
-
-// EncodePredictions serializes model outputs.
-//
-// Layout: u32 count, then per prediction: i32 label, u32 scoreLen,
-// f64 × scoreLen.
-//
-// An empty prediction set short-circuits to a shared zero-count payload
-// without allocating a backing array (the encode-side mirror of
-// DecodeBatch's total == 0 guard). Hot-path callers append into pooled
-// buffers via AppendPredictions instead.
-func EncodePredictions(preds []Prediction) []byte {
-	if len(preds) == 0 {
-		return emptyPredictions[:]
-	}
-	return AppendPredictions(nil, preds)
-}
-
-// AppendPredictions appends the EncodePredictions serialization of preds
-// to dst and returns the extended slice. The container Handler encodes
-// every response through it into the server's pooled scratch buffer, so
-// steady-state response encoding allocates nothing.
-func AppendPredictions(dst []byte, preds []Prediction) []byte {
-	need := 4
-	for _, p := range preds {
-		need += 4 + 4 + 8*len(p.Scores)
-	}
-	off := len(dst)
-	if cap(dst)-off < need {
-		grown := make([]byte, off, off+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:off+need]
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(preds)))
-	off += 4
-	for _, p := range preds {
-		binary.LittleEndian.PutUint32(dst[off:], uint32(int32(p.Label)))
-		off += 4
-		binary.LittleEndian.PutUint32(dst[off:], uint32(len(p.Scores)))
-		off += 4
-		for _, s := range p.Scores {
-			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(s))
-			off += 8
-		}
-	}
-	return dst
-}
-
-// DecodePredictions reverses EncodePredictions. All score vectors share
-// one backing array, so decoding costs two allocations regardless of
-// batch size.
-func DecodePredictions(buf []byte) ([]Prediction, error) {
-	count, off, err := readU32(buf, 0)
-	if err != nil {
-		return nil, err
-	}
-	// First pass: validate the layout and size the shared score backing
-	// array before allocating (see DecodeBatch).
-	total := 0
-	scan := off
-	for i := uint32(0); i < count; i++ {
-		var scoreLen uint32
-		_, scan, err = readU32(buf, scan)
-		if err != nil {
-			return nil, err
-		}
-		scoreLen, scan, err = readU32(buf, scan)
-		if err != nil {
-			return nil, err
-		}
-		if int(scoreLen)*8 > len(buf)-scan {
-			return nil, fmt.Errorf("container: prediction %d scores truncated", i)
-		}
-		total += int(scoreLen)
-		scan += int(scoreLen) * 8
-	}
-	preds := make([]Prediction, count)
-	var backing []float64
-	if total > 0 {
-		backing = make([]float64, total)
-	}
-	for i := range preds {
-		var label, scoreLen uint32
-		label, off, _ = readU32(buf, off)
-		scoreLen, off, _ = readU32(buf, off)
-		preds[i].Label = int(int32(label))
-		if scoreLen > 0 {
-			scores := backing[:scoreLen:scoreLen]
-			backing = backing[scoreLen:]
-			for j := range scores {
-				scores[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			preds[i].Scores = scores
-		}
-	}
-	return preds, nil
 }
 
 // EncodeInfo serializes a model description.

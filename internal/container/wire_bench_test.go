@@ -29,49 +29,25 @@ func benchPreds(n, scores int) []Prediction {
 	return preds
 }
 
-// BenchmarkEncodeBatch measures the one-shot encoder (one allocation per
-// batch).
-func BenchmarkEncodeBatch(b *testing.B) {
-	xs := benchRows(64, 128)
+// BenchmarkAppendBatchView measures the request encoder reusing one
+// buffer (zero allocations in steady state, as Remote's pooled path does).
+func BenchmarkAppendBatchView(b *testing.B) {
+	v := viewOf(benchRows(64, 128))
+	buf := AppendBatchView(nil, v)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodeBatch(xs)
-	}
-}
-
-// BenchmarkAppendBatch measures the hot-path encoder reusing one buffer
-// (zero allocations in steady state, as Remote's pooled path does).
-func BenchmarkAppendBatch(b *testing.B) {
-	xs := benchRows(64, 128)
-	buf := AppendBatch(nil, xs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendBatch(buf[:0], xs)
-	}
-}
-
-// BenchmarkDecodeBatch measures batch decoding; all rows share one backing
-// array, so this is two allocations per batch regardless of row count.
-func BenchmarkDecodeBatch(b *testing.B) {
-	buf := EncodeBatch(benchRows(64, 128))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatch(buf); err != nil {
-			b.Fatal(err)
-		}
+		buf = AppendBatchView(buf[:0], v)
 	}
 }
 
 // BenchmarkDecodeBatchView measures the zero-copy tensor decode into a
 // reused view: allocation-free in steady state at any batch size (the
-// path Handler takes for TensorPredictor models).
+// request decode every Handler performs).
 func BenchmarkDecodeBatchView(b *testing.B) {
 	for _, rows := range []int{16, 64, 512} {
 		b.Run(fmt.Sprintf("rows%d", rows), func(b *testing.B) {
-			buf := EncodeBatch(benchRows(rows, 128))
+			buf := encodeRows(benchRows(rows, 128))
 			var v BatchView
 			if err := DecodeBatchView(buf, &v); err != nil {
 				b.Fatal(err)
@@ -88,26 +64,13 @@ func BenchmarkDecodeBatchView(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodePredictions measures prediction decoding; all score
-// vectors share one backing array.
-func BenchmarkDecodePredictions(b *testing.B) {
-	buf := EncodePredictions(benchPreds(64, 10))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodePredictions(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecodePredictionView measures the flat response decode into a
 // reused view: allocation-free in steady state at any response size (the
 // path Remote.PredictViewContext scatters results from).
 func BenchmarkDecodePredictionView(b *testing.B) {
 	for _, rows := range []int{16, 64, 512} {
 		b.Run(fmt.Sprintf("rows%d", rows), func(b *testing.B) {
-			buf := EncodePredictions(benchPreds(rows, 10))
+			buf := encodePreds(benchPreds(rows, 10))
 			var v PredictionView
 			if err := DecodePredictionView(buf, &v); err != nil {
 				b.Fatal(err)
@@ -124,15 +87,15 @@ func BenchmarkDecodePredictionView(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendPredictions measures the hot-path response encoder
-// reusing one buffer (zero allocations in steady state, as the server's
-// leased scratch path does).
-func BenchmarkAppendPredictions(b *testing.B) {
-	preds := benchPreds(64, 10)
-	buf := AppendPredictions(nil, preds)
+// BenchmarkAppendPredictionView measures the response encoder reusing
+// one buffer (zero allocations in steady state, as the server's leased
+// scratch path does).
+func BenchmarkAppendPredictionView(b *testing.B) {
+	v := predViewOf(benchPreds(64, 10))
+	buf := AppendPredictionView(nil, v)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendPredictions(buf[:0], preds)
+		buf = AppendPredictionView(buf[:0], v)
 	}
 }

@@ -1,15 +1,61 @@
 package container
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// TestWireLayoutPinned pins both payload layouts byte for byte, written
+// out from the format the codec documents (little-endian; batch: u32
+// rows, per row u32 len + f64s; predictions: u32 count, per prediction
+// i32 label + u32 scoreLen + f64s). The wire has one encoder per payload,
+// so these literals — not a second implementation — are what keeps the
+// format from drifting.
+func TestWireLayoutPinned(t *testing.T) {
+	batch := []byte{
+		3, 0, 0, 0, // rows
+		2, 0, 0, 0, // row 0: len 2
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1.0
+		0, 0, 0, 0, 0, 0, 0, 0xc0, // -2.0
+		0, 0, 0, 0, // row 1: empty
+		1, 0, 0, 0, // row 2: len 1
+		0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // 0.5
+	}
+	if got := encodeRows([][]float64{{1, -2}, {}, {0.5}}); !bytes.Equal(got, batch) {
+		t.Fatalf("batch layout drifted:\n got %v\nwant %v", got, batch)
+	}
+	preds := []byte{
+		2, 0, 0, 0, // count
+		0xff, 0xff, 0xff, 0xff, // label -1
+		0, 0, 0, 0, // no scores
+		7, 0, 0, 0, // label 7
+		1, 0, 0, 0, // one score
+		0, 0, 0, 0, 0, 0, 0xd0, 0x3f, // 0.25
+	}
+	if got := encodePreds([]Prediction{{Label: -1}, {Label: 7, Scores: []float64{0.25}}}); !bytes.Equal(got, preds) {
+		t.Fatalf("predictions layout drifted:\n got %v\nwant %v", got, preds)
+	}
+	// The zero-count payloads are four zero bytes each, from a fresh view
+	// and from a Size(0, …) one.
+	var pv PredictionView
+	pv.Size(0, 3)
+	for name, got := range map[string][]byte{
+		"batch":       encodeRows(nil),
+		"predictions": encodePreds(nil),
+		"sized":       AppendPredictionView(nil, &pv),
+	} {
+		if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+			t.Fatalf("empty %s payload = %v", name, got)
+		}
+	}
+}
+
 func TestBatchCodecRoundTrip(t *testing.T) {
 	in := [][]float64{{1, 2, 3}, {}, {-4.5, math.Pi}}
-	out, err := DecodeBatch(EncodeBatch(in))
+	out, err := decodeRows(encodeRows(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +65,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecEmpty(t *testing.T) {
-	out, err := DecodeBatch(EncodeBatch(nil))
+	out, err := decodeRows(encodeRows(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +83,7 @@ func TestBatchCodecPropertyRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		out, err := DecodeBatch(EncodeBatch(rows))
+		out, err := decodeRows(encodeRows(rows))
 		if err != nil {
 			return false
 		}
@@ -62,9 +108,9 @@ func TestBatchCodecPropertyRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecTruncated(t *testing.T) {
-	buf := EncodeBatch([][]float64{{1, 2, 3, 4}})
+	buf := encodeRows([][]float64{{1, 2, 3, 4}})
 	for _, cut := range []int{1, 3, 5, 9, len(buf) - 1} {
-		if _, err := DecodeBatch(buf[:cut]); err == nil {
+		if _, err := decodeRows(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -76,7 +122,7 @@ func TestPredictionsCodecRoundTrip(t *testing.T) {
 		{Label: -1},
 		{Label: 0, Scores: []float64{}},
 	}
-	out, err := DecodePredictions(EncodePredictions(in))
+	out, err := decodePreds(encodePreds(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +138,9 @@ func TestPredictionsCodecRoundTrip(t *testing.T) {
 }
 
 func TestPredictionsCodecTruncated(t *testing.T) {
-	buf := EncodePredictions([]Prediction{{Label: 1, Scores: []float64{1, 2}}})
+	buf := encodePreds([]Prediction{{Label: 1, Scores: []float64{1, 2}}})
 	for _, cut := range []int{2, 6, 10, len(buf) - 1} {
-		if _, err := DecodePredictions(buf[:cut]); err == nil {
+		if _, err := decodePreds(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}

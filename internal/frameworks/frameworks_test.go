@@ -1,6 +1,7 @@
 package frameworks
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -170,13 +171,12 @@ func TestSimPredictorPredictionsAndLatency(t *testing.T) {
 	}
 }
 
-// TestSimPredictorTensorMatchesBatch pins the tensor fast path's
-// contract: PredictTensor must produce exactly PredictBatch's labels and
-// scores — for models with a flat fast path (linear, MLP, kernel, KNN),
-// for models without one (random forest falls back to per-row slicing),
-// and end to end through a Loopback deployment, where the Handler picks
-// the tensor path on its own.
-func TestSimPredictorTensorMatchesBatch(t *testing.T) {
+// TestSimPredictorViewMatchesBatch pins the two shapes' contract:
+// PredictView must produce exactly PredictBatch's labels and scores — for
+// models with a flat fast path (linear, MLP, kernel, KNN), for models
+// without one (random forest falls back to per-row slicing), called in
+// process and end to end through a Loopback deployment.
+func TestSimPredictorViewMatchesBatch(t *testing.T) {
 	d := dataset.Gaussian(dataset.GaussianConfig{
 		Name: "g", N: 300, Dim: 10, NumClasses: 3, Separation: 5, Noise: 1, Seed: 1,
 	})
@@ -196,14 +196,16 @@ func TestSimPredictorTensorMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		var v container.BatchView
-		if err := container.DecodeBatchView(container.EncodeBatch(xs), &v); err != nil {
-			t.Fatal(err)
+		for _, x := range xs {
+			v.AppendRow(x)
 		}
-		got, err := p.PredictTensor(v)
+		got := make([]container.Prediction, len(xs))
+		err = container.NewLocal(p).PredictViewContext(context.Background(), &v,
+			func(i int, pr container.Prediction) { got[i] = pr })
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSamePreds(t, m.Name()+"/direct", got, want)
+		requireSamePreds(t, m.Name()+"/local", got, want)
 
 		remote, stop, err := container.Loopback(p)
 		if err != nil {

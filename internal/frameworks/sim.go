@@ -25,11 +25,7 @@ type SimPredictor struct {
 	rng *rand.Rand
 }
 
-var (
-	_ container.Predictor       = (*SimPredictor)(nil)
-	_ container.TensorPredictor = (*SimPredictor)(nil)
-	_ container.ViewPredictor   = (*SimPredictor)(nil)
-)
+var _ container.ViewPredictor = (*SimPredictor)(nil)
 
 // NewSimPredictor wraps model with profile. inputDim 0 disables input-shape
 // advertising.
@@ -76,57 +72,9 @@ func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, err
 	return out, nil
 }
 
-// PredictTensor implements container.TensorPredictor: the same
-// predictions (labels and scores, bit for bit) as PredictBatch, computed
-// straight off the flat decoded tensor. When the wrapped model exposes a
-// flat fast path (models.FlatScorer) and the batch is uniform-width, the
-// whole batch is scored with per-batch scratch; otherwise rows are sliced
-// out of the view and served through the per-query path — still without
-// the [][]float64 materialization.
-func (p *SimPredictor) PredictTensor(v container.BatchView) ([]container.Prediction, error) {
-	start := time.Now()
-	rows := v.Rows()
-	p.mu.Lock()
-	target := p.profile.BatchDuration(rows, p.rng)
-	p.mu.Unlock()
-
-	out := make([]container.Prediction, rows)
-	fs, flat := p.model.(models.FlatScorer)
-	if dim := v.Dim(); flat && rows > 0 && dim > 0 {
-		nc := p.model.NumClasses()
-		if p.scorer != nil {
-			// One shared score tensor; each prediction's Scores slice
-			// views its row (the same sharing DecodePredictions uses).
-			backing := make([]float64, rows*nc)
-			fs.ScoresFlat(v.Data, rows, dim, backing)
-			for r := 0; r < rows; r++ {
-				s := backing[r*nc : (r+1)*nc : (r+1)*nc]
-				out[r] = container.Prediction{Label: models.Argmax(s), Scores: s}
-			}
-		} else {
-			labels := make([]int, rows)
-			models.PredictFlat(fs, nc, v.Data, rows, dim, labels)
-			for r, l := range labels {
-				out[r] = container.Prediction{Label: l}
-			}
-		}
-	} else {
-		for r := 0; r < rows; r++ {
-			x := v.Row(r)
-			pred := container.Prediction{Label: p.model.Predict(x)}
-			if p.scorer != nil {
-				pred.Scores = p.scorer.Scores(x)
-			}
-			out[r] = pred
-		}
-	}
-	SleepUntil(start.Add(target))
-	return out, nil
-}
-
 // PredictView implements container.ViewPredictor: the same predictions
-// (labels and scores, bit for bit) as PredictBatch and PredictTensor,
-// written straight into the flat response view. With a FlatScorer model
+// (labels and scores, bit for bit) as PredictBatch, written straight into
+// the flat response view. With a FlatScorer model
 // and a uniform-width batch the scored path is tensor-native end to end:
 // one Size call shapes the pooled view, ScoresFlat fills its flat score
 // tensor in place, and labels are argmaxed off the rows — no per-query

@@ -15,12 +15,12 @@ import (
 	"time"
 
 	"clipper"
+	"clipper/internal/adapter/httpjson"
 	"clipper/internal/batching"
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/dataset"
 	"clipper/internal/frameworks"
-	"clipper/internal/frontend"
 	"clipper/internal/models"
 	"clipper/internal/selection"
 	"clipper/internal/statestore"
@@ -29,7 +29,7 @@ import (
 // cluster is a fully wired deployment for tests.
 type cluster struct {
 	cl       *core.Clipper
-	rest     *frontend.Server
+	rest     *httpjson.Server
 	restAddr string
 	stops    []func()
 }
@@ -94,7 +94,7 @@ func startCluster(t *testing.T, train *dataset.Dataset, nModels int, policy sele
 		t.Fatal(err)
 	}
 
-	c.rest = frontend.NewServer(c.cl)
+	c.rest = httpjson.NewServer(c.cl)
 	c.restAddr, err = c.rest.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -132,15 +132,15 @@ func TestFullStackPredictFeedbackLearns(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		x, truth := test.X[i%test.Len()], test.Y[i%test.Len()]
-		var pr frontend.PredictResponse
-		code := postJSON(t, base+"/api/v1/predict", frontend.PredictRequest{App: "app", Input: x}, &pr)
+		var pr httpjson.PredictResponse
+		code := postJSON(t, base+"/api/v1/predict", httpjson.PredictRequest{App: "app", Input: x}, &pr)
 		if code != http.StatusOK {
 			t.Fatalf("predict status %d", code)
 		}
 		if pr.Label == truth {
 			correct++
 		}
-		code = postJSON(t, base+"/api/v1/feedback", frontend.FeedbackRequest{App: "app", Input: x, Label: truth}, nil)
+		code = postJSON(t, base+"/api/v1/feedback", httpjson.FeedbackRequest{App: "app", Input: x, Label: truth}, nil)
 		if code != http.StatusOK {
 			t.Fatalf("feedback status %d", code)
 		}

@@ -451,39 +451,16 @@ func benchRows(rows, dim int) [][]float64 {
 	return xs
 }
 
-// DecodeBatchAllocs returns allocations per container.DecodeBatch of a
-// rows×dim batch.
-func DecodeBatchAllocs(rows, dim int) float64 {
-	buf := container.EncodeBatch(benchRows(rows, dim))
-	return testing.AllocsPerRun(200, func() {
-		if _, err := container.DecodeBatch(buf); err != nil {
-			panic(err)
-		}
-	})
-}
-
-// DecodePredictionsAllocs returns allocations per
-// container.DecodePredictions of n predictions with the given score width.
-func DecodePredictionsAllocs(n, scores int) float64 {
-	preds := make([]container.Prediction, n)
-	for i := range preds {
-		preds[i] = container.Prediction{Label: i, Scores: make([]float64, scores)}
-	}
-	buf := container.EncodePredictions(preds)
-	return testing.AllocsPerRun(200, func() {
-		if _, err := container.DecodePredictions(buf); err != nil {
-			panic(err)
-		}
-	})
-}
-
 // DecodeBatchViewAllocs returns steady-state allocations per
 // container.DecodeBatchView of a rows×dim batch into a reused view — the
-// zero-copy tensor path the Handler takes for TensorPredictor models.
-// With the view's backing arrays warm this is 0 at any batch size.
+// request decode every container Handler performs. With the view's
+// backing arrays warm this is 0 at any batch size.
 func DecodeBatchViewAllocs(rows, dim int) float64 {
-	buf := container.EncodeBatch(benchRows(rows, dim))
 	var v container.BatchView
+	for _, x := range benchRows(rows, dim) {
+		v.AppendRow(x)
+	}
+	buf := container.AppendBatchView(nil, &v)
 	if err := container.DecodeBatchView(buf, &v); err != nil {
 		panic(err)
 	}
@@ -528,21 +505,10 @@ func (rowsEcho) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
 	return out, nil
 }
 
-// tensorEcho is rowsEcho plus the flat fast paths: PredictTensor gives
-// the Handler the zero-copy request decode, and PredictView makes the
-// response direction flat too, so the Handler serves it tensor-native
-// end to end (BatchView in, PredictionView out) — scores land directly
-// in the flat response tensor with no per-row slices.
+// tensorEcho is rowsEcho in the view shape: the Handler serves it
+// tensor-native end to end (BatchView in, PredictionView out) — scores
+// land directly in the flat response tensor with no per-row slices.
 type tensorEcho struct{ rowsEcho }
-
-func (tensorEcho) PredictTensor(v container.BatchView) ([]container.Prediction, error) {
-	out := make([]container.Prediction, v.Rows())
-	for i := range out {
-		x0 := v.Row(i)[0]
-		out[i] = container.Prediction{Label: int(x0), Scores: echoScores(x0)}
-	}
-	return out, nil
-}
 
 func (tensorEcho) PredictView(v container.BatchView, out *container.PredictionView) error {
 	scores := out.Size(v.Rows(), echoClasses)
@@ -563,11 +529,12 @@ func (tensorEcho) PredictView(v container.BatchView, out *container.PredictionVi
 // pipes — for roughly dur and returns completed queries per second.
 // tensor selects the tensor-native path end to end (ViewPredictor on the
 // container side: BatchView decode in, flat PredictionView out);
-// otherwise the same workload runs through the [][]float64 decode and
-// per-query Prediction structs. Both variants use the queue's flat
-// collector and the client's scatter path — the difference between the
-// two is the container-side serialization share of end-to-end throughput,
-// the Figure 11 cost this repo keeps chipping at.
+// otherwise the same workload runs in the row shape behind the rows
+// adapter (container's asView): rows materialised from the view, per-query
+// Prediction structs appended back into the response. Both variants use
+// the queue's flat collector and the client's scatter path — the
+// difference between the two is the container-side cost of the row
+// shape, the Figure 11 cost this repo keeps chipping at.
 func CodecPipelineQPS(tensor bool, dur time.Duration) float64 {
 	const dim = 128
 	const batch = 64
@@ -618,36 +585,17 @@ func CodecPipelineQPS(tensor bool, dur time.Duration) float64 {
 	return float64(completed) / elapsed.Seconds()
 }
 
-// AppendBatchAllocs returns steady-state allocations per
-// container.AppendBatch into a reused buffer.
-func AppendBatchAllocs(rows, dim int) float64 {
-	xs := benchRows(rows, dim)
-	buf := container.AppendBatch(nil, xs)
-	return testing.AllocsPerRun(200, func() {
-		buf = container.AppendBatch(buf[:0], xs)
-	})
-}
-
-func benchPredictions(n, scores int) []container.Prediction {
-	preds := make([]container.Prediction, n)
-	for i := range preds {
-		s := make([]float64, scores)
-		for j := range s {
-			s[j] = float64(i*scores + j)
-		}
-		preds[i] = container.Prediction{Label: i, Scores: s}
-	}
-	return preds
-}
-
 // DecodePredictionViewAllocs returns steady-state allocations per
 // container.DecodePredictionView of n predictions with the given score
 // width into a reused view — the response-direction mirror of
 // DecodeBatchViewAllocs. With the view's backing arrays warm this is 0
 // at any response size.
 func DecodePredictionViewAllocs(n, scores int) float64 {
-	buf := container.EncodePredictions(benchPredictions(n, scores))
 	var v container.PredictionView
+	for i := range v.Size(n, scores) {
+		v.Scores[i] = float64(i)
+	}
+	buf := container.AppendPredictionView(nil, &v)
 	if err := container.DecodePredictionView(buf, &v); err != nil {
 		panic(err)
 	}
@@ -655,17 +603,6 @@ func DecodePredictionViewAllocs(n, scores int) float64 {
 		if err := container.DecodePredictionView(buf, &v); err != nil {
 			panic(err)
 		}
-	})
-}
-
-// AppendPredictionsAllocs returns steady-state allocations per
-// container.AppendPredictions into a reused buffer — the response
-// encoder's share of the server's leased-scratch path.
-func AppendPredictionsAllocs(n, scores int) float64 {
-	preds := benchPredictions(n, scores)
-	buf := container.AppendPredictions(nil, preds)
-	return testing.AllocsPerRun(200, func() {
-		buf = container.AppendPredictions(buf[:0], preds)
 	})
 }
 
@@ -768,8 +705,8 @@ func Run(id string, dur time.Duration) Report {
 		Measurement{Name: "adaptive_compute_final_inflight", Unit: "batches", Value: float64(cpu.FinalInFlight)},
 		Measurement{Name: "adaptive_compute_final_conns", Unit: "conns", Value: float64(cpu.FinalConns)},
 		// End-to-end codec share: the same free container behind the full
-		// loopback RPC path, decoded as [][]float64 rows vs as a flat
-		// BatchView tensor.
+		// loopback RPC path, in the row shape (behind the rows adapter) vs
+		// the view shape.
 		Measurement{Name: "codec_pipeline_rows_qps", Unit: "qps", Value: codecRows},
 		Measurement{Name: "codec_pipeline_tensor_qps", Unit: "qps", Value: codecTensor},
 		Measurement{Name: "codec_pipeline_tensor_speedup", Unit: "x", Value: codecTensor / codecRows},
@@ -779,16 +716,12 @@ func Run(id string, dur time.Duration) Report {
 		// steady state (body pools + frame pool warm).
 		Measurement{Name: "read_frame_inline_256B", Unit: "allocs/op", Value: ReadFrameAllocs(256)},
 		Measurement{Name: "read_frame_large_64KB", Unit: "allocs/op", Value: ReadFrameAllocs(64 << 10)},
-		Measurement{Name: "decode_batch_64x128", Unit: "allocs/op", Value: DecodeBatchAllocs(64, 128)},
 		Measurement{Name: "decode_batch_view_64x128", Unit: "allocs/op", Value: DecodeBatchViewAllocs(64, 128)},
 		Measurement{Name: "decode_batch_view_512x128", Unit: "allocs/op", Value: DecodeBatchViewAllocs(512, 128)},
-		Measurement{Name: "decode_predictions_64x10", Unit: "allocs/op", Value: DecodePredictionsAllocs(64, 10)},
 		// Response-direction flat codec: decode into a reused view and
 		// append from reused predictions — 0 in steady state.
 		Measurement{Name: "decode_predictions_view_64x10", Unit: "allocs/op", Value: DecodePredictionViewAllocs(64, 10)},
 		Measurement{Name: "decode_predictions_view_512x10", Unit: "allocs/op", Value: DecodePredictionViewAllocs(512, 10)},
-		Measurement{Name: "append_batch_reused_64x128", Unit: "allocs/op", Value: AppendBatchAllocs(64, 128)},
-		Measurement{Name: "append_predictions_reused_64x10", Unit: "allocs/op", Value: AppendPredictionsAllocs(64, 10)},
 		// Whole-path allocation bill: per-query allocations across both
 		// sides of a loopback ViewPredictor round trip at batch 64.
 		Measurement{Name: "loopback_tensor_allocs_per_query", Unit: "allocs/query", Value: LoopbackTensorAllocsPerQuery(64, 128)},

@@ -87,9 +87,9 @@ var callChPool = sync.Pool{
 // Payload is a leased response payload returned by Call. Data aliases a
 // pooled frame body; the caller owns the lease and must call Release
 // exactly once when it is done with Data — for the prediction path that
-// release point is Remote.PredictBatchContext, immediately after
-// DecodePredictions copies the values out. Data must not be retained or
-// used after Release. The zero Payload is valid and Release on it is a
+// release point is Remote.PredictViewContext, immediately after
+// DecodePredictionView copies the values out. Data must not be retained
+// or used after Release. The zero Payload is valid and Release on it is a
 // no-op, so error returns need no special casing.
 type Payload struct {
 	// Data is the response payload. Valid until Release.

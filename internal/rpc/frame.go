@@ -219,7 +219,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // from recvFramePool, so the steady-state read path allocates nothing —
 // the consumer must call Frame.Release exactly once when it is done with
 // the payload. The release points are fixed by contract: the client
-// releases a response after decoding it (Remote.PredictBatchContext),
+// releases a response after decoding it (Remote.PredictViewContext),
 // the server releases a request after the Handler's response has been
 // written, and responses to abandoned calls are released by whoever
 // finds them (Client.readLoop or the cancelled caller's drain).

@@ -261,6 +261,92 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestListenAfterStop: a server stopped either way refuses new listeners
+// with ErrServerClosed.
+func TestListenAfterStop(t *testing.T) {
+	stops := map[string]func(*Server) error{
+		"Close":    (*Server).Close,
+		"Shutdown": func(s *Server) error { return s.Shutdown(context.Background()) },
+	}
+	for name, stop := range stops {
+		srv := NewServer(echoHandler)
+		if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := stop(srv); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := srv.Listen("127.0.0.1:0"); !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("Listen after %s = %v, want ErrServerClosed", name, err)
+		}
+	}
+}
+
+// TestShutdownDrainsInFlight: a request the server has read finishes and
+// is answered although Shutdown begins while it runs; Close, by contrast,
+// cuts it off.
+func TestShutdownDrainsInFlight(t *testing.T) {
+	for _, graceful := range []bool{true, false} {
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		srv := NewServer(func(_ Method, p, scratch []byte) ([]byte, error) {
+			close(entered)
+			<-release
+			return append(scratch, p...), nil
+		})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type reply struct {
+			data string
+			err  error
+		}
+		got := make(chan reply, 1)
+		go func() {
+			p, err := c.Call(context.Background(), MethodPredict, []byte("kept"))
+			got <- reply{string(p.Data), err}
+			p.Release()
+		}()
+		<-entered
+		stopped := make(chan error, 1)
+		go func() {
+			if graceful {
+				stopped <- srv.Shutdown(context.Background())
+			} else {
+				stopped <- srv.Close()
+			}
+		}()
+		if graceful {
+			select {
+			case err := <-stopped:
+				t.Fatalf("Shutdown returned %v with a request still running", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+		} else {
+			// Close has already closed the connection: the call fails
+			// while its handler is still parked.
+			if r := <-got; r.err == nil {
+				t.Fatal("Close let an in-flight call complete")
+			}
+		}
+		close(release)
+		if err := <-stopped; err != nil {
+			t.Fatal(err)
+		}
+		if graceful {
+			if r := <-got; r.err != nil || r.data != "kept" {
+				t.Fatalf("drained call = %q, %v; want its response", r.data, r.err)
+			}
+		}
+		c.Close()
+	}
+}
+
 func TestServerSlowRequestDoesNotBlockPing(t *testing.T) {
 	release := make(chan struct{})
 	addr, stop := startServer(t, func(_ Method, _, scratch []byte) ([]byte, error) {

@@ -1,11 +1,14 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Handler processes one request and returns the response payload,
@@ -64,6 +67,10 @@ func putRespBuf(b *[]byte) bool {
 	return true
 }
 
+// ErrServerClosed is returned by Listen on a server that has been closed
+// or is shutting down.
+var ErrServerClosed = errors.New("rpc: server closed")
+
 // Server accepts connections and dispatches framed requests to a Handler.
 // Requests are served concurrently — the read loop hands each request
 // frame to an idle worker goroutine (spawning a new one only when every
@@ -74,14 +81,23 @@ func putRespBuf(b *[]byte) bool {
 // its stack through the handler's decode/predict/encode chain every
 // time, which profiles as runtime.newstack/copystack at high frame
 // rates.
+//
+// A server stops one of two ways. Close is immediate: connections are
+// closed under whatever is in flight, so a handler still running finds
+// its response write failing (model containers stop this way). Shutdown
+// drains: every request whose frame was fully read runs and has its
+// response written before its connection closes (the client-facing
+// adapters stop this way). Both invariants the lease tests check — every
+// request frame released once, every response scratch recycled once —
+// hold on either path.
 type Server struct {
 	handler Handler
 
 	mu       sync.Mutex
 	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	conns    map[net.Conn]struct{} // accepted connections still being served
+	closed   bool                  // Close or Shutdown has begun
+	wg       sync.WaitGroup        // the accept loop and every accepted connection's ServeConn
 }
 
 // NewServer returns a server dispatching to handler.
@@ -90,7 +106,9 @@ func NewServer(handler Handler) *Server {
 }
 
 // Listen starts accepting on addr ("host:port"; ":0" picks a free port) and
-// returns the bound address. Serving proceeds in the background until Close.
+// returns the bound address. Serving proceeds in the background until
+// Close or Shutdown; on a server already stopped by either it returns
+// ErrServerClosed.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -100,11 +118,11 @@ func (s *Server) Listen(addr string) (string, error) {
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return "", errors.New("rpc: server closed")
+		return "", ErrServerClosed
 	}
 	s.listener = ln
+	s.wg.Add(1) // under mu: a racing Close must not see the counter at zero
 	s.mu.Unlock()
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		for {
@@ -115,7 +133,10 @@ func (s *Server) Listen(addr string) (string, error) {
 			if tcp, ok := conn.(*net.TCPConn); ok {
 				tcp.SetNoDelay(true)
 			}
-			s.track(conn)
+			if !s.track(conn) {
+				conn.Close()
+				continue
+			}
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
@@ -126,14 +147,16 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-func (s *Server) track(conn net.Conn) {
+// track registers an accepted connection, refusing it once the server
+// has begun to stop.
+func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		conn.Close()
-		return
+		return false
 	}
 	s.conns[conn] = struct{}{}
+	return true
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -143,22 +166,49 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // ServeConn serves a single established connection until it fails or the
-// server closes. It may be used directly with in-memory pipes (tests,
+// server stops. It may be used directly with in-memory pipes (tests,
 // simulated links).
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
-	defer conn.Close()
-	if nc, ok := conn.(net.Conn); ok {
-		defer s.untrack(nc)
-	}
 	var writeMu sync.Mutex
 	var reqWG sync.WaitGroup
 	reqCh := make(chan *Frame)
-	defer reqWG.Wait()
-	defer close(reqCh)
+	err := s.readLoop(conn, &writeMu, reqCh, &reqWG)
+	// Exit order is the drain: no further frame is read, the workers are
+	// released, every response for a frame already read is written, and
+	// only then does the connection close.
+	close(reqCh)
+	reqWG.Wait()
+	if tcp, ok := conn.(*net.TCPConn); ok && errors.Is(err, os.ErrDeadlineExceeded) {
+		lingerClose(tcp)
+	}
+	if nc, ok := conn.(net.Conn); ok {
+		s.untrack(nc)
+	}
+	conn.Close()
+}
+
+// lingerClose ends a connection Shutdown has drained without losing the
+// responses just written. Closing a socket whose receive buffer still
+// holds requests a pipelining client sent behind the drain resets the
+// connection, and a reset discards whatever the kernel has not yet
+// delivered. So the write side is closed first — the client reads every
+// response, then end-of-stream — and what the client keeps sending is
+// consumed until it closes its side. A client that never does is cut off
+// when Shutdown's context expires and closes the connection under this
+// read.
+func lingerClose(tcp *net.TCPConn) {
+	tcp.CloseWrite()
+	tcp.SetReadDeadline(time.Time{})
+	io.Copy(io.Discard, tcp)
+}
+
+// readLoop reads frames until the connection fails, handing each request
+// to a worker, and returns the read error that ended it.
+func (s *Server) readLoop(conn io.ReadWriteCloser, writeMu *sync.Mutex, reqCh chan *Frame, reqWG *sync.WaitGroup) error {
 	for {
 		f, err := ReadFrame(conn)
 		if err != nil {
-			return
+			return err
 		}
 		switch f.Type {
 		case MsgPing:
@@ -175,7 +225,7 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 			case reqCh <- f:
 			default:
 				reqWG.Add(1)
-				go s.serveRequests(conn, &writeMu, reqCh, f, &reqWG)
+				go s.serveRequests(conn, writeMu, reqCh, f, reqWG)
 			}
 		default:
 			// Ignore unexpected frame kinds rather than killing the
@@ -224,16 +274,13 @@ func (s *Server) serveRequest(conn io.ReadWriteCloser, writeMu *sync.Mutex, f, o
 	out.Payload = nil // the response body's lease ended; do not retain it in the parked worker
 }
 
-// Close stops accepting, closes all live connections, and waits for
-// handlers to drain.
-func (s *Server) Close() error {
+// stop marks the server stopped, closes the listener, and returns the
+// accepted connections still being served.
+func (s *Server) stop() []net.Conn {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
 	s.closed = true
 	ln := s.listener
+	s.listener = nil
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -242,9 +289,48 @@ func (s *Server) Close() error {
 	if ln != nil {
 		ln.Close()
 	}
-	for _, c := range conns {
+	return conns
+}
+
+// Close stops accepting, closes every accepted connection immediately,
+// and waits for their handlers to return. Requests in flight lose their
+// responses; use Shutdown to let them finish.
+func (s *Server) Close() error {
+	for _, c := range s.stop() {
 		c.Close()
 	}
 	s.wg.Wait()
 	return nil
+}
+
+// Shutdown stops the server gracefully. It stops accepting, then stops
+// reading: each accepted connection's read deadline is expired, so its
+// read loop takes no further frame, waits for the workers serving the
+// frames it already read — each of which writes its response — and only
+// then closes the connection (write side first, so the client receives
+// every response; see lingerClose). Because reading stops before the wait
+// begins, no request can slip in behind the drain and run against a
+// closing socket. There is no in-flight counter: the per-connection
+// worker WaitGroup the read loop already owns is the drain condition, so
+// draining adds nothing to the per-request path.
+//
+// If ctx expires first, the remaining connections are closed under their
+// handlers (as Close does) and ctx's error is returned. Connections
+// handed to ServeConn directly are the caller's to close.
+func (s *Server) Shutdown(ctx context.Context) error {
+	for _, c := range s.stop() {
+		c.SetReadDeadline(time.Unix(1, 0))
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		s.Close()
+		return ctx.Err()
+	}
 }

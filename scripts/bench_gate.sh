@@ -12,7 +12,6 @@
 . "$(dirname "$0")/bench_lib.sh"
 
 out="${BENCH_GATE_OUT:-/tmp/bench_gate.json}"
-run_perf "$out" -id bench-gate-smoke -dur "${BENCH_GATE_DUR:-500ms}"
-check_report "$out"
+BENCH_DUR="${BENCH_GATE_DUR:-500ms}" sh scripts/bench.sh "$out" bench-gate-smoke
 check_report BENCH_PR10.json
 echo "bench gate ok"

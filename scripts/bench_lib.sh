@@ -1,8 +1,8 @@
-# bench_lib.sh — shared plumbing for the bench_pr*.sh recorders and the
-# CI bench gate. Source it from a sibling script:
+# bench_lib.sh — shared plumbing for the recorder (bench.sh) and the CI
+# bench gate (bench_gate.sh). Source it from a sibling script:
 #
 #   . "$(dirname "$0")/bench_lib.sh"
-#   run_perf BENCH_PRn.json -id prn-title
+#   run_perf OUT.json -id some-id
 #
 # It pins the strict shell flags, moves to the repo root (so output paths
 # land beside the code they measure), and provides run_perf, which runs
