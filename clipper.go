@@ -179,9 +179,9 @@ func NewQuantileReg(cfg QuantileRegConfig) Controller { return batching.NewQuant
 func NewFixedBatch(n int) Controller { return batching.NewFixed(n) }
 
 // NewAdaptive returns a controller that sizes a replica's pipeline window
-// (QueueConfig.InFlight) and RPC pool target at runtime from observed
-// batch latency, throughput, and pool write-queue telemetry, the same way
-// AIMD sizes batches. Set it as QueueConfig.Adaptive; Deploy attaches the
+// (QueueConfig.InFlight) and RPC pool target at runtime from the replica
+// queue's load model (batch latency, completed-query throughput) and pool
+// write-queue telemetry, the same way AIMD sizes batches. Set it as QueueConfig.Adaptive; Deploy attaches the
 // replica's connection pool automatically. See docs/ARCHITECTURE.md.
 func NewAdaptive(cfg AdaptiveConfig) *Adaptive { return batching.NewAdaptive(cfg) }
 

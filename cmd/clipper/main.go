@@ -60,7 +60,6 @@ func main() {
 		schedName   = flag.String("sched", "jsq", "cross-replica dispatch policy: jsq (load-aware) or rr (round-robin)")
 		hedge       = flag.Bool("hedge", false, "hedge straggling requests onto the fastest sibling replica")
 		hedgeBudget = flag.Float64("hedge-budget", 0.1, "max hedges as a fraction of offered load (with -hedge)")
-		hedgeQuant  = flag.Float64("hedge-quantile", 0.9, "per-replica latency quantile deriving the hedge delay (with -hedge)")
 		qos         = flag.Bool("qos", false, "opt the demo app into multi-tenant QoS: tenant-tagged fair batching plus SLO admission control")
 		weight      = flag.Int("weight", 1, "demo app fair-batching weight (with -qos)")
 		shedName    = flag.String("shed-policy", "reject", "SLO admission policy with -qos: none, reject, or degrade")
@@ -101,7 +100,6 @@ func main() {
 		Hedge: clipper.HedgeConfig{
 			Enabled:    *hedge,
 			BudgetFrac: *hedgeBudget,
-			Quantile:   *hedgeQuant,
 		},
 	}})
 	defer cl.Close()
@@ -200,7 +198,7 @@ func main() {
 	}
 	defer rest.Close()
 	log.Printf("Clipper serving app %q on http://%s (SLO %v)", "demo", bound, *slo)
-	log.Printf("Prometheus scrape endpoint: http://%s/metrics (human dump: /metrics?format=text)", bound)
+	log.Printf("Prometheus scrape endpoint: http://%s/metrics", bound)
 	fmt.Printf("try: curl -s http://%s/api/v1/apps\n", bound)
 
 	type gracefulServer interface {

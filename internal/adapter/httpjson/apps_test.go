@@ -3,8 +3,6 @@ package httpjson
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"clipper/internal/gateway"
@@ -114,18 +112,5 @@ func TestPredictBatchValidation(t *testing.T) {
 	rec = postJSON(t, h, "/api/v1/predict-batch", BatchPredictRequest{App: "demo", Inputs: huge})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch: %d", rec.Code)
-	}
-}
-
-func TestMetricsIncludesQueues(t *testing.T) {
-	s, _ := newTestServer(t)
-	h := s.Handler()
-	postJSON(t, h, "/api/v1/predict", PredictRequest{App: "demo", Input: []float64{1}})
-	req := httptest.NewRequest(http.MethodGet, "/metrics?format=text", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	body := rec.Body.String()
-	if !strings.Contains(body, "queue m0/0") || !strings.Contains(body, "max_batch=") {
-		t.Fatalf("metrics missing queue lines:\n%s", body)
 	}
 }

@@ -200,19 +200,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	s, _ := newTestServer(t)
-	h := s.Handler()
-	postJSON(t, h, "/api/v1/predict", PredictRequest{App: "demo", Input: []float64{1}})
-	req := httptest.NewRequest(http.MethodGet, "/metrics?format=text", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	body := rec.Body.String()
-	if !strings.Contains(body, "app demo") || !strings.Contains(body, "cache") {
-		t.Fatalf("metrics body:\n%s", body)
-	}
-}
-
 func TestListenAndServeRealSocket(t *testing.T) {
 	s, _ := newTestServer(t)
 	addr, err := s.Listen("127.0.0.1:0")

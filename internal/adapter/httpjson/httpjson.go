@@ -18,8 +18,7 @@
 //	GET  /api/v1/admin/replicas?model=<name>
 //	GET  /api/v1/admin/applications
 //	POST /api/v1/admin/health   {"replica","healthy"}
-//	GET  /metrics               Prometheus text exposition (canonical)
-//	GET  /metrics?format=text   legacy human-readable dump
+//	GET  /metrics               Prometheus text exposition
 package httpjson
 
 import (
@@ -314,17 +313,10 @@ func (s *Server) handleSetHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatusResponse{OK: true})
 }
 
-// handleMetrics serves the node's telemetry. The canonical format is
-// Prometheus text exposition (version 0.0.4), rendered from the core
-// registry; ?format=text keeps the historical human-readable dump for
-// eyeballs and the curl habit.
+// handleMetrics serves the node's telemetry as Prometheus text exposition
+// (version 0.0.4), rendered from the core registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reqMetrics.Inc()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.b.WriteMetricsText(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.b.WriteMetrics(w); err != nil {
 		// Invariant violations are caught before any byte is written, so

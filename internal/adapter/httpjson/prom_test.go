@@ -121,6 +121,7 @@ func TestMetricsPrometheus(t *testing.T) {
 		`clipper_app_predictions_total{app="demo"} 1`,
 		`clipper_app_feedbacks_total{app="demo"} 1`,
 		`clipper_queue_queued{model="m0",replica="m0:v1/0"}`,
+		`clipper_queue_max_batch{model="m0",replica="m0:v1/0"}`,
 		`clipper_cache_hits_total`,
 		`clipper_http_requests_total{path="/api/v1/predict"} 1`,
 		`clipper_http_requests_total{path="/metrics"} 1`,

@@ -9,12 +9,13 @@ package batching
 // routing target (rpc.Pool). Adaptive closes both loops from runtime
 // signals:
 //
-//   - Per-batch latency and completed-query throughput, fed by the queue
-//     after every dispatched batch, drive the window: additive grow probes
-//     that keep the window only while the throughput gain is real, revert
-//     when it is not, downward probes that shed window that buys nothing,
-//     and a multiplicative backoff when latency inflates with no
-//     transfer-bound signal (compute saturation).
+//   - The queue's load model (load.go) — smoothed per-batch latency and
+//     the completed-query counter, read once per control period — drives
+//     the window: additive grow probes that keep the window only while
+//     the throughput gain is real, revert when it is not, downward probes
+//     that shed window that buys nothing, and a multiplicative backoff
+//     when latency inflates with no transfer-bound signal (compute
+//     saturation).
 //   - The pool's queued-behind-write counters (rpc.PoolStats) drive the
 //     connection target: batches queueing behind each other's frame writes
 //     mean the link, not the model, is the bottleneck (transfer-bound), so
@@ -58,37 +59,40 @@ type AdaptiveConfig struct {
 	MinConns int
 	// InitialConns is the starting pool target; 0 selects MinConns.
 	InitialConns int
-	// ProbeBatches is the number of batch observations per control
+	// ProbeBatches is the number of completed batches per control
 	// period; 0 selects 8. Longer periods smooth noise, shorter ones
 	// converge faster.
 	ProbeBatches int
-	// GainFrac is the minimum fractional throughput gain that justifies
-	// keeping a grown window (and the maximum loss a shrink may cost);
-	// 0 selects 0.05.
-	GainFrac float64
-	// Inflate is the emergency threshold: latency beyond this factor of
-	// the baseline with no transfer-bound signal triggers the
-	// multiplicative window backoff; 0 selects 2.0.
-	Inflate float64
-	// Backoff is the multiplicative window decrease factor in (0,1);
-	// 0 selects 0.75.
-	Backoff float64
-	// QueueFrac is the queued-behind-write fraction of writes that marks
-	// a period transfer-bound; 0 selects 0.1.
-	QueueFrac float64
-	// WaitFrac is the minimum average queued-behind-write time per
-	// write, as a fraction of the smoothed batch latency, for a period
-	// to count as transfer-bound; 0 selects 0.01. This keeps microsecond
-	// write collisions on a compute-bound replica (tiny frames, busy
-	// model) from masquerading as a saturated wire.
-	WaitFrac float64
-	// QuietPeriods is the number of consecutive calm periods before the
-	// pool target shrinks by one; 0 selects 8.
-	QuietPeriods int
-	// HoldPeriods is the number of periods to sit still after a reverted
-	// probe before probing again; 0 selects 4.
-	HoldPeriods int
 }
+
+// The control law's constants: properties of the loop, not of a
+// deployment, so not configuration.
+const (
+	// gainFrac is the minimum fractional throughput gain that justifies
+	// keeping a grown window (and the maximum loss a shrink may cost).
+	gainFrac = 0.05
+	// inflate is the emergency threshold: batch latency beyond this
+	// factor of the baseline with no transfer-bound signal triggers the
+	// multiplicative window backoff.
+	inflate = 2.0
+	// backoff is the multiplicative window decrease factor.
+	backoff = 0.75
+	// queueFrac is the queued-behind-write fraction of writes that marks
+	// a period transfer-bound.
+	queueFrac = 0.1
+	// waitFrac is the minimum average queued-behind-write time per write,
+	// as a fraction of the smoothed batch latency, for a period to count
+	// as transfer-bound. This keeps microsecond write collisions on a
+	// compute-bound replica (tiny frames, busy model) from masquerading
+	// as a saturated wire.
+	waitFrac = 0.01
+	// quietPeriods is the number of consecutive calm periods before the
+	// pool target shrinks by one.
+	quietPeriods = 8
+	// holdPeriods is the number of periods to sit still after a reverted
+	// probe before probing again.
+	holdPeriods = 4
+)
 
 func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if cfg.MinInFlight <= 0 {
@@ -118,27 +122,6 @@ func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if cfg.ProbeBatches <= 0 {
 		cfg.ProbeBatches = 8
 	}
-	if cfg.GainFrac <= 0 {
-		cfg.GainFrac = 0.05
-	}
-	if cfg.Inflate <= 1 {
-		cfg.Inflate = 2.0
-	}
-	if cfg.Backoff <= 0 || cfg.Backoff >= 1 {
-		cfg.Backoff = 0.75
-	}
-	if cfg.QueueFrac <= 0 {
-		cfg.QueueFrac = 0.1
-	}
-	if cfg.WaitFrac <= 0 {
-		cfg.WaitFrac = 0.01
-	}
-	if cfg.QuietPeriods <= 0 {
-		cfg.QuietPeriods = 8
-	}
-	if cfg.HoldPeriods <= 0 {
-		cfg.HoldPeriods = 4
-	}
 	return cfg
 }
 
@@ -152,7 +135,7 @@ const (
 	// phaseJudge compares the settled measurements against the pre-probe
 	// baseline and keeps or reverts the probe.
 	phaseJudge
-	// phaseHold sits at a stable window for HoldPeriods before the next
+	// phaseHold sits at a stable window for holdPeriods before the next
 	// probe.
 	phaseHold
 )
@@ -160,7 +143,7 @@ const (
 // sample is one control period's settled measurement.
 type sample struct {
 	tput float64 // completed queries per second
-	lat  float64 // EWMA per-batch latency, seconds
+	lat  float64 // the load model's per-batch latency at period end, seconds
 }
 
 // AdaptiveSnapshot reports the controller's current operating point.
@@ -175,20 +158,21 @@ type AdaptiveSnapshot struct {
 	TransferBound bool
 	// Throughput is the last settled period's completed queries/sec.
 	Throughput float64
-	// BatchLatency is the smoothed per-batch latency.
+	// BatchLatency is the load model's smoothed per-batch latency.
 	BatchLatency time.Duration
 }
 
 // Adaptive sizes a queue's pipeline window and its replica's RPC pool
-// routing target at runtime. The queue feeds it one observation per
-// dispatched batch; decisions happen on ProbeBatches boundaries. All
-// methods are safe for concurrent use.
+// routing target at runtime. It estimates nothing itself: the queue ticks
+// it once per completed batch, and on ProbeBatches boundaries it reads
+// the queue's load model. All methods are safe for concurrent use.
 type Adaptive struct {
 	cfg AdaptiveConfig
 
-	mu   sync.Mutex
-	pool PoolTuner
-	sem  *winSem // the bound queue's window semaphore (nil until bound)
+	mu    sync.Mutex
+	pool  PoolTuner
+	sem   *winSem    // the bound queue's window semaphore (nil until bound)
+	model *LoadModel // the bound queue's load model (nil until bound)
 
 	win     int // current window target
 	prevWin int // window the baseline sample was measured at
@@ -197,11 +181,9 @@ type Adaptive struct {
 	hold    int
 	growDir bool // next probe direction: true = grow
 
-	ewma        float64 // per-batch latency EWMA, seconds
-	batches     int     // observations this period
-	queries     int     // queries completed this period
-	periodStart time.Time
-	started     bool
+	batches       int       // ticks this period
+	periodStart   time.Time // zero until the first tick
+	lastCompleted int64     // model.completed at the last period boundary
 
 	// Pool loop state.
 	connTarget    int
@@ -248,24 +230,29 @@ func (a *Adaptive) Window() int {
 	return a.win
 }
 
-// bindWindow hands the controller the queue's window semaphore. Window
-// changes are applied under the controller's lock, so a worker observing
-// a stale decision can never overwrite a newer limit (winSem's mutex is a
-// leaf; no lock cycle).
-func (a *Adaptive) bindWindow(sem *winSem) {
+// bind hands the controller its queue's window semaphore and load model.
+// Window changes are applied under the controller's lock, so a worker
+// observing a stale decision can never overwrite a newer limit (winSem's
+// mutex is a leaf; no lock cycle).
+func (a *Adaptive) bind(sem *winSem, m *LoadModel) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sem = sem
-	sem.setLimit(a.win)
+	a.sem, a.model = sem, m
+	a.applyWindow()
+}
+
+// batchLatency is the bound model's smoothed per-batch latency in
+// seconds (0 unbound or cold). Callers hold a.mu.
+func (a *Adaptive) batchLatency() float64 {
+	if a.model == nil {
+		return 0
+	}
+	return a.model.batchLat.Value()
 }
 
 // applyWindow pushes the current target to the bound semaphore. Callers
 // hold a.mu.
-func (a *Adaptive) applyWindow() {
-	if a.sem != nil {
-		a.sem.setLimit(a.win)
-	}
-}
+func (a *Adaptive) applyWindow() { a.sem.setLimit(a.win) }
 
 // Snapshot reports the controller's operating point for telemetry.
 func (a *Adaptive) Snapshot() AdaptiveSnapshot {
@@ -276,44 +263,35 @@ func (a *Adaptive) Snapshot() AdaptiveSnapshot {
 		PoolTarget:    a.connTarget,
 		TransferBound: a.transferBound,
 		Throughput:    a.lastTput,
-		BatchLatency:  time.Duration(a.ewma * float64(time.Second)),
+		BatchLatency:  seconds(a.batchLatency()),
 	}
 }
 
-// ObserveBatch feeds one dispatched batch's size and latency into the
-// control loops and returns the (possibly updated) window target. A
-// bound queue's dispatch semaphore is resized in the same critical
-// section (bindWindow).
-func (a *Adaptive) ObserveBatch(size int, latency time.Duration) int {
-	now := time.Now()
+// tick counts one completed batch — the queue calls it right after the
+// batch was folded into the load model — and on a period boundary runs
+// the control loops against the model. The bound queue's dispatch
+// semaphore is resized in the same critical section (bind).
+func (a *Adaptive) tick() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	lat := latency.Seconds()
-	if a.ewma == 0 {
-		a.ewma = lat
-	} else {
-		a.ewma = 0.8*a.ewma + 0.2*lat
-	}
-	if !a.started {
-		a.started = true
-		a.periodStart = now
+	if a.periodStart.IsZero() {
+		a.periodStart = time.Now()
 	}
 	a.batches++
-	a.queries += size
 	if a.batches < a.cfg.ProbeBatches {
-		return a.win
+		return
 	}
 
-	// Control period boundary.
-	elapsed := now.Sub(a.periodStart).Seconds()
+	// Control period boundary: throughput is the model's completed count
+	// over the period's wall time.
+	now := time.Now()
+	completed := a.model.completed.Load()
 	tput := 0.0
-	if elapsed > 0 {
-		tput = float64(a.queries) / elapsed
+	if elapsed := now.Sub(a.periodStart).Seconds(); elapsed > 0 {
+		tput = float64(completed-a.lastCompleted) / elapsed
 	}
-	a.periodStart = now
-	a.batches, a.queries = 0, 0
-	a.lastTput = tput
+	a.periodStart, a.lastCompleted, a.batches, a.lastTput = now, completed, 0, tput
 
 	if a.drivePool() {
 		// The transport capacity just moved under the window loop's
@@ -321,11 +299,10 @@ func (a *Adaptive) ObserveBatch(size int, latency time.Duration) int {
 		if a.phase == phaseJudge {
 			a.phase = phaseSettle
 		}
-		return a.win
+		return
 	}
-	a.driveWindow(sample{tput: tput, lat: a.ewma})
+	a.driveWindow(sample{tput: tput, lat: a.batchLatency()})
 	a.applyWindow() // under a.mu: stale decisions can't clobber newer ones
-	return a.win
 }
 
 // drivePool runs one pool-target decision: grow while batches spend real
@@ -350,7 +327,7 @@ func (a *Adaptive) drivePool() bool {
 	// collisions of tiny frames on a compute-bound replica don't count).
 	frac := float64(queuedDelta) / float64(writesDelta)
 	avgWait := waitDelta.Seconds() / float64(writesDelta)
-	a.transferBound = frac >= a.cfg.QueueFrac && avgWait >= a.ewma*a.cfg.WaitFrac
+	a.transferBound = frac >= queueFrac && avgWait >= a.batchLatency()*waitFrac
 	if a.transferBound {
 		a.quiet = 0
 		if st.Target < st.Conns {
@@ -360,7 +337,7 @@ func (a *Adaptive) drivePool() bool {
 		return false
 	}
 	a.quiet++
-	if a.quiet >= a.cfg.QuietPeriods && st.Target > a.cfg.MinConns {
+	if a.quiet >= quietPeriods && st.Target > a.cfg.MinConns {
 		a.connTarget = a.pool.SetPoolTarget(st.Target - 1)
 		a.quiet = 0
 		return true
@@ -373,9 +350,9 @@ func (a *Adaptive) driveWindow(cur sample) {
 	// Emergency backoff, any phase: latency blew past the baseline with
 	// no transfer-bound signal — the container is compute-saturated, so
 	// shed window multiplicatively rather than by -1 probes.
-	if a.prev.lat > 0 && cur.lat > a.prev.lat*a.cfg.Inflate &&
+	if a.prev.lat > 0 && cur.lat > a.prev.lat*inflate &&
 		!a.transferBound && a.win > a.cfg.MinInFlight {
-		a.win = max(a.cfg.MinInFlight, int(float64(a.win)*a.cfg.Backoff))
+		a.win = max(a.cfg.MinInFlight, int(float64(a.win)*backoff))
 		a.prevWin = a.win
 		a.prev = sample{} // re-baseline at the reduced window
 		a.phase = phaseSettle
@@ -408,7 +385,7 @@ func (a *Adaptive) judge(cur sample) {
 	}
 	switch {
 	case a.win > a.prevWin: // grow probe under judgment
-		if cur.tput >= a.prev.tput*(1+a.cfg.GainFrac) {
+		if cur.tput >= a.prev.tput*(1+gainFrac) {
 			// The wider window bought real throughput: keep it and
 			// keep climbing.
 			a.accept(cur)
@@ -424,16 +401,16 @@ func (a *Adaptive) judge(cur sample) {
 			a.rest()
 		}
 	default: // shrink probe under judgment
-		if cur.tput >= a.prev.tput*(1-a.cfg.GainFrac) {
+		if cur.tput >= a.prev.tput*(1-gainFrac) {
 			// The narrower window cost nothing: a smaller window at
 			// equal throughput is strictly better (less queueing, less
 			// memory) — keep descending. The throughput baseline is NOT
 			// lowered to the post-shrink sample: re-baselining each
-			// accepted step would let a shallow curve (~GainFrac lost
+			// accepted step would let a shallow curve (~gainFrac lost
 			// per step) ratchet the window all the way down, compounding
 			// small losses the grow path could never win back. Keeping
 			// the descent-start baseline bounds the whole descent's loss
-			// to GainFrac.
+			// to gainFrac.
 			cur.tput = a.prev.tput
 			a.accept(cur)
 			a.growDir = false
@@ -453,9 +430,9 @@ func (a *Adaptive) accept(cur sample) {
 	a.prevWin = a.win
 }
 
-// rest parks the loop at the current window for HoldPeriods.
+// rest parks the loop at the current window for holdPeriods.
 func (a *Adaptive) rest() {
-	a.hold = a.cfg.HoldPeriods
+	a.hold = holdPeriods
 	a.phase = phaseHold
 }
 

@@ -63,10 +63,20 @@ func (f *fakePool) Target() int {
 	return f.target
 }
 
-// feedPeriod pushes one full control period of identical observations.
+// boundAdaptive returns a controller bound to a bare window and load
+// model, the way NewQueue binds one.
+func boundAdaptive(cfg AdaptiveConfig) *Adaptive {
+	a := NewAdaptive(cfg)
+	a.bind(newWinSem(a.Window()), new(LoadModel))
+	return a
+}
+
+// feedPeriod pushes one full control period of identical batches through
+// the model and the controller, in runBatch's order.
 func feedPeriod(a *Adaptive, batches int, lat time.Duration) {
 	for i := 0; i < batches; i++ {
-		a.ObserveBatch(16, lat)
+		a.model.observe(16, lat, 0)
+		a.tick()
 	}
 }
 
@@ -87,7 +97,7 @@ func TestAdaptiveDefaultsAndBounds(t *testing.T) {
 
 func TestAdaptivePoolGrowsWhileTransferBound(t *testing.T) {
 	p := newFakePool(4)
-	a := NewAdaptive(AdaptiveConfig{ProbeBatches: 4, QuietPeriods: 2})
+	a := boundAdaptive(AdaptiveConfig{ProbeBatches: 4})
 	a.AttachPool(p)
 	if p.Target() != 1 {
 		t.Fatalf("initial pool target = %d, want MinConns=1", p.Target())
@@ -106,9 +116,9 @@ func TestAdaptivePoolGrowsWhileTransferBound(t *testing.T) {
 		t.Fatal("snapshot should report transfer-bound")
 	}
 
-	// Quiet write path: the target shrinks back after QuietPeriods calm
+	// Quiet write path: the target shrinks back after quietPeriods calm
 	// periods per step.
-	for period := 0; period < 20; period++ {
+	for period := 0; period < 4*quietPeriods; period++ {
 		p.advance(100, 0, 0)
 		feedPeriod(a, 4, time.Millisecond)
 	}
@@ -126,9 +136,9 @@ func TestAdaptivePoolGrowsWhileTransferBound(t *testing.T) {
 func TestAdaptivePoolIgnoresMicroCollisions(t *testing.T) {
 	p := newFakePool(4)
 	p.SetPoolTarget(4)
-	a := NewAdaptive(AdaptiveConfig{ProbeBatches: 4, QuietPeriods: 2, InitialConns: 4})
+	a := boundAdaptive(AdaptiveConfig{ProbeBatches: 4, InitialConns: 4})
 	a.AttachPool(p)
-	for period := 0; period < 12; period++ {
+	for period := 0; period < 4*quietPeriods; period++ {
 		// Half the writes "queued", but for 100ns each against 1ms
 		// batches: noise, not a saturated wire.
 		p.advance(100, 0.5, 100*time.Nanosecond)
@@ -143,7 +153,7 @@ func TestAdaptivePoolIgnoresMicroCollisions(t *testing.T) {
 }
 
 func TestAdaptiveWindowBackoffOnLatencyInflation(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{
+	a := boundAdaptive(AdaptiveConfig{
 		MinInFlight: 1, MaxInFlight: 16, InitialInFlight: 8,
 		ProbeBatches: 4,
 	})
@@ -163,7 +173,7 @@ func TestAdaptiveWindowBackoffOnLatencyInflation(t *testing.T) {
 }
 
 func TestAdaptiveWindowNeverLeavesBounds(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{MinInFlight: 2, MaxInFlight: 5, ProbeBatches: 2})
+	a := boundAdaptive(AdaptiveConfig{MinInFlight: 2, MaxInFlight: 5, ProbeBatches: 2})
 	lat := time.Millisecond
 	for period := 0; period < 200; period++ {
 		// Alternate flat and inflated latencies to exercise every branch.

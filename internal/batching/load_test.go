@@ -1,0 +1,221 @@
+package batching
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"clipper/internal/container"
+	"clipper/internal/metrics"
+)
+
+func TestLoadModelCold(t *testing.T) {
+	var m LoadModel
+	if cost, ok := m.Cost(); ok || cost != 0 {
+		t.Fatalf("cold Cost = %v, %v; want 0, false", cost, ok)
+	}
+	if got := m.Tail(); got != 0 {
+		t.Fatalf("cold Tail = %v, want 0", got)
+	}
+	if got := m.Stats(); got != (LoadStats{}) {
+		t.Fatalf("cold Stats = %+v, want zero", got)
+	}
+}
+
+// TestLoadModelTracksSeries feeds scripted batch-latency series (batch
+// size 16, no queue wait) and checks what the three estimates settle to.
+func TestLoadModelTracksSeries(t *testing.T) {
+	const n = 16
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	within := func(got, want, frac float64) bool { return math.Abs(got-want) <= frac*want }
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		name    string
+		batches int
+		lat     func(i int) time.Duration
+		check   func(t *testing.T, m *LoadModel)
+	}{
+		{
+			name: "constant converges", batches: 60,
+			lat: func(int) time.Duration { return ms(3) },
+			check: func(t *testing.T, m *LoadModel) {
+				if got := m.perQuery.Value(); !within(got, 0.003/n, 1e-9) {
+					t.Errorf("per-query = %v, want %v", got, 0.003/n)
+				}
+				if got := m.batchLat.Value(); !within(got, 0.003, 1e-9) {
+					t.Errorf("batch latency = %v, want 0.003", got)
+				}
+				// The seed deviation (half the first sample) has decayed
+				// away: no spread, so the tail sits on the mean.
+				if got := m.Tail().Seconds(); !within(got, 0.003, 0.001) {
+					t.Errorf("Tail = %v, want 3ms on a constant series", got)
+				}
+			},
+		},
+		{
+			name: "2ms to 8ms step tracked within 5% in 20 batches", batches: 30 + 20,
+			lat: func(i int) time.Duration {
+				if i < 30 {
+					return ms(2)
+				}
+				return ms(8)
+			},
+			check: func(t *testing.T, m *LoadModel) {
+				for name, got := range map[string]float64{
+					"per-query×n":   m.perQuery.Value() * n,
+					"batch latency": m.batchLat.Value(),
+					"sojourn mean":  m.sojourn.Value(),
+				} {
+					if !within(got, 0.008, 0.05) {
+						t.Errorf("%s = %v after the step, want within 5%% of 8ms", name, got)
+					}
+				}
+			},
+		},
+		{
+			name: "stationary ±5% keeps the tail near the mean", batches: 400,
+			lat: func(int) time.Duration { return ms(4 * (0.95 + 0.1*rng.Float64())) },
+			check: func(t *testing.T, m *LoadModel) {
+				mean, tail := m.sojourn.Value(), m.Tail().Seconds()
+				if tail < mean || tail > 1.5*mean {
+					t.Errorf("Tail = %v outside [mean, 1.5·mean] for mean %v", tail, mean)
+				}
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var m LoadModel
+			for i := 0; i < c.batches; i++ {
+				m.observe(n, c.lat(i), 0)
+			}
+			if got := m.completed.Load(); got != int64(n*c.batches) {
+				t.Errorf("completed = %d, want %d", got, n*c.batches)
+			}
+			c.check(t, &m)
+		})
+	}
+}
+
+// TestLoadModelPerQueryIsTheEWMASeries pins the price JSQ and admission
+// put on one query: the model's per-query estimate is, bit for bit, a
+// default metrics.EWMA fed batch_latency/batch_size.
+func TestLoadModelPerQueryIsTheEWMASeries(t *testing.T) {
+	var m LoadModel
+	var e metrics.EWMA
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(64)
+		lat := time.Duration(1 + rng.Int63n(int64(20*time.Millisecond)))
+		m.observe(n, lat, time.Duration(rng.Int63n(int64(time.Millisecond))))
+		e.Observe(lat.Seconds() / float64(n))
+		if got, want := m.perQuery.Value(), e.Value(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("batch %d: per-query %v != EWMA %v", i, got, want)
+		}
+	}
+}
+
+// TestLoadModelConcurrent runs observers against readers (under -race in
+// CI): no observation is lost and every estimate stays inside the range
+// of what was observed.
+func TestLoadModelConcurrent(t *testing.T) {
+	var m LoadModel
+	const writers, per, n = 8, 500, 4
+	stop := make(chan struct{})
+	var readers, wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Stats()
+					m.Cost()
+					m.Tail()
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				m.observe(n, time.Duration(1+w)*time.Millisecond, 0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if got := m.completed.Load(); got != writers*per*n {
+		t.Fatalf("completed = %d, want %d", got, writers*per*n)
+	}
+	if got := m.batchLat.Value(); got < 0.001 || got > 0.001*writers {
+		t.Fatalf("batch latency %v escaped the observed range", got)
+	}
+	if got := m.perQuery.Value() * n; got < 0.001 || got > 0.001*writers {
+		t.Fatalf("per-query×n %v escaped the observed range", got)
+	}
+}
+
+// TestClaimedRequestsStayCounted: a request the collector has claimed into
+// a batch it is still filling (here for the whole BatchTimeout) must stay
+// visible to the load model. Stats reads queued, in-flight, completed in
+// the order a request moves through them, and each transition raises the
+// next counter before lowering the previous one, so the three never sum
+// to fewer requests than were submitted.
+func TestClaimedRequestsStayCounted(t *testing.T) {
+	for _, tenant := range []string{"", "t1"} { // FIFO collect, DRR collect
+		pred := container.NewFunc(container.Info{Name: "m", Version: 1},
+			func(xs [][]float64) ([]container.Prediction, error) {
+				return make([]container.Prediction, len(xs)), nil
+			})
+		q := NewQueue(pred, QueueConfig{Controller: NewFixed(8), BatchTimeout: 50 * time.Millisecond})
+		const submits = 3
+		var tks []*Ticket
+		for i := 0; i < submits; i++ {
+			tk, err := q.SubmitTicketTenant(context.Background(), tenant, []float64{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		sawCollecting := false
+		for {
+			ls := q.LoadStats()
+			if got := ls.Queued + ls.InFlightQueries + int(ls.Completed); got < submits {
+				t.Fatalf("tenant %q: %d of %d requests visible (%+v)", tenant, got, submits, ls)
+			}
+			if ls.Queued == 0 && ls.Completed == 0 {
+				// The collector holds all three and is waiting for more.
+				sawCollecting = true
+				if ls.InFlightQueries != submits {
+					t.Fatalf("tenant %q: collecting with InFlightQueries = %d, want %d", tenant, ls.InFlightQueries, submits)
+				}
+			}
+			if ls.Completed == submits {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if !sawCollecting {
+			t.Logf("tenant %q: never sampled the collect window", tenant)
+		}
+		for _, tk := range tks {
+			if res := <-tk.Done(); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		q.Close()
+		if ls := q.LoadStats(); ls.Queued != 0 || ls.InFlightQueries != 0 || ls.InFlightBatches != 0 {
+			t.Fatalf("tenant %q: drained queue reports load: %+v", tenant, ls)
+		}
+	}
+}

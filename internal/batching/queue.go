@@ -110,7 +110,7 @@ type QueueConfig struct {
 	InFlight int
 	// Adaptive, when non-nil, sizes the pipeline window (and, once
 	// attached to the replica's pool, the connection target) at runtime
-	// from observed batch latency, throughput, and pool telemetry;
+	// from the queue's load model and pool telemetry;
 	// InFlight is then ignored in favor of the controller's bounds. Nil
 	// keeps the static window above — the paper-figure configuration.
 	// One Adaptive belongs to exactly one queue.
@@ -144,13 +144,12 @@ type Queue struct {
 	ctrl    Controller
 	timeout time.Duration
 
-	in       chan *request
-	stop     chan struct{}
-	done     chan struct{}
-	inflight chan struct{} // pipeline window semaphore (static path)
-	win      *winSem       // resizable window (adaptive path; inflight is nil)
-	adapt    *Adaptive
-	wg       sync.WaitGroup
+	in    chan *request
+	stop  chan struct{}
+	done  chan struct{}
+	win   *winSem   // pipeline window; only an Adaptive ever resizes it
+	adapt *Adaptive // nil when the window is static
+	wg    sync.WaitGroup
 
 	// submitMu fences submission against Close: submitters hold it (read
 	// side) across the send into q.in, and Close acquires it exclusively
@@ -176,16 +175,12 @@ type Queue struct {
 	tenantPending atomic.Int64   // requests across all sub-queues
 	tenantNotify  chan struct{}  // buffered(1) "state changed" wakeup
 
-	// Load telemetry for the cross-replica scheduler (internal/core):
-	// counters updated at every queue transition, so dispatch can cost a
-	// replica from atomic loads instead of polling or locking the queue.
-	queued          atomic.Int64 // requests committed to q.in, not yet collected
-	inflightBatches atomic.Int64 // batches currently inside the container
-	inflightReqs    atomic.Int64 // queries across those batches
-	completed       atomic.Int64 // queries answered since the queue started
-	perQueryEWMA    metrics.EWMA // smoothed per-query service seconds
+	// load is the replica's one load model (load.go): occupancy moved at
+	// every queue transition, speed estimates written once per batch.
+	load LoadModel
 
-	// Latency and batch-size telemetry for the experiments.
+	// Latency and batch-size telemetry for the experiments and the
+	// benchmark. No controller reads these.
 	BatchLatency *metrics.Histogram
 	BatchSizes   *metrics.Histogram
 	QueueDelay   *metrics.Histogram
@@ -227,10 +222,11 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 		Throughput:   metrics.NewMeter(),
 	}
 	if cfg.Adaptive != nil {
-		q.win = newWinSem(cfg.Adaptive.Window())
-		cfg.Adaptive.bindWindow(q.win)
-	} else {
-		q.inflight = make(chan struct{}, window)
+		window = cfg.Adaptive.Window()
+	}
+	q.win = newWinSem(window)
+	if cfg.Adaptive != nil {
+		cfg.Adaptive.bind(q.win, &q.load)
 	}
 	go q.dispatchLoop()
 	return q
@@ -241,12 +237,7 @@ func (q *Queue) Controller() Controller { return q.ctrl }
 
 // InFlight returns the queue's dispatch pipeline window — the static
 // configuration, or the adaptive controller's current target.
-func (q *Queue) InFlight() int {
-	if q.win != nil {
-		return q.win.curLimit()
-	}
-	return cap(q.inflight)
-}
+func (q *Queue) InFlight() int { return q.win.curLimit() }
 
 // Adaptive returns the queue's window/pool controller (nil when the
 // window is static).
@@ -301,7 +292,7 @@ func (q *Queue) submit(ctx context.Context, req *request) error {
 	}
 	select {
 	case q.in <- req:
-		q.queued.Add(1)
+		q.load.queued.Add(1)
 		return nil
 	case <-q.stop:
 		return ErrQueueClosed
@@ -315,9 +306,7 @@ func (q *Queue) submit(ctx context.Context, req *request) error {
 func (q *Queue) Close() {
 	q.stopOnce.Do(func() {
 		close(q.stop)
-		if q.win != nil {
-			q.win.close() // unblock a collector waiting on the window
-		}
+		q.win.close() // unblock a collector waiting on the window
 	})
 	// Wait out submitters racing the close: stop is closed, so blocked
 	// senders exit promptly, and any send that already committed is in
@@ -328,29 +317,6 @@ func (q *Queue) Close() {
 	// The dispatcher drained what it saw before exiting; catch requests
 	// whose send committed after that drain.
 	q.drainClosed()
-}
-
-// acquireSlot reserves one pipeline slot, reporting false when the queue
-// is stopping.
-func (q *Queue) acquireSlot() bool {
-	if q.win != nil {
-		return q.win.acquire()
-	}
-	select {
-	case q.inflight <- struct{}{}:
-		return true
-	case <-q.stop:
-		return false
-	}
-}
-
-// releaseSlot returns a pipeline slot.
-func (q *Queue) releaseSlot() {
-	if q.win != nil {
-		q.win.release()
-		return
-	}
-	<-q.inflight
 }
 
 // dispatchLoop is the pipeline's collector stage: it assembles batches and
@@ -365,7 +331,7 @@ func (q *Queue) dispatchLoop() {
 		// slot, so this unblocks as soon as the oldest in-flight batch
 		// completes. At InFlight=1 this is exactly the serial dispatcher:
 		// collection for batch n+1 cannot begin until batch n returns.
-		if !q.acquireSlot() {
+		if !q.win.acquire() { // false: the queue is stopping
 			q.drainClosed()
 			q.wg.Wait() // in-flight batches still deliver their results
 			return
@@ -377,7 +343,7 @@ func (q *Queue) dispatchLoop() {
 		for first == nil {
 			if q.fairEngaged() {
 				if first = q.firstFair(); first == nil {
-					q.releaseSlot()
+					q.win.release()
 					q.drainClosed()
 					q.wg.Wait() // in-flight batches still deliver their results
 					return
@@ -386,15 +352,14 @@ func (q *Queue) dispatchLoop() {
 			}
 			select {
 			case r := <-q.in:
-				q.queued.Add(-1)
-				if r.claim() {
+				if q.take(r) {
 					first = r
 				}
 			case <-q.tenantNotify:
 				// First tenant just registered: loop back and re-check
 				// fairEngaged, taking the fair path for this batch.
 			case <-q.stop:
-				q.releaseSlot()
+				q.win.release()
 				q.drainClosed()
 				q.wg.Wait() // in-flight batches still deliver their results
 				return
@@ -406,26 +371,21 @@ func (q *Queue) dispatchLoop() {
 		} else {
 			batch = q.collect(first)
 		}
-		serial := cap(q.inflight) == 1
-		if q.win != nil {
-			// An adaptive window that has converged to 1 is serial too;
-			// if the limit grows mid-batch, parallelism resumes with the
-			// next batch.
-			serial = q.win.curLimit() == 1
-		}
-		if serial {
+		if q.win.curLimit() == 1 {
 			// Serial window: the collector holds the only slot, so run the
 			// batch inline instead of paying a goroutine spawn per batch —
-			// this is exactly the paper's one-batch-at-a-time dispatcher.
+			// this is exactly the paper's one-batch-at-a-time dispatcher. An
+			// adaptive window that has converged to 1 is serial too; if the
+			// limit grows mid-batch, parallelism resumes with the next batch.
 			q.runBatch(batch)
 			putBatch(batch)
-			q.releaseSlot()
+			q.win.release()
 			continue
 		}
 		q.wg.Add(1)
 		go func() {
 			defer q.wg.Done()
-			defer q.releaseSlot()
+			defer q.win.release()
 			q.runBatch(batch)
 			putBatch(batch)
 		}()
@@ -433,28 +393,33 @@ func (q *Queue) dispatchLoop() {
 }
 
 // runBatch is one pipeline stage execution: it gathers the batch into a
-// pooled flat tensor, invokes the container, feeds the controllers, and
-// delivers exactly one Result per request — predictions scatter into each
-// submitter's slot as the call produces them, and on error every row not
-// yet delivered gets the error (none has been, under PredictViewContext's
-// all-or-nothing contract; the prefix tracking is defense in depth
-// against a deliver panic mid-scatter).
+// pooled flat tensor, invokes the container, feeds the load model and the
+// controllers, and delivers exactly one Result per request — predictions
+// scatter into each submitter's slot as the call produces them, and on
+// error every row not yet delivered gets the error (none has been, under
+// PredictViewContext's all-or-nothing contract; the prefix tracking is
+// defense in depth against a deliver panic mid-scatter).
 func (q *Queue) runBatch(batch []*request) {
 	n := len(batch)
-	q.inflightBatches.Add(1)
-	q.inflightReqs.Add(int64(n))
+	// The batch's requests have been in flight since take claimed them.
+	q.load.inflightBatches.Add(1)
 	defer func() {
-		q.inflightBatches.Add(-1)
-		q.inflightReqs.Add(-int64(n))
+		q.load.inflightBatches.Add(-1)
+		q.load.inflightReqs.Add(-int64(n))
 	}()
 	dispatch := time.Now()
 	v := container.GetBatchView()
+	var oldestWait time.Duration
 	for _, r := range batch {
 		v.AppendRow(r.x)
 		// Time-in-queue per request: submit to dispatch. (Not batch-collect
 		// time — a request that waited buffered behind earlier batches has
 		// been queued far longer than the collect window.)
-		q.QueueDelay.ObserveDuration(dispatch.Sub(r.enq))
+		wait := dispatch.Sub(r.enq)
+		q.QueueDelay.ObserveDuration(wait)
+		if wait > oldestWait {
+			oldestWait = wait
+		}
 	}
 	start := time.Now()
 	next := 0 // rows [0, next) have received their Result
@@ -464,12 +429,12 @@ func (q *Queue) runBatch(batch []*request) {
 	})
 	lat := time.Since(start)
 	container.PutBatchView(v)
-	q.observeService(n, lat)
+	q.load.observe(n, lat, oldestWait)
 	q.ctrl.Observe(n, lat)
 	if q.adapt != nil {
-		// The controller resizes the bound window semaphore itself,
-		// inside its own critical section.
-		q.adapt.ObserveBatch(n, lat)
+		// Reads the model just written; resizes the bound window
+		// semaphore itself, inside its own critical section.
+		q.adapt.tick()
 	}
 	q.BatchLatency.ObserveDuration(lat)
 	q.BatchSizes.Observe(float64(n))
@@ -507,8 +472,7 @@ func (q *Queue) collect(first *request) []*request {
 		for len(batch) < max {
 			select {
 			case r := <-q.in:
-				q.queued.Add(-1)
-				if r.claim() {
+				if q.take(r) {
 					batch = append(batch, r)
 				}
 			case <-timer.C:
@@ -522,8 +486,7 @@ func (q *Queue) collect(first *request) []*request {
 	for len(batch) < max {
 		select {
 		case r := <-q.in:
-			q.queued.Add(-1)
-			if r.claim() {
+			if q.take(r) {
 				batch = append(batch, r)
 			}
 		default:
@@ -541,7 +504,7 @@ func (q *Queue) drainClosed() {
 	for {
 		select {
 		case r := <-q.in:
-			q.queued.Add(-1)
+			q.load.queued.Add(-1)
 			if r.claim() {
 				r.done <- Result{Err: ErrQueueClosed}
 			}

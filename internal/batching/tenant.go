@@ -183,7 +183,7 @@ func (q *Queue) submitTenant(ctx context.Context, tenant string, req *request) e
 	// Count before the request becomes visible: the pop side decrements
 	// only after seeing it, so the counters never dip negative.
 	q.tenantPending.Add(1)
-	q.queued.Add(1) // EstimateCost must see tenant backlog too
+	q.load.queued.Add(1) // EstimateCost must see tenant backlog too
 	q.tenMu.Lock()
 	q.tenantLocked(tenant).push(req)
 	q.tenMu.Unlock()
@@ -203,7 +203,7 @@ func (q *Queue) notifyTenant() {
 }
 
 // routeUntagged moves an untagged request from the FIFO channel into the
-// "" pseudo-tenant so fair collection arbitrates it too. q.queued stays
+// "" pseudo-tenant so fair collection arbitrates it too. load.queued stays
 // up: it was counted at submit and is released at the DRR pop.
 func (q *Queue) routeUntagged(r *request) {
 	q.tenantPending.Add(1)
@@ -259,8 +259,7 @@ func (q *Queue) takeDRR(batch *[]*request, max int) {
 			}
 			r := t.pop()
 			q.tenantPending.Add(-1)
-			q.queued.Add(-1)
-			if r.claim() {
+			if q.take(r) {
 				*batch = append(*batch, r)
 				t.served++
 				t.deficit--
@@ -350,7 +349,7 @@ func (q *Queue) drainTenantsClosed() {
 		for t.len() > 0 {
 			r := t.pop()
 			q.tenantPending.Add(-1)
-			q.queued.Add(-1)
+			q.load.queued.Add(-1)
 			if r.claim() {
 				failed = append(failed, r)
 			}

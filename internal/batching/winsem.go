@@ -2,10 +2,9 @@ package batching
 
 import "sync"
 
-// winSem is the resizable counting semaphore behind an adaptive pipeline
-// window. The static path keeps the queue's fixed-capacity channel
-// semaphore; winSem exists only when QueueConfig.Adaptive is set, because
-// a channel's capacity cannot change after make.
+// winSem is the counting semaphore behind every queue's pipeline window.
+// It is resizable because an Adaptive controller moves its limit at
+// runtime; a static window is a winSem nobody resizes.
 //
 // Only the queue's collector acquires; workers release from their own
 // goroutines, and the controller resizes the limit from whichever worker

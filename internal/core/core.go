@@ -136,7 +136,7 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 		Pred: pred,
 		Stop: stop,
 	}
-	s.add(newReplicaQueue(rep, batching.NewQueue(pred, qcfg), cl.schedCfg))
+	s.add(newReplicaQueue(rep, batching.NewQueue(pred, qcfg)))
 	cl.infos[info.Name] = info
 	return rep, nil
 }

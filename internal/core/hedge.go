@@ -2,19 +2,15 @@ package core
 
 import (
 	"context"
-	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"clipper/internal/batching"
 	"clipper/internal/container"
-	"clipper/internal/quantile"
 )
 
 // Hedged dispatch (the tail-at-scale treatment of the paper's §4.3
-// straggler mitigation): a request that has waited past a latency-
-// percentile-derived threshold in a queue whose replica has stopped
+// straggler mitigation): a request that has waited past the fastest
+// replica's tail sojourn estimate in a queue whose replica has stopped
 // draining — or whose replica now costs several times its best sibling —
 // is re-enqueued on the current fastest replica. First successful result
 // wins; the loser is withdrawn via batching.Ticket.Cancel (or its Result
@@ -27,50 +23,24 @@ import (
 type HedgeConfig struct {
 	// Enabled turns hedged dispatch on.
 	Enabled bool
-	// Quantile is the per-replica latency percentile the hedge threshold
-	// derives from; 0 selects 0.9.
-	Quantile float64
-	// Multiplier scales the fastest replica's Quantile latency into the
-	// hedge delay; 0 selects 1.0.
-	Multiplier float64
-	// MinDelay floors the hedge delay (and is the delay while latency
-	// trackers are cold); 0 selects 500µs.
+	// MinDelay floors the hedge delay (and is the delay while every
+	// replica's load model is cold); 0 selects 500µs.
 	MinDelay time.Duration
-	// SlowFactor gates hedges on cost: a request whose primary still
-	// drains only hedges when the primary's estimated completion time
-	// exceeds SlowFactor × its best sibling's; 0 selects 2.0.
-	SlowFactor float64
 	// BudgetFrac bounds hedges issued to this fraction of submitted
 	// queries; 0 selects 0.1 (10% of offered load).
 	BudgetFrac float64
 }
 
-func (h HedgeConfig) quantile() float64 {
-	if h.Quantile <= 0 || h.Quantile >= 1 {
-		return 0.9
-	}
-	return h.Quantile
-}
-
-func (h HedgeConfig) multiplier() float64 {
-	if h.Multiplier <= 0 {
-		return 1.0
-	}
-	return h.Multiplier
-}
+// hedgeSlowFactor gates hedges on cost: a request whose primary still
+// drains only hedges when the primary's estimated completion time exceeds
+// this multiple of its best sibling's.
+const hedgeSlowFactor = 2.0
 
 func (h HedgeConfig) minDelay() time.Duration {
 	if h.MinDelay <= 0 {
 		return 500 * time.Microsecond
 	}
 	return h.MinDelay
-}
-
-func (h HedgeConfig) slowFactor() float64 {
-	if h.SlowFactor <= 0 {
-		return 2.0
-	}
-	return h.SlowFactor
 }
 
 func (h HedgeConfig) budgetFrac() float64 {
@@ -83,84 +53,23 @@ func (h HedgeConfig) budgetFrac() float64 {
 	return h.BudgetFrac
 }
 
-const (
-	latRingSize   = 256 // samples per replica
-	latRefitEvery = 32  // observations between quantile refits
-)
-
-// latTracker keeps a ring of one replica's recent end-to-end request
-// latencies and a cached empirical quantile over them. Observers take a
-// short mutex for the ring write; the dispatch path reads the cached
-// quantile with one atomic load. The quantile refits every
-// latRefitEvery observations (quantile.Empirical sorts a copy — too
-// expensive per observation, cheap per 32).
-type latTracker struct {
-	q float64 // which quantile to cache
-
-	mu    sync.Mutex
-	ring  [latRingSize]float64 // seconds
-	n     int                  // filled entries
-	next  int                  // write position
-	since int                  // observations since last refit
-
-	cached atomic.Uint64 // Float64bits of the quantile, seconds; 0 = no data
-}
-
-func newLatTracker(q float64) *latTracker {
-	return &latTracker{q: q}
-}
-
-// observe records one request's end-to-end latency.
-func (lt *latTracker) observe(d time.Duration) {
-	sec := d.Seconds()
-	lt.mu.Lock()
-	lt.ring[lt.next] = sec
-	lt.next = (lt.next + 1) % latRingSize
-	if lt.n < latRingSize {
-		lt.n++
-	}
-	lt.since++
-	var sample []float64
-	if lt.since >= latRefitEvery || lt.cached.Load() == 0 {
-		lt.since = 0
-		sample = append(make([]float64, 0, lt.n), lt.ring[:lt.n]...)
-	}
-	lt.mu.Unlock()
-	if sample != nil {
-		if v := quantile.Empirical(sample, lt.q); v > 0 {
-			lt.cached.Store(math.Float64bits(v))
-		}
-	}
-}
-
-// threshold returns the cached quantile latency; ok is false before any
-// data.
-func (lt *latTracker) threshold() (time.Duration, bool) {
-	b := lt.cached.Load()
-	if b == 0 {
-		return 0, false
-	}
-	return time.Duration(math.Float64frombits(b) * float64(time.Second)), true
-}
-
-// hedgeDelay is the wait before a request is considered straggling:
-// Multiplier × the Quantile latency of the *fastest* replica (minimum
-// across replicas with data), floored at MinDelay. Judging against the
-// fastest replica matters: a request stuck on a slow replica must be
-// measured against the service level its healthy siblings deliver, not
-// against the slow replica's own (already inflated) history.
+// hedgeDelay is the wait before a request is considered straggling: the
+// load model's tail sojourn estimate of the *fastest* replica (minimum
+// across healthy replicas with a warm model), floored at MinDelay.
+// Judging against the fastest replica matters: a request stuck on a slow
+// replica must be measured against the service level its healthy siblings
+// deliver, not against the slow replica's own (already inflated) history.
 func (s *scheduler) hedgeDelay() time.Duration {
 	var best time.Duration
 	for _, rq := range s.snapshot() {
-		if th, ok := rq.lats.threshold(); ok && (best == 0 || th < best) {
-			best = th
+		if !rq.health.healthy.Load() {
+			continue
+		}
+		if tail := rq.queue.LoadStats().Tail; tail > 0 && (best == 0 || tail < best) {
+			best = tail
 		}
 	}
-	d := time.Duration(float64(best) * s.cfg.Hedge.multiplier())
-	if min := s.cfg.Hedge.minDelay(); d < min {
-		d = min
-	}
-	return d
+	return max(best, s.cfg.Hedge.minDelay())
 }
 
 // bestAlternative returns the healthy replica (excluding skip) with the
@@ -201,7 +110,7 @@ func (s *scheduler) hedgeBudgetOK() bool {
 // hedgeTarget decides whether a timed-out request should hedge, and where
 // to. Firing requires all of: budget headroom, a healthy sibling, and a
 // primary that either stopped draining since the request was submitted
-// (the stuck-replica signal) or costs SlowFactor× its best sibling (the
+// (the stuck-replica signal) or costs hedgeSlowFactor× its best sibling (the
 // merely-slow signal). A primary that is draining normally and fairly
 // priced just had an unlucky timer — no hedge.
 func (s *scheduler) hedgeTarget(primary *replicaQueue, drainedAtSubmit int64) *replicaQueue {
@@ -217,7 +126,7 @@ func (s *scheduler) hedgeTarget(primary *replicaQueue, drainedAtSubmit int64) *r
 	}
 	pCost, pWarm := primary.estCost()
 	aCost, aWarm := alt.estCost()
-	if pWarm && aWarm && float64(pCost) > s.cfg.Hedge.slowFactor()*float64(aCost) {
+	if pWarm && aWarm && float64(pCost) > hedgeSlowFactor*float64(aCost) {
 		return alt
 	}
 	return nil
@@ -230,14 +139,13 @@ func (s *scheduler) hedgeTarget(primary *replicaQueue, drainedAtSubmit int64) *r
 // an abandoned loser). An error from one side falls back to the other,
 // which is what carries a request across a replica that dies mid-flight.
 func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, tenant string, x []float64) (container.Prediction, error) {
-	start := time.Now()
 	tk, err := primary.queue.SubmitTicketTenant(ctx, tenant, x)
 	if err != nil {
 		// The primary refused outright (queue closed under a swap/stop
 		// race): fail over once instead of surfacing a transient.
 		if alt := s.bestAlternative(primary); alt != nil {
 			s.failovers.Add(1)
-			return s.submitOn(ctx, alt, tenant, x)
+			return alt.queue.SubmitTenant(ctx, tenant, x)
 		}
 		return container.Prediction{}, err
 	}
@@ -247,7 +155,7 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 	defer timer.Stop()
 	select {
 	case res := <-tk.Done():
-		return s.finishPrimary(ctx, primary, res, start, tenant, x)
+		return s.finishPrimary(ctx, primary, res, tenant, x)
 	case <-ctx.Done():
 		tk.Cancel()
 		return container.Prediction{}, ctx.Err()
@@ -260,7 +168,7 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 		// draining fine): wait out the primary.
 		select {
 		case res := <-tk.Done():
-			return s.finishPrimary(ctx, primary, res, start, tenant, x)
+			return s.finishPrimary(ctx, primary, res, tenant, x)
 		case <-ctx.Done():
 			tk.Cancel()
 			return container.Prediction{}, ctx.Err()
@@ -269,13 +177,12 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 
 	s.hedgesIssued.Add(1)
 	primary.hedgesFrom.Add(1)
-	hstart := time.Now()
 	ht, herr := alt.queue.SubmitTicketTenant(ctx, tenant, x)
 	if herr != nil {
 		// Hedge could not even enqueue; the primary is all we have.
 		select {
 		case res := <-tk.Done():
-			return s.finishPrimary(ctx, primary, res, start, tenant, x)
+			return s.finishPrimary(ctx, primary, res, tenant, x)
 		case <-ctx.Done():
 			tk.Cancel()
 			return container.Prediction{}, ctx.Err()
@@ -293,7 +200,6 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 			if res.Err == nil {
 				ht.Cancel()
 				s.hedgesWasted.Add(1)
-				primary.lats.observe(time.Since(start))
 				return res.Pred, nil
 			}
 			pDone = nil
@@ -308,10 +214,6 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 				tk.Cancel()
 				s.hedgesWon.Add(1)
 				alt.hedgesWon.Add(1)
-				// Observe from hedge issue, not original submit: the
-				// hedge replica answered this fast, and charging it the
-				// primary's stall would poison its threshold.
-				alt.lats.observe(time.Since(hstart))
 				return res.Pred, nil
 			}
 			hDone = nil
@@ -330,12 +232,11 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 }
 
 // finishPrimary handles the primary's Result when no hedge is in flight:
-// success feeds the latency tracker; an error fails over once to the
-// best healthy sibling (a replica that died with requests queued fails
-// them all at once — its survivors can still answer).
-func (s *scheduler) finishPrimary(ctx context.Context, primary *replicaQueue, res batching.Result, start time.Time, tenant string, x []float64) (container.Prediction, error) {
+// an error fails over once to the best healthy sibling (a replica that
+// died with requests queued fails them all at once — its survivors can
+// still answer).
+func (s *scheduler) finishPrimary(ctx context.Context, primary *replicaQueue, res batching.Result, tenant string, x []float64) (container.Prediction, error) {
 	if res.Err == nil {
-		primary.lats.observe(time.Since(start))
 		return res.Pred, nil
 	}
 	alt := s.bestAlternative(primary)
@@ -343,19 +244,9 @@ func (s *scheduler) finishPrimary(ctx context.Context, primary *replicaQueue, re
 		return container.Prediction{}, res.Err
 	}
 	s.failovers.Add(1)
-	p, err := s.submitOn(ctx, alt, tenant, x)
+	p, err := alt.queue.SubmitTenant(ctx, tenant, x)
 	if err != nil {
 		return container.Prediction{}, res.Err // surface the original failure
 	}
 	return p, nil
-}
-
-// submitOn is a plain latency-observed submit on one replica.
-func (s *scheduler) submitOn(ctx context.Context, rq *replicaQueue, tenant string, x []float64) (container.Prediction, error) {
-	start := time.Now()
-	p, err := rq.queue.SubmitTenant(ctx, tenant, x)
-	if err == nil {
-		rq.lats.observe(time.Since(start))
-	}
-	return p, err
 }

@@ -260,7 +260,7 @@ func (cl *Clipper) registerCollectors() {
 			}
 			return boolGauge(a.Snapshot().TransferBound), true
 		})
-	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "Adaptive controller's smoothed per-batch latency.",
+	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency, as the adaptive controller reads it.",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
 			if a == nil {

@@ -15,10 +15,10 @@ import (
 // walk a round-robin cursor, a per-model scheduler now routes each query
 // to the replica with the lowest estimated completion time
 // (join-shortest-queue weighted by measured per-replica speed), with
-// hedged dispatch for stragglers layered on top (hedge.go). Replicas push
-// load telemetry on every queue transition (batching.LoadStats), so a
-// scheduling decision is a handful of atomic loads — no polling, no
-// cross-queue locks.
+// hedged dispatch for stragglers layered on top (hedge.go). Every number
+// it routes by comes from the replica queue's load model
+// (batching.LoadModel), so a scheduling decision is a handful of atomic
+// loads — no polling, no cross-queue locks, no estimator of its own.
 
 // SchedPolicy selects the cross-replica dispatch strategy.
 type SchedPolicy int
@@ -93,24 +93,19 @@ type connHealther interface {
 }
 
 // replicaQueue pairs a replica with its adaptive batching queue,
-// availability state, and the scheduler's per-replica telemetry.
+// availability state, and the scheduler's per-replica hedge counters.
 type replicaQueue struct {
 	replica *container.Replica
 	queue   *batching.Queue
 	health  replicaHealth
 	conns   connHealther // non-nil when the predictor exposes conn health
-	lats    *latTracker  // end-to-end latencies, for hedge thresholds
 
 	hedgesFrom atomic.Int64 // hedges fired while this replica was primary
 	hedgesWon  atomic.Int64 // hedges this replica answered first
 }
 
-func newReplicaQueue(rep *container.Replica, q *batching.Queue, cfg SchedulerConfig) *replicaQueue {
-	rq := &replicaQueue{
-		replica: rep,
-		queue:   q,
-		lats:    newLatTracker(cfg.Hedge.quantile()),
-	}
+func newReplicaQueue(rep *container.Replica, q *batching.Queue) *replicaQueue {
+	rq := &replicaQueue{replica: rep, queue: q}
 	rq.conns, _ = rep.Pred.(connHealther)
 	rq.health.healthy.Store(true)
 	return rq
@@ -290,10 +285,9 @@ func (s *scheduler) probeTick() bool {
 	return s.picks.Add(1)%uint64(pe) == 0
 }
 
-// submit routes one query: pick a replica, dispatch (hedged when
-// enabled), and feed the observed end-to-end latency back into the
-// replica's tracker. tenant tags the query for fair batching; "" is the
-// untagged FIFO path.
+// submit routes one query: pick a replica and dispatch (hedged when
+// enabled). tenant tags the query for fair batching; "" is the untagged
+// FIFO path.
 func (s *scheduler) submit(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
 	rq := s.pick()
 	if rq == nil {
@@ -301,12 +295,7 @@ func (s *scheduler) submit(ctx context.Context, tenant string, x []float64) (con
 	}
 	s.submitted.Add(1)
 	if !s.cfg.Hedge.Enabled {
-		start := time.Now()
-		p, err := rq.queue.SubmitTenant(ctx, tenant, x)
-		if err == nil {
-			rq.lats.observe(time.Since(start))
-		}
-		return p, err
+		return rq.queue.SubmitTenant(ctx, tenant, x)
 	}
 	return s.submitHedged(ctx, rq, tenant, x)
 }

@@ -31,9 +31,10 @@ type ReplicaStatus struct {
 	// live Conns choice; equals TotalConns for static pools).
 	TargetConns int `json:"target_conns"`
 
-	// Scheduler load estimate: the numbers JSQ dispatch routes by.
-	// Queued is requests buffered in the batching queue; InFlightBatches
-	// and InFlightQueries are what is currently inside the container.
+	// The replica's load model: the numbers JSQ dispatch routes by.
+	// Queued is requests buffered in the batching queue; InFlightQueries
+	// is requests claimed into a batch and not yet answered;
+	// InFlightBatches is batches currently inside the container.
 	Queued          int `json:"queued"`
 	InFlightBatches int `json:"in_flight_batches"`
 	InFlightQueries int `json:"in_flight_queries"`

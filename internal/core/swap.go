@@ -37,7 +37,7 @@ func (cl *Clipper) SwapModel(pred container.Predictor, stop func(), qcfg batchin
 		Pred: pred,
 		Stop: stop,
 	}
-	rq := newReplicaQueue(rep, batching.NewQueue(pred, qcfg), cl.schedCfg)
+	rq := newReplicaQueue(rep, batching.NewQueue(pred, qcfg))
 	retired := s.replaceAll(rq)
 	cl.infos[info.Name] = info
 	cl.mu.Unlock()

@@ -325,33 +325,3 @@ func (b *Bound) WriteMetrics(w io.Writer) (err error) {
 	defer b.begin(OpMetrics)(&err)
 	return wrap(b.g.cl.Metrics().WritePrometheus(w))
 }
-
-// WriteMetricsText renders the legacy human-readable telemetry dump.
-func (b *Bound) WriteMetricsText(w io.Writer) {
-	defer b.begin(OpMetrics)(nil)
-	cl := b.g.cl
-	for _, name := range cl.AppNames() {
-		app, ok := cl.App(name)
-		if !ok {
-			continue
-		}
-		snap := app.PredLatency.Snapshot()
-		fmt.Fprintf(w, "app %s predictions=%d throughput=%.1fqps %s defaults=%d feedbacks=%d\n",
-			name, snap.Count, app.Throughput.RateSinceLastMark(), snap,
-			app.Defaults.Value(), app.Feedbacks.Value())
-	}
-	if c := cl.Cache(); c != nil {
-		h, m := c.Stats()
-		fmt.Fprintf(w, "cache entries=%d/%d shards=%d hits=%d misses=%d hit_rate=%.3f\n",
-			c.Len(), c.Capacity(), c.Shards(), h, m, c.HitRate())
-	}
-	models := cl.Models()
-	sort.Strings(models)
-	for _, model := range models {
-		for i, q := range cl.ReplicaQueues(model) {
-			fmt.Fprintf(w, "queue %s/%d ctrl=%s max_batch=%d served=%d mean_batch=%.1f batch_lat_p99=%.3fms\n",
-				model, i, q.Controller().Name(), q.Controller().MaxBatch(),
-				q.Throughput.Count(), q.BatchSizes.Mean(), q.BatchLatency.P99()*1e3)
-		}
-	}
-}

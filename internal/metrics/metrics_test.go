@@ -278,90 +278,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestSlidingWindowEviction(t *testing.T) {
-	w := NewSlidingWindow(3)
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		w.Observe(v)
-	}
-	if got := w.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-	if got := w.Mean(); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("Mean = %v, want 4", got)
-	}
-	if got := w.Max(); got != 5 {
-		t.Fatalf("Max = %v, want 5", got)
-	}
-	vals := w.Values()
-	want := []float64{3, 4, 5}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("Values = %v, want %v", vals, want)
-		}
-	}
-}
-
-func TestSlidingWindowPartial(t *testing.T) {
-	w := NewSlidingWindow(10)
-	w.Observe(2)
-	w.Observe(4)
-	if w.Len() != 2 {
-		t.Fatalf("Len = %d", w.Len())
-	}
-	if got := w.Mean(); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("Mean = %v, want 3", got)
-	}
-}
-
-func TestSlidingWindowQuantile(t *testing.T) {
-	w := NewSlidingWindow(100)
-	for i := 1; i <= 100; i++ {
-		w.Observe(float64(i))
-	}
-	if got := w.Quantile(0.5); math.Abs(got-50.5) > 1 {
-		t.Fatalf("median = %v", got)
-	}
-}
-
-func TestSlidingWindowReset(t *testing.T) {
-	w := NewSlidingWindow(4)
-	w.Observe(1)
-	w.Reset()
-	if w.Len() != 0 || w.Mean() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestSlidingWindowSumConsistencyProperty(t *testing.T) {
-	// Property: after any sequence of observations the internal running
-	// sum equals the sum of Values().
-	f := func(vals []float64, size uint8) bool {
-		w := NewSlidingWindow(int(size%16) + 1)
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			// Clamp to a realistic magnitude; the running-sum design
-			// (like any streaming sum) loses precision under
-			// catastrophic cancellation at ~1e308 scales.
-			w.Observe(math.Mod(v, 1e9))
-		}
-		got := w.Values()
-		sum := 0.0
-		for _, v := range got {
-			sum += v
-		}
-		n := len(got)
-		if n == 0 {
-			return w.Mean() == 0
-		}
-		return math.Abs(w.Mean()-sum/float64(n)) < 1e-6*(1+math.Abs(sum))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
 	if e.Value() != 0 {

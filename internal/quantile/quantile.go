@@ -7,8 +7,6 @@
 // P99 stays under the latency SLO. This package provides that fit.
 package quantile
 
-import "sort"
-
 // Line is a fitted model y = Intercept + Slope*x.
 type Line struct {
 	Intercept float64
@@ -121,27 +119,4 @@ func olsFit(xs, ys []float64) Line {
 	}
 	slope := (n*sxy - sx*sy) / den
 	return Line{Intercept: (sy - slope*sx) / n, Slope: slope}
-}
-
-// Empirical returns the tau-quantile of ys by linear interpolation of order
-// statistics; zero for no data.
-func Empirical(ys []float64, tau float64) float64 {
-	if len(ys) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), ys...)
-	sort.Float64s(sorted)
-	if tau <= 0 {
-		return sorted[0]
-	}
-	if tau >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := tau * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

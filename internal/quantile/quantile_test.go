@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLineEvalAndInverse(t *testing.T) {
@@ -108,41 +107,5 @@ func TestFitPanicsOnBadArgs(t *testing.T) {
 			}()
 			tc()
 		}()
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	ys := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Empirical(ys, 0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := Empirical(ys, 1); got != 10 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := Empirical(ys, 0.5); math.Abs(got-5.5) > 1e-9 {
-		t.Fatalf("median = %v", got)
-	}
-	if Empirical(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestEmpiricalMonotoneProperty(t *testing.T) {
-	f := func(vals []float64, t1, t2 float64) bool {
-		clean := make([]float64, 0, len(vals))
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, v)
-			}
-		}
-		t1 = math.Abs(math.Mod(t1, 1))
-		t2 = math.Abs(math.Mod(t2, 1))
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		return Empirical(clean, t1) <= Empirical(clean, t2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

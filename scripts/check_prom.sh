@@ -99,13 +99,6 @@ grep -qi 'text/plain; version=0.0.4' "$workdir/headers" || {
   exit 1
 }
 
-# The old human-readable dump must still answer at ?format=text.
-fetch "http://$cl_addr/metrics?format=text" "$workdir/metrics_human.txt"
-[ -s "$workdir/metrics_human.txt" ] || {
-  echo "FAIL: /metrics?format=text returned an empty body" >&2
-  exit 1
-}
-
 echo "check_prom: validating exposition grammar"
 awk '
 /^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* / { help[$3] = 1; next }
