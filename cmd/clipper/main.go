@@ -42,7 +42,6 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "REST API listen address")
-		httpAddr    = flag.String("listen-http", "", "REST API listen address (overrides -addr when set)")
 		binrpcAddr  = flag.String("listen-binrpc", "", "binary-RPC adapter listen address (empty disables)")
 		streamAddr  = flag.String("listen-stream", "", "streaming adapter listen address (empty disables)")
 		slo         = flag.Duration("slo", 20*time.Millisecond, "prediction latency SLO")
@@ -188,13 +187,9 @@ func main() {
 	// One gateway core, up to three protocol adapters over it.
 	gw := gateway.New(cl)
 	rest := httpjson.New(gw)
-	listen := *addr
-	if *httpAddr != "" {
-		listen = *httpAddr
-	}
-	bound, err := rest.Listen(listen)
+	bound, err := rest.Listen(*addr)
 	if err != nil {
-		log.Fatalf("listen %s: %v", listen, err)
+		log.Fatalf("listen %s: %v", *addr, err)
 	}
 	defer rest.Close()
 	log.Printf("Clipper serving app %q on http://%s (SLO %v)", "demo", bound, *slo)

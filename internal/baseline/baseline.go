@@ -27,8 +27,6 @@ type Config struct {
 	// BatchTimeout is the starvation-avoidance timeout: a non-full batch
 	// dispatches after this delay. Zero selects 1ms.
 	BatchTimeout time.Duration
-	// QueueDepth bounds queued requests; 0 selects 8192.
-	QueueDepth int
 }
 
 // TFServing is the baseline serving system. It reuses the batching queue
@@ -57,7 +55,6 @@ func New(model container.Predictor, cfg Config) *TFServing {
 		queue: batching.NewQueue(model, batching.QueueConfig{
 			Controller:   batching.NewFixed(cfg.BatchSize),
 			BatchTimeout: cfg.BatchTimeout,
-			Depth:        cfg.QueueDepth,
 			InFlight:     1, // TF Serving executes one batch at a time
 		}),
 		model:      model,

@@ -330,6 +330,11 @@ func TestQueueTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The last Result reaches its submitter before runBatch records the
+	// batch's telemetry, so give that bookkeeping a moment to land.
+	for deadline := time.Now().Add(time.Second); q.Throughput.Count() != 10 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if q.Throughput.Count() != 10 {
 		t.Fatalf("throughput count = %d", q.Throughput.Count())
 	}

@@ -22,7 +22,7 @@ import (
 // of them being collected.
 func fairHarness(t *testing.T, m *gateModel, q *Queue, tenant string) {
 	t.Helper()
-	if _, err := q.SubmitTicketTenant(context.Background(), tenant, []float64{0}); err != nil {
+	if _, err := q.SubmitTicket(context.Background(), tenant, []float64{0}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -112,7 +112,7 @@ func TestDRRWeightedShares(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < preload; i++ {
 		for _, name := range names {
-			if _, err := q.SubmitTicketTenant(ctx, name, []float64{float64(i)}); err != nil {
+			if _, err := q.SubmitTicket(ctx, name, []float64{float64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +168,7 @@ func TestDRRRandomizedArrivals(t *testing.T) {
 		})
 		ctx := context.Background()
 		for i, name := range arrivals {
-			if _, err := q.SubmitTicketTenant(ctx, name, []float64{float64(i)}); err != nil {
+			if _, err := q.SubmitTicket(ctx, name, []float64{float64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,9 +181,10 @@ func TestDRRRandomizedArrivals(t *testing.T) {
 	}
 }
 
-// TestFairModeFoldsUntagged: once any tenant registers, untagged Submit
-// traffic joins the "" pseudo-tenant and still gets served.
-func TestFairModeFoldsUntagged(t *testing.T) {
+// TestDefaultTenantSharesRotation: untagged Submit traffic waits in the ""
+// default tenant, which takes its turn in the DRR rotation beside named
+// tenants and is counted like them.
+func TestDefaultTenantSharesRotation(t *testing.T) {
 	m := newGateModel()
 	close(m.release) // free-running model
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(8), InFlight: 2})
@@ -209,7 +210,7 @@ func TestFairModeFoldsUntagged(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("submission starved under fair mode")
+			t.Fatal("submission starved beside a weighted tenant")
 		}
 	}
 
@@ -230,7 +231,7 @@ func TestFairModeFoldsUntagged(t *testing.T) {
 }
 
 // TestTenantCloseFailsQueued: requests parked in tenant sub-queues at
-// Close get exactly one ErrQueueClosed result (drainTenantsClosed), and
+// Close get exactly one ErrQueueClosed result (drainClosed), and
 // cancelled ones get none.
 func TestTenantCloseFailsQueued(t *testing.T) {
 	m := newGateModel()
@@ -240,11 +241,11 @@ func TestTenantCloseFailsQueued(t *testing.T) {
 	fairHarness(t, m, q, "t")
 
 	ctx := context.Background()
-	pending, err := q.SubmitTicketTenant(ctx, "t", []float64{2})
+	pending, err := q.SubmitTicket(ctx, "t", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone, err := q.SubmitTicketTenant(ctx, "other", []float64{3})
+	gone, err := q.SubmitTicket(ctx, "other", []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,5 +272,162 @@ func TestTenantCloseFailsQueued(t *testing.T) {
 	case res := <-gone.Done():
 		t.Fatalf("cancelled ticket delivered %+v at close", res)
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestTenantDepthBound: each sub-queue holds at most queueDepth requests.
+// A submitter to a full one blocks — until its context expires, or until
+// the collector makes room — while a submit to another tenant on the same
+// replica goes straight in.
+func TestTenantDepthBound(t *testing.T) {
+	m := newGateModel()
+	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 1})
+	defer q.Close()
+	defer m.freeRun()         // first, so a failed assertion cannot hang Close
+	fairHarness(t, m, q, "A") // the collector is parked inside the model
+
+	bg := context.Background()
+	for i := 0; i < queueDepth; i++ {
+		if _, err := q.SubmitTicket(bg, "A", []float64{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := q.SubmitTicket(ctx, "A", []float64{-1}); err != context.DeadlineExceeded {
+		t.Fatalf("submit to a full sub-queue: err = %v after %v, want to block until DeadlineExceeded", err, time.Since(start))
+	}
+	start = time.Now()
+	if _, err := q.SubmitTicket(bg, "B", []float64{-2}); err != nil || time.Since(start) > time.Second {
+		t.Fatalf("submit to tenant B behind a full tenant A: err = %v after %v", err, time.Since(start))
+	}
+	if got := q.LoadStats().Queued; got != queueDepth+1 {
+		t.Fatalf("Queued = %d, want %d (A full, one in B, the refused submit not counted)", got, queueDepth+1)
+	}
+
+	// Room opens as soon as the collector pops from A.
+	admitted := make(chan error, 1)
+	go func() {
+		_, err := q.SubmitTicket(bg, "A", []float64{-3})
+		admitted <- err
+	}()
+	select {
+	case err := <-admitted:
+		t.Fatalf("submit to a full sub-queue returned (%v) before any pop", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.freeRun()
+	select {
+	case err := <-admitted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked submitter never admitted after the collector made room")
+	}
+}
+
+// refTakeDRR is takeDRR as the textbook writes it — one round of credit per
+// visit, no bulk path — kept here as the reference the production version
+// must be indistinguishable from.
+func refTakeDRR(q *Queue, batch *[]*request, max int) {
+	empties := 0
+	for len(*batch) < max && empties < len(q.tenOrder) {
+		if q.drrPos >= len(q.tenOrder) {
+			q.drrPos = 0
+		}
+		t := q.tenOrder[q.drrPos]
+		if t.n == 0 {
+			t.deficit = 0
+			q.drrPos++
+			empties++
+			continue
+		}
+		empties = 0
+		if !q.drrMid {
+			t.deficit += t.weight
+		}
+		q.drrMid = false
+		for t.deficit > 0 && t.n > 0 {
+			if len(*batch) >= max {
+				q.drrMid = true
+				return
+			}
+			if r := q.pop(t); q.take(r) {
+				*batch = append(*batch, r)
+				t.served++
+				t.deficit--
+			}
+		}
+		if t.n == 0 {
+			t.deficit = 0
+		}
+		q.drrPos++
+	}
+}
+
+// TestTakeDRRMatchesReference: over seeded random pushes, cancels, weight
+// changes and batch caps — most of the time with a single backlogged
+// tenant, the case takeDRR serves in bulk — takeDRR and refTakeDRR pop the
+// same requests in the same order and leave the same rotation state.
+func TestTakeDRRMatchesReference(t *testing.T) {
+	bare := func() *Queue {
+		q := &Queue{tenants: make(map[string]*tenantQueue)}
+		q.tenantLocked("")
+		return q
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := bare(), bare()
+		names := []string{"", "a", "b"}
+		id := 0
+		for step := 0; step < 200; step++ {
+			name := ""
+			if rng.Intn(4) == 0 {
+				name = names[rng.Intn(len(names))]
+			}
+			switch rng.Intn(4) {
+			case 0: // reweight
+				w := 1 + rng.Intn(5)
+				for _, q := range []*Queue{got, want} {
+					q.tenantLocked(name).weight = int64(w)
+				}
+			case 1, 2: // push a burst, some of it already cancelled
+				for n := 1 + rng.Intn(12); n > 0; n-- {
+					id++
+					cancelled := rng.Intn(5) == 0
+					for _, q := range []*Queue{got, want} {
+						r := &request{x: []float64{float64(id)}}
+						if cancelled {
+							r.cancel()
+						}
+						q.push(q.tenantLocked(name), r)
+					}
+				}
+			case 3: // collect a batch
+				max := 1 + rng.Intn(10)
+				var gb, wb []*request
+				got.takeDRR(&gb, max)
+				refTakeDRR(want, &wb, max)
+				if len(gb) != len(wb) {
+					t.Fatalf("seed %d step %d: batch of %d, reference %d", seed, step, len(gb), len(wb))
+				}
+				for i := range gb {
+					if gb[i].x[0] != wb[i].x[0] {
+						t.Fatalf("seed %d step %d: row %d is request %v, reference %v", seed, step, i, gb[i].x[0], wb[i].x[0])
+					}
+				}
+				if got.drrPos != want.drrPos || got.drrMid != want.drrMid {
+					t.Fatalf("seed %d step %d: rotation (%d,%v), reference (%d,%v)", seed, step, got.drrPos, got.drrMid, want.drrPos, want.drrMid)
+				}
+				for i, tq := range got.tenOrder {
+					if ref := want.tenOrder[i]; tq.deficit != ref.deficit || tq.n != ref.n || tq.served != ref.served {
+						t.Fatalf("seed %d step %d: tenant %q (deficit %d, n %d, served %d), reference (%d, %d, %d)",
+							seed, step, tq.name, tq.deficit, tq.n, tq.served, ref.deficit, ref.n, ref.served)
+					}
+				}
+			}
+		}
 	}
 }

@@ -181,7 +181,7 @@ func TestClaimedRequestsStayCounted(t *testing.T) {
 		const submits = 3
 		var tks []*Ticket
 		for i := 0; i < submits; i++ {
-			tk, err := q.SubmitTicketTenant(context.Background(), tenant, []float64{1})
+			tk, err := q.SubmitTicket(context.Background(), tenant, []float64{1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -211,10 +211,11 @@ func TestQueuePipelineStress(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				ch, err := q.SubmitAsync(context.Background(), []float64{float64(i)})
+				tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i)})
 				if err != nil {
 					continue // queue closed before acceptance: nothing owed
 				}
+				ch := tk.Done()
 				accepted.Add(1)
 				select {
 				case res, ok := <-ch:

@@ -18,38 +18,45 @@ type Result struct {
 	Err  error
 }
 
-// request is one enqueued query awaiting batch dispatch.
+// request is one enqueued query. Its state word is the queue's one state
+// machine, and the whole of the exactly-one-outcome contract:
+//
+//	          enqueue           take / drainClosed (claim)
+//	(caller) ────────▶ queued ────────────────────────────▶ claimed ──▶ one Result on done
+//	    │                 │
+//	    │ enqueue error   │ Ticket.Cancel, or SubmitTenant's ctx expiring (cancel)
+//	    ▼                 ▼
+//	 never visible     cancelled ──▶ no Result, ever
+//
+// Every submit ends in exactly one of those three: an enqueue error means
+// the request never reached a sub-queue; otherwise claim and cancel race
+// with a CAS on one word, so exactly one wins. Whoever claims owes done
+// exactly one send — runBatch pays it for a collected batch, drainClosed
+// at shutdown — and nobody else ever sends, so the buffered(1) channel
+// never blocks the payer. A cancelled request stays in its sub-queue as a
+// tombstone until the collector pops and drops it.
 type request struct {
-	x    []float64
-	enq  time.Time // submit time, for per-request queue-delay telemetry
-	done chan Result
-	// state is the removable-submit state machine: queued requests can be
-	// cancelled (hedged dispatch discards its loser) until the collector
-	// claims them into a batch. Exactly one of the two transitions wins,
-	// so a request is either never delivered (cancelled) or delivered
-	// exactly once (claimed) — never both.
+	x     []float64
+	enq   time.Time // submit time, for per-request queue-delay telemetry
+	done  chan Result
 	state atomic.Int32
 }
 
 // request.state values.
 const (
-	reqQueued    int32 = iota // submitted, cancellable
-	reqClaimed                // collected into a batch; exactly one Result will be delivered
-	reqCancelled              // withdrawn before collection; never delivered
+	reqQueued    int32 = iota // in a sub-queue, cancellable
+	reqClaimed                // popped by the collector or the shutdown drain
+	reqCancelled              // withdrawn by its submitter before being popped
 )
 
-// claim moves a request from queued to claimed, reporting false when a
-// racing Cancel got there first (the collector then drops the request).
-func (r *request) claim() bool {
-	return r.state.CompareAndSwap(reqQueued, reqClaimed)
-}
+func (r *request) claim() bool  { return r.state.CompareAndSwap(reqQueued, reqClaimed) }
+func (r *request) cancel() bool { return r.state.CompareAndSwap(reqQueued, reqCancelled) }
 
-// reqPool recycles requests submitted through Submit, which receives the
-// one Result its request will ever be sent and so uniquely owns the
-// request afterward — the dispatch side never touches a request again
-// after delivering to it. Requests abandoned on ctx cancellation (their
-// Result may still be in flight) and SubmitAsync requests (the caller
-// keeps the channel) are left to the GC.
+// reqPool recycles SubmitTenant's requests: having received the one Result
+// its request will ever be sent, the submitter uniquely owns it again.
+// Requests abandoned on ctx expiry (still in a sub-queue, or owed a Result
+// by a batch) and ticket requests (the caller keeps the channel) are left
+// to the GC.
 var reqPool = sync.Pool{
 	New: func() any { return &request{done: make(chan Result, 1)} },
 }
@@ -80,6 +87,11 @@ var ErrQueueClosed = errors.New("batching: queue closed")
 // QueueConfig.InFlight = 0.
 const DefaultInFlight = 4
 
+// queueDepth bounds each tenant's sub-queue; a submitter to a full one
+// blocks (ctx- and close-aware) until the collector makes room. Per
+// tenant, so a flooding tenant cannot block a quiet one at the door.
+const queueDepth = 8192
+
 // QueueConfig parameterizes a per-replica batching queue.
 type QueueConfig struct {
 	// Controller chooses the max batch size. Required.
@@ -89,9 +101,6 @@ type QueueConfig struct {
 	// queries (paper §4.3.2). Zero dispatches immediately with whatever
 	// is queued.
 	BatchTimeout time.Duration
-	// Depth is the queue's buffered capacity; submissions beyond it
-	// block. Zero selects 8192.
-	Depth int
 	// InFlight is the dispatch pipeline window: the maximum number of
 	// batches concurrently in flight to the replica. While one batch is
 	// inside the container RPC the collector keeps assembling and
@@ -127,12 +136,14 @@ type viewCaller interface {
 }
 
 // Queue is the adaptive batching queue for one model-container replica
-// (paper §4.3). Queries accumulate here and a dispatch pipeline drains
-// them: a collector goroutine assembles controller-sized batches and hands
-// each to a worker goroutine, keeping up to InFlight batches in the
-// container at once so the replica stays saturated instead of idling for
-// one round trip per batch. Every dispatched batch feeds its (size,
-// latency) observation back to the controller.
+// (paper §4.3). Queries wait in per-tenant FIFO sub-queues (tenant.go) —
+// every application that sets no tenant shares the "" default tenant, so a
+// queue nobody tags is one FIFO — and a dispatch pipeline drains them: a
+// collector goroutine assembles controller-sized batches by weighted
+// deficit round-robin and hands each to a worker goroutine, keeping up to
+// InFlight batches in the container at once so the replica stays saturated
+// instead of idling for one round trip per batch. Every dispatched batch
+// feeds its (size, latency) observation back to the controller.
 //
 // Each batch is accumulated straight into a pooled flat tensor
 // (container.BatchView) and results scatter from the response view into
@@ -144,36 +155,26 @@ type Queue struct {
 	ctrl    Controller
 	timeout time.Duration
 
-	in    chan *request
-	stop  chan struct{}
-	done  chan struct{}
-	win   *winSem   // pipeline window; only an Adaptive ever resizes it
-	adapt *Adaptive // nil when the window is static
+	stop  chan struct{} // closed by Close, after closed is set
+	done  chan struct{} // closed when the collector has drained and exited
+	wake  chan struct{} // buffered(1): "a request arrived" for a parked collector
+	win   *winSem       // pipeline window; only an Adaptive ever resizes it
+	adapt *Adaptive     // nil when the window is static
 	wg    sync.WaitGroup
 
-	// submitMu fences submission against Close: submitters hold it (read
-	// side) across the send into q.in, and Close acquires it exclusively
-	// after closing stop, so by the time Close's final drain runs, every
-	// racing send has either committed (and will be drained) or observed
-	// stop and failed. Without the fence a send can commit after the
-	// dispatcher's own drain, leaving that caller waiting forever.
-	submitMu sync.RWMutex
-	stopOnce sync.Once
-
-	// Multi-tenant fair batching (tenant.go). fairMode is the sticky
-	// switch from FIFO to weighted deficit-round-robin collection; the
-	// remaining fields are the per-tenant sub-queues and DRR rotation
-	// state. Queues that never see a tenant keep fairMode false and never
-	// touch any of this — the untagged path is byte-for-byte the
-	// single-tenant dispatcher.
-	fairMode      atomic.Bool
-	tenMu         sync.Mutex
-	tenants       map[string]*tenantQueue
-	tenOrder      []*tenantQueue // registration order = DRR rotation order
-	drrPos        int            // rotation position into tenOrder
-	drrMid        bool           // resuming a tenant mid-round: skip re-credit
-	tenantPending atomic.Int64   // requests across all sub-queues
-	tenantNotify  chan struct{}  // buffered(1) "state changed" wakeup
+	// mu guards the one place requests wait and everything that orders
+	// them: the sub-queues, the DRR rotation, and the closed flag. Because
+	// closed lives under the same lock as the sub-queues, an enqueue either
+	// sees it and fails or is visible to the collector's final drain.
+	mu          sync.Mutex
+	closed      bool
+	parked      bool // the collector found nothing and is waiting on wake
+	tenants     map[string]*tenantQueue
+	tenOrder    []*tenantQueue // registration order = DRR rotation order; [0] is ""
+	servedAlone int64          // what "" had served when the first named tenant registered
+	backlogged  int            // sub-queues holding at least one request
+	drrPos      int            // rotation position into tenOrder
+	drrMid      bool           // resuming a tenant mid-round: skip re-credit
 
 	// load is the replica's one load model (load.go): occupancy moved at
 	// every queue transition, speed estimates written once per batch.
@@ -192,10 +193,6 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 	if cfg.Controller == nil {
 		panic("batching: QueueConfig.Controller is required")
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 8192
-	}
 	window := cfg.InFlight
 	if window <= 0 {
 		window = DefaultInFlight
@@ -211,16 +208,17 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 		call:         call,
 		ctrl:         cfg.Controller,
 		timeout:      cfg.BatchTimeout,
-		in:           make(chan *request, depth),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
-		tenantNotify: make(chan struct{}, 1),
+		wake:         make(chan struct{}, 1),
+		tenants:      make(map[string]*tenantQueue),
 		adapt:        cfg.Adaptive,
 		BatchLatency: metrics.NewHistogram(),
 		BatchSizes:   metrics.NewHistogram(),
 		QueueDelay:   metrics.NewHistogram(),
 		Throughput:   metrics.NewMeter(),
 	}
+	q.tenantLocked("") // the default tenant, weight 1, first in the rotation
 	if cfg.Adaptive != nil {
 		window = cfg.Adaptive.Window()
 	}
@@ -243,14 +241,18 @@ func (q *Queue) InFlight() int { return q.win.curLimit() }
 // window is static).
 func (q *Queue) Adaptive() *Adaptive { return q.adapt }
 
-// Submit enqueues x and blocks until its prediction is rendered, the
-// context is cancelled, or the queue closes.
+// Submit is SubmitTenant on the default tenant.
 func (q *Queue) Submit(ctx context.Context, x []float64) (container.Prediction, error) {
+	return q.SubmitTenant(ctx, "", x)
+}
+
+// SubmitTenant enqueues x on tenant's sub-queue and blocks until its
+// prediction is rendered, the context is cancelled, or the queue closes.
+func (q *Queue) SubmitTenant(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
 	req := reqPool.Get().(*request)
 	req.x, req.enq = x, time.Now()
 	req.state.Store(reqQueued) // recycled requests come back claimed
-
-	if err := q.submit(ctx, req); err != nil {
+	if err := q.enqueue(ctx, tenant, req); err != nil {
 		req.x = nil
 		reqPool.Put(req) // never enqueued, still exclusively ours
 		return container.Prediction{}, err
@@ -263,60 +265,69 @@ func (q *Queue) Submit(ctx context.Context, x []float64) (container.Prediction, 
 		reqPool.Put(req)
 		return res.Pred, res.Err
 	case <-ctx.Done():
-		// Abandoned: the dispatch side may still deliver into req.done.
-		// The request leaks to the GC rather than being pooled dirty.
+		// Withdraw it so the container does not compute a row nobody
+		// reads. If a batch already claimed it, it runs to completion and
+		// its Result goes unread.
+		req.cancel()
 		return container.Prediction{}, ctx.Err()
 	}
 }
 
-// SubmitAsync enqueues x and returns a channel that will receive exactly
-// one Result (or be closed if the queue shuts down first).
-func (q *Queue) SubmitAsync(ctx context.Context, x []float64) (<-chan Result, error) {
-	// Not pooled: the caller keeps the channel, so the request is never
-	// provably ours again.
-	req := &request{x: x, enq: time.Now(), done: make(chan Result, 1)}
-	if err := q.submit(ctx, req); err != nil {
-		return nil, err
-	}
-	return req.done, nil
-}
-
-// submit performs the fenced send into the queue.
-func (q *Queue) submit(ctx context.Context, req *request) error {
-	q.submitMu.RLock()
-	defer q.submitMu.RUnlock()
+// enqueue is the one way into the queue: one critical section that either
+// fails (closed, or ctx expired while the tenant's sub-queue stayed full)
+// or leaves req visible to the collector, plus a wake-up when — and only
+// when — the collector is parked.
+func (q *Queue) enqueue(ctx context.Context, tenant string, req *request) error {
 	select {
-	case <-q.stop:
-		return ErrQueueClosed
-	default:
-	}
-	select {
-	case q.in <- req:
-		q.load.queued.Add(1)
-		return nil
-	case <-q.stop:
-		return ErrQueueClosed
 	case <-ctx.Done():
 		return ctx.Err()
+	default:
 	}
+	q.mu.Lock()
+	t := q.tenantLocked(tenant)
+	for !q.closed && t.n >= queueDepth {
+		if t.space == nil {
+			t.space = make(chan struct{}) // closed by the next pop from t
+		}
+		space := t.space
+		q.mu.Unlock()
+		select {
+		case <-space:
+		case <-q.stop:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		q.mu.Lock()
+	}
+	if q.closed {
+		q.mu.Unlock()
+		return ErrQueueClosed
+	}
+	q.load.queued.Add(1)
+	q.push(t, req)
+	wake := q.parked
+	q.parked = false
+	q.mu.Unlock()
+	if wake {
+		select {
+		case q.wake <- struct{}{}:
+		default: // a token is already pending; the collector re-checks on it
+		}
+	}
+	return nil
 }
 
 // Close stops the dispatcher, waits for in-flight batches to deliver, and
 // fails queued requests with ErrQueueClosed.
 func (q *Queue) Close() {
-	q.stopOnce.Do(func() {
+	q.mu.Lock()
+	if !q.closed {
+		q.closed = true
 		close(q.stop)
-		q.win.close() // unblock a collector waiting on the window
-	})
-	// Wait out submitters racing the close: stop is closed, so blocked
-	// senders exit promptly, and any send that already committed is in
-	// q.in by the time we hold the write lock.
-	q.submitMu.Lock()
-	q.submitMu.Unlock() // the empty critical section is the fence
-	<-q.done
-	// The dispatcher drained what it saw before exiting; catch requests
-	// whose send committed after that drain.
-	q.drainClosed()
+	}
+	q.mu.Unlock()
+	q.win.close() // unblock a collector waiting on the window
+	<-q.done      // the collector's last act is drainClosed
 }
 
 // dispatchLoop is the pipeline's collector stage: it assembles batches and
@@ -331,45 +342,16 @@ func (q *Queue) dispatchLoop() {
 		// slot, so this unblocks as soon as the oldest in-flight batch
 		// completes. At InFlight=1 this is exactly the serial dispatcher:
 		// collection for batch n+1 cannot begin until batch n returns.
-		if !q.win.acquire() { // false: the queue is stopping
+		var batch []*request
+		if q.win.acquire() {
+			if batch = q.collect(); batch == nil {
+				q.win.release()
+			}
+		}
+		if batch == nil { // the queue is stopping
 			q.drainClosed()
 			q.wg.Wait() // in-flight batches still deliver their results
 			return
-		}
-
-		// Block for the first query of the next batch, skipping requests
-		// whose ticket was cancelled while they waited.
-		var first *request
-		for first == nil {
-			if q.fairEngaged() {
-				if first = q.firstFair(); first == nil {
-					q.win.release()
-					q.drainClosed()
-					q.wg.Wait() // in-flight batches still deliver their results
-					return
-				}
-				break
-			}
-			select {
-			case r := <-q.in:
-				if q.take(r) {
-					first = r
-				}
-			case <-q.tenantNotify:
-				// First tenant just registered: loop back and re-check
-				// fairEngaged, taking the fair path for this batch.
-			case <-q.stop:
-				q.win.release()
-				q.drainClosed()
-				q.wg.Wait() // in-flight batches still deliver their results
-				return
-			}
-		}
-		var batch []*request
-		if q.fairEngaged() {
-			batch = q.collectFair(first)
-		} else {
-			batch = q.collect(first)
 		}
 		if q.win.curLimit() == 1 {
 			// Serial window: the collector holds the only slot, so run the
@@ -389,6 +371,47 @@ func (q *Queue) dispatchLoop() {
 			q.runBatch(batch)
 			putBatch(batch)
 		}()
+	}
+}
+
+// collect is the one collector: it blocks for the first request of the
+// next batch (returning nil when the queue stops first), then fills the
+// batch by takeDRR up to the controller's cap. Without a BatchTimeout it
+// dispatches the moment nothing is buffered; with one (paper §4.3.2) a
+// non-full batch waits that long, from its first request, for more.
+func (q *Queue) collect() []*request {
+	batch := batchPool.Get().([]*request)
+	var timeout <-chan time.Time
+	for {
+		max := q.ctrl.MaxBatch()
+		if max < 1 {
+			max = 1
+		}
+		q.mu.Lock()
+		q.takeDRR(&batch, max)
+		// takeDRR stops short of max only when every sub-queue is empty.
+		park := len(batch) < max && (len(batch) == 0 || q.timeout > 0)
+		q.parked = park
+		q.mu.Unlock()
+		if !park {
+			return batch
+		}
+		if len(batch) > 0 && timeout == nil {
+			timer := time.NewTimer(q.timeout)
+			defer timer.Stop()
+			timeout = timer.C
+		}
+		select {
+		case <-q.wake:
+		case <-timeout:
+			return batch
+		case <-q.stop:
+			if len(batch) > 0 {
+				return batch // already claimed: they run
+			}
+			putBatch(batch)
+			return nil
+		}
 	}
 }
 
@@ -458,58 +481,24 @@ func (q *Queue) predict(v *container.BatchView, deliver func(i int, p container.
 	return q.call.PredictViewContext(context.Background(), v, deliver)
 }
 
-// collect assembles a batch starting from first, honoring the controller's
-// cap and the optional delayed-batching timeout.
-func (q *Queue) collect(first *request) []*request {
-	max := q.ctrl.MaxBatch()
-	if max < 1 {
-		max = 1
-	}
-	batch := append(batchPool.Get().([]*request), first)
-	if q.timeout > 0 {
-		timer := time.NewTimer(q.timeout)
-		defer timer.Stop()
-		for len(batch) < max {
-			select {
-			case r := <-q.in:
-				if q.take(r) {
-					batch = append(batch, r)
-				}
-			case <-timer.C:
-				return batch
-			case <-q.stop:
-				return batch
-			}
-		}
-		return batch
-	}
-	for len(batch) < max {
-		select {
-		case r := <-q.in:
-			if q.take(r) {
-				batch = append(batch, r)
-			}
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drainClosed fails any requests still queued at shutdown. Cancelled
-// ticket requests are dropped silently — their callers were already told
-// the request would never be delivered.
+// drainClosed is the one drain: it fails every request still queued at
+// shutdown. Cancelled requests drop silently — their submitters already
+// know no Result is coming.
 func (q *Queue) drainClosed() {
-	q.drainTenantsClosed()
-	for {
-		select {
-		case r := <-q.in:
+	var failed []*request
+	q.mu.Lock()
+	for _, t := range q.tenOrder {
+		for t.n > 0 {
+			r := q.pop(t)
 			q.load.queued.Add(-1)
 			if r.claim() {
-				r.done <- Result{Err: ErrQueueClosed}
+				failed = append(failed, r)
 			}
-		default:
-			return
 		}
+		t.deficit = 0
+	}
+	q.mu.Unlock()
+	for _, r := range failed {
+		r.done <- Result{Err: ErrQueueClosed}
 	}
 }

@@ -1,20 +1,10 @@
 package batching
 
-import (
-	"context"
-	"time"
-
-	"clipper/internal/container"
-)
-
-// Multi-tenant fair batching (the QoS half of the paper's SLO story):
-// requests tagged with a tenant ID land in per-tenant sub-queues and the
-// collector arbitrates across them by weighted deficit round-robin
-// instead of strict FIFO, so one chatty application cannot starve
-// another that shares the replica. The fair path engages lazily — the
-// first SubmitTenant/SetTenantWeight flips the queue into fair mode —
-// and untagged queues never take it, keeping the single-tenant paper
-// experiments on the exact FIFO code path.
+// The queue's one store: per-tenant FIFO sub-queues, arbitrated by
+// weighted deficit round-robin so one chatty application cannot starve
+// another that shares the replica. Applications that set no tenant share
+// the "" default tenant; DRR over a single backlogged tenant is FIFO, so a
+// queue nobody tags behaves as (and costs about as much as) a plain FIFO.
 //
 // DRR semantics: each round a tenant with backlog earns `weight` credits
 // (its deficit); it dequeues one request per credit until the credits or
@@ -24,27 +14,46 @@ import (
 // any interval where tenants stay backlogged, tenant i's share of
 // dequeues converges to weight_i / Σ weights, within one batch.
 
-// tenantQueue is one tenant's FIFO sub-queue plus its DRR state. All
-// fields are guarded by Queue.tenMu.
+// tenantQueue is one tenant's FIFO sub-queue — a ring that doubles up to
+// queueDepth — plus its DRR state. All fields are guarded by Queue.mu.
 type tenantQueue struct {
 	name    string
 	weight  int64
-	reqs    []*request
-	head    int   // reqs[:head] are already dequeued (and nilled)
-	deficit int64 // unspent DRR credits, bounded by weight
-	served  int64 // requests dequeued into batches since queue start
+	buf     []*request // len is zero or a power of two
+	head, n int
+	space   chan struct{} // non-nil while a submitter waits on a full ring
+	deficit int64         // unspent DRR credits, bounded by weight
+	served  int64         // requests dequeued into batches since queue start
 }
 
-func (t *tenantQueue) len() int { return len(t.reqs) - t.head }
+// push appends r to t's sub-queue. Callers hold q.mu and have checked
+// t.n < queueDepth.
+func (q *Queue) push(t *tenantQueue, r *request) {
+	if t.n == 0 {
+		q.backlogged++
+	}
+	if t.n == len(t.buf) {
+		grown := make([]*request, max(16, 2*t.n))
+		k := copy(grown, t.buf[t.head:])
+		copy(grown[k:], t.buf[:t.head])
+		t.buf, t.head = grown, 0
+	}
+	t.buf[(t.head+t.n)&(len(t.buf)-1)] = r
+	t.n++
+}
 
-func (t *tenantQueue) push(r *request) { t.reqs = append(t.reqs, r) }
-
-func (t *tenantQueue) pop() *request {
-	r := t.reqs[t.head]
-	t.reqs[t.head] = nil // do not pin delivered requests
-	t.head++
-	if t.head == len(t.reqs) {
-		t.reqs, t.head = t.reqs[:0], 0
+// pop removes t's oldest request and lets submitters blocked on t's depth
+// bound retry. Callers hold q.mu and have checked t.n > 0.
+func (q *Queue) pop(t *tenantQueue) *request {
+	r := t.buf[t.head]
+	t.buf[t.head] = nil // do not pin delivered requests
+	t.head = (t.head + 1) & (len(t.buf) - 1)
+	if t.n--; t.n == 0 {
+		q.backlogged--
+	}
+	if t.space != nil {
+		close(t.space)
+		t.space = nil
 	}
 	return r
 }
@@ -52,8 +61,8 @@ func (t *tenantQueue) pop() *request {
 // TenantLoad is one tenant's fair-batching snapshot, exported alongside
 // LoadStats for the scheduler and the admin /replicas surface.
 type TenantLoad struct {
-	// Tenant is the tenant ID ("" is the pseudo-tenant that untagged
-	// submissions join once fair mode engages).
+	// Tenant is the tenant ID ("" is the default tenant untagged
+	// submissions share).
 	Tenant string
 	// Weight is the tenant's DRR weight.
 	Weight int
@@ -65,19 +74,14 @@ type TenantLoad struct {
 	Deficit int
 }
 
-// fairEngaged reports whether the queue has switched to fair collection.
-// The flag is sticky: once any tenant registers, FIFO arrival order
-// across tenants is already gone, so there is no path back.
-func (q *Queue) fairEngaged() bool { return q.fairMode.Load() }
-
-// tenantLocked returns (creating if needed) the sub-queue for name.
-// Callers hold q.tenMu.
+// tenantLocked returns (creating if needed, at weight 1) the sub-queue for
+// name. Callers hold q.mu.
 func (q *Queue) tenantLocked(name string) *tenantQueue {
-	if q.tenants == nil {
-		q.tenants = make(map[string]*tenantQueue)
-	}
 	t := q.tenants[name]
 	if t == nil {
+		if len(q.tenOrder) == 1 {
+			q.servedAlone = q.tenOrder[0].served // first named tenant: see TenantStats
+		}
 		t = &tenantQueue{name: name, weight: 1}
 		q.tenants[name] = t
 		q.tenOrder = append(q.tenOrder, t)
@@ -86,31 +90,30 @@ func (q *Queue) tenantLocked(name string) *tenantQueue {
 }
 
 // SetTenantWeight registers tenant with the given DRR weight (creating
-// its sub-queue) and engages fair collection. Weights below 1 clamp to 1.
-// The "" tenant is the untagged pseudo-tenant; raising its weight
-// prioritizes untagged traffic in fair mode.
+// its sub-queue). Weights below 1 clamp to 1. Raising the "" tenant's
+// weight prioritizes untagged traffic.
 func (q *Queue) SetTenantWeight(tenant string, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
-	q.tenMu.Lock()
-	q.tenantLocked(tenant).weight = int64(weight)
-	q.tenMu.Unlock()
-	q.fairMode.Store(true)
-	q.notifyTenant() // a collector parked on the FIFO select must re-check
+	q.mu.Lock()
+	q.tenantLocked(tenant).weight = int64(max(weight, 1))
+	q.mu.Unlock()
 }
 
 // TenantStats snapshots every tenant's fair-batching state, in
-// registration order. Empty until fair mode engages.
+// registration order. It is empty while only the default tenant exists,
+// and lists "" beside named tenants only once it has held a request in
+// their company.
 func (q *Queue) TenantStats() []TenantLoad {
-	q.tenMu.Lock()
-	defer q.tenMu.Unlock()
-	out := make([]TenantLoad, 0, len(q.tenOrder))
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make([]TenantLoad, 0, len(q.tenOrder)-1)
 	for _, t := range q.tenOrder {
+		if t.name == "" && (len(q.tenOrder) == 1 || t.served == q.servedAlone && t.n == 0) {
+			continue
+		}
 		out = append(out, TenantLoad{
 			Tenant:  t.name,
 			Weight:  int(t.weight),
-			Queued:  t.len(),
+			Queued:  t.n,
 			Served:  t.served,
 			Deficit: int(t.deficit),
 		})
@@ -118,128 +121,19 @@ func (q *Queue) TenantStats() []TenantLoad {
 	return out
 }
 
-// SubmitTenant is Submit tagged with a tenant ID for fair batching. An
-// empty tenant takes the untagged FIFO path unchanged.
-func (q *Queue) SubmitTenant(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
-	if tenant == "" {
-		return q.Submit(ctx, x)
-	}
-	req := reqPool.Get().(*request)
-	req.x, req.enq = x, time.Now()
-	req.state.Store(reqQueued)
-	if err := q.submitTenant(ctx, tenant, req); err != nil {
-		req.x = nil
-		reqPool.Put(req)
-		return container.Prediction{}, err
-	}
-	select {
-	case res := <-req.done:
-		req.x = nil
-		reqPool.Put(req)
-		return res.Pred, res.Err
-	case <-ctx.Done():
-		// Abandoned mid-queue: the dispatch side may still deliver into
-		// req.done, so the request leaks to the GC rather than pooling
-		// dirty (same contract as Submit).
-		return container.Prediction{}, ctx.Err()
-	}
-}
-
-// SubmitTicketTenant is SubmitTicket tagged with a tenant ID. An empty
-// tenant takes the untagged path unchanged.
-func (q *Queue) SubmitTicketTenant(ctx context.Context, tenant string, x []float64) (*Ticket, error) {
-	if tenant == "" {
-		return q.SubmitTicket(ctx, x)
-	}
-	req := &request{x: x, enq: time.Now(), done: make(chan Result, 1)}
-	if err := q.submitTenant(ctx, tenant, req); err != nil {
-		return nil, err
-	}
-	return &Ticket{req: req}, nil
-}
-
-// submitTenant is the fenced tenant-path enqueue. Sub-queues are
-// unbounded slices rather than bounded channels: backpressure for
-// tenant-tagged traffic is the admission gate's job (internal/core sheds
-// against EstimateCost before submitting), and an unbounded append keeps
-// the enqueue non-blocking under tenMu. The submitMu fence mirrors
-// submit: Close acquires the write side after closing stop, so a
-// committed enqueue is always visible to Close's final drain.
-func (q *Queue) submitTenant(ctx context.Context, tenant string, req *request) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Engage fair mode before the request becomes visible, so a collector
-	// woken by notifyTenant below cannot observe the request while still
-	// on the FIFO path.
-	q.fairMode.Store(true)
-	q.submitMu.RLock()
-	defer q.submitMu.RUnlock()
-	select {
-	case <-q.stop:
-		return ErrQueueClosed
-	default:
-	}
-	// Count before the request becomes visible: the pop side decrements
-	// only after seeing it, so the counters never dip negative.
-	q.tenantPending.Add(1)
-	q.load.queued.Add(1) // EstimateCost must see tenant backlog too
-	q.tenMu.Lock()
-	q.tenantLocked(tenant).push(req)
-	q.tenMu.Unlock()
-	q.notifyTenant()
-	return nil
-}
-
-// notifyTenant wakes a collector that may be parked waiting for work.
-// The channel is buffered(1): a pending token means "state changed,
-// re-check", so concurrent submitters collapse into one wakeup and the
-// send never blocks.
-func (q *Queue) notifyTenant() {
-	select {
-	case q.tenantNotify <- struct{}{}:
-	default:
-	}
-}
-
-// routeUntagged moves an untagged request from the FIFO channel into the
-// "" pseudo-tenant so fair collection arbitrates it too. load.queued stays
-// up: it was counted at submit and is released at the DRR pop.
-func (q *Queue) routeUntagged(r *request) {
-	q.tenantPending.Add(1)
-	q.tenMu.Lock()
-	q.tenantLocked("").push(r)
-	q.tenMu.Unlock()
-}
-
-// drainUntagged empties the FIFO channel into the pseudo-tenant without
-// blocking.
-func (q *Queue) drainUntagged() {
-	for {
-		select {
-		case r := <-q.in:
-			q.routeUntagged(r)
-		default:
-			return
-		}
-	}
-}
-
 // takeDRR appends up to max-len(*batch) claimable requests to batch,
 // drawn from the tenant sub-queues by weighted deficit round-robin. It
 // returns either because the batch is full (rotation position and
 // mid-round credit persist, so the next batch resumes exactly where this
-// one stopped) or because every sub-queue is empty.
+// one stopped) or because every sub-queue is empty. Callers hold q.mu.
 func (q *Queue) takeDRR(batch *[]*request, max int) {
-	q.tenMu.Lock()
-	defer q.tenMu.Unlock()
 	empties := 0 // consecutive backlog-free tenants visited
 	for len(*batch) < max && empties < len(q.tenOrder) {
 		if q.drrPos >= len(q.tenOrder) {
 			q.drrPos = 0
 		}
 		t := q.tenOrder[q.drrPos]
-		if t.len() == 0 {
+		if t.n == 0 {
 			t.deficit = 0 // idle tenants forfeit credit
 			q.drrPos++
 			empties++
@@ -247,19 +141,25 @@ func (q *Queue) takeDRR(batch *[]*request, max int) {
 		}
 		empties = 0
 		if !q.drrMid {
-			t.deficit += t.weight
+			rounds := int64(1)
+			if q.backlogged == 1 {
+				// t is the only tenant with backlog, so no competitor can
+				// earn service between its rounds: credit every round this
+				// batch can use at once. The pop below is then FIFO in bulk,
+				// and the credit left over is what round-by-round leaves.
+				rounds = (int64(min(max-len(*batch), t.n)) + t.weight - 1) / t.weight
+			}
+			t.deficit += rounds * t.weight
 		}
 		q.drrMid = false
-		for t.deficit > 0 && t.len() > 0 {
+		for t.deficit > 0 && t.n > 0 {
 			if len(*batch) >= max {
 				// Batch full mid-service: keep the unspent credit and
 				// resume this tenant first next time, without re-crediting.
 				q.drrMid = true
 				return
 			}
-			r := t.pop()
-			q.tenantPending.Add(-1)
-			if q.take(r) {
+			if r := q.pop(t); q.take(r) {
 				*batch = append(*batch, r)
 				t.served++
 				t.deficit--
@@ -267,97 +167,9 @@ func (q *Queue) takeDRR(batch *[]*request, max int) {
 			// A cancelled request spends no credit: the tenant withdrew
 			// it before service.
 		}
-		if t.len() == 0 {
+		if t.n == 0 {
 			t.deficit = 0
 		}
 		q.drrPos++
-	}
-}
-
-// firstFair blocks for the first request of the next batch under fair
-// collection, returning nil when the queue is stopping. Untagged
-// arrivals are folded into the pseudo-tenant so the DRR rotation decides
-// who goes first even for the head of the batch.
-func (q *Queue) firstFair() *request {
-	for {
-		q.drainUntagged()
-		var one []*request
-		q.takeDRR(&one, 1)
-		if len(one) == 1 {
-			return one[0]
-		}
-		select {
-		case <-q.tenantNotify:
-		case r := <-q.in:
-			q.routeUntagged(r)
-		case <-q.stop:
-			return nil
-		}
-	}
-}
-
-// collectFair assembles a batch starting from first under fair
-// collection, honoring the controller's cap and the optional
-// delayed-batching timeout — the fair-mode counterpart of collect.
-func (q *Queue) collectFair(first *request) []*request {
-	max := q.ctrl.MaxBatch()
-	if max < 1 {
-		max = 1
-	}
-	batch := append(batchPool.Get().([]*request), first)
-	var timerC <-chan time.Time
-	if q.timeout > 0 {
-		timer := time.NewTimer(q.timeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	for len(batch) < max {
-		q.drainUntagged()
-		q.takeDRR(&batch, max)
-		if len(batch) >= max {
-			break
-		}
-		// takeDRR only stops short of the cap when every sub-queue is
-		// empty. Without delayed batching, dispatch as soon as no work is
-		// buffered anywhere; with it, wait out the timer for more.
-		if timerC == nil {
-			if q.tenantPending.Load() > 0 || len(q.in) > 0 {
-				continue
-			}
-			return batch
-		}
-		select {
-		case r := <-q.in:
-			q.routeUntagged(r)
-		case <-q.tenantNotify:
-		case <-timerC:
-			return batch
-		case <-q.stop:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drainTenantsClosed fails every tenant-queued request at shutdown, the
-// sub-queue counterpart of drainClosed. Cancelled ticket requests drop
-// silently, and delivery happens outside tenMu.
-func (q *Queue) drainTenantsClosed() {
-	q.tenMu.Lock()
-	var failed []*request
-	for _, t := range q.tenOrder {
-		for t.len() > 0 {
-			r := t.pop()
-			q.tenantPending.Add(-1)
-			q.load.queued.Add(-1)
-			if r.claim() {
-				failed = append(failed, r)
-			}
-		}
-		t.deficit = 0
-	}
-	q.tenMu.Unlock()
-	for _, r := range failed {
-		r.done <- Result{Err: ErrQueueClosed}
 	}
 }

@@ -14,14 +14,15 @@ type Ticket struct {
 	req *request
 }
 
-// SubmitTicket enqueues x and returns a Ticket for the pending result.
-// Unlike Submit it never blocks on the outcome; unlike SubmitAsync the
-// submission can be withdrawn with Cancel until a batch collects it.
-func (q *Queue) SubmitTicket(ctx context.Context, x []float64) (*Ticket, error) {
+// SubmitTicket enqueues x on tenant's sub-queue ("" is the default tenant)
+// and returns a Ticket for the pending result. Unlike SubmitTenant it
+// never blocks on the outcome, and the submission can be withdrawn with
+// Cancel until a batch collects it.
+func (q *Queue) SubmitTicket(ctx context.Context, tenant string, x []float64) (*Ticket, error) {
 	// Not pooled: the caller keeps the done channel past delivery, so the
 	// request is never provably ours again.
 	req := &request{x: x, enq: time.Now(), done: make(chan Result, 1)}
-	if err := q.submit(ctx, req); err != nil {
+	if err := q.enqueue(ctx, tenant, req); err != nil {
 		return nil, err
 	}
 	return &Ticket{req: req}, nil
@@ -35,8 +36,5 @@ func (t *Ticket) Done() <-chan Result { return t.req.done }
 // still queued: it will never be dispatched and Done never receives.
 // False means a batch already collected it — the request runs to
 // completion and Done still receives exactly one Result (which the
-// caller should drain or ignore). Either way the exactly-one-Result
-// contract holds; Cancel only decides who is listening.
-func (t *Ticket) Cancel() bool {
-	return t.req.state.CompareAndSwap(reqQueued, reqCancelled)
-}
+// caller should drain or ignore).
+func (t *Ticket) Cancel() bool { return t.req.cancel() }

@@ -16,7 +16,12 @@ type gateModel struct {
 	release chan struct{} // each receive releases one batch
 	calls   atomic.Int64
 	queries atomic.Int64
+	free    sync.Once
 }
+
+// freeRun opens the gate for good; safe to call more than once, so a test
+// can both free-run mid-way and defer it ahead of Close.
+func (m *gateModel) freeRun() { m.free.Do(func() { close(m.release) }) }
 
 func newGateModel() *gateModel {
 	return &gateModel{release: make(chan struct{}, 1024)}
@@ -42,7 +47,7 @@ func TestSubmitTicketDelivers(t *testing.T) {
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(4), InFlight: 1})
 	defer q.Close()
 
-	tk, err := q.SubmitTicket(context.Background(), []float64{7})
+	tk, err := q.SubmitTicket(context.Background(), "", []float64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestTicketCancelBeforeDispatch(t *testing.T) {
 	defer q.Close()
 
 	// Occupy the single pipeline slot so further submissions stay queued.
-	blocker, err := q.SubmitTicket(context.Background(), []float64{1})
+	blocker, err := q.SubmitTicket(context.Background(), "", []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,7 @@ func TestTicketCancelBeforeDispatch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	tk, err := q.SubmitTicket(context.Background(), []float64{2})
+	tk, err := q.SubmitTicket(context.Background(), "", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +132,7 @@ func TestTicketCancelRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tk, err := q.SubmitTicket(context.Background(), []float64{float64(i)})
+			tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i)})
 			if err != nil {
 				t.Errorf("SubmitTicket: %v", err)
 				return
@@ -175,18 +180,18 @@ func TestTicketQueueCloseFailsPending(t *testing.T) {
 	m := newGateModel()
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 1})
 
-	blocker, err := q.SubmitTicket(context.Background(), []float64{1})
+	blocker, err := q.SubmitTicket(context.Background(), "", []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m.calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	pending, err := q.SubmitTicket(context.Background(), []float64{2})
+	pending, err := q.SubmitTicket(context.Background(), "", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone, err := q.SubmitTicket(context.Background(), []float64{3})
+	gone, err := q.SubmitTicket(context.Background(), "", []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +240,14 @@ func TestLoadStatsLifecycle(t *testing.T) {
 	}
 
 	// One batch in flight, one request queued behind it.
-	first, err := q.SubmitTicket(context.Background(), []float64{1})
+	first, err := q.SubmitTicket(context.Background(), "", []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m.calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	second, err := q.SubmitTicket(context.Background(), []float64{2})
+	second, err := q.SubmitTicket(context.Background(), "", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +280,44 @@ func TestLoadStatsLifecycle(t *testing.T) {
 	cost, ok := q.EstimateCost()
 	if !ok || cost <= 0 {
 		t.Fatalf("EstimateCost = %v, %v; want warm positive", cost, ok)
+	}
+}
+
+// TestSubmitCtxExpiryWithdraws: a blocking submitter whose context expires
+// while its request is still queued withdraws it, so the container never
+// computes a row nobody will read and the load model stops counting it.
+func TestSubmitCtxExpiryWithdraws(t *testing.T) {
+	m := newGateModel()
+	q := NewQueue(m, QueueConfig{Controller: NewFixed(64), InFlight: 1})
+	defer q.Close()
+	defer m.freeRun()        // first, so a failed assertion cannot hang Close
+	fairHarness(t, m, q, "") // the one pipeline slot is held inside the model
+
+	const abandoned = 32
+	var wg sync.WaitGroup
+	for i := 0; i < abandoned; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			if _, err := q.Submit(ctx, []float64{float64(100 + i)}); err != context.DeadlineExceeded {
+				t.Errorf("submit %d: err = %v, want DeadlineExceeded", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	m.freeRun() // anything still claimable gets computed
+	deadline := time.Now().Add(2 * time.Second)
+	for q.LoadStats().Queued != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Queued = %d long after every submitter gave up", q.LoadStats().Queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a batch of abandoned rows would have reached the model by now
+	if got := m.queries.Load(); got != 1 {
+		t.Fatalf("model computed %d rows, want only the primer: %d abandoned rows were dead work", got, got-1)
 	}
 }

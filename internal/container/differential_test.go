@@ -206,11 +206,11 @@ func submitAll(t *testing.T, q *batching.Queue, rows [][]float64) []outcome {
 	t.Helper()
 	chans := make([]<-chan batching.Result, len(rows))
 	for i, x := range rows {
-		ch, err := q.SubmitAsync(context.Background(), x)
+		tk, err := q.SubmitTicket(context.Background(), "", x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans[i] = ch
+		chans[i] = tk.Done()
 	}
 	out := make([]outcome, len(rows))
 	for i, ch := range chans {
@@ -398,10 +398,11 @@ func TestRowShapeEqualsViewShape(t *testing.T) {
 			b := behaviour{info: info, scored: true, gate: make(chan struct{})}
 			bothShapes(t, b, loopback, 2, func(t *testing.T, d *deployment) any {
 				b := d.b
-				patient, err := d.q.SubmitAsync(context.Background(), []float64{1, 2})
+				patientTk, err := d.q.SubmitTicket(context.Background(), "", []float64{1, 2})
 				if err != nil {
 					t.Fatal(err)
 				}
+				patient := patientTk.Done()
 				ctx, cancel := context.WithCancel(context.Background())
 				gaveUp := make(chan error, 1)
 				go func() {
@@ -428,15 +429,17 @@ func TestRowShapeEqualsViewShape(t *testing.T) {
 			b := behaviour{info: info, gate: make(chan struct{})}
 			bothShapes(t, b, loopback, 1, func(t *testing.T, d *deployment) any {
 				b := d.b
-				inFlight, err := d.q.SubmitAsync(context.Background(), []float64{5})
+				inFlightTk, err := d.q.SubmitTicket(context.Background(), "", []float64{5})
 				if err != nil {
 					t.Fatal(err)
 				}
+				inFlight := inFlightTk.Done()
 				<-b.entered
-				queued, err := d.q.SubmitAsync(context.Background(), []float64{6})
+				queuedTk, err := d.q.SubmitTicket(context.Background(), "", []float64{6})
 				if err != nil {
 					t.Fatal(err)
 				}
+				queued := queuedTk.Done()
 				closed := make(chan struct{})
 				go func() { d.q.Close(); close(closed) }()
 				b.gate <- struct{}{}

@@ -106,11 +106,12 @@ func TestPooledConnFailureDrainsWindow(t *testing.T) {
 				if idx == total/3 {
 					killOnce.Do(func() { d.kill(0) })
 				}
-				ch, err := q.SubmitAsync(context.Background(), []float64{float64(idx)})
+				tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(idx)})
 				if err != nil {
 					t.Errorf("submit %d: %v", idx, err)
 					return
 				}
+				ch := tk.Done()
 				var o outcome
 				for res := range channelOnce(ch) {
 					o.results++

@@ -46,7 +46,8 @@ type AppConfig struct {
 	// round-robin; see internal/batching). Zero selects 1. Weights — and
 	// tenant tagging itself — engage only when the application opts into
 	// QoS by setting a nonzero Weight or a Shed policy; apps that set
-	// neither stay on the untagged FIFO path the paper experiments pin.
+	// neither share the "" default tenant, which alone is plain FIFO —
+	// what the paper experiments pin.
 	Weight int
 	// Shed selects the SLO admission policy (qos.go): ShedNone (default)
 	// admits every query; ShedReject refuses queries whose predicted

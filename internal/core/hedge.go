@@ -139,7 +139,7 @@ func (s *scheduler) hedgeTarget(primary *replicaQueue, drainedAtSubmit int64) *r
 // an abandoned loser). An error from one side falls back to the other,
 // which is what carries a request across a replica that dies mid-flight.
 func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, tenant string, x []float64) (container.Prediction, error) {
-	tk, err := primary.queue.SubmitTicketTenant(ctx, tenant, x)
+	tk, err := primary.queue.SubmitTicket(ctx, tenant, x)
 	if err != nil {
 		// The primary refused outright (queue closed under a swap/stop
 		// race): fail over once instead of surfacing a transient.
@@ -177,7 +177,7 @@ func (s *scheduler) submitHedged(ctx context.Context, primary *replicaQueue, ten
 
 	s.hedgesIssued.Add(1)
 	primary.hedgesFrom.Add(1)
-	ht, herr := alt.queue.SubmitTicketTenant(ctx, tenant, x)
+	ht, herr := alt.queue.SubmitTicket(ctx, tenant, x)
 	if herr != nil {
 		// Hedge could not even enqueue; the primary is all we have.
 		select {

@@ -82,7 +82,7 @@ func (a *Application) weight() int {
 }
 
 // tenant is the tag the application's model submissions carry: its name
-// under QoS, "" (the untagged FIFO path) otherwise.
+// under QoS, "" (the default tenant, FIFO among its sharers) otherwise.
 func (a *Application) tenant() string {
 	if a.qosEnabled() {
 		return a.cfg.Name

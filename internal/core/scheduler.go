@@ -286,8 +286,8 @@ func (s *scheduler) probeTick() bool {
 }
 
 // submit routes one query: pick a replica and dispatch (hedged when
-// enabled). tenant tags the query for fair batching; "" is the untagged
-// FIFO path.
+// enabled). tenant names the sub-queue the query waits in; "" is the
+// default tenant every non-QoS application shares.
 func (s *scheduler) submit(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
 	rq := s.pick()
 	if rq == nil {
@@ -372,7 +372,7 @@ func (cl *Clipper) SubmitModel(ctx context.Context, model string, x []float64) (
 
 // SubmitModelTenant is SubmitModel with a tenant tag for fair batching
 // across applications sharing the model's replicas. An empty tenant is
-// the untagged FIFO path.
+// the default tenant.
 func (cl *Clipper) SubmitModelTenant(ctx context.Context, model, tenant string, x []float64) (container.Prediction, error) {
 	cl.mu.Lock()
 	s := cl.scheds[model]

@@ -279,7 +279,13 @@ func TestReplicaStatusesLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A Result reaches its submitter before runBatch settles the in-flight
+	// counters, so give the last batch a moment to finish its bookkeeping.
 	st, ok := cl.ReplicaStatuses("m")[rep.ID]
+	for deadline := time.Now().Add(time.Second); ok && st.InFlightBatches != 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+		st = cl.ReplicaStatuses("m")[rep.ID]
+	}
 	if !ok {
 		t.Fatalf("replica %q missing from statuses", rep.ID)
 	}

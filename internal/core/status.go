@@ -60,8 +60,8 @@ type ReplicaStatus struct {
 
 // TenantStatus is one tenant's slice of a replica's batch queue.
 type TenantStatus struct {
-	// Tenant is the application name ("" for untagged traffic that
-	// arrived after fair batching engaged).
+	// Tenant is the application name ("" is the default tenant non-QoS
+	// applications share, listed once it has held a request).
 	Tenant string `json:"tenant"`
 	// Weight is the tenant's deficit-round-robin weight.
 	Weight int `json:"weight"`

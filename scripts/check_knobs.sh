@@ -6,8 +6,8 @@
 # Go lines (outside benchmark/) for the log.
 set -eu
 cd "$(dirname "$0")/.."
-max_flags=22
-max_rows=18
+max_flags=21
+max_rows=17
 
 flags=$(grep -cE 'flag\.(String|Int|Bool|Duration|Float64)\(' cmd/clipper/main.go)
 # Table rows under "## Tuning knobs", minus the header and separator rows.
