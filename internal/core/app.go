@@ -97,6 +97,9 @@ type Response struct {
 type Application struct {
 	cl  *Clipper
 	cfg AppConfig
+	// globalKey is the state-store key of the "" context, built once: every
+	// context-free request reads it.
+	globalKey string
 
 	mu  sync.Mutex // guards rng and per-context state read-modify-write
 	rng *rand.Rand
@@ -138,6 +141,7 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 	app := &Application{
 		cl:          cl,
 		cfg:         cfg,
+		globalKey:   "selstate/" + cfg.Name + "/_global",
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		PredLatency: metrics.NewHistogram(),
 		Throughput:  metrics.NewMeter(),
@@ -305,6 +309,13 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 	if len(indices) == 0 {
 		return preds
 	}
+	// One backing array per call for the predictions preds points at
+	// (capacity fixed up front, so the pointers stay valid).
+	vals := make([]container.Prediction, 0, len(indices))
+	keep := func(idx int, p container.Prediction) {
+		vals = append(vals, p)
+		preds[idx] = &vals[len(vals)-1]
+	}
 	cl := a.cl
 	var qid uint64
 	if cl.cache != nil {
@@ -323,8 +334,7 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 		key := cache.Key{Model: model, Version: cl.modelVersion(model), QueryID: qid}
 		val, hit, leader, wait := cl.cache.Request(key)
 		if hit {
-			v := val
-			preds[idx] = &v
+			keep(idx, val)
 			continue
 		}
 		pending = append(pending, pendingFetch{
@@ -336,7 +346,7 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 	}
 	if len(pending) == 1 && deadline <= 0 {
 		if p, ok := a.completeFetch(ctx, x, pending[0]); ok {
-			preds[pending[0].idx] = &p
+			keep(pending[0].idx, p)
 		}
 		return preds
 	}
@@ -364,8 +374,7 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 		select {
 		case arr := <-arrivals:
 			if arr.ok {
-				p := arr.pred
-				preds[arr.index] = &p
+				keep(arr.index, arr.pred)
 			}
 		case <-timeout:
 			// Straggler deadline: combine with what we have. The
@@ -442,7 +451,7 @@ func (a *Application) State(contextID string) (selection.State, error) {
 
 func (a *Application) stateKey(contextID string) string {
 	if contextID == "" {
-		contextID = "_global"
+		return a.globalKey
 	}
 	return "selstate/" + a.cfg.Name + "/" + contextID
 }

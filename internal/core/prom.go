@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"time"
 
+	"clipper/internal/cache"
 	"clipper/internal/metrics"
 )
 
@@ -150,36 +151,38 @@ func (cl *Clipper) registerCollectors() {
 			metrics.GaugeCollector(func() float64 { return float64(c.Capacity()) }))
 		r.MustRegister("clipper_cache_shards", "Prediction cache lock stripes.", metrics.KindGauge,
 			metrics.GaugeCollector(func() float64 { return float64(c.Shards()) }))
-		r.MustRegister("clipper_cache_shard_hits_total", "Prediction cache hits per lock stripe.", metrics.KindCounter,
-			func(dst []metrics.Series) []metrics.Series {
+		perShard := func(name, help string, kind metrics.Kind, val func(cache.ShardStat) float64) {
+			r.MustRegister(name, help, kind, func(dst []metrics.Series) []metrics.Series {
 				for i, st := range c.ShardStats() {
 					dst = append(dst, metrics.Series{
 						Labels: []metrics.Label{{Name: "shard", Value: strconv.Itoa(i)}},
-						Value:  float64(st.Hits),
+						Value:  val(st),
 					})
 				}
 				return dst
 			})
-		r.MustRegister("clipper_cache_shard_misses_total", "Prediction cache misses per lock stripe.", metrics.KindCounter,
-			func(dst []metrics.Series) []metrics.Series {
-				for i, st := range c.ShardStats() {
-					dst = append(dst, metrics.Series{
-						Labels: []metrics.Label{{Name: "shard", Value: strconv.Itoa(i)}},
-						Value:  float64(st.Misses),
-					})
+		}
+		perShard("clipper_cache_shard_hits_total", "Prediction cache hits per lock stripe.", metrics.KindCounter,
+			func(st cache.ShardStat) float64 { return float64(st.Hits) })
+		perShard("clipper_cache_shard_misses_total", "Prediction cache misses per lock stripe.", metrics.KindCounter,
+			func(st cache.ShardStat) float64 { return float64(st.Misses) })
+		perShard("clipper_cache_shard_entries", "Live entries per lock stripe.", metrics.KindGauge,
+			func(st cache.ShardStat) float64 { return float64(st.Entries) })
+		perShard("clipper_cache_shard_probation_entries", "Live entries in the stripe's probation FIFO (the rest are in its protected CLOCK ring).", metrics.KindGauge,
+			func(st cache.ShardStat) float64 { return float64(st.Probation) })
+		total := func(val func(cache.ShardStat) int64) metrics.CollectFunc {
+			return metrics.GaugeCollector(func() float64 {
+				var n int64
+				for _, st := range c.ShardStats() {
+					n += val(st)
 				}
-				return dst
+				return float64(n)
 			})
-		r.MustRegister("clipper_cache_shard_entries", "Live entries per lock stripe.", metrics.KindGauge,
-			func(dst []metrics.Series) []metrics.Series {
-				for i, st := range c.ShardStats() {
-					dst = append(dst, metrics.Series{
-						Labels: []metrics.Label{{Name: "shard", Value: strconv.Itoa(i)}},
-						Value:  float64(st.Entries),
-					})
-				}
-				return dst
-			})
+		}
+		r.MustRegister("clipper_cache_promotions_total", "Entries promoted from probation to the protected ring.", metrics.KindCounter,
+			total(func(st cache.ShardStat) int64 { return st.Promotions }))
+		r.MustRegister("clipper_cache_evictions_total", "Entries evicted, from either segment.", metrics.KindCounter,
+			total(func(st cache.ShardStat) int64 { return st.Evictions }))
 	}
 
 	// --- Batching queues + replica load (the scheduler's JSQ inputs) ---

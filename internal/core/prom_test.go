@@ -61,6 +61,10 @@ func TestMetricsCoverage(t *testing.T) {
 		"# TYPE clipper_cache_hits_total counter",
 		"# TYPE clipper_cache_shard_entries gauge",
 		"clipper_cache_shard_hits_total{shard=\"0\"}",
+		"# TYPE clipper_cache_shard_probation_entries gauge",
+		"clipper_cache_shard_probation_entries{shard=\"0\"}",
+		"clipper_cache_promotions_total 0",
+		"clipper_cache_evictions_total 0",
 		// queue / replica load
 		`clipper_queue_queued{model="m",replica="m:v1/0"} 0`,
 		`clipper_queue_completed_queries_total{model="m",replica="m:v1/0"} 4`,

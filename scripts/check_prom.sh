@@ -138,7 +138,8 @@ echo "check_prom: checking required families"
 status=0
 for fam in \
   clipper_cache_hits_total clipper_cache_misses_total clipper_cache_entries \
-  clipper_cache_shard_hits_total \
+  clipper_cache_shard_hits_total clipper_cache_shard_probation_entries \
+  clipper_cache_promotions_total clipper_cache_evictions_total \
   clipper_queue_queued clipper_queue_in_flight_queries \
   clipper_queue_completed_queries_total \
   clipper_replica_healthy clipper_replica_service_ewma_seconds \
