@@ -77,8 +77,9 @@ func (c *Conn) Close() error {
 }
 
 func (c *Conn) readLoop() {
+	r := rpc.NewReader(c.nc)
 	for {
-		f, err := rpc.ReadFrame(c.nc)
+		f, err := rpc.ReadFrame(r)
 		if err != nil {
 			c.fail(err)
 			return

@@ -290,8 +290,8 @@ func TestWinSemResize(t *testing.T) {
 		t.Fatal("grow did not unblock acquire")
 	}
 	w.setLimit(1) // shrink below held count: releases drain it
-	w.release()
-	w.release()
+	w.release(time.Time{})
+	w.release(time.Time{})
 	if got := w.curLimit(); got != 1 {
 		t.Fatalf("limit = %d, want 1", got)
 	}

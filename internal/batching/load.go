@@ -13,8 +13,8 @@ import (
 // and the hedger in internal/core, the window/pool controller in
 // adaptive.go — reads it, with atomic loads only; nothing else in the
 // tree estimates a replica's service time. Occupancy moves at every queue
-// transition, and the three estimates are written in exactly one place:
-// observe, once per completed batch.
+// transition; the estimates are written in two places only: observe, once per
+// completed batch, and sampleArrivals, once per batch the collector starts.
 
 // tailDevs is k in Tail = mean + k·dev. Two mean absolute deviations above
 // the mean sits near the 90th–95th percentile for the latency shapes seen
@@ -36,6 +36,18 @@ type LoadModel struct {
 	batchLat   metrics.EWMA // batch latency, seconds
 	sojourn    metrics.EWMA // oldest request's queue wait + batch latency, seconds
 	sojournDev metrics.EWMA // mean absolute deviation of the sojourn series
+	// robustLat is batchLat with each sample clipped at 2× the current
+	// mean, so a 30 ms pause moves it by a fifth of itself, not by 6 ms;
+	// the collector's hold rule times the next completion with it.
+	robustLat metrics.EWMA
+
+	// The arrival rate is arrN / arrGap — smoothed arrivals per collector
+	// sample over smoothed seconds per sample: a short interval is no spike.
+	arrivals     atomic.Int64 // enqueues since the collector's last sample
+	arrN, arrGap metrics.EWMA
+	arrAt        time.Time // collector-owned: when that sample was
+	// Dispatches the collector held the last slot for, and for how long.
+	holds, holdNanos atomic.Int64
 }
 
 // LoadStats is a point-in-time snapshot of one queue's load model.
@@ -62,6 +74,12 @@ type LoadStats struct {
 	// batch latency): smoothed mean plus tailDevs mean deviations. Zero
 	// while cold.
 	Tail time.Duration
+	// ArrivalRate is the smoothed rate of enqueues per second, zero while
+	// cold. Holds counts the dispatches for which the collector held the
+	// pipeline's last free slot, HoldTime for how long in total.
+	ArrivalRate float64
+	Holds       int64
+	HoldTime    time.Duration
 }
 
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -76,6 +94,9 @@ func (m *LoadModel) Stats() LoadStats {
 		PerQueryService: seconds(m.perQuery.Value()),
 		BatchLatency:    seconds(m.batchLat.Value()),
 		Tail:            m.Tail(),
+		ArrivalRate:     m.arrivalRate(),
+		Holds:           m.holds.Load(),
+		HoldTime:        time.Duration(m.holdNanos.Load()),
 	}
 }
 
@@ -98,6 +119,25 @@ func (m *LoadModel) Tail() time.Duration {
 	return seconds(m.sojourn.Value() + tailDevs*m.sojournDev.Value())
 }
 
+// arrivalRate is the smoothed enqueue rate per second, zero while cold.
+func (m *LoadModel) arrivalRate() float64 {
+	if gap := m.arrGap.Value(); gap > 0 {
+		return m.arrN.Value() / gap
+	}
+	return 0
+}
+
+// sampleArrivals folds the enqueues since the previous call into the
+// arrival rate. Only the collector calls it.
+func (m *LoadModel) sampleArrivals(now time.Time) {
+	n := m.arrivals.Swap(0)
+	if !m.arrAt.IsZero() {
+		m.arrN.Observe(float64(n))
+		m.arrGap.Observe(now.Sub(m.arrAt).Seconds())
+	}
+	m.arrAt = now
+}
+
 // observe folds one completed batch into the model: n queries answered in
 // lat, the oldest of which had waited oldestWait in the queue before
 // dispatch. This is the only writer of the estimates. Concurrent pipeline
@@ -107,6 +147,11 @@ func (m *LoadModel) observe(n int, lat, oldestWait time.Duration) {
 	m.completed.Add(int64(n))
 	m.perQuery.Observe(lat.Seconds() / float64(n))
 	m.batchLat.Observe(lat.Seconds())
+	clipped := lat.Seconds()
+	if mean := m.robustLat.Value(); mean > 0 {
+		clipped = math.Min(clipped, 2*mean)
+	}
+	m.robustLat.Observe(clipped)
 	x := (oldestWait + lat).Seconds()
 	if mean := m.sojourn.Value(); mean > 0 {
 		m.sojournDev.Observe(math.Abs(x - mean))

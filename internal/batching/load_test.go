@@ -219,3 +219,81 @@ func TestClaimedRequestsStayCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestRobustLatencyShrugsOffOutliers: a series with a 15× pause in one batch
+// of forty (bench-straggler's shape) barely moves the robust cell — at most
+// a fifth of itself on the pause, back within 10 % of the body four batches
+// later — while the plain EWMA beside it is thrown by several times the body.
+func TestRobustLatencyShrugsOffOutliers(t *testing.T) {
+	const body = 2 * time.Millisecond
+	rng := rand.New(rand.NewSource(3))
+	var m LoadModel
+	var worstRobust, worstPlain float64
+	for i := 1; i <= 400; i++ {
+		lat := time.Duration(float64(body) * (0.97 + 0.06*rng.Float64()))
+		if i%40 == 0 {
+			lat = 15 * body
+		}
+		m.observe(8, lat, 0)
+		robust, plain := m.robustLat.Value()/body.Seconds(), m.batchLat.Value()/body.Seconds()
+		worstRobust, worstPlain = math.Max(worstRobust, robust), math.Max(worstPlain, plain)
+		if since := i % 40; i > 40 && since >= 4 && math.Abs(robust-1) > 0.10 {
+			t.Fatalf("batch %d, %d after a pause: robust estimate %.3f × body, want within 10 %%", i, since, robust)
+		}
+	}
+	if worstRobust > 1.25 {
+		t.Errorf("robust estimate peaked at %.2f × body, want ≤ 1.25", worstRobust)
+	}
+	if worstPlain < 3 {
+		t.Errorf("plain EWMA peaked at only %.2f × body: the series no longer has outliers to reject", worstPlain)
+	}
+}
+
+// TestRobustLatencyFollowsAStep: clipping must not blind the cell to a real
+// change — a 3× step is within 10 % after twelve batches.
+func TestRobustLatencyFollowsAStep(t *testing.T) {
+	var m LoadModel
+	for i := 0; i < 30; i++ {
+		m.observe(8, 2*time.Millisecond, 0)
+	}
+	for i := 0; i < 12; i++ {
+		m.observe(8, 6*time.Millisecond, 0)
+	}
+	if got := m.robustLat.Value(); math.Abs(got-0.006) > 0.1*0.006 {
+		t.Fatalf("twelve batches after a 2 ms → 6 ms step the robust estimate is %.2f ms", got*1e3)
+	}
+}
+
+// TestArrivalRateIsARatioOfSums: 1000 arrivals a second sampled at uneven
+// intervals read as 1000, and a sample after a very short interval — one
+// arrival 10 µs after the last sample, an instantaneous 100 000/s — does
+// not spike the rate.
+func TestArrivalRateIsARatioOfSums(t *testing.T) {
+	var m LoadModel
+	if m.arrivalRate() != 0 {
+		t.Fatal("cold arrival rate is not zero")
+	}
+	now := time.Unix(1e9, 0)
+	m.sampleArrivals(now)
+	if m.arrivalRate() != 0 {
+		t.Fatal("one sample cannot make a rate")
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200; i++ {
+		n := 1 + rng.Intn(9)
+		m.arrivals.Add(int64(n))
+		now = now.Add(time.Duration(n) * time.Millisecond)
+		m.sampleArrivals(now)
+	}
+	if got := m.arrivalRate(); math.Abs(got-1000) > 1 {
+		t.Fatalf("arrival rate = %.1f/s, want 1000", got)
+	}
+	m.arrivals.Add(1)
+	m.sampleArrivals(now.Add(10 * time.Microsecond))
+	if got := m.arrivalRate(); got > 1100 {
+		t.Fatalf("one short interval moved the rate to %.0f/s", got)
+	}
+	if got := m.Stats().ArrivalRate; got != m.arrivalRate() {
+		t.Fatalf("LoadStats.ArrivalRate = %v, want %v", got, m.arrivalRate())
+	}
+}

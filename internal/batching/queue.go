@@ -304,6 +304,7 @@ func (q *Queue) enqueue(ctx context.Context, tenant string, req *request) error 
 		return ErrQueueClosed
 	}
 	q.load.queued.Add(1)
+	q.load.arrivals.Add(1)
 	q.push(t, req)
 	wake := q.parked
 	q.parked = false
@@ -345,7 +346,7 @@ func (q *Queue) dispatchLoop() {
 		var batch []*request
 		if q.win.acquire() {
 			if batch = q.collect(); batch == nil {
-				q.win.release()
+				q.win.release(time.Time{})
 			}
 		}
 		if batch == nil { // the queue is stopping
@@ -361,38 +362,74 @@ func (q *Queue) dispatchLoop() {
 			// limit grows mid-batch, parallelism resumes with the next batch.
 			q.runBatch(batch)
 			putBatch(batch)
-			q.win.release()
+			q.win.release(time.Time{})
 			continue
 		}
+		at := time.Now()
+		q.win.launch(at)
 		q.wg.Add(1)
 		go func() {
 			defer q.wg.Done()
-			defer q.win.release()
+			defer q.win.release(at)
 			q.runBatch(batch)
 			putBatch(batch)
 		}()
 	}
 }
 
+// holdLast is the collector's decision on a freshly reserved slot: true
+// means keep it back rather than spend it on what is queued now. Only the
+// window's last free slot is held (while another is free no arrival can find
+// the pipeline shut), and only while rate·next — the arrivals expected before
+// the next in-flight batch should complete — is at least queued+2. The
+// derivation, and why no timer ends a hold: docs/ARCHITECTURE.md, "The hold
+// rule".
+func holdLast(queued int, rate float64, next time.Duration, held, limit int) bool {
+	return limit > 1 && held == limit && queued > 0 && next > 0 &&
+		rate*next.Seconds() >= float64(queued+2)
+}
+
 // collect is the one collector: it blocks for the first request of the
 // next batch (returning nil when the queue stops first), then fills the
-// batch by takeDRR up to the controller's cap. Without a BatchTimeout it
-// dispatches the moment nothing is buffered; with one (paper §4.3.2) a
-// non-full batch waits that long, from its first request, for more.
+// batch by takeDRR up to the controller's cap. Until it has taken anything
+// it may hold the slot instead (holdLast), deciding again on every arrival
+// and every change of the window: a batch completing always ends a hold.
+// Without a BatchTimeout it then dispatches the moment nothing is buffered;
+// with one (paper §4.3.2) a non-full batch waits that long, from its first
+// request, for more.
 func (q *Queue) collect() []*request {
 	batch := batchPool.Get().([]*request)
+	q.load.sampleArrivals(time.Now())
 	var timeout <-chan time.Time
+	var heldSince time.Time // non-zero while holding
 	for {
 		max := q.ctrl.MaxBatch()
 		if max < 1 {
 			max = 1
 		}
-		q.mu.Lock()
-		q.takeDRR(&batch, max)
+		held, limit, oldest := q.win.state()
+		next := time.Until(oldest.Add(seconds(q.load.robustLat.Value())))
+		q.mu.Lock() // decided under mu: no enqueue slips in before the collector parks on it
+		hold := len(batch) == 0 && holdLast(int(q.load.queued.Load()), q.load.arrivalRate(), next, held, limit)
+		if !hold {
+			q.takeDRR(&batch, max)
+		}
 		// takeDRR stops short of max only when every sub-queue is empty.
-		park := len(batch) < max && (len(batch) == 0 || q.timeout > 0)
+		park := hold || len(batch) < max && (len(batch) == 0 || q.timeout > 0)
 		q.parked = park
 		q.mu.Unlock()
+		var changed <-chan struct{} // a hold also ends on the window changing
+		switch {
+		case hold:
+			changed = q.win.changed
+			if heldSince.IsZero() {
+				heldSince = time.Now()
+				q.load.holds.Add(1)
+			}
+		case !heldSince.IsZero():
+			q.load.holdNanos.Add(int64(time.Since(heldSince)))
+			heldSince = time.Time{}
+		}
 		if !park {
 			return batch
 		}
@@ -403,6 +440,7 @@ func (q *Queue) collect() []*request {
 		}
 		select {
 		case <-q.wake:
+		case <-changed:
 		case <-timeout:
 			return batch
 		case <-q.stop:

@@ -92,6 +92,7 @@ func FuzzSubmitTenant(f *testing.F) {
 		m := newGateModel()
 		close(m.release) // free-running model: batches never park
 		q := NewQueue(m, QueueConfig{Controller: NewFixed(4), InFlight: 2})
+		primeHold(q) // the collector holds the second slot whenever it can
 
 		bg := context.Background()
 		var l submitLedger

@@ -1,6 +1,9 @@
 package batching
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // winSem is the counting semaphore behind every queue's pipeline window.
 // It is resizable because an Adaptive controller moves its limit at
@@ -11,44 +14,81 @@ import "sync"
 // observed the period boundary. Shrinking below the currently held count
 // never interrupts in-flight batches — acquisition just stays blocked
 // until enough of them release.
+//
+// Every release, resize and close leaves a token in changed, which is what
+// the collector waits on: blocked in acquire, or holding the last slot in
+// collect. A token may be stale, so its receiver re-reads the state.
 type winSem struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	limit  int
-	held   int
-	closed bool
+	mu      sync.Mutex
+	limit   int
+	held    int
+	closed  bool
+	flights []time.Time   // launch instants of the batches in flight, oldest first
+	changed chan struct{} // buffered(1)
 }
 
 func newWinSem(limit int) *winSem {
 	if limit < 1 {
 		limit = 1
 	}
-	w := &winSem{limit: limit}
-	w.cond = sync.NewCond(&w.mu)
-	return w
+	return &winSem{limit: limit, changed: make(chan struct{}, 1)}
+}
+
+func (w *winSem) notify() {
+	select {
+	case w.changed <- struct{}{}:
+	default: // a token is already pending
+	}
 }
 
 // acquire blocks until a slot is free or the semaphore closes; it reports
 // whether a slot was acquired.
 func (w *winSem) acquire() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.held >= w.limit && !w.closed {
-		w.cond.Wait()
+	for {
+		w.mu.Lock()
+		free, closed := w.held < w.limit, w.closed
+		if free && !closed {
+			w.held++
+		}
+		w.mu.Unlock()
+		if free || closed {
+			return !closed
+		}
+		<-w.changed
 	}
-	if w.closed {
-		return false
-	}
-	w.held++
-	return true
 }
 
-// release returns a slot and wakes the collector.
-func (w *winSem) release() {
+// launch records that the collector's reserved slot left with a batch at t.
+func (w *winSem) launch(t time.Time) {
+	w.mu.Lock()
+	w.flights = append(w.flights, t)
+	w.mu.Unlock()
+}
+
+// release returns a slot — the one whose batch launched at t, or with the
+// zero time a reserved slot that never launched — and wakes the collector.
+func (w *winSem) release(t time.Time) {
 	w.mu.Lock()
 	w.held--
+	for i, f := range w.flights {
+		if f.Equal(t) {
+			w.flights = append(w.flights[:i], w.flights[i+1:]...)
+			break
+		}
+	}
 	w.mu.Unlock()
-	w.cond.Broadcast()
+	w.notify()
+}
+
+// state returns the slots held (the collector's reserved one included), the
+// limit, and the earliest launch among the batches in flight (zero if none).
+func (w *winSem) state() (held, limit int, oldest time.Time) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.flights) > 0 {
+		oldest = w.flights[0]
+	}
+	return w.held, w.limit, oldest
 }
 
 // setLimit resizes the window (min 1). Growing wakes a blocked collector
@@ -65,7 +105,7 @@ func (w *winSem) setLimit(n int) {
 	}
 	w.limit = n
 	w.mu.Unlock()
-	w.cond.Broadcast()
+	w.notify()
 }
 
 // curLimit returns the current window limit.
@@ -80,5 +120,5 @@ func (w *winSem) close() {
 	w.mu.Lock()
 	w.closed = true
 	w.mu.Unlock()
-	w.cond.Broadcast()
+	w.notify()
 }

@@ -202,6 +202,18 @@ func (cl *Clipper) registerCollectors() {
 		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
 			return float64(rq.queue.LoadStats().Completed), true
 		})
+	cl.replicaGauge("clipper_queue_arrival_rate", "Smoothed rate of requests entering the batching queue, per second (0 while cold).",
+		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
+			return rq.queue.LoadStats().ArrivalRate, true
+		})
+	cl.replicaGauge("clipper_queue_dispatch_holds_total", "Dispatches for which the collector held the pipeline's last free slot.",
+		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
+			return float64(rq.queue.LoadStats().Holds), true
+		})
+	cl.replicaGauge("clipper_queue_dispatch_hold_seconds_total", "Total time the collector held the pipeline's last free slot.",
+		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
+			return rq.queue.LoadStats().HoldTime.Seconds(), true
+		})
 	cl.replicaGauge("clipper_queue_window", "Current dispatch pipeline window (adaptive controller's live target when adaptive).",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			return float64(rq.queue.InFlight()), true

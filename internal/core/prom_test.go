@@ -68,6 +68,10 @@ func TestMetricsCoverage(t *testing.T) {
 		// queue / replica load
 		`clipper_queue_queued{model="m",replica="m:v1/0"} 0`,
 		`clipper_queue_completed_queries_total{model="m",replica="m:v1/0"} 4`,
+		"# TYPE clipper_queue_arrival_rate gauge",
+		`clipper_queue_arrival_rate{model="m",replica="m:v1/0"} `,
+		`clipper_queue_dispatch_holds_total{model="m",replica="m:v1/0"} 0`,
+		`clipper_queue_dispatch_hold_seconds_total{model="m",replica="m:v1/0"} 0`,
 		`clipper_replica_healthy{model="m",replica="m:v1/0"} 1`,
 		`clipper_batch_latency_seconds_count{model="m",replica="m:v1/0"} `,
 		`clipper_batch_size{model="m",replica="m:v1/0",quantile="0.5"}`,

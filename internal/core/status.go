@@ -47,6 +47,8 @@ type ReplicaStatus struct {
 	// for one more query on this replica (0 while cold) — depth × speed,
 	// scaled for pool degradation.
 	EstCostMillis float64 `json:"est_cost_ms"`
+	// ArrivalRate is the smoothed requests/s entering this replica's queue.
+	ArrivalRate float64 `json:"arrival_rate"`
 	// HedgesFrom counts hedges fired while this replica held the primary
 	// request (it was the straggler); HedgesWon counts hedge races this
 	// replica answered first (it was the rescuer).
@@ -91,8 +93,9 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 			CompletedQueries: ls.Completed,
 			ServiceEWMAMillis: float64(ls.PerQueryService) /
 				float64(1e6),
-			HedgesFrom: rq.hedgesFrom.Load(),
-			HedgesWon:  rq.hedgesWon.Load(),
+			ArrivalRate: ls.ArrivalRate,
+			HedgesFrom:  rq.hedgesFrom.Load(),
+			HedgesWon:   rq.hedgesWon.Load(),
 		}
 		if cost, ok := rq.estCost(); ok {
 			st.EstCostMillis = float64(cost) / float64(1e6)

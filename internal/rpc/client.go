@@ -153,8 +153,9 @@ func (c *Client) Err() error {
 }
 
 func (c *Client) readLoop() {
+	r := NewReader(c.conn)
 	for {
-		f, err := ReadFrame(c.conn)
+		f, err := ReadFrame(r)
 		if err != nil {
 			c.failAll(err)
 			return

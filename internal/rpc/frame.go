@@ -21,6 +21,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -209,6 +210,12 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	framePool.Put(fb)
 	return err
 }
+
+// NewReader returns the buffered reader a connection's read loop hands to
+// ReadFrame: off a bare socket every frame costs two reads (prefix, body);
+// through 64 KiB of buffer, frames that arrived together share one. bufio
+// reads a body larger than its buffer straight into the destination.
+func NewReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, 64<<10) }
 
 // ReadFrame reads one frame from r.
 //

@@ -203,10 +203,13 @@ func lingerClose(tcp *net.TCPConn) {
 }
 
 // readLoop reads frames until the connection fails, handing each request
-// to a worker, and returns the read error that ended it.
+// to a worker, and returns the read error that ended it. Frames already in
+// its buffer when Shutdown's deadline lands count as read: they are served
+// before the next read of the connection reports the deadline.
 func (s *Server) readLoop(conn io.ReadWriteCloser, writeMu *sync.Mutex, reqCh chan *Frame, reqWG *sync.WaitGroup) error {
+	r := NewReader(conn)
 	for {
-		f, err := ReadFrame(conn)
+		f, err := ReadFrame(r)
 		if err != nil {
 			return err
 		}

@@ -141,7 +141,8 @@ for fam in \
   clipper_cache_shard_hits_total clipper_cache_shard_probation_entries \
   clipper_cache_promotions_total clipper_cache_evictions_total \
   clipper_queue_queued clipper_queue_in_flight_queries \
-  clipper_queue_completed_queries_total \
+  clipper_queue_completed_queries_total clipper_queue_arrival_rate \
+  clipper_queue_dispatch_holds_total clipper_queue_dispatch_hold_seconds_total \
   clipper_replica_healthy clipper_replica_service_ewma_seconds \
   clipper_batch_size_count clipper_batch_latency_seconds_count \
   clipper_adaptive_window clipper_adaptive_pool_target \
