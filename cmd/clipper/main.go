@@ -5,17 +5,17 @@
 // Usage:
 //
 //	clipper -addr :8080 -slo 20ms
-//	clipper -addr :8080 -listen-binrpc :7000 -listen-stream :7001
+//	clipper -addr :8080 -listen-stream :7001
 //
 // Then:
 //
 //	curl -s localhost:8080/api/v1/apps
 //	curl -s -X POST localhost:8080/api/v1/predict \
 //	    -d '{"app":"demo","input":[0.1, ... 64 floats ...]}'
-//	loadgen -proto binrpc -target localhost:7000 -rate 500
+//	loadgen -proto stream -target localhost:7001 -rate 500
 //
-// All listeners serve the same gateway core: an app registered over one
-// protocol is immediately served on the others.
+// Both listeners serve the same gateway core: an app registered over one
+// protocol is immediately served on the other.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"clipper"
-	"clipper/internal/adapter/binrpc"
 	"clipper/internal/adapter/httpjson"
 	"clipper/internal/adapter/stream"
 	"clipper/internal/dataset"
@@ -42,8 +41,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "REST API listen address")
-		binrpcAddr  = flag.String("listen-binrpc", "", "binary-RPC adapter listen address (empty disables)")
-		streamAddr  = flag.String("listen-stream", "", "streaming adapter listen address (empty disables)")
+		streamAddr  = flag.String("listen-stream", "", "binary (stream) adapter listen address (empty disables)")
 		slo         = flag.Duration("slo", 20*time.Millisecond, "prediction latency SLO")
 		trainN      = flag.Int("train", 2000, "synthetic training examples")
 		dim         = flag.Int("dim", 64, "feature dimensionality")
@@ -184,7 +182,7 @@ func main() {
 		defer mon.Stop()
 	}
 
-	// One gateway core, up to three protocol adapters over it.
+	// One gateway core, one or two protocol adapters over it.
 	gw := gateway.New(cl)
 	rest := httpjson.New(gw)
 	bound, err := rest.Listen(*addr)
@@ -200,15 +198,6 @@ func main() {
 		Shutdown(context.Context) error
 	}
 	adapters := []gracefulServer{rest}
-	if *binrpcAddr != "" {
-		srv := binrpc.New(gw)
-		b, err := srv.Listen(*binrpcAddr)
-		if err != nil {
-			log.Fatalf("listen binrpc %s: %v", *binrpcAddr, err)
-		}
-		adapters = append(adapters, srv)
-		log.Printf("binrpc adapter on %s", b)
-	}
 	if *streamAddr != "" {
 		srv := stream.New(gw)
 		b, err := srv.Listen(*streamAddr)

@@ -1,11 +1,11 @@
 // Command loadgen drives a Clipper node with a prediction workload over
-// any protocol adapter and reports throughput and latency, like the
+// either protocol adapter and reports throughput and latency, like the
 // serving drivers in the paper's evaluation.
 //
 // Usage:
 //
 //	loadgen -target http://localhost:8080 -app demo -rate 500 -duration 10s
-//	loadgen -proto binrpc -target localhost:7000 -rate 500 -process diurnal
+//	loadgen -proto stream -target localhost:7001 -rate 500 -process diurnal
 //	loadgen -proto stream -target localhost:7001 -rate 2000 -process flash
 //	loadgen -target http://localhost:8080 -workers 32 -duration 10s
 //
@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clipper/internal/adapter/binrpc"
 	"clipper/internal/adapter/stream"
 	"clipper/internal/gateway"
 	"clipper/internal/workload"
@@ -36,8 +35,8 @@ import (
 
 func main() {
 	var (
-		target   = flag.String("target", "http://localhost:8080", "Clipper endpoint: base URL for http, host:port for binrpc/stream")
-		proto    = flag.String("proto", "http", "protocol adapter: http, binrpc, or stream")
+		target   = flag.String("target", "http://localhost:8080", "Clipper endpoint: base URL for http, host:port for stream")
+		proto    = flag.String("proto", "http", "protocol adapter: http or stream")
 		app      = flag.String("app", "demo", "application name")
 		dim      = flag.Int("dim", 64, "feature dimensionality")
 		rate     = flag.Float64("rate", 0, "open-loop arrival rate (qps); 0 = closed loop")
@@ -130,12 +129,6 @@ func dialCaller(proto, target string) (caller, error) {
 	switch proto {
 	case "http":
 		return &httpCaller{client: &http.Client{Timeout: 10 * time.Second}, base: target}, nil
-	case "binrpc":
-		c, err := binrpc.Dial(target, 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return &binrpcCaller{c: c}, nil
 	case "stream":
 		c, err := stream.Dial(target, 5*time.Second)
 		if err != nil {
@@ -143,7 +136,7 @@ func dialCaller(proto, target string) (caller, error) {
 		}
 		return &streamCaller{c: c}, nil
 	default:
-		return nil, fmt.Errorf("unknown proto %q (want http, binrpc, or stream)", proto)
+		return nil, fmt.Errorf("unknown proto %q (want http or stream)", proto)
 	}
 }
 
@@ -187,19 +180,6 @@ func (h *httpCaller) feedback(app string, x []float64, label int) {
 }
 
 func (h *httpCaller) close() {}
-
-type binrpcCaller struct{ c *binrpc.Client }
-
-func (b *binrpcCaller) predict(app string, x []float64) (int, error) {
-	res, err := b.c.Predict(context.Background(), app, "", x)
-	return res.Label, err
-}
-
-func (b *binrpcCaller) feedback(app string, x []float64, label int) {
-	b.c.Feedback(context.Background(), app, "", label, x)
-}
-
-func (b *binrpcCaller) close() { b.c.Close() }
 
 type streamCaller struct{ c *stream.Conn }
 

@@ -1,12 +1,14 @@
 // Package adapter holds what Clipper's protocol adapters share: the
-// binary wire codec the binrpc and stream adapters speak, the handler
-// that dispatches those frames to a gateway, and the drain window their
-// Close grants. The framed adapters serve through internal/rpc's server
-// — the same one model containers use — so request leases, response
-// scratch and graceful drain are implemented once. The adapters
-// themselves are subpackages — httpjson (the REST API), binrpc
-// (request/response binary RPC), and stream (pipelined predicts with
-// correlation IDs) — each a thin shell over one internal/gateway core.
+// binary wire codec the stream adapter speaks, the handler that
+// dispatches those frames to a gateway, and the drain window every
+// adapter's Close grants. The stream adapter serves through
+// internal/rpc's server and its client is a codec over internal/rpc's
+// client — the same two model containers use — so request leases,
+// response scratch, graceful drain and the pipelined client's delivery
+// rule are implemented once. The adapters themselves are subpackages —
+// httpjson (the REST API) and stream (the binary protocol: pipelined
+// requests with correlation IDs) — each a thin shell over one
+// internal/gateway core.
 package adapter
 
 import (

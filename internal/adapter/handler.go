@@ -22,20 +22,16 @@ const maxInternedApps = 1024
 // (app → string) conversion: Go elides the []byte→string copy in a
 // direct map index, and hits return the interned string.
 type handler struct {
-	b    *gateway.Bound
-	full bool
+	b *gateway.Bound
 
 	mu   sync.RWMutex
 	apps map[string]string
 }
 
-// NewHandler returns an rpc.Handler dispatching frames to b. With full
-// set the whole operation surface is served; without it only the
-// data-plane ops (predict, feedback) are — the stream adapter's
-// contract, which keeps its pipelined connection free of slow
-// admin/scrape responses.
-func NewHandler(b *gateway.Bound, full bool) rpc.Handler {
-	h := &handler{b: b, full: full, apps: make(map[string]string)}
+// NewHandler returns an rpc.Handler dispatching the gateway wire's
+// methods to b.
+func NewHandler(b *gateway.Bound) rpc.Handler {
+	h := &handler{b: b, apps: make(map[string]string)}
 	return h.handle
 }
 
@@ -62,8 +58,8 @@ func (h *handler) intern(name []byte) string {
 // handle decodes one request and encodes the operation's result into
 // scratch. Application-level failures travel as status bytes inside a
 // normal response frame — never as rpc.MsgError, which is reserved for
-// transport-level faults (unknown method, op not served here) — so typed
-// gateway codes survive the wire.
+// transport-level faults (unknown method) — so typed gateway codes
+// survive the wire.
 func (h *handler) handle(method rpc.Method, payload, scratch []byte) ([]byte, error) {
 	switch method {
 	case MethodGWPredict:
@@ -95,13 +91,7 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte) ([]byte, er
 			Label:   int(req.Label),
 		})
 		return AppendStatus(scratch, ferr), nil
-	}
 
-	if !h.full {
-		return nil, fmt.Errorf("method 0x%x not served on this adapter", byte(method))
-	}
-
-	switch method {
 	case MethodGWAppList:
 		return appendJSON(scratch, h.b.AppList())
 	case MethodGWModelList:

@@ -3,7 +3,7 @@
 // original frontend package — same paths, status codes, JSON shapes, and
 // error strings — but every handler body is now a thin decode → gateway
 // op → encode shell; validation and error classification live in
-// internal/gateway, shared with the binrpc and stream adapters.
+// internal/gateway, shared with the stream adapter.
 //
 // Endpoints:
 //

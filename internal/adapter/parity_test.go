@@ -2,9 +2,9 @@ package adapter_test
 
 // Adapter parity: the same predict/feedback inputs must yield
 // semantically identical results — labels, flags, error codes, and error
-// messages — over httpjson, binrpc, and stream, because all three are
-// shells over one gateway. The suite also covers the graceful-shutdown
-// contract: Close during an in-flight predict still yields a response.
+// messages — over httpjson and stream, because both are shells over one
+// gateway. The suite also covers the graceful-shutdown contract: Close
+// during an in-flight predict still yields a response.
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"clipper/internal/adapter/binrpc"
 	"clipper/internal/adapter/httpjson"
 	"clipper/internal/adapter/stream"
 	"clipper/internal/batching"
@@ -205,22 +204,6 @@ func (h *httpCaller) feedback(app string, input []float64, label int) outcome {
 	return h.post("/api/v1/feedback", gateway.FeedbackRequest{App: app, Input: input, Label: label}, nil)
 }
 
-type binrpcCaller struct{ c *binrpc.Client }
-
-func (b *binrpcCaller) name() string { return "binrpc" }
-
-func (b *binrpcCaller) predict(app string, input []float64) outcome {
-	return fromResult(b.c.Predict(context.Background(), app, "", input))
-}
-
-func (b *binrpcCaller) feedback(app string, input []float64, label int) outcome {
-	err := b.c.Feedback(context.Background(), app, "", label, input)
-	if err != nil {
-		return outcome{Code: gateway.CodeOf(err), Msg: err.Error()}
-	}
-	return outcome{}
-}
-
 type streamCaller struct{ c *stream.Conn }
 
 func (s *streamCaller) name() string { return "stream" }
@@ -237,7 +220,7 @@ func (s *streamCaller) feedback(app string, input []float64, label int) outcome 
 	return outcome{}
 }
 
-// startAdapters boots all three adapters over one gateway and returns a
+// startAdapters boots both adapters over one gateway and returns a
 // connected caller per adapter.
 func startAdapters(t *testing.T, cl *core.Clipper) []caller {
 	t.Helper()
@@ -250,13 +233,6 @@ func startAdapters(t *testing.T, cl *core.Clipper) []caller {
 	}
 	t.Cleanup(func() { hs.Close() })
 
-	bs := binrpc.New(gw)
-	baddr, err := bs.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bs.Close() })
-
 	ss := stream.New(gw)
 	saddr, err := ss.Listen("127.0.0.1:0")
 	if err != nil {
@@ -264,11 +240,6 @@ func startAdapters(t *testing.T, cl *core.Clipper) []caller {
 	}
 	t.Cleanup(func() { ss.Close() })
 
-	bc, err := binrpc.Dial(baddr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bc.Close() })
 	sc, err := stream.Dial(saddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +248,6 @@ func startAdapters(t *testing.T, cl *core.Clipper) []caller {
 
 	return []caller{
 		&httpCaller{base: "http://" + haddr, c: &http.Client{Timeout: 5 * time.Second}},
-		&binrpcCaller{c: bc},
 		&streamCaller{c: sc},
 	}
 }
@@ -399,7 +369,7 @@ func TestAdapterParity(t *testing.T) {
 // yields that predict's response on every adapter — the graceful-drain
 // contract.
 func TestAdapterShutdownDrain(t *testing.T) {
-	for _, proto := range []string{"http", "binrpc", "stream"} {
+	for _, proto := range []string{"http", "stream"} {
 		t.Run(proto, func(t *testing.T) {
 			cl := newParityNode(t)
 			gw := gateway.New(cl)
@@ -409,13 +379,6 @@ func TestAdapterShutdownDrain(t *testing.T) {
 			switch proto {
 			case "http":
 				s := httpjson.New(gw)
-				a, err := s.Listen("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				addr, closeSrv = a, s.Close
-			case "binrpc":
-				s := binrpc.New(gw)
 				a, err := s.Listen("127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)
@@ -434,13 +397,6 @@ func TestAdapterShutdownDrain(t *testing.T) {
 			switch proto {
 			case "http":
 				c = &httpCaller{base: "http://" + addr, c: &http.Client{Timeout: 5 * time.Second}}
-			case "binrpc":
-				bc, err := binrpc.Dial(addr, time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer bc.Close()
-				c = &binrpcCaller{c: bc}
 			case "stream":
 				sc, err := stream.Dial(addr, time.Second)
 				if err != nil {
@@ -471,18 +427,18 @@ func TestAdapterShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestBinrpcColdOps: the JSON-bodied cold operations round-trip over the
+// TestStreamColdOps: the JSON-bodied cold operations round-trip over the
 // wire and match the HTTP bodies.
-func TestBinrpcColdOps(t *testing.T) {
+func TestStreamColdOps(t *testing.T) {
 	cl := newParityNode(t)
 	gw := gateway.New(cl)
-	s := binrpc.New(gw)
+	s := stream.New(gw)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := binrpc.Dial(addr, time.Second)
+	c, err := stream.Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +467,7 @@ func TestBinrpcColdOps(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	// Registered over binrpc, served immediately (same gateway core).
+	// Registered over the wire, served immediately (same gateway core).
 	if res, err := c.Predict(ctx, "rt", "", []float64{1}); err != nil || res.Label != 1 {
 		t.Fatalf("predict on rt = %+v, %v", res, err)
 	}

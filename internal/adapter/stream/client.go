@@ -2,8 +2,7 @@ package stream
 
 import (
 	"context"
-	"errors"
-	"net"
+	"encoding/json"
 	"sync"
 	"time"
 
@@ -12,10 +11,9 @@ import (
 	"clipper/internal/rpc"
 )
 
-// ErrConnClosed is reported to calls issued on (or stranded by) a dead
-// connection.
-var ErrConnClosed = errors.New("stream: connection closed")
-
+// Request encode buffers are pooled: rpc.Client writes the frame in the
+// calling goroutine before Go or Call returns, so the buffer is free for
+// reuse the moment either does.
 var reqPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -23,136 +21,37 @@ var reqPool = sync.Pool{
 	},
 }
 
-// Conn is a pipelined client connection. Many predicts may be in flight
-// at once; each is correlated by a client-assigned ID and its callback
-// fires exactly once — with the response, or with the connection's fatal
-// error. Safe for concurrent use.
+// Conn is a client connection to a stream server: the adapter's codec
+// over one rpc.Client. Safe for concurrent use. Many requests may be in
+// flight at once and complete in any order; Go pipelines a predict behind
+// a callback, and the blocking methods are the same wire with a wait, so
+// a caller that keeps one request outstanding has a plain
+// request/response protocol.
 type Conn struct {
-	nc      net.Conn
-	writeMu sync.Mutex
-
-	mu      sync.Mutex
-	pending map[uint64]func(body []byte, err error)
-	nextID  uint64
-	closed  bool
-	err     error
-
-	done chan struct{}
+	rc *rpc.Client
 }
 
 // Dial connects to a stream server.
 func Dial(addr string, timeout time.Duration) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+	rc, err := rpc.Dial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	if tcp, ok := nc.(*net.TCPConn); ok {
-		tcp.SetNoDelay(true)
-	}
-	c := &Conn{
-		nc:      nc,
-		pending: make(map[uint64]func([]byte, error)),
-		nextID:  1,
-		done:    make(chan struct{}),
-	}
-	go c.readLoop()
-	return c, nil
+	return &Conn{rc: rc}, nil
 }
 
 // Done closes when the connection dies; Err then reports why.
-func (c *Conn) Done() <-chan struct{} { return c.done }
+func (c *Conn) Done() <-chan struct{} { return c.rc.Done() }
 
 // Err returns the connection's fatal error, nil while alive.
-func (c *Conn) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
+func (c *Conn) Err() error { return c.rc.Err() }
 
-// Close tears the connection down. Outstanding callbacks fire with
-// ErrConnClosed.
-func (c *Conn) Close() error {
-	c.fail(ErrConnClosed)
-	return nil
-}
+// Close tears the connection down. Outstanding requests fail with
+// rpc.ErrClientClosed.
+func (c *Conn) Close() error { return c.rc.Close() }
 
-func (c *Conn) readLoop() {
-	r := rpc.NewReader(c.nc)
-	for {
-		f, err := rpc.ReadFrame(r)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.mu.Lock()
-		cb, ok := c.pending[f.ID]
-		if ok {
-			delete(c.pending, f.ID) // claimed: this response is the one delivery
-		}
-		c.mu.Unlock()
-		if ok {
-			switch f.Type {
-			case rpc.MsgResponse:
-				cb(f.Payload, nil)
-			case rpc.MsgError:
-				cb(nil, &rpc.RemoteError{Message: string(f.Payload)})
-			default:
-				cb(nil, errors.New("stream: unexpected frame type"))
-			}
-		}
-		f.Release()
-	}
-}
-
-// fail kills the connection and fires every still-pending callback
-// exactly once with err. Idempotent: only the first fatal error wins.
-func (c *Conn) fail(err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.err = err
-	pend := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.nc.Close()
-	for _, cb := range pend {
-		cb(nil, err)
-	}
-	close(c.done)
-}
-
-// send registers cb under a fresh correlation ID and writes the request
-// frame. The callback fires exactly once: from the read loop when the
-// response lands, from fail if the connection dies first, or inline here
-// if the connection is already dead. body aliases a leased frame and is
-// only valid for the duration of the callback.
-func (c *Conn) send(method rpc.Method, payload []byte, cb func(body []byte, err error)) {
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		cb(nil, err)
-		return
-	}
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = cb
-	c.mu.Unlock()
-
-	c.writeMu.Lock()
-	err := rpc.WriteFrame(c.nc, &rpc.Frame{ID: id, Type: rpc.MsgRequest, Method: method, Payload: payload})
-	c.writeMu.Unlock()
-	if err != nil {
-		// A broken pipe strands every pipelined call, not just this one.
-		c.fail(err)
-	}
-}
-
-// Go issues a predict without waiting. cb runs on the connection's read
-// loop (or the failing goroutine) — it must not block.
+// Go issues a predict without waiting. cb fires exactly once, on the
+// goroutine rpc.Client's completion contract names — it must not block.
 func (c *Conn) Go(app, cctx string, input []float64, cb func(gateway.PredictResult, error)) {
 	bp := reqPool.Get().(*[]byte)
 	buf, err := adapter.AppendPredictRequest((*bp)[:0], app, cctx, input)
@@ -162,34 +61,36 @@ func (c *Conn) Go(app, cctx string, input []float64, cb func(gateway.PredictResu
 		cb(gateway.PredictResult{}, err)
 		return
 	}
-	c.send(adapter.MethodGWPredict, buf, func(body []byte, err error) {
+	c.rc.Go(adapter.MethodGWPredict, buf, func(p rpc.Payload, err error) {
 		if err != nil {
 			cb(gateway.PredictResult{}, err)
 			return
 		}
-		res, derr := adapter.DecodePredictResult(body)
-		cb(res, derr)
+		res, err := adapter.DecodePredictResult(p.Data)
+		p.Release()
+		cb(res, err)
 	})
 	reqPool.Put(bp)
 }
 
-// Predict issues a predict and waits for its response (other predicts on
-// the connection still overtake it freely).
+// Predict runs one prediction and waits for it. Gateway failures come
+// back as *gateway.Error carrying the wire status code.
 func (c *Conn) Predict(ctx context.Context, app, cctx string, input []float64) (gateway.PredictResult, error) {
-	type outcome struct {
-		res gateway.PredictResult
-		err error
+	bp := reqPool.Get().(*[]byte)
+	buf, err := adapter.AppendPredictRequest((*bp)[:0], app, cctx, input)
+	*bp = buf[:0]
+	if err != nil {
+		reqPool.Put(bp)
+		return gateway.PredictResult{}, err
 	}
-	ch := make(chan outcome, 1) // buffered: a late callback must not block the read loop
-	c.Go(app, cctx, input, func(res gateway.PredictResult, err error) {
-		ch <- outcome{res, err}
-	})
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-ctx.Done():
-		return gateway.PredictResult{}, ctx.Err()
+	p, err := c.rc.Call(ctx, adapter.MethodGWPredict, buf)
+	reqPool.Put(bp)
+	if err != nil {
+		return gateway.PredictResult{}, err
 	}
+	res, err := adapter.DecodePredictResult(p.Data)
+	p.Release()
+	return res, err
 }
 
 // Feedback reports ground truth and waits for the ack.
@@ -201,18 +102,55 @@ func (c *Conn) Feedback(ctx context.Context, app, cctx string, label int, input 
 		reqPool.Put(bp)
 		return err
 	}
-	ch := make(chan error, 1)
-	c.send(adapter.MethodGWFeedback, buf, func(body []byte, err error) {
-		if err == nil {
-			_, err = adapter.DecodeStatus(body)
-		}
-		ch <- err
-	})
+	err = c.status(ctx, adapter.MethodGWFeedback, buf, nil)
 	reqPool.Put(bp)
-	select {
-	case err := <-ch:
+	return err
+}
+
+// status runs one op that answers with a status byte and a body. A
+// non-nil body is handed the body bytes, which alias the leased response
+// and are valid only until it returns.
+func (c *Conn) status(ctx context.Context, method rpc.Method, payload []byte, body func([]byte) error) error {
+	p, err := c.rc.Call(ctx, method, payload)
+	if err != nil {
 		return err
-	case <-ctx.Done():
-		return ctx.Err()
 	}
+	defer p.Release()
+	b, err := adapter.DecodeStatus(p.Data)
+	if err != nil || body == nil {
+		return err
+	}
+	return body(b)
+}
+
+// AppList returns the registered applications.
+func (c *Conn) AppList(ctx context.Context) (apps []gateway.AppInfo, err error) {
+	err = c.status(ctx, adapter.MethodGWAppList, nil, func(b []byte) error { return json.Unmarshal(b, &apps) })
+	return apps, err
+}
+
+// ModelList returns the deployed model names, sorted.
+func (c *Conn) ModelList(ctx context.Context) (models []string, err error) {
+	err = c.status(ctx, adapter.MethodGWModelList, nil, func(b []byte) error { return json.Unmarshal(b, &models) })
+	return models, err
+}
+
+// Health checks node liveness.
+func (c *Conn) Health(ctx context.Context) error {
+	return c.status(ctx, adapter.MethodGWHealth, nil, nil)
+}
+
+// Metrics fetches the Prometheus text exposition.
+func (c *Conn) Metrics(ctx context.Context) (text string, err error) {
+	err = c.status(ctx, adapter.MethodGWMetrics, nil, func(b []byte) error { text = string(b); return nil })
+	return text, err
+}
+
+// RegisterApp registers an application at runtime.
+func (c *Conn) RegisterApp(ctx context.Context, req gateway.RegisterAppRequest) error {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return c.status(ctx, adapter.MethodGWRegisterApp, payload, nil)
 }

@@ -1,12 +1,19 @@
-// Package stream is Clipper's streaming adapter: one persistent
-// connection carrying many in-flight predicts, correlated by frame ID
-// and answered in completion order — a fast query overtakes a straggler
-// on the same socket instead of queueing behind it (no head-of-line
-// blocking, the tail-latency failure mode of one-at-a-time transports).
+// Package stream is Clipper's binary adapter: the gateway's whole
+// operation surface over length-prefixed rpc frames on one persistent
+// connection. Requests are correlated by frame ID and answered in
+// completion order — a fast query overtakes a straggler on the same
+// socket instead of queueing behind it (no head-of-line blocking, the
+// tail-latency failure mode of one-at-a-time transports) — and a client
+// that keeps one request outstanding has a plain request/response
+// protocol. The hot predict path round-trips without allocating in the
+// framing or payload codec on either side — request encode buffers and
+// response bodies are leased from pools — so the adapter measures the
+// gateway itself rather than its own serialization.
 //
-// The server side restricts the connection to the data-plane operations
-// (predict, feedback); admin and scrape traffic belongs on the httpjson
-// or binrpc adapters.
+// Admin and scrape operations share the connection with predicts: the
+// server's read loop never runs a handler (every request goes to an
+// rpc.Server worker), so a slow scrape delays neither the frames behind
+// it nor the responses that overtake it.
 package stream
 
 import (
@@ -18,14 +25,14 @@ import (
 	"clipper/internal/rpc"
 )
 
-// Server serves pipelined data-plane operations over framed TCP.
+// Server serves pipelined gateway operations over framed TCP.
 type Server struct {
 	srv *rpc.Server
 }
 
 // New returns a server bound to g's "stream" adapter instrumentation.
 func New(g *gateway.Gateway) *Server {
-	return &Server{srv: rpc.NewServer(adapter.NewHandler(g.Bind("stream"), false))}
+	return &Server{srv: rpc.NewServer(adapter.NewHandler(g.Bind("stream")))}
 }
 
 // NewServer returns a server over its own gateway on cl.

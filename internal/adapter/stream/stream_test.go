@@ -7,6 +7,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,8 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/gateway"
+	"clipper/internal/metrics"
+	"clipper/internal/rpc"
 	"clipper/internal/selection"
 )
 
@@ -65,9 +68,11 @@ func newNode(t *testing.T) *core.Clipper {
 
 // newStreamNode serves newNode's apps on one stream server and returns a
 // connected client.
-func newStreamNode(t *testing.T) (*Server, *Conn) {
+func newStreamNode(t *testing.T) (*Server, *Conn) { return serveNode(t, newNode(t)) }
+
+func serveNode(t *testing.T, cl *core.Clipper) (*Server, *Conn) {
 	t.Helper()
-	srv := NewServer(newNode(t))
+	srv := NewServer(cl)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +84,29 @@ func newStreamNode(t *testing.T) (*Server, *Conn) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return srv, conn
+}
+
+// newSlowScrapeNode is newStreamNode on a node whose every metrics scrape
+// takes 40ms, so that scrape holds a cold op reliably in flight.
+func newSlowScrapeNode(t *testing.T) (*Server, *Conn) {
+	cl := newNode(t)
+	cl.Metrics().MustRegister("test_slow_scrape", "Holds every scrape for 40ms.", metrics.KindGauge,
+		func(dst []metrics.Series) []metrics.Series {
+			time.Sleep(40 * time.Millisecond)
+			return dst
+		})
+	return serveNode(t, cl)
+}
+
+// scrape starts a metrics scrape over conn and returns where its outcome
+// lands.
+func scrape(conn *Conn) <-chan error {
+	ch := make(chan error, 1)
+	go func() {
+		_, err := conn.Metrics(context.Background())
+		ch <- err
+	}()
+	return ch
 }
 
 // TestOutOfOrderCompletion: a fast predict issued after a slow one on
@@ -143,10 +171,11 @@ func TestExactlyOncePipelined(t *testing.T) {
 }
 
 // TestServerKillMidStream: the server force-closes connections (expired
-// drain context) while predicts are in flight; every outstanding
-// correlation ID still gets exactly one callback.
+// drain context) while predicts and a scrape are in flight; every
+// outstanding correlation ID still gets exactly one callback, and the
+// scrape its error.
 func TestServerKillMidStream(t *testing.T) {
-	srv, conn := newStreamNode(t)
+	srv, conn := newSlowScrapeNode(t)
 
 	const n = 8
 	counts := make([]atomic.Int32, n)
@@ -158,11 +187,15 @@ func TestServerKillMidStream(t *testing.T) {
 			wg.Done()
 		})
 	}
+	scraped := scrape(conn)
 	time.Sleep(5 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired drain window: force-close now
 	srv.Shutdown(ctx)
 	wg.Wait()
+	if err := <-scraped; err == nil {
+		t.Fatal("scrape in flight at the kill succeeded")
+	}
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("predict %d: %d callbacks, want exactly 1", i, c)
@@ -179,10 +212,10 @@ func TestServerKillMidStream(t *testing.T) {
 }
 
 // TestClientCloseMidStream: Close from the client side fires every
-// pending callback exactly once with ErrConnClosed, and later calls fail
-// immediately.
+// pending callback exactly once with rpc.ErrClientClosed — the scrape in
+// flight included — and later calls fail immediately.
 func TestClientCloseMidStream(t *testing.T) {
-	_, conn := newStreamNode(t)
+	_, conn := newSlowScrapeNode(t)
 
 	const n = 4
 	counts := make([]atomic.Int32, n)
@@ -192,49 +225,28 @@ func TestClientCloseMidStream(t *testing.T) {
 		wg.Add(1)
 		conn.Go("slow", "", []float64{float64(i)}, func(res gateway.PredictResult, err error) {
 			counts[i].Add(1)
-			if err != nil {
+			if errors.Is(err, rpc.ErrClientClosed) {
 				errs.Add(1)
 			}
 			wg.Done()
 		})
 	}
+	scraped := scrape(conn)
 	time.Sleep(5 * time.Millisecond)
 	conn.Close()
 	wg.Wait()
+	if err := <-scraped; !errors.Is(err, rpc.ErrClientClosed) {
+		t.Fatalf("scrape in flight at Close = %v, want rpc.ErrClientClosed", err)
+	}
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("predict %d: %d callbacks, want exactly 1", i, c)
 		}
 	}
 	if errs.Load() != n {
-		t.Fatalf("%d errored callbacks, want %d (client closed before any response)", errs.Load(), n)
+		t.Fatalf("%d callbacks saw rpc.ErrClientClosed, want %d (client closed before any response)", errs.Load(), n)
 	}
 	if _, err := conn.Predict(context.Background(), "fast", "", []float64{1}); err == nil {
 		t.Fatal("Predict on closed conn succeeded")
-	}
-}
-
-// TestStreamRejectsColdOps: the stream adapter serves only the data
-// plane; admin methods come back as transport errors.
-func TestStreamRejectsColdOps(t *testing.T) {
-	cl := core.New(core.Config{})
-	t.Cleanup(cl.Close)
-	srv := NewServer(cl)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	conn, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-
-	ch := make(chan error, 1)
-	conn.send(0x12 /* MethodGWAppList */, nil, func(body []byte, err error) { ch <- err })
-	if err := <-ch; err == nil {
-		t.Fatal("cold op served on stream adapter, want transport error")
 	}
 }

@@ -91,11 +91,6 @@ var requiredMeasurements = []string{
 	"tenant_fairness_fifo_p99_x",
 	"tenant_fairness_fair_p99_x",
 	"tenant_fairness_heavy_sheds",
-	"openloop_http_p99_ms",
-	"openloop_http_qps",
-	"openloop_binrpc_p99_ms",
-	"openloop_binrpc_qps",
-	"openloop_adapter_overhead_x",
 }
 
 // Validate checks a report's schema sanity: id and go version present,
@@ -682,9 +677,6 @@ func Run(id string, dur time.Duration) Report {
 	// Noisy neighbor: the quiet tenant's p99 alone, under FIFO sharing,
 	// and under weighted-DRR + SLO admission.
 	fair := TenantFairness(dur)
-	// Open-loop adapters: the same gateway core behind real loopback
-	// listeners, HTTP JSON vs binrpc, at the same offered rate.
-	ol := OpenLoopAdapters(dur)
 	rep.Measurements = append(rep.Measurements,
 		Measurement{Name: "dispatch_pipeline_inflight1", Unit: "qps", Value: qps1},
 		Measurement{Name: "dispatch_pipeline_inflight4", Unit: "qps", Value: qps4},
@@ -758,16 +750,6 @@ func Run(id string, dur time.Duration) Report {
 		Measurement{Name: "tenant_fairness_quiet_sheds", Unit: "count", Value: float64(fair.QuietSheds)},
 		Measurement{Name: "tenant_fairness_heavy_issued", Unit: "count", Value: float64(fair.HeavyIssued)},
 		Measurement{Name: "tenant_fairness_quiet_issued", Unit: "count", Value: float64(fair.QuietIssued)},
-		// Protocol adapters at fixed offered load (cache-warm node, so the
-		// tails are transport + adapter cost). The _x ratio is the text
-		// adapter's p99 over the binary adapter's — how much the JSON/HTTP
-		// wire costs relative to length-prefixed frames on one pipelined
-		// connection.
-		Measurement{Name: "openloop_http_p99_ms", Unit: "ms", Value: float64(ol.HTTP.P99) / 1e6},
-		Measurement{Name: "openloop_http_qps", Unit: "qps", Value: ol.HTTP.QPS},
-		Measurement{Name: "openloop_binrpc_p99_ms", Unit: "ms", Value: float64(ol.Binrpc.P99) / 1e6},
-		Measurement{Name: "openloop_binrpc_qps", Unit: "qps", Value: ol.Binrpc.QPS},
-		Measurement{Name: "openloop_adapter_overhead_x", Unit: "x", Value: float64(ol.HTTP.P99) / float64(ol.Binrpc.P99)},
 	)
 	return rep
 }

@@ -4,12 +4,14 @@ package rpc_test
 // contract — every request frame released once, every response scratch
 // recycled once — and its counters cover them too. These tests drive the
 // stream adapter through the two ways a connection dies under in-flight
-// requests and require both counters back at baseline.
+// requests, and through cold operations sharing a connection with
+// pipelined predicts, and require both counters back at baseline.
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,16 +20,33 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/gateway"
+	"clipper/internal/metrics"
 	"clipper/internal/rpc"
 	"clipper/internal/selection"
 )
 
-// newSlowStream serves one app over a model that takes 30ms per batch, so
-// requests are reliably in flight when the connection is cut.
+// newSlowStream serves "app" over a model that takes 30ms per batch, so
+// requests are reliably in flight when the connection is cut, "quick"
+// over an instant model, and a metrics scrape that takes 30ms.
 func newSlowStream(t *testing.T) (*stream.Server, *stream.Conn) {
 	t.Helper()
 	cl := core.New(core.Config{})
 	t.Cleanup(cl.Close)
+	cl.Metrics().MustRegister("test_slow_scrape", "Holds every scrape for 30ms.", metrics.KindGauge,
+		func(dst []metrics.Series) []metrics.Series {
+			time.Sleep(30 * time.Millisecond)
+			return dst
+		})
+	quick := container.NewFunc(container.Info{Name: "quick", Version: 1, NumClasses: 2},
+		func(xs [][]float64) ([]container.Prediction, error) {
+			return make([]container.Prediction, len(xs)), nil
+		})
+	if _, err := cl.Deploy(quick, nil, batching.QueueConfig{Controller: batching.NewFixed(8)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RegisterApp(core.AppConfig{Name: "quick", Models: []string{"quick"}, Policy: selection.NewStatic(0)}); err != nil {
+		t.Fatal(err)
+	}
 	slow := container.NewFunc(container.Info{Name: "slow", Version: 1, NumClasses: 2},
 		func(xs [][]float64) ([]container.Prediction, error) {
 			time.Sleep(30 * time.Millisecond)
@@ -99,6 +118,77 @@ func TestStreamShutdownExpiredContext(t *testing.T) {
 		t.Fatalf("Shutdown = %v, want context.Canceled", err)
 	}
 	wait()
+	settle(t, "request leases", rpc.ActiveLeases, leases)
+	settle(t, "response bufs", rpc.ActiveRespBufs, bufs)
+}
+
+// TestColdOpsDoNotBlockPipeline: admin and scrape operations share one
+// connection with pipelined predicts and hold none of them up. Behind 64
+// predicts on the slow model go a scrape, an app list and a registration,
+// then 64 predicts on the quick model; every quick predict finishes
+// before the scrape issued ahead of it and before the last slow predict,
+// and every callback fires exactly once.
+func TestColdOpsDoNotBlockPipeline(t *testing.T) {
+	leases, bufs := rpc.ActiveLeases(), rpc.ActiveRespBufs()
+	_, conn := newSlowStream(t)
+
+	const n = 64
+	var seq atomic.Int64 // completion order
+	var slowDone, quickDone, coldDone [n]atomic.Int64
+	var fired [2 * n]atomic.Int32
+	var wg sync.WaitGroup
+	predicts := func(app string, base int, done *[n]atomic.Int64) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			conn.Go(app, "", []float64{float64(base + i)}, func(_ gateway.PredictResult, err error) {
+				if err != nil {
+					t.Errorf("%s predict %d: %v", app, i, err)
+				}
+				fired[base+i].Add(1)
+				done[i].Store(seq.Add(1))
+				wg.Done()
+			})
+		}
+	}
+	ctx := context.Background()
+	cold := []func() error{
+		func() error { _, err := conn.Metrics(ctx); return err },
+		func() error { _, err := conn.AppList(ctx); return err },
+		func() error {
+			return conn.RegisterApp(ctx, gateway.RegisterAppRequest{Name: "late", Models: []string{"quick"}, Policy: "static:0"})
+		},
+	}
+
+	predicts("app", 0, &slowDone)
+	for i, op := range cold {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := op(); err != nil {
+				t.Errorf("cold op %d: %v", i, err)
+			}
+			coldDone[i].Store(seq.Add(1))
+		}()
+	}
+	time.Sleep(5 * time.Millisecond) // the cold ops are on the wire ahead of the quick predicts
+	predicts("quick", n, &quickDone)
+	wg.Wait()
+
+	var lastQuick, lastSlow int64
+	for i := 0; i < n; i++ {
+		lastQuick = max(lastQuick, quickDone[i].Load())
+		lastSlow = max(lastSlow, slowDone[i].Load())
+	}
+	if scraped := coldDone[0].Load(); lastQuick > scraped || lastQuick > lastSlow {
+		t.Errorf("last quick predict finished %d-th; the scrape ahead of it %d-th, the last slow predict %d-th",
+			lastQuick, scraped, lastSlow)
+	}
+	for i := range fired {
+		if c := fired[i].Load(); c != 1 {
+			t.Errorf("predict %d: %d callbacks, want exactly 1", i, c)
+		}
+	}
+	conn.Close()
 	settle(t, "request leases", rpc.ActiveLeases, leases)
 	settle(t, "response bufs", rpc.ActiveRespBufs, bufs)
 }

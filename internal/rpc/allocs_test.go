@@ -1,0 +1,51 @@
+package rpc
+
+import (
+	"context"
+	"runtime/debug"
+	"testing"
+	"time"
+)
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which sync.Pool drops a share of what is put and pooled paths allocate.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestCallAllocs pins the steady-state allocation count of one Call over
+// a loopback connection, the server's share included (it runs in this
+// process).
+func TestCallAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	addr, stop := startServer(t, echoHandler)
+	defer stop()
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	payload := make([]byte, 784*8)
+	call := func() {
+		p, err := c.Call(ctx, MethodPredict, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	}
+	for i := 0; i < 100; i++ {
+		call() // warm the pools
+	}
+	if avg := testing.AllocsPerRun(1000, call); avg > 0 {
+		t.Errorf("Call allocates %.0f times per round trip, want 0", avg)
+	}
+}

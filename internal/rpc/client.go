@@ -11,16 +11,29 @@ import (
 	"time"
 )
 
-// Client is a multiplexing RPC client: many goroutines may issue Call
+// Client is a multiplexing RPC client: many goroutines may issue requests
 // concurrently over a single connection; responses are correlated by
 // request id.
+//
+// Every request — Go, Call, Ping — takes one path: register a completion
+// under a fresh id, write the frame, and have the completion fired with
+// the outcome. The completion's contract, stated here and nowhere else:
+// done fires exactly once — on the read loop when the response lands; on
+// the goroutine that kills the connection (a failed read, Close) or whose
+// frame write failed; or inline in the issuing call when the client is
+// already dead — and must not block, because the read loop delivers
+// nothing else until it returns. With a nil error done owns the leased
+// Payload and must Release it exactly once. With an error the Payload is
+// zero and the error is the server's *RemoteError, the write error, or
+// the cause of the connection's death (ErrClientClosed after a local
+// Close).
 type Client struct {
 	conn io.ReadWriteCloser
 
 	writeMu sync.Mutex
 
 	// Connection telemetry (see Stats). The contended-write counters are
-	// only touched when a Call actually queues behind another in-progress
+	// only touched when a write actually queues behind another in-progress
 	// frame write, so the uncontended hot path pays one TryLock and two
 	// atomic adds.
 	bytesInFlight atomic.Int64 // payload bytes currently being written
@@ -28,14 +41,13 @@ type Client struct {
 	writeQueued   atomic.Int64 // writes that waited behind another write
 	writeWaitNS   atomic.Int64 // total ns spent waiting behind writes
 
-	done     chan struct{} // closed when the client dies (read failure or Close)
-	doneOnce sync.Once
+	done chan struct{} // closed when the client dies (read failure or Close)
 
 	mu      sync.Mutex
-	pending map[uint64]chan *Frame
+	pending map[uint64]func(Payload, error)
 	nextID  uint64
 	closed  bool
-	readErr error
+	readErr error // why the client died; set with closed
 }
 
 // ConnStats is a point-in-time snapshot of one connection's write-side
@@ -68,26 +80,36 @@ func (c *Client) Stats() ConnStats {
 	}
 }
 
-// ErrClientClosed is returned by calls issued after Close (or after the
-// connection failed).
+// ErrClientClosed is the cause of death a local Close records: requests
+// in flight at Close, and every request after it, fail with it.
 var ErrClientClosed = errors.New("rpc: client closed")
 
-// callChPool recycles the per-call correlation channels, the last
-// per-call allocation on the request hot path. A channel is safe to pool
-// once its call has fully completed: on the normal and error-response
-// paths the caller has drained the one buffered frame, and on the
-// abandoned path abandon() guarantees the channel is empty (the pending
-// entry is gone and any raced response was drained under mu). Channels a
-// dying connection closes in failAll are never pooled — a closed channel
-// is dead.
-var callChPool = sync.Pool{
-	New: func() any { return make(chan *Frame, 1) },
+// waiter is the completion Call and Ping park on. Pooled, with done bound
+// once, so a blocking round trip allocates nothing in steady state. A
+// waiter returns to the pool only after its one delivery has been
+// received, so its channel is always empty there.
+type waiter struct {
+	ch   chan result
+	done func(Payload, error)
 }
 
-// Payload is a leased response payload returned by Call. Data aliases a
-// pooled frame body; the caller owns the lease and must call Release
-// exactly once when it is done with Data — for the prediction path that
-// release point is Remote.PredictViewContext, immediately after
+type result struct {
+	p   Payload
+	err error
+}
+
+var waiterPool = sync.Pool{
+	New: func() any {
+		w := &waiter{ch: make(chan result, 1)}
+		w.done = func(p Payload, err error) { w.ch <- result{p, err} }
+		return w
+	},
+}
+
+// Payload is a leased response payload, returned by Call or handed to a
+// Go completion. Data aliases a pooled frame body; the owner must call
+// Release exactly once when it is done with Data — for the prediction
+// path that release point is Remote.PredictViewContext, immediately after
 // DecodePredictionView copies the values out. Data must not be retained
 // or used after Release. The zero Payload is valid and Release on it is a
 // no-op, so error returns need no special casing.
@@ -119,7 +141,7 @@ func NewClient(conn io.ReadWriteCloser) *Client {
 	c := &Client{
 		conn:    conn,
 		done:    make(chan struct{}),
-		pending: make(map[uint64]chan *Frame),
+		pending: make(map[uint64]func(Payload, error)),
 	}
 	go c.readLoop()
 	return c
@@ -157,76 +179,78 @@ func (c *Client) readLoop() {
 	for {
 		f, err := ReadFrame(r)
 		if err != nil {
-			c.failAll(err)
+			c.fail(err)
 			return
 		}
-		c.mu.Lock()
-		ch, ok := c.pending[f.ID]
-		if ok {
-			delete(c.pending, f.ID)
-			// Deliver while holding mu (the channel is buffered, so this
-			// never blocks). Publishing under the lock is what makes the
-			// cancelled-call drain sound: a caller that finds its pending
-			// entry already gone knows the response — if one arrived — is
-			// already sitting in its channel, so its non-blocking drain
-			// cannot miss a frame and leak the lease.
-			ch <- f
-		}
-		c.mu.Unlock()
-		if !ok {
-			// Response to an abandoned call (or stray id): nobody else
+		done := c.claim(f.ID)
+		switch {
+		case done == nil:
+			// Response to a cancelled call (or stray id): nobody else
 			// will see this frame, so the read loop ends its lease.
 			f.Release()
+		case f.Type == MsgError:
+			msg := string(f.Payload)
+			f.Release()
+			done(Payload{}, &RemoteError{Message: msg})
+		default:
+			done(Payload{Data: f.Payload, frame: f}, nil)
 		}
 	}
 }
 
-func (c *Client) failAll(err error) {
+// claim removes and returns id's completion, nil if it is gone. Whoever
+// claims a completion fires it; that is what makes delivery exactly-once.
+func (c *Client) claim(id uint64) func(Payload, error) {
 	c.mu.Lock()
-	c.closed = true
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	pending := c.pending
-	c.pending = make(map[uint64]chan *Frame)
+	done := c.pending[id]
+	delete(c.pending, id)
 	c.mu.Unlock()
-	// Release the connection's descriptor: the read loop exiting means the
-	// connection is unusable whatever the cause (EOF, reset, protocol
-	// error), and nothing else closes it — a pool replaces the dead client
-	// wholesale, which would otherwise leak one fd per connection death.
-	c.conn.Close()
-	c.doneOnce.Do(func() { close(c.done) })
-	for _, ch := range pending {
-		close(ch)
-	}
+	return done
 }
 
-// Call sends a request and blocks for its response or ctx cancellation.
-// The returned Payload is leased: the caller must Release it exactly once
-// when done with its Data (error returns carry a zero Payload, safe to
-// ignore). A call abandoned by ctx cancellation releases its late-arriving
-// response internally — either the caller's drain or the read loop gets
-// it, never both.
-func (c *Client) Call(ctx context.Context, method Method, payload []byte) (Payload, error) {
+// fail kills the client once: it records why, releases the connection's
+// descriptor — nothing else closes it; a pool replaces a dead client
+// wholesale, which would otherwise leak one fd per connection death — and
+// fires every completion still pending with the cause.
+func (c *Client) fail(err error) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed = true
+	c.readErr = err
+	pending := c.pending
+	c.pending = nil // reads and deletes of a nil map are fine; start checks closed first
+	c.mu.Unlock()
+	cerr := c.conn.Close()
+	close(c.done)
+	for _, done := range pending {
+		done(Payload{}, err)
+	}
+	return cerr
+}
+
+// start registers done under a fresh id and writes the request frame. It
+// returns the id, or 0 when the client was already dead and done has
+// fired inline.
+func (c *Client) start(typ MsgType, method Method, payload []byte, done func(Payload, error)) uint64 {
 	c.mu.Lock()
 	if c.closed {
 		err := c.readErr
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return Payload{}, err
+		done(Payload{}, err)
+		return 0
 	}
 	c.nextID++
 	id := c.nextID
-	ch := callChPool.Get().(chan *Frame)
-	c.pending[id] = ch
+	c.pending[id] = done
 	c.mu.Unlock()
 
-	req := &Frame{ID: id, Type: MsgRequest, Method: method, Payload: payload}
+	req := &Frame{ID: id, Type: typ, Method: method, Payload: payload}
 	// TryLock first so the telemetry is free when the write path is
-	// uncontended; only a call that actually queues behind another frame
-	// write pays for the clock reads.
+	// uncontended; only a write that actually queues behind another frame
+	// pays for the clock reads.
 	if !c.writeMu.TryLock() {
 		waitStart := time.Now()
 		c.writeMu.Lock()
@@ -239,141 +263,70 @@ func (c *Client) Call(ctx context.Context, method Method, payload []byte) (Paylo
 	c.writes.Add(1)
 	c.writeMu.Unlock()
 	if err != nil {
-		// abandon (not a bare delete) so a response that raced the write
-		// failure is found and released, leaving the channel empty.
-		if c.abandon(id, ch) {
-			callChPool.Put(ch)
+		// A failed write gets no reply. Only this request fails — the
+		// error may be its own (an oversized payload is refused before a
+		// byte is written); a broken connection is the read loop's to
+		// report.
+		if done := c.claim(id); done != nil {
+			done(Payload{}, err)
 		}
-		return Payload{}, err
 	}
+	return id
+}
 
+// Go sends a request without waiting; done receives the outcome under the
+// completion contract on Client. payload is written before Go returns and
+// is not retained.
+func (c *Client) Go(method Method, payload []byte, done func(Payload, error)) {
+	c.start(MsgRequest, method, payload, done)
+}
+
+// Call sends a request and blocks for its response or ctx cancellation.
+// The returned Payload is leased: the caller must Release it exactly once
+// when done with its Data (error returns carry a zero Payload, safe to
+// ignore). A call abandoned by ctx cancellation ends the lease of its
+// late-arriving response itself.
+func (c *Client) Call(ctx context.Context, method Method, payload []byte) (Payload, error) {
+	return c.roundTrip(ctx, MsgRequest, method, payload)
+}
+
+// roundTrip is start plus a wait for the completion.
+func (c *Client) roundTrip(ctx context.Context, typ MsgType, method Method, payload []byte) (Payload, error) {
+	w := waiterPool.Get().(*waiter)
+	id := c.start(typ, method, payload, w.done)
 	select {
-	case f, ok := <-ch:
-		if !ok {
-			// failAll closed this channel; a closed channel is dead and
-			// never pooled.
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClientClosed
-			}
-			return Payload{}, err
-		}
-		callChPool.Put(ch)
-		if f.Type == MsgError {
-			msg := string(f.Payload)
-			f.Release()
-			return Payload{}, &RemoteError{Message: msg}
-		}
-		return Payload{Data: f.Payload, frame: f}, nil
+	case r := <-w.ch:
+		waiterPool.Put(w)
+		return r.p, r.err
 	case <-ctx.Done():
-		if c.abandon(id, ch) {
-			callChPool.Put(ch)
+		if c.claim(id) == nil {
+			// Someone else claimed the completion, so it has fired or is
+			// about to (nothing blocks between a claim and its delivery):
+			// take the delivery and end its lease.
+			(<-w.ch).p.Release()
 		}
+		waiterPool.Put(w)
 		return Payload{}, ctx.Err()
 	}
 }
 
-// abandon removes a cancelled call's correlation entry. If the response
-// raced in first, the read loop has already buffered it in ch (under mu,
-// before removing the entry), so a non-blocking drain reliably finds the
-// frame and releases its lease — late responses never corrupt the body
-// pool or leak.
-//
-// It reports whether ch is safe to return to callChPool: false when the
-// channel may still be (or already is) in failAll's hands — failAll
-// snapshots the pending map under mu and closes every snapshotted
-// channel afterwards, so a channel abandoned on a dying client must be
-// leaked to the GC rather than pooled, or the pool would hand out a
-// channel that gets closed (again) under it.
-func (c *Client) abandon(id uint64, ch chan *Frame) bool {
-	c.mu.Lock()
-	if _, ok := c.pending[id]; ok {
-		// Entry still ours: no response was delivered (the read loop
-		// delivers under mu before removing the entry) and failAll has not
-		// snapshotted it (it would have taken the entry). Empty and
-		// unshared → poolable.
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return true
-	}
-	dying := c.closed
-	c.mu.Unlock()
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			return false // failAll closed it
-		}
-		// The read loop delivered before we abandoned — it consumed the
-		// entry, so failAll never saw this channel. Drained → poolable.
-		f.Release()
-		return true
-	default:
-	}
-	// Empty with the entry gone: only a dying client's failAll snapshot
-	// explains that, and it will close ch shortly.
-	return !dying
-}
-
 // Ping round-trips a heartbeat frame.
 func (c *Client) Ping(ctx context.Context) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClientClosed
-	}
-	c.nextID++
-	id := c.nextID
-	ch := callChPool.Get().(chan *Frame)
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	c.writeMu.Lock()
-	err := WriteFrame(c.conn, &Frame{ID: id, Type: MsgPing})
-	c.writeMu.Unlock()
+	p, err := c.roundTrip(ctx, MsgPing, 0, nil)
 	if err != nil {
-		// Release the correlation entry, as Call does on this path: a
-		// failed write gets no reply, and leaking the entry would grow
-		// pending forever on a flapping connection.
-		if c.abandon(id, ch) {
-			callChPool.Put(ch)
-		}
 		return err
 	}
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			return ErrClientClosed
-		}
-		callChPool.Put(ch)
-		typ := f.Type
-		f.Release()
-		if typ != MsgPong {
-			return fmt.Errorf("rpc: unexpected ping reply type %d", typ)
-		}
-		return nil
-	case <-ctx.Done():
-		if c.abandon(id, ch) {
-			callChPool.Put(ch)
-		}
-		return ctx.Err()
+	typ := p.frame.Type
+	p.Release()
+	if typ != MsgPong {
+		return fmt.Errorf("rpc: unexpected ping reply type %d", typ)
 	}
+	return nil
 }
 
-// Close tears down the connection; in-flight calls fail.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.readErr = ErrClientClosed
-	c.mu.Unlock()
-	c.doneOnce.Do(func() { close(c.done) })
-	return c.conn.Close()
-}
+// Close tears down the connection; requests in flight fail with
+// ErrClientClosed.
+func (c *Client) Close() error { return c.fail(ErrClientClosed) }
 
 // RemoteError carries an error string returned by the server.
 type RemoteError struct {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -368,5 +369,35 @@ func TestServerSlowRequestDoesNotBlockPing(t *testing.T) {
 	defer cancel()
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("ping blocked behind slow request: %v", err)
+	}
+}
+
+// TestPingReportsCauseOfDeath is a regression test: Ping answered a dead
+// connection with a bare ErrClientClosed — whether the connection died
+// under it or before it — where Call reported what killed it, so a health
+// prober could not tell a local Close from a reset. Both take one
+// delivery path now and report the cause.
+func TestPingReportsCauseOfDeath(t *testing.T) {
+	cli, srv := net.Pipe()
+	c := NewClient(cli)
+	defer c.Close()
+	go func() {
+		ReadFrame(srv) // the ping arrives and is never answered
+		srv.Close()
+	}()
+	inFlight := c.Ping(context.Background())
+	afterDeath := c.Ping(context.Background())
+	_, call := c.Call(context.Background(), MethodPredict, nil)
+	for name, err := range map[string]error{"in flight": inFlight, "after death": afterDeath} {
+		if err == nil || errors.Is(err, ErrClientClosed) || err != call || err != c.Err() {
+			t.Errorf("Ping %s = %v; want the connection's cause of death, %v", name, err, c.Err())
+		}
+	}
+
+	cli, _ = net.Pipe()
+	c = NewClient(cli)
+	c.Close()
+	if err := c.Ping(context.Background()); !errors.Is(err, ErrClientClosed) {
+		t.Errorf("Ping after a local Close = %v, want ErrClientClosed", err)
 	}
 }

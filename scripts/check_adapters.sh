@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # check_adapters.sh — protocol-adapter integration gate. Boots one
-# serving node with all three adapters (HTTP JSON, binrpc, stream) on
-# ephemeral ports, then drives an open-loop loadgen smoke against each.
-# All three speak to the same gateway core, so the gate proves the
-# multi-protocol surface end to end: every adapter must complete
-# predictions with zero errors at a modest offered rate.
+# serving node with both adapters (HTTP JSON, stream) on ephemeral
+# ports, then drives an open-loop loadgen smoke against each. Both speak
+# to the same gateway core, so the gate proves the two-protocol surface
+# end to end: each adapter must complete predictions with zero errors at
+# a modest offered rate.
 #
 # No dependencies beyond POSIX sh + the go toolchain.
 # Usage: scripts/check_adapters.sh
@@ -41,16 +41,14 @@ echo "check_adapters: building cmd/clipper and cmd/loadgen"
 go build -o "$workdir/clipper" ./cmd/clipper
 go build -o "$workdir/loadgen" ./cmd/loadgen
 
-# One node, three listeners, one gateway core. Small synthetic dataset
+# One node, two listeners, one gateway core. Small synthetic dataset
 # so training is fast.
-"$workdir/clipper" -addr 127.0.0.1:0 \
-  -listen-binrpc 127.0.0.1:0 -listen-stream 127.0.0.1:0 \
+"$workdir/clipper" -addr 127.0.0.1:0 -listen-stream 127.0.0.1:0 \
   -train 300 -dim 16 -classes 4 -slo 50ms >"$workdir/cl.log" 2>&1 &
 CL_PID=$!
 http_addr=$(wait_for_line "$workdir/cl.log" 's/.*serving app .* on http:\/\/\([0-9.:]*\) .*/\1/p')
-binrpc_addr=$(wait_for_line "$workdir/cl.log" 's/.*binrpc adapter on \([0-9.:]*\).*/\1/p')
 stream_addr=$(wait_for_line "$workdir/cl.log" 's/.*stream adapter on \([0-9.:]*\).*/\1/p')
-echo "check_adapters: http=$http_addr binrpc=$binrpc_addr stream=$stream_addr"
+echo "check_adapters: http=$http_addr stream=$stream_addr"
 
 smoke() { # smoke PROTO TARGET — open-loop run; zero errors required
   proto="$1"
@@ -76,7 +74,6 @@ smoke() { # smoke PROTO TARGET — open-loop run; zero errors required
 }
 
 smoke http "http://$http_addr"
-smoke binrpc "$binrpc_addr"
 smoke stream "$stream_addr"
 
 echo "check_adapters: OK"

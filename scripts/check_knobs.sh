@@ -6,7 +6,7 @@
 # Go lines (outside benchmark/) for the log.
 set -eu
 cd "$(dirname "$0")/.."
-max_flags=21
+max_flags=20
 max_rows=17
 
 flags=$(grep -cE 'flag\.(String|Int|Bool|Duration|Float64)\(' cmd/clipper/main.go)
