@@ -3,9 +3,9 @@
 //
 // Clipper interposes between applications and machine-learning models. Its
 // model abstraction layer provides a prediction cache, adaptive batching
-// tuned to a latency SLO with pipelined dispatch (up to
-// QueueConfig.InFlight batches concurrently in flight per replica), and a
-// uniform batch-prediction RPC to model containers; its model selection
+// tuned to a latency SLO with pipelined dispatch (as many batches in
+// flight per replica as do not slow each other down, measured per replica;
+// QueueConfig.InFlight pins the number), and a uniform batch-prediction RPC to model containers; its model selection
 // layer uses bandit algorithms (Exp3, Exp4) over application feedback to
 // select and combine models, estimate confidence, mitigate stragglers,
 // and personalize selection per context.
@@ -139,11 +139,6 @@ type (
 	AIMDConfig = batching.AIMDConfig
 	// QuantileRegConfig parameterizes NewQuantileReg.
 	QuantileRegConfig = batching.QuantileRegConfig
-	// Adaptive sizes the dispatch pipeline window and the replica's RPC
-	// connection pool target at runtime (one instance per deploy).
-	Adaptive = batching.Adaptive
-	// AdaptiveConfig parameterizes NewAdaptive.
-	AdaptiveConfig = batching.AdaptiveConfig
 )
 
 // Selection types.
@@ -177,23 +172,6 @@ func NewQuantileReg(cfg QuantileRegConfig) Controller { return batching.NewQuant
 
 // NewFixedBatch returns a static batch-size controller (1 = no batching).
 func NewFixedBatch(n int) Controller { return batching.NewFixed(n) }
-
-// NewAdaptive returns a controller that sizes a replica's pipeline window
-// (QueueConfig.InFlight) and RPC pool target at runtime from the replica
-// queue's load model (batch latency, completed-query throughput) and pool
-// write-queue telemetry, the same way AIMD sizes batches. Set it as QueueConfig.Adaptive; Deploy attaches the
-// replica's connection pool automatically. See docs/ARCHITECTURE.md.
-func NewAdaptive(cfg AdaptiveConfig) *Adaptive { return batching.NewAdaptive(cfg) }
-
-// AdaptiveQueueConfig is DefaultQueueConfig with the pipeline window and
-// pool target adaptive rather than pinned: maxInFlight and the deploy's
-// conns bound what the controller may use.
-func AdaptiveQueueConfig(slo time.Duration, maxInFlight int) QueueConfig {
-	return QueueConfig{
-		Controller: NewAIMD(AIMDConfig{SLO: slo}),
-		Adaptive:   NewAdaptive(AdaptiveConfig{MaxInFlight: maxInFlight}),
-	}
-}
 
 // NewExp3 returns the single-model bandit selection policy (paper §5.1).
 func NewExp3(eta float64) Policy { return selection.NewExp3(eta) }
@@ -251,8 +229,8 @@ func DialContainerPool(addr string, timeout time.Duration, conns int) (*containe
 
 // DefaultQueueConfig returns an adaptive AIMD queue tuned to the given
 // latency SLO — the deployment most users want. The dispatch pipeline
-// window is left at its default (batching.DefaultInFlight concurrent
-// batches per replica); set QueueConfig.InFlight to 1 for the serial
+// window (InFlight 0) is measured per replica at run time; set
+// QueueConfig.InFlight to pin it, 1 for the paper's serial
 // one-batch-at-a-time dispatcher.
 func DefaultQueueConfig(slo time.Duration) QueueConfig {
 	return QueueConfig{Controller: NewAIMD(AIMDConfig{SLO: slo})}

@@ -47,9 +47,7 @@ func main() {
 		dim         = flag.Int("dim", 64, "feature dimensionality")
 		classes     = flag.Int("classes", 10, "number of classes")
 		containers  = flag.String("containers", "", "comma-separated remote model container addresses to deploy")
-		conns       = flag.Int("container-conns", 1, "RPC connections pooled per remote container (1 = single connection; the upper bound with -adaptive)")
-		adaptive    = flag.Bool("adaptive", false, "size each remote container's pipeline window and connection target at runtime instead of pinning them")
-		maxWindow   = flag.Int("max-in-flight", 16, "adaptive pipeline window upper bound (with -adaptive)")
+		conns       = flag.Int("container-conns", 1, "RPC connections pooled per remote container (1 = single connection; more is the upper bound of the measured routing target)")
 		storeAddr   = flag.String("store", "", "remote statestore address (empty = in-memory)")
 		statePath   = flag.String("state-file", "", "durable local state file (ignored when -store is set)")
 		noDemo      = flag.Bool("no-demo", false, "skip training/deploying the demo models")
@@ -141,20 +139,10 @@ func main() {
 			if err != nil {
 				log.Fatalf("dialing container %s: %v", caddr, err)
 			}
-			qcfg := clipper.DefaultQueueConfig(*slo)
-			if *adaptive {
-				// Deploy attaches the replica's pool to the controller,
-				// closing the Conns loop up to -container-conns.
-				qcfg = clipper.AdaptiveQueueConfig(*slo, *maxWindow)
-			}
-			if _, err := cl.Deploy(remote, func() { remote.Close() }, qcfg); err != nil {
+			if _, err := cl.Deploy(remote, func() { remote.Close() }, clipper.DefaultQueueConfig(*slo)); err != nil {
 				log.Fatalf("deploying container %s: %v", caddr, err)
 			}
-			mode := "static"
-			if *adaptive {
-				mode = "adaptive"
-			}
-			log.Printf("deployed remote container %s (%s, %d conns, %s)", remote.Info(), caddr, *conns, mode)
+			log.Printf("deployed remote container %s (%s, %d conns)", remote.Info(), caddr, *conns)
 			names = append(names, remote.Info().Name)
 		}
 	}

@@ -109,11 +109,13 @@ func TestAdminReplicasEndpoint(t *testing.T) {
 		if !st.Healthy {
 			t.Fatal("fresh replica should be healthy")
 		}
-		if st.InFlight != batching.DefaultInFlight {
-			t.Fatalf("in_flight = %d, want default %d", st.InFlight, batching.DefaultInFlight)
+		// The test server pins nothing: the window is measured, and no
+		// probe has been judged on a replica that served nothing.
+		if st.Window != 4 || st.WindowPinned || st.WindowVerdict != "" {
+			t.Fatalf("window = %d pinned=%v verdict=%q, want a measured window starting at 4", st.Window, st.WindowPinned, st.WindowVerdict)
 		}
 		// In-process replicas have no RPC pool to report.
-		if st.TotalConns != 0 || st.Adaptive {
+		if st.TotalConns != 0 {
 			t.Fatalf("in-process replica status = %+v", st)
 		}
 	}
@@ -163,6 +165,7 @@ func TestAdminReplicasLoadFields(t *testing.T) {
 	}
 	for id, fields := range raw {
 		for _, key := range []string{
+			"window", "window_pinned",
 			"queued", "in_flight_batches", "in_flight_queries",
 			"completed_queries", "service_ewma_ms", "est_cost_ms",
 			"hedges_from", "hedges_won",
@@ -301,9 +304,10 @@ func TestAdminReplicasDegradedPool(t *testing.T) {
 	}
 }
 
-// TestAdminDeployAdaptive deploys a container with the adaptive
-// controller enabled and checks the replicas endpoint reports it.
-func TestAdminDeployAdaptive(t *testing.T) {
+// TestAdminDeployWindow deploys one container with the window left to be
+// measured and one with it pinned, and checks the replicas endpoint tells
+// them apart.
+func TestAdminDeployWindow(t *testing.T) {
 	s, cl := newTestServer(t)
 	h := s.Handler()
 
@@ -313,30 +317,31 @@ func TestAdminDeployAdaptive(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{
-		Addr: addr, SLOMillis: 10, Conns: 2,
-		Adaptive: true, MinInFlight: 1, MaxInFlight: 8,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("adaptive deploy status = %d body=%s", rec.Code, rec.Body)
+	for _, pin := range []int{0, 2} {
+		rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: addr, SLOMillis: 10, Conns: 2, InFlight: pin})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("deploy (in_flight %d) status = %d body=%s", pin, rec.Code, rec.Body)
+		}
 	}
 	statuses := cl.ReplicaStatuses("adaptive-model")
-	if len(statuses) != 1 {
+	if len(statuses) != 2 {
 		t.Fatalf("statuses = %v", statuses)
 	}
+	pinned := 0
 	for _, st := range statuses {
-		if !st.Adaptive {
-			t.Fatalf("replica not adaptive: %+v", st)
+		// The routing target starts at every dialed connection either way.
+		if st.TotalConns != 2 || st.TargetConns != 2 {
+			t.Fatalf("conns = %d target %d, want 2 and 2: %+v", st.TotalConns, st.TargetConns, st)
 		}
-		if st.TotalConns != 2 {
-			t.Fatalf("total_conns = %d, want 2", st.TotalConns)
+		switch {
+		case st.WindowPinned && st.Window == 2:
+			pinned++
+		case st.WindowPinned || st.Window != 4:
+			t.Fatalf("window = %d pinned=%v, want 2 pinned or a measured window starting at 4", st.Window, st.WindowPinned)
 		}
-		if st.TargetConns != 1 {
-			t.Fatalf("target_conns = %d, want initial MinConns 1", st.TargetConns)
-		}
-		if st.InFlight < 1 || st.InFlight > 8 {
-			t.Fatalf("in_flight = %d out of bounds", st.InFlight)
-		}
+	}
+	if pinned != 1 {
+		t.Fatalf("%d of 2 replicas pinned, want 1: %v", pinned, statuses)
 	}
 	app, err := cl.RegisterApp(core.AppConfig{
 		Name: "adaptive-app", Models: []string{"adaptive-model"}, Policy: selection.NewStatic(0),

@@ -1,30 +1,26 @@
 package batching
 
-// The paper's thesis is that an adaptive control layer lets the serving
-// tier track each container's latency/throughput tradeoff without manual
-// tuning; §4.3 applies it to batch size (AIMD, quantile regression). This
-// file extends the same idea to the two knobs above batch size that PR 2
-// and PR 3 introduced as static configuration: the dispatch pipeline
-// window (QueueConfig.InFlight) and the per-replica RPC connection pool's
-// routing target (rpc.Pool). Adaptive closes both loops from runtime
-// signals:
+// The paper's thesis is that the serving tier learns each container's
+// latency/throughput trade-off instead of being hand-tuned; §4.3 applies it
+// to batch size (AIMD, quantile regression). This file applies it to the two
+// numbers above batch size: how many batches a replica is given at once (the
+// pipeline window, QueueConfig.InFlight = 0) and how many of its pooled
+// connections carry them (rpc.Pool's routing target).
 //
-//   - The queue's load model (load.go) — smoothed per-batch latency and
-//     the completed-query counter, read once per control period — drives
-//     the window: additive grow probes that keep the window only while
-//     the throughput gain is real, revert when it is not, downward probes
-//     that shed window that buys nothing, and a multiplicative backoff
-//     when latency inflates with no transfer-bound signal (compute
-//     saturation).
-//   - The pool's queued-behind-write counters (rpc.PoolStats) drive the
-//     connection target: batches queueing behind each other's frame writes
-//     mean the link, not the model, is the bottleneck (transfer-bound), so
-//     the target grows; a quiet write path lets it shrink back. The pool
-//     keeps parked connections open, so the target moves with no redial
-//     churn.
+// The window loop asks one question, which the paper's linear latency model
+// (§4.3.1) answers at any load: does one more batch in flight make batches
+// slower than their size explains? A container that evaluates one batch at a
+// time queues the second behind the first and every batch takes twice as
+// long; one with P lanes shows nothing until P+1. Throughput cannot answer
+// it — in an open loop it equals the offered load whatever the window is.
 //
-// Static configurations never construct an Adaptive and are untouched —
-// the paper-figure experiments keep pinning InFlight/Conns.
+// The pool loop reads the pool's queued-behind-write counters
+// (rpc.PoolStats): batches queueing behind each other's frame writes mean
+// the link, not the model, is the bottleneck, so the target grows; a quiet
+// write path lets it shrink back. The pool keeps parked connections open, so
+// the target moves with no redial churn.
+//
+// A pinned window (InFlight > 0: every paper figure) has no Adaptive.
 
 import (
 	"sync"
@@ -44,39 +40,25 @@ type PoolTuner interface {
 	SetPoolTarget(n int) int
 }
 
-// AdaptiveConfig parameterizes NewAdaptive. Zero values select defaults.
-// One Adaptive instance controls exactly one queue (and its replica's
-// pool); do not share instances across deploys.
-type AdaptiveConfig struct {
-	// MinInFlight / MaxInFlight bound the pipeline window; 0 selects 1
-	// and 64.
-	MinInFlight int
-	MaxInFlight int
-	// InitialInFlight is the starting window; 0 selects MinInFlight.
-	InitialInFlight int
-	// MinConns bounds the pool routing target from below; 0 selects 1.
-	// The upper bound is the pool's dialed connection count.
-	MinConns int
-	// InitialConns is the starting pool target; 0 selects MinConns.
-	InitialConns int
-	// ProbeBatches is the number of completed batches per control
-	// period; 0 selects 8. Longer periods smooth noise, shorter ones
-	// converge faster.
-	ProbeBatches int
-}
-
-// The control law's constants: properties of the loop, not of a
+// The control laws' constants: properties of the loops, not of a
 // deployment, so not configuration.
 const (
-	// gainFrac is the minimum fractional throughput gain that justifies
-	// keeping a grown window (and the maximum loss a shrink may cost).
-	gainFrac = 0.05
-	// inflate is the emergency threshold: batch latency beyond this
-	// factor of the baseline with no transfer-bound signal triggers the
-	// multiplicative window backoff.
-	inflate = 2.0
-	// backoff is the multiplicative window decrease factor.
-	backoff = 0.75
+	// startWindow is where a measured window starts: the pinned default
+	// every queue ran with before windows were measured, and the middle of
+	// [1, maxWindow] on the scale probes move on.
+	startWindow = 4
+	// maxWindow is where growth stops. A probe is judged against 1/(2W);
+	// at 16 that is 3 %, which is what one clipped pause in a 32-batch
+	// period moves the period's mean by: past it the judge reads noise.
+	maxWindow = 16
+	// periodFloor is the least number of batches a line is fitted to or a
+	// probe judged on. A straggler's pause, clipped at 2×, adds 1/16 to a
+	// 16-batch mean: half of the 1/8 a probe at the start window is judged
+	// against, so one pause alone cannot turn a verdict. Wider windows use
+	// 2·W, so each slot is seen twice. The pool loop runs every
+	// periodFloor batches.
+	periodFloor = 16
+
 	// queueFrac is the queued-behind-write fraction of writes that marks
 	// a period transfer-bound.
 	queueFrac = 0.1
@@ -89,170 +71,105 @@ const (
 	// quietPeriods is the number of consecutive calm periods before the
 	// pool target shrinks by one.
 	quietPeriods = 8
-	// holdPeriods is the number of periods to sit still after a reverted
-	// probe before probing again.
-	holdPeriods = 4
 )
 
-func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if cfg.MinInFlight <= 0 {
-		cfg.MinInFlight = 1
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.MaxInFlight < cfg.MinInFlight {
-		cfg.MaxInFlight = cfg.MinInFlight
-	}
-	if cfg.InitialInFlight <= 0 {
-		cfg.InitialInFlight = cfg.MinInFlight
-	}
-	if cfg.InitialInFlight < cfg.MinInFlight {
-		cfg.InitialInFlight = cfg.MinInFlight
-	}
-	if cfg.InitialInFlight > cfg.MaxInFlight {
-		cfg.InitialInFlight = cfg.MaxInFlight
-	}
-	if cfg.MinConns <= 0 {
-		cfg.MinConns = 1
-	}
-	if cfg.InitialConns < cfg.MinConns {
-		cfg.InitialConns = cfg.MinConns
-	}
-	if cfg.ProbeBatches <= 0 {
-		cfg.ProbeBatches = 8
-	}
-	return cfg
+// period accumulates the window-bound batches of one control period: what
+// an ordinary-least-squares line through (size, latency) needs.
+type period struct {
+	k                float64 // batches
+	sn, sl, snn, snl float64 // Σn, Σlat, Σn², Σn·lat (seconds)
 }
 
-// probePhase tracks where the window control loop is in its probe cycle.
-type probePhase int
+func (p *period) add(n, lat float64) {
+	p.k++
+	p.sn += n
+	p.sl += lat
+	p.snn += n * n
+	p.snl += n * lat
+}
 
-const (
-	// phaseSettle discards the first period after any window or pool
-	// change: its measurements mix the old and new configuration.
-	phaseSettle probePhase = iota
-	// phaseJudge compares the settled measurements against the pre-probe
-	// baseline and keeps or reverts the probe.
-	phaseJudge
-	// phaseHold sits at a stable window for holdPeriods before the next
-	// probe.
-	phaseHold
-)
-
-// sample is one control period's settled measurement.
-type sample struct {
-	tput float64 // completed queries per second
-	lat  float64 // the load model's per-batch latency at period end, seconds
+// fit returns the least-squares line lat = a + b·n through the period,
+// constrained to a, b ≥ 0 (a batch costs something, a row never speeds one
+// up): a period whose sizes barely vary has no slope to find, and an
+// unconstrained fit would invent one from the jitter.
+func (p period) fit() (a, b float64) {
+	n, l := p.sn/p.k, p.sl/p.k
+	if sxx := p.snn - p.k*n*n; sxx > 0 {
+		b = (p.snl - p.k*n*l) / sxx
+	}
+	b = max(0, min(b, l/n))
+	return l - b*n, b
 }
 
 // AdaptiveSnapshot reports the controller's current operating point.
 type AdaptiveSnapshot struct {
-	// InFlight is the current pipeline window target.
+	// InFlight is the current pipeline window.
 	InFlight int
 	// PoolTarget is the current pool routing target (0 when no pool is
 	// attached).
 	PoolTarget int
-	// TransferBound reports whether the last control period saw batches
+	// TransferBound reports whether the last pool period saw batches
 	// queueing behind frame writes.
 	TransferBound bool
-	// Throughput is the last settled period's completed queries/sec.
-	Throughput float64
 	// BatchLatency is the load model's smoothed per-batch latency.
 	BatchLatency time.Duration
+	// Verdict is the last judged probe's outcome, "keep" or "revert" ("" until
+	// one has been judged); Ratio is what it was judged on, the probe
+	// period's mean latency over the line's prediction for its batch sizes.
+	Verdict string
+	Ratio   float64
+	// FitA and FitB are the line the next probe is judged against:
+	// latency = FitA + FitB·rows.
+	FitA time.Duration
+	FitB time.Duration
 }
 
-// Adaptive sizes a queue's pipeline window and its replica's RPC pool
-// routing target at runtime. It estimates nothing itself: the queue ticks
-// it once per completed batch, and on ProbeBatches boundaries it reads
-// the queue's load model. All methods are safe for concurrent use.
+// Adaptive sizes one queue's pipeline window, and its replica's RPC pool
+// routing target when it has a pool. NewQueue builds one for every queue
+// whose window is not pinned; the queue ticks it once per completed batch.
+// All methods are safe for concurrent use.
 type Adaptive struct {
-	cfg AdaptiveConfig
-
 	mu    sync.Mutex
-	pool  PoolTuner
-	sem   *winSem    // the bound queue's window semaphore (nil until bound)
-	model *LoadModel // the bound queue's load model (nil until bound)
+	sem   *winSem    // the queue's window semaphore
+	model *LoadModel // the queue's load model
+	pool  PoolTuner  // nil without a pool
 
-	win     int // current window target
-	prevWin int // window the baseline sample was measured at
-	prev    sample
-	phase   probePhase
-	hold    int
-	growDir bool // next probe direction: true = grow
-
-	batches       int       // ticks this period
-	periodStart   time.Time // zero until the first tick
-	lastCompleted int64     // model.completed at the last period boundary
+	// Window loop. The line (a, b) was fitted at win−dir while probing,
+	// at win otherwise.
+	win     int
+	dir     int  // the current or next probe's direction, ±1
+	probing bool // win is a probe awaiting judgment
+	skip    int  // periods to let pass: settling after a move, resting after a rejection
+	rejects uint // consecutive rejected probes
+	cur     period
+	a, b    float64 // seconds
+	verdict string
+	ratio   float64
 
 	// Pool loop state.
+	batches       int
 	connTarget    int
 	lastWrites    int64
 	lastQueued    int64
 	lastWait      time.Duration
 	quiet         int
 	transferBound bool
-	lastTput      float64
 }
 
-// NewAdaptive returns a controller starting at the configured initial
-// window. Attach the replica's connection pool with AttachPool to also
-// drive the pool target.
-func NewAdaptive(cfg AdaptiveConfig) *Adaptive {
-	cfg = cfg.withDefaults()
-	return &Adaptive{
-		cfg:     cfg,
-		win:     cfg.InitialInFlight,
-		prevWin: cfg.InitialInFlight,
-		phase:   phaseSettle,
-		growDir: true,
-	}
+func newAdaptive(sem *winSem, m *LoadModel) *Adaptive {
+	return &Adaptive{sem: sem, model: m, win: sem.curLimit(), dir: 1}
 }
 
-// AttachPool connects the replica's pool to the controller and applies the
-// initial connection target. Called by core when deploying an adaptive
-// replica; harmless to skip for in-process predictors.
-func (a *Adaptive) AttachPool(p PoolTuner) {
+// attachPool connects the replica's pool. The target starts where the pool
+// is — every dialed connection — and shrinks while the wire is quiet.
+func (a *Adaptive) attachPool(p PoolTuner) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.pool = p
 	st := p.PoolStats()
-	a.connTarget = p.SetPoolTarget(a.cfg.InitialConns)
-	a.lastWrites = st.Writes
-	a.lastQueued = st.WriteQueued
-	a.lastWait = st.WriteWait
+	a.connTarget = st.Target
+	a.lastWrites, a.lastQueued, a.lastWait = st.Writes, st.WriteQueued, st.WriteWait
 }
-
-// Window returns the current pipeline window target.
-func (a *Adaptive) Window() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.win
-}
-
-// bind hands the controller its queue's window semaphore and load model.
-// Window changes are applied under the controller's lock, so a worker
-// observing a stale decision can never overwrite a newer limit (winSem's
-// mutex is a leaf; no lock cycle).
-func (a *Adaptive) bind(sem *winSem, m *LoadModel) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sem, a.model = sem, m
-	a.applyWindow()
-}
-
-// batchLatency is the bound model's smoothed per-batch latency in
-// seconds (0 unbound or cold). Callers hold a.mu.
-func (a *Adaptive) batchLatency() float64 {
-	if a.model == nil {
-		return 0
-	}
-	return a.model.batchLat.Value()
-}
-
-// applyWindow pushes the current target to the bound semaphore. Callers
-// hold a.mu.
-func (a *Adaptive) applyWindow() { a.sem.setLimit(a.win) }
 
 // Snapshot reports the controller's operating point for telemetry.
 func (a *Adaptive) Snapshot() AdaptiveSnapshot {
@@ -262,47 +179,83 @@ func (a *Adaptive) Snapshot() AdaptiveSnapshot {
 		InFlight:      a.win,
 		PoolTarget:    a.connTarget,
 		TransferBound: a.transferBound,
-		Throughput:    a.lastTput,
-		BatchLatency:  seconds(a.batchLatency()),
+		BatchLatency:  seconds(a.model.batchLat.Value()),
+		Verdict:       a.verdict,
+		Ratio:         a.ratio,
+		FitA:          seconds(a.a),
+		FitB:          seconds(a.b),
 	}
 }
 
-// tick counts one completed batch — the queue calls it right after the
-// batch was folded into the load model — and on a period boundary runs
-// the control loops against the model. The bound queue's dispatch
-// semaphore is resized in the same critical section (bind).
-func (a *Adaptive) tick() {
+// tick folds one completed batch of n rows — the queue calls it right after
+// the batch was folded into the load model. bound says the batch left with
+// the window's last free slot: only such batches show what the window does
+// to latency, and only they advance the window loop, so a window wider than
+// the load needs is never moved. The window semaphore is resized under the
+// controller's lock, so a stale decision can never overwrite a newer limit.
+func (a *Adaptive) tick(n int, lat time.Duration, bound bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-
-	if a.periodStart.IsZero() {
-		a.periodStart = time.Now()
-	}
-	a.batches++
-	if a.batches < a.cfg.ProbeBatches {
-		return
-	}
-
-	// Control period boundary: throughput is the model's completed count
-	// over the period's wall time.
-	now := time.Now()
-	completed := a.model.completed.Load()
-	tput := 0.0
-	if elapsed := now.Sub(a.periodStart).Seconds(); elapsed > 0 {
-		tput = float64(completed-a.lastCompleted) / elapsed
-	}
-	a.periodStart, a.lastCompleted, a.batches, a.lastTput = now, completed, 0, tput
-
-	if a.drivePool() {
-		// The transport capacity just moved under the window loop's
-		// feet; re-settle before judging any pending probe.
-		if a.phase == phaseJudge {
-			a.phase = phaseSettle
+	if a.batches++; a.batches >= periodFloor {
+		a.batches = 0
+		if a.drivePool() {
+			// The transport moved under the window loop's feet: what this
+			// period has seen is of the old one. Start it over and settle.
+			a.cur, a.skip = period{}, max(a.skip, 1)
 		}
+	}
+	if !bound {
 		return
 	}
-	a.driveWindow(sample{tput: tput, lat: a.batchLatency()})
-	a.applyWindow() // under a.mu: stale decisions can't clobber newer ones
+	// Clipped like the robust cell itself: a 30 ms pause is one sample,
+	// not the fit.
+	y := lat.Seconds()
+	if r := a.model.robustLat.Value(); r > 0 {
+		y = min(y, 2*r)
+	}
+	a.cur.add(float64(n), y)
+	if int(a.cur.k) >= max(periodFloor, 2*a.win) {
+		a.endPeriod()
+		a.sem.setLimit(a.win)
+	}
+}
+
+// endPeriod is the window law. A probe of W±1 settles for one period and is
+// judged on the next: its batches' mean latency over what the line fitted at
+// W predicts for their sizes. Growing is kept if that stays under
+// 1 + 1/(2W), shrinking if it falls under 1 − 1/(2W): a container with P
+// lanes shows (P+1)/P the moment W passes P, and half of that step is the
+// most that can be asked of a period's mean. A kept probe's own period is
+// the next line; a rejected one is undone, the direction flips, and the loop
+// rests — twice as long per consecutive rejection, so a window that has
+// found its place is probed ever more rarely — before fitting again.
+func (a *Adaptive) endPeriod() {
+	p := a.cur
+	a.cur = period{}
+	if a.skip > 0 {
+		a.skip--
+		return
+	}
+	if a.probing {
+		base := a.win - a.dir
+		a.ratio = p.sl / (a.a*p.k + a.b*p.sn)
+		if a.ratio >= 1+float64(a.dir)/float64(2*base) {
+			a.verdict = "revert"
+			a.win, a.dir, a.probing = base, -a.dir, false
+			a.skip = 1 << a.rejects
+			// Saturates where a rest is a million batches: long enough to
+			// be free, short enough that a replica that changed is found.
+			a.rejects = min(a.rejects+1, maxWindow)
+			return
+		}
+		a.verdict, a.rejects = "keep", 0
+	}
+	a.a, a.b = p.fit()
+	if w := a.win + a.dir; w < 1 || w > maxWindow {
+		a.dir = -a.dir
+	}
+	a.win += a.dir
+	a.probing, a.skip = true, 1
 }
 
 // drivePool runs one pool-target decision: grow while batches spend real
@@ -327,7 +280,7 @@ func (a *Adaptive) drivePool() bool {
 	// collisions of tiny frames on a compute-bound replica don't count).
 	frac := float64(queuedDelta) / float64(writesDelta)
 	avgWait := waitDelta.Seconds() / float64(writesDelta)
-	a.transferBound = frac >= queueFrac && avgWait >= a.batchLatency()*waitFrac
+	a.transferBound = frac >= queueFrac && avgWait >= a.model.batchLat.Value()*waitFrac
 	if a.transferBound {
 		a.quiet = 0
 		if st.Target < st.Conns {
@@ -337,119 +290,10 @@ func (a *Adaptive) drivePool() bool {
 		return false
 	}
 	a.quiet++
-	if a.quiet >= quietPeriods && st.Target > a.cfg.MinConns {
+	if a.quiet >= quietPeriods && st.Target > 1 {
 		a.connTarget = a.pool.SetPoolTarget(st.Target - 1)
 		a.quiet = 0
 		return true
 	}
 	return false
-}
-
-// driveWindow runs one window decision on a settled period measurement.
-func (a *Adaptive) driveWindow(cur sample) {
-	// Emergency backoff, any phase: latency blew past the baseline with
-	// no transfer-bound signal — the container is compute-saturated, so
-	// shed window multiplicatively rather than by -1 probes.
-	if a.prev.lat > 0 && cur.lat > a.prev.lat*inflate &&
-		!a.transferBound && a.win > a.cfg.MinInFlight {
-		a.win = max(a.cfg.MinInFlight, int(float64(a.win)*backoff))
-		a.prevWin = a.win
-		a.prev = sample{} // re-baseline at the reduced window
-		a.phase = phaseSettle
-		return
-	}
-
-	switch a.phase {
-	case phaseSettle:
-		a.phase = phaseJudge
-	case phaseJudge:
-		a.judge(cur)
-	case phaseHold:
-		a.hold--
-		if a.hold <= 0 {
-			a.startProbe()
-		}
-	}
-}
-
-// judge compares a settled period against the pre-probe baseline and
-// keeps, extends, or reverts the probe.
-func (a *Adaptive) judge(cur sample) {
-	if a.prev.lat == 0 || a.win == a.prevWin {
-		// No baseline yet (startup or post-backoff): record one and
-		// start probing.
-		a.prev = cur
-		a.prevWin = a.win
-		a.startProbe()
-		return
-	}
-	switch {
-	case a.win > a.prevWin: // grow probe under judgment
-		if cur.tput >= a.prev.tput*(1+gainFrac) {
-			// The wider window bought real throughput: keep it and
-			// keep climbing.
-			a.accept(cur)
-			a.growDir = true
-			a.startProbe()
-		} else {
-			// No real gain: the window is past the knee — revert.
-			// Keeping "harmless" width instead would ratchet (each
-			// accepted step re-baselines latency, so the next step
-			// always looks harmless too) and buys only queueing delay.
-			a.win = a.prevWin
-			a.growDir = false
-			a.rest()
-		}
-	default: // shrink probe under judgment
-		if cur.tput >= a.prev.tput*(1-gainFrac) {
-			// The narrower window cost nothing: a smaller window at
-			// equal throughput is strictly better (less queueing, less
-			// memory) — keep descending. The throughput baseline is NOT
-			// lowered to the post-shrink sample: re-baselining each
-			// accepted step would let a shallow curve (~gainFrac lost
-			// per step) ratchet the window all the way down, compounding
-			// small losses the grow path could never win back. Keeping
-			// the descent-start baseline bounds the whole descent's loss
-			// to gainFrac.
-			cur.tput = a.prev.tput
-			a.accept(cur)
-			a.growDir = false
-			a.startProbe()
-		} else {
-			// Throughput dropped: that window was load-bearing.
-			a.win = a.prevWin
-			a.growDir = true
-			a.rest()
-		}
-	}
-}
-
-// accept records cur as the new stable baseline.
-func (a *Adaptive) accept(cur sample) {
-	a.prev = cur
-	a.prevWin = a.win
-}
-
-// rest parks the loop at the current window for holdPeriods.
-func (a *Adaptive) rest() {
-	a.hold = holdPeriods
-	a.phase = phaseHold
-}
-
-// startProbe nudges the window one step in the preferred direction,
-// falling back to the other direction at the bounds. The probe settles for
-// one period before being judged.
-func (a *Adaptive) startProbe() {
-	switch {
-	case a.growDir && a.win < a.cfg.MaxInFlight:
-		a.win++
-	case a.win > a.cfg.MinInFlight:
-		a.win--
-	case a.win < a.cfg.MaxInFlight:
-		a.win++
-	default:
-		a.rest()
-		return
-	}
-	a.phase = phaseSettle
 }

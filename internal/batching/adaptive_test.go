@@ -1,12 +1,11 @@
 package batching
 
 import (
-	"context"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"clipper/internal/container"
 	"clipper/internal/rpc"
 )
 
@@ -63,70 +62,53 @@ func (f *fakePool) Target() int {
 	return f.target
 }
 
-// boundAdaptive returns a controller bound to a bare window and load
-// model, the way NewQueue binds one.
-func boundAdaptive(cfg AdaptiveConfig) *Adaptive {
-	a := NewAdaptive(cfg)
-	a.bind(newWinSem(a.Window()), new(LoadModel))
+// poolAdaptive returns a controller with p attached, on a bare window and
+// load model, the way NewQueue builds one for a pooled replica.
+func poolAdaptive(p PoolTuner) *Adaptive {
+	a := newAdaptive(newWinSem(startWindow), new(LoadModel))
+	a.attachPool(p)
 	return a
 }
 
-// feedPeriod pushes one full control period of identical batches through
-// the model and the controller, in runBatch's order.
-func feedPeriod(a *Adaptive, batches int, lat time.Duration) {
-	for i := 0; i < batches; i++ {
-		a.model.observe(16, lat, 0)
-		a.tick()
-	}
-}
-
-func TestAdaptiveDefaultsAndBounds(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{})
-	if got := a.Window(); got != 1 {
-		t.Fatalf("default initial window = %d, want 1", got)
-	}
-	a = NewAdaptive(AdaptiveConfig{MinInFlight: 2, MaxInFlight: 8, InitialInFlight: 99})
-	if got := a.Window(); got != 8 {
-		t.Fatalf("initial window clamps to max: got %d, want 8", got)
-	}
-	a = NewAdaptive(AdaptiveConfig{MinInFlight: 4, InitialInFlight: 1})
-	if got := a.Window(); got != 4 {
-		t.Fatalf("initial window clamps to min: got %d, want 4", got)
+// feedPoolPeriods pushes n pool-loop periods of identical batches through
+// the model and the controller, in runBatch's order, p advancing before each.
+func feedPoolPeriods(a *Adaptive, n int, advance func()) {
+	for ; n > 0; n-- {
+		advance()
+		for i := 0; i < periodFloor; i++ {
+			a.model.observe(16, time.Millisecond, 0)
+			a.tick(16, time.Millisecond, false)
+		}
 	}
 }
 
 func TestAdaptivePoolGrowsWhileTransferBound(t *testing.T) {
 	p := newFakePool(4)
-	a := boundAdaptive(AdaptiveConfig{ProbeBatches: 4})
-	a.AttachPool(p)
-	if p.Target() != 1 {
-		t.Fatalf("initial pool target = %d, want MinConns=1", p.Target())
-	}
-	// Sustained heavy write queueing, each queued write waiting half a
-	// batch latency: the target must climb to the slot count, one step
-	// per period.
-	for period := 0; period < 6; period++ {
-		p.advance(100, 0.5, 500*time.Microsecond)
-		feedPeriod(a, 4, time.Millisecond)
-	}
+	a := poolAdaptive(p)
 	if p.Target() != 4 {
-		t.Fatalf("pool target = %d after sustained queueing, want 4", p.Target())
+		t.Fatalf("attaching moved the pool target to %d, want the dialed 4", p.Target())
 	}
-	if !a.Snapshot().TransferBound {
-		t.Fatal("snapshot should report transfer-bound")
-	}
-
-	// Quiet write path: the target shrinks back after quietPeriods calm
-	// periods per step.
-	for period := 0; period < 4*quietPeriods; period++ {
-		p.advance(100, 0, 0)
-		feedPeriod(a, 4, time.Millisecond)
-	}
+	// A quiet write path: the target shrinks to 1, one step per
+	// quietPeriods calm periods.
+	feedPoolPeriods(a, 4*quietPeriods, func() { p.advance(100, 0, 0) })
 	if p.Target() != 1 {
-		t.Fatalf("pool target = %d after quiet spell, want MinConns=1", p.Target())
+		t.Fatalf("pool target = %d after quiet spell, want 1", p.Target())
 	}
 	if a.Snapshot().TransferBound {
 		t.Fatal("snapshot should report compute-bound after quiet spell")
+	}
+	// Sustained heavy write queueing, each queued write waiting half a
+	// batch latency: the target climbs back to the slot count, one step
+	// per period.
+	feedPoolPeriods(a, 6, func() { p.advance(100, 0.5, 500*time.Microsecond) })
+	if p.Target() != 4 {
+		t.Fatalf("pool target = %d after sustained queueing, want 4", p.Target())
+	}
+	if snap := a.Snapshot(); !snap.TransferBound || snap.PoolTarget != 4 {
+		t.Fatalf("snapshot should report transfer-bound at target 4: %+v", snap)
+	}
+	if w := a.Snapshot().InFlight; w != startWindow {
+		t.Fatalf("window moved to %d with no batch window-bound", w)
 	}
 }
 
@@ -135,137 +117,16 @@ func TestAdaptivePoolGrowsWhileTransferBound(t *testing.T) {
 // compute-bound replica) must not read as transfer-bound.
 func TestAdaptivePoolIgnoresMicroCollisions(t *testing.T) {
 	p := newFakePool(4)
-	p.SetPoolTarget(4)
-	a := boundAdaptive(AdaptiveConfig{ProbeBatches: 4, InitialConns: 4})
-	a.AttachPool(p)
-	for period := 0; period < 4*quietPeriods; period++ {
-		// Half the writes "queued", but for 100ns each against 1ms
-		// batches: noise, not a saturated wire.
-		p.advance(100, 0.5, 100*time.Nanosecond)
-		feedPeriod(a, 4, time.Millisecond)
-	}
+	a := poolAdaptive(p)
+	// Half the writes "queued", but for 100ns each against 1ms batches:
+	// noise, not a saturated wire.
+	feedPoolPeriods(a, 4*quietPeriods, func() { p.advance(100, 0.5, 100*time.Nanosecond) })
 	if a.Snapshot().TransferBound {
 		t.Fatal("micro-collisions misread as transfer-bound")
 	}
 	if p.Target() != 1 {
 		t.Fatalf("pool target = %d, want shrink to 1 despite collision count", p.Target())
 	}
-}
-
-func TestAdaptiveWindowBackoffOnLatencyInflation(t *testing.T) {
-	a := boundAdaptive(AdaptiveConfig{
-		MinInFlight: 1, MaxInFlight: 16, InitialInFlight: 8,
-		ProbeBatches: 4,
-	})
-	// Establish a baseline, then inflate latency 4x with no
-	// transfer-bound signal: the emergency backoff must shed window
-	// multiplicatively.
-	for period := 0; period < 4; period++ {
-		feedPeriod(a, 4, time.Millisecond)
-	}
-	start := a.Window()
-	for period := 0; period < 30 && a.Window() > 1; period++ {
-		feedPeriod(a, 4, 40*time.Millisecond)
-	}
-	if got := a.Window(); got >= start {
-		t.Fatalf("window = %d after sustained latency inflation, want < %d", got, start)
-	}
-}
-
-func TestAdaptiveWindowNeverLeavesBounds(t *testing.T) {
-	a := boundAdaptive(AdaptiveConfig{MinInFlight: 2, MaxInFlight: 5, ProbeBatches: 2})
-	lat := time.Millisecond
-	for period := 0; period < 200; period++ {
-		// Alternate flat and inflated latencies to exercise every branch.
-		if period%3 == 0 {
-			lat = 10 * time.Millisecond
-		} else {
-			lat = time.Millisecond
-		}
-		feedPeriod(a, 2, lat)
-		if w := a.Window(); w < 2 || w > 5 {
-			t.Fatalf("window %d escaped bounds [2,5] at period %d", w, period)
-		}
-	}
-}
-
-// TestAdaptiveQueueDeliversEveryResult re-checks the queue's
-// exactly-one-Result contract with the adaptive window swapping sizes
-// mid-flight.
-func TestAdaptiveQueueDeliversEveryResult(t *testing.T) {
-	pred := container.NewFunc(container.Info{Name: "m", Version: 1},
-		func(xs [][]float64) ([]container.Prediction, error) {
-			time.Sleep(200 * time.Microsecond)
-			out := make([]container.Prediction, len(xs))
-			for i := range xs {
-				out[i] = container.Prediction{Label: int(xs[i][0])}
-			}
-			return out, nil
-		})
-	a := NewAdaptive(AdaptiveConfig{MinInFlight: 1, MaxInFlight: 8, ProbeBatches: 2})
-	q := NewQueue(pred, QueueConfig{Controller: NewFixed(4), Adaptive: a})
-	defer q.Close()
-
-	if q.Adaptive() != a {
-		t.Fatal("Adaptive() accessor lost the controller")
-	}
-
-	const submitters, per = 8, 50
-	var wg sync.WaitGroup
-	errs := make(chan error, submitters*per)
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				pred, err := q.Submit(context.Background(), []float64{float64(s)})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if pred.Label != s {
-					t.Errorf("label = %d, want %d", pred.Label, s)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if w := q.InFlight(); w < 1 || w > 8 {
-		t.Fatalf("final window %d out of bounds", w)
-	}
-}
-
-// TestAdaptiveQueueCloseMidFlight closes the queue while the adaptive
-// collector may be blocked on the window semaphore.
-func TestAdaptiveQueueCloseMidFlight(t *testing.T) {
-	block := make(chan struct{})
-	pred := container.NewFunc(container.Info{Name: "m", Version: 1},
-		func(xs [][]float64) ([]container.Prediction, error) {
-			<-block
-			out := make([]container.Prediction, len(xs))
-			return out, nil
-		})
-	a := NewAdaptive(AdaptiveConfig{MinInFlight: 1, MaxInFlight: 2, InitialInFlight: 1})
-	q := NewQueue(pred, QueueConfig{Controller: NewFixed(1), Adaptive: a})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Results must be an error or a prediction — never a hang.
-			_, _ = q.Submit(context.Background(), []float64{1})
-		}()
-	}
-	time.Sleep(10 * time.Millisecond) // let the collector block on the window
-	close(block)
-	q.Close()
-	wg.Wait()
 }
 
 func TestWinSemResize(t *testing.T) {
@@ -298,5 +159,92 @@ func TestWinSemResize(t *testing.T) {
 	w.close()
 	if w.acquire() {
 		t.Fatal("acquire succeeded after close")
+	}
+}
+
+// simReplica is one synthetic container for the virtual-time window tests.
+type simReplica struct {
+	name           string
+	fixed, perItem float64 // seconds
+	lanes          int     // 0 = unbounded
+	openRate       float64 // Poisson arrivals/s: half of what it serves at its best window with full batches
+	lo, hi         int     // where the window must end
+	secs           float64 // virtual run time: long enough for 10 000 batches under either load
+}
+
+var simReplicas = []simReplica{
+	// One batch at a time, 2 ms + 30 µs·n (the paper's own model): a
+	// second batch in flight only queues inside the container.
+	{"serial fixed-cost", 0.002, 30e-6, 1, 8000, 1, 2, 50},
+	// One batch at a time, the rows dominating.
+	{"serial per-item", 0.002, 400e-6, 1, 1150, 1, 4, 100},
+	{"four lanes", 0.002, 30e-6, 4, 32000, 4, 5, 10},
+	// As many batches side by side as it is sent.
+	{"unbounded per-item", 0.002, 1e-3, 0, 7500, 12, 16, 20},
+}
+
+func (r simReplica) sim(noise *rand.Rand) *holdSim {
+	return (&holdSim{hold: true, fixed: r.fixed, perItem: r.perItem, lanes: r.lanes, noise: noise}).measured()
+}
+
+// TestWindowSim runs the window law, in virtual time, against the four
+// container shapes under a closed loop of 32 callers and under Poisson
+// arrivals at half of what the shape can serve: the window must end where
+// that shape's knee is, never leave [1, maxWindow], and move only on a batch
+// that was window-bound. With noise the same, over more than 10 000 batches
+// of ±5 % jitter and a 30 ms pause in one batch of 40.
+func TestWindowSim(t *testing.T) {
+	for _, r := range simReplicas {
+		for _, load := range []string{"closed", "open"} {
+			for _, noisy := range []bool{false, true} {
+				for seed := int64(1); seed <= 3; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					var noise *rand.Rand
+					if noisy {
+						noise = rand.New(rand.NewSource(seed + 100))
+					}
+					s := r.sim(noise)
+					if load == "closed" {
+						s.closedLoop(32, 50e-6, rng)
+					} else {
+						s.openLoop(r.openRate, r.secs, rng)
+					}
+					s.run(r.secs)
+					snap := s.adapt.Snapshot()
+					t.Logf("%-18s %-6s noise=%-5v seed %d: window %2d, range [%d, %d], %d batches, %.0f qps, last verdict %s at %.3f of %v + %v·n",
+						r.name, load, noisy, seed, s.w, s.minW, s.maxW, len(s.batches), float64(len(s.sojourns))/r.secs,
+						snap.Verdict, snap.Ratio, snap.FitA, snap.FitB)
+					if s.w < r.lo || s.w > r.hi {
+						t.Errorf("%s, %s loop, noise %v, seed %d: window ended at %d, want [%d, %d]", r.name, load, noisy, seed, s.w, r.lo, r.hi)
+					}
+					if s.minW < 1 || s.maxW > maxWindow {
+						t.Errorf("%s, %s loop, noise %v, seed %d: window ranged over [%d, %d], outside [1, %d]", r.name, load, noisy, seed, s.minW, s.maxW, maxWindow)
+					}
+					if s.idleMoves > 0 {
+						t.Errorf("%s, %s loop, noise %v, seed %d: %d window moves on batches that were not window-bound", r.name, load, noisy, seed, s.idleMoves)
+					}
+					if len(s.batches) < 10000 {
+						t.Errorf("%s, %s loop, noise %v, seed %d: only %d batches, the run is too short to show drift", r.name, load, noisy, seed, len(s.batches))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowSimIdleWindowStaysPut: at a load that never fills the window no
+// batch is window-bound, so nothing is learned and nothing moves.
+func TestWindowSimIdleWindowStaysPut(t *testing.T) {
+	for _, r := range simReplicas[2:] { // the two that take batches side by side
+		s := r.sim(rand.New(rand.NewSource(7)))
+		s.openLoop(20, 300, rand.New(rand.NewSource(8)))
+		s.run(301)
+		if s.minW != startWindow || s.maxW != startWindow || s.adapt.Snapshot().Verdict != "" {
+			t.Errorf("%s at 20 arrivals/s: window ranged over [%d, %d] (%+v), want it left at %d",
+				r.name, s.minW, s.maxW, s.adapt.Snapshot(), startWindow)
+		}
+		if len(s.batches) < 5000 {
+			t.Errorf("%s: only %d batches served", r.name, len(s.batches))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -69,20 +70,31 @@ type simReq struct {
 }
 
 type simFlight struct {
-	start float64
-	reqs  []*simReq
+	start, finish float64
+	last          bool // left with the window's last free slot
+	reqs          []*simReq
 }
 
-// holdSim is the collector's policy in virtual time: a window of w slots,
-// every batch taking s seconds whatever its size, the queue dispatched
-// whole the moment a slot and a request exist — unless hold is set and
-// holdLast says to keep the slot. It shares holdLast and the load model's
-// arrival-rate cell with the real collector and nothing else; there are no
-// goroutines and no clock.
+// simMaxBatch is the simulation's batch cap (a Fixed(64) controller).
+const simMaxBatch = 64
+
+// holdSim is the collector's policy in virtual time: a window of w slots in
+// front of a simulated replica, the queue dispatched (up to simMaxBatch) the
+// moment a slot and a request exist — unless hold is set and holdLast says to
+// keep the slot. The replica evaluates a batch of n in fixed + perItem·n
+// seconds on one of its lanes (0 = as many as it is sent), first come first
+// served. The simulation shares holdLast, the load model and, when adapt is
+// set, the window controller with the real collector, and nothing else;
+// there are no goroutines and no clock.
 type holdSim struct {
-	w    int
-	s    float64
-	hold bool
+	w     int // the window; adapt moves it
+	hold  bool
+	adapt *Adaptive
+
+	fixed, perItem float64
+	lanes          int
+	noise          *rand.Rand // non-nil: ±5 % service jitter and a 30 ms pause in 1 batch of 40
+	laneFree       []float64
 
 	now        float64
 	queue      []*simReq
@@ -96,9 +108,20 @@ type holdSim struct {
 	batches    []int
 	sojourns   []float64
 	everHeld   int
+	minW, maxW int // the window's range since the last call of measured
+	idleMoves  int // window moves on a batch that was not window-bound
 }
 
 var simEpoch = time.Unix(1e9, 0)
+
+// measured puts the window under a controller of its own, as NewQueue does
+// for InFlight 0.
+func (s *holdSim) measured() *holdSim {
+	s.adapt = newAdaptive(newWinSem(startWindow), &s.load)
+	s.w = startWindow
+	s.minW, s.maxW = s.w, s.w
+	return s
+}
 
 func (s *holdSim) arriveAt(at float64) {
 	i := sort.SearchFloat64s(s.arrivals, at)
@@ -115,6 +138,32 @@ func (s *holdSim) reserve() {
 	}
 }
 
+// serve is the replica taking a batch of n: it returns when the batch will
+// be done.
+func (s *holdSim) serve(n int) float64 {
+	d := s.fixed + s.perItem*float64(n)
+	if s.noise != nil {
+		d *= 0.95 + 0.1*s.noise.Float64()
+		if s.noise.Intn(40) == 0 {
+			d += 0.030
+		}
+	}
+	if s.lanes == 0 {
+		return s.now + d
+	}
+	if s.laneFree == nil {
+		s.laneFree = make([]float64, s.lanes)
+	}
+	lane := 0
+	for i, free := range s.laneFree {
+		if free < s.laneFree[lane] {
+			lane = i
+		}
+	}
+	s.laneFree[lane] = math.Max(s.now, s.laneFree[lane]) + d
+	return s.laneFree[lane]
+}
+
 func (s *holdSim) dispatch() {
 	for s.reserve(); s.collecting && len(s.queue) > 0; s.reserve() {
 		if s.hold && len(s.flights) > 0 {
@@ -122,18 +171,46 @@ func (s *holdSim) dispatch() {
 			for _, f := range s.flights {
 				oldest = math.Min(oldest, f.start)
 			}
-			if holdLast(len(s.queue), s.load.arrivalRate(), seconds(oldest+s.s-s.now), len(s.flights)+1, s.w) {
+			next := seconds(oldest + s.load.robustLat.Value() - s.now)
+			if holdLast(len(s.queue), s.load.arrivalRate(), next, len(s.flights)+1, s.w) {
 				for _, r := range s.queue {
 					r.held = true
 				}
 				return
 			}
 		}
-		s.flights = append(s.flights, simFlight{start: s.now, reqs: s.queue})
+		n := min(len(s.queue), simMaxBatch)
+		s.flights = append(s.flights, simFlight{start: s.now, finish: s.serve(n),
+			last: len(s.flights)+1 >= s.w, reqs: s.queue[:n:n]})
 		s.dispatches = append(s.dispatches, s.now)
-		s.batches = append(s.batches, len(s.queue))
-		s.queue = nil
+		s.batches = append(s.batches, n)
+		s.queue = s.queue[n:]
 		s.collecting = false
+	}
+}
+
+// complete is runBatch's tail for one finished batch.
+func (s *holdSim) complete(f simFlight) {
+	lat := seconds(s.now - f.start)
+	s.load.observe(len(f.reqs), lat, seconds(f.start-f.reqs[0].arrived))
+	if s.adapt != nil {
+		s.adapt.tick(len(f.reqs), lat, f.last)
+		if w := s.adapt.sem.curLimit(); w != s.w {
+			if !f.last {
+				s.idleMoves++
+			}
+			s.w = w
+			s.minW, s.maxW = min(s.minW, w), max(s.maxW, w)
+		}
+	}
+	for _, r := range f.reqs {
+		s.sojourns = append(s.sojourns, s.now-r.arrived)
+		if r.held {
+			s.everHeld++
+		}
+		if s.done != nil {
+			s.done(s.now)
+		}
 	}
 }
 
@@ -145,34 +222,48 @@ func (s *holdSim) run(until float64) {
 			next = s.arrivals[0]
 		}
 		for _, f := range s.flights {
-			next = math.Min(next, f.start+s.s)
+			next = math.Min(next, f.finish)
 		}
 		if next > until {
 			return
 		}
 		s.now = next
 		kept := s.flights[:0]
+		var finished []simFlight
 		for _, f := range s.flights {
-			if f.start+s.s > s.now {
+			if f.finish > s.now {
 				kept = append(kept, f)
-				continue
-			}
-			for _, r := range f.reqs {
-				s.sojourns = append(s.sojourns, s.now-r.arrived)
-				if r.held {
-					s.everHeld++
-				}
-				if s.done != nil {
-					s.done(s.now)
-				}
+			} else {
+				finished = append(finished, f)
 			}
 		}
 		s.flights = kept
+		for _, f := range finished {
+			s.complete(f)
+		}
 		for len(s.arrivals) > 0 && s.arrivals[0] <= s.now {
 			s.arrivals = s.arrivals[1:]
 			s.load.arrivals.Add(1)
 			s.queue = append(s.queue, &simReq{arrived: s.now})
 		}
+	}
+}
+
+// closedLoop drives s with clients callers, each sending its next request a
+// think time (exponential, of the given mean) after the reply to its last;
+// their first requests are staggered over one fixed service time.
+func (s *holdSim) closedLoop(clients int, think float64, rng *rand.Rand) {
+	s.done = func(now float64) { s.arriveAt(now + rng.ExpFloat64()*think) }
+	for i := 0; i < clients; i++ {
+		s.done(rng.Float64() * s.fixed)
+	}
+}
+
+// openLoop schedules Poisson arrivals at rate per second until the given
+// time.
+func (s *holdSim) openLoop(rate, until float64, rng *rand.Rand) {
+	for at := 0.0; at < until; at += rng.ExpFloat64() / rate {
+		s.arrivals = append(s.arrivals, at)
 	}
 }
 
@@ -192,13 +283,8 @@ func mean(xs []float64) float64 {
 // other twenty-odd find the pipeline shut for a whole round trip — after
 // which the four complete together again.
 func closedLoopSim(hold bool, seed int64) *holdSim {
-	const clients = 26
-	rng := rand.New(rand.NewSource(seed))
-	s := &holdSim{w: 4, s: 0.0023, hold: hold}
-	s.done = func(now float64) { s.arriveAt(now + rng.ExpFloat64()*s.s/20) }
-	for i := 0; i < clients; i++ {
-		s.done(rng.Float64() * s.s) // staggered start: the clump forms by itself
-	}
+	s := &holdSim{w: 4, fixed: 0.0023, hold: hold}
+	s.closedLoop(26, s.fixed/20, rand.New(rand.NewSource(seed))) // staggered start: the clump forms by itself
 	s.run(4)
 	return s
 }
@@ -217,7 +303,7 @@ func TestHoldSimClosedLoop(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		greedy, held := closedLoopSim(false, seed), closedLoopSim(true, seed)
 		g, h := mean(greedy.sojourns), mean(held.sojourns)
-		even := held.s / float64(held.w)
+		even := held.fixed / float64(held.w)
 		t.Logf("seed %d: greedy %d done, mean sojourn %.3f ms, max dispatch gap %.2f × s/w; rule %d done, %.3f ms, %.2f × s/w",
 			seed, len(greedy.sojourns), g*1e3, greedy.maxGap()/even, len(held.sojourns), h*1e3, held.maxGap()/even)
 		// The simulation has the fault: greedy's four dispatches bunch and
@@ -240,12 +326,8 @@ func TestHoldSimClosedLoop(t *testing.T) {
 func TestHoldSimOpenLoopIsNearlySilent(t *testing.T) {
 	for _, load := range []float64{1.1, 1.5} { // arrivals per s/w
 		for seed := int64(1); seed <= 5; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			s := &holdSim{w: 4, s: 0.0023, hold: true}
-			rate := load * float64(s.w) / s.s
-			for at := 0.0; at < 4; at += rng.ExpFloat64() / rate {
-				s.arrivals = append(s.arrivals, at)
-			}
+			s := &holdSim{w: 4, fixed: 0.0023, hold: true}
+			s.openLoop(load*float64(s.w)/s.fixed, 4, rand.New(rand.NewSource(seed)))
 			s.run(5)
 			frac := float64(s.everHeld) / float64(len(s.sojourns))
 			t.Logf("λs/w = %.1f seed %d: %d of %d requests ever held (%.3f), mean sojourn %.2f ms",
@@ -277,18 +359,22 @@ func await(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// heldQueue returns a primed two-slot queue whose first slot is inside the
-// gated model with one request and whose collector is holding the second
-// slot over n more, which it returns the tickets of.
-func heldQueue(t *testing.T, n int) (*gateModel, *Queue, []*Ticket) {
+// heldQueue returns a primed queue of the given window (0: measured, so
+// startWindow) with all slots but the last inside the gated model, one
+// request each, and the collector holding the last slot over n more, which
+// it returns the tickets of.
+func heldQueue(t *testing.T, inFlight, n int) (*gateModel, *Queue, []*Ticket) {
 	t.Helper()
 	m := newGateModel()
-	q := NewQueue(m, QueueConfig{Controller: NewFixed(64), InFlight: 2})
+	q := NewQueue(m, QueueConfig{Controller: NewFixed(64), InFlight: inFlight})
 	primeHold(q)
-	if _, err := q.SubmitTicket(context.Background(), "", []float64{0}); err != nil {
-		t.Fatal(err)
+	busy := int64(q.InFlight() - 1)
+	for i := int64(1); i <= busy; i++ {
+		if _, err := q.SubmitTicket(context.Background(), "", []float64{0}); err != nil {
+			t.Fatal(err)
+		}
+		await(t, "a slot filled", func() bool { return m.calls.Load() == i })
 	}
-	await(t, "first batch dispatched", func() bool { return m.calls.Load() == 1 })
 	tickets := make([]*Ticket, n)
 	for i := range tickets {
 		tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i + 1)})
@@ -300,17 +386,74 @@ func heldQueue(t *testing.T, n int) (*gateModel, *Queue, []*Ticket) {
 			await(t, "collector holds the last slot", func() bool { return q.LoadStats().Holds == 1 })
 		}
 	}
-	if calls := m.calls.Load(); calls != 1 {
-		t.Fatalf("%d batches dispatched while the last slot should be held, want 1", calls)
+	if calls := m.calls.Load(); calls != busy {
+		t.Fatalf("%d batches dispatched while the last slot should be held, want %d", calls, busy)
 	}
-	if ls := q.LoadStats(); ls.Queued != n || ls.InFlightQueries != 1 {
+	if ls := q.LoadStats(); ls.Queued != n || ls.InFlightQueries != int(busy) {
 		t.Fatalf("held requests must count as queued, never in flight: %+v", ls)
 	}
 	return m, q, tickets
 }
 
+// resolve frees the gate and checks every held ticket got its own answer.
+func resolve(t *testing.T, m *gateModel, tickets []*Ticket) {
+	t.Helper()
+	m.freeRun()
+	for i, tk := range tickets {
+		if res := <-tk.Done(); res.Err != nil || res.Pred.Label != i+1 {
+			t.Fatalf("ticket %d: %+v", i, res)
+		}
+	}
+}
+
+// TestHoldEndsOnWindowGrow: the limit moves under a collector that is
+// holding what was the last slot. One period of window-bound batches makes
+// the controller fit its line and probe W+1; that resize leaves a changed
+// token, the collector decides again, and the held requests leave at once
+// — the slot is no longer the last.
+func TestHoldEndsOnWindowGrow(t *testing.T) {
+	m, q, tickets := heldQueue(t, 0, 3)
+	defer q.Close()
+	defer m.freeRun()
+	for i := 0; i < periodFloor; i++ {
+		q.Adaptive().tick(1, time.Millisecond, true)
+	}
+	if w := q.InFlight(); w != startWindow+1 {
+		t.Fatalf("window = %d after one window-bound period, want the first probe at %d", w, startWindow+1)
+	}
+	await(t, "held requests dispatched into the new slot", func() bool { return m.calls.Load() == startWindow })
+	if got := m.queries.Load(); got != startWindow-1+3 {
+		t.Fatalf("the grown window's batch carried %d requests, want the 3 held together", got-startWindow+1)
+	}
+	resolve(t, m, tickets)
+}
+
+// TestHoldSurvivesWindowShrink: a limit that drops below the held count (a
+// kept shrink probe) strands nothing. The collector already owns its slot,
+// which is no longer the window's last free one but one too many, so it
+// dispatches; later batches wait for the count to drain under the new limit.
+func TestHoldSurvivesWindowShrink(t *testing.T) {
+	m, q, tickets := heldQueue(t, 0, 3)
+	defer q.Close()
+	defer m.freeRun()
+	q.win.setLimit(2)
+	await(t, "held requests dispatched", func() bool { return m.calls.Load() == startWindow })
+	tk, err := q.SubmitTicket(context.Background(), "", []float64{9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held, limit, _ := q.win.state(); held != startWindow || limit != 2 {
+		t.Fatalf("held %d of %d, want %d of 2: a slot was taken over the shrunk limit", held, limit, startWindow)
+	}
+	resolve(t, m, tickets)
+	if res := <-tk.Done(); res.Err != nil || res.Pred.Label != 9 {
+		t.Fatalf("after the shrink: %+v", res)
+	}
+	await(t, "slots returned", func() bool { held, _, _ := q.win.state(); return held <= 1 })
+}
+
 func TestHoldEndsOnNextCompletion(t *testing.T) {
-	m, q, tickets := heldQueue(t, 3)
+	m, q, tickets := heldQueue(t, 2, 3)
 	defer q.Close()
 	defer m.freeRun()
 	// The rule would hold for an hour; the first batch completing ends it,
@@ -332,7 +475,7 @@ func TestHoldEndsOnNextCompletion(t *testing.T) {
 }
 
 func TestCloseMidHold(t *testing.T) {
-	m, q, tickets := heldQueue(t, 3)
+	m, q, tickets := heldQueue(t, 2, 3)
 	closed := make(chan struct{})
 	go func() { q.Close(); close(closed) }()
 	// No batch completes: Close alone must end the hold, and drainClosed
@@ -350,7 +493,7 @@ func TestCloseMidHold(t *testing.T) {
 }
 
 func TestAllCancelledMidHold(t *testing.T) {
-	m, q, tickets := heldQueue(t, 3)
+	m, q, tickets := heldQueue(t, 2, 3)
 	defer q.Close()
 	defer m.freeRun()
 	for i, tk := range tickets {
@@ -384,9 +527,18 @@ func TestAllCancelledMidHold(t *testing.T) {
 
 // TestSubmitLedgerUnderHolds is the exactly-one-outcome contract with the
 // rule acting: eight submitters mixing kept tickets, immediately cancelled
-// ones and blocking submits through a two-slot window.
+// ones and blocking submits through a two-slot window, and through a measured
+// one whose limit moves mid-stream: besides the real batches the controller
+// is fed window-bound ones that take 1 ms and 2 ms by turns, so probes are
+// kept and undone for as long as the submitters run.
 func TestSubmitLedgerUnderHolds(t *testing.T) {
-	q := NewQueue(newWindowProbe(200*time.Microsecond, 0), QueueConfig{Controller: NewFixed(8), InFlight: 2})
+	for _, inFlight := range []int{2, 0} {
+		submitLedgerUnderHolds(t, inFlight)
+	}
+}
+
+func submitLedgerUnderHolds(t *testing.T, inFlight int) {
+	q := NewQueue(newWindowProbe(200*time.Microsecond, 0), QueueConfig{Controller: NewFixed(8), InFlight: inFlight})
 	primeHold(q)
 	ledgers := make([]submitLedger, 8)
 	var wg sync.WaitGroup
@@ -416,8 +568,33 @@ func TestSubmitLedgerUnderHolds(t *testing.T) {
 			}
 		}(&ledgers[g], rand.New(rand.NewSource(int64(g))))
 	}
+	if a := q.Adaptive(); a != nil {
+		submitted := make(chan struct{})
+		probed := make(chan map[int]bool)
+		go func() {
+			windows := map[int]bool{}
+			for i := 0; ; i++ {
+				select {
+				case <-submitted:
+					probed <- windows
+					return
+				default:
+				}
+				a.tick(1, time.Duration(1+i/64%2)*time.Millisecond, true)
+				windows[q.InFlight()] = true
+				runtime.Gosched()
+			}
+		}()
+		defer func() {
+			close(submitted)
+			if windows := <-probed; len(windows) < 3 || a.Snapshot().Verdict == "" {
+				t.Errorf("the limit did not move mid-stream: saw windows %v, %+v", windows, a.Snapshot())
+			}
+		}()
+	}
 	wg.Wait()
-	if ls := q.LoadStats(); ls.Holds == 0 {
+	// (A moving limit is often wider than the eight submitters can fill.)
+	if ls := q.LoadStats(); ls.Holds == 0 && inFlight > 0 {
 		t.Errorf("the rule never held a slot: %+v", ls)
 	}
 	var all submitLedger

@@ -11,8 +11,8 @@ import (
 // This file is the replica's one load model. Every controller that needs
 // to know how busy or how fast a replica is — JSQ dispatch, QoS admission
 // and the hedger in internal/core, the window/pool controller in
-// adaptive.go — reads it, with atomic loads only; nothing else in the
-// tree estimates a replica's service time. Occupancy moves at every queue
+// adaptive.go, the collector's hold rule — reads it, with atomic loads
+// only; nothing else in the tree estimates a replica's service time. Occupancy moves at every queue
 // transition; the estimates are written in two places only: observe, once per
 // completed batch, and sampleArrivals, once per batch the collector starts.
 
@@ -101,17 +101,19 @@ func (m *LoadModel) Stats() LoadStats {
 }
 
 // Cost returns the estimated completion time of one more query submitted
-// now: (queued + in-flight + 1) queries ahead of it, each at the
-// replica's smoothed per-query service time. ok is false while the
-// estimate is cold (no batch has completed yet), in which case the
-// caller should fall back to round-robin to warm it.
-func (m *LoadModel) Cost() (cost time.Duration, ok bool) {
+// now: (queued + in-flight + 1) queries ahead of it, drained at window
+// queries per smoothed per-query service time. That rate holds whether the
+// replica evaluates its window's batches side by side or one after another:
+// a serial container's per-query time already carries the wait inside it.
+// ok is false while the estimate is cold (no batch has completed yet), in
+// which case the caller should fall back to round-robin to warm it.
+func (m *LoadModel) Cost(window int) (cost time.Duration, ok bool) {
 	per := m.perQuery.Value()
 	if per <= 0 {
 		return 0, false
 	}
 	depth := m.queued.Load() + m.inflightReqs.Load() + 1
-	return time.Duration(float64(depth) * per * float64(time.Second)), true
+	return time.Duration(depth) * seconds(per) / time.Duration(window), true
 }
 
 // Tail returns the high estimate of request sojourn, zero while cold.
@@ -165,8 +167,8 @@ func (m *LoadModel) observe(n int, lat, oldestWait time.Duration) {
 func (q *Queue) LoadStats() LoadStats { return q.load.Stats() }
 
 // EstimateCost is the load model's price for one more query on this
-// replica; see LoadModel.Cost.
-func (q *Queue) EstimateCost() (cost time.Duration, ok bool) { return q.load.Cost() }
+// replica at its current window; see LoadModel.Cost.
+func (q *Queue) EstimateCost() (cost time.Duration, ok bool) { return q.load.Cost(q.win.curLimit()) }
 
 // take accounts for r leaving the queue and reports whether the collector
 // won it (false: a racing Cancel withdrew it first). A won request is in

@@ -14,7 +14,7 @@ import (
 
 func TestLoadModelCold(t *testing.T) {
 	var m LoadModel
-	if cost, ok := m.Cost(); ok || cost != 0 {
+	if cost, ok := m.Cost(1); ok || cost != 0 {
 		t.Fatalf("cold Cost = %v, %v; want 0, false", cost, ok)
 	}
 	if got := m.Tail(); got != 0 {
@@ -136,7 +136,7 @@ func TestLoadModelConcurrent(t *testing.T) {
 					return
 				default:
 					m.Stats()
-					m.Cost()
+					m.Cost(4)
 					m.Tail()
 				}
 			}
@@ -216,6 +216,42 @@ func TestClaimedRequestsStayCounted(t *testing.T) {
 		q.Close()
 		if ls := q.LoadStats(); ls.Queued != 0 || ls.InFlightQueries != 0 || ls.InFlightBatches != 0 {
 			t.Fatalf("tenant %q: drained queue reports load: %+v", tenant, ls)
+		}
+	}
+}
+
+// TestCostDividesByTheWindow: a replica drains window queries per per-query
+// service time, so a 16-wide one with 16 singletons in flight prices the next
+// query near one batch latency, not seventeen; and two replicas with equal
+// windows still order by depth, whatever the window is.
+func TestCostDividesByTheWindow(t *testing.T) {
+	const lat = 3 * time.Millisecond
+	m := newGateModel()
+	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 16})
+	defer q.Close()
+	defer m.freeRun()
+	q.load.observe(1, lat, 0) // warm: singletons take 3 ms
+	for i := int64(1); i <= 16; i++ {
+		if _, err := q.SubmitTicket(context.Background(), "", []float64{0}); err != nil {
+			t.Fatal(err)
+		}
+		await(t, "singleton dispatched", func() bool { return m.calls.Load() == i })
+	}
+	cost, ok := q.EstimateCost()
+	if !ok || cost < lat || cost > lat*5/4 {
+		t.Fatalf("16 singletons in flight on a 16-wide replica: one more query priced at %v, want about one batch latency (%v)", cost, lat)
+	}
+	var shallow, deep LoadModel
+	for _, l := range []*LoadModel{&shallow, &deep} {
+		l.observe(1, lat, 0)
+	}
+	shallow.queued.Store(3)
+	deep.queued.Store(4)
+	for _, w := range []int{1, 4, 16} {
+		a, _ := shallow.Cost(w)
+		b, _ := deep.Cost(w)
+		if a >= b {
+			t.Errorf("window %d: depth 3 priced %v, depth 4 priced %v: JSQ order lost", w, a, b)
 		}
 	}
 }

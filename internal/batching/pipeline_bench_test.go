@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"clipper/internal/container"
+	"clipper/internal/frameworks"
 )
 
 // latencyPredictor simulates a container with a fixed round-trip latency
@@ -73,5 +75,72 @@ func BenchmarkDispatchPipeline(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "qps")
 		})
+	}
+}
+
+// laneReplica is a container that evaluates a batch of n in fixed +
+// perItem·n on one of its lanes (nil = as many as it is sent).
+type laneReplica struct {
+	fixed, perItem time.Duration
+	lanes          chan struct{}
+}
+
+func (p *laneReplica) Info() container.Info { return container.Info{Name: "lanes", Version: 1} }
+
+func (p *laneReplica) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
+	if p.lanes != nil {
+		p.lanes <- struct{}{}
+		defer func() { <-p.lanes }()
+	}
+	frameworks.Sleep(p.fixed + time.Duration(len(xs))*p.perItem)
+	return make([]container.Prediction, len(xs)), nil
+}
+
+// BenchmarkWindowReplicas is the measured window against the two pinned
+// ones it replaced as defaults, on the four container shapes of the
+// virtual-time tests (TestWindowSim), under 32 closed-loop callers: the
+// measured column should track the better pinned one on each row. Run with
+// -benchtime=20000x or more: the window needs a few hundred batches to settle.
+func BenchmarkWindowReplicas(b *testing.B) {
+	const ms, us = time.Millisecond, time.Microsecond
+	for _, r := range []struct {
+		name           string
+		fixed, perItem time.Duration
+		lanes          int
+	}{
+		{"SerialFixed", 2 * ms, 30 * us, 1},
+		{"SerialPerItem", 2 * ms, 400 * us, 1},
+		{"FourLanes", 2 * ms, 30 * us, 4},
+		{"UnboundedPerItem", 2 * ms, ms, 0},
+	} {
+		for _, inFlight := range []int{1, 4, 0} {
+			b.Run(fmt.Sprintf("%s/InFlight%d", r.name, inFlight), func(b *testing.B) {
+				pred := &laneReplica{fixed: r.fixed, perItem: r.perItem}
+				if r.lanes > 0 {
+					pred.lanes = make(chan struct{}, r.lanes)
+				}
+				q := NewQueue(pred, QueueConfig{Controller: NewFixed(64), InFlight: inFlight})
+				defer q.Close()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				start := time.Now()
+				for s := 0; s < 32; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						x := []float64{0}
+						for next.Add(1) <= int64(b.N) {
+							if _, err := q.Submit(context.Background(), x); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "qps")
+				b.ReportMetric(float64(q.InFlight()), "final-window")
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package batching
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -64,15 +65,48 @@ func (p *windowProbe) PredictBatch(xs [][]float64) ([]container.Prediction, erro
 
 func TestQueueInFlightWindow(t *testing.T) {
 	q := NewQueue(&countingPredictor{}, QueueConfig{Controller: NewFixed(1)})
-	if got := q.InFlight(); got != DefaultInFlight {
-		t.Fatalf("default InFlight = %d, want %d", got, DefaultInFlight)
+	if got := q.InFlight(); got != startWindow || q.Adaptive() == nil {
+		t.Fatalf("InFlight 0 starts at %d (controller %v), want a measured window starting at %d", got, q.Adaptive(), startWindow)
 	}
 	q.Close()
 	q = NewQueue(&countingPredictor{}, QueueConfig{Controller: NewFixed(1), InFlight: 1})
-	if got := q.InFlight(); got != 1 {
-		t.Fatalf("InFlight = %d, want 1", got)
+	if got := q.InFlight(); got != 1 || q.Adaptive() != nil {
+		t.Fatalf("InFlight = %d (controller %v), want 1 and pinned", got, q.Adaptive())
 	}
 	q.Close()
+}
+
+// TestCloseWhileWindowFull closes the queue while the collector is blocked
+// on a full window: Close must wake it, fail what is still queued, and let
+// the batches in flight deliver.
+func TestCloseWhileWindowFull(t *testing.T) {
+	m := newGateModel()
+	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 2})
+	var flying []*Ticket
+	for i := int64(1); i <= 2; i++ {
+		tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flying = append(flying, tk)
+		await(t, "slot filled", func() bool { return m.calls.Load() == i })
+	}
+	queued, err := q.SubmitTicket(context.Background(), "", []float64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { q.Close(); close(closed) }()
+	if res := <-queued.Done(); !errors.Is(res.Err, ErrQueueClosed) {
+		t.Fatalf("queued behind a full window at Close: %+v, want ErrQueueClosed", res)
+	}
+	m.freeRun()
+	<-closed
+	for i, tk := range flying {
+		if res := <-tk.Done(); res.Err != nil || res.Pred.Label != i+1 {
+			t.Fatalf("in-flight ticket %d: %+v", i, res)
+		}
+	}
 }
 
 func TestQueuePipelineOverlapsBatches(t *testing.T) {

@@ -83,10 +83,6 @@ func putBatch(batch []*request) {
 // ErrQueueClosed is returned for submissions to a closed queue.
 var ErrQueueClosed = errors.New("batching: queue closed")
 
-// DefaultInFlight is the dispatch pipeline window selected by
-// QueueConfig.InFlight = 0.
-const DefaultInFlight = 4
-
 // queueDepth bounds each tenant's sub-queue; a submitter to a full one
 // blocks (ctx- and close-aware) until the collector makes room. Per
 // tenant, so a flooding tenant cannot block a quiet one at the door.
@@ -106,8 +102,11 @@ type QueueConfig struct {
 	// inside the container RPC the collector keeps assembling and
 	// dispatching more, overlapping serialization, network, and compute
 	// (the rpc.Client already multiplexes requests over one connection).
-	// Zero selects DefaultInFlight; 1 reproduces the serial
-	// one-batch-at-a-time dispatcher.
+	// Zero means measured: the window starts at 4 and the queue's Adaptive
+	// moves it within [1, 16] by what one more batch in flight does to
+	// batch latency on this replica (adaptive.go), and drives the replica's
+	// RPC pool target if it has a pool. A positive value pins it; 1 is
+	// the paper's serial one-batch-at-a-time dispatcher.
 	//
 	// InFlight composes with the replica's RPC connection pool size
 	// (container.DialConns / rpc.PoolConfig.Conns): the window says how
@@ -117,13 +116,6 @@ type QueueConfig struct {
 	// throughput scales with min(InFlight, Conns); see
 	// docs/ARCHITECTURE.md.
 	InFlight int
-	// Adaptive, when non-nil, sizes the pipeline window (and, once
-	// attached to the replica's pool, the connection target) at runtime
-	// from the queue's load model and pool telemetry;
-	// InFlight is then ignored in favor of the controller's bounds. Nil
-	// keeps the static window above — the paper-figure configuration.
-	// One Adaptive belongs to exactly one queue.
-	Adaptive *Adaptive
 }
 
 // viewCaller is the one call the queue makes on a replica: take a
@@ -158,8 +150,8 @@ type Queue struct {
 	stop  chan struct{} // closed by Close, after closed is set
 	done  chan struct{} // closed when the collector has drained and exited
 	wake  chan struct{} // buffered(1): "a request arrived" for a parked collector
-	win   *winSem       // pipeline window; only an Adaptive ever resizes it
-	adapt *Adaptive     // nil when the window is static
+	win   *winSem       // pipeline window; only adapt ever resizes it
+	adapt *Adaptive     // nil when the window is pinned
 	wg    sync.WaitGroup
 
 	// mu guards the one place requests wait and everything that orders
@@ -193,10 +185,6 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 	if cfg.Controller == nil {
 		panic("batching: QueueConfig.Controller is required")
 	}
-	window := cfg.InFlight
-	if window <= 0 {
-		window = DefaultInFlight
-	}
 	// A predictor that already serves the flat call (container.Remote, or
 	// anything embedding it) is called through its own method; an
 	// in-process predictor is wrapped, here and nowhere else.
@@ -212,19 +200,20 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 		done:         make(chan struct{}),
 		wake:         make(chan struct{}, 1),
 		tenants:      make(map[string]*tenantQueue),
-		adapt:        cfg.Adaptive,
 		BatchLatency: metrics.NewHistogram(),
 		BatchSizes:   metrics.NewHistogram(),
 		QueueDelay:   metrics.NewHistogram(),
 		Throughput:   metrics.NewMeter(),
 	}
 	q.tenantLocked("") // the default tenant, weight 1, first in the rotation
-	if cfg.Adaptive != nil {
-		window = cfg.Adaptive.Window()
-	}
-	q.win = newWinSem(window)
-	if cfg.Adaptive != nil {
-		cfg.Adaptive.bind(q.win, &q.load)
+	if cfg.InFlight > 0 {
+		q.win = newWinSem(cfg.InFlight)
+	} else {
+		q.win = newWinSem(startWindow)
+		q.adapt = newAdaptive(q.win, &q.load)
+		if pool, ok := pred.(PoolTuner); ok {
+			q.adapt.attachPool(pool)
+		}
 	}
 	go q.dispatchLoop()
 	return q
@@ -233,12 +222,12 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 // Controller returns the queue's batch-size controller.
 func (q *Queue) Controller() Controller { return q.ctrl }
 
-// InFlight returns the queue's dispatch pipeline window — the static
-// configuration, or the adaptive controller's current target.
+// InFlight returns the queue's dispatch pipeline window — the pinned
+// configuration, or where the window controller has it now.
 func (q *Queue) InFlight() int { return q.win.curLimit() }
 
 // Adaptive returns the queue's window/pool controller (nil when the
-// window is static).
+// window is pinned).
 func (q *Queue) Adaptive() *Adaptive { return q.adapt }
 
 // Submit is SubmitTenant on the default tenant.
@@ -357,21 +346,21 @@ func (q *Queue) dispatchLoop() {
 		if q.win.curLimit() == 1 {
 			// Serial window: the collector holds the only slot, so run the
 			// batch inline instead of paying a goroutine spawn per batch —
-			// this is exactly the paper's one-batch-at-a-time dispatcher. An
-			// adaptive window that has converged to 1 is serial too; if the
+			// this is exactly the paper's one-batch-at-a-time dispatcher. A
+			// measured window that has converged to 1 is serial too; if the
 			// limit grows mid-batch, parallelism resumes with the next batch.
-			q.runBatch(batch)
+			q.runBatch(batch, true)
 			putBatch(batch)
 			q.win.release(time.Time{})
 			continue
 		}
 		at := time.Now()
-		q.win.launch(at)
+		last := q.win.launch(at)
 		q.wg.Add(1)
 		go func() {
 			defer q.wg.Done()
 			defer q.win.release(at)
-			q.runBatch(batch)
+			q.runBatch(batch, last)
 			putBatch(batch)
 		}()
 	}
@@ -459,8 +448,9 @@ func (q *Queue) collect() []*request {
 // scatter into each submitter's slot as the call produces them, and on
 // error every row not yet delivered gets the error (none has been, under
 // PredictViewContext's all-or-nothing contract; the prefix tracking is
-// defense in depth against a deliver panic mid-scatter).
-func (q *Queue) runBatch(batch []*request) {
+// defense in depth against a deliver panic mid-scatter). last says the batch
+// took the window's last free slot, which is what the window loop learns from.
+func (q *Queue) runBatch(batch []*request, last bool) {
 	n := len(batch)
 	// The batch's requests have been in flight since take claimed them.
 	q.load.inflightBatches.Add(1)
@@ -495,7 +485,7 @@ func (q *Queue) runBatch(batch []*request) {
 	if q.adapt != nil {
 		// Reads the model just written; resizes the bound window
 		// semaphore itself, inside its own critical section.
-		q.adapt.tick()
+		q.adapt.tick(n, lat, last)
 	}
 	q.BatchLatency.ObserveDuration(lat)
 	q.BatchSizes.Observe(float64(n))

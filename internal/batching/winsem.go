@@ -2,12 +2,13 @@ package batching
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // winSem is the counting semaphore behind every queue's pipeline window.
 // It is resizable because an Adaptive controller moves its limit at
-// runtime; a static window is a winSem nobody resizes.
+// runtime; a pinned window is a winSem nobody resizes.
 //
 // Only the queue's collector acquires; workers release from their own
 // goroutines, and the controller resizes the limit from whichever worker
@@ -20,7 +21,7 @@ import (
 // collect. A token may be stale, so its receiver re-reads the state.
 type winSem struct {
 	mu      sync.Mutex
-	limit   int
+	limit   atomic.Int64 // atomic so that curLimit needs no lock
 	held    int
 	closed  bool
 	flights []time.Time   // launch instants of the batches in flight, oldest first
@@ -31,7 +32,9 @@ func newWinSem(limit int) *winSem {
 	if limit < 1 {
 		limit = 1
 	}
-	return &winSem{limit: limit, changed: make(chan struct{}, 1)}
+	w := &winSem{changed: make(chan struct{}, 1)}
+	w.limit.Store(int64(limit))
+	return w
 }
 
 func (w *winSem) notify() {
@@ -46,7 +49,7 @@ func (w *winSem) notify() {
 func (w *winSem) acquire() bool {
 	for {
 		w.mu.Lock()
-		free, closed := w.held < w.limit, w.closed
+		free, closed := w.held < int(w.limit.Load()), w.closed
 		if free && !closed {
 			w.held++
 		}
@@ -58,11 +61,13 @@ func (w *winSem) acquire() bool {
 	}
 }
 
-// launch records that the collector's reserved slot left with a batch at t.
-func (w *winSem) launch(t time.Time) {
+// launch records that the collector's reserved slot left with a batch at t,
+// and reports whether it was the window's last free one.
+func (w *winSem) launch(t time.Time) (last bool) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.flights = append(w.flights, t)
-	w.mu.Unlock()
+	return w.held >= int(w.limit.Load())
 }
 
 // release returns a slot — the one whose batch launched at t, or with the
@@ -88,7 +93,7 @@ func (w *winSem) state() (held, limit int, oldest time.Time) {
 	if len(w.flights) > 0 {
 		oldest = w.flights[0]
 	}
-	return w.held, w.limit, oldest
+	return w.held, int(w.limit.Load()), oldest
 }
 
 // setLimit resizes the window (min 1). Growing wakes a blocked collector
@@ -98,22 +103,14 @@ func (w *winSem) setLimit(n int) {
 	if n < 1 {
 		n = 1
 	}
-	w.mu.Lock()
-	if n == w.limit {
-		w.mu.Unlock()
-		return
+	if w.limit.Swap(int64(n)) != int64(n) {
+		w.notify()
 	}
-	w.limit = n
-	w.mu.Unlock()
-	w.notify()
 }
 
-// curLimit returns the current window limit.
-func (w *winSem) curLimit() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.limit
-}
+// curLimit returns the current window limit. Lock-free: JSQ prices every
+// query with it (LoadModel.Cost).
+func (w *winSem) curLimit() int { return int(w.limit.Load()) }
 
 // close fails current and future acquires. Held slots may still release.
 func (w *winSem) close() {

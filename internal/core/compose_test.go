@@ -27,7 +27,7 @@ func waitIdle(t *testing.T, q *batching.Queue, want int64) batching.LoadStats {
 }
 
 // TestControllersShareOneModel runs every controller that prices a
-// replica — JSQ cost, QoS admission, the Adaptive window controller and
+// replica — JSQ cost, QoS admission, the window controller and
 // the hedge timer, with AIMD sizing batches — over one replica, then
 // recomputes each one's input from a single snapshot of the replica's
 // load model. Equalities, not tolerances: there is no second estimator
@@ -38,10 +38,8 @@ func TestControllersShareOneModel(t *testing.T) {
 		Hedge: HedgeConfig{Enabled: true, MinDelay: minDelay, BudgetFrac: 0.5},
 	}})
 	defer cl.Close()
-	adapt := batching.NewAdaptive(batching.AdaptiveConfig{MaxInFlight: 4, ProbeBatches: 2})
 	rep, err := cl.Deploy(&stubModel{name: "m", label: 1, delay: time.Millisecond}, nil, batching.QueueConfig{
 		Controller: batching.NewAIMD(batching.AIMDConfig{SLO: 50 * time.Millisecond}),
-		Adaptive:   adapt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,20 +65,25 @@ func TestControllersShareOneModel(t *testing.T) {
 	}
 
 	// Admin surface and JSQ: one query ahead of an idle replica costs
-	// exactly one per-query service time.
+	// exactly one per-query service time over the window it drains at.
 	st := cl.ReplicaStatuses("m")[rep.ID]
 	if want := float64(ls.PerQueryService) / 1e6; st.ServiceEWMAMillis != want {
 		t.Errorf("ServiceEWMAMillis = %v, model says %v", st.ServiceEWMAMillis, want)
 	}
-	if cost, ok := rq.estCost(); !ok || cost != ls.PerQueryService {
-		t.Errorf("estCost = %v, %v; model says %v", cost, ok, ls.PerQueryService)
+	if st.WindowPinned || st.Window != rq.queue.InFlight() {
+		t.Errorf("status window %d pinned=%v, queue says %d measured", st.Window, st.WindowPinned, rq.queue.InFlight())
+	}
+	want := ls.PerQueryService / time.Duration(st.Window)
+	if cost, ok := rq.estCost(); !ok || cost != want {
+		t.Errorf("estCost = %v, %v; model says %v", cost, ok, want)
 	}
 	// QoS admission prices the app off the same number.
-	if cost, ok := app.predictedCost(); !ok || cost != ls.PerQueryService {
-		t.Errorf("admission cost = %v, %v; model says %v", cost, ok, ls.PerQueryService)
+	if cost, ok := app.predictedCost(); !ok || cost != want {
+		t.Errorf("admission cost = %v, %v; model says %v", cost, ok, want)
 	}
-	// Adaptive reports the model's batch latency, not one of its own.
-	if got := adapt.Snapshot().BatchLatency; got != ls.BatchLatency {
+	// The window controller reports the model's batch latency, not one of
+	// its own.
+	if got := rq.queue.Adaptive().Snapshot().BatchLatency; got != ls.BatchLatency {
 		t.Errorf("Adaptive batch latency = %v, model says %v", got, ls.BatchLatency)
 	}
 	// The hedge timer is the model's tail (above the floor, so it is the

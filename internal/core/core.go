@@ -118,14 +118,6 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 		return nil, fmt.Errorf("core: model %q version conflict: deployed v%d, got v%d",
 			info.Name, existing.Version, info.Version)
 	}
-	// An adaptive queue whose replica exposes a connection pool gets the
-	// pool attached to the controller, closing the Conns loop alongside
-	// the InFlight loop (container.Remote implements batching.PoolTuner).
-	if qcfg.Adaptive != nil {
-		if pt, ok := pred.(batching.PoolTuner); ok {
-			qcfg.Adaptive.AttachPool(pt)
-		}
-	}
 	s := cl.scheds[info.Name]
 	if s == nil {
 		s = newScheduler(info.Name, cl.schedCfg)
@@ -149,10 +141,10 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 // paper-faithful default. The replica's connections are closed when the
 // replica stops.
 //
-// When qcfg.Adaptive is set, conns becomes the adaptive controller's
-// upper bound: the pool dials conns connections once, and the controller
-// moves the routing target between its MinConns and conns at runtime
-// (Deploy attaches the pool to the controller).
+// Unless qcfg.InFlight pins the window, conns is an upper bound: the pool
+// dials conns connections once, and the queue's window controller moves the
+// routing target between 1 and conns at runtime (batching.NewQueue attaches
+// the pool to it).
 func (cl *Clipper) DeployRemote(addr string, timeout time.Duration, conns int, qcfg batching.QueueConfig) (*container.Replica, error) {
 	remote, err := container.DialConns(addr, timeout, conns)
 	if err != nil {

@@ -214,7 +214,7 @@ func (cl *Clipper) registerCollectors() {
 		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
 			return rq.queue.LoadStats().HoldTime.Seconds(), true
 		})
-	cl.replicaGauge("clipper_queue_window", "Current dispatch pipeline window (adaptive controller's live target when adaptive).",
+	cl.replicaGauge("clipper_queue_window", "Current dispatch pipeline window (pinned, or where the window controller has it).",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			return float64(rq.queue.InFlight()), true
 		})
@@ -250,8 +250,8 @@ func (cl *Clipper) registerCollectors() {
 	cl.replicaSummary("clipper_queue_delay_seconds", "Per-request time spent queued before dispatch.",
 		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.QueueDelay })
 
-	// --- Adaptive controller (only queues running one) ---
-	cl.replicaGauge("clipper_adaptive_window", "Adaptive controller's pipeline window target.",
+	// --- Window/pool controller (every queue whose window is not pinned) ---
+	cl.replicaGauge("clipper_adaptive_window", "Measured pipeline window (absent when InFlight pins it).",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
 			if a == nil {
@@ -259,7 +259,7 @@ func (cl *Clipper) registerCollectors() {
 			}
 			return float64(a.Snapshot().InFlight), true
 		})
-	cl.replicaGauge("clipper_adaptive_pool_target", "Adaptive controller's pool routing target (0 = no pool attached).",
+	cl.replicaGauge("clipper_adaptive_pool_target", "Window controller's pool routing target (0 = no pool attached).",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
 			if a == nil {
@@ -267,7 +267,7 @@ func (cl *Clipper) registerCollectors() {
 			}
 			return float64(a.Snapshot().PoolTarget), true
 		})
-	cl.replicaGauge("clipper_adaptive_transfer_bound", "1 when the last control period saw batches queueing behind frame writes.",
+	cl.replicaGauge("clipper_adaptive_transfer_bound", "1 when the last pool period saw batches queueing behind frame writes.",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
 			if a == nil {
@@ -275,7 +275,7 @@ func (cl *Clipper) registerCollectors() {
 			}
 			return boolGauge(a.Snapshot().TransferBound), true
 		})
-	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency, as the adaptive controller reads it.",
+	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency, as the window controller reads it.",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
 			if a == nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"clipper/internal/batching"
 	"clipper/internal/rpc"
 )
 
@@ -33,9 +32,12 @@ func TestMetricsCoverage(t *testing.T) {
 	cl := New(Config{CacheSize: 1024})
 	t.Cleanup(cl.Close)
 	pred := &poolStubModel{stubModel{name: "m", label: 3}}
-	qc := qcfg()
-	qc.Adaptive = batching.NewAdaptive(batching.AdaptiveConfig{})
-	if _, err := cl.Deploy(pred, nil, qc); err != nil {
+	if _, err := cl.Deploy(pred, nil, qcfg()); err != nil { // a measured window: the adaptive families exist for it ...
+		t.Fatal(err)
+	}
+	pinned := qcfg()
+	pinned.InFlight = 1 // ... and not for a pinned one
+	if _, err := cl.Deploy(&stubModel{name: "p"}, nil, pinned); err != nil {
 		t.Fatal(err)
 	}
 	app, err := cl.RegisterApp(AppConfig{
@@ -85,8 +87,9 @@ func TestMetricsCoverage(t *testing.T) {
 		`clipper_pool_write_queued_total{model="m",replica="m:v1/0"} 2`,
 		`clipper_pool_write_wait_seconds_total{model="m",replica="m:v1/0"} 0.005`,
 		// adaptive controller
-		`clipper_adaptive_window{model="m",replica="m:v1/0"}`,
-		"# TYPE clipper_adaptive_transfer_bound gauge",
+		`clipper_adaptive_window{model="m",replica="m:v1/0"} 4`,
+		`clipper_adaptive_transfer_bound{model="m",replica="m:v1/0"} 0`,
+		`clipper_queue_window{model="p",replica="p:v1/0"} 1`,
 		// QoS / app
 		`clipper_app_predictions_total{app="demo"} 4`,
 		`clipper_app_qos{app="demo"} 1`,
@@ -99,6 +102,9 @@ func TestMetricsCoverage(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+	if series := `clipper_adaptive_window{model="p"`; strings.Contains(got, series) {
+		t.Errorf("scrape carries %q: a pinned window has no controller to report", series)
 	}
 	if t.Failed() {
 		t.Logf("full scrape:\n%s", got)

@@ -18,17 +18,26 @@ type PoolStatser interface {
 type ReplicaStatus struct {
 	ID      string `json:"id"`
 	Healthy bool   `json:"healthy"`
-	// InFlight is the replica queue's current dispatch pipeline window
-	// (the adaptive controller's live target when Adaptive).
-	InFlight int  `json:"in_flight"`
-	Adaptive bool `json:"adaptive"`
+	// Window is the replica queue's current dispatch pipeline window.
+	// WindowPinned says QueueConfig.InFlight fixed it; otherwise it is
+	// measured, and the Window* fields below say why it is where it is:
+	// the last judged probe's verdict ("keep" or "revert", "" before the
+	// first), the ratio it was judged on (the probe's batch latencies over
+	// what the fitted line predicts for their sizes), and that line,
+	// latency = WindowFitAMillis + WindowFitBMillis · rows.
+	Window           int     `json:"window"`
+	WindowPinned     bool    `json:"window_pinned"`
+	WindowVerdict    string  `json:"window_verdict,omitempty"`
+	WindowRatio      float64 `json:"window_ratio,omitempty"`
+	WindowFitAMillis float64 `json:"window_fit_a_ms,omitempty"`
+	WindowFitBMillis float64 `json:"window_fit_b_ms,omitempty"`
 	// LiveConns / TotalConns report the RPC pool: live connections vs
 	// dialed slots. Zero TotalConns means the replica is in-process (no
 	// RPC pool to report).
 	LiveConns  int `json:"live_conns"`
 	TotalConns int `json:"total_conns"`
-	// TargetConns is the pool's routing target (the adaptive controller's
-	// live Conns choice; equals TotalConns for static pools).
+	// TargetConns is the pool's routing target (the window controller's
+	// live Conns choice; equals TotalConns when the window is pinned).
 	TargetConns int `json:"target_conns"`
 
 	// The replica's load model: the numbers JSQ dispatch routes by.
@@ -85,8 +94,8 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 		st := ReplicaStatus{
 			ID:               rq.replica.ID,
 			Healthy:          rq.health.healthy.Load(),
-			InFlight:         rq.queue.InFlight(),
-			Adaptive:         rq.queue.Adaptive() != nil,
+			Window:           rq.queue.InFlight(),
+			WindowPinned:     rq.queue.Adaptive() == nil,
 			Queued:           ls.Queued,
 			InFlightBatches:  ls.InFlightBatches,
 			InFlightQueries:  ls.InFlightQueries,
@@ -96,6 +105,12 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 			ArrivalRate: ls.ArrivalRate,
 			HedgesFrom:  rq.hedgesFrom.Load(),
 			HedgesWon:   rq.hedgesWon.Load(),
+		}
+		if a := rq.queue.Adaptive(); a != nil {
+			snap := a.Snapshot()
+			st.WindowVerdict, st.WindowRatio = snap.Verdict, snap.Ratio
+			st.WindowFitAMillis = float64(snap.FitA) / 1e6
+			st.WindowFitBMillis = float64(snap.FitB) / 1e6
 		}
 		if cost, ok := rq.estCost(); ok {
 			st.EstCostMillis = float64(cost) / float64(1e6)

@@ -95,22 +95,13 @@ type DeployRequest struct {
 	// BatchTimeoutMicros optionally enables delayed batching.
 	BatchTimeoutMicros int `json:"batch_timeout_us,omitempty"`
 	// Conns sets the replica's RPC connection pool size; 0 or 1 selects
-	// the single-connection client (see docs/ARCHITECTURE.md). With
-	// Adaptive it is the pool's upper bound.
+	// the single-connection client (see docs/ARCHITECTURE.md). Unless
+	// InFlight pins the window it is the pool routing target's upper bound.
 	Conns int `json:"conns,omitempty"`
-	// InFlight pins the dispatch pipeline window; 0 selects the default
-	// (ignored when Adaptive).
+	// InFlight pins the dispatch pipeline window; 0 leaves it (and the
+	// pool's routing target) to be measured at run time (see
+	// docs/ARCHITECTURE.md).
 	InFlight int `json:"in_flight,omitempty"`
-	// Adaptive sizes the pipeline window and the pool's routing target at
-	// runtime instead of pinning them (see docs/ARCHITECTURE.md).
-	Adaptive bool `json:"adaptive,omitempty"`
-	// MinInFlight / MaxInFlight bound the adaptive window; 0 selects the
-	// controller defaults (1 and 64).
-	MinInFlight int `json:"min_in_flight,omitempty"`
-	MaxInFlight int `json:"max_in_flight,omitempty"`
-	// MinConns bounds the adaptive pool target from below; 0 selects 1.
-	// The upper bound is Conns.
-	MinConns int `json:"min_conns,omitempty"`
 }
 
 // DeployResponse reports the deployed replica.
@@ -266,13 +257,6 @@ func (b *Bound) Deploy(req DeployRequest) (res DeployResponse, err error) {
 		Controller:   batching.NewAIMD(batching.AIMDConfig{SLO: slo}),
 		BatchTimeout: time.Duration(req.BatchTimeoutMicros) * time.Microsecond,
 		InFlight:     req.InFlight,
-	}
-	if req.Adaptive {
-		qcfg.Adaptive = batching.NewAdaptive(batching.AdaptiveConfig{
-			MinInFlight: req.MinInFlight,
-			MaxInFlight: req.MaxInFlight,
-			MinConns:    req.MinConns,
-		})
 	}
 	rep, rerr := b.g.cl.Deploy(remote, func() { remote.Close() }, qcfg)
 	if rerr != nil {

@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,13 +63,6 @@ var requiredMeasurements = []string{
 	"pool_pipeline_inflight4_conns4",
 	"pool_pipeline_conns2_speedup",
 	"pool_pipeline_conns4_speedup",
-	"adaptive_transfer_qps",
-	"adaptive_transfer_final_inflight",
-	"adaptive_transfer_final_conns",
-	"adaptive_vs_static_best",
-	"adaptive_compute_qps",
-	"adaptive_compute_final_inflight",
-	"adaptive_compute_final_conns",
 	"codec_pipeline_rows_qps",
 	"codec_pipeline_tensor_qps",
 	"codec_pipeline_tensor_speedup",
@@ -265,139 +256,6 @@ func PoolPipelineQPS(inFlight, conns int, dur time.Duration) float64 {
 	wg.Wait()
 	elapsed := time.Since(start)
 	return float64(completed) / elapsed.Seconds()
-}
-
-// AdaptiveResult is one adaptive convergence run's outcome.
-type AdaptiveResult struct {
-	// QPS is the completed queries per second over the run's second
-	// half, after the controller has had the first half to converge —
-	// the steady-state throughput the adaptive operating point delivers,
-	// comparable against the static settings.
-	QPS float64
-	// FinalInFlight and FinalConns are the controller's operating point
-	// at the end of the run.
-	FinalInFlight int
-	FinalConns    int
-}
-
-// driveAdaptive floods an adaptive queue over remote for roughly dur —
-// the first half is the convergence ramp, the second half the measured
-// steady state — and reports throughput plus the controller's final
-// operating point.
-func driveAdaptive(remote *container.Remote, acfg batching.AdaptiveConfig, batch, dim int, dur time.Duration) AdaptiveResult {
-	adapt := batching.NewAdaptive(acfg)
-	adapt.AttachPool(remote)
-	q := batching.NewQueue(remote, batching.QueueConfig{
-		Controller: batching.NewFixed(batch),
-		Adaptive:   adapt,
-	})
-	defer q.Close()
-
-	const submitters = 128
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var completed atomic.Int64
-	var wg sync.WaitGroup
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			x := make([]float64, dim)
-			x[0] = float64(s)
-			for ctx.Err() == nil {
-				if _, err := q.Submit(ctx, x); err != nil {
-					break
-				}
-				completed.Add(1)
-			}
-		}(s)
-	}
-	time.Sleep(dur / 2) // convergence ramp
-	measureStart := time.Now()
-	rampCompleted := completed.Load()
-	time.Sleep(dur / 2)
-	measured := completed.Load() - rampCompleted
-	elapsed := time.Since(measureStart)
-	cancel()
-	wg.Wait()
-	snap := adapt.Snapshot()
-	return AdaptiveResult{
-		QPS:           float64(measured) / elapsed.Seconds(),
-		FinalInFlight: snap.InFlight,
-		FinalConns:    snap.PoolTarget,
-	}
-}
-
-// AdaptiveTransferQPS runs the adaptive InFlight/Conns controller against
-// the same transfer-bound setup as PoolPipelineQPS — maxConns pooled
-// connections, each crossing its own 1 Gbps simulated link. The
-// controller starts at InFlight=1 over a single routed connection and
-// must grow both knobs until the wire saturates, converging toward the
-// best hand-tuned static setting.
-func AdaptiveTransferQPS(maxConns int, dur time.Duration) AdaptiveResult {
-	const dim = 1024 // 8 KB per query, 128 KB per 16-query batch
-	pred := container.NewFunc(container.Info{Name: "xfer", Version: 1},
-		func(xs [][]float64) ([]container.Prediction, error) {
-			time.Sleep(100 * time.Microsecond) // compute ≪ transfer
-			out := make([]container.Prediction, len(xs))
-			for i := range xs {
-				out[i] = container.Prediction{Label: i}
-			}
-			return out, nil
-		})
-	srv := rpc.NewServer(container.Handler(pred))
-	defer srv.Close()
-	dial := func() (io.ReadWriteCloser, error) {
-		fabric := simnet.NewFabric(simnet.Gbps(1), 20*time.Microsecond)
-		nodeEnd, contEnd := fabric.NewLink()
-		go srv.ServeConn(contEnd)
-		return nodeEnd, nil
-	}
-	remote, err := container.NewRemotePool(dial, maxConns)
-	if err != nil {
-		panic(err)
-	}
-	defer remote.Close()
-	return driveAdaptive(remote, batching.AdaptiveConfig{
-		MinInFlight: 1, MaxInFlight: 16,
-		ProbeBatches: 16,
-	}, 16, dim, dur)
-}
-
-// AdaptiveComputeQPS runs the controller against a compute-bound
-// container — serialized 2 ms batches behind free in-memory pipes — from
-// a deliberately oversized starting point (InFlight 8, 4 connections).
-// Extra window and connections buy nothing here, so the controller must
-// shrink back toward the serial configuration.
-func AdaptiveComputeQPS(dur time.Duration) AdaptiveResult {
-	var serial sync.Mutex
-	pred := container.NewFunc(container.Info{Name: "cpu", Version: 1},
-		func(xs [][]float64) ([]container.Prediction, error) {
-			serial.Lock()
-			defer serial.Unlock()
-			time.Sleep(2 * time.Millisecond)
-			out := make([]container.Prediction, len(xs))
-			for i := range xs {
-				out[i] = container.Prediction{Label: i}
-			}
-			return out, nil
-		})
-	srv := rpc.NewServer(container.Handler(pred))
-	defer srv.Close()
-	dial := func() (io.ReadWriteCloser, error) {
-		cli, s := net.Pipe()
-		go srv.ServeConn(s)
-		return cli, nil
-	}
-	remote, err := container.NewRemotePool(dial, 4)
-	if err != nil {
-		panic(err)
-	}
-	defer remote.Close()
-	return driveAdaptive(remote, batching.AdaptiveConfig{
-		MinInFlight: 1, MaxInFlight: 16, InitialInFlight: 8,
-		InitialConns: 4, ProbeBatches: 8,
-	}, 16, 8, dur)
 }
 
 // ReadFrameAllocs returns steady-state allocations per rpc.ReadFrame of a
@@ -650,11 +508,6 @@ func Run(id string, dur time.Duration) Report {
 	pool1 := PoolPipelineQPS(4, 1, dur)
 	pool2 := PoolPipelineQPS(4, 2, dur)
 	pool4 := PoolPipelineQPS(4, 4, dur)
-	// The adaptive loops need room to converge: give them 2x the static
-	// measurement duration (they start from a deliberately wrong
-	// operating point).
-	xfer := AdaptiveTransferQPS(4, 2*dur)
-	cpu := AdaptiveComputeQPS(2 * dur)
 	// The codec pair feeds a ratio, which runner drift between the two
 	// runs can swamp — interleave the variants and keep each side's best
 	// so both see comparable machine conditions.
@@ -686,16 +539,6 @@ func Run(id string, dur time.Duration) Report {
 		Measurement{Name: "pool_pipeline_inflight4_conns4", Unit: "qps", Value: pool4},
 		Measurement{Name: "pool_pipeline_conns2_speedup", Unit: "x", Value: pool2 / pool1},
 		Measurement{Name: "pool_pipeline_conns4_speedup", Unit: "x", Value: pool4 / pool1},
-		// Adaptive convergence: transfer-bound grows InFlight/Conns from
-		// 1/1 toward the best static setting above; compute-bound shrinks
-		// them back from an oversized 8/4 start.
-		Measurement{Name: "adaptive_transfer_qps", Unit: "qps", Value: xfer.QPS},
-		Measurement{Name: "adaptive_transfer_final_inflight", Unit: "batches", Value: float64(xfer.FinalInFlight)},
-		Measurement{Name: "adaptive_transfer_final_conns", Unit: "conns", Value: float64(xfer.FinalConns)},
-		Measurement{Name: "adaptive_vs_static_best", Unit: "x", Value: xfer.QPS / pool4},
-		Measurement{Name: "adaptive_compute_qps", Unit: "qps", Value: cpu.QPS},
-		Measurement{Name: "adaptive_compute_final_inflight", Unit: "batches", Value: float64(cpu.FinalInFlight)},
-		Measurement{Name: "adaptive_compute_final_conns", Unit: "conns", Value: float64(cpu.FinalConns)},
 		// End-to-end codec share: the same free container behind the full
 		// loopback RPC path, in the row shape (behind the rows adapter) vs
 		// the view shape.

@@ -147,8 +147,9 @@ func (p *Pool) LiveConns() (live, total int) {
 // those connections are live. Connections above the target stay open and
 // keep their redial monitors — growing the target back is instant, with no
 // redial churn — they just stop receiving new calls. Returns the applied
-// target. The adaptive controller drives this between its bounds; static
-// deployments never call it and route across every slot.
+// target. A queue's window controller (batching.Adaptive) drives this
+// between 1 and Conns; deployments that pin the window never call it and
+// route across every slot.
 func (p *Pool) SetTarget(n int) int {
 	if n < 1 {
 		n = 1

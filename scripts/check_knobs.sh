@@ -6,8 +6,8 @@
 # Go lines (outside benchmark/) for the log.
 set -eu
 cd "$(dirname "$0")/.."
-max_flags=20
-max_rows=17
+max_flags=18
+max_rows=16
 
 flags=$(grep -cE 'flag\.(String|Int|Bool|Duration|Float64)\(' cmd/clipper/main.go)
 # Table rows under "## Tuning knobs", minus the header and separator rows.
