@@ -11,8 +11,7 @@ package batching_test
 // batch frames head-of-line-block behind each other's writes no matter how
 // large the InFlight window is; with Conns > 1 the window's batches
 // transfer in parallel, so throughput scales with min(InFlight, Conns)
-// until compute binds. This is the InFlight×Conns scaling matrix recorded
-// in BENCH_PR3.json (scripts/bench_pr3.sh).
+// until compute binds. The sub-benchmarks are that InFlight×Conns matrix.
 
 import (
 	"context"

@@ -12,9 +12,12 @@ import (
 // slowApp registers an app with the given shed policy over one 20ms
 // model. A second, ungated app on the same model runs one unhurried
 // prediction first (SLO 0: no straggler deadline), which warms the
-// shared service EWMA and caches the model's answer for x=[1]. From then
-// on the gated app's every prediction is predicted to cost ~20ms against
-// its 1ms SLO.
+// shared service EWMA and caches the model's answer for x=[1]. The queue
+// delivers a batch's Results before it feeds the load model, so the warm
+// predict can return while the estimate is still cold (a cold system
+// admits): slowApp waits for that batch to finish its bookkeeping before
+// registering the gated app. From then on the gated app's every prediction is predicted to cost
+// ~20ms against its 1ms SLO.
 func slowApp(t *testing.T, shed ShedPolicy) (*Clipper, *Application) {
 	t.Helper()
 	cl := newClipperWithModels(t, &stubModel{name: "slow", label: 5, delay: 20 * time.Millisecond})
@@ -27,6 +30,7 @@ func slowApp(t *testing.T, shed ShedPolicy) (*Clipper, *Application) {
 	if resp, err := warm.Predict(context.Background(), []float64{1}); err != nil || resp.Label != 5 {
 		t.Fatalf("warm predict = %+v, %v; want label 5", resp, err)
 	}
+	waitIdle(t, cl.ReplicaQueues("slow")[0], 1)
 	app, err := cl.RegisterApp(AppConfig{
 		Name: "app", Models: []string{"slow"}, Policy: selection.NewStatic(0),
 		SLO: time.Millisecond, Shed: shed, DefaultLabel: 9,

@@ -107,26 +107,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min returns the smallest observation, or 0 with no data.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation, or 0 with no data.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
 // Quantile estimates the q-th quantile (0 <= q <= 1) from the reservoir
 // using linear interpolation between order statistics. Returns 0 with no
 // data.
@@ -153,35 +133,8 @@ func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	return out
 }
 
-// P50 returns the estimated median.
-func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-
-// P95 returns the estimated 95th percentile.
-func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
-
 // P99 returns the estimated 99th percentile.
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// Stddev returns the standard deviation of the reservoir sample.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range h.samples {
-		mean += v
-	}
-	mean /= float64(n)
-	ss := 0.0
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
 
 // Reset discards all recorded observations.
 func (h *Histogram) Reset() {

@@ -13,7 +13,6 @@ import (
 type Meter struct {
 	mu    sync.Mutex
 	start time.Time
-	last  time.Time
 	count int64
 	now   func() time.Time
 }
@@ -24,15 +23,13 @@ func NewMeter() *Meter {
 }
 
 func newMeterClock(now func() time.Time) *Meter {
-	t := now()
-	return &Meter{start: t, last: t, now: now}
+	return &Meter{start: now(), now: now}
 }
 
 // Mark records n events.
 func (m *Meter) Mark(n int64) {
 	m.mu.Lock()
 	m.count += n
-	m.last = m.now()
 	m.mu.Unlock()
 }
 
@@ -56,31 +53,9 @@ func (m *Meter) Rate() float64 {
 	return float64(m.count) / elapsed
 }
 
-// RateSinceLastMark returns the mean rate computed over the interval from
-// creation (or reset) to the most recent Mark. This is the rate to report
-// for a fixed-size workload that has finished: it excludes trailing idle
-// time.
-func (m *Meter) RateSinceLastMark() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	elapsed := m.last.Sub(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.count) / elapsed
-}
-
 // Reset zeroes the count and restarts the measurement interval.
 func (m *Meter) Reset() {
 	m.mu.Lock()
-	t := m.now()
-	m.start, m.last, m.count = t, t, 0
+	m.start, m.count = m.now(), 0
 	m.mu.Unlock()
-}
-
-// Elapsed returns the time since the meter was created or reset.
-func (m *Meter) Elapsed() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now().Sub(m.start)
 }

@@ -22,21 +22,18 @@ func TestHistogramBasicStats(t *testing.T) {
 	if got := h.Mean(); got != 50.5 {
 		t.Fatalf("Mean = %v, want 50.5", got)
 	}
-	if got := h.Min(); got != 1 {
-		t.Fatalf("Min = %v, want 1", got)
-	}
-	if got := h.Max(); got != 100 {
-		t.Fatalf("Max = %v, want 100", got)
+	if s := h.Snapshot(); s.Min != 1 || s.Max != 100 {
+		t.Fatalf("Snapshot Min/Max = %v/%v, want 1/100", s.Min, s.Max)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.P99() != 0 {
+	if h.Mean() != 0 || h.P99() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	s := h.Snapshot()
-	if s.Count != 0 || s.Mean != 0 {
+	if s.Count != 0 || s.Mean != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatalf("empty snapshot = %+v", s)
 	}
 }
@@ -86,7 +83,7 @@ func TestHistogramReservoirSampling(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		h.Observe(float64(i % 1000))
 	}
-	med := h.P50()
+	med := h.Quantile(0.5)
 	if med < 350 || med > 650 {
 		t.Fatalf("reservoir median = %v, want ~500", med)
 	}
@@ -99,7 +96,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(5)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Snapshot().Max != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	h.Observe(7)
@@ -191,16 +188,10 @@ func TestMeterRate(t *testing.T) {
 	if got := m.Rate(); math.Abs(got-50) > 1e-9 {
 		t.Fatalf("Rate = %v, want 50", got)
 	}
-	if got := m.RateSinceLastMark(); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("RateSinceLastMark = %v, want 50", got)
-	}
-	// Idle time decays Rate but not RateSinceLastMark.
+	// Idle time decays Rate.
 	now = now.Add(2 * time.Second)
 	if got := m.Rate(); math.Abs(got-25) > 1e-9 {
 		t.Fatalf("Rate after idle = %v, want 25", got)
-	}
-	if got := m.RateSinceLastMark(); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("RateSinceLastMark after idle = %v, want 50", got)
 	}
 }
 

@@ -321,36 +321,13 @@ func escapeHelp(v string) string {
 	return b.String()
 }
 
-// ---- Collector adapters for this package's measurement types ----
-
-// CounterCollector exposes c as a single unlabeled counter series.
-func CounterCollector(c *Counter, labels ...Label) CollectFunc {
-	return func(dst []Series) []Series {
-		return append(dst, Series{Labels: labels, Value: float64(c.Value())})
-	}
-}
+// ---- Collector helpers ----
 
 // GaugeCollector exposes the result of fn as a single gauge series,
 // evaluated at scrape time.
 func GaugeCollector(fn func() float64, labels ...Label) CollectFunc {
 	return func(dst []Series) []Series {
 		return append(dst, Series{Labels: labels, Value: fn()})
-	}
-}
-
-// MeterCollector exposes m's cumulative event count as a counter series;
-// rates are the scraper's job (rate() over the counter).
-func MeterCollector(m *Meter, labels ...Label) CollectFunc {
-	return func(dst []Series) []Series {
-		return append(dst, Series{Labels: labels, Value: float64(m.Count())})
-	}
-}
-
-// EWMACollector exposes e's current average as a gauge series (0 while
-// unseeded, matching EWMA.Value).
-func EWMACollector(e *EWMA, labels ...Label) CollectFunc {
-	return func(dst []Series) []Series {
-		return append(dst, Series{Labels: labels, Value: e.Value()})
 	}
 }
 
@@ -379,12 +356,4 @@ func AppendSummary(dst []Series, h *Histogram, labels ...Label) []Series {
 	dst = append(dst, Series{Suffix: "_sum", Labels: labels, Value: snap.Sum})
 	dst = append(dst, Series{Suffix: "_count", Labels: labels, Value: float64(snap.Count)})
 	return dst
-}
-
-// HistogramCollector exposes h as an unlabeled summary family
-// (quantiles + _sum + _count).
-func HistogramCollector(h *Histogram, labels ...Label) CollectFunc {
-	return func(dst []Series) []Series {
-		return AppendSummary(dst, h, labels...)
-	}
 }

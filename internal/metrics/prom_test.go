@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestWritePrometheusGolden pins the full exposition output for a small
@@ -18,7 +17,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 
 	var hits Counter
 	hits.Add(42)
-	r.MustRegister("test_hits_total", "total hits", KindCounter, CounterCollector(&hits))
+	r.MustRegister("test_hits_total", "total hits", KindCounter,
+		GaugeCollector(func() float64 { return float64(hits.Value()) }))
 
 	r.MustRegister("test_temperature", `weird "help" with \ and
 newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
@@ -35,7 +35,8 @@ newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
 	for i := 0; i < 4; i++ {
 		h.Observe(2.5) // identical samples: quantile interpolation is exact
 	}
-	r.MustRegister("test_latency_seconds", "latency summary", KindSummary, HistogramCollector(h))
+	r.MustRegister("test_latency_seconds", "latency summary", KindSummary,
+		func(dst []Series) []Series { return AppendSummary(dst, h) })
 
 	r.MustRegister("test_empty", "never present", KindGauge,
 		func(dst []Series) []Series { return dst })
@@ -149,22 +150,7 @@ func TestFormatValueSpecials(t *testing.T) {
 	}
 }
 
-func TestAdapters(t *testing.T) {
-	var c Counter
-	c.Add(7)
-	if s := CounterCollector(&c)(nil); len(s) != 1 || s[0].Value != 7 {
-		t.Errorf("counter: %+v", s)
-	}
-	m := newMeterClock(func() time.Time { return time.Unix(0, 0) })
-	m.Mark(3)
-	if s := MeterCollector(m)(nil); len(s) != 1 || s[0].Value != 3 {
-		t.Errorf("meter: %+v", s)
-	}
-	e := NewEWMA(0.5)
-	e.Observe(2)
-	if s := EWMACollector(e)(nil); len(s) != 1 || s[0].Value != 2 {
-		t.Errorf("ewma: %+v", s)
-	}
+func TestAppendSummary(t *testing.T) {
 	lbl := Label{Name: "app", Value: "demo"}
 	h := NewHistogram()
 	h.Observe(1)
@@ -191,17 +177,19 @@ func TestAdapters(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusConcurrent scrapes while every adapter's backing
-// measurement is being hammered; under -race this proves collection is
+// TestWritePrometheusConcurrent scrapes while each collected measurement
+// is being hammered; under -race this proves collection is
 // safe against the live instrumentation paths.
 func TestWritePrometheusConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	h := NewHistogram()
 	e := NewEWMA(0.2)
-	r.MustRegister("cc_total", "c", KindCounter, CounterCollector(&c))
-	r.MustRegister("cc_lat_seconds", "h", KindSummary, HistogramCollector(h))
-	r.MustRegister("cc_ewma", "e", KindGauge, EWMACollector(e))
+	r.MustRegister("cc_total", "c", KindCounter,
+		GaugeCollector(func() float64 { return float64(c.Value()) }))
+	r.MustRegister("cc_lat_seconds", "h", KindSummary,
+		func(dst []Series) []Series { return AppendSummary(dst, h) })
+	r.MustRegister("cc_ewma", "e", KindGauge, GaugeCollector(e.Value))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -15,8 +15,8 @@ import (
 // stream of latency-sensitive queries. Under strict FIFO the quiet
 // tenant's latency is whatever backlog the heavy tenant has built;
 // under weighted fair batching plus SLO admission it should stay near
-// its solo latency. perf.TenantFairness and the QoS integration test
-// both drive this scenario.
+// its solo latency. The tagged QoS integration test
+// (internal/integration, TestNoisyNeighborQoS) drives this scenario.
 
 // NoisyNeighborConfig parameterizes the scenario. Zero values select
 // defaults.
