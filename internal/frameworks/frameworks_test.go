@@ -172,40 +172,44 @@ func TestSimPredictorPredictionsAndLatency(t *testing.T) {
 }
 
 // TestSimPredictorViewMatchesBatch pins the two shapes' contract:
-// PredictView must produce exactly PredictBatch's labels and scores — for
-// models with a flat fast path (linear, MLP, kernel, KNN), for models
-// without one (random forest falls back to per-row slicing), called in
-// process and end to end through a Loopback deployment.
+// PredictView must produce exactly PredictBatch's labels and scores, called
+// in process and end to end through a Loopback deployment. Every scoring
+// model is a FlatScorer, so a uniform view takes the flat branch for all of
+// them: the dense families on the small task, and bayes, tree, forest and
+// GBDT at the serving shape (784 features, 10 classes), held to the labels
+// and scores the models give row by row.
 func TestSimPredictorViewMatchesBatch(t *testing.T) {
 	d := dataset.Gaussian(dataset.GaussianConfig{
 		Name: "g", N: 300, Dim: 10, NumClasses: 3, Separation: 5, Noise: 1, Seed: 1,
 	})
 	train, test := d.Split(0.8, 1)
-	xs := test.X[:16]
-	ms := []models.Model{
-		models.TrainLinearSVM("svm", train, models.DefaultLinearConfig()),
-		models.TrainMLP("mlp", train, models.MLPConfig{Hidden: []int{16}, Epochs: 2, Seed: 1}),
-		models.TrainKernelMachine("ksvm", train, models.KernelConfig{Landmarks: 32, Linear: models.DefaultLinearConfig(), Seed: 1}),
-		models.TrainKNN("knn", train, 5),
-		models.TrainRandomForest("rf", train, models.DefaultTreeConfig()), // no FlatScorer: per-row fallback
+	wide, wideTest := dataset.MNISTLike(316, 1).Split(300.0/316, 1)
+	cases := []struct {
+		m  models.Model
+		xs [][]float64
+	}{
+		{models.TrainLinearSVM("svm", train, models.DefaultLinearConfig()), test.X[:16]},
+		{models.TrainMLP("mlp", train, models.MLPConfig{Hidden: []int{16}, Epochs: 2, Seed: 1}), test.X[:16]},
+		{models.TrainKernelMachine("ksvm", train, models.KernelConfig{Landmarks: 32, Linear: models.DefaultLinearConfig(), Seed: 1}), test.X[:16]},
+		{models.TrainKNN("knn", train, 5), test.X[:16]},
+		{models.TrainNaiveBayes("bayes", wide), wideTest.X},
+		{models.TrainDecisionTree("tree", wide, models.TreeConfig{MaxDepth: 6, MinLeaf: 4, Seed: 1}), wideTest.X},
+		{models.TrainRandomForest("rf", wide, models.TreeConfig{Trees: 4, MaxDepth: 6, Seed: 1}), wideTest.X},
+		{models.TrainGBDT("gbdt", wide, models.GBDTConfig{Rounds: 2, Depth: 2, FeatureFraction: 0.05, Seed: 1}), wideTest.X},
 	}
-	for _, m := range ms {
-		p := NewSimPredictor(m, Profile{Name: "free"}, d.Dim, 1)
+	for _, tc := range cases {
+		m, xs := tc.m, tc.xs
+		p := NewSimPredictor(m, Profile{Name: "free"}, len(xs[0]), 1)
 		want, err := p.PredictBatch(xs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v container.BatchView
-		for _, x := range xs {
-			v.AppendRow(x)
+		byRow := make([]container.Prediction, len(xs))
+		for i, x := range xs {
+			byRow[i] = container.Prediction{Label: m.Predict(x), Scores: m.(models.Scorer).Scores(x)}
 		}
-		got := make([]container.Prediction, len(xs))
-		err = container.NewLocal(p).PredictViewContext(context.Background(), &v,
-			func(i int, pr container.Prediction) { got[i] = pr })
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSamePreds(t, m.Name()+"/local", got, want)
+		requireSamePreds(t, m.Name()+"/batch", want, byRow)
+		requireSamePreds(t, m.Name()+"/local", predictView(t, p, xs), want)
 
 		remote, stop, err := container.Loopback(p)
 		if err != nil {
@@ -217,6 +221,89 @@ func TestSimPredictorViewMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSamePreds(t, m.Name()+"/loopback", viaRPC, want)
+	}
+}
+
+// predictView runs xs through p's view shape in process.
+func predictView(t *testing.T, p *SimPredictor, xs [][]float64) []container.Prediction {
+	t.Helper()
+	var v container.BatchView
+	for _, x := range xs {
+		v.AppendRow(x)
+	}
+	got := make([]container.Prediction, len(xs))
+	err := container.NewLocal(p).PredictViewContext(context.Background(), &v,
+		func(i int, pr container.Prediction) { got[i] = pr })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// raggedScorer scores rows of any width, which no trained model does (a
+// wrong-width row panics), so it is what can stand behind a ragged view. It
+// counts evaluations, Predict included, so a path that ran the model twice
+// over a row would show.
+type raggedScorer struct {
+	*models.NoOp
+	calls int
+}
+
+func (m *raggedScorer) scores(x []float64) []float64 {
+	s := []float64{0, float64(len(x)), 0}
+	for _, v := range x {
+		s[2] += v
+	}
+	return s
+}
+
+func (m *raggedScorer) Predict(x []float64) int      { m.calls++; return models.Argmax(m.scores(x)) }
+func (m *raggedScorer) Scores(x []float64) []float64 { m.calls++; return m.scores(x) }
+
+// TestSimPredictorRaggedViewMatchesBatch: a ragged view has no tensor to
+// hand ScoresFlat, so PredictView walks it row by row — one evaluation per
+// row, the label its scores' Argmax — and must still equal PredictBatch.
+func TestSimPredictorRaggedViewMatchesBatch(t *testing.T) {
+	m := &raggedScorer{NoOp: models.NewNoOp("ragged", 3, 0)}
+	p := NewSimPredictor(m, Profile{Name: "free"}, 0, 1)
+	xs := [][]float64{{1, 2, 3}, {9}, {4, -5}, {0.5, 0.25, 8, 1}}
+	want, err := p.PredictBatch(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.calls != len(xs) {
+		t.Fatalf("PredictBatch ran the model %d times over %d rows", m.calls, len(xs))
+	}
+	for i, pr := range want {
+		if s := m.scores(xs[i]); pr.Label != models.Argmax(s) || pr.Scores[2] != s[2] {
+			t.Fatalf("row %d: %+v, scores %v", i, pr, s)
+		}
+	}
+	requireSamePreds(t, "ragged/local", predictView(t, p, xs), want)
+	if m.calls != 2*len(xs) {
+		t.Fatalf("ragged view ran the model %d times over %d rows", m.calls-len(xs), len(xs))
+	}
+}
+
+// TestSimPredictorViewAllocs: the flat branch scores a bayes batch at the
+// serving shape into the reused response view without allocating — not per
+// row, not per batch.
+func TestSimPredictorViewAllocs(t *testing.T) {
+	train, test := dataset.MNISTLike(364, 1).Split(300.0/364, 1)
+	p := NewSimPredictor(models.TrainNaiveBayes("bayes", train), Profile{Name: "free"}, train.Dim, 1)
+	var v container.BatchView
+	for _, x := range test.X {
+		v.AppendRow(x)
+	}
+	var out container.PredictionView
+	predict := func() {
+		if err := p.PredictView(v, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict() // grow the view once
+	if allocs := testing.AllocsPerRun(20, predict); allocs != 0 {
+		t.Fatalf("PredictView over %d×%d allocates %v times per batch, want 0", v.Rows(), v.Dim(), allocs)
 	}
 }
 

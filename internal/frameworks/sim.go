@@ -60,11 +60,7 @@ func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, err
 
 	out := make([]container.Prediction, len(xs))
 	for i, x := range xs {
-		pred := container.Prediction{Label: p.model.Predict(x)}
-		if p.scorer != nil {
-			pred.Scores = p.scorer.Scores(x)
-		}
-		out[i] = pred
+		out[i].Label, out[i].Scores = p.predictRow(x)
 	}
 	// Block for the remainder of the simulated duration, if the real
 	// compute did not already exceed it.
@@ -72,13 +68,23 @@ func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, err
 	return out, nil
 }
 
+// predictRow evaluates one row exactly once: a Scorer's label is the
+// Argmax of its scores (models.Scorer's contract), so Predict is not run.
+func (p *SimPredictor) predictRow(x []float64) (int, []float64) {
+	if p.scorer == nil {
+		return p.model.Predict(x), nil
+	}
+	scores := p.scorer.Scores(x)
+	return models.Argmax(scores), scores
+}
+
 // PredictView implements container.ViewPredictor: the same predictions
 // (labels and scores, bit for bit) as PredictBatch, written straight into
-// the flat response view. With a FlatScorer model
-// and a uniform-width batch the scored path is tensor-native end to end:
-// one Size call shapes the pooled view, ScoresFlat fills its flat score
-// tensor in place, and labels are argmaxed off the rows — no per-query
-// structures on either side. Ragged or non-flat models fall back to the
+// the flat response view. Every scoring model in package models is a
+// FlatScorer, so a uniform-width batch is tensor-native end to end: one
+// Size call shapes the pooled view, ScoresFlat fills its flat score tensor
+// in place, and labels are argmaxed off the rows — no per-query structures
+// on either side. Only ragged views and non-scoring models take the
 // per-row path through Append.
 func (p *SimPredictor) PredictView(v container.BatchView, out *container.PredictionView) error {
 	start := time.Now()
@@ -87,28 +93,18 @@ func (p *SimPredictor) PredictView(v container.BatchView, out *container.Predict
 	target := p.profile.BatchDuration(rows, p.rng)
 	p.mu.Unlock()
 
-	fs, flat := p.model.(models.FlatScorer)
+	fs, flat := p.scorer.(models.FlatScorer)
 	if dim := v.Dim(); flat && rows > 0 && dim > 0 {
-		nc := p.model.NumClasses()
-		if p.scorer != nil {
-			scores := out.Size(rows, nc)
-			fs.ScoresFlat(v.Data, rows, dim, scores)
-			for r := 0; r < rows; r++ {
-				out.Labels[r] = models.Argmax(scores[r*nc : (r+1)*nc])
-			}
-		} else {
-			out.Size(rows, 0)
-			models.PredictFlat(fs, nc, v.Data, rows, dim, out.Labels)
+		nc := p.info.NumClasses
+		scores := out.Size(rows, nc)
+		fs.ScoresFlat(v.Data, rows, dim, scores)
+		for r := 0; r < rows; r++ {
+			out.Labels[r] = models.Argmax(scores[r*nc : (r+1)*nc])
 		}
 	} else {
 		out.Reset()
 		for r := 0; r < rows; r++ {
-			x := v.Row(r)
-			if p.scorer != nil {
-				out.Append(p.model.Predict(x), p.scorer.Scores(x))
-			} else {
-				out.Append(p.model.Predict(x), nil)
-			}
+			out.Append(p.predictRow(v.Row(r)))
 		}
 	}
 	SleepUntil(start.Add(target))

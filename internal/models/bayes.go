@@ -14,48 +14,59 @@ type NaiveBayes struct {
 	name     string
 	mean     [][]float64 // [class][dim]
 	variance [][]float64 // [class][dim]
+	norm     [][]float64 // [class][dim]: 0.5*log(2π·variance), derived, never persisted
 	logPrior []float64   // [class]
 	dim      int
+}
+
+// newNaiveBayes is the one constructor (training and persist.go's decode):
+// it builds the Gaussian normaliser table the variances determine, so
+// scoring takes no logarithm and prediction never mutates the model.
+func newNaiveBayes(name string, mean, variance [][]float64, logPrior []float64, dim int) *NaiveBayes {
+	norm := make([][]float64, len(variance))
+	for c, vs := range variance {
+		norm[c] = make([]float64, len(vs))
+		for j, va := range vs {
+			norm[c][j] = 0.5 * math.Log(2*math.Pi*va)
+		}
+	}
+	return &NaiveBayes{name: name, mean: mean, variance: variance, norm: norm, logPrior: logPrior, dim: dim}
 }
 
 // TrainNaiveBayes fits Gaussian naive Bayes to ds with variance smoothing.
 func TrainNaiveBayes(name string, ds *dataset.Dataset) *NaiveBayes {
 	nc := ds.NumClasses
-	m := &NaiveBayes{
-		name:     name,
-		mean:     make([][]float64, nc),
-		variance: make([][]float64, nc),
-		logPrior: make([]float64, nc),
-		dim:      ds.Dim,
-	}
+	mean := make([][]float64, nc)
+	variance := make([][]float64, nc)
+	logPrior := make([]float64, nc)
 	counts := make([]float64, nc)
 	for c := 0; c < nc; c++ {
-		m.mean[c] = make([]float64, ds.Dim)
-		m.variance[c] = make([]float64, ds.Dim)
+		mean[c] = make([]float64, ds.Dim)
+		variance[c] = make([]float64, ds.Dim)
 	}
 	for i, x := range ds.X {
 		c := ds.Y[i]
 		counts[c]++
-		axpy(1, x, m.mean[c])
+		axpy(1, x, mean[c])
 	}
 	for c := 0; c < nc; c++ {
 		if counts[c] == 0 {
-			m.logPrior[c] = math.Inf(-1)
-			for j := range m.variance[c] {
-				m.variance[c][j] = 1
+			logPrior[c] = math.Inf(-1)
+			for j := range variance[c] {
+				variance[c][j] = 1
 			}
 			continue
 		}
-		for j := range m.mean[c] {
-			m.mean[c][j] /= counts[c]
+		for j := range mean[c] {
+			mean[c][j] /= counts[c]
 		}
-		m.logPrior[c] = math.Log(counts[c] / float64(ds.Len()))
+		logPrior[c] = math.Log(counts[c] / float64(ds.Len()))
 	}
 	for i, x := range ds.X {
 		c := ds.Y[i]
 		for j, v := range x {
-			d := v - m.mean[c][j]
-			m.variance[c][j] += d * d
+			d := v - mean[c][j]
+			variance[c][j] += d * d
 		}
 	}
 	const smoothing = 1e-6
@@ -63,11 +74,11 @@ func TrainNaiveBayes(name string, ds *dataset.Dataset) *NaiveBayes {
 		if counts[c] == 0 {
 			continue
 		}
-		for j := range m.variance[c] {
-			m.variance[c][j] = m.variance[c][j]/counts[c] + smoothing
+		for j := range variance[c] {
+			variance[c][j] = variance[c][j]/counts[c] + smoothing
 		}
 	}
-	return m
+	return newNaiveBayes(name, mean, variance, logPrior, ds.Dim)
 }
 
 // Name implements Model.
@@ -88,20 +99,24 @@ func (m *NaiveBayes) PredictBatch(xs [][]float64) []int {
 
 // Scores implements Scorer: per-class log joint likelihood.
 func (m *NaiveBayes) Scores(x []float64) []float64 {
-	checkDim(m.name, x, m.dim)
-	out := make([]float64, len(m.mean))
-	for c := range m.mean {
+	return scoresRow(m, len(m.mean), x)
+}
+
+// ScoresFlat implements FlatScorer.
+func (m *NaiveBayes) ScoresFlat(data []float64, rows, dim int, out []float64) {
+	scoresFlat(m, m.name, m.dim, len(m.mean), data, rows, dim, out)
+}
+
+func (m *NaiveBayes) scoresInto(x, out []float64) {
+	for c, mean := range m.mean {
 		ll := m.logPrior[c]
-		if math.IsInf(ll, -1) {
-			out[c] = ll
-			continue
-		}
-		for j, v := range x {
-			d := v - m.mean[c][j]
-			va := m.variance[c][j]
-			ll -= 0.5*(d*d/va) + 0.5*math.Log(2*math.Pi*va)
+		if !math.IsInf(ll, -1) {
+			variance, norm := m.variance[c], m.norm[c]
+			for j, v := range x {
+				d := v - mean[j]
+				ll -= 0.5*(d*d/variance[j]) + norm[j]
+			}
 		}
 		out[c] = ll
 	}
-	return out
 }

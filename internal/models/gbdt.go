@@ -254,17 +254,22 @@ func (m *GBDT) PredictBatch(xs [][]float64) []int { return predictBatchSerial(m,
 
 // Scores implements Scorer: the boosted per-class scores.
 func (m *GBDT) Scores(x []float64) []float64 {
-	checkDim(m.name, x, m.dim)
-	out := make([]float64, m.classes)
+	return scoresRow(m, m.classes, x)
+}
+
+// ScoresFlat implements FlatScorer.
+func (m *GBDT) ScoresFlat(data []float64, rows, dim int, out []float64) {
+	scoresFlat(m, m.name, m.dim, m.classes, data, rows, dim, out)
+}
+
+func (m *GBDT) scoresInto(x, out []float64) {
+	clear(out)
 	for _, round := range m.trees {
 		for c, tree := range round {
 			out[c] += m.lr * tree.eval(x)
 		}
 	}
-	return out
 }
-
-var _ Scorer = (*GBDT)(nil)
 
 // gbdt persistence wire types live here to keep the format beside the
 // structure it encodes.

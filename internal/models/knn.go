@@ -1,10 +1,6 @@
 package models
 
-import (
-	"container/heap"
-
-	"clipper/internal/dataset"
-)
+import "clipper/internal/dataset"
 
 // KNN is a k-nearest-neighbors classifier over the full training set.
 // Like the kernel machine, its per-query cost scales with the stored
@@ -59,39 +55,17 @@ func (m *KNN) PredictBatch(xs [][]float64) []int {
 
 // Scores implements Scorer: the neighbor vote share per class.
 func (m *KNN) Scores(x []float64) []float64 {
-	checkDim(m.name, x, m.dim)
-	// Max-heap of the k smallest distances seen so far.
-	h := make(distHeap, 0, m.k)
-	for i, xi := range m.xs {
-		d := sqDist(x, xi)
-		if len(h) < m.k {
-			heap.Push(&h, distEntry{d: d, y: m.ys[i]})
-		} else if d < h[0].d {
-			h[0] = distEntry{d: d, y: m.ys[i]}
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]float64, m.numClasses)
-	for _, e := range h {
-		out[e.y]++
-	}
-	if len(h) > 0 {
-		for i := range out {
-			out[i] /= float64(len(h))
-		}
-	}
-	return out
+	return scoresRow(m, m.numClasses, x)
 }
 
 // ScoresFlat implements FlatScorer: neighbor vote shares for every row of
-// a flat row-major tensor, reusing one neighbor heap across rows. The
-// heap operations are inlined (identical compare/swap order to
-// heap.Push/heap.Fix, so ties resolve exactly as Scores does) because the
-// heap package's interface{} boxing costs an allocation per pushed
-// neighbor — the garbage this fast path exists to avoid.
+// a flat row-major tensor, reusing one max-heap of the k nearest across
+// rows. The heap operations are inlined (container/heap's compare/swap
+// order, which the tests hold it to) because that package's interface{}
+// boxing costs an allocation per pushed neighbor.
 func (m *KNN) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
-	h := make(distHeap, 0, m.k)
+	h := make([]distEntry, 0, m.k)
 	for r := 0; r < rows; r++ {
 		x := data[r*dim : (r+1)*dim]
 		h = h[:0]
@@ -145,18 +119,4 @@ func (m *KNN) ScoresFlat(data []float64, rows, dim int, out []float64) {
 type distEntry struct {
 	d float64
 	y int
-}
-
-type distHeap []distEntry
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d > h[j].d } // max-heap
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

@@ -2,7 +2,10 @@
 // family the Clipper paper serves: linear SVMs (Pegasos), logistic
 // regression (SGD), RBF-kernel machines, decision trees and random forests,
 // k-nearest neighbors, Gaussian naive Bayes, multi-layer perceptrons, and a
-// no-op model for overhead measurement.
+// no-op model for overhead measurement. Every scoring model is a FlatScorer
+// whose flat path equals Scores bit for bit, and anything that depends only
+// on the parameters (NaiveBayes' normaliser table) is built once, at
+// training or load, never while predicting.
 //
 // The paper serves models trained in Scikit-Learn, Spark MLlib, Caffe,
 // TensorFlow and HTK; those frameworks are unavailable offline, so this
@@ -37,17 +40,19 @@ type Model interface {
 // scores when available and fall back to votes otherwise.
 type Scorer interface {
 	// Scores returns one score per class for the input; higher is more
-	// likely. len(Scores(x)) == NumClasses().
+	// likely. len(Scores(x)) == NumClasses(), and the model's label is
+	// their Argmax, so a caller holding the scores need not call Predict.
 	Scores(x []float64) []float64
 }
 
-// FlatScorer is implemented by models with a batch scoring fast path over
-// a flat row-major tensor — the shape container.BatchView delivers after
-// a zero-copy decode. Implementations score every row with per-batch
-// (not per-row) scratch and must produce exactly the values Scores
-// returns row by row; they exist so the serving hot path can skip both
-// the [][]float64 materialization and the per-query score allocation.
+// FlatScorer is implemented by every scoring model in this package: batch
+// scoring over a flat row-major tensor — the shape container.BatchView
+// delivers after a zero-copy decode. Implementations score every row with
+// per-batch (not per-row) scratch and must produce exactly the values
+// Scores returns row by row; they exist so the serving hot path can skip
+// both the [][]float64 materialization and the per-query score allocation.
 type FlatScorer interface {
+	Scorer
 	// ScoresFlat fills out with one score per class per row, row-major:
 	// row r of the rows×dim tensor data scores into
 	// out[r*classes : (r+1)*classes]. len(data) must be ≥ rows*dim and
@@ -57,24 +62,28 @@ type FlatScorer interface {
 }
 
 // Argmax returns the index of the largest value in v (0 when empty) — the
-// label rule every scoring model in this package shares, exported for
-// consumers turning flat score tensors into labels.
+// label rule every Scorer shares, exported for consumers turning scores
+// into labels.
 func Argmax(v []float64) int { return argmax(v) }
 
-// PredictFlat computes one label per row of the rows×dim tensor through
-// s's flat scoring fast path, writing labels into out (length ≥ rows).
-// classes is s's score width (NumClasses). It allocates one rows×classes
-// scratch per call — still one allocation per batch instead of one per
-// query.
-func PredictFlat(s FlatScorer, classes int, data []float64, rows, dim int, out []int) {
-	if rows == 0 {
-		return
-	}
-	scores := make([]float64, rows*classes)
-	s.ScoresFlat(data, rows, dim, scores)
+// rowScorer is the one-row kernel of the models that need no per-batch
+// scratch: scoresInto overwrites out (length NumClasses) with x's scores,
+// allocating nothing, from tables fixed when the model was built.
+type rowScorer interface{ scoresInto(x, out []float64) }
+
+// scoresFlat is ScoresFlat over a rowScorer: the one shared row loop.
+func scoresFlat(s rowScorer, name string, want, classes int, data []float64, rows, dim int, out []float64) {
+	checkFlat(name, rows, dim, want, data)
 	for r := 0; r < rows; r++ {
-		out[r] = argmax(scores[r*classes : (r+1)*classes])
+		s.scoresInto(data[r*dim:(r+1)*dim], out[r*classes:(r+1)*classes])
 	}
+}
+
+// scoresRow is Scores over a model's flat kernel: one allocation, one row.
+func scoresRow(s FlatScorer, classes int, x []float64) []float64 {
+	out := make([]float64, classes)
+	s.ScoresFlat(x, 1, len(x), out)
+	return out
 }
 
 // checkFlat validates a flat tensor's shape against the model's expected

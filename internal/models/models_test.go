@@ -177,11 +177,6 @@ func TestNoOp(t *testing.T) {
 	if bad.Predict(nil) != 0 {
 		t.Fatal("out-of-range label should clamp to 0")
 	}
-	cs := ConstantScorer{NewNoOp("noop", 4, 2)}
-	s := cs.Scores(nil)
-	if s[2] != 1 || s[0] != 0 {
-		t.Fatalf("constant scores = %v", s)
-	}
 }
 
 func TestPredictBatchMatchesPredict(t *testing.T) {

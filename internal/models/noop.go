@@ -38,16 +38,3 @@ func (m *NoOp) PredictBatch(xs [][]float64) []int {
 	}
 	return out
 }
-
-// ConstantScorer wraps NoOp with a Scores method so it can participate in
-// score-combining ensembles during tests.
-type ConstantScorer struct {
-	*NoOp
-}
-
-// Scores implements Scorer: 1 for the constant label, 0 elsewhere.
-func (m ConstantScorer) Scores(x []float64) []float64 {
-	s := make([]float64, m.classes)
-	s[m.label] = 1
-	return s
-}

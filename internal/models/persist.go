@@ -187,10 +187,7 @@ func Load(r io.Reader) (Model, error) {
 		if err := dec.Decode(&w); err != nil {
 			return nil, err
 		}
-		return &NaiveBayes{
-			name: w.Name, mean: w.Mean, variance: w.Variance,
-			logPrior: w.LogPrior, dim: w.Dim,
-		}, nil
+		return newNaiveBayes(w.Name, w.Mean, w.Variance, w.LogPrior, w.Dim), nil
 	case kindMLP:
 		var w wireMLP
 		if err := dec.Decode(&w); err != nil {

@@ -32,6 +32,22 @@ func (n *treeNode) leafFor(x []float64) *treeNode {
 	return n
 }
 
+// addShares adds the class distribution of x's leaf — its counts over
+// their sum, nothing for an empty leaf — to out.
+func (n *treeNode) addShares(x, out []float64) {
+	counts := n.leafFor(x).classCounts
+	sum := 0.0
+	for _, c := range counts {
+		sum += c
+	}
+	if sum == 0 {
+		return
+	}
+	for i, c := range counts {
+		out[i] += c / sum
+	}
+}
+
 // DecisionTree is a single CART classification tree trained with the Gini
 // impurity criterion.
 type DecisionTree struct {
@@ -99,20 +115,17 @@ func (t *DecisionTree) PredictBatch(xs [][]float64) []int {
 
 // Scores implements Scorer: normalized leaf class counts.
 func (t *DecisionTree) Scores(x []float64) []float64 {
-	checkDim(t.name, x, t.dim)
-	counts := t.root.leafFor(x).classCounts
-	out := make([]float64, len(counts))
-	sum := 0.0
-	for _, c := range counts {
-		sum += c
-	}
-	if sum == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = c / sum
-	}
-	return out
+	return scoresRow(t, t.numClasses, x)
+}
+
+// ScoresFlat implements FlatScorer.
+func (t *DecisionTree) ScoresFlat(data []float64, rows, dim int, out []float64) {
+	scoresFlat(t, t.name, t.dim, t.numClasses, data, rows, dim, out)
+}
+
+func (t *DecisionTree) scoresInto(x, out []float64) {
+	clear(out)
+	t.root.addShares(x, out)
 }
 
 // RandomForest is a bagged ensemble of CART trees with per-split feature
@@ -171,18 +184,24 @@ func (f *RandomForest) PredictBatch(xs [][]float64) []int {
 
 // Scores implements Scorer: mean of per-tree leaf distributions.
 func (f *RandomForest) Scores(x []float64) []float64 {
-	checkDim(f.name, x, f.dim)
-	out := make([]float64, f.numClasses)
+	return scoresRow(f, f.numClasses, x)
+}
+
+// ScoresFlat implements FlatScorer.
+func (f *RandomForest) ScoresFlat(data []float64, rows, dim int, out []float64) {
+	scoresFlat(f, f.name, f.dim, f.numClasses, data, rows, dim, out)
+}
+
+// scoresInto accumulates straight off the leaf counts, in tree order, so
+// the sum rounds exactly as adding each tree's Scores would.
+func (f *RandomForest) scoresInto(x, out []float64) {
+	clear(out)
 	for _, t := range f.trees {
-		s := t.Scores(x)
-		for i, v := range s {
-			out[i] += v
-		}
+		t.root.addShares(x, out)
 	}
 	for i := range out {
 		out[i] /= float64(len(f.trees))
 	}
-	return out
 }
 
 func fillTreeDefaults(cfg TreeConfig, dim int) TreeConfig {
