@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"time"
 
 	"clipper/internal/gateway"
 	"clipper/internal/rpc"
@@ -28,9 +29,9 @@ type handler struct {
 	apps map[string]string
 }
 
-// NewHandler returns an rpc.Handler dispatching the gateway wire's
+// NewHandler returns an rpc.TimedHandler dispatching the gateway wire's
 // methods to b.
-func NewHandler(b *gateway.Bound) rpc.Handler {
+func NewHandler(b *gateway.Bound) rpc.TimedHandler {
 	h := &handler{b: b, apps: make(map[string]string)}
 	return h.handle
 }
@@ -59,8 +60,9 @@ func (h *handler) intern(name []byte) string {
 // scratch. Application-level failures travel as status bytes inside a
 // normal response frame — never as rpc.MsgError, which is reserved for
 // transport-level faults (unknown method) — so typed gateway codes
-// survive the wire.
-func (h *handler) handle(method rpc.Method, payload, scratch []byte) ([]byte, error) {
+// survive the wire. arrived, the instant the frame was read, is where a
+// predict's deadline counts from.
+func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived time.Time) ([]byte, error) {
 	switch method {
 	case MethodGWPredict:
 		req, err := DecodePredictRequest(payload)
@@ -72,6 +74,7 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte) ([]byte, er
 			App:     h.intern(req.App),
 			Context: string(req.Context),
 			Input:   req.Input,
+			Arrived: arrived,
 		})
 		if err != nil {
 			return AppendError(scratch, err), nil

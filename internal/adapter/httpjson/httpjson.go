@@ -210,7 +210,7 @@ func writeGatewayError(w http.ResponseWriter, err error) {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.reqPredict.Inc()
-	var req PredictRequest
+	req := PredictRequest{Arrived: time.Now()}
 	if !s.decodePost(w, r, gateway.OpPredict, &req) {
 		return
 	}

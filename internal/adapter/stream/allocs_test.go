@@ -1,32 +1,20 @@
 package stream
 
 import (
-	"runtime/debug"
 	"testing"
 	"time"
 
 	"clipper/internal/adapter"
 	"clipper/internal/gateway"
 	"clipper/internal/rpc"
+	"clipper/internal/testutil"
 )
-
-// raceEnabled reports whether the test binary was built with -race, under
-// which sync.Pool drops a share of what is put and pooled paths allocate.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
 
 // TestConnGoAllocs pins the steady-state allocation count of one
 // pipelined predict — encode, send, receive, decode, callback — against a
 // server that answers from a canned result and allocates nothing itself.
 func TestConnGoAllocs(t *testing.T) {
-	if raceEnabled() {
+	if testutil.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	srv := rpc.NewServer(func(_ rpc.Method, _, scratch []byte) ([]byte, error) {

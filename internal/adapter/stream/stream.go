@@ -32,7 +32,7 @@ type Server struct {
 
 // New returns a server bound to g's "stream" adapter instrumentation.
 func New(g *gateway.Gateway) *Server {
-	return &Server{srv: rpc.NewServer(adapter.NewHandler(g.Bind("stream")))}
+	return &Server{srv: rpc.NewTimedServer(adapter.NewHandler(g.Bind("stream")))}
 }
 
 // NewServer returns a server over its own gateway on cl.

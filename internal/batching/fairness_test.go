@@ -276,9 +276,9 @@ func TestTenantCloseFailsQueued(t *testing.T) {
 }
 
 // TestTenantDepthBound: each sub-queue holds at most queueDepth requests.
-// A submitter to a full one blocks — until its context expires, or until
-// the collector makes room — while a submit to another tenant on the same
-// replica goes straight in.
+// Start to a full one is refused at once; a blocking submitter waits — until
+// its context expires, or until the collector makes room — while a submit to
+// another tenant on the same replica goes straight in.
 func TestTenantDepthBound(t *testing.T) {
 	m := newGateModel()
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 1})
@@ -292,6 +292,13 @@ func TestTenantDepthBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var refused Request
+	if err := q.Start(bg, "A", &refused, []float64{-1}, func(Result) { t.Error("a refused Start fired its done") }); err != ErrQueueFull {
+		t.Fatalf("Start on a full sub-queue: err = %v, want ErrQueueFull without waiting", err)
+	}
+	if refused.Cancel() {
+		t.Error("a refused Start left its request cancellable")
+	}
 	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -303,7 +310,7 @@ func TestTenantDepthBound(t *testing.T) {
 		t.Fatalf("submit to tenant B behind a full tenant A: err = %v after %v", err, time.Since(start))
 	}
 	if got := q.LoadStats().Queued; got != queueDepth+1 {
-		t.Fatalf("Queued = %d, want %d (A full, one in B, the refused submit not counted)", got, queueDepth+1)
+		t.Fatalf("Queued = %d, want %d (A full, one in B, the refused submits not counted)", got, queueDepth+1)
 	}
 
 	// Room opens as soon as the collector pops from A.
@@ -331,7 +338,7 @@ func TestTenantDepthBound(t *testing.T) {
 // refTakeDRR is takeDRR as the textbook writes it — one round of credit per
 // visit, no bulk path — kept here as the reference the production version
 // must be indistinguishable from.
-func refTakeDRR(q *Queue, batch *[]*request, max int) {
+func refTakeDRR(q *Queue, batch *[]*Request, max int) {
 	empties := 0
 	for len(*batch) < max && empties < len(q.tenOrder) {
 		if q.drrPos >= len(q.tenOrder) {
@@ -398,16 +405,17 @@ func TestTakeDRRMatchesReference(t *testing.T) {
 					id++
 					cancelled := rng.Intn(5) == 0
 					for _, q := range []*Queue{got, want} {
-						r := &request{x: []float64{float64(id)}}
+						r := &Request{x: []float64{float64(id)}}
+						r.state.Store(reqQueued)
 						if cancelled {
-							r.cancel()
+							r.Cancel()
 						}
 						q.push(q.tenantLocked(name), r)
 					}
 				}
 			case 3: // collect a batch
 				max := 1 + rng.Intn(10)
-				var gb, wb []*request
+				var gb, wb []*Request
 				got.takeDRR(&gb, max)
 				refTakeDRR(want, &wb, max)
 				if len(gb) != len(wb) {

@@ -554,15 +554,9 @@ func submitLedgerUnderHolds(t *testing.T, inFlight int) {
 						t.Errorf("blocking submit: %v", err)
 					}
 				default:
-					tk, err := q.SubmitTicket(context.Background(), "", x)
-					if err != nil {
+					if err := l.start(context.Background(), q, "", x, op == 1); err != nil {
 						t.Errorf("submit: %v", err)
 						return
-					}
-					if op != 1 || !tk.Cancel() {
-						l.live = append(l.live, tk)
-					} else {
-						l.withdrawn = append(l.withdrawn, tk)
 					}
 				}
 			}
@@ -602,5 +596,5 @@ func submitLedgerUnderHolds(t *testing.T, inFlight int) {
 		all.live = append(all.live, l.live...)
 		all.withdrawn = append(all.withdrawn, l.withdrawn...)
 	}
-	all.settle(t, q)
+	all.settle(t, q, nil)
 }

@@ -174,7 +174,7 @@ func (q *Queue) EstimateCost() (cost time.Duration, ok bool) { return q.load.Cos
 // won it (false: a racing Cancel withdrew it first). A won request is in
 // flight from this instant — counted before it stops being counted as
 // queued, so a concurrent Cost never sees it in neither.
-func (q *Queue) take(r *request) bool {
+func (q *Queue) take(r *Request) bool {
 	won := r.claim()
 	if won {
 		q.load.inflightReqs.Add(1)

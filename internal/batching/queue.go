@@ -18,59 +18,64 @@ type Result struct {
 	Err  error
 }
 
-// request is one enqueued query. Its state word is the queue's one state
-// machine, and the whole of the exactly-one-outcome contract:
+// Request is one submission: the caller's storage for a query while the queue
+// holds it (a fan-out allocates its requests in one slice, SubmitTenant pools
+// them) and the handle that withdraws it. Its state word is the queue's one
+// state machine, and the whole of the exactly-one-outcome contract:
 //
-//	          enqueue           take / drainClosed (claim)
-//	(caller) ────────▶ queued ────────────────────────────▶ claimed ──▶ one Result on done
+//	           Start            take / drainClosed (claim)
+//	(caller) ────────▶ queued ────────────────────────────▶ claimed ──▶ done fires once
 //	    │                 │
-//	    │ enqueue error   │ Ticket.Cancel, or SubmitTenant's ctx expiring (cancel)
+//	    │ Start error     │ Cancel
 //	    ▼                 ▼
-//	 never visible     cancelled ──▶ no Result, ever
+//	 never visible     cancelled ──▶ done never fires
 //
-// Every submit ends in exactly one of those three: an enqueue error means
-// the request never reached a sub-queue; otherwise claim and cancel race
-// with a CAS on one word, so exactly one wins. Whoever claims owes done
-// exactly one send — runBatch pays it for a collected batch, drainClosed
-// at shutdown — and nobody else ever sends, so the buffered(1) channel
-// never blocks the payer. A cancelled request stays in its sub-queue as a
+// Every Start ends in exactly one of those three: an error means the request
+// never reached a sub-queue; otherwise claim and Cancel race with a CAS on one
+// word, so exactly one wins. A cancelled request stays in its sub-queue as a
 // tombstone until the collector pops and drops it.
-type request struct {
+//
+// The completion rule, stated here and nowhere else: whoever claims a request
+// owes its done exactly one call — runBatch with the row's prediction or the
+// batch's error, drainClosed with ErrQueueClosed — on the goroutine that
+// completed it: a batch's worker, or the collector itself while the window is
+// 1 and at shutdown. done must not block: that goroutine delivers the rest of
+// its batch, and at window 1 every later batch, only after it returns. Nothing
+// else delivers. A Request may be reused once its done has fired.
+type Request struct {
 	x     []float64
 	enq   time.Time // submit time, for per-request queue-delay telemetry
-	done  chan Result
+	done  func(Result)
 	state atomic.Int32
 }
 
-// request.state values.
+// Request.state values. The zero Request is idle, so Cancel on one that was
+// never started (or whose Start failed) withdraws nothing.
 const (
-	reqQueued    int32 = iota // in a sub-queue, cancellable
+	reqIdle      int32 = iota // not in a queue
+	reqQueued                 // in a sub-queue, cancellable
 	reqClaimed                // popped by the collector or the shutdown drain
 	reqCancelled              // withdrawn by its submitter before being popped
 )
 
-func (r *request) claim() bool  { return r.state.CompareAndSwap(reqQueued, reqClaimed) }
-func (r *request) cancel() bool { return r.state.CompareAndSwap(reqQueued, reqCancelled) }
+func (r *Request) claim() bool { return r.state.CompareAndSwap(reqQueued, reqClaimed) }
 
-// reqPool recycles SubmitTenant's requests: having received the one Result
-// its request will ever be sent, the submitter uniquely owns it again.
-// Requests abandoned on ctx expiry (still in a sub-queue, or owed a Result
-// by a batch) and ticket requests (the caller keeps the channel) are left
-// to the GC.
-var reqPool = sync.Pool{
-	New: func() any { return &request{done: make(chan Result, 1)} },
-}
+// Cancel withdraws the submission. True means it was still queued: it will
+// never be dispatched and done never fires. False means it was never started
+// or a batch already claimed it — then it runs to completion and done still
+// fires exactly once.
+func (r *Request) Cancel() bool { return r.state.CompareAndSwap(reqQueued, reqCancelled) }
 
-// batchPool recycles the per-batch []*request slices the collector
+// batchPool recycles the per-batch []*Request slices the collector
 // assembles; entries are cleared before pooling so a parked slice does
 // not pin delivered requests.
 var batchPool = sync.Pool{
-	New: func() any { return []*request(nil) },
+	New: func() any { return []*Request(nil) },
 }
 
 const maxPooledBatchCap = 4096
 
-func putBatch(batch []*request) {
+func putBatch(batch []*Request) {
 	if cap(batch) > maxPooledBatchCap {
 		return
 	}
@@ -83,9 +88,13 @@ func putBatch(batch []*request) {
 // ErrQueueClosed is returned for submissions to a closed queue.
 var ErrQueueClosed = errors.New("batching: queue closed")
 
-// queueDepth bounds each tenant's sub-queue; a submitter to a full one
-// blocks (ctx- and close-aware) until the collector makes room. Per
-// tenant, so a flooding tenant cannot block a quiet one at the door.
+// ErrQueueFull is Start's refusal of a submission to a full sub-queue.
+var ErrQueueFull = errors.New("batching: tenant sub-queue full")
+
+// queueDepth bounds each tenant's sub-queue. At a full one SubmitTenant and
+// SubmitTicket block (ctx- and close-aware) until the collector makes room;
+// Start, whose caller has a deadline to keep, is refused. Per tenant, so a
+// flooding tenant cannot block a quiet one at the door.
 const queueDepth = 8192
 
 // QueueConfig parameterizes a per-replica batching queue.
@@ -235,38 +244,55 @@ func (q *Queue) Submit(ctx context.Context, x []float64) (container.Prediction, 
 	return q.SubmitTenant(ctx, "", x)
 }
 
+// Start is the queue's one submit: it enqueues x on tenant's sub-queue in r
+// and returns without waiting. done receives the outcome under the completion
+// rule on Request; on an error r never reached the queue and done never fires.
+// Start never blocks (it takes q.mu, nothing else): a full sub-queue is
+// ErrQueueFull at once, so a worker with a deadline may call it.
+func (q *Queue) Start(ctx context.Context, tenant string, r *Request, x []float64, done func(Result)) error {
+	return q.start(ctx, tenant, r, x, done, false)
+}
+
+// start is Start; with wait it blocks for room in a full sub-queue instead.
+func (q *Queue) start(ctx context.Context, tenant string, r *Request, x []float64, done func(Result), wait bool) error {
+	r.x, r.enq, r.done = x, time.Now(), done
+	r.state.Store(reqQueued)
+	if err := q.enqueue(ctx, tenant, r, wait); err != nil {
+		r.x = nil              // a pooled ticket must not pin the input
+		r.state.Store(reqIdle) // never enqueued, still exclusively the caller's
+		return err
+	}
+	return nil
+}
+
 // SubmitTenant enqueues x on tenant's sub-queue and blocks until its
 // prediction is rendered, the context is cancelled, or the queue closes.
 func (q *Queue) SubmitTenant(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
-	req := reqPool.Get().(*request)
-	req.x, req.enq = x, time.Now()
-	req.state.Store(reqQueued) // recycled requests come back claimed
-	if err := q.enqueue(ctx, tenant, req); err != nil {
-		req.x = nil
-		reqPool.Put(req) // never enqueued, still exclusively ours
+	t := ticketPool.Get().(*Ticket)
+	if err := q.start(ctx, tenant, &t.req, x, t.done, true); err != nil {
+		ticketPool.Put(t)
 		return container.Prediction{}, err
 	}
 	select {
-	case res := <-req.done:
-		// The request's one Result has been sent and received: nothing
-		// else holds the request, so recycle it.
-		req.x = nil
-		reqPool.Put(req)
+	case res := <-t.ch:
+		// Its one Result received, the ticket is ours alone again.
+		t.req.x = nil
+		ticketPool.Put(t)
 		return res.Pred, res.Err
 	case <-ctx.Done():
 		// Withdraw it so the container does not compute a row nobody
 		// reads. If a batch already claimed it, it runs to completion and
-		// its Result goes unread.
-		req.cancel()
+		// its Result goes unread; either way the ticket is left to the GC.
+		t.Cancel()
 		return container.Prediction{}, ctx.Err()
 	}
 }
 
 // enqueue is the one way into the queue: one critical section that either
-// fails (closed, or ctx expired while the tenant's sub-queue stayed full)
-// or leaves req visible to the collector, plus a wake-up when — and only
-// when — the collector is parked.
-func (q *Queue) enqueue(ctx context.Context, tenant string, req *request) error {
+// fails (closed, or the tenant's sub-queue is full and the caller will not
+// wait, or ctx expired while it stayed full) or leaves req visible to the
+// collector, plus a wake-up when — and only when — the collector is parked.
+func (q *Queue) enqueue(ctx context.Context, tenant string, req *Request, wait bool) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -275,6 +301,10 @@ func (q *Queue) enqueue(ctx context.Context, tenant string, req *request) error 
 	q.mu.Lock()
 	t := q.tenantLocked(tenant)
 	for !q.closed && t.n >= queueDepth {
+		if !wait {
+			q.mu.Unlock()
+			return ErrQueueFull
+		}
 		if t.space == nil {
 			t.space = make(chan struct{}) // closed by the next pop from t
 		}
@@ -332,7 +362,7 @@ func (q *Queue) dispatchLoop() {
 		// slot, so this unblocks as soon as the oldest in-flight batch
 		// completes. At InFlight=1 this is exactly the serial dispatcher:
 		// collection for batch n+1 cannot begin until batch n returns.
-		var batch []*request
+		var batch []*Request
 		if q.win.acquire() {
 			if batch = q.collect(); batch == nil {
 				q.win.release(time.Time{})
@@ -386,8 +416,8 @@ func holdLast(queued int, rate float64, next time.Duration, held, limit int) boo
 // Without a BatchTimeout it then dispatches the moment nothing is buffered;
 // with one (paper §4.3.2) a non-full batch waits that long, from its first
 // request, for more.
-func (q *Queue) collect() []*request {
-	batch := batchPool.Get().([]*request)
+func (q *Queue) collect() []*Request {
+	batch := batchPool.Get().([]*Request)
 	q.load.sampleArrivals(time.Now())
 	var timeout <-chan time.Time
 	var heldSince time.Time // non-zero while holding
@@ -450,7 +480,7 @@ func (q *Queue) collect() []*request {
 // PredictViewContext's all-or-nothing contract; the prefix tracking is
 // defense in depth against a deliver panic mid-scatter). last says the batch
 // took the window's last free slot, which is what the window loop learns from.
-func (q *Queue) runBatch(batch []*request, last bool) {
+func (q *Queue) runBatch(batch []*Request, last bool) {
 	n := len(batch)
 	// The batch's requests have been in flight since take claimed them.
 	q.load.inflightBatches.Add(1)
@@ -475,8 +505,8 @@ func (q *Queue) runBatch(batch []*request, last bool) {
 	start := time.Now()
 	next := 0 // rows [0, next) have received their Result
 	err := q.predict(v, func(i int, p container.Prediction) {
-		batch[i].done <- Result{Pred: p}
 		next = i + 1
+		batch[i].done(Result{Pred: p})
 	})
 	lat := time.Since(start)
 	container.PutBatchView(v)
@@ -492,7 +522,7 @@ func (q *Queue) runBatch(batch []*request, last bool) {
 	q.Throughput.Mark(int64(n))
 	if err != nil {
 		for _, r := range batch[next:] {
-			r.done <- Result{Err: err}
+			r.done(Result{Err: err})
 		}
 	}
 }
@@ -513,7 +543,7 @@ func (q *Queue) predict(v *container.BatchView, deliver func(i int, p container.
 // shutdown. Cancelled requests drop silently — their submitters already
 // know no Result is coming.
 func (q *Queue) drainClosed() {
-	var failed []*request
+	var failed []*Request
 	q.mu.Lock()
 	for _, t := range q.tenOrder {
 		for t.n > 0 {
@@ -527,6 +557,6 @@ func (q *Queue) drainClosed() {
 	}
 	q.mu.Unlock()
 	for _, r := range failed {
-		r.done <- Result{Err: ErrQueueClosed}
+		r.done(Result{Err: ErrQueueClosed})
 	}
 }

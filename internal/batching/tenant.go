@@ -19,7 +19,7 @@ package batching
 type tenantQueue struct {
 	name    string
 	weight  int64
-	buf     []*request // len is zero or a power of two
+	buf     []*Request // len is zero or a power of two
 	head, n int
 	space   chan struct{} // non-nil while a submitter waits on a full ring
 	deficit int64         // unspent DRR credits, bounded by weight
@@ -28,12 +28,12 @@ type tenantQueue struct {
 
 // push appends r to t's sub-queue. Callers hold q.mu and have checked
 // t.n < queueDepth.
-func (q *Queue) push(t *tenantQueue, r *request) {
+func (q *Queue) push(t *tenantQueue, r *Request) {
 	if t.n == 0 {
 		q.backlogged++
 	}
 	if t.n == len(t.buf) {
-		grown := make([]*request, max(16, 2*t.n))
+		grown := make([]*Request, max(16, 2*t.n))
 		k := copy(grown, t.buf[t.head:])
 		copy(grown[k:], t.buf[:t.head])
 		t.buf, t.head = grown, 0
@@ -44,7 +44,7 @@ func (q *Queue) push(t *tenantQueue, r *request) {
 
 // pop removes t's oldest request and lets submitters blocked on t's depth
 // bound retry. Callers hold q.mu and have checked t.n > 0.
-func (q *Queue) pop(t *tenantQueue) *request {
+func (q *Queue) pop(t *tenantQueue) *Request {
 	r := t.buf[t.head]
 	t.buf[t.head] = nil // do not pin delivered requests
 	t.head = (t.head + 1) & (len(t.buf) - 1)
@@ -126,7 +126,7 @@ func (q *Queue) TenantStats() []TenantLoad {
 // returns either because the batch is full (rotation position and
 // mid-round credit persist, so the next batch resumes exactly where this
 // one stopped) or because every sub-queue is empty. Callers hold q.mu.
-func (q *Queue) takeDRR(batch *[]*request, max int) {
+func (q *Queue) takeDRR(batch *[]*Request, max int) {
 	empties := 0 // consecutive backlog-free tenants visited
 	for len(*batch) < max && empties < len(q.tenOrder) {
 		if q.drrPos >= len(q.tenOrder) {

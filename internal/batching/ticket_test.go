@@ -2,6 +2,7 @@ package batching
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,10 +15,14 @@ import (
 // in the queue (behind an in-flight batch) or in the container at will.
 type gateModel struct {
 	release chan struct{} // each receive releases one batch
+	failing atomic.Bool   // a batch released while set fails with errGate
+	failed  atomic.Int64  // batches that failed
 	calls   atomic.Int64
 	queries atomic.Int64
 	free    sync.Once
 }
+
+var errGate = errors.New("gate model told to fail")
 
 // freeRun opens the gate for good; safe to call more than once, so a test
 // can both free-run mid-way and defer it ahead of Close.
@@ -35,11 +40,90 @@ func (m *gateModel) PredictBatch(xs [][]float64) ([]container.Prediction, error)
 	m.calls.Add(1)
 	m.queries.Add(int64(len(xs)))
 	<-m.release
+	if m.failing.Load() {
+		m.failed.Add(1)
+		return nil, errGate
+	}
 	out := make([]container.Prediction, len(xs))
 	for i, x := range xs {
 		out[i] = container.Prediction{Label: int(x[0])}
 	}
 	return out, nil
+}
+
+// TestStartCompletionLedger walks one queue through every way a Start can
+// end — a delivered row, a failed batch, Cancel, a context that has already
+// expired, the shutdown drain and a refusal after Close — with the serial
+// window, whose collector runs batches and fires their completions itself,
+// and with two slots; submitLedger holds each Start to its one outcome.
+func TestStartCompletionLedger(t *testing.T) {
+	for _, inFlight := range []int{1, 2} {
+		m := newGateModel()
+		q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: inFlight})
+		bg := context.Background()
+		var l submitLedger
+		start := func(ctx context.Context, cancelNow bool) {
+			t.Helper()
+			if err := l.start(ctx, q, "", []float64{1}, cancelNow); err != nil {
+				l.enqueueErr(t, err)
+			}
+		}
+		parked := func(batches int) {
+			t.Helper()
+			await(t, "batches parked in the model", func() bool { return m.calls.Load() >= int64(batches) })
+		}
+		// The gate is shut: one-row batches park in the model (how many is
+		// the hold rule's business), the rest of the eight stay queued.
+		for i := 0; i < 8; i++ {
+			start(bg, false)
+		}
+		parked(1)
+		start(bg, true) // queued behind a parked batch: Cancel wins
+		expired, cancel := context.WithCancel(bg)
+		cancel()
+		start(expired, false)
+		if len(l.withdrawn) != 1 || len(l.refused) != 1 {
+			t.Fatalf("window %d: %d withdrawn, %d refused, want 1 and 1", inFlight, len(l.withdrawn), len(l.refused))
+		}
+		// Each token releases one batch, and a batch released now fails.
+		m.failing.Store(true)
+		for i := 0; i < inFlight; i++ {
+			m.release <- struct{}{}
+		}
+		await(t, "the released batches failed", func() bool { return m.failed.Load() == int64(inFlight) })
+		m.failing.Store(false)
+		parked(inFlight + 1)
+		// Close with batches in the model and requests still queued: the
+		// former deliver, the drain fails the latter, later Starts are refused.
+		l.closed = true
+		closed := make(chan struct{})
+		go func() { q.Close(); close(closed) }()
+		// The window closes after the queue does: from then on the collector
+		// takes no further batch, so what is queued now is what the drain fails.
+		await(t, "Close shut the window", func() bool { q.win.mu.Lock(); defer q.win.mu.Unlock(); return q.win.closed })
+		start(bg, false)
+		if len(l.refused) != 2 {
+			t.Fatalf("window %d: a Start after Close was not refused", inFlight)
+		}
+		m.freeRun()
+		<-closed
+		l.settle(t, q, errGate)
+		var delivered, failed, drained int
+		for _, e := range l.live {
+			switch res := e.res; {
+			case res.Err == nil:
+				delivered++
+			case errors.Is(res.Err, errGate):
+				failed++
+			default:
+				drained++
+			}
+		}
+		if failed != inFlight || delivered < 1 || drained < 1 || failed+delivered+drained != 8 {
+			t.Errorf("window %d: %d failed, %d delivered, %d drained; want %d, some and some of 8",
+				inFlight, failed, delivered, drained, inFlight)
+		}
+	}
 }
 
 func TestSubmitTicketDelivers(t *testing.T) {

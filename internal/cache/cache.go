@@ -114,8 +114,8 @@ type shard struct {
 	hand    int         // CLOCK hand, relative to slots[nprob:]
 	protLen int         // live protected entries
 	// pending holds one entry per in-flight computation: the followers'
-	// channels, nil while only the leader has asked.
-	pending map[Key][]chan container.Prediction
+	// completions, nil while only the leader has asked.
+	pending map[Key][]func(container.Prediction, bool)
 
 	promotions int64 // probation -> protected moves (under mu)
 	evictions  int64 // entries dropped from either segment (under mu)
@@ -188,7 +188,7 @@ func NewSharded(capacity, shards int) *Cache {
 		s.slots = make([]slot, scap)
 		s.index = make(map[Key]int, scap)
 		s.nprob = max(1, scap/probationDiv)
-		s.pending = make(map[Key][]chan container.Prediction)
+		s.pending = make(map[Key][]func(container.Prediction, bool))
 	}
 	return c
 }
@@ -233,18 +233,15 @@ func (c *Cache) Fetch(key Key) (container.Prediction, bool) {
 }
 
 // Request is the paper's non-blocking request: it checks for the entry
-// and, when absent, registers interest. It returns:
+// and, when absent, claims its computation. Exactly one of the three
+// outcomes is true:
 //
-//   - hit=true with the value when the entry is cached;
-//   - hit=false, leader=true, wait=nil when the caller is the first
-//     requester and is responsible for computing the value and calling
-//     Put (or Abort);
-//   - hit=false, leader=false when a computation is already in flight; the
-//     returned channel receives the value when the leader Puts it.
-//
-// The channel is buffered and receives exactly one value (or is closed if
-// the leader Aborts).
-func (c *Cache) Request(key Key) (val container.Prediction, hit bool, leader bool, wait <-chan container.Prediction) {
+//   - hit, with the value, when the entry is cached;
+//   - leader when the caller is the first requester and is responsible for
+//     computing the value and calling Put (or Abort);
+//   - follower when a computation is already in flight; the caller may
+//     Follow it.
+func (c *Cache) Request(key Key) (val container.Prediction, hit, leader, follower bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if i, ok := s.index[key]; ok {
@@ -252,47 +249,63 @@ func (c *Cache) Request(key Key) (val container.Prediction, hit bool, leader boo
 		v := s.slots[i].value
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return v, true, false, nil
+		return v, true, false, false
 	}
-	waiters, inflight := s.pending[key]
+	_, inflight := s.pending[key]
 	if !inflight {
 		s.pending[key] = nil
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return container.Prediction{}, false, true, nil
 	}
-	ch := make(chan container.Prediction, 1)
-	s.pending[key] = append(waiters, ch)
 	s.mu.Unlock()
 	s.misses.Add(1)
-	return container.Prediction{}, false, false, ch
+	return container.Prediction{}, false, !inflight, inflight
 }
 
-// Put stores a prediction and wakes the followers registered via Request.
+// Follow registers done with key's in-flight computation: it fires exactly
+// once — with the value on the leader's goroutine when it Puts, with
+// ok=false when it Aborts — and must not block. If the computation ended
+// between Request and Follow, done fires inline: with the value when it is
+// cached, else with ok=false.
+func (c *Cache) Follow(key Key, done func(container.Prediction, bool)) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	if followers, inflight := s.pending[key]; inflight {
+		s.pending[key] = append(followers, done)
+		s.mu.Unlock()
+		return
+	}
+	i, ok := s.index[key]
+	var v container.Prediction
+	if ok {
+		v = s.slots[i].value
+	}
+	s.mu.Unlock()
+	done(v, ok)
+}
+
+// Put stores a prediction and completes the followers registered via Follow.
 func (c *Cache) Put(key Key, value container.Prediction) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	s.insertLocked(key, value)
-	waiters := s.pending[key]
+	followers := s.pending[key]
 	delete(s.pending, key)
 	s.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- value
-		close(ch)
+	for _, done := range followers {
+		done(value, true)
 	}
 }
 
-// Abort cancels an in-flight computation registered via Request, closing
-// follower channels without a value. The leader calls it when the model
+// Abort cancels an in-flight computation claimed via Request, completing
+// its followers without a value. The leader calls it when the model
 // evaluation fails.
 func (c *Cache) Abort(key Key) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	waiters := s.pending[key]
+	followers := s.pending[key]
 	delete(s.pending, key)
 	s.mu.Unlock()
-	for _, ch := range waiters {
-		close(ch)
+	for _, done := range followers {
+		done(container.Prediction{}, false)
 	}
 }
 

@@ -175,60 +175,76 @@ func TestCapacityOne(t *testing.T) {
 	}
 }
 
+// follow registers a follower of key's in-flight computation and returns a
+// channel that receives the leader's value, or is closed without one on Abort.
+func follow(c *Cache, k Key) <-chan container.Prediction {
+	ch := make(chan container.Prediction, 1)
+	c.Follow(k, func(v container.Prediction, ok bool) {
+		if ok {
+			ch <- v
+		}
+		close(ch)
+	})
+	return ch
+}
+
 func TestRequestLeaderElection(t *testing.T) {
 	c := New(4)
-	_, hit, leader, ch1 := c.Request(key(5))
-	if hit || !leader || ch1 != nil {
-		t.Fatalf("first requester: hit=%v leader=%v wait=%v (the leader gets no channel)", hit, leader, ch1)
+	if _, hit, leader, follower := c.Request(key(5)); hit || !leader || follower {
+		t.Fatalf("first requester: hit=%v leader=%v follower=%v", hit, leader, follower)
 	}
-	_, hit, leader2, ch2 := c.Request(key(5))
-	if hit || leader2 || ch2 == nil {
-		t.Fatalf("second requester must follow: hit=%v leader=%v wait=%v", hit, leader2, ch2)
-	}
-	_, _, leader3, ch3 := c.Request(key(5))
-	if leader3 || ch3 == nil {
-		t.Fatalf("third requester must follow: leader=%v wait=%v", leader3, ch3)
+	var chs []<-chan container.Prediction
+	for i := 2; i <= 3; i++ {
+		if _, hit, leader, follower := c.Request(key(5)); hit || leader || !follower {
+			t.Fatalf("requester %d must follow: hit=%v leader=%v follower=%v", i, hit, leader, follower)
+		}
+		chs = append(chs, follow(c, key(5)))
 	}
 	c.Put(key(5), pred(9))
-	for i, ch := range []<-chan container.Prediction{ch2, ch3} {
+	for i, ch := range chs {
 		select {
 		case v, ok := <-ch:
 			if !ok || v.Label != 9 {
-				t.Fatalf("waiter %d got %+v ok=%v", i, v, ok)
+				t.Fatalf("follower %d got %+v ok=%v", i, v, ok)
 			}
 		case <-time.After(time.Second):
-			t.Fatalf("waiter %d not woken", i)
+			t.Fatalf("follower %d not completed", i)
 		}
 	}
-	// After Put, requests hit.
+	// After Put, requests hit, and a late Follow completes inline with the value.
 	v, hit, _, _ := c.Request(key(5))
 	if !hit || v.Label != 9 {
 		t.Fatalf("post-Put Request: hit=%v v=%+v", hit, v)
 	}
+	if v, ok := <-follow(c, key(5)); !ok || v.Label != 9 {
+		t.Fatalf("Follow after Put got %+v ok=%v", v, ok)
+	}
 }
 
-func TestAbortClosesWaiters(t *testing.T) {
+func TestAbortCompletesFollowers(t *testing.T) {
 	c := New(4)
-	_, _, leader, lead := c.Request(key(1))
-	if !leader || lead != nil {
-		t.Fatalf("expected leadership without a channel: leader=%v wait=%v", leader, lead)
+	if _, _, leader, _ := c.Request(key(1)); !leader {
+		t.Fatal("expected leadership")
 	}
-	_, _, leader, ch := c.Request(key(1))
-	if leader || ch == nil {
-		t.Fatalf("expected a follower: leader=%v wait=%v", leader, ch)
+	if _, _, leader, _ := c.Request(key(1)); leader {
+		t.Fatal("expected a follower")
 	}
+	ch := follow(c, key(1))
 	c.Abort(key(1))
 	select {
 	case _, ok := <-ch:
 		if ok {
-			t.Fatal("aborted waiter received a value")
+			t.Fatal("aborted follower received a value")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("aborted waiter not woken")
+		t.Fatal("aborted follower not completed")
+	}
+	// A Follow that lost the race with Abort completes inline without a value.
+	if _, ok := <-follow(c, key(1)); ok {
+		t.Fatal("Follow after Abort received a value")
 	}
 	// Leadership is available again after abort.
-	_, _, leader, _ = c.Request(key(1))
-	if !leader {
+	if _, _, leader, _ := c.Request(key(1)); !leader {
 		t.Fatal("leadership not released after Abort")
 	}
 }
@@ -297,14 +313,11 @@ func TestConcurrentSingleLeaderPerKey(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, hit, leader, ch := c.Request(key(42))
+			_, hit, leader, _ := c.Request(key(42))
 			if hit {
 				return
 			}
 			if leader {
-				if ch != nil {
-					t.Error("leader was handed a wait channel")
-				}
 				mu.Lock()
 				leaders++
 				mu.Unlock()
@@ -312,7 +325,7 @@ func TestConcurrentSingleLeaderPerKey(t *testing.T) {
 				return
 			}
 			select {
-			case <-ch:
+			case <-follow(c, key(42)):
 			case <-time.After(2 * time.Second):
 				t.Error("waiter starved")
 			}
@@ -485,7 +498,7 @@ func TestConcurrentShardedStress(t *testing.T) {
 				case 1:
 					c.Put(k, pred(i))
 				default:
-					_, hit, leader, wait := c.Request(k)
+					_, hit, leader, _ := c.Request(k)
 					ops.Add(1)
 					if hit {
 						continue
@@ -499,7 +512,7 @@ func TestConcurrentShardedStress(t *testing.T) {
 						continue
 					}
 					select {
-					case <-wait: // value or abort-close both release us
+					case <-follow(c, k): // value or abort-close both release us
 					case <-time.After(5 * time.Second):
 						t.Error("follower starved: leader never Put/Abort")
 						return

@@ -2,21 +2,10 @@ package container
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
-)
 
-// raceEnabled reports whether the test binary was built with -race, under
-// which sync.Pool drops a share of what is put and pooled paths allocate.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
+	"clipper/internal/testutil"
+)
 
 // scoreEcho is a ViewPredictor that answers each row with its first
 // feature as the label and a 10-wide score vector written straight into
@@ -50,7 +39,7 @@ func (scoreEcho) PredictView(v BatchView, out *PredictionView) error {
 // per batch — the backing array the scattered scores share — or 0.016 per
 // query.
 func TestLoopbackViewAllocs(t *testing.T) {
-	if raceEnabled() {
+	if testutil.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const batch, dim = 64, 128

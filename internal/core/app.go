@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
 
+	"clipper/internal/batching"
 	"clipper/internal/cache"
 	"clipper/internal/container"
 	"clipper/internal/metrics"
@@ -23,9 +25,10 @@ type AppConfig struct {
 	Models []string
 	// Policy selects and combines model predictions; nil selects Exp4.
 	Policy selection.Policy
-	// SLO is the prediction latency deadline for straggler mitigation
-	// (§5.2.2): at the deadline, Combine runs with whatever predictions
-	// have arrived. Zero waits for all selected models (no mitigation).
+	// SLO bounds the reply, counted from the request's arrival (§5.2.2): the
+	// wait for selected models ends SLO/reserveDiv before it and Combine runs
+	// with whatever predictions have arrived. Zero waits for all selected
+	// models (no mitigation).
 	SLO time.Duration
 	// ConfidenceThreshold enables robust predictions (§5.2.1): below it,
 	// the response carries UsedDefault=true and DefaultLabel. Zero
@@ -88,9 +91,15 @@ type Response struct {
 	// miss and served this response from stale cache entries or the
 	// default label without querying any model (ShedDegrade).
 	Degraded bool
-	// Latency is the end-to-end prediction latency.
+	// Latency is the prediction latency, counted from the request's arrival.
 	Latency time.Duration
 }
+
+// reserveDiv fixes the reply reserve: the straggler wait ends SLO/reserveDiv
+// before arrival + SLO, which is what the timer's granularity, Combine, the
+// response encode and write, and the client's own scheduler get. A constant
+// of the law, not a knob; derived in docs/ARCHITECTURE.md, "The deadline".
+const reserveDiv = 10
 
 // Application is a registered application within a Clipper instance. Its
 // methods are safe for concurrent use.
@@ -100,6 +109,10 @@ type Application struct {
 	// globalKey is the state-store key of the "" context, built once: every
 	// context-free request reads it.
 	globalKey string
+	// scheds[i] is the scheduler of cfg.Models[i], resolved once: the entry
+	// survives SwapModel, which swaps replicas underneath it. all is [0..n).
+	scheds []*scheduler
+	all    []int
 
 	mu  sync.Mutex // guards rng and per-context state read-modify-write
 	rng *rand.Rand
@@ -130,11 +143,14 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 	if cl.closed {
 		return nil, ErrClosed
 	}
-	if _, dup := cl.apps[cfg.Name]; dup {
+	apps := *cl.apps.Load()
+	if _, dup := apps[cfg.Name]; dup {
 		return nil, fmt.Errorf("core: application %q already registered", cfg.Name)
 	}
-	for _, m := range cfg.Models {
-		if _, ok := cl.scheds[m]; !ok {
+	scheds := make([]*scheduler, len(cfg.Models))
+	all := make([]int, len(cfg.Models))
+	for i, m := range cfg.Models {
+		if scheds[i], all[i] = cl.scheds[m], i; scheds[i] == nil {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownModel, m)
 		}
 	}
@@ -142,6 +158,8 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 		cl:          cl,
 		cfg:         cfg,
 		globalKey:   "selstate/" + cfg.Name + "/_global",
+		scheds:      scheds,
+		all:         all,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		PredLatency: metrics.NewHistogram(),
 		Throughput:  metrics.NewMeter(),
@@ -154,19 +172,19 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 	if app.qosEnabled() {
 		// Register the app as a tenant on every model it can reach, so
 		// the replicas' batch queues arbitrate its traffic by weight.
-		for _, m := range cfg.Models {
-			cl.scheds[m].setTenantWeight(cfg.Name, app.weight())
+		for _, sc := range scheds {
+			sc.setTenantWeight(cfg.Name, app.weight())
 		}
 	}
-	cl.apps[cfg.Name] = app
+	apps = maps.Clone(apps)
+	apps[cfg.Name] = app
+	cl.apps.Store(&apps)
 	return app, nil
 }
 
 // App returns a registered application by name.
 func (cl *Clipper) App(name string) (*Application, bool) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	app, ok := cl.apps[name]
+	app, ok := (*cl.apps.Load())[name]
 	return app, ok
 }
 
@@ -188,8 +206,23 @@ func (a *Application) Predict(ctx context.Context, x []float64) (Response, error
 // (user, session, dialect — paper §5.3). Contexts have independent
 // selection state persisted in the state store.
 func (a *Application) PredictContext(ctx context.Context, contextID string, x []float64) (Response, error) {
-	start := time.Now()
-	if resp, shed, err := a.admit(contextID, x, start); shed {
+	return a.PredictAt(ctx, contextID, x, time.Time{})
+}
+
+// PredictAt is PredictContext for a request that arrived at arrived — where
+// its frame was read; zero means now. With an SLO the request has one
+// deadline, arrived + SLO − SLO/reserveDiv: admission compares the predicted
+// cost with what is left of it, and every wait for a model — both stages of
+// a cascade — ends there.
+func (a *Application) PredictAt(ctx context.Context, contextID string, x []float64, arrived time.Time) (Response, error) {
+	if arrived.IsZero() {
+		arrived = time.Now()
+	}
+	var deadline time.Time
+	if a.cfg.SLO > 0 {
+		deadline = arrived.Add(a.cfg.SLO - a.cfg.SLO/reserveDiv)
+	}
+	if resp, shed, err := a.admit(contextID, x, arrived, deadline); shed {
 		return resp, err
 	}
 	state, err := a.loadState(contextID)
@@ -201,7 +234,7 @@ func (a *Application) PredictContext(ctx context.Context, contextID string, x []
 	// confident enough.
 	stage := 0
 	if c := a.cfg.Cascade; c != nil && len(c.First) > 0 {
-		firstPreds := a.gather(ctx, c.First, x, a.cfg.SLO)
+		firstPreds := a.gather(ctx, c.First, x, deadline)
 		pred, conf := selection.StageConfidence(firstPreds)
 		if conf >= c.Threshold && pred.Label >= 0 {
 			resp := Response{
@@ -210,7 +243,7 @@ func (a *Application) PredictContext(ctx context.Context, contextID string, x []
 				Stage:      1,
 				Selected:   len(c.First),
 			}
-			resp.Latency = time.Since(start)
+			resp.Latency = time.Since(arrived)
 			a.PredLatency.ObserveDuration(resp.Latency)
 			a.Throughput.Mark(1)
 			return resp, nil
@@ -223,7 +256,7 @@ func (a *Application) PredictContext(ctx context.Context, contextID string, x []
 	a.mu.Unlock()
 	indices := a.cfg.Policy.Select(state, u)
 
-	preds := a.gather(ctx, indices, x, a.cfg.SLO)
+	preds := a.gather(ctx, indices, x, deadline)
 	final, conf := a.cfg.Policy.Combine(state, preds)
 
 	resp := Response{
@@ -245,7 +278,7 @@ func (a *Application) PredictContext(ctx context.Context, contextID string, x []
 		resp.UsedDefault = true
 		a.Defaults.Inc()
 	}
-	resp.Latency = time.Since(start)
+	resp.Latency = time.Since(arrived)
 	a.PredLatency.ObserveDuration(resp.Latency)
 	a.Throughput.Mark(1)
 	return resp, nil
@@ -262,11 +295,7 @@ func (a *Application) FeedbackContext(ctx context.Context, contextID string, x [
 	// The feedback join evaluates every candidate model on x. The
 	// prediction cache makes this cheap when feedback arrives shortly
 	// after the prediction was served (§4.2).
-	indices := make([]int, len(a.cfg.Models))
-	for i := range indices {
-		indices[i] = i
-	}
-	preds := a.gather(ctx, indices, x, 0)
+	preds := a.gather(ctx, a.all, x, time.Time{})
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -282,29 +311,33 @@ func (a *Application) FeedbackContext(ctx context.Context, contextID string, x [
 	return nil
 }
 
-// pendingFetch is one selected model whose prediction could not be
-// resolved synchronously from the cache: either this goroutine holds the
-// single-flight leadership for the key (leader), must wait for another
-// leader's in-flight fetch (wait), or caching is disabled (cached=false).
+// pendingFetch is one selected model whose prediction the synchronous cache
+// pass could not resolve: this request holds the single-flight leadership
+// for key (leader), follows another request's in-flight fetch (follower), or
+// caching is disabled (neither).
 type pendingFetch struct {
-	idx    int
-	model  string
-	key    cache.Key
-	leader bool
-	wait   <-chan container.Prediction
-	cached bool
+	idx      int
+	key      cache.Key
+	leader   bool
+	follower bool
 }
 
 // gather fans the query out to the selected models and collects whatever
 // predictions arrive before the deadline. The result is indexed by policy
-// model index; unselected and straggling models are nil. deadline 0 waits
-// for every selected model (subject to ctx).
+// model index; unselected and straggling models are nil. A zero deadline
+// waits for every selected model (subject to ctx).
 //
-// A synchronous cache pass runs first, so the common cache-hit path
-// resolves every model inline: no goroutine, no channel, no timer. Only
-// misses and single-flight followers go async — and a lone miss with no
-// straggler deadline completes inline too.
-func (a *Application) gather(ctx context.Context, indices []int, x []float64, deadline time.Duration) []*container.Prediction {
+// A synchronous cache pass runs first, so the common cache-hit path resolves
+// every model inline, and so does a lone miss with no deadline to race.
+// Anything else is a countdown (fanIn): each miss is started on its model's
+// scheduler with a completion, each follower registered with the cache, and
+// this goroutine parks once, to be woken by the last arrival, the deadline or
+// ctx — no goroutine, no channel and no timer is made per call. Starting never
+// blocks: a model whose sub-queue is full is missing at once, its claim aborted.
+// The deadline withdraws nothing: a straggler still completes and fills the
+// cache for the feedback join. ctx does: what is still queued is cancelled
+// and its cache claim aborted.
+func (a *Application) gather(ctx context.Context, indices []int, x []float64, deadline time.Time) []*container.Prediction {
 	preds := make([]*container.Prediction, len(a.cfg.Models))
 	if len(indices) == 0 {
 		return preds
@@ -321,103 +354,163 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 	if cl.cache != nil {
 		qid = cache.HashQuery(x) // hash depends only on x: once per query, not per model
 	}
-	var pending []pendingFetch
+	var buf [4]pendingFetch // on the stack for the usual ensemble
+	pending := buf[:0]
 	for _, idx := range indices {
 		if idx < 0 || idx >= len(a.cfg.Models) {
 			continue
 		}
-		model := a.cfg.Models[idx]
 		if cl.cache == nil {
-			pending = append(pending, pendingFetch{idx: idx, model: model})
+			pending = append(pending, pendingFetch{idx: idx})
 			continue
 		}
-		key := cache.Key{Model: model, Version: cl.modelVersion(model), QueryID: qid}
-		val, hit, leader, wait := cl.cache.Request(key)
+		key := cache.Key{Model: a.cfg.Models[idx], Version: int(a.scheds[idx].version.Load()), QueryID: qid}
+		val, hit, leader, follower := cl.cache.Request(key)
 		if hit {
 			keep(idx, val)
 			continue
 		}
-		pending = append(pending, pendingFetch{
-			idx: idx, model: model, key: key, leader: leader, wait: wait, cached: true,
-		})
+		pending = append(pending, pendingFetch{idx: idx, key: key, leader: leader, follower: follower})
 	}
 	if len(pending) == 0 {
 		return preds
 	}
-	if len(pending) == 1 && deadline <= 0 {
-		if p, ok := a.completeFetch(ctx, x, pending[0]); ok {
-			keep(pending[0].idx, p)
+	if f := pending[0]; len(pending) == 1 && deadline.IsZero() && !f.follower {
+		p, err := a.scheds[f.idx].submit(ctx, a.tenant(), x)
+		if a.settle(f, p, err) {
+			keep(f.idx, p)
 		}
 		return preds
 	}
 
-	type arrival struct {
-		index int
-		pred  container.Prediction
-		ok    bool
-	}
-	arrivals := make(chan arrival, len(pending))
-	for _, f := range pending {
-		go func(f pendingFetch) {
-			p, ok := a.completeFetch(ctx, x, f)
-			arrivals <- arrival{index: f.idx, pred: p, ok: ok}
-		}(f)
-	}
-
-	var timeout <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for received := 0; received < len(pending); received++ {
-		select {
-		case arr := <-arrivals:
-			if arr.ok {
-				keep(arr.index, arr.pred)
-			}
-		case <-timeout:
-			// Straggler deadline: combine with what we have. The
-			// in-flight goroutines still complete and populate the
-			// cache for the feedback join.
-			return preds
-		case <-ctx.Done():
-			return preds
+	w := wakerPool.Get().(*waker)
+	fan := &fanIn{a: a, wake: w.ch, preds: preds, vals: vals, left: len(pending), fetches: make([]fetch, len(pending))}
+	tenant := a.tenant()
+	for i, pf := range pending {
+		f := &fan.fetches[i]
+		f.pendingFetch, f.fan = pf, fan
+		if f.follower {
+			cl.cache.Follow(f.key, f.followed)
+		} else {
+			a.scheds[f.idx].start(ctx, tenant, &f.req, x, f.done)
 		}
 	}
+	fan.wait(ctx, w, deadline)
 	return preds
 }
 
-// completeFetch renders one model's prediction for x through its batching
-// queue, completing (or aborting) the single-flight cache claim made by
-// gather's synchronous pass.
-func (a *Application) completeFetch(ctx context.Context, x []float64, f pendingFetch) (container.Prediction, bool) {
-	cl := a.cl
-	if !f.cached {
-		p, err := cl.SubmitModelTenant(ctx, f.model, a.tenant(), x)
-		return p, err == nil
-	}
+// settle pays the cache what a finished fetch owes it — a leader Puts the
+// prediction or Aborts its claim — and reports whether p is an answer.
+func (a *Application) settle(f pendingFetch, p container.Prediction, err error) bool {
 	if f.leader {
-		p, err := cl.SubmitModelTenant(ctx, f.model, a.tenant(), x)
 		if err != nil {
-			cl.cache.Abort(f.key)
-			return container.Prediction{}, false
+			a.cl.cache.Abort(f.key)
+		} else {
+			// Cache a private copy of the scores: predictions decoded from a
+			// container RPC share one batch-wide backing array, and a cached
+			// entry must not pin the whole batch's scores for its lifetime.
+			stored := p
+			if len(p.Scores) > 0 {
+				stored.Scores = append([]float64(nil), p.Scores...)
+			}
+			a.cl.cache.Put(f.key, stored)
 		}
-		// Cache a private copy of the scores: predictions decoded from a
-		// container RPC share one batch-wide backing array, and a cached
-		// entry must not pin the whole batch's scores for its lifetime.
-		stored := p
-		if len(p.Scores) > 0 {
-			stored.Scores = append([]float64(nil), p.Scores...)
-		}
-		cl.cache.Put(f.key, stored)
-		return p, true
 	}
+	return err == nil
+}
+
+// fetch is one pendingFetch in flight: the storage its submission waits in
+// and the completions that carry its outcome into the fan-in.
+type fetch struct {
+	pendingFetch
+	fan *fanIn
+	req batching.Request
+}
+
+// done is the fetch's batching completion (it runs on the goroutine that
+// finished the batch and does not block): cache first, then arrive.
+func (f *fetch) done(res batching.Result) {
+	f.fan.arrive(f.idx, res.Pred, f.fan.a.settle(f.pendingFetch, res.Pred, res.Err))
+}
+
+// followed is the fetch's cache completion, fired by the leader it follows.
+func (f *fetch) followed(p container.Prediction, ok bool) { f.fan.arrive(f.idx, p, ok) }
+
+// fanIn is one gather's countdown of completions. Arrivals write the reply's
+// slices under mu until the worker closes it; a later arrival still paid the
+// cache in settle but never touches what the reply was built from.
+type fanIn struct {
+	a       *Application
+	fetches []fetch
+	wake    chan struct{} // the worker's waker; sent to under mu, at most once
+
+	mu     sync.Mutex
+	preds  []*container.Prediction
+	vals   []container.Prediction
+	left   int // arrivals still owed
+	closed bool
+}
+
+func (fan *fanIn) arrive(idx int, p container.Prediction, ok bool) {
+	fan.mu.Lock()
+	if !fan.closed {
+		if ok {
+			fan.vals = append(fan.vals, p)
+			fan.preds[idx] = &fan.vals[len(fan.vals)-1]
+		}
+		if fan.left--; fan.left == 0 {
+			fan.wake <- struct{}{} // buffered; under mu so a closed fan-in never signals a recycled waker
+		}
+	}
+	fan.mu.Unlock()
+}
+
+// waker is what a gathering worker parks on: the channel the last arrival
+// signals and the timer that ends the wait at the deadline. Pooled, so the
+// wait allocates nothing; a waker is pooled stopped and drained.
+type waker struct {
+	ch    chan struct{}
+	timer *time.Timer
+}
+
+var wakerPool = sync.Pool{
+	New: func() any {
+		t := time.NewTimer(time.Hour)
+		t.Stop()
+		return &waker{ch: make(chan struct{}, 1), timer: t}
+	},
+}
+
+// wait parks the worker until the last arrival, the deadline (zero: none) or
+// ctx, then closes the fan-in. Only ctx withdraws what is still queued.
+func (fan *fanIn) wait(ctx context.Context, w *waker, deadline time.Time) {
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		w.timer.Reset(time.Until(deadline)) // already spent: fires at once
+		expired = w.timer.C
+	}
+	cancelled := false
 	select {
-	case p, ok := <-f.wait:
-		return p, ok
+	case <-w.ch:
+	case <-expired:
 	case <-ctx.Done():
-		return container.Prediction{}, false
+		cancelled = true
+	}
+	w.timer.Stop()
+	fan.mu.Lock()
+	fan.closed = true
+	fan.mu.Unlock()
+	select {
+	case <-w.ch: // the last arrival raced the deadline
+	default:
+	}
+	wakerPool.Put(w)
+	if cancelled {
+		for i := range fan.fetches {
+			if f := &fan.fetches[i]; f.req.Cancel() && f.leader {
+				fan.a.cl.cache.Abort(f.key)
+			}
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clipper/internal/batching"
@@ -59,10 +60,13 @@ type Clipper struct {
 	schedCfg SchedulerConfig
 	prom     *metrics.Registry
 
+	// apps is copy-on-write: RegisterApp publishes a new map under mu, and
+	// readers — App sits on every request's path — load it without a lock.
+	apps atomic.Pointer[map[string]*Application]
+
 	mu     sync.Mutex
 	scheds map[string]*scheduler     // model name -> replica scheduler
 	infos  map[string]container.Info // model name -> info
-	apps   map[string]*Application
 	closed bool
 }
 
@@ -87,8 +91,8 @@ func New(cfg Config) *Clipper {
 		prom:     metrics.NewRegistry(),
 		scheds:   make(map[string]*scheduler),
 		infos:    make(map[string]container.Info),
-		apps:     make(map[string]*Application),
 	}
+	cl.apps.Store(&map[string]*Application{})
 	// Exposition wiring (prom.go): families registered once here; their
 	// collectors enumerate replicas/apps at scrape time, so later Deploy
 	// and RegisterApp calls surface with no per-deploy registration.
@@ -129,6 +133,7 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 		Stop: stop,
 	}
 	s.add(newReplicaQueue(rep, batching.NewQueue(pred, qcfg)))
+	s.version.Store(int64(info.Version))
 	cl.infos[info.Name] = info
 	return rep, nil
 }
@@ -203,10 +208,9 @@ func (cl *Clipper) modelReplicas(model string) []*replicaQueue {
 
 // AppNames returns the sorted names of registered applications.
 func (cl *Clipper) AppNames() []string {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	names := make([]string, 0, len(cl.apps))
-	for name := range cl.apps {
+	apps := *cl.apps.Load()
+	names := make([]string, 0, len(apps))
+	for name := range apps {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -218,13 +222,6 @@ func (cl *Clipper) Cache() *cache.Cache { return cl.cache }
 
 // Store returns the selection-state store.
 func (cl *Clipper) Store() statestore.Store { return cl.store }
-
-// modelVersion returns the deployed version of a model (for cache keys).
-func (cl *Clipper) modelVersion(model string) int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.infos[model].Version
-}
 
 // Close shuts down all applications, queues and replicas.
 func (cl *Clipper) Close() {

@@ -16,7 +16,9 @@ import (
 // wins; the loser is withdrawn via batching.Ticket.Cancel (or its Result
 // discarded if a batch already collected it), so the caller still sees
 // exactly one outcome. A hedge budget bounds duplicates to a fraction of
-// offered load.
+// offered load. Racing two tickets against a timer needs a goroutine to
+// park, so with hedging on (off by default) scheduler.start spends one per
+// fetch where the plain path is a registered completion.
 
 // HedgeConfig parameterizes straggler hedging. Zero values select
 // defaults; hedging is off unless Enabled.

@@ -343,12 +343,11 @@ func (cl *Clipper) registerCollectors() {
 		metrics.KindGauge, func(st AppStatus) float64 { return st.SLOMillis / 1e3 })
 	r.MustRegister("clipper_app_latency_seconds", "End-to-end prediction latency per application.",
 		metrics.KindSummary, func(dst []metrics.Series) []metrics.Series {
-			cl.mu.Lock()
-			apps := make([]*Application, 0, len(cl.apps))
-			for _, a := range cl.apps {
+			registered := *cl.apps.Load()
+			apps := make([]*Application, 0, len(registered))
+			for _, a := range registered {
 				apps = append(apps, a)
 			}
-			cl.mu.Unlock()
 			sort.Slice(apps, func(i, j int) bool { return apps[i].cfg.Name < apps[j].cfg.Name })
 			for _, a := range apps {
 				dst = metrics.AppendSummary(dst, a.PredLatency, metrics.Label{Name: "app", Value: a.cfg.Name})

@@ -90,19 +90,6 @@ func (a *Application) tenant() string {
 	return ""
 }
 
-// EstimateModelCost returns the lowest estimated completion time for one
-// more query on model across its healthy replicas. ok is false for
-// unknown models and while no healthy replica has priced itself.
-func (cl *Clipper) EstimateModelCost(model string) (time.Duration, bool) {
-	cl.mu.Lock()
-	s := cl.scheds[model]
-	cl.mu.Unlock()
-	if s == nil {
-		return 0, false
-	}
-	return s.minEstCost()
-}
-
 // predictedCost is the admission gate's completion estimate for one more
 // query from this application: the worst (highest) per-model minimum
 // cost across its candidate models, since the policy may fan out to all
@@ -111,8 +98,8 @@ func (cl *Clipper) EstimateModelCost(model string) (time.Duration, bool) {
 func (a *Application) predictedCost() (time.Duration, bool) {
 	var worst time.Duration
 	warm := false
-	for _, m := range a.cfg.Models {
-		if cost, ok := a.cl.EstimateModelCost(m); ok {
+	for _, s := range a.scheds {
+		if cost, ok := s.minEstCost(); ok {
 			warm = true
 			if cost > worst {
 				worst = cost
@@ -122,15 +109,16 @@ func (a *Application) predictedCost() (time.Duration, bool) {
 	return worst, warm
 }
 
-// admit runs the SLO admission gate. shed=false means the query proceeds
-// to normal serving; shed=true means the gate consumed it, and resp/err
-// carry the outcome (a degraded Response, or ErrSLOShed).
-func (a *Application) admit(contextID string, x []float64, start time.Time) (resp Response, shed bool, err error) {
+// admit runs the SLO admission gate against what is left of the request's
+// budget: the time from now to deadline (PredictAt's). shed=false means the
+// query proceeds to normal serving; shed=true means the gate consumed it,
+// and resp/err carry the outcome (a degraded Response, or ErrSLOShed).
+func (a *Application) admit(contextID string, x []float64, arrived, deadline time.Time) (resp Response, shed bool, err error) {
 	if a.cfg.Shed == ShedNone || a.cfg.SLO <= 0 {
 		return Response{}, false, nil
 	}
 	cost, warm := a.predictedCost()
-	if !warm || cost <= a.cfg.SLO {
+	if !warm || cost <= time.Until(deadline) {
 		return Response{}, false, nil
 	}
 	if a.cfg.Shed == ShedReject {
@@ -138,7 +126,7 @@ func (a *Application) admit(contextID string, x []float64, start time.Time) (res
 		return Response{}, true, ErrSLOShed
 	}
 	resp = a.degrade(contextID, x)
-	resp.Latency = time.Since(start)
+	resp.Latency = time.Since(arrived)
 	a.Degrades.Inc()
 	a.PredLatency.ObserveDuration(resp.Latency)
 	a.Throughput.Mark(1)
@@ -160,7 +148,7 @@ func (a *Application) degrade(contextID string, x []float64) Response {
 	preds := make([]*container.Prediction, len(a.cfg.Models))
 	hits := 0
 	for i, m := range a.cfg.Models {
-		key := cache.Key{Model: m, Version: cl.modelVersion(m), QueryID: qid}
+		key := cache.Key{Model: m, Version: int(a.scheds[i].version.Load()), QueryID: qid}
 		if v, ok := cl.cache.Fetch(key); ok {
 			v := v
 			preds[i] = &v
@@ -226,15 +214,10 @@ func (a *Application) status() AppStatus {
 
 // AppStatuses snapshots every registered application, keyed by name.
 func (cl *Clipper) AppStatuses() map[string]AppStatus {
-	cl.mu.Lock()
-	apps := make([]*Application, 0, len(cl.apps))
-	for _, a := range cl.apps {
-		apps = append(apps, a)
-	}
-	cl.mu.Unlock()
+	apps := *cl.apps.Load()
 	out := make(map[string]AppStatus, len(apps))
-	for _, a := range apps {
-		out[a.cfg.Name] = a.status()
+	for name, a := range apps {
+		out[name] = a.status()
 	}
 	return out
 }

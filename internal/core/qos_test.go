@@ -20,6 +20,12 @@ import (
 // ~20ms against its 1ms SLO.
 func slowApp(t *testing.T, shed ShedPolicy) (*Clipper, *Application) {
 	t.Helper()
+	return slowAppSLO(t, shed, time.Millisecond)
+}
+
+// slowAppSLO is slowApp with the gated app's SLO chosen by the caller.
+func slowAppSLO(t *testing.T, shed ShedPolicy, slo time.Duration) (*Clipper, *Application) {
+	t.Helper()
 	cl := newClipperWithModels(t, &stubModel{name: "slow", label: 5, delay: 20 * time.Millisecond})
 	warm, err := cl.RegisterApp(AppConfig{
 		Name: "warm", Models: []string{"slow"}, Policy: selection.NewStatic(0),
@@ -33,7 +39,7 @@ func slowApp(t *testing.T, shed ShedPolicy) (*Clipper, *Application) {
 	waitIdle(t, cl.ReplicaQueues("slow")[0], 1)
 	app, err := cl.RegisterApp(AppConfig{
 		Name: "app", Models: []string{"slow"}, Policy: selection.NewStatic(0),
-		SLO: time.Millisecond, Shed: shed, DefaultLabel: 9,
+		SLO: slo, Shed: shed, DefaultLabel: 9,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,8 +141,9 @@ type scheduler struct {
 	rqs      []*replicaQueue // copy-on-write; snapshots are never mutated
 	tweights map[string]int  // tenant fair-batching weights, applied to every replica queue
 
-	cursor atomic.Uint64 // free-running rotation cursor
-	picks  atomic.Uint64 // dispatch count, for ProbeEvery
+	cursor  atomic.Uint64 // free-running rotation cursor
+	picks   atomic.Uint64 // dispatch count, for ProbeEvery
+	version atomic.Int64  // deployed model version (cache keys); written by Deploy and SwapModel
 
 	submitted    atomic.Int64
 	hedgesIssued atomic.Int64
@@ -285,19 +286,53 @@ func (s *scheduler) probeTick() bool {
 	return s.picks.Add(1)%uint64(pe) == 0
 }
 
-// submit routes one query: pick a replica and dispatch (hedged when
+// route picks the replica for one more query and counts it; nil with
+// ErrUnknownModel when the model has no replicas.
+func (s *scheduler) route() (*replicaQueue, error) {
+	rq := s.pick()
+	if rq == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, s.model)
+	}
+	s.submitted.Add(1)
+	return rq, nil
+}
+
+// submit routes one query and blocks for its prediction (hedged when
 // enabled). tenant names the sub-queue the query waits in; "" is the
 // default tenant every non-QoS application shares.
 func (s *scheduler) submit(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
-	rq := s.pick()
-	if rq == nil {
-		return container.Prediction{}, fmt.Errorf("%w: %q", ErrUnknownModel, s.model)
+	rq, err := s.route()
+	if err != nil {
+		return container.Prediction{}, err
 	}
-	s.submitted.Add(1)
 	if !s.cfg.Hedge.Enabled {
 		return rq.queue.SubmitTenant(ctx, tenant, x)
 	}
 	return s.submitHedged(ctx, rq, tenant, x)
+}
+
+// start routes one query without waiting for it and never blocks: a full
+// sub-queue refuses (batching.ErrQueueFull) rather than wait for room. done
+// fires exactly once under batching.Request's completion rule — inline,
+// before start returns, when no replica would take the query — unless
+// r.Cancel withdraws it first.
+func (s *scheduler) start(ctx context.Context, tenant string, r *batching.Request, x []float64, done func(batching.Result)) {
+	rq, err := s.route()
+	if err == nil && s.cfg.Hedge.Enabled {
+		// One parked goroutine per hedged fetch (hedge.go); r stays idle,
+		// ctx is what withdraws it.
+		go func() {
+			p, err := s.submitHedged(ctx, rq, tenant, x)
+			done(batching.Result{Pred: p, Err: err})
+		}()
+		return
+	}
+	if err == nil {
+		err = rq.queue.Start(ctx, tenant, r, x, done)
+	}
+	if err != nil {
+		done(batching.Result{Err: err})
+	}
 }
 
 // minEstCost is the scheduler's lowest estimated completion time for one
@@ -364,21 +399,14 @@ func (cl *Clipper) SchedulerStats(model string) (SchedulerStats, bool) {
 }
 
 // SubmitModel routes one query to a replica of model through the
-// scheduler and blocks for its prediction. The application prediction
-// path uses it per fetched model; benchmarks drive it directly.
+// scheduler, on the default tenant, and blocks for its prediction.
+// Applications hold their schedulers; this lookup is for outside callers.
 func (cl *Clipper) SubmitModel(ctx context.Context, model string, x []float64) (container.Prediction, error) {
-	return cl.SubmitModelTenant(ctx, model, "", x)
-}
-
-// SubmitModelTenant is SubmitModel with a tenant tag for fair batching
-// across applications sharing the model's replicas. An empty tenant is
-// the default tenant.
-func (cl *Clipper) SubmitModelTenant(ctx context.Context, model, tenant string, x []float64) (container.Prediction, error) {
 	cl.mu.Lock()
 	s := cl.scheds[model]
 	cl.mu.Unlock()
 	if s == nil {
 		return container.Prediction{}, fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	return s.submit(ctx, tenant, x)
+	return s.submit(ctx, "", x)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,11 +13,15 @@ import (
 )
 
 // blockModel parks every batch until its release channel is closed —
-// the "replica that stopped draining" of the hedging design.
+// the "replica that stopped draining" of the hedging design, and the
+// straggler of the deadline tests. It counts its rows and records the most
+// goroutines it ever saw alive while a batch was in it.
 type blockModel struct {
 	name    string
 	release chan struct{}
 	calls   atomic.Int64
+	rows    atomic.Int64
+	peak    atomic.Int64
 }
 
 func (m *blockModel) Info() container.Info {
@@ -25,6 +30,10 @@ func (m *blockModel) Info() container.Info {
 
 func (m *blockModel) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
 	m.calls.Add(1)
+	m.rows.Add(int64(len(xs)))
+	if g := int64(runtime.NumGoroutine()); g > m.peak.Load() {
+		m.peak.Store(g)
+	}
 	<-m.release
 	out := make([]container.Prediction, len(xs))
 	for i := range out {

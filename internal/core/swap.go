@@ -39,6 +39,9 @@ func (cl *Clipper) SwapModel(pred container.Predictor, stop func(), qcfg batchin
 	}
 	rq := newReplicaQueue(rep, batching.NewQueue(pred, qcfg))
 	retired := s.replaceAll(rq)
+	// After the replicas: a racing gather may cache the new replica's answer
+	// under the old version (never read again), not the reverse.
+	s.version.Store(int64(info.Version))
 	cl.infos[info.Name] = info
 	cl.mu.Unlock()
 

@@ -25,6 +25,9 @@ type PredictRequest struct {
 	Context string `json:"context,omitempty"`
 	// Input is the dense feature vector.
 	Input []float64 `json:"input"`
+	// Arrived is when the adapter read the request off its transport; the
+	// application's SLO counts from it. Zero means now.
+	Arrived time.Time `json:"-"`
 }
 
 // PredictResult is one prediction outcome, transport-neutral.
@@ -65,7 +68,7 @@ type RegisterAppRequest struct {
 	// "thompson", "epsilon-greedy" or "static:<index>". Empty selects
 	// exp4.
 	Policy string `json:"policy,omitempty"`
-	// SLOMillis is the straggler deadline; 0 waits for all models.
+	// SLOMillis bounds the reply (core.AppConfig.SLO); 0 waits for all models.
 	SLOMillis int `json:"slo_ms,omitempty"`
 	// ConfidenceThreshold enables robust defaults when positive.
 	ConfidenceThreshold float64 `json:"confidence_threshold,omitempty"`
@@ -121,7 +124,7 @@ func (b *Bound) Predict(ctx context.Context, req PredictRequest) (res PredictRes
 	if !ok {
 		return res, fail(CodeNotFound, fmt.Sprintf("unknown app %q", req.App))
 	}
-	resp, perr := app.PredictContext(ctx, req.Context, req.Input)
+	resp, perr := app.PredictAt(ctx, req.Context, req.Input, req.Arrived)
 	if perr != nil {
 		return res, wrap(perr)
 	}

@@ -2,25 +2,13 @@ package models
 
 import (
 	"math"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"clipper/internal/dataset"
+	"clipper/internal/testutil"
 )
-
-// raceEnabled reports whether the test binary was built with -race, under
-// which timing ceilings are not meaningful.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
 
 // The flat fast paths exist for the serving hot path (zero-copy tensor
 // decode); their contract is bit-for-bit equivalence with the per-query
@@ -210,7 +198,7 @@ func BenchmarkNaiveBayesScoresFlat(b *testing.B) {
 // row scored in under 50 µs did not take them. The best of five batches is
 // compared, to sit under scheduling noise.
 func TestNaiveBayesScoringTakesNoLog(t *testing.T) {
-	if raceEnabled() {
+	if testutil.RaceEnabled() {
 		t.Skip("timing ceilings are not meaningful under the race detector")
 	}
 	m, data, rows, out := bayesBatch(t)

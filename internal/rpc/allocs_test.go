@@ -2,22 +2,11 @@ package rpc
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
 	"time"
-)
 
-// raceEnabled reports whether the test binary was built with -race, under
-// which sync.Pool drops a share of what is put and pooled paths allocate.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
+	"clipper/internal/testutil"
+)
 
 // TestCallAllocs pins the steady-state allocation count of one Call over
 // a loopback connection, the server's share included (it runs in this
@@ -27,7 +16,7 @@ func raceEnabled() bool {
 // which also takes a large body lease and overflows the 64 KiB read
 // buffer.
 func TestCallAllocs(t *testing.T) {
-	if raceEnabled() {
+	if testutil.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	addr, stop := startServer(t, echoHandler)

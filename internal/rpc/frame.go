@@ -30,6 +30,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // MsgType distinguishes frame kinds.
@@ -71,8 +72,9 @@ type Frame struct {
 	Method  Method
 	Payload []byte
 
-	body   *[]byte // pooled body backing Payload; nil when unpooled
-	leased bool    // came from ReadFrame via recvFramePool
+	body    *[]byte   // pooled body backing Payload; nil when unpooled
+	leased  bool      // came from ReadFrame via recvFramePool
+	arrived time.Time // when a Server's read loop read this request
 }
 
 // Release returns the frame's pooled body (and the frame itself, when it

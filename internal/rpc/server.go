@@ -31,6 +31,11 @@ import (
 // server recycles the returned buffer into its response pool.
 type Handler func(method Method, payload, scratch []byte) ([]byte, error)
 
+// TimedHandler is a Handler that is also told when its request frame was
+// read off the connection — the instant a client-facing server counts a
+// request's deadline from. Everything said of Handler holds.
+type TimedHandler func(method Method, payload, scratch []byte, arrived time.Time) ([]byte, error)
+
 // Response bodies are pooled separately from read-side frame bodies:
 // they grow to the server's stable response size and obey the same 1 MiB
 // retention cap (one giant response must not pin a giant buffer forever).
@@ -91,7 +96,7 @@ var ErrServerClosed = errors.New("rpc: server closed")
 // request frame released once, every response scratch recycled once —
 // hold on either path.
 type Server struct {
-	handler Handler
+	handler TimedHandler
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -102,6 +107,14 @@ type Server struct {
 
 // NewServer returns a server dispatching to handler.
 func NewServer(handler Handler) *Server {
+	return NewTimedServer(func(m Method, payload, scratch []byte, _ time.Time) ([]byte, error) {
+		return handler(m, payload, scratch)
+	})
+}
+
+// NewTimedServer returns a server dispatching to a handler that takes each
+// request's arrival time.
+func NewTimedServer(handler TimedHandler) *Server {
 	return &Server{handler: handler, conns: make(map[net.Conn]struct{})}
 }
 
@@ -221,6 +234,7 @@ func (s *Server) readLoop(conn io.ReadWriteCloser, writeMu *sync.Mutex, reqCh ch
 			WriteFrame(conn, &Frame{ID: id, Type: MsgPong})
 			writeMu.Unlock()
 		case MsgRequest:
+			f.arrived = time.Now()
 			// Hand the frame to a parked worker if one is waiting;
 			// otherwise every worker is mid-request, so grow the pool.
 			// The handoff never blocks the read loop.
@@ -254,7 +268,7 @@ func (s *Server) serveRequests(conn io.ReadWriteCloser, writeMu *sync.Mutex, req
 
 func (s *Server) serveRequest(conn io.ReadWriteCloser, writeMu *sync.Mutex, f, out *Frame) {
 	scratch := getRespBuf()
-	resp, err := s.handler(f.Method, f.Payload, (*scratch)[:0])
+	resp, err := s.handler(f.Method, f.Payload, (*scratch)[:0], f.arrived)
 	*out = Frame{ID: f.ID, Type: MsgResponse, Method: f.Method, Payload: resp}
 	if err != nil {
 		out.Type = MsgError
