@@ -44,13 +44,15 @@ type PoolTuner interface {
 // deployment, so not configuration.
 const (
 	// startWindow is where a measured window starts: the pinned default
-	// every queue ran with before windows were measured, and the middle of
-	// [1, maxWindow] on the scale probes move on.
+	// every queue ran with before windows were measured.
 	startWindow = 4
-	// maxWindow is where growth stops. A probe is judged against 1/(2W);
-	// at 16 that is 3 %, which is what one clipped pause in a 32-batch
-	// period moves the period's mean by: past it the judge reads noise.
-	maxWindow = 16
+	// stepDiv sizes a probe, s = max(1, ⌊W/stepDiv⌋), judged against
+	// s/(2W) ≈ 1/16 at any W: pauses, ±10 % jitter and timer lateness move a
+	// 2W-batch period's mean by ±2–3 %, which swamps 1/(2W) above W = 16.
+	stepDiv = 8
+	// maxRejects caps a rest at 2^16 periods, a million batches: long
+	// enough to be free, short enough that a replica that changed is found.
+	maxRejects = 16
 	// periodFloor is the least number of batches a line is fitted to or a
 	// probe judged on. A straggler's pause, clipped at 2×, adds 1/16 to a
 	// 16-batch mean: half of the 1/8 a probe at the start window is judged
@@ -134,10 +136,10 @@ type Adaptive struct {
 	model *LoadModel // the queue's load model
 	pool  PoolTuner  // nil without a pool
 
-	// Window loop. The line (a, b) was fitted at win−dir while probing,
-	// at win otherwise.
+	// Window loop: the line (a, b) is fitted at win, or win−dir·step probing.
 	win     int
 	dir     int  // the current or next probe's direction, ±1
+	step    int  // the current probe's size
 	probing bool // win is a probe awaiting judgment
 	skip    int  // periods to let pass: settling after a move, resting after a rejection
 	rejects uint // consecutive rejected probes
@@ -220,15 +222,15 @@ func (a *Adaptive) tick(n int, lat time.Duration, bound bool) {
 	}
 }
 
-// endPeriod is the window law. A probe of W±1 settles for one period and is
+// endPeriod is the window law. A probe of W±s settles for one period and is
 // judged on the next: its batches' mean latency over what the line fitted at
-// W predicts for their sizes. Growing is kept if that stays under
-// 1 + 1/(2W), shrinking if it falls under 1 − 1/(2W): a container with P
-// lanes shows (P+1)/P the moment W passes P, and half of that step is the
-// most that can be asked of a period's mean. A kept probe's own period is
-// the next line; a rejected one is undone, the direction flips, and the loop
-// rests — twice as long per consecutive rejection, so a window that has
-// found its place is probed ever more rarely — before fitting again.
+// W predicts for their sizes. Growing is kept under 1 + s/(2W), shrinking
+// under 1 − s/(2W): P lanes show (P+s)/P once W passes P by s, and half that
+// step is the most a period's mean can resolve. A kept probe's period is the
+// next line; a rejected one is undone, the direction flips, and the loop
+// rests, twice as long per consecutive rejection, before fitting again.
+// There is no ceiling: a window the load cannot fill has no window-bound
+// batches, so the most batches the load keeps in flight bounds it (+ s).
 func (a *Adaptive) endPeriod() {
 	p := a.cur
 	a.cur = period{}
@@ -237,24 +239,22 @@ func (a *Adaptive) endPeriod() {
 		return
 	}
 	if a.probing {
-		base := a.win - a.dir
+		base := a.win - a.dir*a.step
 		a.ratio = p.sl / (a.a*p.k + a.b*p.sn)
-		if a.ratio >= 1+float64(a.dir)/float64(2*base) {
+		if a.ratio >= 1+float64(a.dir*a.step)/float64(2*base) {
 			a.verdict = "revert"
 			a.win, a.dir, a.probing = base, -a.dir, false
 			a.skip = 1 << a.rejects
-			// Saturates where a rest is a million batches: long enough to
-			// be free, short enough that a replica that changed is found.
-			a.rejects = min(a.rejects+1, maxWindow)
+			a.rejects = min(a.rejects+1, maxRejects)
 			return
 		}
 		a.verdict, a.rejects = "keep", 0
 	}
 	a.a, a.b = p.fit()
-	if w := a.win + a.dir; w < 1 || w > maxWindow {
-		a.dir = -a.dir
+	if a.step = max(1, a.win/stepDiv); a.win-a.step < 1 {
+		a.dir = 1
 	}
-	a.win += a.dir
+	a.win += a.dir * a.step
 	a.probing, a.skip = true, 1
 }
 

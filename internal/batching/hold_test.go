@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -93,14 +94,15 @@ type holdSim struct {
 
 	fixed, perItem float64
 	lanes          int
-	noise          *rand.Rand // non-nil: ±5 % service jitter and a 30 ms pause in 1 batch of 40
-	laneFree       []float64
+	noise          *rand.Rand // non-nil: simNoise's service-time noise, drawn from here
+	simNoise
+	laneFree []float64
 
 	now        float64
 	queue      []*simReq
-	flights    []simFlight
-	arrivals   []float64 // future arrival instants, ascending
-	collecting bool      // the collector has a slot reserved
+	flights    []simFlight // by finish time, ties in dispatch order
+	arrivals   []float64   // future arrival instants, ascending
+	collecting bool        // the collector has a slot reserved
 	load       LoadModel
 
 	done       func(now float64) // a request completed (closed loop: schedules the next)
@@ -108,8 +110,17 @@ type holdSim struct {
 	batches    []int
 	sojourns   []float64
 	everHeld   int
+	peak       int // the most batches ever in flight at once
 	minW, maxW int // the window's range since the last call of measured
 	idleMoves  int // window moves on a batch that was not window-bound
+}
+
+// simNoise is what a noisy simulation adds to a service time: a factor
+// within ±jitter, a uniform 0–late seconds of wake-up lateness, and a 30 ms
+// pause in one batch of 40.
+type simNoise struct {
+	name         string
+	jitter, late float64
 }
 
 var simEpoch = time.Unix(1e9, 0)
@@ -143,7 +154,10 @@ func (s *holdSim) reserve() {
 func (s *holdSim) serve(n int) float64 {
 	d := s.fixed + s.perItem*float64(n)
 	if s.noise != nil {
-		d *= 0.95 + 0.1*s.noise.Float64()
+		d *= 1 - s.jitter + 2*s.jitter*s.noise.Float64()
+		if s.late > 0 {
+			d += s.late * s.noise.Float64()
+		}
 		if s.noise.Intn(40) == 0 {
 			d += 0.030
 		}
@@ -169,7 +183,7 @@ func (s *holdSim) dispatch() {
 		if s.hold && len(s.flights) > 0 {
 			oldest := math.Inf(1)
 			for _, f := range s.flights {
-				oldest = math.Min(oldest, f.start)
+				oldest = min(oldest, f.start)
 			}
 			next := seconds(oldest + s.load.robustLat.Value() - s.now)
 			if holdLast(len(s.queue), s.load.arrivalRate(), next, len(s.flights)+1, s.w) {
@@ -180,8 +194,10 @@ func (s *holdSim) dispatch() {
 			}
 		}
 		n := min(len(s.queue), simMaxBatch)
-		s.flights = append(s.flights, simFlight{start: s.now, finish: s.serve(n),
-			last: len(s.flights)+1 >= s.w, reqs: s.queue[:n:n]})
+		f := simFlight{start: s.now, finish: s.serve(n), last: len(s.flights)+1 >= s.w, reqs: s.queue[:n:n]}
+		i := sort.Search(len(s.flights), func(i int) bool { return s.flights[i].finish > f.finish })
+		s.flights = slices.Insert(s.flights, i, f)
+		s.peak = max(s.peak, len(s.flights))
 		s.dispatches = append(s.dispatches, s.now)
 		s.batches = append(s.batches, n)
 		s.queue = s.queue[n:]
@@ -221,24 +237,16 @@ func (s *holdSim) run(until float64) {
 		if len(s.arrivals) > 0 {
 			next = s.arrivals[0]
 		}
-		for _, f := range s.flights {
-			next = math.Min(next, f.finish)
+		if len(s.flights) > 0 {
+			next = min(next, s.flights[0].finish)
 		}
 		if next > until {
 			return
 		}
 		s.now = next
-		kept := s.flights[:0]
-		var finished []simFlight
-		for _, f := range s.flights {
-			if f.finish > s.now {
-				kept = append(kept, f)
-			} else {
-				finished = append(finished, f)
-			}
-		}
-		s.flights = kept
-		for _, f := range finished {
+		for len(s.flights) > 0 && s.flights[0].finish <= s.now {
+			f := s.flights[0]
+			s.flights = s.flights[1:]
 			s.complete(f)
 		}
 		for len(s.arrivals) > 0 && s.arrivals[0] <= s.now {
@@ -262,6 +270,7 @@ func (s *holdSim) closedLoop(clients int, think float64, rng *rand.Rand) {
 // openLoop schedules Poisson arrivals at rate per second until the given
 // time.
 func (s *holdSim) openLoop(rate, until float64, rng *rand.Rand) {
+	s.arrivals = slices.Grow(s.arrivals, int(1.01*rate*until))
 	for at := 0.0; at < until; at += rng.ExpFloat64() / rate {
 		s.arrivals = append(s.arrivals, at)
 	}

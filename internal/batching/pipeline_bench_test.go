@@ -97,10 +97,11 @@ func (p *laneReplica) PredictBatch(xs [][]float64) ([]container.Prediction, erro
 }
 
 // BenchmarkWindowReplicas is the measured window against the two pinned
-// ones it replaced as defaults, on the four container shapes of the
-// virtual-time tests (TestWindowSim), under 32 closed-loop callers: the
-// measured column should track the better pinned one on each row. Run with
-// -benchtime=20000x or more: the window needs a few hundred batches to settle.
+// ones it replaced as defaults, on container shapes of the virtual-time
+// tests (TestWindowSim), under 32 closed-loop callers: the measured column
+// should track the better pinned one on each row, and find the 24-lane
+// knee. Run with -benchtime=30000x: the window needs a few hundred batches
+// to settle.
 func BenchmarkWindowReplicas(b *testing.B) {
 	const ms, us = time.Millisecond, time.Microsecond
 	for _, r := range []struct {
@@ -111,6 +112,7 @@ func BenchmarkWindowReplicas(b *testing.B) {
 		{"SerialFixed", 2 * ms, 30 * us, 1},
 		{"SerialPerItem", 2 * ms, 400 * us, 1},
 		{"FourLanes", 2 * ms, 30 * us, 4},
+		{"TwentyFourLanesPerItem", 2 * ms, ms, 24},
 		{"UnboundedPerItem", 2 * ms, ms, 0},
 	} {
 		for _, inFlight := range []int{1, 4, 0} {

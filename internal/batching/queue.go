@@ -112,10 +112,10 @@ type QueueConfig struct {
 	// dispatching more, overlapping serialization, network, and compute
 	// (the rpc.Client already multiplexes requests over one connection).
 	// Zero means measured: the window starts at 4 and the queue's Adaptive
-	// moves it within [1, 16] by what one more batch in flight does to
-	// batch latency on this replica (adaptive.go), and drives the replica's
-	// RPC pool target if it has a pool. A positive value pins it; 1 is
-	// the paper's serial one-batch-at-a-time dispatcher.
+	// moves it, up to the replica's lanes or the load's demand, by what more
+	// batches in flight do to batch latency on this replica (adaptive.go),
+	// and drives the replica's RPC pool target if it has a pool. A positive
+	// value pins it; 1 is the paper's serial one-batch-at-a-time dispatcher.
 	//
 	// InFlight composes with the replica's RPC connection pool size
 	// (container.DialConns / rpc.PoolConfig.Conns): the window says how
