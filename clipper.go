@@ -213,17 +213,12 @@ func ServeContainer(p Predictor, addr string) (string, func() error, error) {
 	return bound, srv.Close, nil
 }
 
-// DialContainer connects to a remote model container; the result is a
-// Predictor deployable with (*Clipper).Deploy.
-func DialContainer(addr string, timeout time.Duration) (*container.Remote, error) {
-	return container.Dial(addr, timeout)
-}
-
-// DialContainerPool is DialContainer with a per-replica RPC connection
-// pool: conns connections to the container, batch frames round-robined
-// across them, lost connections redialed with backoff. conns <= 1 is
-// exactly DialContainer. See docs/ARCHITECTURE.md for when pooling pays.
-func DialContainerPool(addr string, timeout time.Duration, conns int) (*container.Remote, error) {
+// DialContainer connects conns RPC connections (0 selects 1) to a remote
+// model container; the result is a Predictor deployable with
+// (*Clipper).Deploy. Batch frames round-robin across the live connections
+// and a lost one is redialed with backoff. See docs/ARCHITECTURE.md for
+// when more than one connection pays.
+func DialContainer(addr string, timeout time.Duration, conns int) (*container.Remote, error) {
 	return container.DialConns(addr, timeout, conns)
 }
 

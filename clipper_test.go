@@ -62,7 +62,7 @@ func TestPublicAPIRemoteContainer(t *testing.T) {
 	}
 	defer stop()
 
-	remote, err := clipper.DialContainer(addr, time.Second)
+	remote, err := clipper.DialContainer(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

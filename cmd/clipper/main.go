@@ -47,7 +47,7 @@ func main() {
 		dim         = flag.Int("dim", 64, "feature dimensionality")
 		classes     = flag.Int("classes", 10, "number of classes")
 		containers  = flag.String("containers", "", "comma-separated remote model container addresses to deploy")
-		conns       = flag.Int("container-conns", 1, "RPC connections pooled per remote container (1 = single connection; more is the upper bound of the measured routing target)")
+		conns       = flag.Int("container-conns", 1, "RPC connections per remote container, each redialed if lost (1 = the paper's single connection; more overlap large batch transfers)")
 		storeAddr   = flag.String("store", "", "remote statestore address (empty = in-memory)")
 		statePath   = flag.String("state-file", "", "durable local state file (ignored when -store is set)")
 		noDemo      = flag.Bool("no-demo", false, "skip training/deploying the demo models")
@@ -135,7 +135,7 @@ func main() {
 			if caddr == "" {
 				continue
 			}
-			remote, err := clipper.DialContainerPool(caddr, 5*time.Second, *conns)
+			remote, err := clipper.DialContainer(caddr, 5*time.Second, *conns)
 			if err != nil {
 				log.Fatalf("dialing container %s: %v", caddr, err)
 			}

@@ -63,7 +63,7 @@ func main() {
 	}
 	defer stop()
 	log.Printf("model container %q serving on %s", m.Name(), bound)
-	fmt.Printf("connect from a Clipper node with clipper.DialContainer(%q, ...)\n", bound)
+	fmt.Printf("connect from a Clipper node with clipper.DialContainer(%q, timeout, 1)\n", bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -52,7 +52,7 @@ func main() {
 		// Two pooled RPC connections per replica: batch frames round-robin
 		// across them, and losing one connection degrades rather than
 		// kills the replica (see docs/ARCHITECTURE.md on Conns).
-		remote, err := clipper.DialContainerPool(addr, time.Second, 2)
+		remote, err := clipper.DialContainer(addr, time.Second, 2)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -246,26 +247,7 @@ func TestAdminReplicasDegradedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	getStatus := func() core.ReplicaStatus {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodGet, "/api/v1/admin/replicas?model=pooled", nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("replicas status = %d", rec.Code)
-		}
-		var statuses map[string]core.ReplicaStatus
-		if err := json.Unmarshal(rec.Body.Bytes(), &statuses); err != nil {
-			t.Fatal(err)
-		}
-		if len(statuses) != 1 {
-			t.Fatalf("statuses = %v", statuses)
-		}
-		for _, st := range statuses {
-			return st
-		}
-		panic("unreachable")
-	}
+	getStatus := func() core.ReplicaStatus { return replicaStatus(t, h, "pooled") }
 
 	if st := getStatus(); st.LiveConns != 2 || st.TotalConns != 2 {
 		t.Fatalf("fresh pooled replica status = %+v, want 2/2 conns", st)
@@ -304,6 +286,175 @@ func TestAdminReplicasDegradedPool(t *testing.T) {
 	}
 }
 
+// replicaStatus reads the one replica of model through /replicas.
+func replicaStatus(t *testing.T, h http.Handler, model string) core.ReplicaStatus {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/admin/replicas?model="+model, nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("replicas status = %d", rec.Code)
+	}
+	var statuses map[string]core.ReplicaStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &statuses); err != nil {
+		t.Fatal(err)
+	}
+	if len(statuses) != 1 {
+		t.Fatalf("statuses = %v", statuses)
+	}
+	for _, st := range statuses {
+		return st
+	}
+	panic("unreachable")
+}
+
+// closableProxy forwards TCP connections to backend. down stops listening
+// and severs every connection it carries, so the node side of a replica's
+// socket reads end-of-stream and its redials are refused; up listens again
+// on the same address. accepted holds a token once a connection has been
+// accepted and forwarded, until the test takes it.
+type closableProxy struct {
+	addr, backend string
+	accepted      chan struct{}
+
+	mu    sync.Mutex
+	ln    net.Listener
+	conns []net.Conn
+}
+
+func newClosableProxy(t *testing.T, backend string) *closableProxy {
+	p := &closableProxy{addr: "127.0.0.1:0", backend: backend, accepted: make(chan struct{}, 1)}
+	p.up(t)
+	t.Cleanup(p.down)
+	return p
+}
+
+func (p *closableProxy) up(t *testing.T) {
+	t.Helper()
+	ln, err := net.Listen("tcp", p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	p.ln, p.addr = ln, ln.Addr().String()
+	p.mu.Unlock()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			b, err := net.Dial("tcp", p.backend)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, c, b)
+			p.mu.Unlock()
+			go func() { io.Copy(b, c); b.Close() }()
+			go func() { io.Copy(c, b); c.Close() }()
+			select {
+			case p.accepted <- struct{}{}:
+			default:
+			}
+		}
+	}()
+}
+
+func (p *closableProxy) down() {
+	p.mu.Lock()
+	ln, conns := p.ln, p.conns
+	p.conns = nil
+	p.mu.Unlock()
+	ln.Close()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// waitFor spins until cond holds, failing the test after 5 s. The states it
+// waits for follow a socket event within microseconds, so it yields rather
+// than sleeps.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestAdminReplicaRedialsOneConn: a replica dialed with one connection is
+// a pool of one, so losing its socket degrades it to 0/1 until the
+// monitor redials, and then it serves again with no redeploy — ConnHealth
+// and /replicas both go 1/1 → 0/1 → 1/1.
+func TestAdminReplicaRedialsOneConn(t *testing.T) {
+	s, cl := newTestServer(t)
+	h := s.Handler()
+	addr, srv, err := container.Serve(&fixedModel{name: "single", label: 5}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy := newClosableProxy(t, addr)
+
+	remote, err := container.DialConns(proxy.addr, time.Second, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-proxy.accepted
+	if _, err := cl.Deploy(remote, func() { remote.Close() },
+		batching.QueueConfig{Controller: batching.NewFixed(4)}); err != nil {
+		t.Fatal(err)
+	}
+	app, err := cl.RegisterApp(core.AppConfig{
+		Name: "single-app", Models: []string{"single"}, Policy: selection.NewStatic(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := func(x float64) { // a fresh input each time: no cache hit can answer
+		t.Helper()
+		resp, err := app.Predict(context.Background(), []float64{x})
+		if err != nil || resp.Label != 5 {
+			t.Fatalf("predict = %+v, %v; want label 5", resp, err)
+		}
+	}
+	conns := func(wantLive int) {
+		t.Helper()
+		if live, total := remote.ConnHealth(); live != wantLive || total != 1 {
+			t.Fatalf("ConnHealth = %d/%d, want %d/1", live, total, wantLive)
+		}
+		if st := replicaStatus(t, h, "single"); st.LiveConns != wantLive || st.TotalConns != 1 {
+			t.Fatalf("/replicas conns = %d/%d, want %d/1", st.LiveConns, st.TotalConns, wantLive)
+		}
+	}
+
+	predict(1)
+	conns(1)
+
+	proxy.down()
+	waitFor(t, "the severed connection to count as lost", func() bool {
+		live, _ := remote.ConnHealth()
+		return live == 0
+	})
+	conns(0) // the proxy refuses redials, so 0/1 holds
+
+	proxy.up(t)
+	select {
+	case <-proxy.accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the lost connection was never redialed")
+	}
+	waitFor(t, "the redialed connection to be live", func() bool {
+		live, _ := remote.ConnHealth()
+		return live == 1
+	})
+	conns(1)
+	predict(2)
+}
+
 // TestAdminDeployWindow deploys one container with the window left to be
 // measured and one with it pinned, and checks the replicas endpoint tells
 // them apart.
@@ -329,9 +480,8 @@ func TestAdminDeployWindow(t *testing.T) {
 	}
 	pinned := 0
 	for _, st := range statuses {
-		// The routing target starts at every dialed connection either way.
-		if st.TotalConns != 2 || st.TargetConns != 2 {
-			t.Fatalf("conns = %d target %d, want 2 and 2: %+v", st.TotalConns, st.TargetConns, st)
+		if st.LiveConns != 2 || st.TotalConns != 2 {
+			t.Fatalf("conns = %d/%d, want 2/2: %+v", st.LiveConns, st.TotalConns, st)
 		}
 		switch {
 		case st.WindowPinned && st.Window == 2:

@@ -2,10 +2,9 @@ package batching
 
 // The paper's thesis is that the serving tier learns each container's
 // latency/throughput trade-off instead of being hand-tuned; §4.3 applies it
-// to batch size (AIMD, quantile regression). This file applies it to the two
-// numbers above batch size: how many batches a replica is given at once (the
-// pipeline window, QueueConfig.InFlight = 0) and how many of its pooled
-// connections carry them (rpc.Pool's routing target).
+// to batch size (AIMD, quantile regression). This file applies it to the
+// number above batch size: how many batches a replica is given at once (the
+// pipeline window, QueueConfig.InFlight = 0).
 //
 // The window loop asks one question, which the paper's linear latency model
 // (§4.3.1) answers at any load: does one more batch in flight make batches
@@ -14,33 +13,14 @@ package batching
 // long; one with P lanes shows nothing until P+1. Throughput cannot answer
 // it — in an open loop it equals the offered load whatever the window is.
 //
-// The pool loop reads the pool's queued-behind-write counters
-// (rpc.PoolStats): batches queueing behind each other's frame writes mean
-// the link, not the model, is the bottleneck, so the target grows; a quiet
-// write path lets it shrink back. The pool keeps parked connections open, so
-// the target moves with no redial churn.
-//
 // A pinned window (InFlight > 0: every paper figure) has no Adaptive.
 
 import (
 	"sync"
 	"time"
-
-	"clipper/internal/rpc"
 )
 
-// PoolTuner is the surface Adaptive drives on a pooled replica connection.
-// *container.Remote implements it; a single-connection replica satisfies
-// it trivially (a pool of one that cannot grow).
-type PoolTuner interface {
-	// PoolStats snapshots the replica's connection telemetry.
-	PoolStats() rpc.PoolStats
-	// SetPoolTarget sets the pool's routing target, clamped to
-	// [1, Conns], and returns the applied value.
-	SetPoolTarget(n int) int
-}
-
-// The control laws' constants: properties of the loops, not of a
+// The control law's constants: properties of the loop, not of a
 // deployment, so not configuration.
 const (
 	// startWindow is where a measured window starts: the pinned default
@@ -57,22 +37,8 @@ const (
 	// probe judged on. A straggler's pause, clipped at 2×, adds 1/16 to a
 	// 16-batch mean: half of the 1/8 a probe at the start window is judged
 	// against, so one pause alone cannot turn a verdict. Wider windows use
-	// 2·W, so each slot is seen twice. The pool loop runs every
-	// periodFloor batches.
+	// 2·W, so each slot is seen twice.
 	periodFloor = 16
-
-	// queueFrac is the queued-behind-write fraction of writes that marks
-	// a period transfer-bound.
-	queueFrac = 0.1
-	// waitFrac is the minimum average queued-behind-write time per write,
-	// as a fraction of the smoothed batch latency, for a period to count
-	// as transfer-bound. This keeps microsecond write collisions on a
-	// compute-bound replica (tiny frames, busy model) from masquerading
-	// as a saturated wire.
-	waitFrac = 0.01
-	// quietPeriods is the number of consecutive calm periods before the
-	// pool target shrinks by one.
-	quietPeriods = 8
 )
 
 // period accumulates the window-bound batches of one control period: what
@@ -107,12 +73,6 @@ func (p period) fit() (a, b float64) {
 type AdaptiveSnapshot struct {
 	// InFlight is the current pipeline window.
 	InFlight int
-	// PoolTarget is the current pool routing target (0 when no pool is
-	// attached).
-	PoolTarget int
-	// TransferBound reports whether the last pool period saw batches
-	// queueing behind frame writes.
-	TransferBound bool
 	// BatchLatency is the load model's smoothed per-batch latency.
 	BatchLatency time.Duration
 	// Verdict is the last judged probe's outcome, "keep" or "revert" ("" until
@@ -126,15 +86,13 @@ type AdaptiveSnapshot struct {
 	FitB time.Duration
 }
 
-// Adaptive sizes one queue's pipeline window, and its replica's RPC pool
-// routing target when it has a pool. NewQueue builds one for every queue
-// whose window is not pinned; the queue ticks it once per completed batch.
-// All methods are safe for concurrent use.
+// Adaptive sizes one queue's pipeline window. NewQueue builds one for every
+// queue whose window is not pinned; the queue ticks it once per completed
+// batch. All methods are safe for concurrent use.
 type Adaptive struct {
 	mu    sync.Mutex
 	sem   *winSem    // the queue's window semaphore
 	model *LoadModel // the queue's load model
-	pool  PoolTuner  // nil without a pool
 
 	// Window loop: the line (a, b) is fitted at win, or win−dir·step probing.
 	win     int
@@ -147,30 +105,10 @@ type Adaptive struct {
 	a, b    float64 // seconds
 	verdict string
 	ratio   float64
-
-	// Pool loop state.
-	batches       int
-	connTarget    int
-	lastWrites    int64
-	lastQueued    int64
-	lastWait      time.Duration
-	quiet         int
-	transferBound bool
 }
 
 func newAdaptive(sem *winSem, m *LoadModel) *Adaptive {
 	return &Adaptive{sem: sem, model: m, win: sem.curLimit(), dir: 1}
-}
-
-// attachPool connects the replica's pool. The target starts where the pool
-// is — every dialed connection — and shrinks while the wire is quiet.
-func (a *Adaptive) attachPool(p PoolTuner) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.pool = p
-	st := p.PoolStats()
-	a.connTarget = st.Target
-	a.lastWrites, a.lastQueued, a.lastWait = st.Writes, st.WriteQueued, st.WriteWait
 }
 
 // Snapshot reports the controller's operating point for telemetry.
@@ -178,14 +116,12 @@ func (a *Adaptive) Snapshot() AdaptiveSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return AdaptiveSnapshot{
-		InFlight:      a.win,
-		PoolTarget:    a.connTarget,
-		TransferBound: a.transferBound,
-		BatchLatency:  seconds(a.model.batchLat.Value()),
-		Verdict:       a.verdict,
-		Ratio:         a.ratio,
-		FitA:          seconds(a.a),
-		FitB:          seconds(a.b),
+		InFlight:     a.win,
+		BatchLatency: seconds(a.model.batchLat.Value()),
+		Verdict:      a.verdict,
+		Ratio:        a.ratio,
+		FitA:         seconds(a.a),
+		FitB:         seconds(a.b),
 	}
 }
 
@@ -193,22 +129,15 @@ func (a *Adaptive) Snapshot() AdaptiveSnapshot {
 // the batch was folded into the load model. bound says the batch left with
 // the window's last free slot: only such batches show what the window does
 // to latency, and only they advance the window loop, so a window wider than
-// the load needs is never moved. The window semaphore is resized under the
-// controller's lock, so a stale decision can never overwrite a newer limit.
+// the load needs is never moved; any other batch returns before the lock.
+// The window semaphore is resized under the controller's lock, so a stale
+// decision can never overwrite a newer limit.
 func (a *Adaptive) tick(n int, lat time.Duration, bound bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.batches++; a.batches >= periodFloor {
-		a.batches = 0
-		if a.drivePool() {
-			// The transport moved under the window loop's feet: what this
-			// period has seen is of the old one. Start it over and settle.
-			a.cur, a.skip = period{}, max(a.skip, 1)
-		}
-	}
 	if !bound {
 		return
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	// Clipped like the robust cell itself: a 30 ms pause is one sample,
 	// not the fit.
 	y := lat.Seconds()
@@ -256,44 +185,4 @@ func (a *Adaptive) endPeriod() {
 	}
 	a.win += a.dir * a.step
 	a.probing, a.skip = true, 1
-}
-
-// drivePool runs one pool-target decision: grow while batches spend real
-// time queued behind each other's frame writes (transfer-bound), shrink
-// after a sustained quiet spell. Reports whether the target changed.
-func (a *Adaptive) drivePool() bool {
-	if a.pool == nil {
-		return false
-	}
-	st := a.pool.PoolStats()
-	writesDelta := st.Writes - a.lastWrites
-	queuedDelta := st.WriteQueued - a.lastQueued
-	waitDelta := st.WriteWait - a.lastWait
-	a.lastWrites, a.lastQueued, a.lastWait = st.Writes, st.WriteQueued, st.WriteWait
-	if writesDelta <= 0 || queuedDelta < 0 || waitDelta < 0 {
-		// No traffic, or a redialed connection reset its counters;
-		// nothing to learn this period.
-		return false
-	}
-	// Transfer-bound needs both signals: enough writes queued (count) and
-	// the queueing costing real time relative to a batch (so microsecond
-	// collisions of tiny frames on a compute-bound replica don't count).
-	frac := float64(queuedDelta) / float64(writesDelta)
-	avgWait := waitDelta.Seconds() / float64(writesDelta)
-	a.transferBound = frac >= queueFrac && avgWait >= a.model.batchLat.Value()*waitFrac
-	if a.transferBound {
-		a.quiet = 0
-		if st.Target < st.Conns {
-			a.connTarget = a.pool.SetPoolTarget(st.Target + 1)
-			return true
-		}
-		return false
-	}
-	a.quiet++
-	if a.quiet >= quietPeriods && st.Target > 1 {
-		a.connTarget = a.pool.SetPoolTarget(st.Target - 1)
-		a.quiet = 0
-		return true
-	}
-	return false
 }

@@ -3,133 +3,11 @@ package batching
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"clipper/internal/rpc"
 	"clipper/internal/testutil"
 )
-
-// fakePool is a PoolTuner with scripted telemetry: tests control the
-// queued-behind-write fraction the controller sees each period.
-type fakePool struct {
-	mu     sync.Mutex
-	conns  int
-	target int
-	writes int64
-	queued int64
-	wait   time.Duration
-}
-
-func newFakePool(conns int) *fakePool { return &fakePool{conns: conns, target: conns} }
-
-func (f *fakePool) PoolStats() rpc.PoolStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return rpc.PoolStats{
-		Conns: f.conns, Live: f.conns, Target: f.target,
-		Writes: f.writes, WriteQueued: f.queued, WriteWait: f.wait,
-	}
-}
-
-func (f *fakePool) SetPoolTarget(n int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	if n > f.conns {
-		n = f.conns
-	}
-	f.target = n
-	return n
-}
-
-// advance adds one period's worth of write traffic at the given
-// queued-behind-write fraction, with each queued write having waited
-// perWait behind the in-progress write.
-func (f *fakePool) advance(writes int64, queuedFrac float64, perWait time.Duration) {
-	f.mu.Lock()
-	queued := int64(float64(writes) * queuedFrac)
-	f.writes += writes
-	f.queued += queued
-	f.wait += time.Duration(queued) * perWait
-	f.mu.Unlock()
-}
-
-func (f *fakePool) Target() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.target
-}
-
-// poolAdaptive returns a controller with p attached, on a bare window and
-// load model, the way NewQueue builds one for a pooled replica.
-func poolAdaptive(p PoolTuner) *Adaptive {
-	a := newAdaptive(newWinSem(startWindow), new(LoadModel))
-	a.attachPool(p)
-	return a
-}
-
-// feedPoolPeriods pushes n pool-loop periods of identical batches through
-// the model and the controller, in runBatch's order, p advancing before each.
-func feedPoolPeriods(a *Adaptive, n int, advance func()) {
-	for ; n > 0; n-- {
-		advance()
-		for i := 0; i < periodFloor; i++ {
-			a.model.observe(16, time.Millisecond, 0)
-			a.tick(16, time.Millisecond, false)
-		}
-	}
-}
-
-func TestAdaptivePoolGrowsWhileTransferBound(t *testing.T) {
-	p := newFakePool(4)
-	a := poolAdaptive(p)
-	if p.Target() != 4 {
-		t.Fatalf("attaching moved the pool target to %d, want the dialed 4", p.Target())
-	}
-	// A quiet write path: the target shrinks to 1, one step per
-	// quietPeriods calm periods.
-	feedPoolPeriods(a, 4*quietPeriods, func() { p.advance(100, 0, 0) })
-	if p.Target() != 1 {
-		t.Fatalf("pool target = %d after quiet spell, want 1", p.Target())
-	}
-	if a.Snapshot().TransferBound {
-		t.Fatal("snapshot should report compute-bound after quiet spell")
-	}
-	// Sustained heavy write queueing, each queued write waiting half a
-	// batch latency: the target climbs back to the slot count, one step
-	// per period.
-	feedPoolPeriods(a, 6, func() { p.advance(100, 0.5, 500*time.Microsecond) })
-	if p.Target() != 4 {
-		t.Fatalf("pool target = %d after sustained queueing, want 4", p.Target())
-	}
-	if snap := a.Snapshot(); !snap.TransferBound || snap.PoolTarget != 4 {
-		t.Fatalf("snapshot should report transfer-bound at target 4: %+v", snap)
-	}
-	if w := a.Snapshot().InFlight; w != startWindow {
-		t.Fatalf("window moved to %d with no batch window-bound", w)
-	}
-}
-
-// TestAdaptivePoolIgnoresMicroCollisions: a high queued-behind-write
-// *count* whose total *time* is negligible (tiny frames colliding on a
-// compute-bound replica) must not read as transfer-bound.
-func TestAdaptivePoolIgnoresMicroCollisions(t *testing.T) {
-	p := newFakePool(4)
-	a := poolAdaptive(p)
-	// Half the writes "queued", but for 100ns each against 1ms batches:
-	// noise, not a saturated wire.
-	feedPoolPeriods(a, 4*quietPeriods, func() { p.advance(100, 0.5, 100*time.Nanosecond) })
-	if a.Snapshot().TransferBound {
-		t.Fatal("micro-collisions misread as transfer-bound")
-	}
-	if p.Target() != 1 {
-		t.Fatalf("pool target = %d, want shrink to 1 despite collision count", p.Target())
-	}
-}
 
 func TestWinSemResize(t *testing.T) {
 	w := newWinSem(1)

@@ -33,7 +33,8 @@ func TestAIMDAdditiveIncrease(t *testing.T) {
 }
 
 func TestAIMDIgnoresUnderCapProbes(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: 20 * time.Millisecond, Initial: 10})
+	a := NewAIMD(AIMDConfig{SLO: 20 * time.Millisecond})
+	a.cap = 10
 	a.Observe(3, time.Millisecond) // small batch, under SLO: no info
 	if got := a.MaxBatch(); got != 10 {
 		t.Fatalf("cap = %d, want 10", got)
@@ -41,7 +42,8 @@ func TestAIMDIgnoresUnderCapProbes(t *testing.T) {
 }
 
 func TestAIMDMultiplicativeBackoff(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: 10 * time.Millisecond, Initial: 100})
+	a := NewAIMD(AIMDConfig{SLO: 10 * time.Millisecond})
+	a.cap = 100
 	a.Observe(100, 50*time.Millisecond)
 	if got := a.MaxBatch(); got != 90 {
 		t.Fatalf("cap = %d, want 90 (10%% backoff)", got)
@@ -54,18 +56,20 @@ func TestAIMDMultiplicativeBackoff(t *testing.T) {
 }
 
 func TestAIMDFloorAndCeiling(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: time.Millisecond, Initial: 2, Ceiling: 4})
+	a := NewAIMD(AIMDConfig{SLO: time.Millisecond})
+	a.cap = 2
 	for i := 0; i < 50; i++ {
 		a.Observe(a.MaxBatch(), time.Second)
 	}
 	if got := a.MaxBatch(); got != 1 {
 		t.Fatalf("cap floor = %d, want 1", got)
 	}
+	a.cap = capCeiling - 3
 	for i := 0; i < 50; i++ {
 		a.Observe(a.MaxBatch(), time.Microsecond)
 	}
-	if got := a.MaxBatch(); got != 4 {
-		t.Fatalf("cap ceiling = %d, want 4", got)
+	if got := a.MaxBatch(); got != capCeiling {
+		t.Fatalf("cap ceiling = %d, want %d", got, capCeiling)
 	}
 }
 

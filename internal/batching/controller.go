@@ -38,14 +38,31 @@ type Controller interface {
 	Observe(batch int, latency time.Duration)
 }
 
+// The adaptive controllers' constants: properties of the control laws, not
+// of a deployment, so not configuration.
+const (
+	// capCeiling bounds every adaptive cap. The paper's SLO-bound optima
+	// are tens to hundreds of queries (Figure 3); 4096 only stops a cap
+	// that runs away while no batch ever fills it.
+	capCeiling = 4096
+	// qrTau is the latency quantile QuantileReg bounds: the paper's P99.
+	qrTau = 0.99
+	// qrWindow is the observations the quantile line is fitted over: the
+	// last 512 batches, about five of them above the 99th percentile.
+	qrWindow = 512
+	// qrRefitEvery is the observations between refits; in between the cap
+	// probes upward like AIMD, so the window gains larger batch sizes.
+	qrRefitEvery = 32
+)
+
 // AIMD is Clipper's default adaptive controller: additively grow the batch
 // cap while probed latencies stay under the SLO, and back off
 // multiplicatively by a small factor (paper: 10%) when a batch overruns it.
+// The cap starts at one query and grows only as batches earn it.
 type AIMD struct {
 	slo      time.Duration
 	additive int
 	backoff  float64
-	ceiling  int
 
 	mu  sync.Mutex
 	cap float64
@@ -60,10 +77,6 @@ type AIMDConfig struct {
 	// Backoff is the multiplicative decrease factor in (0,1); 0 selects
 	// 0.9 (the paper's "small" 10% backoff, contrasted with TCP's 0.5).
 	Backoff float64
-	// Ceiling bounds the cap; 0 selects 4096.
-	Ceiling int
-	// Initial is the starting cap; 0 selects 1.
-	Initial int
 }
 
 // NewAIMD returns an AIMD controller for the given SLO.
@@ -74,18 +87,11 @@ func NewAIMD(cfg AIMDConfig) *AIMD {
 	if cfg.Backoff <= 0 || cfg.Backoff >= 1 {
 		cfg.Backoff = 0.9
 	}
-	if cfg.Ceiling <= 0 {
-		cfg.Ceiling = 4096
-	}
-	if cfg.Initial <= 0 {
-		cfg.Initial = 1
-	}
 	return &AIMD{
 		slo:      cfg.SLO,
 		additive: cfg.Additive,
 		backoff:  cfg.Backoff,
-		ceiling:  cfg.Ceiling,
-		cap:      float64(cfg.Initial),
+		cap:      1,
 	}
 }
 
@@ -113,78 +119,36 @@ func (a *AIMD) Observe(batch int, latency time.Duration) {
 		}
 		return
 	}
-	if batch >= int(a.cap) && int(a.cap) < a.ceiling {
-		a.cap += float64(a.additive)
-		if a.cap > float64(a.ceiling) {
-			a.cap = float64(a.ceiling)
-		}
+	if batch >= int(a.cap) {
+		a.cap = min(a.cap+float64(a.additive), capCeiling)
 	}
 }
 
 // QuantileReg sizes batches by fitting the tau-quantile of latency as a
 // linear function of batch size over a sliding window of observations and
-// inverting the fit at the SLO (paper §4.3.1's alternative strategy).
+// inverting the fit at the SLO (paper §4.3.1's alternative strategy). Like
+// AIMD, the cap starts at one query.
 type QuantileReg struct {
-	slo      time.Duration
-	tau      float64
-	refitN   int
-	ceiling  int
-	windowSz int
+	slo time.Duration
 
 	mu       sync.Mutex
-	sizes    []float64
-	lats     []float64
+	sizes    [qrWindow]float64
+	lats     [qrWindow]float64
 	next     int
 	full     bool
 	sinceFit int
 	cap      int
 }
 
-// QuantileRegConfig parameterizes NewQuantileReg. Zero values select
-// defaults.
+// QuantileRegConfig parameterizes NewQuantileReg.
 type QuantileRegConfig struct {
 	// SLO is the batch-latency objective. Required.
 	SLO time.Duration
-	// Tau is the latency quantile to bound; 0 selects 0.99.
-	Tau float64
-	// Window is the observation window size; 0 selects 512.
-	Window int
-	// RefitEvery is the number of observations between refits; 0
-	// selects 32.
-	RefitEvery int
-	// Ceiling bounds the cap; 0 selects 4096.
-	Ceiling int
-	// Initial is the starting cap; 0 selects 1.
-	Initial int
 }
 
 // NewQuantileReg returns a quantile-regression controller.
 func NewQuantileReg(cfg QuantileRegConfig) *QuantileReg {
-	if cfg.Tau <= 0 || cfg.Tau >= 1 {
-		cfg.Tau = 0.99
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 512
-	}
-	if cfg.RefitEvery <= 0 {
-		cfg.RefitEvery = 32
-	}
-	if cfg.Ceiling <= 0 {
-		cfg.Ceiling = 4096
-	}
-	if cfg.Initial <= 0 {
-		cfg.Initial = 1
-	}
-	return &QuantileReg{
-		slo:      cfg.SLO,
-		tau:      cfg.Tau,
-		refitN:   cfg.RefitEvery,
-		ceiling:  cfg.Ceiling,
-		windowSz: cfg.Window,
-		sizes:    make([]float64, cfg.Window),
-		lats:     make([]float64, cfg.Window),
-		cap:      cfg.Initial,
-	}
+	return &QuantileReg{slo: cfg.SLO, cap: 1}
 }
 
 // Name implements Controller.
@@ -204,15 +168,15 @@ func (q *QuantileReg) Observe(batch int, latency time.Duration) {
 	q.sizes[q.next] = float64(batch)
 	q.lats[q.next] = latency.Seconds()
 	q.next++
-	if q.next == q.windowSz {
+	if q.next == qrWindow {
 		q.next = 0
 		q.full = true
 	}
 	q.sinceFit++
-	if q.sinceFit < q.refitN {
+	if q.sinceFit < qrRefitEvery {
 		// Between refits, probe upward like AIMD so the window gains
 		// coverage of larger batch sizes.
-		if latency <= q.slo && batch >= q.cap && q.cap < q.ceiling {
+		if latency <= q.slo && batch >= q.cap && q.cap < capCeiling {
 			q.cap++
 		} else if latency > q.slo {
 			q.cap = int(float64(q.cap) * 0.9)
@@ -225,10 +189,10 @@ func (q *QuantileReg) Observe(batch int, latency time.Duration) {
 	q.sinceFit = 0
 	n := q.next
 	if q.full {
-		n = q.windowSz
+		n = qrWindow
 	}
-	line := quantile.Fit(q.sizes[:n], q.lats[:n], q.tau)
-	est := line.InverseAt(q.slo.Seconds(), 1, float64(q.ceiling))
+	line := quantile.Fit(q.sizes[:n], q.lats[:n], qrTau)
+	est := line.InverseAt(q.slo.Seconds(), 1, capCeiling)
 	q.cap = int(est)
 	if q.cap < 1 {
 		q.cap = 1

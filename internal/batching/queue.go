@@ -110,14 +110,14 @@ type QueueConfig struct {
 	// batches concurrently in flight to the replica. While one batch is
 	// inside the container RPC the collector keeps assembling and
 	// dispatching more, overlapping serialization, network, and compute
-	// (the rpc.Client already multiplexes requests over one connection).
+	// (each rpc connection already multiplexes requests).
 	// Zero means measured: the window starts at 4 and the queue's Adaptive
 	// moves it, up to the replica's lanes or the load's demand, by what more
-	// batches in flight do to batch latency on this replica (adaptive.go),
-	// and drives the replica's RPC pool target if it has a pool. A positive
-	// value pins it; 1 is the paper's serial one-batch-at-a-time dispatcher.
+	// batches in flight do to batch latency on this replica (adaptive.go).
+	// A positive value pins it; 1 is the paper's serial
+	// one-batch-at-a-time dispatcher.
 	//
-	// InFlight composes with the replica's RPC connection pool size
+	// InFlight composes with the replica's RPC connection count
 	// (container.DialConns / rpc.PoolConfig.Conns): the window says how
 	// many batches may be outstanding, Conns says how many can be *on the
 	// wire* at once. Over one connection, concurrent batch frames
@@ -220,9 +220,6 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 	} else {
 		q.win = newWinSem(startWindow)
 		q.adapt = newAdaptive(q.win, &q.load)
-		if pool, ok := pred.(PoolTuner); ok {
-			q.adapt.attachPool(pool)
-		}
 	}
 	go q.dispatchLoop()
 	return q
@@ -235,8 +232,8 @@ func (q *Queue) Controller() Controller { return q.ctrl }
 // configuration, or where the window controller has it now.
 func (q *Queue) InFlight() int { return q.win.curLimit() }
 
-// Adaptive returns the queue's window/pool controller (nil when the
-// window is pinned).
+// Adaptive returns the queue's window controller (nil when the window is
+// pinned).
 func (q *Queue) Adaptive() *Adaptive { return q.adapt }
 
 // Submit is SubmitTenant on the default tenant.

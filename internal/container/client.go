@@ -3,18 +3,19 @@ package container
 import (
 	"context"
 	"io"
+	"net"
 	"sync"
 	"time"
 
 	"clipper/internal/rpc"
 )
 
-// Remote is a Predictor backed by one or more RPC connections to a
-// container process. It is the Clipper-side handle to a deployed model
-// replica.
+// Remote is a Predictor backed by a pool of RPC connections (rpc.Pool, one
+// connection or more) to a container process. It is the Clipper-side
+// handle to a deployed model replica.
 type Remote struct {
-	client rpc.Caller
-	info   Info
+	pool *rpc.Pool
+	info Info
 
 	mu     sync.Mutex
 	closed bool
@@ -22,27 +23,14 @@ type Remote struct {
 
 var _ Predictor = (*Remote)(nil)
 
-// Dial connects to a model container server at addr and fetches its Info.
-// The Remote multiplexes every batch over a single connection — the
-// paper-faithful configuration; see DialConns for connection pooling.
-func Dial(addr string, timeout time.Duration) (*Remote, error) {
-	c, err := rpc.Dial(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return newRemote(c)
-}
-
-// DialConns is Dial with a per-replica connection pool: conns RPC
-// connections to the container, with batch frames round-robined across
-// them and lost connections redialed in the background (rpc.Pool). conns
-// <= 1 is exactly Dial — one connection, no pool machinery, no redial.
-// More connections keep large batch transfers from head-of-line-blocking
-// each other on high-bandwidth links.
+// DialConns connects conns RPC connections (0 selects 1) to a model
+// container server at addr and fetches its Info. Batch frames round-robin
+// across the live connections and a lost one is redialed with backoff
+// (rpc.Pool), so a one-connection replica survives a dropped socket too.
+// One connection is the paper's configuration (§4.4); more keep large
+// batch transfers from head-of-line-blocking each other on
+// high-bandwidth links.
 func DialConns(addr string, timeout time.Duration, conns int) (*Remote, error) {
-	if conns <= 1 {
-		return Dial(addr, timeout)
-	}
 	p, err := rpc.DialPool(addr, timeout, conns)
 	if err != nil {
 		return nil, err
@@ -50,24 +38,10 @@ func DialConns(addr string, timeout time.Duration, conns int) (*Remote, error) {
 	return newRemote(p)
 }
 
-// NewRemoteConn wraps an established connection (e.g. a simulated
-// bandwidth-limited link) as a Remote.
-func NewRemoteConn(conn io.ReadWriteCloser) (*Remote, error) {
-	return newRemote(rpc.NewClient(conn))
-}
-
-// NewRemotePool is NewRemoteConn's pooled variant for connections that are
-// not plain TCP dials (simulated links, tests): dial is invoked conns
-// times up front and again whenever a pooled connection dies. conns <= 1
-// collapses to a single plain connection without pool machinery.
+// NewRemotePool is DialConns for connections that are not plain TCP dials
+// (in-memory pipes, simulated links, tests): dial is invoked conns times up
+// front and again whenever a connection dies.
 func NewRemotePool(dial func() (io.ReadWriteCloser, error), conns int) (*Remote, error) {
-	if conns <= 1 {
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return NewRemoteConn(conn)
-	}
 	p, err := rpc.NewPool(rpc.PoolConfig{Conns: conns, Dial: dial})
 	if err != nil {
 		return nil, err
@@ -75,21 +49,21 @@ func NewRemotePool(dial func() (io.ReadWriteCloser, error), conns int) (*Remote,
 	return newRemote(p)
 }
 
-func newRemote(c rpc.Caller) (*Remote, error) {
+func newRemote(p *rpc.Pool) (*Remote, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	raw, err := c.Call(ctx, rpc.MethodInfo, nil)
+	raw, err := p.Call(ctx, rpc.MethodInfo, nil)
 	if err != nil {
-		c.Close()
+		p.Close()
 		return nil, err
 	}
 	info, err := DecodeInfo(raw.Data)
 	raw.Release() // DecodeInfo copied everything out
 	if err != nil {
-		c.Close()
+		p.Close()
 		return nil, err
 	}
-	return &Remote{client: c, info: info}, nil
+	return &Remote{pool: p, info: info}, nil
 }
 
 // Info implements Predictor.
@@ -161,7 +135,7 @@ func (r *Remote) PredictViewContext(ctx context.Context, v *BatchView, deliver f
 	}
 	buf := encBufPool.Get().(*[]byte)
 	payload := AppendBatchView((*buf)[:0], v)
-	raw, err := r.client.Call(ctx, rpc.MethodPredict, payload)
+	raw, err := r.pool.Call(ctx, rpc.MethodPredict, payload)
 	putEncBuf(buf, payload)
 	if err != nil {
 		return err
@@ -185,84 +159,40 @@ func (r *Remote) PredictViewContext(ctx context.Context, v *BatchView, deliver f
 
 // Ping checks container liveness.
 func (r *Remote) Ping(ctx context.Context) error {
-	return r.client.Ping(ctx)
+	return r.pool.Ping(ctx)
 }
 
-// PoolStats snapshots the replica's connection telemetry. A pooled Remote
-// reports its rpc.Pool aggregate; a single-connection Remote reports a
-// pool-of-one view synthesized from its client, so consumers (the
-// adaptive controller, the admin replicas endpoint) see one shape either
-// way.
-func (r *Remote) PoolStats() rpc.PoolStats {
-	switch c := r.client.(type) {
-	case *rpc.Pool:
-		return c.Stats()
-	case *rpc.Client:
-		cs := c.Stats()
-		st := rpc.PoolStats{
-			Conns:         1,
-			Target:        1,
-			BytesInFlight: cs.BytesInFlight,
-			Writes:        cs.Writes,
-			WriteQueued:   cs.WriteQueued,
-			WriteWait:     cs.WriteWait,
-		}
-		if cs.Alive {
-			st.Live = 1
-		}
-		return st
-	default:
-		return rpc.PoolStats{}
-	}
-}
+// PoolStats snapshots the replica's connection telemetry (rpc.Pool.Stats).
+func (r *Remote) PoolStats() rpc.PoolStats { return r.pool.Stats() }
 
 // ConnHealth reports the replica's live vs total RPC connections from
 // atomic loads and channel polls only — the cross-replica scheduler
 // reads it on every dispatch to weight a degraded pool's cost estimate.
 // (PoolStats reports the same numbers plus write telemetry, at the price
 // of walking every slot's counters.)
-func (r *Remote) ConnHealth() (live, total int) {
-	switch c := r.client.(type) {
-	case *rpc.Pool:
-		return c.LiveConns()
-	case *rpc.Client:
-		if c.Alive() {
-			return 1, 1
-		}
-		return 0, 1
-	default:
-		return 0, 0
-	}
-}
+func (r *Remote) ConnHealth() (live, total int) { return r.pool.LiveConns() }
 
-// SetPoolTarget sets the connection pool's routing target, clamped to
-// [1, Conns], and returns the applied value. On a single-connection
-// Remote it is a no-op returning 1. This is the adaptive controller's
-// pool control surface (batching.PoolTuner).
-func (r *Remote) SetPoolTarget(n int) int {
-	if p, ok := r.client.(*rpc.Pool); ok {
-		return p.SetTarget(n)
-	}
-	return 1
-}
-
-// Close tears down the connection.
+// Close tears down the connections.
 func (r *Remote) Close() error {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
-	return r.client.Close()
+	return r.pool.Close()
 }
 
 // Loopback hosts p behind an in-memory duplex pipe and returns a Remote
 // that reaches it through the full RPC codec path. This is how "local"
 // containers are deployed: even in-process models cross the narrow waist,
-// as the paper's architecture requires.
+// as the paper's architecture requires. Each dial — the first, and any
+// redial — is a fresh net.Pipe served by the same rpc.Server; the RPC
+// layer's dedicated reader goroutines make the synchronous pipe safe.
 func Loopback(p Predictor) (*Remote, func(), error) {
-	srvConn, cliConn := newDuplexPipe()
 	srv := rpc.NewServer(Handler(p))
-	go srv.ServeConn(srvConn)
-	r, err := NewRemoteConn(cliConn)
+	r, err := NewRemotePool(func() (io.ReadWriteCloser, error) {
+		cli, conn := net.Pipe()
+		go srv.ServeConn(conn)
+		return cli, nil
+	}, 1)
 	if err != nil {
 		srv.Close()
 		return nil, nil, err

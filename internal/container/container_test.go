@@ -77,7 +77,7 @@ func TestServeAndDial(t *testing.T) {
 	}
 	defer srv.Close()
 
-	r, err := Dial(addr, time.Second)
+	r, err := DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := Dial(addr, time.Second)
+	r, err := DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServerRejectsShortPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := Dial(addr, time.Second)
+	r, err := DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRemoteClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := Dial(addr, time.Second)
+	r, err := DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestPredictBatchContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := Dial(addr, time.Second)
+	r, err := DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestServerRejectsWrongInputDim(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := Dial(addr, time.Second)
+	r, err := DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

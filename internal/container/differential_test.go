@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -167,11 +168,13 @@ func deploy(t *testing.T, b *behaviour, p container.Predictor, loopback bool, ba
 	target := p
 	if loopback {
 		// container.Loopback, with the server's end of the pipe tapped.
-		cli, srvEnd := net.Pipe()
-		d.tap = &tap{Conn: srvEnd}
 		srv := rpc.NewServer(container.Handler(p))
-		go srv.ServeConn(d.tap)
-		remote, err := container.NewRemoteConn(cli)
+		remote, err := container.NewRemotePool(func() (io.ReadWriteCloser, error) {
+			cli, srvEnd := net.Pipe()
+			d.tap = &tap{Conn: srvEnd}
+			go srv.ServeConn(d.tap)
+			return cli, nil
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

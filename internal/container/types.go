@@ -4,16 +4,17 @@
 //
 // A container can run in-process (Loopback, behind the full RPC codec on an
 // in-memory pipe; or Local, called directly) or in a separate process
-// reached over the lightweight RPC system (Serve / Dial). The paper hosts
-// each container in Docker; here process- or goroutine-level isolation
-// behind the same RPC boundary preserves the architectural property under
-// study — that Clipper only ever talks to models through batched RPCs.
+// reached over the lightweight RPC system (Serve / DialConns). The paper
+// hosts each container in Docker; here process- or goroutine-level
+// isolation behind the same RPC boundary preserves the architectural
+// property under study — that Clipper only ever talks to models through
+// batched RPCs.
 //
 // Remote is the serving-node-side handle to a deployed replica. It speaks
-// to the container over a single multiplexed connection (Dial) or a
-// per-replica connection pool (DialConns) that overlaps concurrent batch
-// transfers and survives the loss of any single connection; Conns <= 1 is
-// the paper-faithful single-socket configuration. Predictor
+// to the container through one rpc.Pool of multiplexed connections
+// (DialConns): one connection is the paper's configuration, more overlap
+// concurrent batch transfers, and at any size a lost connection is
+// redialed with backoff. Predictor
 // implementations must tolerate concurrent PredictBatch calls: the
 // batching pipeline keeps several batches in flight per replica.
 package container

@@ -140,16 +140,10 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 
 // DeployRemote dials a model container at addr and deploys it as a
 // replica behind an adaptive batching queue. conns sets the replica's RPC
-// connection pool size (rpc.Pool): batches round-robin across conns
-// connections, and a lost connection fails over to the survivors while it
-// is redialed. conns <= 1 selects the single-connection client — the
-// paper-faithful default. The replica's connections are closed when the
-// replica stops.
-//
-// Unless qcfg.InFlight pins the window, conns is an upper bound: the pool
-// dials conns connections once, and the queue's window controller moves the
-// routing target between 1 and conns at runtime (batching.NewQueue attaches
-// the pool to it).
+// connection count (rpc.Pool, 0 selects 1 — the paper's configuration):
+// batches round-robin across the live connections, and a lost connection
+// fails over to the survivors while it is redialed. The replica's
+// connections are closed when the replica stops.
 func (cl *Clipper) DeployRemote(addr string, timeout time.Duration, conns int, qcfg batching.QueueConfig) (*container.Replica, error) {
 	remote, err := container.DialConns(addr, timeout, conns)
 	if err != nil {

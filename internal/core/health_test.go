@@ -193,7 +193,7 @@ func TestHealthWithRemoteContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyingRemote, err := container.Dial(addr, time.Second)
+	dyingRemote, err := container.DialConns(addr, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

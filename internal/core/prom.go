@@ -18,10 +18,10 @@ package core
 import (
 	"sort"
 	"strconv"
-	"time"
 
 	"clipper/internal/cache"
 	"clipper/internal/metrics"
+	"clipper/internal/rpc"
 )
 
 // Metrics returns the node's Prometheus registry. The frontend serves it
@@ -250,7 +250,7 @@ func (cl *Clipper) registerCollectors() {
 	cl.replicaSummary("clipper_queue_delay_seconds", "Per-request time spent queued before dispatch.",
 		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.QueueDelay })
 
-	// --- Window/pool controller (every queue whose window is not pinned) ---
+	// --- Window controller (every queue whose window is not pinned) ---
 	cl.replicaGauge("clipper_adaptive_window", "Measured pipeline window (absent when InFlight pins it).",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
@@ -259,23 +259,7 @@ func (cl *Clipper) registerCollectors() {
 			}
 			return float64(a.Snapshot().InFlight), true
 		})
-	cl.replicaGauge("clipper_adaptive_pool_target", "Window controller's pool routing target (0 = no pool attached).",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			a := rq.queue.Adaptive()
-			if a == nil {
-				return 0, false
-			}
-			return float64(a.Snapshot().PoolTarget), true
-		})
-	cl.replicaGauge("clipper_adaptive_transfer_bound", "1 when the last pool period saw batches queueing behind frame writes.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			a := rq.queue.Adaptive()
-			if a == nil {
-				return 0, false
-			}
-			return boolGauge(a.Snapshot().TransferBound), true
-		})
-	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency, as the window controller reads it.",
+	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency.",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
 			a := rq.queue.Adaptive()
 			if a == nil {
@@ -285,30 +269,27 @@ func (cl *Clipper) registerCollectors() {
 		})
 
 	// --- RPC connection pools (replicas exposing PoolStats) ---
-	poolGauge := func(name, help string, kind metrics.Kind, pick func(st poolStatsFor) float64) {
+	poolGauge := func(name, help string, kind metrics.Kind, pick func(st rpc.PoolStats) float64) {
 		cl.replicaGauge(name, help, kind, func(rq *replicaQueue) (float64, bool) {
 			ps, ok := rq.replica.Pred.(PoolStatser)
 			if !ok {
 				return 0, false
 			}
-			st := ps.PoolStats()
-			return pick(poolStatsFor{st.Conns, st.Live, st.Target, st.BytesInFlight, st.Writes, st.WriteQueued, st.WriteWait}), true
+			return pick(ps.PoolStats()), true
 		})
 	}
 	poolGauge("clipper_pool_conns", "Dialed connection slots in the replica's RPC pool.",
-		metrics.KindGauge, func(st poolStatsFor) float64 { return float64(st.conns) })
+		metrics.KindGauge, func(st rpc.PoolStats) float64 { return float64(st.Conns) })
 	poolGauge("clipper_pool_live_conns", "Pool slots holding a live connection.",
-		metrics.KindGauge, func(st poolStatsFor) float64 { return float64(st.live) })
-	poolGauge("clipper_pool_target_conns", "Pool routing target (the adaptive controller's live Conns choice).",
-		metrics.KindGauge, func(st poolStatsFor) float64 { return float64(st.target) })
+		metrics.KindGauge, func(st rpc.PoolStats) float64 { return float64(st.Live) })
 	poolGauge("clipper_pool_bytes_in_flight", "Payload bytes being written across live connections.",
-		metrics.KindGauge, func(st poolStatsFor) float64 { return float64(st.bytesInFlight) })
+		metrics.KindGauge, func(st rpc.PoolStats) float64 { return float64(st.BytesInFlight) })
 	poolGauge("clipper_pool_writes_total", "Request frames written across live connections.",
-		metrics.KindCounter, func(st poolStatsFor) float64 { return float64(st.writes) })
+		metrics.KindCounter, func(st rpc.PoolStats) float64 { return float64(st.Writes) })
 	poolGauge("clipper_pool_write_queued_total", "Writes that queued behind another in-progress frame write (transfer-bound signal).",
-		metrics.KindCounter, func(st poolStatsFor) float64 { return float64(st.writeQueued) })
+		metrics.KindCounter, func(st rpc.PoolStats) float64 { return float64(st.WriteQueued) })
 	poolGauge("clipper_pool_write_wait_seconds_total", "Total time writes spent queued behind other writes.",
-		metrics.KindCounter, func(st poolStatsFor) float64 { return st.writeWait.Seconds() })
+		metrics.KindCounter, func(st rpc.PoolStats) float64 { return st.WriteWait.Seconds() })
 
 	// --- Cross-replica scheduler ---
 	cl.schedCounter("clipper_sched_replicas", "Replicas deployed for the model.",
@@ -380,15 +361,6 @@ func (cl *Clipper) registerCollectors() {
 			})
 			return dst
 		})
-}
-
-// poolStatsFor mirrors rpc.PoolStats without importing the rpc package's
-// time fields into every closure signature.
-type poolStatsFor struct {
-	conns, live, target int
-	bytesInFlight       int64
-	writes, writeQueued int64
-	writeWait           time.Duration
 }
 
 func tenantLabels(model, replica, tenant string) []metrics.Label {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,13 +19,13 @@ type poolStubModel struct {
 
 func (p *poolStubModel) PoolStats() rpc.PoolStats {
 	return rpc.PoolStats{
-		Conns: 4, Live: 3, Target: 2,
+		Conns: 4, Live: 3,
 		BytesInFlight: 128, Writes: 10, WriteQueued: 2,
 		WriteWait: 5 * time.Millisecond,
 	}
 }
 
-// TestMetricsCoverage deploys a replica with an adaptive queue and a
+// TestMetricsCoverage deploys a replica with a measured window and a
 // (stubbed) pool, registers a QoS app, serves traffic, and asserts the
 // scrape carries every family group the acceptance criteria name: cache,
 // queue, scheduler, pool, adaptive controller, and QoS.
@@ -51,6 +52,11 @@ func TestMetricsCoverage(t *testing.T) {
 		if _, err := app.PredictContext(context.Background(), "", []float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A predict returns once its reply is delivered, but runBatch counts the
+	// batch as completed only after every reply is out: wait for the count.
+	for q := cl.ReplicaQueues("m")[0]; q.LoadStats().Completed != 4; {
+		runtime.Gosched()
 	}
 
 	var buf strings.Builder
@@ -83,12 +89,10 @@ func TestMetricsCoverage(t *testing.T) {
 		"# TYPE clipper_sched_hedges_issued_total counter",
 		// pool
 		`clipper_pool_live_conns{model="m",replica="m:v1/0"} 3`,
-		`clipper_pool_target_conns{model="m",replica="m:v1/0"} 2`,
 		`clipper_pool_write_queued_total{model="m",replica="m:v1/0"} 2`,
 		`clipper_pool_write_wait_seconds_total{model="m",replica="m:v1/0"} 0.005`,
 		// adaptive controller
 		`clipper_adaptive_window{model="m",replica="m:v1/0"} 4`,
-		`clipper_adaptive_transfer_bound{model="m",replica="m:v1/0"} 0`,
 		`clipper_queue_window{model="p",replica="p:v1/0"} 1`,
 		// QoS / app
 		`clipper_app_predictions_total{app="demo"} 4`,

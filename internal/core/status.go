@@ -36,9 +36,6 @@ type ReplicaStatus struct {
 	// RPC pool to report).
 	LiveConns  int `json:"live_conns"`
 	TotalConns int `json:"total_conns"`
-	// TargetConns is the pool's routing target (the window controller's
-	// live Conns choice; equals TotalConns when the window is pinned).
-	TargetConns int `json:"target_conns"`
 
 	// The replica's load model: the numbers JSQ dispatch routes by.
 	// Queued is requests buffered in the batching queue; InFlightQueries
@@ -119,7 +116,6 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 			s := ps.PoolStats()
 			st.LiveConns = s.Live
 			st.TotalConns = s.Conns
-			st.TargetConns = s.Target
 		}
 		for _, tl := range rq.queue.TenantStats() {
 			st.Tenants = append(st.Tenants, TenantStatus{

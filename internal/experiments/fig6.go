@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -80,13 +81,15 @@ func runReplicaScaling(n int, gbps float64, dim, workers int, warm, measure time
 			cleanups = append(cleanups, stop)
 			deployed = remote
 		} else {
-			nodeEnd, contEnd := fabric.NewLink()
 			srv := rpc.NewServer(container.Handler(pred))
-			go srv.ServeConn(contEnd)
-			// One connection per replica (Conns=1, not NewRemotePool):
-			// the paper's setup multiplexes each replica over a single
-			// socket, and this figure reproduces its scaling numbers.
-			remote, rerr := container.NewRemoteConn(nodeEnd)
+			// One connection per replica: the paper's setup multiplexes
+			// each replica over a single socket, and this figure
+			// reproduces its scaling numbers.
+			remote, rerr := container.NewRemotePool(func() (io.ReadWriteCloser, error) {
+				nodeEnd, contEnd := fabric.NewLink()
+				go srv.ServeConn(contEnd)
+				return nodeEnd, nil
+			}, 1)
 			if rerr != nil {
 				return 0, 0, 0, rerr
 			}

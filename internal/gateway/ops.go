@@ -97,13 +97,11 @@ type DeployRequest struct {
 	SLOMillis int `json:"slo_ms,omitempty"`
 	// BatchTimeoutMicros optionally enables delayed batching.
 	BatchTimeoutMicros int `json:"batch_timeout_us,omitempty"`
-	// Conns sets the replica's RPC connection pool size; 0 or 1 selects
-	// the single-connection client (see docs/ARCHITECTURE.md). Unless
-	// InFlight pins the window it is the pool routing target's upper bound.
-	Conns int `json:"conns,omitempty"`
-	// InFlight pins the dispatch pipeline window; 0 leaves it (and the
-	// pool's routing target) to be measured at run time (see
+	// Conns sets the replica's RPC connection count; 0 selects 1 (see
 	// docs/ARCHITECTURE.md).
+	Conns int `json:"conns,omitempty"`
+	// InFlight pins the dispatch pipeline window; 0 leaves it to be
+	// measured at run time (see docs/ARCHITECTURE.md).
 	InFlight int `json:"in_flight,omitempty"`
 }
 

@@ -76,7 +76,7 @@ func startCluster(t *testing.T, train *dataset.Dataset, nModels int, policy sele
 			t.Fatal(err)
 		}
 		c.stops = append(c.stops, func() { srv.Close() })
-		remote, err := container.Dial(addr, time.Second)
+		remote, err := container.DialConns(addr, time.Second, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestFullStackContainerFailureRecovery(t *testing.T) {
 		} else {
 			defer srv.Close()
 		}
-		remote, err := container.Dial(addr, time.Second)
+		remote, err := container.DialConns(addr, time.Second, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func serveReplica(t *testing.T, cl *core.Clipper, m container.Predictor) *rpc.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := container.Dial(addr, time.Second)
+	remote, err := container.DialConns(addr, time.Second, 1)
 	if err != nil {
 		srv.Close()
 		t.Fatal(err)

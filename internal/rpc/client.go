@@ -52,7 +52,7 @@ type Client struct {
 
 // ConnStats is a point-in-time snapshot of one connection's write-side
 // telemetry. The counters are cumulative over the connection's lifetime;
-// consumers (the adaptive controller, the admin API) difference successive
+// consumers (/metrics, the benchmark's rpc cells) difference successive
 // snapshots to derive rates.
 type ConnStats struct {
 	// Alive reports whether the connection is still serving calls.
@@ -123,16 +123,26 @@ type Payload struct {
 // Release returns the payload's backing frame body to the frame pools.
 func (p Payload) Release() { p.frame.Release() }
 
-// Dial connects to a container server at addr (TCP).
+// Dial connects to a server at addr (TCP).
 func Dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := dialTCP(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return NewClient(conn), nil
+}
+
+// dialTCP connects to addr with Nagle's algorithm off: latency matters
+// more than packet count.
+func dialTCP(addr string, timeout time.Duration) (io.ReadWriteCloser, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
 	if tcp, ok := conn.(*net.TCPConn); ok {
-		tcp.SetNoDelay(true) // latency matters more than packet count
+		tcp.SetNoDelay(true)
 	}
-	return NewClient(conn), nil
+	return conn, nil
 }
 
 // NewClient wraps an established connection (or any ReadWriteCloser, e.g. a
@@ -150,11 +160,6 @@ func NewClient(conn io.ReadWriteCloser) *Client {
 // Done returns a channel closed when the client dies — its connection
 // failed or Close was called. Pool watches it to trigger redials.
 func (c *Client) Done() <-chan struct{} { return c.done }
-
-// Alive reports whether the client has not yet died — a single channel
-// poll, cheap enough for per-dispatch checks (unlike Stats, which reads
-// the write-side counters too).
-func (c *Client) Alive() bool { return c.alive() }
 
 // alive reports whether the client has not yet died. Pool uses it to route
 // new calls away from a dead connection its monitor hasn't replaced yet.

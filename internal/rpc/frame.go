@@ -8,14 +8,14 @@
 // Requests multiplex over one connection; the server may answer them out of
 // order.
 //
-// Two client shapes share the Caller interface. Client multiplexes
-// concurrent calls over a single connection, correlating responses by
-// request id through a per-connection pending map. Pool holds N such
-// connections to one replica and round-robins calls across them, so
-// concurrent batch frames transfer in parallel instead of
-// head-of-line-blocking behind one in-progress write; when a pooled
-// connection dies, only its in-flight calls fail — the survivors keep
-// serving while the lost connection is redialed with backoff. The frame
+// Client multiplexes concurrent calls over one connection, correlating
+// responses by request id through a per-connection pending map. Pool, the
+// client every model replica speaks through, holds N ≥ 1 such connections
+// and round-robins calls across the live ones, so concurrent batch frames
+// transfer in parallel instead of head-of-line-blocking behind one
+// in-progress write; when a connection dies, only its in-flight calls fail
+// — the survivors keep serving while the lost connection is redialed with
+// backoff, and a one-connection pool comes back the same way. The frame
 // wire format and both layers' failure semantics are documented in
 // docs/ARCHITECTURE.md.
 package rpc

@@ -4,77 +4,59 @@ import (
 	"context"
 	"errors"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-)
-
-// Caller is the client-side call surface shared by Client (one connection)
-// and Pool (N pooled connections). container.Remote speaks to either.
-type Caller interface {
-	// Call sends a request and blocks for its response or ctx cancellation.
-	// The returned Payload is leased; the caller must Release it exactly
-	// once when done with its Data (see Client.Call).
-	Call(ctx context.Context, method Method, payload []byte) (Payload, error)
-	// Ping round-trips a heartbeat frame.
-	Ping(ctx context.Context) error
-	// Close tears down the connection(s); in-flight calls fail.
-	Close() error
-}
-
-var (
-	_ Caller = (*Client)(nil)
-	_ Caller = (*Pool)(nil)
 )
 
 // ErrNoConns is returned by Pool calls while every pooled connection is
 // down and awaiting redial.
 var ErrNoConns = errors.New("rpc: no live connections in pool")
 
-// Pool default redial backoff parameters (see PoolConfig).
+// Redial pacing for a dead connection: the first attempt waits
+// redialBackoff, each consecutive failure doubles the wait up to
+// maxRedialBackoff. Properties of a socket's recovery, not of a
+// deployment: 50 ms makes a socket dropped under a live container a blip,
+// not an outage, and the 2 s cap keeps a monitor facing a container that
+// stays down to one dial every 2 s.
 const (
-	DefaultRedialBackoff    = 50 * time.Millisecond
-	DefaultMaxRedialBackoff = 2 * time.Second
+	redialBackoff    = 50 * time.Millisecond
+	maxRedialBackoff = 2 * time.Second
 )
 
-// PoolConfig parameterizes NewPool. Zero values select defaults.
+// PoolConfig parameterizes NewPool.
 type PoolConfig struct {
-	// Conns is the number of connections to hold open; 0 or 1 selects a
-	// single connection. More connections let concurrent batch frames
-	// transfer in parallel instead of head-of-line-blocking behind one
-	// in-progress frame write, and let the pool survive the loss of any
-	// single connection.
+	// Conns is the number of connections to hold open; 0 selects 1. More
+	// connections let concurrent batch frames transfer in parallel instead
+	// of head-of-line-blocking behind one in-progress frame write, and let
+	// the pool survive the loss of any single connection.
 	Conns int
 	// Dial establishes one connection. Required. It is called Conns times
 	// at construction and again, with backoff, whenever a pooled
 	// connection dies.
 	Dial func() (io.ReadWriteCloser, error)
-	// RedialBackoff is the delay before the first reconnection attempt for
-	// a dead connection; it doubles per consecutive failure. Zero selects
-	// DefaultRedialBackoff.
-	RedialBackoff time.Duration
-	// MaxRedialBackoff caps the growing backoff. Zero selects
-	// DefaultMaxRedialBackoff.
-	MaxRedialBackoff time.Duration
+
+	// backoff and maxBackoff override redialBackoff and maxRedialBackoff
+	// when positive, so the package's tests can pace redials in ms.
+	backoff, maxBackoff time.Duration
 }
 
-// Pool is a fixed-size pool of RPC connections to one replica. Calls
-// round-robin across the live connections; each connection is a full
-// multiplexing Client with its own pending map, so responses correlate per
-// connection and one slow frame write never blocks the other connections'
-// traffic.
+// Pool is a fixed-size pool of RPC connections to one replica — the only
+// client a replica has, one connection or many. Calls round-robin across
+// the live connections; each connection is a full multiplexing Client with
+// its own pending map, so responses correlate per connection and one slow
+// frame write never blocks the other connections' traffic.
 //
 // When a connection dies, only the calls in flight on it fail — the other
 // connections keep serving — and a monitor goroutine redials the lost
 // connection with exponential backoff until it is restored or the pool is
-// closed. While every connection is down, calls fail fast with ErrNoConns.
+// closed; a one-connection pool comes back the same way. While every
+// connection is down, calls fail fast with ErrNoConns.
 type Pool struct {
 	cfg PoolConfig
 
-	rr     atomic.Uint64
-	slots  []atomic.Pointer[Client]
-	target atomic.Int32 // routing target: new calls prefer slots[0:target]
+	rr    atomic.Uint64
+	slots []atomic.Pointer[Client]
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -91,9 +73,6 @@ type PoolStats struct {
 	Conns int
 	// Live is the number of slots holding a live connection.
 	Live int
-	// Target is the routing target set by SetTarget; new calls prefer the
-	// first Target slots.
-	Target int
 	// BytesInFlight is the payload bytes being written across all live
 	// connections at snapshot time.
 	BytesInFlight int64
@@ -108,10 +87,7 @@ type PoolStats struct {
 
 // Stats snapshots the pool's aggregate telemetry.
 func (p *Pool) Stats() PoolStats {
-	st := PoolStats{
-		Conns:  len(p.slots),
-		Target: int(p.target.Load()),
-	}
+	st := PoolStats{Conns: len(p.slots)}
 	for i := range p.slots {
 		c := p.slots[i].Load()
 		if c == nil {
@@ -142,28 +118,6 @@ func (p *Pool) LiveConns() (live, total int) {
 	return live, len(p.slots)
 }
 
-// SetTarget sets the routing target: new calls round-robin over the first
-// n slots (clamped to [1, Conns]) and only spill past them when none of
-// those connections are live. Connections above the target stay open and
-// keep their redial monitors — growing the target back is instant, with no
-// redial churn — they just stop receiving new calls. Returns the applied
-// target. A queue's window controller (batching.Adaptive) drives this
-// between 1 and Conns; deployments that pin the window never call it and
-// route across every slot.
-func (p *Pool) SetTarget(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(p.slots) {
-		n = len(p.slots)
-	}
-	p.target.Store(int32(n))
-	return n
-}
-
-// Target returns the current routing target.
-func (p *Pool) Target() int { return int(p.target.Load()) }
-
 // NewPool dials cfg.Conns connections and starts their redial monitors.
 // Construction is all-or-nothing: if any initial dial fails, the already
 // established connections are closed and the error is returned.
@@ -174,18 +128,17 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Conns < 1 {
 		cfg.Conns = 1
 	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = DefaultRedialBackoff
+	if cfg.backoff <= 0 {
+		cfg.backoff = redialBackoff
 	}
-	if cfg.MaxRedialBackoff <= 0 {
-		cfg.MaxRedialBackoff = DefaultMaxRedialBackoff
+	if cfg.maxBackoff <= 0 {
+		cfg.maxBackoff = maxRedialBackoff
 	}
 	p := &Pool{
 		cfg:   cfg,
 		slots: make([]atomic.Pointer[Client], cfg.Conns),
 		stop:  make(chan struct{}),
 	}
-	p.target.Store(int32(cfg.Conns))
 	for i := range p.slots {
 		conn, err := cfg.Dial()
 		if err != nil {
@@ -207,21 +160,9 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 func DialPool(addr string, timeout time.Duration, conns int) (*Pool, error) {
 	return NewPool(PoolConfig{
 		Conns: conns,
-		Dial: func() (io.ReadWriteCloser, error) {
-			conn, err := net.DialTimeout("tcp", addr, timeout)
-			if err != nil {
-				return nil, err
-			}
-			if tcp, ok := conn.(*net.TCPConn); ok {
-				tcp.SetNoDelay(true) // latency matters more than packet count
-			}
-			return conn, nil
-		},
+		Dial:  func() (io.ReadWriteCloser, error) { return dialTCP(addr, timeout) },
 	})
 }
-
-// Conns returns the pool's configured connection count.
-func (p *Pool) Conns() int { return len(p.slots) }
 
 // monitor owns slot i: it waits for the slot's client to die, then redials
 // with exponential backoff until the connection is restored or the pool
@@ -231,13 +172,13 @@ func (p *Pool) Conns() int { return len(p.slots) }
 //
 // Backoff covers flapping, not just refused dials: every redial waits
 // backoff first, and backoff only resets after a connection survives
-// longer than MaxRedialBackoff. Without that, a listener that accepts and
+// longer than the backoff's cap. Without that, a listener that accepts and
 // immediately drops connections (crashed container behind a live LB) would
 // make "dial succeeded" reset the backoff and the monitor would spin
 // connect/teardown at full speed.
 func (p *Pool) monitor(i int) {
 	defer p.wg.Done()
-	backoff := p.cfg.RedialBackoff
+	backoff := p.cfg.backoff
 	for {
 		c := p.slots[i].Load()
 		established := time.Now()
@@ -247,8 +188,8 @@ func (p *Pool) monitor(i int) {
 			return
 		}
 		p.slots[i].Store(nil)
-		if time.Since(established) > p.cfg.MaxRedialBackoff {
-			backoff = p.cfg.RedialBackoff // the connection was genuinely live
+		if time.Since(established) > p.cfg.maxBackoff {
+			backoff = p.cfg.backoff // the connection was genuinely live
 		}
 		for {
 			select {
@@ -256,8 +197,8 @@ func (p *Pool) monitor(i int) {
 			case <-p.stop:
 				return
 			}
-			if backoff *= 2; backoff > p.cfg.MaxRedialBackoff {
-				backoff = p.cfg.MaxRedialBackoff
+			if backoff *= 2; backoff > p.cfg.maxBackoff {
+				backoff = p.cfg.maxBackoff
 			}
 			conn, err := p.cfg.Dial()
 			if err == nil {
@@ -268,24 +209,15 @@ func (p *Pool) monitor(i int) {
 	}
 }
 
-// pick returns the next live connection, round-robin over the first
-// Target slots. Clients already known dead (their monitor hasn't swapped
-// the slot yet) are skipped; a connection that dies between pick and use
-// still fails the call, exactly as a single-connection client would, and
-// callers above the RPC layer already handle call errors. When no
-// connection inside the target is live, pick spills to the parked slots
-// above it — a shrunken pool still prefers availability over its target.
+// pick returns the next live connection, round-robin over every slot.
+// Clients already known dead (their monitor hasn't swapped the slot yet)
+// are skipped; a connection that dies between pick and use still fails
+// the call, and callers above the RPC layer already handle call errors.
 func (p *Pool) pick() (*Client, error) {
 	n := len(p.slots)
-	t := int(p.target.Load())
-	i := int(p.rr.Add(1) % uint64(t))
-	for probe := 0; probe < t; probe++ {
-		if c := p.slots[(i+probe)%t].Load(); c != nil && c.alive() {
-			return c, nil
-		}
-	}
-	for s := t; s < n; s++ {
-		if c := p.slots[s].Load(); c != nil && c.alive() {
+	i := int(p.rr.Add(1) % uint64(n))
+	for probe := 0; probe < n; probe++ {
+		if c := p.slots[(i+probe)%n].Load(); c != nil && c.alive() {
 			return c, nil
 		}
 	}
@@ -297,7 +229,7 @@ func (p *Pool) pick() (*Client, error) {
 	}
 }
 
-// Call implements Caller over the next live pooled connection.
+// Call is Client.Call over the next live pooled connection.
 func (p *Pool) Call(ctx context.Context, method Method, payload []byte) (Payload, error) {
 	c, err := p.pick()
 	if err != nil {
@@ -306,8 +238,8 @@ func (p *Pool) Call(ctx context.Context, method Method, payload []byte) (Payload
 	return c.Call(ctx, method, payload)
 }
 
-// Ping implements Caller: it heartbeats one live connection (liveness of
-// the replica, not of every socket — dead sockets are already redialing).
+// Ping heartbeats one live connection (liveness of the replica, not of
+// every socket — dead sockets are already redialing).
 func (p *Pool) Ping(ctx context.Context) error {
 	c, err := p.pick()
 	if err != nil {

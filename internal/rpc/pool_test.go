@@ -61,9 +61,9 @@ func (d *pipeDialer) dialed() int {
 func newTestPool(t *testing.T, d *pipeDialer, conns int) *Pool {
 	t.Helper()
 	p, err := NewPool(PoolConfig{
-		Conns:         conns,
-		Dial:          d.Dial,
-		RedialBackoff: time.Millisecond,
+		Conns:   conns,
+		Dial:    d.Dial,
+		backoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func newTestPool(t *testing.T, d *pipeDialer, conns int) *Pool {
 func TestPoolRoundRobinEcho(t *testing.T) {
 	d := newPipeDialer(echoHandler)
 	p := newTestPool(t, d, 3)
-	if p.Conns() != 3 {
-		t.Fatalf("Conns() = %d, want 3", p.Conns())
+	if len(p.slots) != 3 {
+		t.Fatalf("%d slots, want 3", len(p.slots))
 	}
 	if d.dialed() != 3 {
 		t.Fatalf("dialed %d connections, want 3", d.dialed())
@@ -202,8 +202,8 @@ func TestPoolRedialBackoffGrows(t *testing.T) {
 			}
 			return d.Dial()
 		},
-		RedialBackoff:    10 * time.Millisecond,
-		MaxRedialBackoff: 40 * time.Millisecond,
+		backoff:    10 * time.Millisecond,
+		maxBackoff: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +235,8 @@ func TestPoolBackoffCoversFlappingConns(t *testing.T) {
 			srv.Close() // accepted, then dropped before any frame
 			return cli, nil
 		},
-		RedialBackoff:    10 * time.Millisecond,
-		MaxRedialBackoff: 40 * time.Millisecond,
+		backoff:    10 * time.Millisecond,
+		maxBackoff: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

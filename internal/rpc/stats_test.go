@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -74,8 +73,8 @@ func TestPoolStatsAggregatesSlots(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Conns != 3 || st.Live != 3 || st.Target != 3 {
-		t.Fatalf("stats = %+v, want Conns=3 Live=3 Target=3", st)
+	if st.Conns != 3 || st.Live != 3 {
+		t.Fatalf("stats = %+v, want Conns=3 Live=3", st)
 	}
 	if st.Writes != calls {
 		t.Fatalf("Writes = %d, want %d", st.Writes, calls)
@@ -94,80 +93,5 @@ func TestPoolStatsAggregatesSlots(t *testing.T) {
 	}
 	if st := p.Stats(); st.Conns != 3 {
 		t.Fatalf("Conns = %d after loss, want 3", st.Conns)
-	}
-}
-
-func TestPoolSetTargetRoutesToPrefix(t *testing.T) {
-	d := newPipeDialer(echoHandler)
-	p := newTestPool(t, d, 3)
-
-	if got := p.SetTarget(0); got != 1 {
-		t.Fatalf("SetTarget(0) = %d, want clamp to 1", got)
-	}
-	if got := p.SetTarget(99); got != 3 {
-		t.Fatalf("SetTarget(99) = %d, want clamp to 3", got)
-	}
-
-	p.SetTarget(1)
-	before := make([]int64, 3)
-	for i := range before {
-		before[i] = p.slots[i].Load().Stats().Writes
-	}
-	const calls = 6
-	for i := 0; i < calls; i++ {
-		if _, err := p.Call(context.Background(), MethodPredict, []byte("hi")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range before {
-		got := p.slots[i].Load().Stats().Writes - before[i]
-		want := int64(0)
-		if i == 0 {
-			want = calls
-		}
-		if got != want {
-			t.Fatalf("slot %d served %d writes, want %d", i, got, want)
-		}
-	}
-
-	// Growing the target back is instant: the parked connections never
-	// closed, so no redial happened.
-	dialed := d.dialed()
-	p.SetTarget(3)
-	for i := 0; i < calls; i++ {
-		if _, err := p.Call(context.Background(), MethodPredict, []byte("hi")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.dialed() != dialed {
-		t.Fatalf("regrow redialed: %d dials, want %d", d.dialed(), dialed)
-	}
-	for i := range before {
-		if p.slots[i].Load().Stats().Writes == before[i] && i != 0 {
-			t.Fatalf("slot %d idle after target regrew", i)
-		}
-	}
-}
-
-func TestPoolSpillsPastDeadTarget(t *testing.T) {
-	d := newPipeDialer(echoHandler)
-	p := newTestPool(t, d, 2)
-	p.SetTarget(1)
-
-	// Kill the only in-target connection and block redial: calls must
-	// spill to the parked slot rather than fail with ErrNoConns.
-	d.setFail(errors.New("no redial"))
-	d.kill(0)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := p.Call(context.Background(), MethodPredict, []byte("hi")); err == nil {
-			break
-		} else if !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, io.EOF) && !errors.Is(err, ErrNoConns) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("calls never spilled past the dead target slot")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

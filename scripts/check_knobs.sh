@@ -8,10 +8,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 max_flags=18
-max_rows=16
-max_loc=18093
-max_arch_lines=963
-max_sleeps=72
+max_rows=15
+max_loc=17755
+max_arch_lines=953
+max_sleeps=71
 
 flags=$(grep -cE 'flag\.(String|Int|Bool|Duration|Float64)\(' cmd/clipper/main.go)
 # Table rows under "## Tuning knobs", minus the header and separator rows.

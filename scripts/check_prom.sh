@@ -146,7 +146,7 @@ for fam in \
   clipper_queue_dispatch_holds_total clipper_queue_dispatch_hold_seconds_total \
   clipper_replica_healthy clipper_replica_service_ewma_seconds \
   clipper_batch_size_count clipper_batch_latency_seconds_count \
-  clipper_adaptive_window clipper_adaptive_pool_target \
+  clipper_adaptive_window \
   clipper_pool_conns clipper_pool_live_conns clipper_pool_writes_total \
   clipper_sched_replicas clipper_sched_submitted_total \
   clipper_app_predictions_total clipper_app_qos clipper_app_slo_seconds \
