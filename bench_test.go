@@ -1,8 +1,8 @@
 package clipper_test
 
 // bench_test.go exposes every table and figure of the paper's evaluation
-// as a testing.B benchmark, one per artifact (see DESIGN.md §3 for the
-// index). Each benchmark runs its experiment at Quick scale and reports
+// as a testing.B benchmark, one per artifact (experiments.IDs lists
+// them). Each benchmark runs its experiment at Quick scale and reports
 // the headline metric(s) via b.ReportMetric, printing the full report with
 // -v. The cmd/bench tool runs the same experiments at Full scale.
 //

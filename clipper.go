@@ -194,7 +194,7 @@ func NewMemStore() Store { return statestore.NewMemStore() }
 func OpenFileStore(path string) (Store, error) { return statestore.OpenFileStore(path) }
 
 // DialStateStore connects to a remote statestore server (the Redis
-// substitute).
+// substitute) and redials it whenever the connection is lost.
 func DialStateStore(addr string, timeout time.Duration) (Store, error) {
 	return statestore.DialStore(addr, timeout)
 }

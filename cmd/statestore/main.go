@@ -11,14 +11,19 @@
 // process restarts, including crashes mid-append (the torn tail is
 // truncated at the last complete record on reopen). Without it, state
 // lives in memory only.
+//
+// On SIGINT or SIGTERM the server drains: every request it has read is
+// applied and answered, for at most 5 s, before the log closes.
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"clipper/internal/statestore"
 )
@@ -34,7 +39,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("opening %s: %v", *file, err)
 		}
-		defer fs.Close()
 		if torn := fs.TornTail(); torn > 0 {
 			log.Printf("recovered %s: discarded %d-byte torn tail from an unclean shutdown", *file, torn)
 		}
@@ -47,11 +51,18 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen %s: %v", *addr, err)
 	}
-	defer srv.Close()
 	log.Printf("state store serving on %s", bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	log.Print("shutting down")
+	log.Print("shutting down (draining in-flight requests)")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("drain: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		log.Printf("closing store: %v", err)
+	}
 }

@@ -6,8 +6,7 @@
 // The paper compares Clipper to TensorFlow Serving on three object
 // recognition models and finds near-parity; this baseline reproduces the
 // architectural contrasts the comparison measures: static vs adaptive
-// batching, and in-process model evaluation vs decoupled containers. See
-// DESIGN.md §4.
+// batching, and in-process model evaluation vs decoupled containers.
 package baseline
 
 import (

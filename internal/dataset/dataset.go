@@ -8,8 +8,7 @@
 // selection-layer experiments only require that different models achieve
 // genuinely different accuracies on the same task, which these datasets
 // provide; the abstraction-layer experiments only require inputs of the
-// right size, which they also provide. DESIGN.md §4 records this
-// substitution.
+// right size, which they also provide.
 package dataset
 
 import (

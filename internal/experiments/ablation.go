@@ -14,10 +14,10 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunAblationAIMD ablates the AIMD backoff factor (DESIGN.md §5): the
-// paper chooses a "small" 10% backoff (factor 0.9) over TCP's classic 50%.
-// Against a linear-latency container the gentler backoff converges to a
-// higher steady-state batch cap with less oscillation.
+// RunAblationAIMD ablates the AIMD backoff factor: the paper chooses a
+// "small" 10% backoff (factor 0.9) over TCP's classic 50%. Against a
+// linear-latency container the gentler backoff converges to a higher
+// steady-state batch cap with less oscillation.
 func RunAblationAIMD(scale Scale) (Result, error) {
 	res := Result{ID: "ablation-aimd", Title: "AIMD backoff factor ablation (DESIGN.md §5)"}
 

@@ -13,9 +13,9 @@ import (
 	"clipper/internal/selection"
 )
 
-// RunCascade evaluates the model-composition extension (DESIGN.md §5 /
-// the paper's introduction motivates combining models; cascades are the
-// canonical latency-aware composition): a cheap linear model answers the
+// RunCascade evaluates the model-composition extension (the paper's
+// introduction motivates combining models; cascades are the canonical
+// latency-aware composition): a cheap linear model answers the
 // queries it is confident about, and only uncertain queries escalate to an
 // expensive kernel-machine ensemble. The cascade should approach the
 // ensemble's accuracy at a fraction of its mean latency.

@@ -8,7 +8,7 @@
 // per-batch cost, a per-item cost, a data-parallel speedup factor
 // (BLAS/GPU), an optional GPU-style static batch size, optional GC pauses
 // (Spark), and noise. Profiles calibrated against Figure 3 of the paper (at
-// reduced absolute scale) drive every latency experiment. See DESIGN.md §4.
+// reduced absolute scale) drive every latency experiment.
 package frameworks
 
 import (

@@ -60,6 +60,7 @@ func startCluster(t *testing.T, train *dataset.Dataset, nModels int, policy sele
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.stops = append(c.stops, func() { storeClient.Close() })
 
 	c.cl = core.New(core.Config{Store: storeClient})
 

@@ -11,7 +11,7 @@
 // TensorFlow and HTK; those frameworks are unavailable offline, so this
 // package provides Go-native equivalents with genuinely different
 // computational profiles and accuracies — the two properties Clipper's
-// batching and selection layers actually exercise (see DESIGN.md §4).
+// batching and selection layers actually exercise.
 package models
 
 import (

@@ -1,6 +1,6 @@
 // Package rpc implements the lightweight cross-process RPC system that
-// connects Clipper's model abstraction layer to its model containers
-// (paper §4.4).
+// connects Clipper's processes (paper §4.4): model containers, the stream
+// adapter and the state store are each an rpc.Server over its own Handler.
 //
 // The protocol is a minimal length-prefixed binary framing over any
 // io.ReadWriter (normally TCP): each frame carries a request id for
@@ -10,14 +10,14 @@
 //
 // Client multiplexes concurrent calls over one connection, correlating
 // responses by request id through a per-connection pending map. Pool, the
-// client every model replica speaks through, holds N ≥ 1 such connections
-// and round-robins calls across the live ones, so concurrent batch frames
-// transfer in parallel instead of head-of-line-blocking behind one
-// in-progress write; when a connection dies, only its in-flight calls fail
-// — the survivors keep serving while the lost connection is redialed with
-// backoff, and a one-connection pool comes back the same way. The frame
-// wire format and both layers' failure semantics are documented in
-// docs/ARCHITECTURE.md.
+// client of every model replica and state-store client, holds N ≥ 1 such
+// connections and round-robins calls across the live ones, so concurrent
+// batch frames transfer in parallel instead of head-of-line-blocking
+// behind one in-progress write; when a connection dies, only its
+// in-flight calls fail — the survivors keep serving while the lost
+// connection is redialed with backoff, and a one-connection pool comes
+// back the same way. The frame wire format and both layers' failure
+// semantics are documented in docs/ARCHITECTURE.md.
 package rpc
 
 import (

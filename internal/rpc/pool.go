@@ -156,7 +156,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// DialPool connects conns TCP connections to a container server at addr.
+// DialPool connects conns TCP connections to a server at addr.
 func DialPool(addr string, timeout time.Duration, conns int) (*Pool, error) {
 	return NewPool(PoolConfig{
 		Conns: conns,

@@ -1,197 +1,88 @@
 package statestore
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"net"
-	"strconv"
-	"strings"
-	"sync"
+	"context"
+	"errors"
 	"time"
+
+	"clipper/internal/rpc"
 )
 
-// Client is a Store backed by a remote statestore server. Requests on one
-// client are serialized over a single connection (matching how Clipper
-// uses Redis: short, small state reads/writes on the feedback path).
+// Client is a Store backed by a remote statestore server, reached over one
+// rpc connection: concurrent calls multiplex on it, and a lost connection
+// is redialed with the rpc pool's backoff. Calls made while it is down
+// fail fast with rpc.ErrNoConns.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	pool *rpc.Pool
 }
 
 var _ Store = (*Client)(nil)
 
+// errEmptyKey refuses the one key a Client does not send.
+var errEmptyKey = errors.New("statestore: empty key")
+
 // DialStore connects to a statestore server at addr.
 func DialStore(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	pool, err := rpc.DialPool(addr, timeout, 1)
 	if err != nil {
 		return nil, err
 	}
-	if tcp, ok := conn.(*net.TCPConn); ok {
-		tcp.SetNoDelay(true)
+	return &Client{pool: pool}, nil
+}
+
+// call round-trips one request and returns a copy of the response,
+// taken before its leased frame is released.
+func (c *Client) call(method rpc.Method, payload []byte) ([]byte, error) {
+	p, err := c.pool.Call(context.TODO(), method, payload)
+	if err != nil {
+		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	resp := append([]byte(nil), p.Data...)
+	p.Release()
+	return resp, nil
 }
 
 // Get implements Store.
 func (c *Client) Get(key string) ([]byte, bool, error) {
-	if err := validKey(key); err != nil {
+	if key == "" {
+		return nil, false, errEmptyKey
+	}
+	resp, err := c.call(methodGet, []byte(key))
+	if err != nil || len(resp) == 0 || resp[0] == 0 {
 		return nil, false, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.send("GET %s\n", key); err != nil {
-		return nil, false, err
-	}
-	line, err := c.line()
-	if err != nil {
-		return nil, false, err
-	}
-	switch {
-	case line == "$-1":
-		return nil, false, nil
-	case strings.HasPrefix(line, "$"):
-		n, err := strconv.Atoi(line[1:])
-		if err != nil || n < 0 {
-			return nil, false, fmt.Errorf("statestore: bad bulk length %q", line)
-		}
-		buf := make([]byte, n+1)
-		if _, err := io.ReadFull(c.r, buf); err != nil {
-			return nil, false, err
-		}
-		return buf[:n], true, nil
-	default:
-		return nil, false, protocolError(line)
-	}
+	return resp[1:], true, nil
 }
 
 // Set implements Store.
 func (c *Client) Set(key string, value []byte) error {
-	if err := validKey(key); err != nil {
-		return err
+	if key == "" {
+		return errEmptyKey
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fmt.Fprintf(c.w, "SET %s %d\n", key, len(value))
-	c.w.Write(value)
-	c.w.WriteByte('\n')
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	line, err := c.line()
-	if err != nil {
-		return err
-	}
-	if line != "+OK" {
-		return protocolError(line)
-	}
-	return nil
+	_, err := c.call(methodSet, appendSet(nil, key, value))
+	return err
 }
 
 // Delete implements Store.
 func (c *Client) Delete(key string) error {
-	if err := validKey(key); err != nil {
-		return err
+	if key == "" {
+		return errEmptyKey
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.send("DEL %s\n", key); err != nil {
-		return err
-	}
-	line, err := c.line()
-	if err != nil {
-		return err
-	}
-	if !strings.HasPrefix(line, ":") {
-		return protocolError(line)
-	}
-	return nil
+	_, err := c.call(methodDel, []byte(key))
+	return err
 }
 
 // Keys implements Store.
 func (c *Client) Keys(prefix string) ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.send("KEYS %s\n", prefix); err != nil {
-		return nil, err
-	}
-	line, err := c.line()
+	resp, err := c.call(methodKeys, []byte(prefix))
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasPrefix(line, "*") {
-		return nil, protocolError(line)
-	}
-	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("statestore: bad array length %q", line)
-	}
-	keys := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		l, err := c.line()
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasPrefix(l, "+") {
-			return nil, protocolError(l)
-		}
-		keys = append(keys, l[1:])
-	}
-	return keys, nil
+	return decodeKeys(resp)
 }
 
 // Ping checks server liveness.
-func (c *Client) Ping() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.send("PING\n"); err != nil {
-		return err
-	}
-	line, err := c.line()
-	if err != nil {
-		return err
-	}
-	if line != "+PONG" {
-		return protocolError(line)
-	}
-	return nil
-}
+func (c *Client) Ping() error { return c.pool.Ping(context.TODO()) }
 
 // Close implements Store.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn.Close()
-}
-
-func (c *Client) send(format string, args ...interface{}) error {
-	fmt.Fprintf(c.w, format, args...)
-	return c.w.Flush()
-}
-
-func (c *Client) line() (string, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
-func validKey(key string) error {
-	if key == "" {
-		return fmt.Errorf("statestore: empty key")
-	}
-	if strings.ContainsAny(key, " \n\r") {
-		return fmt.Errorf("statestore: key %q contains whitespace", key)
-	}
-	return nil
-}
-
-func protocolError(line string) error {
-	if strings.HasPrefix(line, "-ERR ") {
-		return fmt.Errorf("statestore: %s", line[5:])
-	}
-	return fmt.Errorf("statestore: unexpected reply %q", line)
-}
+func (c *Client) Close() error { return c.pool.Close() }

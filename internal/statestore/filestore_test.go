@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -310,5 +311,9 @@ func TestFileStoreServesOverTCP(t *testing.T) {
 	v, ok, err := c.Get("k")
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get over TCP = %q %v %v", v, ok, err)
+	}
+	// The log's 64 KiB key limit reaches the remote caller as an error.
+	if err := c.Set(strings.Repeat("k", 1<<16), []byte("v")); err == nil || !strings.Contains(err.Error(), "key too long") {
+		t.Fatalf("oversized key over TCP: %v", err)
 	}
 }

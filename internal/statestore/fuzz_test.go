@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"clipper/internal/rpc"
 )
 
 // FuzzReplayLog feeds arbitrary bytes to the log replayer: it must never
@@ -59,6 +61,57 @@ func FuzzReplayLog(f *testing.F) {
 		}
 		if mem.Len() != mem2.Len() {
 			t.Fatalf("state diverged: %d vs %d keys", mem.Len(), mem2.Len())
+		}
+	})
+}
+
+// FuzzStoreHandler feeds arbitrary (method, payload) pairs to the server's
+// handler over a MemStore: it must never panic, a set payload that decodes
+// must then be returned by get, and every keys response must parse with
+// the client's decoder.
+func FuzzStoreHandler(f *testing.F) {
+	f.Add(byte(methodSet), appendSet(nil, "user/1", []byte("alpha")))
+	f.Add(byte(methodSet), appendSet(nil, "has space\n", nil))
+	f.Add(byte(methodSet), []byte{0x80})        // length cut short
+	f.Add(byte(methodSet), []byte{5, 'k', 'e'}) // key cut short
+	f.Add(byte(methodGet), []byte("user/1"))
+	f.Add(byte(methodDel), []byte("user/1"))
+	f.Add(byte(methodKeys), []byte("user/"))
+	f.Add(byte(0xff), []byte{})
+
+	f.Fuzz(func(t *testing.T, method byte, payload []byte) {
+		store := NewMemStore()
+		store.Set("user/0", []byte("seed"))
+		h := handler(store)
+		resp, err := h(rpc.Method(method), payload, nil)
+		switch rpc.Method(method) {
+		case methodSet:
+			key, value, ok := cutField(payload)
+			if ok != (err == nil) {
+				t.Fatalf("set %q: decodes %v, handler err %v", payload, ok, err)
+			}
+			if !ok {
+				break
+			}
+			got, err := h(methodGet, key, nil)
+			if err != nil || len(got) == 0 || got[0] != 1 || !bytes.Equal(got[1:], value) {
+				t.Fatalf("get %q after set = %q %v, want %q", key, got, err, value)
+			}
+		case methodKeys:
+			if err != nil {
+				t.Fatalf("keys %q: %v", payload, err)
+			}
+			if _, err := decodeKeys(resp); err != nil {
+				t.Fatalf("keys %q response %q: %v", payload, resp, err)
+			}
+		}
+		all, err := h(methodKeys, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := decodeKeys(all)
+		if err != nil || len(keys) != store.Len() {
+			t.Fatalf("keys response %q parses to %q %v, store holds %d", all, keys, err, store.Len())
 		}
 	})
 }

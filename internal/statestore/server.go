@@ -1,193 +1,94 @@
 package statestore
 
 import (
-	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
-	"net"
-	"strconv"
-	"strings"
-	"sync"
+
+	"clipper/internal/rpc"
 )
 
-// The wire protocol is a minimal Redis-style text protocol with
-// binary-safe values:
+// The state store's rpc methods. Their ids are distinct from the model
+// containers' (1, 2) and the stream adapter's (0x10–0x16), so a client
+// dialed at the wrong server gets an error frame, not a misread payload.
 //
-//	GET <key>\n            -> $<n>\n<bytes>\n   or  $-1\n
-//	SET <key> <n>\n<bytes>\n -> +OK\n
-//	DEL <key>\n            -> :1\n
-//	KEYS <prefix>\n        -> *<n>\n then n lines +<key>\n
-//	PING\n                 -> +PONG\n
-//
-// Unknown or malformed commands answer -ERR <message>\n.
+//	get   key                            -> found u8 | value
+//	set   uvarint(keyLen) | key | value  -> empty
+//	del   key                            -> empty
+//	keys  prefix                         -> n × (uvarint(keyLen) | key)
+const (
+	methodGet  rpc.Method = 0x20
+	methodSet  rpc.Method = 0x21
+	methodDel  rpc.Method = 0x22
+	methodKeys rpc.Method = 0x23
+)
 
-// Server exposes a Store over TCP.
-type Server struct {
-	store Store
+// errMalformed answers a payload that does not decode.
+var errMalformed = errors.New("statestore: malformed payload")
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
-}
+// NewServer returns an rpc server exposing store; Listen starts it.
+// Liveness is the rpc ping. Shutdown answers every request already read
+// before it returns, so call it before closing a FileStore.
+func NewServer(store Store) *rpc.Server { return rpc.NewServer(handler(store)) }
 
-// NewServer returns a server backed by store.
-func NewServer(store Store) *Server {
-	return &Server{store: store, conns: make(map[net.Conn]struct{})}
-}
-
-// Listen begins serving on addr (":0" picks a port) and returns the bound
-// address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+// handler serves one request against store. A set hands store.Set a value
+// that aliases the leased request payload (Store.Set must not retain it);
+// every response is appended to scratch. A malformed payload or a store
+// error becomes an rpc error frame.
+func handler(store Store) rpc.Handler {
+	return func(method rpc.Method, payload, scratch []byte) ([]byte, error) {
+		switch method {
+		case methodGet:
+			v, ok, err := store.Get(string(payload))
+			if !ok || err != nil {
+				return append(scratch, 0), err
 			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
+			return append(append(scratch, 1), v...), nil
+		case methodSet:
+			key, value, ok := cutField(payload)
+			if !ok {
+				return nil, errMalformed
 			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
-		}
-		if err := s.handle(strings.TrimRight(line, "\r\n"), r, w); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
+			return scratch, store.Set(string(key), value)
+		case methodDel:
+			return scratch, store.Delete(string(payload))
+		case methodKeys:
+			keys, err := store.Keys(string(payload))
+			for _, k := range keys {
+				scratch = binary.AppendUvarint(scratch, uint64(len(k)))
+				scratch = append(scratch, k...)
+			}
+			return scratch, err
+		default:
+			return nil, fmt.Errorf("statestore: unknown method %d", method)
 		}
 	}
 }
 
-func (s *Server) handle(line string, r *bufio.Reader, w *bufio.Writer) error {
-	fields := strings.SplitN(line, " ", 3)
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "PING":
-		fmt.Fprint(w, "+PONG\n")
-	case "GET":
-		if len(fields) < 2 {
-			fmt.Fprint(w, "-ERR GET needs a key\n")
-			return nil
-		}
-		v, ok, err := s.store.Get(fields[1])
-		if err != nil {
-			fmt.Fprintf(w, "-ERR %s\n", err)
-			return nil
-		}
+// appendSet encodes a set request.
+func appendSet(dst []byte, key string, value []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	return append(append(dst, key...), value...)
+}
+
+// decodeKeys parses a keys response.
+func decodeKeys(p []byte) (keys []string, err error) {
+	for len(p) > 0 {
+		k, rest, ok := cutField(p)
 		if !ok {
-			fmt.Fprint(w, "$-1\n")
-			return nil
+			return nil, errMalformed
 		}
-		fmt.Fprintf(w, "$%d\n", len(v))
-		w.Write(v)
-		fmt.Fprint(w, "\n")
-	case "SET":
-		if len(fields) < 3 {
-			fmt.Fprint(w, "-ERR SET needs key and length\n")
-			return nil
-		}
-		n, err := strconv.Atoi(fields[2])
-		if err != nil || n < 0 || n > 64<<20 {
-			fmt.Fprint(w, "-ERR bad value length\n")
-			return nil
-		}
-		buf := make([]byte, n+1) // value + trailing newline
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		if err := s.store.Set(fields[1], buf[:n]); err != nil {
-			fmt.Fprintf(w, "-ERR %s\n", err)
-			return nil
-		}
-		fmt.Fprint(w, "+OK\n")
-	case "DEL":
-		if len(fields) < 2 {
-			fmt.Fprint(w, "-ERR DEL needs a key\n")
-			return nil
-		}
-		if err := s.store.Delete(fields[1]); err != nil {
-			fmt.Fprintf(w, "-ERR %s\n", err)
-			return nil
-		}
-		fmt.Fprint(w, ":1\n")
-	case "KEYS":
-		prefix := ""
-		if len(fields) >= 2 {
-			prefix = fields[1]
-		}
-		keys, err := s.store.Keys(prefix)
-		if err != nil {
-			fmt.Fprintf(w, "-ERR %s\n", err)
-			return nil
-		}
-		fmt.Fprintf(w, "*%d\n", len(keys))
-		for _, k := range keys {
-			fmt.Fprintf(w, "+%s\n", k)
-		}
-	default:
-		fmt.Fprintf(w, "-ERR unknown command %q\n", cmd)
+		keys, p = append(keys, string(k)), rest
 	}
-	return nil
+	return keys, nil
 }
 
-// Close stops the server and all connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+// cutField splits p into a uvarint-length-prefixed field and what follows
+// it, both aliasing p.
+func cutField(p []byte) (field, rest []byte, ok bool) {
+	n, w := binary.Uvarint(p)
+	if w <= 0 || n > uint64(len(p)-w) {
+		return nil, nil, false
 	}
-	s.closed = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
+	return p[w : w+int(n)], p[w+int(n):], true
 }

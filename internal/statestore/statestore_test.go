@@ -2,12 +2,17 @@ package statestore
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"clipper/internal/rpc"
 )
 
 func TestMemStoreBasics(t *testing.T) {
@@ -181,18 +186,68 @@ func TestClientServerKeys(t *testing.T) {
 	}
 }
 
+// TestClientRejectsBadKeys: the empty key is the one a client refuses;
+// any other key round-trips, whitespace included, as it would locally.
 func TestClientRejectsBadKeys(t *testing.T) {
 	c, stop := startStoreServer(t)
 	defer stop()
-	for _, k := range []string{"", "has space", "has\nnewline"} {
-		if err := c.Set(k, []byte("v")); err == nil {
-			t.Fatalf("key %q accepted", k)
+	if err := c.Set("", []byte("v")); err == nil {
+		t.Fatal("empty key accepted")
+	}
+	if _, _, err := c.Get(""); err == nil {
+		t.Fatal("Get of the empty key accepted")
+	}
+	if err := c.Delete(""); err == nil {
+		t.Fatal("Delete of the empty key accepted")
+	}
+	const k = "has space\nand newline"
+	if err := c.Set(k, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := c.Get(k); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get(%q) = %q %v %v", k, v, ok, err)
+	}
+	if keys, err := c.Keys("has "); err != nil || !reflect.DeepEqual(keys, []string{k}) {
+		t.Fatalf("Keys = %q %v", keys, err)
+	}
+}
+
+// TestClientRedialsRestartedServer: the client's connection is a pool of
+// one, so a store restarted on the same address is reached again without
+// a new DialStore.
+func TestClientRedialsRestartedServer(t *testing.T) {
+	store := NewMemStore()
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialStore(addr, testDialTimeout)
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	restarted := NewServer(store)
+	if _, err := restarted.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		v, ok, err := c.Get("k")
+		if err == nil {
+			if !ok || string(v) != "v" {
+				t.Fatalf("Get after restart = %q %v", v, ok)
+			}
+			return
 		}
-		if _, _, err := c.Get(k); err == nil {
-			t.Fatalf("Get key %q accepted", k)
-		}
-		if err := c.Delete(k); err == nil {
-			t.Fatalf("Delete key %q accepted", k)
+		if time.Now().After(deadline) {
+			t.Fatalf("Get still failing 5s after the restart: %v", err)
 		}
 	}
 }
@@ -223,6 +278,9 @@ func TestClientConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServerUnknownCommand: an unknown method and a truncated set payload,
+// sent through a raw rpc client, each get an error frame, and the
+// connection keeps serving.
 func TestServerUnknownCommand(t *testing.T) {
 	srv := NewServer(NewMemStore())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -230,24 +288,29 @@ func TestServerUnknownCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialStore(addr, time.Second)
+	c, err := rpc.Dial(addr, testDialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Speak raw protocol through the client internals: send garbage via
-	// a Get on a key the server will see as malformed command? Instead,
-	// check that an -ERR reply is surfaced: use SET with a huge length
-	// by crafting a key that breaks fields? Simplest: raw conn.
-	if err := c.send("BOGUS\n"); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	for _, req := range []struct {
+		method  rpc.Method
+		payload []byte
+	}{
+		{0x7f, nil},
+		{methodSet, appendSet(nil, "key", []byte("v"))[:3]}, // key cut short
+		{methodSet, []byte{0x80}},                           // length cut short
+	} {
+		p, err := c.Call(ctx, req.method, req.payload)
+		p.Release()
+		var remote *rpc.RemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("method %#x payload %q: err = %v, want a remote error", req.method, req.payload, err)
+		}
 	}
-	line, err := c.line()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if line == "" || line[0] != '-' {
-		t.Fatalf("expected error reply, got %q", line)
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("connection lost after error frames: %v", err)
 	}
 }
 

@@ -3,9 +3,12 @@
 // selection state (paper §5.3).
 //
 // The paper uses Redis; offline, this package provides an equivalent:
-// MemStore, a concurrency-safe in-memory key-value store, plus a TCP server
-// and client speaking a small Redis-like text protocol so the state can
-// live in a separate process exactly as Redis would. See DESIGN.md §4.
+// MemStore, a concurrency-safe in-memory key-value store; FileStore, the
+// same behind an append-only log; and NewServer and DialStore, which put
+// any Store in a process of its own, as Redis would be. The server is an
+// rpc.Server and the client an rpc.Pool, so the state store speaks the
+// same frames as the model containers and the stream adapter; its four
+// methods are tabled in the RPC section of docs/ARCHITECTURE.md.
 package statestore
 
 import (
@@ -19,7 +22,9 @@ import (
 type Store interface {
 	// Get returns the value for key and whether it exists.
 	Get(key string) ([]byte, bool, error)
-	// Set stores value under key, overwriting any prior value.
+	// Set stores value under key, overwriting any prior value. value may
+	// alias a leased rpc frame body (the server passes a request's payload
+	// straight through), so Set must copy it and not retain value.
 	Set(key string, value []byte) error
 	// Delete removes key; deleting a missing key is not an error.
 	Delete(key string) error

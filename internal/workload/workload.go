@@ -6,7 +6,6 @@ package workload
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -370,13 +369,4 @@ func (w *WindowError) Rate() float64 {
 		}
 	}
 	return float64(errs) / float64(n)
-}
-
-// PoissonGap returns an exponential inter-arrival gap for the given rate,
-// for callers pacing their own loops.
-func PoissonGap(rng *rand.Rand, rate float64) time.Duration {
-	if rate <= 0 {
-		return math.MaxInt64
-	}
-	return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 }
