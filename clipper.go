@@ -87,10 +87,10 @@ type (
 
 // Prometheus metric kinds for MetricsRegistry.Register.
 const (
-	MetricsCounter = metrics.KindCounter
-	MetricsGauge   = metrics.KindGauge
-	MetricsSummary = metrics.KindSummary
-	MetricsUntyped = metrics.KindUntyped
+	MetricsCounter   = metrics.KindCounter
+	MetricsGauge     = metrics.KindGauge
+	MetricsHistogram = metrics.KindHistogram
+	MetricsUntyped   = metrics.KindUntyped
 )
 
 // Scheduler policies.

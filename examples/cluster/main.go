@@ -108,6 +108,6 @@ func main() {
 	fmt.Printf("latency: %s\n", app.PredLatency.Snapshot())
 	for i, q := range cl.ReplicaQueues("digits") {
 		fmt.Printf("replica %d handled %d queries (mean batch %.1f)\n",
-			i, q.Throughput.Count(), q.BatchSizes.Mean())
+			i, int64(q.BatchSizes.Sum()), q.BatchSizes.Mean())
 	}
 }

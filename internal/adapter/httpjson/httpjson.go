@@ -31,7 +31,6 @@ import (
 	"clipper/internal/adapter"
 	"clipper/internal/core"
 	"clipper/internal/gateway"
-	"clipper/internal/metrics"
 )
 
 // Request types are the gateway's wire shapes, re-exported so existing
@@ -103,39 +102,11 @@ type Server struct {
 	b       *gateway.Bound
 	httpSrv *http.Server
 	mux     *http.ServeMux
-
-	// Legacy per-endpoint request counters, kept wire-compatible as
-	// clipper_http_requests_total{path=...} alongside the gateway's
-	// per-adapter families. Atomic increments on the handler paths; read
-	// only at scrape time.
-	reqPredict  metrics.Counter
-	reqFeedback metrics.Counter
-	reqMetrics  metrics.Counter
 }
 
 // New returns a REST server bound to g's "http" adapter instrumentation.
 func New(g *gateway.Gateway) *Server {
 	s := &Server{b: g.Bind("http"), mux: http.NewServeMux()}
-	// A second Server over the same Clipper (rare, but legal) keeps the
-	// first server's HTTP counters: the family name is taken.
-	_ = g.Clipper().Metrics().Register("clipper_http_requests_total",
-		"REST API requests by endpoint.", metrics.KindCounter,
-		func(dst []metrics.Series) []metrics.Series {
-			for _, ep := range []struct {
-				path string
-				c    *metrics.Counter
-			}{
-				{"/api/v1/feedback", &s.reqFeedback},
-				{"/api/v1/predict", &s.reqPredict},
-				{"/metrics", &s.reqMetrics},
-			} {
-				dst = append(dst, metrics.Series{
-					Labels: []metrics.Label{{Name: "path", Value: ep.path}},
-					Value:  float64(ep.c.Value()),
-				})
-			}
-			return dst
-		})
 	s.mux.HandleFunc("/api/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/api/v1/feedback", s.handleFeedback)
 	s.mux.HandleFunc("/api/v1/apps", s.handleApps)
@@ -209,7 +180,6 @@ func writeGatewayError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.reqPredict.Inc()
 	req := PredictRequest{Arrived: time.Now()}
 	if !s.decodePost(w, r, gateway.OpPredict, &req) {
 		return
@@ -240,7 +210,6 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	s.reqFeedback.Inc()
 	var req FeedbackRequest
 	if !s.decodePost(w, r, gateway.OpFeedback, &req) {
 		return
@@ -316,7 +285,6 @@ func (s *Server) handleSetHealth(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the node's telemetry as Prometheus text exposition
 // (version 0.0.4), rendered from the core registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reqMetrics.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.b.WriteMetrics(w); err != nil {
 		// Invariant violations are caught before any byte is written, so

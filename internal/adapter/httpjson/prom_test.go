@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,23 +14,44 @@ var (
 	promNameRe   = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*`)
 	promSeriesRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? \S+$`)
 	promLabelRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	promBucketRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)_bucket\{(.*?),?le="([^"]*)"\} (\S+)$`)
+	promCountRe  = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)_count(?:\{(.*)\})? (\S+)$`)
 )
+
+// distributionFamilies are the node's distributions, all histograms.
+var distributionFamilies = []string{
+	"clipper_batch_size", "clipper_batch_latency_seconds", "clipper_queue_delay_seconds",
+	"clipper_app_latency_seconds", "clipper_gateway_latency_seconds",
+}
+
+// promHist is one histogram series as scraped: its le ladder in emitted
+// order, its last bucket count, and its +Inf bucket.
+type promHist struct {
+	ladder []string
+	prev   float64
+	inf    string
+}
 
 // validatePromText is the Go twin of scripts/check_prom.sh: every series
 // line must parse, reference a family whose HELP and TYPE lines came
-// first, use legal label names, and be unique.
+// first, use legal label names, and be unique; no family is a summary,
+// the distributions are histograms, each histogram series' buckets never
+// fall as le rises, its le="+Inf" bucket equals its _count, and every
+// series of a family carries the same le ladder.
 func validatePromText(t *testing.T, body string) {
 	t.Helper()
 	help := map[string]bool{}
-	typ := map[string]bool{}
+	typ := map[string]string{}
 	seen := map[string]bool{}
+	hists := map[string]*promHist{}
 	for ln, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		switch {
 		case strings.HasPrefix(line, "# HELP "):
 			help[strings.Fields(line[7:])[0]] = true
 			continue
 		case strings.HasPrefix(line, "# TYPE "):
-			typ[strings.Fields(line[7:])[0]] = true
+			f := strings.Fields(line[7:])
+			typ[f[0]] = f[1]
 			continue
 		case strings.HasPrefix(line, "#") || line == "":
 			continue
@@ -43,12 +65,12 @@ func validatePromText(t *testing.T, body string) {
 		fam := name
 		for _, suffix := range []string{"_sum", "_count", "_bucket"} {
 			base := strings.TrimSuffix(name, suffix)
-			if base != name && (help[base] || typ[base]) {
+			if base != name && (help[base] || typ[base] != "") {
 				fam = base
 				break
 			}
 		}
-		if !help[fam] || !typ[fam] {
+		if !help[fam] || typ[fam] == "" {
 			t.Errorf("line %d: series %q has no preceding HELP/TYPE", ln+1, name)
 		}
 		id := m[1]
@@ -66,6 +88,45 @@ func validatePromText(t *testing.T, body string) {
 				}
 			}
 		}
+		if b := promBucketRe.FindStringSubmatch(line); b != nil && typ[b[1]] == "histogram" {
+			key := b[1] + "{" + b[2] + "}"
+			h := hists[key]
+			if h == nil {
+				h = &promHist{prev: -1}
+				hists[key] = h
+			}
+			v, _ := strconv.ParseFloat(b[4], 64)
+			if v < h.prev {
+				t.Errorf("line %d: bucket count falls as le rises: %q", ln+1, line)
+			}
+			h.prev, h.ladder = v, append(h.ladder, b[3])
+			if b[3] == "+Inf" {
+				h.inf = b[4]
+			}
+		}
+		if c := promCountRe.FindStringSubmatch(line); c != nil && typ[c[1]] == "histogram" {
+			if h := hists[c[1]+"{"+c[2]+"}"]; h == nil || h.inf != c[3] {
+				t.Errorf("line %d: _count %s does not equal its le=\"+Inf\" bucket", ln+1, line)
+			}
+		}
+	}
+	for fam, kind := range typ {
+		if kind == "summary" {
+			t.Errorf("family %s is a summary", fam)
+		}
+	}
+	for _, fam := range distributionFamilies {
+		if kind, ok := typ[fam]; ok && kind != "histogram" {
+			t.Errorf("family %s is a %s, want histogram", fam, kind)
+		}
+	}
+	ladders := map[string]string{}
+	for key, h := range hists {
+		fam, ladder := key[:strings.IndexByte(key, '{')], strings.Join(h.ladder, ",")
+		if prev, ok := ladders[fam]; ok && prev != ladder {
+			t.Errorf("family %s: series carry different le ladders", fam)
+		}
+		ladders[fam] = ladder
 	}
 }
 
@@ -123,8 +184,10 @@ func TestMetricsPrometheus(t *testing.T) {
 		`clipper_queue_queued{model="m0",replica="m0:v1/0"}`,
 		`clipper_queue_max_batch{model="m0",replica="m0:v1/0"}`,
 		`clipper_cache_hits_total`,
-		`clipper_http_requests_total{path="/api/v1/predict"} 1`,
-		`clipper_http_requests_total{path="/metrics"} 1`,
+		`clipper_gateway_requests_total{adapter="http",op="predict"} 1`,
+		`clipper_gateway_requests_total{adapter="http",op="feedback"} 1`,
+		`clipper_gateway_requests_total{adapter="http",op="metrics"} 1`,
+		`clipper_gateway_latency_seconds_bucket{adapter="http",op="predict",le="+Inf"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q\nbody:\n%s", want, body)
@@ -183,8 +246,8 @@ func TestMetricsPrometheusConcurrent(t *testing.T) {
 }
 
 // TestSecondServerKeepsScrapeWorking: a second REST server over the same
-// Clipper must not poison the shared registry (the HTTP family is simply
-// kept by the first server).
+// Clipper must not poison the shared registry (the gateway families are
+// simply kept by the first server's gateway).
 func TestSecondServerKeepsScrapeWorking(t *testing.T) {
 	s, cl := newTestServer(t)
 	s2 := NewServer(cl)
@@ -202,11 +265,11 @@ func TestSecondServerKeepsScrapeWorking(t *testing.T) {
 	}
 	var hits int
 	for _, f := range cl.Metrics().Families() {
-		if f == "clipper_http_requests_total" {
+		if f == "clipper_gateway_requests_total" {
 			hits++
 		}
 	}
 	if hits != 1 {
-		t.Fatalf("http family registered %d times", hits)
+		t.Fatalf("gateway family registered %d times", hits)
 	}
 }

@@ -36,10 +36,9 @@ type TFServing struct {
 	queue *batching.Queue
 	model container.Predictor
 
-	// Latency is the end-to-end request latency histogram.
+	// Latency is the end-to-end request latency histogram; its count is
+	// the completed predictions.
 	Latency *metrics.Histogram
-	// Throughput counts completed predictions.
-	Throughput *metrics.Meter
 }
 
 // New returns a baseline server over the in-process model.
@@ -56,9 +55,8 @@ func New(model container.Predictor, cfg Config) *TFServing {
 			BatchTimeout: cfg.BatchTimeout,
 			InFlight:     1, // TF Serving executes one batch at a time
 		}),
-		model:      model,
-		Latency:    metrics.NewHistogram(),
-		Throughput: metrics.NewMeter(),
+		model:   model,
+		Latency: metrics.NewHistogram(),
 	}
 }
 
@@ -70,7 +68,6 @@ func (s *TFServing) Predict(ctx context.Context, x []float64) (container.Predict
 		return container.Prediction{}, err
 	}
 	s.Latency.ObserveDuration(time.Since(start))
-	s.Throughput.Mark(1)
 	return p, nil
 }
 

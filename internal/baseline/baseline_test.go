@@ -46,7 +46,7 @@ func TestTFServingPredict(t *testing.T) {
 	if p.Label != 42 {
 		t.Fatalf("Label = %d", p.Label)
 	}
-	if s.Throughput.Count() != 1 || s.Latency.Count() != 1 {
+	if s.Latency.Count() != 1 {
 		t.Fatal("telemetry not recorded")
 	}
 }

@@ -336,11 +336,11 @@ func TestQueueTelemetry(t *testing.T) {
 	}
 	// The last Result reaches its submitter before runBatch records the
 	// batch's telemetry, so give that bookkeeping a moment to land.
-	for deadline := time.Now().Add(time.Second); q.Throughput.Count() != 10 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(time.Second); q.BatchSizes.Sum() != 10 && time.Now().Before(deadline); {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if q.Throughput.Count() != 10 {
-		t.Fatalf("throughput count = %d", q.Throughput.Count())
+	if q.BatchSizes.Sum() != 10 {
+		t.Fatalf("rows dispatched = %v", q.BatchSizes.Sum())
 	}
 	if q.BatchLatency.Count() == 0 || q.BatchSizes.Count() == 0 {
 		t.Fatal("telemetry not recorded")

@@ -186,7 +186,6 @@ type Queue struct {
 	BatchLatency *metrics.Histogram
 	BatchSizes   *metrics.Histogram
 	QueueDelay   *metrics.Histogram
-	Throughput   *metrics.Meter
 }
 
 // NewQueue starts a batching queue in front of pred.
@@ -212,7 +211,6 @@ func NewQueue(pred container.Predictor, cfg QueueConfig) *Queue {
 		BatchLatency: metrics.NewHistogram(),
 		BatchSizes:   metrics.NewHistogram(),
 		QueueDelay:   metrics.NewHistogram(),
-		Throughput:   metrics.NewMeter(),
 	}
 	q.tenantLocked("") // the default tenant, weight 1, first in the rotation
 	if cfg.InFlight > 0 {
@@ -516,7 +514,6 @@ func (q *Queue) runBatch(batch []*Request, last bool) {
 	}
 	q.BatchLatency.ObserveDuration(lat)
 	q.BatchSizes.Observe(float64(n))
-	q.Throughput.Mark(int64(n))
 	if err != nil {
 		for _, r := range batch[next:] {
 			r.done(Result{Err: err})

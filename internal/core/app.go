@@ -119,9 +119,7 @@ type Application struct {
 
 	// Telemetry.
 	PredLatency *metrics.Histogram
-	Throughput  *metrics.Meter
 	Defaults    *metrics.Counter
-	MissingPct  *metrics.Histogram // % of ensemble missing per query
 	Feedbacks   *metrics.Counter
 	Sheds       *metrics.Counter // queries rejected by the SLO admission gate
 	Degrades    *metrics.Counter // queries degraded by the SLO admission gate
@@ -162,9 +160,7 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 		all:         all,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		PredLatency: metrics.NewHistogram(),
-		Throughput:  metrics.NewMeter(),
 		Defaults:    &metrics.Counter{},
-		MissingPct:  metrics.NewHistogram(),
 		Feedbacks:   &metrics.Counter{},
 		Sheds:       &metrics.Counter{},
 		Degrades:    &metrics.Counter{},
@@ -245,7 +241,6 @@ func (a *Application) PredictAt(ctx context.Context, contextID string, x []float
 			}
 			resp.Latency = time.Since(arrived)
 			a.PredLatency.ObserveDuration(resp.Latency)
-			a.Throughput.Mark(1)
 			return resp, nil
 		}
 		stage = 2
@@ -270,9 +265,6 @@ func (a *Application) PredictAt(ctx context.Context, contextID string, x []float
 			resp.Missing++
 		}
 	}
-	if len(indices) > 0 {
-		a.MissingPct.Observe(100 * float64(resp.Missing) / float64(len(indices)))
-	}
 	if a.cfg.ConfidenceThreshold > 0 && conf < a.cfg.ConfidenceThreshold {
 		resp.Label = a.cfg.DefaultLabel
 		resp.UsedDefault = true
@@ -280,7 +272,6 @@ func (a *Application) PredictAt(ctx context.Context, contextID string, x []float
 	}
 	resp.Latency = time.Since(arrived)
 	a.PredLatency.ObserveDuration(resp.Latency)
-	a.Throughput.Mark(1)
 	return resp, nil
 }
 

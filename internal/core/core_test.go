@@ -436,8 +436,8 @@ func TestConcurrentPredicts(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if app.Throughput.Count() != 320 {
-		t.Fatalf("throughput count = %d", app.Throughput.Count())
+	if app.PredLatency.Count() != 320 {
+		t.Fatalf("prediction count = %d", app.PredLatency.Count())
 	}
 }
 

@@ -82,12 +82,12 @@ func (cl *Clipper) replicaGauge(name, help string, kind metrics.Kind, fn func(rq
 	})
 }
 
-// replicaSummary registers a per-replica summary family backed by a
+// replicaHistogram registers a per-replica histogram family backed by a
 // queue-owned histogram.
-func (cl *Clipper) replicaSummary(name, help string, fn func(rq *replicaQueue) *metrics.Histogram) {
-	cl.prom.MustRegister(name, help, metrics.KindSummary, func(dst []metrics.Series) []metrics.Series {
+func (cl *Clipper) replicaHistogram(name, help string, fn func(rq *replicaQueue) *metrics.Histogram) {
+	cl.prom.MustRegister(name, help, metrics.KindHistogram, func(dst []metrics.Series) []metrics.Series {
 		cl.eachReplica(func(model string, rq *replicaQueue) {
-			dst = metrics.AppendSummary(dst, fn(rq),
+			dst = metrics.AppendHistogram(dst, fn(rq),
 				metrics.Label{Name: "model", Value: model},
 				metrics.Label{Name: "replica", Value: rq.replica.ID})
 		})
@@ -243,11 +243,11 @@ func (cl *Clipper) registerCollectors() {
 		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
 			return float64(rq.hedgesWon.Load()), true
 		})
-	cl.replicaSummary("clipper_batch_size", "Dispatched batch sizes (queries per batch).",
+	cl.replicaHistogram("clipper_batch_size", "Dispatched batch sizes (queries per batch).",
 		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.BatchSizes })
-	cl.replicaSummary("clipper_batch_latency_seconds", "Per-batch container round-trip latency.",
+	cl.replicaHistogram("clipper_batch_latency_seconds", "Per-batch container round-trip latency.",
 		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.BatchLatency })
-	cl.replicaSummary("clipper_queue_delay_seconds", "Per-request time spent queued before dispatch.",
+	cl.replicaHistogram("clipper_queue_delay_seconds", "Per-request time spent queued before dispatch.",
 		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.QueueDelay })
 
 	// --- Window controller (every queue whose window is not pinned) ---
@@ -323,7 +323,7 @@ func (cl *Clipper) registerCollectors() {
 	cl.appCounter("clipper_app_slo_seconds", "Latency SLO (0 = none set).",
 		metrics.KindGauge, func(st AppStatus) float64 { return st.SLOMillis / 1e3 })
 	r.MustRegister("clipper_app_latency_seconds", "End-to-end prediction latency per application.",
-		metrics.KindSummary, func(dst []metrics.Series) []metrics.Series {
+		metrics.KindHistogram, func(dst []metrics.Series) []metrics.Series {
 			registered := *cl.apps.Load()
 			apps := make([]*Application, 0, len(registered))
 			for _, a := range registered {
@@ -331,7 +331,7 @@ func (cl *Clipper) registerCollectors() {
 			}
 			sort.Slice(apps, func(i, j int) bool { return apps[i].cfg.Name < apps[j].cfg.Name })
 			for _, a := range apps {
-				dst = metrics.AppendSummary(dst, a.PredLatency, metrics.Label{Name: "app", Value: a.cfg.Name})
+				dst = metrics.AppendHistogram(dst, a.PredLatency, metrics.Label{Name: "app", Value: a.cfg.Name})
 			}
 			return dst
 		})

@@ -81,8 +81,10 @@ func TestMetricsCoverage(t *testing.T) {
 		`clipper_queue_dispatch_holds_total{model="m",replica="m:v1/0"} 0`,
 		`clipper_queue_dispatch_hold_seconds_total{model="m",replica="m:v1/0"} 0`,
 		`clipper_replica_healthy{model="m",replica="m:v1/0"} 1`,
+		"# TYPE clipper_batch_size histogram",
 		`clipper_batch_latency_seconds_count{model="m",replica="m:v1/0"} `,
-		`clipper_batch_size{model="m",replica="m:v1/0",quantile="0.5"}`,
+		`clipper_batch_size_bucket{model="m",replica="m:v1/0",le="4096"}`,
+		`clipper_queue_delay_seconds_bucket{model="m",replica="m:v1/0",le="+Inf"} 4`,
 		// scheduler
 		`clipper_sched_submitted_total{model="m"} 4`,
 		`clipper_sched_replicas{model="m"} 1`,
@@ -99,7 +101,9 @@ func TestMetricsCoverage(t *testing.T) {
 		`clipper_app_qos{app="demo"} 1`,
 		`clipper_app_weight{app="demo"} 2`,
 		`clipper_app_sheds_total{app="demo"} 0`,
-		`clipper_app_latency_seconds{app="demo",quantile="0.99"}`,
+		"# TYPE clipper_app_latency_seconds histogram",
+		`clipper_app_latency_seconds_bucket{app="demo",le="+Inf"} 4`,
+		`clipper_app_latency_seconds_count{app="demo"} 4`,
 		// tenant fair-batching
 		`clipper_tenant_served_total{model="m",replica="m:v1/0",tenant="demo"}`,
 	} {

@@ -176,7 +176,6 @@ func driveSystemOnce(predictFn func(context.Context, []float64) error, dim, work
 	}
 
 	lat := metrics.NewHistogram()
-	meter := metrics.NewMeter()
 	var measuring atomic.Bool
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -193,17 +192,15 @@ func driveSystemOnce(predictFn func(context.Context, []float64) error, dim, work
 			}
 			if measuring.Load() {
 				lat.ObserveDuration(time.Since(start))
-				meter.Mark(1)
 			}
 		})
 	}()
 
 	time.Sleep(warm)
 	measuring.Store(true)
-	meter.Reset()
 	time.Sleep(measure)
 	measuring.Store(false)
 	cancel()
 	<-done
-	return float64(meter.Count()) / measure.Seconds(), lat.Mean(), nil
+	return float64(lat.Count()) / measure.Seconds(), lat.Mean(), nil
 }

@@ -78,7 +78,6 @@ func driveQueue(profile frameworks.Profile, ctrl batching.Controller, batchTimeo
 	defer q.Close()
 
 	lat := metrics.NewHistogram()
-	meter := metrics.NewMeter()
 	var measuring atomic.Bool
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -94,19 +93,17 @@ func driveQueue(profile frameworks.Profile, ctrl batching.Controller, batchTimeo
 			}
 			if measuring.Load() {
 				lat.ObserveDuration(time.Since(start))
-				meter.Mark(1)
 			}
 		})
 	}()
 
 	time.Sleep(warm)
 	measuring.Store(true)
-	meter.Reset()
 	time.Sleep(measure)
 	measuring.Store(false)
 	cancel()
 	<-done
 
-	thr := float64(meter.Count()) / measure.Seconds()
+	thr := float64(lat.Count()) / measure.Seconds()
 	return thr, lat.P99(), nil
 }

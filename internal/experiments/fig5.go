@@ -69,7 +69,6 @@ func driveOpenLoop(profile frameworks.Profile, batchTimeout time.Duration, rate 
 	defer q.Close()
 
 	lat := metrics.NewHistogram()
-	completed := metrics.NewMeter()
 	ctx, cancel := context.WithTimeout(context.Background(), duration+5*time.Second)
 	defer cancel()
 
@@ -80,14 +79,13 @@ func driveOpenLoop(profile frameworks.Profile, batchTimeout time.Duration, rate 
 			return
 		}
 		lat.ObserveDuration(time.Since(s))
-		completed.Mark(1)
 	})
 	elapsed := time.Since(start)
 
 	busy := q.BatchLatency.Sum() // container-busy seconds
 	capacity = 0
 	if busy > 0 {
-		capacity = float64(completed.Count()) / busy
+		capacity = float64(lat.Count()) / busy
 	}
-	return float64(completed.Count()) / elapsed.Seconds(), lat.Mean(), q.BatchSizes.Mean(), capacity, nil
+	return float64(lat.Count()) / elapsed.Seconds(), lat.Mean(), q.BatchSizes.Mean(), capacity, nil
 }

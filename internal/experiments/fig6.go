@@ -124,7 +124,6 @@ func runReplicaScaling(n int, gbps float64, dim, workers int, warm, measure time
 	}
 
 	lat := metrics.NewHistogram()
-	meter := metrics.NewMeter()
 	var measuring atomic.Bool
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -141,18 +140,16 @@ func runReplicaScaling(n int, gbps float64, dim, workers int, warm, measure time
 			}
 			if measuring.Load() {
 				lat.ObserveDuration(time.Since(start))
-				meter.Mark(1)
 			}
 		})
 	}()
 
 	time.Sleep(warm)
 	measuring.Store(true)
-	meter.Reset()
 	time.Sleep(measure)
 	measuring.Store(false)
 	cancel()
 	<-done
 
-	return float64(meter.Count()) / measure.Seconds(), lat.Mean(), lat.P99(), nil
+	return float64(lat.Count()) / measure.Seconds(), lat.Mean(), lat.P99(), nil
 }

@@ -13,7 +13,7 @@
 //
 //	clipper_gateway_requests_total{adapter,op}
 //	clipper_gateway_errors_total{adapter,op,code}
-//	clipper_gateway_latency_seconds{adapter,op}   (summary)
+//	clipper_gateway_latency_seconds{adapter,op}   (histogram)
 //
 // so one scrape compares the same operation across protocols.
 package gateway
@@ -63,12 +63,11 @@ func (o Op) String() string {
 }
 
 // opStats is one (adapter, op) cell: requests, errors by code, latency.
-// Counters are atomic; the histogram locks internally. Read only at
-// scrape time.
+// Every field is atomic. Read only at scrape time.
 type opStats struct {
 	reqs metrics.Counter
 	errs [numCodes]metrics.Counter
-	lat  *metrics.Histogram
+	lat  metrics.Histogram
 }
 
 // instr is one adapter's instrumentation block.
@@ -124,9 +123,9 @@ func New(cl *core.Clipper) *Gateway {
 		})
 	_ = reg.Register("clipper_gateway_latency_seconds",
 		"Gateway operation latency by adapter and operation.",
-		metrics.KindSummary, func(dst []metrics.Series) []metrics.Series {
+		metrics.KindHistogram, func(dst []metrics.Series) []metrics.Series {
 			return g.eachOp(dst, func(dst []metrics.Series, adapter string, op Op, st *opStats) []metrics.Series {
-				return metrics.AppendSummary(dst, st.lat,
+				return metrics.AppendHistogram(dst, &st.lat,
 					metrics.Label{Name: "adapter", Value: adapter},
 					metrics.Label{Name: "op", Value: op.String()})
 			})
@@ -164,9 +163,6 @@ func (g *Gateway) Bind(adapter string) *Bound {
 	in, ok := g.adapters[adapter]
 	if !ok {
 		in = &instr{}
-		for op := range in.ops {
-			in.ops[op].lat = metrics.NewHistogram()
-		}
 		g.adapters[adapter] = in
 		g.order = append(g.order, adapter)
 		sort.Strings(g.order)

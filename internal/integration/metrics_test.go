@@ -95,7 +95,7 @@ func TestFullStackMetricsScrape(t *testing.T) {
 		`clipper_replica_healthy{model="model-1"`,
 		"clipper_batch_latency_seconds_count",
 		`clipper_app_predictions_total{app="app"} ` + fmt.Sprint(workers*perWorker),
-		`clipper_http_requests_total{path="/api/v1/predict"} ` + fmt.Sprint(workers*perWorker),
+		`clipper_gateway_requests_total{adapter="http",op="predict"} ` + fmt.Sprint(workers*perWorker),
 		"clipper_cache_hits_total",
 		"clipper_sched_submitted_total",
 	} {
@@ -132,7 +132,7 @@ func TestFullStackMetricsScrape(t *testing.T) {
 			fam = fam[:i]
 		}
 		if !typ[fam] {
-			for _, suf := range []string{"_sum", "_count"} {
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
 				if base := strings.TrimSuffix(fam, suf); typ[base] {
 					fam = base
 					break

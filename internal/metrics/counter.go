@@ -19,42 +19,3 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// Ratio is a pair of counters tracking hits out of a total, e.g. cache hits.
-// The zero value is ready to use.
-type Ratio struct {
-	hits  Counter
-	total Counter
-}
-
-// Hit records a positive event (and one total event).
-func (r *Ratio) Hit() {
-	r.hits.Inc()
-	r.total.Inc()
-}
-
-// Miss records a negative event (one total event only).
-func (r *Ratio) Miss() {
-	r.total.Inc()
-}
-
-// Hits returns the positive-event count.
-func (r *Ratio) Hits() int64 { return r.hits.Value() }
-
-// Total returns the total event count.
-func (r *Ratio) Total() int64 { return r.total.Value() }
-
-// Value returns hits/total, or 0 when no events have been recorded.
-func (r *Ratio) Value() float64 {
-	t := r.total.Value()
-	if t == 0 {
-		return 0
-	}
-	return float64(r.hits.Value()) / float64(t)
-}
-
-// Reset zeroes both counters.
-func (r *Ratio) Reset() {
-	r.hits.Reset()
-	r.total.Reset()
-}

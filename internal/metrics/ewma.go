@@ -5,39 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// DefaultEWMAAlpha is the smoothing weight selected by EWMA.Alpha = 0.
-const DefaultEWMAAlpha = 0.2
+// ewmaAlpha is the weight of each new observation in an EWMA.
+const ewmaAlpha = 0.2
 
-// EWMA is a lock-free exponentially weighted moving average. The zero
-// value is ready to use; concurrent Observe and Value calls are safe.
-// Observers race CAS updates rather than lock, so a lost update under
-// heavy contention is retried, never dropped.
+// EWMA is a lock-free exponentially weighted moving average with
+// smoothing factor 0.2. The zero value is ready to use; concurrent Observe
+// and Value calls are safe. Observers race CAS updates rather than lock,
+// so a lost update under heavy contention is retried, never dropped.
 //
 // The first observation seeds the average directly (no warm-up bias
 // toward zero), which is what makes Value() == 0 usable as a "no data
 // yet" sentinel for strictly positive series like latencies.
 type EWMA struct {
-	// Alpha is the weight of each new observation, in (0, 1]; zero
-	// selects DefaultEWMAAlpha. Set it before the first Observe and do
-	// not change it afterward.
-	Alpha float64
-
 	bits atomic.Uint64 // math.Float64bits of the current average; 0 = unseeded
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent observations more heavily; out-of-range alpha
-// selects DefaultEWMAAlpha.
-func NewEWMA(alpha float64) *EWMA {
-	return &EWMA{Alpha: alpha}
 }
 
 // Observe folds v into the average.
 func (e *EWMA) Observe(v float64) {
-	alpha := e.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
 	for {
 		old := e.bits.Load()
 		var next float64
@@ -45,7 +29,7 @@ func (e *EWMA) Observe(v float64) {
 			next = v
 		} else {
 			cur := math.Float64frombits(old)
-			next = (1-alpha)*cur + alpha*v
+			next = (1-ewmaAlpha)*cur + ewmaAlpha*v
 		}
 		nb := math.Float64bits(next)
 		if nb == 0 {

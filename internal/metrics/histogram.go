@@ -1,80 +1,83 @@
 // Package metrics provides the measurement primitives used throughout the
-// Clipper reproduction: sampling histograms with quantile estimation,
-// throughput meters, counters, and sliding windows.
+// Clipper reproduction: log-bucketed histograms with quantile estimation,
+// counters, moving averages, and their Prometheus exposition.
 //
 // Every latency and throughput figure in the paper's evaluation is computed
-// from these primitives, so they are deliberately simple, allocation-light,
-// and safe for concurrent use.
+// from these primitives, so they are deliberately simple, allocation-free
+// on the write path, and safe for concurrent use.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Histogram is a reservoir-sampling histogram of float64 observations.
-// It keeps an exact count, sum, min and max, and a bounded uniform sample
-// from which quantiles are estimated (Vitter's Algorithm R).
+// The bucket layout. Each power of two from 2^minExp to 2^maxExp is split
+// into subBuckets equal buckets, each closed above: bucket i counts the
+// values in (upper(i-1), upper(i)]. That range covers sub-µs queue delays
+// in seconds, batch sizes up to the 4,096 cap and percentages up to 100.
+// Bucket 0 counts everything at or below 2^minExp (0, negatives, NaN), and
+// the last bucket everything above 2^maxExp.
+const (
+	minExp     = -30
+	maxExp     = 16
+	subBuckets = 16
+	numBuckets = (maxExp-minExp)*subBuckets + 2
+)
+
+var lowest, highest = math.Ldexp(1, minExp), math.Ldexp(1, maxExp)
+
+// upper returns bucket i's upper edge, for 0 <= i < numBuckets-1.
+func upper(i int) float64 {
+	return math.Ldexp(1+float64(i%subBuckets)/subBuckets, minExp+i/subBuckets)
+}
+
+// bucketOf returns the index of the bucket that counts v.
+func bucketOf(v float64) int {
+	if !(v > lowest) {
+		return 0
+	}
+	if v > highest {
+		return numBuckets - 1
+	}
+	// v = 2^exp × 1.m; the top four mantissa bits pick the sub-bucket, and
+	// any lower bit set rounds up, since buckets are closed above.
+	b := math.Float64bits(v)
+	exp := int(b>>52) - 1023
+	mant := b & (1<<52 - 1)
+	sub := int(mant >> 48)
+	if mant&(1<<48-1) != 0 {
+		sub++
+	}
+	return (exp-minExp)*subBuckets + sub
+}
+
+// Histogram is a fixed log-bucketed histogram of float64 observations. It
+// keeps an exact count and sum, and estimates a quantile to within the
+// width of one bucket: 1/16 of the value, relative.
 //
-// The zero value is not usable; construct with NewHistogram.
+// The zero value is ready to use. Every field is an atomic, so Observe
+// takes no lock and makes no allocation.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	rng     *rand.Rand
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	cap     int
+	count   atomic.Uint64
+	sum     atomic.Uint64 // math.Float64bits of the running sum
+	buckets [numBuckets]atomic.Uint64
 }
 
-// DefaultReservoirSize is the sample capacity used by NewHistogram.
-const DefaultReservoirSize = 4096
-
-// NewHistogram returns a histogram with the default reservoir size.
-func NewHistogram() *Histogram {
-	return NewHistogramSize(DefaultReservoirSize)
-}
-
-// NewHistogramSize returns a histogram whose reservoir holds up to size
-// samples. Larger reservoirs give more accurate tail quantiles at the cost
-// of memory.
-func NewHistogramSize(size int) *Histogram {
-	if size <= 0 {
-		size = DefaultReservoirSize
-	}
-	return &Histogram{
-		samples: make([]float64, 0, size),
-		rng:     rand.New(rand.NewSource(42)),
-		min:     math.Inf(1),
-		max:     math.Inf(-1),
-		cap:     size,
-	}
-}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records a single observation.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Algorithm R: replace a random element with probability cap/count.
-	if j := h.rng.Int63n(h.count); j < int64(h.cap) {
-		h.samples[j] = v
+	h.buckets[bucketOf(v)].Add(1)
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
 	}
 }
 
@@ -84,53 +87,27 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 }
 
 // Count returns the number of observations recorded.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() int64 { return int64(h.count.Load()) }
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Mean returns the arithmetic mean of all observations, or 0 with no data.
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.count)
+	return h.Sum() / float64(n)
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) from the reservoir
-// using linear interpolation between order statistics. Returns 0 with no
-// data.
+// Quantile estimates the q-th quantile (0 <= q <= 1), interpolating
+// linearly inside the bucket its rank falls in. It returns 0 with no data
+// or when the rank falls in the bucket at or below the range, and 2^16
+// when it falls above the range.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantileOf(h.samples, q)
-}
-
-// Quantiles estimates several quantiles in one pass, which is cheaper than
-// repeated Quantile calls because the sample is sorted once.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return make([]float64, len(qs))
-	}
-	sorted := append([]float64(nil), h.samples...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
-	}
-	return out
+	var c [numBuckets]uint64
+	return quantile(&c, h.load(&c), q)
 }
 
 // P99 returns the estimated 99th percentile.
@@ -138,32 +115,58 @@ func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
 // Reset discards all recorded observations.
 func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.samples = h.samples[:0]
-	h.count = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
 }
 
-// Snapshot returns an immutable copy of the histogram's summary statistics.
-func (h *Histogram) Snapshot() Summary {
-	h.mu.Lock()
-	sorted := append([]float64(nil), h.samples...)
-	count, sum := h.count, h.sum
-	min, max := h.min, h.max
-	h.mu.Unlock()
-
-	sort.Float64s(sorted)
-	s := Summary{Count: count, Sum: sum}
-	if count > 0 {
-		s.Min, s.Max, s.Mean = min, max, sum/float64(count)
+// load copies the bucket counts into c and returns their total.
+func (h *Histogram) load(c *[numBuckets]uint64) uint64 {
+	var n uint64
+	for i := range h.buckets {
+		c[i] = h.buckets[i].Load()
+		n += c[i]
 	}
-	if len(sorted) > 0 {
-		s.P50 = quantileSorted(sorted, 0.50)
-		s.P95 = quantileSorted(sorted, 0.95)
-		s.P99 = quantileSorted(sorted, 0.99)
+	return n
+}
+
+// quantile walks counts c, whose total is n. The rank comes from the same
+// counts the walk reads, so a Reset or Observe racing the copy cannot
+// leave a rank the walk never reaches.
+func quantile(c *[numBuckets]uint64, n uint64, q float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	rank := math.Min(math.Max(q, 0), 1) * float64(n)
+	var below uint64
+	for i, k := range c {
+		if k == 0 || float64(below+k) < rank {
+			below += k
+			continue
+		}
+		switch i {
+		case 0:
+			return 0
+		case numBuckets - 1:
+			return highest
+		}
+		lo, hi := upper(i-1), upper(i)
+		return lo + (hi-lo)*(rank-float64(below))/float64(k)
+	}
+	return highest // unreachable: the last non-empty bucket holds rank n
+}
+
+// Snapshot returns the histogram's digest, its quantiles read from one
+// copy of the counts.
+func (h *Histogram) Snapshot() Summary {
+	var c [numBuckets]uint64
+	n := h.load(&c)
+	s := Summary{Count: int64(n), Sum: h.Sum()}
+	if n > 0 {
+		s.Mean = s.Sum / float64(n)
+		s.P50, s.P99 = quantile(&c, n, 0.5), quantile(&c, n, 0.99)
 	}
 	return s
 }
@@ -172,47 +175,14 @@ func (h *Histogram) Snapshot() Summary {
 type Summary struct {
 	Count int64
 	Sum   float64
-	Min   float64
-	Max   float64
 	Mean  float64
 	P50   float64
-	P95   float64
 	P99   float64
 }
 
 // String renders the summary assuming the observations are seconds,
 // formatting them in milliseconds as the paper's figures do.
 func (s Summary) String() string {
-	return fmt.Sprintf("count=%d mean=%.3fms p50=%.3fms p99=%.3fms max=%.3fms",
-		s.Count, s.Mean*1e3, s.P50*1e3, s.P99*1e3, s.Max*1e3)
-}
-
-func quantileOf(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return fmt.Sprintf("count=%d mean=%.3fms p50=%.3fms p99=%.3fms",
+		s.Count, s.Mean*1e3, s.P50*1e3, s.P99*1e3)
 }

@@ -2,7 +2,10 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -22,73 +25,79 @@ func TestHistogramBasicStats(t *testing.T) {
 	if got := h.Mean(); got != 50.5 {
 		t.Fatalf("Mean = %v, want 50.5", got)
 	}
-	if s := h.Snapshot(); s.Min != 1 || s.Max != 100 {
-		t.Fatalf("Snapshot Min/Max = %v/%v, want 1/100", s.Min, s.Max)
-	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
+	var h Histogram
 	if h.Mean() != 0 || h.P99() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
-	s := h.Snapshot()
-	if s.Count != 0 || s.Mean != 0 || s.Min != 0 || s.Max != 0 {
+	if s := h.Snapshot(); s != (Summary{}) {
 		t.Fatalf("empty snapshot = %+v", s)
 	}
 }
 
-func TestHistogramQuantilesExact(t *testing.T) {
-	h := NewHistogramSize(1000)
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
+// TestHistogramBucketEdges pins the layout: bucket i holds (upper(i-1),
+// upper(i)], so each upper edge lands in its own bucket and the next
+// float above it in the next one.
+func TestHistogramBucketEdges(t *testing.T) {
+	for i := 1; i < numBuckets-1; i++ {
+		if got := bucketOf(upper(i)); got != i {
+			t.Fatalf("bucketOf(upper(%d) = %v) = %d", i, upper(i), got)
+		}
+		if got := bucketOf(math.Nextafter(upper(i-1), math.Inf(1))); got != i {
+			t.Fatalf("bucketOf(just above upper(%d) = %v) = %d, want %d", i-1, upper(i-1), got, i)
+		}
 	}
-	// All 1000 samples fit in the reservoir, so quantiles are exact
-	// (with linear interpolation).
-	cases := []struct {
-		q    float64
-		want float64
-		tol  float64
-	}{
-		{0, 1, 0},
-		{0.5, 500.5, 0.01},
-		{0.99, 990.01, 0.5},
-		{1, 1000, 0},
+	if upper(numBuckets-2) != highest || upper(0) != lowest {
+		t.Fatalf("range is (%v, %v], want (%v, %v]", upper(0), upper(numBuckets-2), lowest, highest)
 	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > c.tol {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+}
+
+// TestHistogramQuantileWithinOneBucket checks every estimate against the
+// exact order statistic of a sorted copy: both lie in the same bucket, so
+// they differ by less than the bucket's width, 1/16 of the value.
+func TestHistogramQuantileWithinOneBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inputs := map[string]func() float64{
+		"uniform":    func() float64 { return 1e-3 + rng.Float64()*1000 },
+		"log-normal": func() float64 { return math.Exp(rng.NormFloat64()*1.5 - 6) },
+		"discrete":   func() float64 { return []float64{1, 2, 3, 4, 12.5, 50, 100, 4096}[rng.Intn(8)] },
+	}
+	for name, draw := range inputs {
+		var h Histogram
+		vals := make([]float64, 20000)
+		for i := range vals {
+			vals[i] = draw()
+			h.Observe(vals[i])
+		}
+		sort.Float64s(vals)
+		for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+			k := max(1, int(math.Ceil(q*float64(len(vals)))))
+			want := vals[k-1]
+			if got := h.Quantile(q); math.Abs(got-want) > want/subBuckets*(1+1e-12) {
+				t.Errorf("%s: Quantile(%v) = %v, order statistic %v: off by more than 1/%d", name, q, got, want, subBuckets)
+			}
 		}
 	}
 }
 
+// TestHistogramQuantilesBatch: Snapshot reads its quantiles from one copy
+// of the counts, and they match the single-quantile path.
 func TestHistogramQuantilesBatch(t *testing.T) {
-	h := NewHistogramSize(100)
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	qs := h.Quantiles(0.5, 0.95, 0.99)
-	if len(qs) != 3 {
-		t.Fatalf("got %d quantiles", len(qs))
+	s := h.Snapshot()
+	if s.P50 != h.Quantile(0.5) || s.P99 != h.Quantile(0.99) {
+		t.Fatalf("snapshot p50/p99 = %v/%v, Quantile = %v/%v", s.P50, s.P99, h.Quantile(0.5), h.Quantile(0.99))
 	}
-	if qs[0] > qs[1] || qs[1] > qs[2] {
-		t.Fatalf("quantiles not monotone: %v", qs)
+	if !(s.P50 <= h.Quantile(0.95) && h.Quantile(0.95) <= s.P99) {
+		t.Fatalf("quantiles not monotone: %v %v %v", s.P50, h.Quantile(0.95), s.P99)
 	}
-}
-
-func TestHistogramReservoirSampling(t *testing.T) {
-	// With many more observations than reservoir slots, the estimated
-	// median of a uniform distribution should still be near the middle.
-	h := NewHistogramSize(512)
-	for i := 0; i < 100000; i++ {
-		h.Observe(float64(i % 1000))
-	}
-	med := h.Quantile(0.5)
-	if med < 350 || med > 650 {
-		t.Fatalf("reservoir median = %v, want ~500", med)
-	}
-	if h.Count() != 100000 {
-		t.Fatalf("Count = %d", h.Count())
+	if s.Count != 100 || s.Sum != 5050 || s.Mean != 50.5 {
+		t.Fatalf("snapshot = %+v", s)
 	}
 }
 
@@ -96,7 +105,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(5)
 	h.Reset()
-	if h.Count() != 0 || h.Snapshot().Max != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(1) != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	h.Observe(7)
@@ -105,6 +114,8 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent: Count and Sum are exact after concurrent
+// Observe (integer values, so the float sum is exact in any order).
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup
@@ -120,6 +131,74 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("Count = %d, want 8000", h.Count())
+	}
+	if h.Sum() != 8*999*1000/2 {
+		t.Fatalf("Sum = %v, want %v", h.Sum(), 8*999*1000/2)
+	}
+}
+
+// TestHistogramQuantileRacingReset: the benchmark resets between phases
+// while the node observes. A Quantile read across a Reset must still
+// return a value from the observed range (or 0, for an empty read), never
+// a rank the walk could not reach.
+func TestHistogramQuantileRacingReset(t *testing.T) {
+	var h Histogram
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				h.Observe(1.5 + 0.25*float64(g))
+				if g == 0 && i%64 == 0 {
+					h.Reset()
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 500; i++ {
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if v := h.Quantile(q); v != 0 && (v < 1 || v > 2) {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("Quantile(%v) = %v racing Reset, want 0 or in [1, 2]", q, v)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+func TestHistogramObserveAllocs(t *testing.T) {
+	h := NewHistogram()
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.0123) }); n != 0 {
+		t.Fatalf("Observe allocates %v times", n)
+	}
+}
+
+// TestHistogramEdgeBuckets: values outside the range land in the two edge
+// buckets, which report 0 and 2^16.
+func TestHistogramEdgeBuckets(t *testing.T) {
+	var h Histogram
+	for _, v := range []float64{math.NaN(), 0, -1, math.Inf(-1), lowest} {
+		h.Observe(v)
+	}
+	if got := h.buckets[0].Load(); got != 5 {
+		t.Fatalf("bucket at or below the range holds %d, want 5", got)
+	}
+	if got := h.Quantile(1); got != 0 {
+		t.Fatalf("Quantile over the low edge bucket = %v, want 0", got)
+	}
+	h.Reset()
+	for _, v := range []float64{math.Inf(1), 1e300, math.Nextafter(highest, math.Inf(1))} {
+		h.Observe(v)
+	}
+	if got := h.buckets[numBuckets-1].Load(); got != 3 {
+		t.Fatalf("bucket above the range holds %d, want 3", got)
+	}
+	if got := h.Quantile(0); got != highest {
+		t.Fatalf("Quantile over the high edge bucket = %v, want %v", got, highest)
 	}
 }
 
@@ -141,80 +220,57 @@ func TestSummaryString(t *testing.T) {
 }
 
 func TestQuantilePropertyBounds(t *testing.T) {
-	// Property: for any non-empty sample set, every quantile estimate lies
-	// within [min, max] and quantiles are monotone in q.
+	// Property: for any sample set, quantiles are monotone in q and lie
+	// between the buckets of the smallest and the largest sample.
+	lo := func(i int) float64 {
+		switch i {
+		case 0:
+			return 0
+		case numBuckets - 1:
+			return highest
+		}
+		return upper(i - 1)
+	}
+	hi := func(i int) float64 {
+		switch i {
+		case 0:
+			return 0
+		case numBuckets - 1:
+			return highest
+		}
+		return upper(i)
+	}
 	f := func(vals []float64, q1, q2 float64) bool {
 		if len(vals) == 0 {
 			return true
 		}
-		clean := make([]float64, 0, len(vals))
+		var h Histogram
+		first, last := numBuckets, -1
 		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
+			v = math.Mod(v, 1e5) // spans both edge buckets and the range
+			h.Observe(v)
+			first, last = min(first, bucketOf(v)), max(last, bucketOf(v))
 		}
 		q1 = math.Abs(math.Mod(q1, 1))
 		q2 = math.Abs(math.Mod(q2, 1))
 		if q1 > q2 {
 			q1, q2 = q2, q1
 		}
-		lo, hi := clean[0], clean[0]
-		for _, v := range clean {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		a := quantileOf(clean, q1)
-		b := quantileOf(clean, q2)
-		return a >= lo && b <= hi && a <= b
+		a, b := h.Quantile(q1), h.Quantile(q2)
+		return a >= lo(first) && b <= hi(last) && a <= b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	m := newMeterClock(clock)
-	now = now.Add(2 * time.Second)
-	m.Mark(100)
-	if got := m.Rate(); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("Rate = %v, want 50", got)
-	}
-	// Idle time decays Rate.
-	now = now.Add(2 * time.Second)
-	if got := m.Rate(); math.Abs(got-25) > 1e-9 {
-		t.Fatalf("Rate after idle = %v, want 25", got)
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := newMeterClock(func() time.Time { return now })
-	m.Mark(10)
-	m.Reset()
-	if m.Count() != 0 {
-		t.Fatal("Reset did not zero count")
-	}
-	if m.Rate() != 0 {
-		t.Fatal("Rate should be 0 immediately after reset")
-	}
-}
-
-func TestMeterZeroElapsed(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := newMeterClock(func() time.Time { return now })
-	m.Mark(5)
-	if m.Rate() != 0 {
-		t.Fatal("zero elapsed time must not divide by zero")
-	}
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			h.Observe(1.5e-3)
+		}
+	})
 }
 
 func TestCounter(t *testing.T) {
@@ -248,29 +304,8 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio should be 0")
-	}
-	r.Hit()
-	r.Hit()
-	r.Miss()
-	r.Miss()
-	if got := r.Value(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Value = %v, want 0.5", got)
-	}
-	if r.Hits() != 2 || r.Total() != 4 {
-		t.Fatalf("Hits=%d Total=%d", r.Hits(), r.Total())
-	}
-	r.Reset()
-	if r.Total() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
+	var e EWMA
 	if e.Value() != 0 {
 		t.Fatal("initial value should be 0")
 	}
@@ -279,16 +314,7 @@ func TestEWMA(t *testing.T) {
 		t.Fatalf("first observation should initialize: %v", e.Value())
 	}
 	e.Observe(20)
-	if got := e.Value(); math.Abs(got-15) > 1e-9 {
-		t.Fatalf("Value = %v, want 15", got)
-	}
-}
-
-func TestEWMABadAlpha(t *testing.T) {
-	e := NewEWMA(-1)
-	e.Observe(1)
-	e.Observe(2)
-	if v := e.Value(); v <= 1 || v >= 2 {
-		t.Fatalf("Value = %v, want in (1,2)", v)
+	if got := e.Value(); math.Abs(got-12) > 1e-9 {
+		t.Fatalf("Value = %v, want 12 (α = 0.2)", got)
 	}
 }

@@ -14,9 +14,9 @@ package metrics
 //     CollectFuncs. Collection happens only inside WritePrometheus, at
 //     scrape time, by reading the live atomics.
 //   - WritePrometheus renders deterministic output: families in sorted
-//     name order, series in sorted label order, label values escaped,
-//     duplicate series rejected — the invariants scripts/check_prom.sh
-//     gates in CI.
+//     name order, series in sorted label order with a histogram's
+//     buckets in increasing le, label values escaped, duplicate series
+//     rejected — the invariants scripts/check_prom.sh gates in CI.
 //
 // Collectors may enumerate dynamic populations (replicas, apps, tenants)
 // at scrape time, so a family registered once covers members deployed
@@ -35,14 +35,13 @@ import (
 // Kind is a Prometheus metric type, emitted on the family's TYPE line.
 type Kind string
 
-// The exposition format's metric types. Reservoir Histograms expose as
-// KindSummary (pre-computed quantiles), not KindHistogram (cumulative
-// buckets), because they sample rather than bucket.
+// The exposition format's metric types. Histograms expose as
+// KindHistogram, through AppendHistogram.
 const (
-	KindCounter Kind = "counter"
-	KindGauge   Kind = "gauge"
-	KindSummary Kind = "summary"
-	KindUntyped Kind = "untyped"
+	KindCounter   Kind = "counter"
+	KindGauge     Kind = "gauge"
+	KindHistogram Kind = "histogram"
+	KindUntyped   Kind = "untyped"
 )
 
 // Label is one name="value" pair on a series. Values may be any UTF-8
@@ -53,8 +52,9 @@ type Label struct {
 	Value string
 }
 
-// Series is one sample within a family: an optional name suffix ("_sum",
-// "_count" for summary components), label pairs, and the value.
+// Series is one sample within a family: an optional name suffix
+// ("_bucket", "_sum", "_count" for histogram components), label pairs,
+// and the value.
 type Series struct {
 	Suffix string
 	Labels []Label
@@ -100,7 +100,7 @@ func (r *Registry) Register(name, help string, kind Kind, collect CollectFunc) e
 		return fmt.Errorf("metrics: nil collector for %q", name)
 	}
 	switch kind {
-	case KindCounter, KindGauge, KindSummary, KindUntyped:
+	case KindCounter, KindGauge, KindHistogram, KindUntyped:
 	default:
 		return fmt.Errorf("metrics: invalid kind %q for %q", kind, name)
 	}
@@ -138,9 +138,11 @@ func (r *Registry) Families() []string {
 
 // WritePrometheus renders every family in text exposition format:
 // families in name order, each non-empty family as a HELP line, a TYPE
-// line, and its series in sorted order. Collection errors are impossible
-// by construction; the returned error is a write error or an invariant
-// violation (illegal label name, duplicate series) from a collector.
+// line, and its series ordered by label set, then name suffix, then le as
+// a number, so a histogram's buckets rise. Collection errors are
+// impossible by construction; the returned error is a write error or an
+// invariant violation (illegal label name or le, duplicate series) from a
+// collector.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
@@ -152,7 +154,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	var buf strings.Builder
 	scratch := make([]Series, 0, 64)
-	lines := make([]string, 0, 64)
+	lines := make([]line, 0, 64)
 	for _, f := range fams {
 		scratch = f.collect(scratch[:0])
 		if len(scratch) == 0 {
@@ -160,16 +162,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		lines = lines[:0]
 		for i := range scratch {
-			line, err := renderSeries(f.name, &scratch[i])
+			l, err := renderSeries(f.name, &scratch[i])
 			if err != nil {
 				return err
 			}
-			lines = append(lines, line)
+			lines = append(lines, l)
 		}
-		sort.Strings(lines)
+		sort.Slice(lines, func(i, j int) bool { return lines[i].before(lines[j]) })
 		for i := 1; i < len(lines); i++ {
-			if seriesID(lines[i]) == seriesID(lines[i-1]) {
-				return fmt.Errorf("metrics: duplicate series %s", seriesID(lines[i]))
+			if !lines[i-1].before(lines[i]) {
+				return fmt.Errorf("metrics: duplicate series %s", lines[i].text)
 			}
 		}
 		buf.WriteString("# HELP ")
@@ -181,8 +183,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		buf.WriteByte(' ')
 		buf.WriteString(string(f.kind))
 		buf.WriteByte('\n')
-		for _, line := range lines {
-			buf.WriteString(line)
+		for _, l := range lines {
+			buf.WriteString(l.text)
 			buf.WriteByte('\n')
 		}
 	}
@@ -190,42 +192,62 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
+// line is one rendered sample and the key it is ordered by.
+type line struct {
+	key  string  // the labels other than le, then the name suffix
+	le   float64 // the le label's value; 0 without one
+	text string
+}
+
+func (a line) before(b line) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.le < b.le
+}
+
 // renderSeries renders one sample line: name[suffix]{labels} value.
-func renderSeries(name string, s *Series) (string, error) {
+func renderSeries(name string, s *Series) (line, error) {
 	full := name + s.Suffix
 	if !ValidMetricName(full) {
-		return "", fmt.Errorf("metrics: invalid series name %q", full)
+		return line{}, fmt.Errorf("metrics: invalid series name %q", full)
 	}
-	var b strings.Builder
+	var l line
+	var b, key strings.Builder
 	b.WriteString(full)
 	if len(s.Labels) > 0 {
 		b.WriteByte('{')
-		for i, l := range s.Labels {
-			if !ValidLabelName(l.Name) {
-				return "", fmt.Errorf("metrics: invalid label name %q on %q", l.Name, full)
+		for i, lb := range s.Labels {
+			if !ValidLabelName(lb.Name) {
+				return line{}, fmt.Errorf("metrics: invalid label name %q on %q", lb.Name, full)
 			}
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(l.Name)
+			start := b.Len()
+			b.WriteString(lb.Name)
 			b.WriteString(`="`)
-			b.WriteString(escapeLabelValue(l.Value))
+			b.WriteString(escapeLabelValue(lb.Value))
 			b.WriteByte('"')
+			if lb.Name != "le" {
+				key.WriteString(b.String()[start:])
+				key.WriteByte(',')
+				continue
+			}
+			le, err := strconv.ParseFloat(lb.Value, 64)
+			if err != nil || math.IsNaN(le) {
+				return line{}, fmt.Errorf("metrics: invalid le %q on %q", lb.Value, full)
+			}
+			l.le = le
 		}
 		b.WriteByte('}')
 	}
 	b.WriteByte(' ')
 	b.WriteString(formatValue(s.Value))
-	return b.String(), nil
-}
-
-// seriesID is the identity part of a rendered line (everything before the
-// value): equal IDs with different values are still duplicate series.
-func seriesID(line string) string {
-	if i := strings.LastIndexByte(line, ' '); i >= 0 {
-		return line[:i]
-	}
-	return line
+	key.WriteByte(0)
+	key.WriteString(s.Suffix)
+	l.key, l.text = key.String(), b.String()
+	return l, nil
 }
 
 // formatValue renders a sample value the way Prometheus expects.
@@ -331,29 +353,45 @@ func GaugeCollector(fn func() float64, labels ...Label) CollectFunc {
 	}
 }
 
-// summaryQuantiles are the quantiles every Histogram summary exposes,
-// matching the paper evaluation's reporting points.
-var summaryQuantiles = []struct {
-	label string
-	pick  func(Summary) float64
-}{
-	{"0.5", func(s Summary) float64 { return s.P50 }},
-	{"0.95", func(s Summary) float64 { return s.P95 }},
-	{"0.99", func(s Summary) float64 { return s.P99 }},
-}
+// The le ladder every histogram is exposed on: each power of two from
+// 2^-20 (≈ 1 µs, in seconds) to 2^12 (4,096, the batch cap), then +Inf.
+// Each edge is a bucket's upper edge, so every cumulative count is exact,
+// and one ladder for every series makes sum by (le) exact across replicas
+// and nodes.
+const ladderMin, ladderMax = -20, 12
 
-// AppendSummary appends h as Prometheus summary series to dst: one
-// quantile series per reporting point plus _sum and _count, all carrying
-// labels. Use it inside CollectFuncs that expose labeled populations.
-func AppendSummary(dst []Series, h *Histogram, labels ...Label) []Series {
-	snap := h.Snapshot()
-	for _, q := range summaryQuantiles {
-		ql := make([]Label, 0, len(labels)+1)
-		ql = append(ql, labels...)
-		ql = append(ql, Label{Name: "quantile", Value: q.label})
-		dst = append(dst, Series{Labels: ql, Value: q.pick(snap)})
+var ladderLE = func() (le [ladderMax - ladderMin + 2]string) {
+	for i := range le {
+		le[i] = formatValue(math.Ldexp(1, ladderMin+i))
 	}
-	dst = append(dst, Series{Suffix: "_sum", Labels: labels, Value: snap.Sum})
-	dst = append(dst, Series{Suffix: "_count", Labels: labels, Value: float64(snap.Count)})
-	return dst
+	le[len(le)-1] = "+Inf"
+	return le
+}()
+
+// AppendHistogram appends h as Prometheus histogram series to dst: a
+// cumulative _bucket series per le of the ladder, then _sum and _count,
+// all carrying labels. The buckets and _count come from one read of h's
+// counts, so le="+Inf" equals _count. Use it inside CollectFuncs that
+// expose labeled populations.
+func AppendHistogram(dst []Series, h *Histogram, labels ...Label) []Series {
+	var c [numBuckets]uint64
+	n := h.load(&c)
+	// One backing array for every bucket's labels, sliced per bucket.
+	ls := make([]Label, 0, len(ladderLE)*(len(labels)+1))
+	var cum uint64
+	next := 0
+	for i, le := range ladderLE {
+		top := numBuckets - 1
+		if i < len(ladderLE)-1 {
+			top = (ladderMin + i - minExp) * subBuckets
+		}
+		for ; next <= top; next++ {
+			cum += c[next]
+		}
+		start := len(ls)
+		ls = append(append(ls, labels...), Label{Name: "le", Value: le})
+		dst = append(dst, Series{Suffix: "_bucket", Labels: ls[start:len(ls):len(ls)], Value: float64(cum)})
+	}
+	dst = append(dst, Series{Suffix: "_sum", Labels: labels, Value: h.Sum()})
+	return append(dst, Series{Suffix: "_count", Labels: labels, Value: float64(n)})
 }

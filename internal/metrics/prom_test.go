@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // TestWritePrometheusGolden pins the full exposition output for a small
 // registry byte-for-byte: family ordering, HELP/TYPE lines, label
-// rendering and escaping, summary component ordering, and value
+// rendering and escaping, histogram component ordering, and value
 // formatting are all format contracts scrapers depend on.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
@@ -31,12 +32,17 @@ newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
 			return dst
 		})
 
-	h := NewHistogram()
-	for i := 0; i < 4; i++ {
-		h.Observe(2.5) // identical samples: quantile interpolation is exact
-	}
-	r.MustRegister("test_latency_seconds", "latency summary", KindSummary,
-		func(dst []Series) []Series { return AppendSummary(dst, h) })
+	r.MustRegister("test_latency_seconds", "latency histogram", KindHistogram,
+		func(dst []Series) []Series {
+			// Deliberately unordered: buckets print in increasing numeric le.
+			le := func(v string) []Label { return []Label{{"le", v}} }
+			return append(dst,
+				Series{Suffix: "_bucket", Labels: le("10"), Value: 3},
+				Series{Suffix: "_sum", Value: 10},
+				Series{Suffix: "_bucket", Labels: le("+Inf"), Value: 4},
+				Series{Suffix: "_count", Value: 4},
+				Series{Suffix: "_bucket", Labels: le("2"), Value: 1})
+		})
 
 	r.MustRegister("test_empty", "never present", KindGauge,
 		func(dst []Series) []Series { return dst })
@@ -48,13 +54,13 @@ newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
 	want := `# HELP test_hits_total total hits
 # TYPE test_hits_total counter
 test_hits_total 42
-# HELP test_latency_seconds latency summary
-# TYPE test_latency_seconds summary
+# HELP test_latency_seconds latency histogram
+# TYPE test_latency_seconds histogram
+test_latency_seconds_bucket{le="2"} 1
+test_latency_seconds_bucket{le="10"} 3
+test_latency_seconds_bucket{le="+Inf"} 4
 test_latency_seconds_count 4
 test_latency_seconds_sum 10
-test_latency_seconds{quantile="0.5"} 2.5
-test_latency_seconds{quantile="0.95"} 2.5
-test_latency_seconds{quantile="0.99"} 2.5
 # HELP test_queue_depth per-replica depth
 # TYPE test_queue_depth gauge
 test_queue_depth{model="svm",replica="a\"0\\x\n"} 7
@@ -122,6 +128,15 @@ func TestWriteErrors(t *testing.T) {
 			t.Error("reserved label name not rejected")
 		}
 	})
+	t.Run("bad le", func(t *testing.T) {
+		r := NewRegistry()
+		r.MustRegister("bad_le", "x", KindHistogram, func(dst []Series) []Series {
+			return append(dst, Series{Suffix: "_bucket", Labels: []Label{{"le", "high"}}, Value: 1})
+		})
+		if err := r.WritePrometheus(&strings.Builder{}); err == nil {
+			t.Error("unparseable le not rejected")
+		}
+	})
 	t.Run("bad suffix", func(t *testing.T) {
 		r := NewRegistry()
 		r.MustRegister("bad_suffix", "x", KindGauge, func(dst []Series) []Series {
@@ -150,30 +165,76 @@ func TestFormatValueSpecials(t *testing.T) {
 	}
 }
 
-func TestAppendSummary(t *testing.T) {
+func TestAppendHistogram(t *testing.T) {
 	lbl := Label{Name: "app", Value: "demo"}
 	h := NewHistogram()
-	h.Observe(1)
-	h.Observe(3)
-	s := AppendSummary(nil, h, lbl)
-	if len(s) != 5 {
-		t.Fatalf("summary series: %+v", s)
+	for _, v := range []float64{1, 3, 1e-9, 1e5} {
+		h.Observe(v)
 	}
-	var sum, count float64
-	for _, ser := range s {
-		switch ser.Suffix {
-		case "_sum":
-			sum = ser.Value
-		case "_count":
-			count = ser.Value
-		default:
-			if len(ser.Labels) != 2 || ser.Labels[0] != lbl || ser.Labels[1].Name != "quantile" {
-				t.Errorf("quantile labels: %+v", ser.Labels)
-			}
+	s := AppendHistogram(nil, h, lbl)
+	if len(s) != len(ladderLE)+2 {
+		t.Fatalf("%d series, want %d buckets + _sum + _count", len(s), len(ladderLE))
+	}
+	cum := map[string]float64{}
+	for i, ser := range s[:len(ladderLE)] {
+		if ser.Suffix != "_bucket" || len(ser.Labels) != 2 || ser.Labels[0] != lbl || ser.Labels[1].Name != "le" {
+			t.Fatalf("bucket %d: %+v", i, ser)
+		}
+		if i > 0 && ser.Value < s[i-1].Value {
+			t.Errorf("bucket le=%s = %v falls below the previous %v", ser.Labels[1].Value, ser.Value, s[i-1].Value)
+		}
+		cum[ser.Labels[1].Value] = ser.Value
+	}
+	// Buckets are closed above: 1 counts at le="1", 3 at le="4", 1e-9 in
+	// the first, and 1e5 (above the range) only at +Inf.
+	for le, want := range map[string]float64{"9.5367431640625e-07": 1, "0.5": 1, "1": 2, "2": 2, "4": 3, "4096": 3, "+Inf": 4} {
+		if cum[le] != want {
+			t.Errorf("le=%q: %v, want %v", le, cum[le], want)
 		}
 	}
-	if sum != 4 || count != 2 {
-		t.Errorf("sum=%v count=%v", sum, count)
+	sum, count := s[len(s)-2], s[len(s)-1]
+	if sum.Suffix != "_sum" || count.Suffix != "_count" || sum.Value != 1+3+1e-9+1e5 || count.Value != 4 {
+		t.Errorf("sum/count = %+v %+v", sum, count)
+	}
+}
+
+// TestWritePrometheusBucketOrder: each label set's buckets print together
+// in increasing numeric le (so le="128" before le="1024", which sorts
+// after it as a string), followed by its _count and _sum.
+func TestWritePrometheusBucketOrder(t *testing.T) {
+	r := NewRegistry()
+	h := NewHistogram()
+	h.Observe(100)
+	r.MustRegister("order_size", "h", KindHistogram, func(dst []Series) []Series {
+		dst = AppendHistogram(dst, h, Label{"replica", "b"})
+		return AppendHistogram(dst, h, Label{"replica", "a"})
+	})
+	var buf strings.Builder
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[2:]
+	per := len(ladderLE) + 2
+	if len(lines) != 2*per {
+		t.Fatalf("%d series lines, want %d", len(lines), 2*per)
+	}
+	for g, replica := range []string{"a", "b"} {
+		group := lines[g*per : (g+1)*per]
+		prev := math.Inf(-1)
+		for _, l := range group[:len(ladderLE)] {
+			i := strings.Index(l, `le="`)
+			if !strings.HasPrefix(l, `order_size_bucket{replica="`+replica+`",`) || i < 0 {
+				t.Fatalf("replica %s: got %q among its buckets", replica, l)
+			}
+			le, err := strconv.ParseFloat(l[i+4:strings.LastIndexByte(l, '"')], 64)
+			if err != nil || le <= prev {
+				t.Fatalf("replica %s: le out of order at %q (previous %v)", replica, l, prev)
+			}
+			prev = le
+		}
+		if !strings.HasPrefix(group[per-2], "order_size_count{") || !strings.HasPrefix(group[per-1], "order_size_sum{") {
+			t.Fatalf("replica %s: %q, %q after the buckets", replica, group[per-2], group[per-1])
+		}
 	}
 }
 
@@ -184,11 +245,11 @@ func TestWritePrometheusConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	h := NewHistogram()
-	e := NewEWMA(0.2)
+	var e EWMA
 	r.MustRegister("cc_total", "c", KindCounter,
 		GaugeCollector(func() float64 { return float64(c.Value()) }))
-	r.MustRegister("cc_lat_seconds", "h", KindSummary,
-		func(dst []Series) []Series { return AppendSummary(dst, h) })
+	r.MustRegister("cc_lat_seconds", "h", KindHistogram,
+		func(dst []Series) []Series { return AppendHistogram(dst, h) })
 	r.MustRegister("cc_ewma", "e", KindGauge, GaugeCollector(e.Value))
 
 	stop := make(chan struct{})

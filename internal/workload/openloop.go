@@ -185,8 +185,8 @@ type OpenLoopResult struct {
 // user ID; a non-nil return counts as an error and is excluded from the
 // latency quantiles.
 func MeasureOpenLoop(ctx context.Context, cfg OpenLoopConfig, call func(user int) error) OpenLoopResult {
-	hist := metrics.NewHistogramSize(1 << 14)
-	var completed, failed atomic.Int64
+	var hist metrics.Histogram
+	var failed atomic.Int64
 	start := time.Now()
 	issued := RunOpenLoopProcess(ctx, cfg, func(user int) {
 		t0 := time.Now()
@@ -195,18 +195,17 @@ func MeasureOpenLoop(ctx context.Context, cfg OpenLoopConfig, call func(user int
 			return
 		}
 		hist.ObserveDuration(time.Since(t0))
-		completed.Add(1)
 	})
 	elapsed := time.Since(start).Seconds()
-	qs := hist.Quantiles(0.50, 0.95, 0.99, 0.999)
+	q := func(p float64) time.Duration { return time.Duration(hist.Quantile(p) * float64(time.Second)) }
 	res := OpenLoopResult{
 		Issued:    issued,
-		Completed: int(completed.Load()),
+		Completed: int(hist.Count()),
 		Errors:    int(failed.Load()),
-		P50:       time.Duration(qs[0] * float64(time.Second)),
-		P95:       time.Duration(qs[1] * float64(time.Second)),
-		P99:       time.Duration(qs[2] * float64(time.Second)),
-		P999:      time.Duration(qs[3] * float64(time.Second)),
+		P50:       q(0.50),
+		P95:       q(0.95),
+		P99:       q(0.99),
+		P999:      q(0.999),
 	}
 	if elapsed > 0 {
 		res.OfferedQPS = float64(issued) / elapsed

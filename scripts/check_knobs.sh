@@ -9,7 +9,7 @@ set -eu
 cd "$(dirname "$0")/.."
 max_flags=18
 max_rows=15
-max_loc=17551
+max_loc=17384
 max_arch_lines=953
 max_sleeps=71
 

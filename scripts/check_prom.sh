@@ -7,8 +7,12 @@
 #   * every series line parses (metric-name and label-name grammar,
 #     quoted/escaped label values, finite or Inf/NaN sample values)
 #   * every series is preceded by the # HELP and # TYPE of its family
-#     (summary _sum/_count children resolve to the parent family)
+#     (histogram _bucket/_sum/_count children resolve to the parent family)
 #   * no duplicate series (same name + label set twice)
+#   * no family is a summary, and the five distribution families are
+#     histograms whose series each list their buckets in increasing le with
+#     counts that never fall, whose le="+Inf" bucket equals _count, and
+#     which all carry the same le ladder within a family
 #   * the families each subsystem is expected to export are present
 #
 # No dependencies beyond POSIX sh + awk + curl-or-wget and the go
@@ -103,7 +107,7 @@ grep -qi 'text/plain; version=0.0.4' "$workdir/headers" || {
 echo "check_prom: validating exposition grammar"
 awk '
 /^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* / { help[$3] = 1; next }
-/^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|summary|histogram|untyped)$/ {
+/^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram|untyped)$/ {
   if ($3 in type) { print "NR" NR ": duplicate TYPE for " $3; bad = 1 }
   type[$3] = $4
   next
@@ -135,6 +139,47 @@ END {
 }
 ' "$workdir/metrics.txt"
 
+echo "check_prom: checking histograms"
+awk '
+/^# TYPE / { kind[$3] = $4; next }
+/^#/ || /^$/ { next }
+{
+  name = $0; sub(/[{ ].*/, "", name)
+  fam = name; sub(/_(bucket|count)$/, "", fam)
+  if (fam == name || kind[fam] != "histogram") next
+  val = $NF
+  labels = $0; sub(/ [^ ]*$/, "", labels); sub(/^[^{]*/, "", labels)
+  if (name ~ /_count$/) { count[fam labels] = val; next }
+  if (!match(labels, /le="[^"]*"/)) { print "NR" NR ": bucket without le: " $0; bad = 1; next }
+  le = substr(labels, RSTART + 4, RLENGTH - 5)
+  sub(/,?le="[^"]*"/, "", labels); sub(/^\{,?/, "{", labels)
+  if (labels == "{}") labels = ""
+  key = fam labels
+  if (key in prev) {
+    if (prevle[key] == "+Inf" || (le != "+Inf" && le + 0 <= prevle[key] + 0)) {
+      print "NR" NR ": le=\"" le "\" after le=\"" prevle[key] "\": " $0; bad = 1
+    }
+    if (val + 0 < prev[key] + 0) { print "NR" NR ": bucket count falls as le rises: " $0; bad = 1 }
+  }
+  prev[key] = val; prevle[key] = le
+  ladder[key] = ladder[key] "," le
+  if (le == "+Inf") inf[key] = val
+}
+END {
+  for (k in kind) if (kind[k] == "summary") { print "family " k " is a summary"; bad = 1 }
+  n = split("clipper_batch_size clipper_batch_latency_seconds clipper_queue_delay_seconds clipper_app_latency_seconds clipper_gateway_latency_seconds", want, " ")
+  for (i = 1; i <= n; i++) if (kind[want[i]] != "histogram") { print "family " want[i] " is not a histogram"; bad = 1 }
+  for (k in ladder) {
+    if (!(k in inf) || !(k in count) || inf[k] + 0 != count[k] + 0) { print k ": le=\"+Inf\" bucket " inf[k] " != _count " count[k]; bad = 1 }
+    f = k; sub(/\{.*/, "", f)
+    if ((f in famladder) && famladder[f] != ladder[k]) { print k ": le ladder differs from its family'"'"'s other series"; bad = 1 }
+    famladder[f] = ladder[k]
+  }
+  if (bad) exit 1
+  print "check_prom: histograms hold their invariants"
+}
+' "$workdir/metrics.txt"
+
 echo "check_prom: checking required families"
 status=0
 for fam in \
@@ -145,14 +190,14 @@ for fam in \
   clipper_queue_completed_queries_total clipper_queue_arrival_rate \
   clipper_queue_dispatch_holds_total clipper_queue_dispatch_hold_seconds_total \
   clipper_replica_healthy clipper_replica_service_ewma_seconds \
-  clipper_batch_size_count clipper_batch_latency_seconds_count \
+  clipper_batch_size_bucket clipper_batch_latency_seconds_bucket \
+  clipper_queue_delay_seconds_bucket clipper_app_latency_seconds_bucket \
   clipper_adaptive_window \
   clipper_pool_conns clipper_pool_live_conns clipper_pool_writes_total \
   clipper_sched_replicas clipper_sched_submitted_total \
   clipper_app_predictions_total clipper_app_qos clipper_app_slo_seconds \
   clipper_tenant_served_total \
-  clipper_http_requests_total \
-  clipper_gateway_requests_total; do
+  clipper_gateway_requests_total clipper_gateway_latency_seconds_bucket; do
   grep -q "^$fam" "$workdir/metrics.txt" || {
     echo "FAIL: family $fam missing from live scrape" >&2
     status=1
