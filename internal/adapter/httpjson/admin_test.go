@@ -89,6 +89,65 @@ func TestAdminDeployValidation(t *testing.T) {
 	}
 }
 
+// versionedFixed is a fixedModel that reports an explicit version.
+type versionedFixed struct {
+	fixedModel
+	version int
+}
+
+func (v *versionedFixed) Info() container.Info {
+	info := v.fixedModel.Info()
+	info.Version = v.version
+	return info
+}
+
+// A container of a newer version of a deployed model rolls it over through
+// /deploy: the reply is 200, the new version answers even a query cached
+// under the old one, and the old version is then refused.
+func TestAdminDeployRollsOverNewVersion(t *testing.T) {
+	s, cl := newTestServer(t)
+	h := s.Handler()
+	app, err := cl.RegisterApp(core.AppConfig{Name: "solo", Models: []string{"m0"}, Policy: selection.NewStatic(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{3, 4}
+	if r, err := app.Predict(context.Background(), x); err != nil || r.Label != 1 {
+		t.Fatalf("v1 predict = %+v, %v", r, err)
+	}
+	serve := func(p container.Predictor) string {
+		addr, srv, err := container.Serve(p, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return addr
+	}
+
+	rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&versionedFixed{fixedModel{name: "m0", label: 9}, 2})})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("v2 deploy status = %d body=%s", rec.Code, rec.Body)
+	}
+	var resp DeployResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Model != "m0" || resp.Version != 2 {
+		t.Fatalf("resp = %+v", resp)
+	}
+	if n := len(cl.ReplicaStatuses("m0")); n != 1 {
+		t.Fatalf("%d replicas after the roll-over, want 1", n)
+	}
+	if r, err := app.Predict(context.Background(), x); err != nil || r.Label != 9 {
+		t.Fatalf("predict after the roll-over = %+v, %v; want v2's label 9", r, err)
+	}
+
+	rec = postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&fixedModel{name: "m0", label: 1})})
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("v1 deploy after v2 = %d, want %d", rec.Code, http.StatusConflict)
+	}
+}
+
 func TestAdminReplicasEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
@@ -513,21 +572,21 @@ func TestAdminHealthEndpoint(t *testing.T) {
 	h := s.Handler()
 
 	var replicaID string
-	for id := range cl.ReplicaHealth("m0") {
+	for id := range cl.ReplicaStatuses("m0") {
 		replicaID = id
 	}
 	rec := postJSON(t, h, "/api/v1/admin/health", HealthRequest{Replica: replicaID, Healthy: false})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
 	}
-	if health := cl.ReplicaHealth("m0"); health[replicaID] {
+	if health := cl.ReplicaStatuses("m0"); health[replicaID].Healthy {
 		t.Fatal("mark-down not applied")
 	}
 	rec = postJSON(t, h, "/api/v1/admin/health", HealthRequest{Replica: replicaID, Healthy: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if health := cl.ReplicaHealth("m0"); !health[replicaID] {
+	if health := cl.ReplicaStatuses("m0"); !health[replicaID].Healthy {
 		t.Fatal("mark-up not applied")
 	}
 	rec = postJSON(t, h, "/api/v1/admin/health", HealthRequest{Replica: "nope", Healthy: true})

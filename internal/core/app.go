@@ -110,7 +110,8 @@ type Application struct {
 	// context-free request reads it.
 	globalKey string
 	// scheds[i] is the scheduler of cfg.Models[i], resolved once: the entry
-	// survives SwapModel, which swaps replicas underneath it. all is [0..n).
+	// survives a Deploy roll-over, which swaps replicas underneath it. all
+	// is [0..n).
 	scheds []*scheduler
 	all    []int
 

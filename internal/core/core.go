@@ -107,19 +107,31 @@ var ErrClosed = errors.New("core: clipper closed")
 // model.
 var ErrUnknownModel = errors.New("core: unknown model")
 
-// Deploy adds a replica of a model behind its own adaptive batching queue.
-// The model's name comes from the predictor's Info; deploying the same
-// name again adds a replica (paper §4.4.1). stop, if non-nil, releases the
-// replica's resources on Close.
+// Deploy is how a model version reaches serving. The model's name and
+// version come from the predictor's Info, and each replica runs behind its
+// own adaptive batching queue. stop, if non-nil, releases the replica's
+// resources when it retires or on Close.
+//
+//   - A new name, or the deployed version again, adds a replica (paper
+//     §4.4.1).
+//   - A strictly newer version rolls the model over: the new replica is
+//     staged, replaces every replica and bumps the cache-key version in one
+//     step, so the model never has zero replicas and no entry cached under
+//     the old version is served for the new one (§4.2), with no explicit
+//     invalidation. Queries already queued on the retired replicas complete
+//     against the old version while those queues drain.
+//   - An older version is refused.
 func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.QueueConfig) (*container.Replica, error) {
+	info := pred.Info()
 	cl.mu.Lock()
-	defer cl.mu.Unlock()
 	if cl.closed {
+		cl.mu.Unlock()
 		return nil, ErrClosed
 	}
-	info := pred.Info()
-	if existing, ok := cl.infos[info.Name]; ok && existing.Version != info.Version {
-		return nil, fmt.Errorf("core: model %q version conflict: deployed v%d, got v%d",
+	existing, deployed := cl.infos[info.Name]
+	if deployed && info.Version < existing.Version {
+		cl.mu.Unlock()
+		return nil, fmt.Errorf("core: model %q version conflict: deployed v%d, got older v%d",
 			info.Name, existing.Version, info.Version)
 	}
 	s := cl.scheds[info.Name]
@@ -132,9 +144,26 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 		Pred: pred,
 		Stop: stop,
 	}
-	s.add(newReplicaQueue(rep, batching.NewQueue(pred, qcfg)))
+	rq := newReplicaQueue(rep, batching.NewQueue(pred, qcfg))
+	var retired []*replicaQueue
+	if deployed && info.Version > existing.Version {
+		retired = s.replaceAll(rq)
+	} else {
+		s.add(rq)
+	}
+	// After the replicas: a racing gather may cache the new replica's answer
+	// under the old version (never read again), not the reverse.
 	s.version.Store(int64(info.Version))
 	cl.infos[info.Name] = info
+	cl.mu.Unlock()
+
+	// Drain the retired replicas outside the lock; queued work completes.
+	for _, orq := range retired {
+		orq.queue.Close()
+		if orq.replica.Stop != nil {
+			orq.replica.Stop()
+		}
+	}
 	return rep, nil
 }
 

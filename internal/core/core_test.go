@@ -81,12 +81,11 @@ func TestDeployAndModels(t *testing.T) {
 func TestDeployVersionConflict(t *testing.T) {
 	cl := New(Config{})
 	defer cl.Close()
-	if _, err := cl.Deploy(&stubModel{name: "m"}, nil, qcfg()); err != nil {
+	if _, err := cl.Deploy(&versionedModel{name: "m", version: 2}, nil, qcfg()); err != nil {
 		t.Fatal(err)
 	}
-	bad := &versionedModel{name: "m", version: 2}
-	if _, err := cl.Deploy(bad, nil, qcfg()); err == nil {
-		t.Fatal("version conflict not detected")
+	if _, err := cl.Deploy(&stubModel{name: "m"}, nil, qcfg()); err == nil {
+		t.Fatal("downgrade to v1 not refused")
 	}
 }
 

@@ -244,9 +244,9 @@ func TestCancelWithdrawsQueuedFetch(t *testing.T) {
 	}
 }
 
-// Every fetch in flight or queued when its model is swapped ends once: the
-// batch in the old replica delivers, the drain fails what was queued behind
-// it, and every gather returns.
+// Every fetch in flight or queued when Deploy rolls its model over to a new
+// version ends once: the batch in the old replica delivers, the drain fails
+// what was queued behind it, and every gather returns.
 func TestSwapModelMidFlightCompletesEveryFetch(t *testing.T) {
 	cl, app, _, release := stragglerApp(t, nil)
 	const n = 8
@@ -267,7 +267,7 @@ func TestSwapModelMidFlightCompletesEveryFetch(t *testing.T) {
 	}
 	swapped := make(chan error)
 	go func() {
-		_, err := cl.SwapModel(&versioned{name: "slow", version: 2, label: 2}, nil, qcfg())
+		_, err := cl.Deploy(&versioned{name: "slow", version: 2, label: 2}, nil, qcfg())
 		swapped <- err
 	}()
 	for len(cl.ReplicaQueues("slow")) != 1 || cl.ReplicaQueues("slow")[0] == q {

@@ -124,16 +124,6 @@ func (m *HealthMonitor) Stop() {
 	<-m.done
 }
 
-// ReplicaHealth reports each replica's health for a model, keyed by
-// replica ID.
-func (cl *Clipper) ReplicaHealth(model string) map[string]bool {
-	out := make(map[string]bool)
-	for _, rq := range cl.modelReplicas(model) {
-		out[rq.replica.ID] = rq.health.healthy.Load()
-	}
-	return out
-}
-
 // MarkUnhealthy forces a replica down (admin action / external detector).
 // It reports whether the replica was found.
 func (cl *Clipper) MarkUnhealthy(replicaID string) bool {

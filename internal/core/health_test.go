@@ -57,12 +57,12 @@ func TestHealthMonitorMarksDownAndRecovers(t *testing.T) {
 	bad.SetPingFail(true)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if h := cl.ReplicaHealth("m"); !h[repBad.ID] {
+		if h := cl.ReplicaStatuses("m"); !h[repBad.ID].Healthy {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h := cl.ReplicaHealth("m"); h[repBad.ID] {
+	if h := cl.ReplicaStatuses("m"); h[repBad.ID].Healthy {
 		t.Fatal("failing replica never marked unhealthy")
 	}
 
@@ -88,12 +88,12 @@ func TestHealthMonitorMarksDownAndRecovers(t *testing.T) {
 	bad.SetPingFail(false)
 	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if h := cl.ReplicaHealth("m"); h[repBad.ID] {
+		if h := cl.ReplicaStatuses("m"); h[repBad.ID].Healthy {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h := cl.ReplicaHealth("m"); !h[repBad.ID] {
+	if h := cl.ReplicaStatuses("m"); !h[repBad.ID].Healthy {
 		t.Fatal("recovered replica never marked healthy")
 	}
 	badBefore = bad.Calls()
@@ -140,13 +140,13 @@ func TestManualHealthMarks(t *testing.T) {
 	if !cl.MarkUnhealthy(rep.ID) {
 		t.Fatal("MarkUnhealthy not found")
 	}
-	if h := cl.ReplicaHealth("m"); h[rep.ID] {
+	if h := cl.ReplicaStatuses("m"); h[rep.ID].Healthy {
 		t.Fatal("mark down not applied")
 	}
 	if !cl.MarkHealthy(rep.ID) {
 		t.Fatal("MarkHealthy not found")
 	}
-	if h := cl.ReplicaHealth("m"); !h[rep.ID] {
+	if h := cl.ReplicaStatuses("m"); !h[rep.ID].Healthy {
 		t.Fatal("mark up not applied")
 	}
 	if cl.MarkUnhealthy("nope") || cl.MarkHealthy("nope") {
@@ -165,7 +165,7 @@ func TestProbeOnceIgnoresNonPingers(t *testing.T) {
 	mon := cl.StartHealthMonitor(HealthConfig{Interval: time.Hour})
 	defer mon.Stop()
 	mon.ProbeOnce()
-	if h := cl.ReplicaHealth("m"); !h[rep.ID] {
+	if h := cl.ReplicaStatuses("m"); !h[rep.ID].Healthy {
 		t.Fatal("non-pinger replica must stay healthy")
 	}
 }
@@ -219,12 +219,12 @@ func TestHealthWithRemoteContainer(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if h := cl.ReplicaHealth("m"); !h[repDying.ID] {
+		if h := cl.ReplicaStatuses("m"); !h[repDying.ID].Healthy {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if h := cl.ReplicaHealth("m"); h[repDying.ID] {
+	if h := cl.ReplicaStatuses("m"); h[repDying.ID].Healthy {
 		t.Fatal("dead container never detected")
 	}
 	for i := 0; i < 5; i++ {

@@ -143,7 +143,7 @@ type scheduler struct {
 
 	cursor  atomic.Uint64 // free-running rotation cursor
 	picks   atomic.Uint64 // dispatch count, for ProbeEvery
-	version atomic.Int64  // deployed model version (cache keys); written by Deploy and SwapModel
+	version atomic.Int64  // deployed model version (cache keys); written by Deploy
 
 	submitted    atomic.Int64
 	hedgesIssued atomic.Int64
@@ -200,11 +200,15 @@ func (s *scheduler) setTenantWeight(tenant string, weight int) {
 	}
 }
 
-// replaceAll swaps the whole replica set for one new replica (model
-// swap), returning the retired set for the caller to drain.
+// replaceAll swaps the whole replica set for one new replica (a version
+// roll-over), returning the retired set for the caller to drain. Like add,
+// it applies the registered tenant weights to the new replica.
 func (s *scheduler) replaceAll(rq *replicaQueue) (retired []*replicaQueue) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for t, w := range s.tweights {
+		rq.queue.SetTenantWeight(t, w)
+	}
 	retired = s.rqs
 	s.rqs = []*replicaQueue{rq}
 	return retired
@@ -396,17 +400,4 @@ func (cl *Clipper) SchedulerStats(model string) (SchedulerStats, bool) {
 		return SchedulerStats{}, false
 	}
 	return s.stats(), true
-}
-
-// SubmitModel routes one query to a replica of model through the
-// scheduler, on the default tenant, and blocks for its prediction.
-// Applications hold their schedulers; this lookup is for outside callers.
-func (cl *Clipper) SubmitModel(ctx context.Context, model string, x []float64) (container.Prediction, error) {
-	cl.mu.Lock()
-	s := cl.scheds[model]
-	cl.mu.Unlock()
-	if s == nil {
-		return container.Prediction{}, fmt.Errorf("%w: %q", ErrUnknownModel, model)
-	}
-	return s.submit(ctx, "", x)
 }

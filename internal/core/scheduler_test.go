@@ -24,6 +24,15 @@ type blockModel struct {
 	peak    atomic.Int64
 }
 
+// submitModel routes one query to a replica of model through its
+// scheduler, on the default tenant, and blocks for its prediction.
+func submitModel(cl *Clipper, ctx context.Context, model string, x []float64) (container.Prediction, error) {
+	cl.mu.Lock()
+	s := cl.scheds[model]
+	cl.mu.Unlock()
+	return s.submit(ctx, "", x)
+}
+
 func (m *blockModel) Info() container.Info {
 	return container.Info{Name: m.name, Version: 1, NumClasses: 10}
 }
@@ -109,13 +118,13 @@ func TestJSQPrefersFastReplica(t *testing.T) {
 	}
 	// Warm both estimates (cold replicas are visited round-robin).
 	for i := 0; i < 4; i++ {
-		if _, err := cl.SubmitModel(context.Background(), "m", []float64{1}); err != nil {
+		if _, err := submitModel(cl, context.Background(), "m", []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	slowWarm := slow.Calls()
 	for i := 0; i < 30; i++ {
-		if _, err := cl.SubmitModel(context.Background(), "m", []float64{1}); err != nil {
+		if _, err := submitModel(cl, context.Background(), "m", []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +210,7 @@ func TestHedgeRescuesStalledPrimary(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < 20; i++ {
-		p, err := cl.SubmitModel(ctx, "m", []float64{float64(i)})
+		p, err := submitModel(cl, ctx, "m", []float64{float64(i)})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -259,7 +268,7 @@ func TestHedgeFailoverOnPrimaryError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		p, err := cl.SubmitModel(context.Background(), "m", []float64{float64(i)})
+		p, err := submitModel(cl, context.Background(), "m", []float64{float64(i)})
 		if err != nil {
 			t.Fatalf("submit %d surfaced primary error: %v", i, err)
 		}
@@ -284,7 +293,7 @@ func TestReplicaStatusesLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := cl.SubmitModel(context.Background(), "m", []float64{1}); err != nil {
+		if _, err := submitModel(cl, context.Background(), "m", []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}

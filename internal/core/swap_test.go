@@ -27,6 +27,9 @@ func (v *versioned) PredictBatch(xs [][]float64) ([]container.Prediction, error)
 	return out, nil
 }
 
+// A model swap is a Deploy of a strictly newer version: it rolls the model
+// over, replacing every replica and the cache-key version.
+
 func TestSwapModelServesNewVersion(t *testing.T) {
 	cl := New(Config{CacheSize: 1024})
 	defer cl.Close()
@@ -44,7 +47,7 @@ func TestSwapModelServesNewVersion(t *testing.T) {
 	}
 
 	v2 := &versioned{name: "m", version: 2, label: 2}
-	if _, err := cl.SwapModel(v2, nil, qcfg()); err != nil {
+	if _, err := cl.Deploy(v2, nil, qcfg()); err != nil {
 		t.Fatal(err)
 	}
 	if !oldStopped {
@@ -69,19 +72,22 @@ func TestSwapModelServesNewVersion(t *testing.T) {
 func TestSwapModelValidation(t *testing.T) {
 	cl := New(Config{})
 	defer cl.Close()
-	v2 := &versioned{name: "m", version: 2, label: 2}
-	if _, err := cl.SwapModel(v2, nil, qcfg()); err == nil {
-		t.Fatal("swap of undeployed model accepted")
-	}
 	if _, err := cl.Deploy(&versioned{name: "m", version: 2, label: 1}, nil, qcfg()); err != nil {
 		t.Fatal(err)
 	}
-	// Same or older version must be rejected.
-	if _, err := cl.SwapModel(&versioned{name: "m", version: 2, label: 9}, nil, qcfg()); err == nil {
-		t.Fatal("same-version swap accepted")
+	// An older version is refused and leaves the deployed one serving.
+	if _, err := cl.Deploy(&versioned{name: "m", version: 1, label: 9}, nil, qcfg()); err == nil {
+		t.Fatal("downgrade deploy accepted")
 	}
-	if _, err := cl.SwapModel(&versioned{name: "m", version: 1, label: 9}, nil, qcfg()); err == nil {
-		t.Fatal("downgrade swap accepted")
+	if info, _ := cl.ModelInfo("m"); info.Version != 2 {
+		t.Fatalf("version after refused downgrade = %d", info.Version)
+	}
+	// The deployed version again adds a replica rather than rolling over.
+	if _, err := cl.Deploy(&versioned{name: "m", version: 2, label: 9}, nil, qcfg()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cl.ReplicaQueues("m")); n != 2 {
+		t.Fatalf("replicas after same-version deploy = %d, want 2", n)
 	}
 }
 
@@ -96,13 +102,17 @@ func TestSwapModelReplacesAllReplicas(t *testing.T) {
 	if n := len(cl.ReplicaQueues("m")); n != 3 {
 		t.Fatalf("replicas = %d", n)
 	}
-	if _, err := cl.SwapModel(&versioned{name: "m", version: 2, label: 2}, nil, qcfg()); err != nil {
+	if _, err := cl.Deploy(&versioned{name: "m", version: 2, label: 2}, nil, qcfg()); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(cl.ReplicaQueues("m")); n != 1 {
 		t.Fatalf("replicas after swap = %d, want 1", n)
 	}
-	// Additional replicas of the new version can then be added.
+	// Re-deploying the retired version is refused; deploying the new
+	// version again adds a replica.
+	if _, err := cl.Deploy(&versioned{name: "m", version: 1, label: 1}, nil, qcfg()); err == nil {
+		t.Fatal("re-deploy of the retired v1 accepted")
+	}
 	if _, err := cl.Deploy(&versioned{name: "m", version: 2, label: 2}, nil, qcfg()); err != nil {
 		t.Fatal(err)
 	}

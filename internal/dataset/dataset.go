@@ -175,36 +175,14 @@ func Gaussian(cfg GaussianConfig) *Dataset {
 
 // The concrete benchmark datasets below mirror Table 1 of the paper at
 // reduced scale. Sizes are scaled down so training from-scratch models stays
-// tractable on one machine; dimensionalities match the paper's input sizes
-// where feasible (MNIST exactly; CIFAR exactly; ImageNet reduced from
-// 299*299*3 to 4096; speech reduced to a 200-dim acoustic feature window).
+// tractable on one machine; MNIST keeps the paper's input size exactly, and
+// speech is reduced to an acoustic feature window.
 
 // MNISTLike returns a 784-dimensional, 10-class dataset (28x28 images).
 func MNISTLike(n int, seed int64) *Dataset {
 	return Gaussian(GaussianConfig{
 		Name: "mnist-like", N: n, Dim: 784, NumClasses: 10,
 		Separation: 4.0, Noise: 1.0, LabelNoise: 0.02, Seed: seed,
-	})
-}
-
-// CIFARLike returns a 3072-dimensional, 10-class dataset (32x32x3 images).
-// It is a harder task than MNISTLike (lower separation).
-func CIFARLike(n int, seed int64) *Dataset {
-	return Gaussian(GaussianConfig{
-		Name: "cifar-like", N: n, Dim: 3072, NumClasses: 10,
-		Separation: 2.5, Noise: 1.0, LabelNoise: 0.05, Seed: seed,
-	})
-}
-
-// ImageNetLike returns a high-dimensional, 100-class dataset standing in for
-// ImageNet. The paper's 1000 classes and 1.26M examples are reduced 10x in
-// class count and ~60x in example count to keep from-scratch training
-// tractable; the per-query input remains large (4096 floats) so that
-// serialization and batching costs remain realistic.
-func ImageNetLike(n int, seed int64) *Dataset {
-	return Gaussian(GaussianConfig{
-		Name: "imagenet-like", N: n, Dim: 4096, NumClasses: 100,
-		Separation: 2.2, Noise: 1.0, LabelNoise: 0.05, Seed: seed,
 	})
 }
 
@@ -216,12 +194,6 @@ type SpeechConfig struct {
 	Dim         int // acoustic feature dimensionality
 	NumPhonemes int // TIMIT benchmarks use 39 collapsed phoneme classes
 	Seed        int64
-}
-
-// DefaultSpeechConfig mirrors Table 1: 6300 utterances, 630 speakers, 8
-// dialects, 39 phoneme labels, with a 200-dim acoustic feature window.
-func DefaultSpeechConfig(seed int64) SpeechConfig {
-	return SpeechConfig{N: 6300, NumDialects: 8, NumSpeakers: 630, Dim: 200, NumPhonemes: 39, Seed: seed}
 }
 
 // SpeechLike generates a dialect-grouped phoneme-classification dataset.
@@ -291,35 +263,6 @@ func SpeechLike(cfg SpeechConfig) *Dataset {
 		d.Group[i] = g
 	}
 	return d
-}
-
-// Corrupt returns a copy of the dataset with a fraction of each feature
-// vector replaced by noise. It models the feature corruption / concept
-// drift scenario of the paper's Figure 8 (model failure): predictions from
-// a model evaluated on corrupted inputs degrade sharply.
-func (d *Dataset) Corrupt(fraction float64, seed int64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	out := &Dataset{
-		Name:       d.Name + "/corrupt",
-		Dim:        d.Dim,
-		NumClasses: d.NumClasses,
-		NumGroups:  d.NumGroups,
-		X:          make([][]float64, d.Len()),
-		Y:          append([]int(nil), d.Y...),
-	}
-	if d.Group != nil {
-		out.Group = append([]int(nil), d.Group...)
-	}
-	for i, x := range d.X {
-		nx := append([]float64(nil), x...)
-		for j := range nx {
-			if rng.Float64() < fraction {
-				nx[j] = rng.NormFloat64() * 5.0
-			}
-		}
-		out.X[i] = nx
-	}
-	return out
 }
 
 // TableRow describes one dataset for the Table 1 reproduction.

@@ -42,10 +42,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	res, err := RunTable1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "table1")
 	if len(res.Lines) != 5 { // header + 4 datasets
 		t.Fatalf("lines = %v", res.Lines)
 	}
@@ -55,10 +52,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	res, err := RunTable2(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "table2")
 	if len(res.Lines) != 6 { // header + 5 models
 		t.Fatalf("lines = %v", res.Lines)
 	}
@@ -70,10 +64,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig3ShapeAndSLORatio(t *testing.T) {
-	res, err := RunFig3(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "fig3")
 	body := strings.Join(res.Lines, "\n")
 	for _, name := range []string{"sklearn-linear-svm", "sklearn-kernel-svm", "noop", "pyspark-linear-svm"} {
 		if !strings.Contains(body, name) {
@@ -127,10 +118,7 @@ func TestFig7EnsembleBeatsOrMatchesSingle(t *testing.T) {
 }
 
 func TestFig8PoliciesTrackBestModel(t *testing.T) {
-	res, err := RunFig8(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "fig8")
 	// Parse cumulative errors.
 	errs := map[string]float64{}
 	for _, line := range res.Lines[1:] {
@@ -207,10 +195,7 @@ func TestFig9MitigationBoundsTail(t *testing.T) {
 }
 
 func TestFig10PersonalizationLearns(t *testing.T) {
-	res, err := RunFig10(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "fig10")
 	// Parse the table: columns are feedback, static, no-dialect, policy.
 	type row struct{ static, noDialect, policy float64 }
 	var rows []row
@@ -249,10 +234,7 @@ func TestFig10PersonalizationLearns(t *testing.T) {
 }
 
 func TestCacheFeedbackSpeedup(t *testing.T) {
-	res, err := RunCacheFeedback(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "cache16")
 	var speedup float64
 	for _, line := range res.Lines {
 		if strings.HasPrefix(line, "speedup:") {
@@ -266,10 +248,7 @@ func TestCacheFeedbackSpeedup(t *testing.T) {
 }
 
 func TestAblationAIMD(t *testing.T) {
-	res, err := RunAblationAIMD(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "ablation-aimd")
 	if len(res.Lines) != 3 {
 		t.Fatalf("lines:\n%s", res)
 	}
@@ -303,20 +282,14 @@ func TestAblationAIMD(t *testing.T) {
 }
 
 func TestAblationEta(t *testing.T) {
-	res, err := RunAblationExp3Eta(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "ablation-eta")
 	if len(res.Lines) != 3 {
 		t.Fatalf("lines:\n%s", res)
 	}
 }
 
 func TestAblationCacheSize(t *testing.T) {
-	res, err := RunAblationCacheSize(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "ablation-cache")
 	// Hit rate must be monotone nondecreasing in cache size.
 	var rates []float64
 	for _, line := range res.Lines {
@@ -480,10 +453,7 @@ func TestDatasetStandinsTrainable(t *testing.T) {
 }
 
 func TestCascadeExtensionTradeoff(t *testing.T) {
-	res, err := RunCascade(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "extension-cascade")
 	// Parse: each line has accuracy=X mean-latency=Y ms ...
 	type row struct{ acc, lat float64 }
 	var rows []row

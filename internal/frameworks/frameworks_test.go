@@ -14,36 +14,36 @@ import (
 
 func TestProfileExpectedLinearInBatchSize(t *testing.T) {
 	p := Profile{Fixed: time.Millisecond, PerItem: 10 * time.Microsecond}
-	if got := p.Expected(0); got != 0 {
-		t.Fatalf("Expected(0) = %v", got)
+	if got := p.expected(0); got != 0 {
+		t.Fatalf("expected(0) = %v", got)
 	}
-	one := p.Expected(1)
-	hundred := p.Expected(100)
+	one := p.expected(1)
+	hundred := p.expected(100)
 	if one != time.Millisecond+10*time.Microsecond {
-		t.Fatalf("Expected(1) = %v", one)
+		t.Fatalf("expected(1) = %v", one)
 	}
 	if hundred != time.Millisecond+time.Millisecond {
-		t.Fatalf("Expected(100) = %v", hundred)
+		t.Fatalf("expected(100) = %v", hundred)
 	}
 }
 
 func TestProfileParallelismReducesMarginalCost(t *testing.T) {
 	serial := Profile{Fixed: 0, PerItem: 100 * time.Microsecond, Parallelism: 0}
 	parallel := Profile{Fixed: 0, PerItem: 100 * time.Microsecond, Parallelism: 1}
-	if serial.Expected(10) != 10*parallel.Expected(10) {
-		t.Fatalf("serial=%v parallel=%v", serial.Expected(10), parallel.Expected(10))
+	if serial.expected(10) != 10*parallel.expected(10) {
+		t.Fatalf("serial=%v parallel=%v", serial.expected(10), parallel.expected(10))
 	}
-	if parallel.Expected(1000) != parallel.Expected(1) {
+	if parallel.expected(1000) != parallel.expected(1) {
 		t.Fatal("fully parallel batches should be constant-time")
 	}
 }
 
 func TestProfileStaticBatchPadding(t *testing.T) {
 	p := Profile{PerItem: time.Microsecond, StaticBatch: 8}
-	if p.Expected(1) != p.Expected(8) {
+	if p.expected(1) != p.expected(8) {
 		t.Fatal("batch of 1 should pad to 8")
 	}
-	if p.Expected(9) != p.Expected(16) {
+	if p.expected(9) != p.expected(16) {
 		t.Fatal("batch of 9 should pad to 16")
 	}
 }
@@ -56,8 +56,8 @@ func TestProfileMonotoneProperty(t *testing.T) {
 			PerItem:     time.Duration(perItemUS) * time.Microsecond,
 			Parallelism: par - float64(int(par)), // fold into [0,1)
 		}
-		a := p.Expected(int(n))
-		b := p.Expected(int(n) + 1)
+		a := p.expected(int(n))
+		b := p.expected(int(n) + 1)
 		return b >= a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -162,7 +162,7 @@ func TestSimPredictorPredictionsAndLatency(t *testing.T) {
 			t.Fatal("scorer model should emit scores")
 		}
 	}
-	want := profile.Expected(8)
+	want := profile.expected(8)
 	if elapsed < want {
 		t.Fatalf("batch returned in %v, profile demands >= %v", elapsed, want)
 	}

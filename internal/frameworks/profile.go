@@ -78,9 +78,7 @@ func (p Profile) BatchDuration(n int, rng *rand.Rand) time.Duration {
 	return d
 }
 
-// Expected returns the deterministic expected latency for a batch of n.
-func (p Profile) Expected(n int) time.Duration { return p.expected(n) }
-
+// expected returns the deterministic expected latency for a batch of n.
 func (p Profile) expected(n int) time.Duration {
 	if n <= 0 {
 		return 0

@@ -237,10 +237,11 @@ func (b *Bound) Health() bool {
 	return true
 }
 
-// Deploy dials a remote model container and deploys it. A dial failure
-// maps to CodeBadGateway (the container is unreachable), a deploy
-// failure to CodeConflict (e.g. a version mismatch) — the two cases
-// operators must tell apart.
+// Deploy dials a remote model container and deploys it: a newer version
+// of a deployed model rolls it over, the same version adds a replica. A
+// dial failure maps to CodeBadGateway (the container is unreachable), a
+// deploy failure to CodeConflict (e.g. a version older than the deployed
+// one) — the two cases operators must tell apart.
 func (b *Bound) Deploy(req DeployRequest) (res DeployResponse, err error) {
 	defer b.begin(OpDeploy)(&err)
 	if req.Addr == "" {

@@ -292,8 +292,8 @@ func TestFullStackContainerFailureRecovery(t *testing.T) {
 	detected := false
 	for time.Now().Before(deadline) {
 		healthy := 0
-		for _, ok := range cl.ReplicaHealth("m") {
-			if ok {
+		for _, st := range cl.ReplicaStatuses("m") {
+			if st.Healthy {
 				healthy++
 			}
 		}

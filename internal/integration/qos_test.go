@@ -197,8 +197,8 @@ func TestQoSReplicaKillExactlyOne(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		healthy := 0
-		for _, ok := range cl.ReplicaHealth("m") {
-			if ok {
+		for _, st := range cl.ReplicaStatuses("m") {
+			if st.Healthy {
 				healthy++
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/rpc"
+	"clipper/internal/selection"
 )
 
 // delayModel is a model container whose every batch costs a fixed wall
@@ -59,6 +60,18 @@ func serveReplica(t *testing.T, cl *core.Clipper, m container.Predictor) *rpc.Se
 	return srv
 }
 
+// soloApp registers an uncached app over model "m" alone, so each
+// Predict is one query routed by m's scheduler. answered fails a response
+// that lost its one model's prediction or carries another label.
+func soloApp(t *testing.T, cl *core.Clipper) (app *core.Application, answered func(core.Response, int) bool) {
+	t.Helper()
+	app, err := cl.RegisterApp(core.AppConfig{Name: "a", Models: []string{"m"}, Policy: selection.NewStatic(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app, func(r core.Response, label int) bool { return r.Missing == 0 && !r.UsedDefault && r.Label == label }
+}
+
 // TestSkewedReplicaHedgedTail: one of four replicas is 10x slower behind
 // real sockets. With JSQ routing and hedging on, the slow replica is
 // starved of traffic and the occasional query that does land there (the
@@ -83,12 +96,13 @@ func TestSkewedReplicaHedgedTail(t *testing.T) {
 		defer serveReplica(t, cl, fasts[i]).Close()
 	}
 
+	app, answered := soloApp(t, cl)
 	// Warm-up: cold replicas are visited round-robin, so these submits
 	// price all four (including one slow service time each time the
 	// rotation lands on it). Excluded from the measurement.
 	for i := 0; i < 40; i++ {
-		if _, err := cl.SubmitModel(context.Background(), "m", []float64{float64(i)}); err != nil {
-			t.Fatal(err)
+		if r, err := app.Predict(context.Background(), []float64{float64(i)}); err != nil || !answered(r, 1) {
+			t.Fatalf("warm-up %d: %+v %v", i, r, err)
 		}
 	}
 	slowWarm := slow.queries.Load()
@@ -102,8 +116,8 @@ func TestSkewedReplicaHedgedTail(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				start := time.Now()
-				if _, err := cl.SubmitModel(context.Background(), "m", []float64{float64(w*perWorker + i)}); err != nil {
-					t.Errorf("worker %d submit %d: %v", w, i, err)
+				if r, err := app.Predict(context.Background(), []float64{float64(w*perWorker + i)}); err != nil || !answered(r, 1) {
+					t.Errorf("worker %d submit %d: %+v %v", w, i, r, err)
 					return
 				}
 				lats[w] = append(lats[w], time.Since(start))
@@ -162,6 +176,7 @@ func TestMidHedgeReplicaDeath(t *testing.T) {
 	})
 	defer mon.Stop()
 
+	app, answered := soloApp(t, cl)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	const workers, perWorker = 8, 60
@@ -178,13 +193,13 @@ func TestMidHedgeReplicaDeath(t *testing.T) {
 					// and hedges racing its in-flight batches.
 					killOnce.Do(func() { victimSrv.Close() })
 				}
-				p, err := cl.SubmitModel(ctx, "m", []float64{float64(w*perWorker + i)})
+				r, err := app.Predict(ctx, []float64{float64(w*perWorker + i)})
 				if err != nil {
 					t.Errorf("worker %d submit %d: %v", w, i, err)
 					return
 				}
-				if p.Label != 2 {
-					t.Errorf("worker %d submit %d: label %d", w, i, p.Label)
+				if !answered(r, 2) {
+					t.Errorf("worker %d submit %d: %+v, want label 2 from the model", w, i, r)
 					return
 				}
 				results.Add(1)
@@ -200,8 +215,8 @@ func TestMidHedgeReplicaDeath(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		healthy := 0
-		for _, ok := range cl.ReplicaHealth("m") {
-			if ok {
+		for _, st := range cl.ReplicaStatuses("m") {
+			if st.Healthy {
 				healthy++
 			}
 		}

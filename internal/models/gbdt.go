@@ -243,9 +243,6 @@ func (m *GBDT) Name() string { return m.name }
 // NumClasses implements Model.
 func (m *GBDT) NumClasses() int { return m.classes }
 
-// NumRounds returns the number of boosting rounds.
-func (m *GBDT) NumRounds() int { return len(m.trees) }
-
 // Predict implements Model.
 func (m *GBDT) Predict(x []float64) int { return argmax(m.Scores(x)) }
 

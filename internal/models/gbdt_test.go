@@ -10,8 +10,8 @@ func TestGBDTLearnsEasyTask(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainGBDT("gbdt", train, DefaultGBDTConfig())
 	requireAccuracy(t, m, test, 0.85)
-	if m.NumRounds() != 20 {
-		t.Fatalf("rounds = %d", m.NumRounds())
+	if len(m.trees) != 20 {
+		t.Fatalf("rounds = %d", len(m.trees))
 	}
 }
 
@@ -53,7 +53,7 @@ func TestGBDTMoreRoundsHelp(t *testing.T) {
 	fa := Accuracy(few, test.X, test.Y)
 	ma := Accuracy(many, test.X, test.Y)
 	if ma < fa {
-		t.Fatalf("more rounds hurt: %d rounds %.3f vs 2 rounds %.3f", many.NumRounds(), ma, fa)
+		t.Fatalf("more rounds hurt: %d rounds %.3f vs 2 rounds %.3f", len(many.trees), ma, fa)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestGBDTPersistRoundTrip(t *testing.T) {
 	loaded := roundTrip(t, m)
 	requireSamePredictions(t, m, loaded, test.X)
 	g := loaded.(*GBDT)
-	if g.NumRounds() != 6 {
-		t.Fatalf("rounds after reload = %d", g.NumRounds())
+	if len(g.trees) != 6 {
+		t.Fatalf("rounds after reload = %d", len(g.trees))
 	}
 }
 

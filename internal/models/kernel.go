@@ -98,10 +98,6 @@ func (m *KernelMachine) Name() string { return m.name }
 // NumClasses implements Model.
 func (m *KernelMachine) NumClasses() int { return m.linear.NumClasses() }
 
-// NumLandmarks returns the number of kernel centers (inference cost scales
-// linearly with it).
-func (m *KernelMachine) NumLandmarks() int { return len(m.landmarks) }
-
 // Predict implements Model.
 func (m *KernelMachine) Predict(x []float64) int {
 	return argmax(m.Scores(x))

@@ -179,9 +179,6 @@ func (m *MLP) Name() string { return m.name }
 // NumClasses implements Model.
 func (m *MLP) NumClasses() int { return m.classes }
 
-// NumLayers returns the number of weight layers (hidden + output).
-func (m *MLP) NumLayers() int { return len(m.weights) }
-
 // Predict implements Model.
 func (m *MLP) Predict(x []float64) int {
 	return argmax(m.Scores(x))

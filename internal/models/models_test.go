@@ -46,8 +46,8 @@ func TestKernelMachineLearns(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainKernelMachine("ksvm", train, KernelConfig{Landmarks: 128, Linear: DefaultLinearConfig(), Seed: 1})
 	requireAccuracy(t, m, test, 0.9)
-	if m.NumLandmarks() != 128 {
-		t.Fatalf("landmarks = %d", m.NumLandmarks())
+	if len(m.landmarks) != 128 {
+		t.Fatalf("landmarks = %d", len(m.landmarks))
 	}
 }
 
@@ -89,8 +89,8 @@ func TestRandomForestLearns(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainRandomForest("rf", train, DefaultTreeConfig())
 	requireAccuracy(t, m, test, 0.85)
-	if m.NumTrees() != 10 {
-		t.Fatalf("trees = %d", m.NumTrees())
+	if len(m.trees) != 10 {
+		t.Fatalf("trees = %d", len(m.trees))
 	}
 }
 
@@ -151,8 +151,8 @@ func TestMLPLearns(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainMLP("mlp", train, DefaultMLPConfig())
 	requireAccuracy(t, m, test, 0.9)
-	if m.NumLayers() != 2 {
-		t.Fatalf("layers = %d", m.NumLayers())
+	if len(m.weights) != 2 {
+		t.Fatalf("layers = %d", len(m.weights))
 	}
 }
 

@@ -169,9 +169,6 @@ func (f *RandomForest) Name() string { return f.name }
 // NumClasses implements Model.
 func (f *RandomForest) NumClasses() int { return f.numClasses }
 
-// NumTrees returns the forest size.
-func (f *RandomForest) NumTrees() int { return len(f.trees) }
-
 // Predict implements Model.
 func (f *RandomForest) Predict(x []float64) int {
 	return argmax(f.Scores(x))

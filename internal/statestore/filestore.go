@@ -20,6 +20,12 @@ import (
 //
 // Record layout (little-endian): op u8 ('S' or 'D'), keyLen u16, key,
 // [valLen u32, val] (Set only).
+//
+// The log compacts itself: after an append, once it holds at least
+// compactMinBytes and at least compactRatio times the bytes of its live
+// records (the Set record of each live key), it is rewritten as that
+// snapshot. Every overwrite leaves a dead record behind, so without this a
+// store that sees one feedback per query grows without bound.
 type FileStore struct {
 	mu   sync.Mutex
 	mem  *MemStore
@@ -27,7 +33,17 @@ type FileStore struct {
 	f    *os.File
 	w    *bufio.Writer
 	torn int64 // torn-tail bytes discarded at open
+	size int64 // bytes in the log
+	live int64 // bytes of the live keys' Set records
 }
+
+// The self-compaction thresholds. compactRatio bounds the log at twice its
+// live bytes, so the rewrite costs at most one byte copied per byte
+// appended; compactMinBytes keeps a small log from being rewritten at all.
+const (
+	compactMinBytes = 1 << 20
+	compactRatio    = 2
+)
 
 var _ Store = (*FileStore)(nil)
 
@@ -49,13 +65,14 @@ const (
 // that *was* acknowledged, which is the operator's call, not ours.
 func OpenFileStore(path string) (*FileStore, error) {
 	mem := NewMemStore()
-	var torn int64
+	var torn, size, live int64
 	if f, err := os.Open(path); err == nil {
-		valid, tornTail, rerr := replayLog(f, mem)
+		valid, l, tornTail, rerr := replayLog(f, mem)
 		f.Close()
 		if rerr != nil {
 			return nil, fmt.Errorf("statestore: replaying %s: %w", path, rerr)
 		}
+		size, live = valid, l
 		if tornTail {
 			st, serr := os.Stat(path)
 			if serr != nil {
@@ -76,7 +93,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileStore{mem: mem, path: path, f: f, w: bufio.NewWriter(f), torn: torn}, nil
+	return &FileStore{mem: mem, path: path, f: f, w: bufio.NewWriter(f), torn: torn, size: size, live: live}, nil
 }
 
 // maxValueLen bounds a Set record's value; longer lengths on replay mean
@@ -84,51 +101,54 @@ func OpenFileStore(path string) (*FileStore, error) {
 const maxValueLen = 64 << 20
 
 // replayLog applies every complete record in r to mem. valid is the byte
-// offset just past the last complete record; torn reports a mid-record
-// EOF (a crash tail — recoverable by truncating to valid). Corrupt
-// records (bad opcode, oversize value) return a hard error.
-func replayLog(r io.Reader, mem *MemStore) (valid int64, torn bool, err error) {
+// offset just past the last complete record, and live the bytes of the
+// live keys' records within it; torn reports a mid-record EOF (a crash
+// tail — recoverable by truncating to valid). Corrupt records (bad opcode,
+// oversize value) return a hard error.
+func replayLog(r io.Reader, mem *MemStore) (valid, live int64, torn bool, err error) {
 	br := bufio.NewReader(r)
 	var off int64
 	for {
 		op, err := br.ReadByte()
 		if err == io.EOF {
-			return off, false, nil // clean end at a record boundary
+			return off, live, false, nil // clean end at a record boundary
 		}
 		if err != nil {
-			return off, false, err
+			return off, live, false, err
 		}
 		var keyLen uint16
 		if err := binary.Read(br, binary.LittleEndian, &keyLen); err != nil {
-			return off, true, tornErr(err)
+			return off, live, true, tornErr(err)
 		}
 		key := make([]byte, keyLen)
 		if _, err := io.ReadFull(br, key); err != nil {
-			return off, true, tornErr(err)
+			return off, live, true, tornErr(err)
 		}
 		recLen := int64(1 + 2 + int64(keyLen))
+		live -= liveLen(mem, string(key))
 		switch op {
 		case opSet:
 			var valLen uint32
 			if err := binary.Read(br, binary.LittleEndian, &valLen); err != nil {
-				return off, true, tornErr(err)
+				return off, live, true, tornErr(err)
 			}
 			if valLen > maxValueLen {
-				return off, false, fmt.Errorf("statestore: corrupt record (value %d bytes)", valLen)
+				return off, live, false, fmt.Errorf("statestore: corrupt record (value %d bytes)", valLen)
 			}
 			// CopyN grows the buffer as bytes actually arrive, so a
 			// lying length header on a short file can't force a huge
 			// up-front allocation.
 			var val bytes.Buffer
 			if _, err := io.CopyN(&val, br, int64(valLen)); err != nil {
-				return off, true, tornErr(err)
+				return off, live, true, tornErr(err)
 			}
 			mem.Set(string(key), val.Bytes())
 			recLen += 4 + int64(valLen)
+			live += recLen
 		case opDel:
 			mem.Delete(string(key))
 		default:
-			return off, false, fmt.Errorf("statestore: corrupt record (op %q)", op)
+			return off, live, false, fmt.Errorf("statestore: corrupt record (op %q)", op)
 		}
 		off += recLen
 	}
@@ -147,6 +167,17 @@ func tornErr(err error) error {
 // store was opened (0 after a clean shutdown).
 func (s *FileStore) TornTail() int64 { return s.torn }
 
+// setLen is the size of key's Set record with an n-byte value.
+func setLen(key string, n int) int64 { return int64(1 + 2 + len(key) + 4 + n) }
+
+// liveLen is the size of key's live Set record in mem, 0 if key is absent.
+func liveLen(mem *MemStore, key string) int64 {
+	if n, ok := mem.valueLen(key); ok {
+		return setLen(key, n)
+	}
+	return 0
+}
+
 func (s *FileStore) appendRecord(op byte, key string, val []byte) error {
 	if len(key) > 1<<16-1 {
 		return fmt.Errorf("statestore: key too long (%d bytes)", len(key))
@@ -161,7 +192,27 @@ func (s *FileStore) appendRecord(op byte, key string, val []byte) error {
 		binary.Write(s.w, binary.LittleEndian, uint32(len(val)))
 		s.w.Write(val)
 	}
-	return s.w.Flush()
+	if err := s.w.Flush(); err != nil {
+		return err
+	}
+	n := int64(1 + 2 + len(key))
+	s.live -= liveLen(s.mem, key)
+	if op == opSet {
+		n = setLen(key, len(val))
+		s.live += n
+	}
+	s.size += n
+	return nil
+}
+
+// maybeCompact rewrites the log once it passes both thresholds. The record
+// that triggered it is already durable and visible, so a failed rewrite is
+// not its caller's error: the old log stays in place and the next append
+// tries again.
+func (s *FileStore) maybeCompact() {
+	if s.size >= compactMinBytes && s.size >= compactRatio*s.live {
+		s.compactLocked()
+	}
 }
 
 // Get implements Store.
@@ -176,7 +227,9 @@ func (s *FileStore) Set(key string, value []byte) error {
 	if err := s.appendRecord(opSet, key, value); err != nil {
 		return err
 	}
-	return s.mem.Set(key, value)
+	s.mem.Set(key, value)
+	s.maybeCompact()
+	return nil
 }
 
 // Delete implements Store.
@@ -186,7 +239,9 @@ func (s *FileStore) Delete(key string) error {
 	if err := s.appendRecord(opDel, key, nil); err != nil {
 		return err
 	}
-	return s.mem.Delete(key)
+	s.mem.Delete(key)
+	s.maybeCompact()
+	return nil
 }
 
 // Keys implements Store.
@@ -202,12 +257,21 @@ func (s *FileStore) Len() int { return s.mem.Len() }
 func (s *FileStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.compactLocked()
+}
+
+// compactLocked writes the snapshot to a temporary file and renames it over
+// the log. The temporary file is opened for appending, so once the rename
+// succeeds its handle is the new log with no reopen; the old log is closed
+// only then, and any failure before leaves it open and appending.
+func (s *FileStore) compactLocked() error {
 	tmp := s.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(f)
+	var size int64
 	keys, _ := s.mem.Keys("")
 	for _, k := range keys {
 		v, ok, _ := s.mem.Get(k)
@@ -219,31 +283,23 @@ func (s *FileStore) Compact() error {
 		w.WriteString(k)
 		binary.Write(w, binary.LittleEndian, uint32(len(v)))
 		w.Write(v)
+		size += setLen(k, len(v))
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = w.Flush()
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, s.path)
 	}
-	f.Close()
-
-	// Swap the compacted log in.
-	s.w.Flush()
-	s.f.Close()
-	if err := os.Rename(tmp, s.path); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return err
 	}
-	s.f = nf
-	s.w = bufio.NewWriter(nf)
+	s.f.Close()
+	s.f, s.w = f, w
+	s.size, s.live = size, size
 	return nil
 }
 

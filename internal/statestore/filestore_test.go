@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +110,46 @@ func TestFileStoreCompact(t *testing.T) {
 	}
 	if v, ok, _ := s2.Get("post"); !ok || string(v) != "x" {
 		t.Fatal("post-compaction write lost")
+	}
+}
+
+// The log compacts itself: overwriting one key 50,000 times with 64 bytes
+// appends ≈ 3.6 MB of records, and the file stays under 2 MiB, since it is
+// rewritten once past 1 MiB and twice its live bytes. A reopen replays the
+// compacted log to the last value.
+func TestFileStoreCompactsItself(t *testing.T) {
+	path := tempStorePath(t)
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 64)
+	for i := 0; i < 50000; i++ {
+		binary.LittleEndian.PutUint64(val, uint64(i))
+		if err := s.Set("ctx/user", val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() >= 2<<20 {
+		t.Fatalf("log is %d bytes after 50000 overwrites of one key, want < 2 MiB", st.Size())
+	}
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok, _ := s2.Get("ctx/user"); !ok || !bytes.Equal(v, val) {
+		t.Fatalf("reopened value = %x, want the last write %x", v, val)
+	}
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Fatalf("compaction left its temporary file behind: %v", err)
 	}
 }
 

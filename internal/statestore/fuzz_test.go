@@ -42,9 +42,18 @@ func FuzzReplayLog(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := NewMemStore()
-		valid, torn, err := replayLog(bytes.NewReader(data), mem)
+		valid, live, torn, err := replayLog(bytes.NewReader(data), mem)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid offset %d outside [0, %d]", valid, len(data))
+		}
+		// The live count is the size of a snapshot of what replay left.
+		var snapshot int64
+		keys, _ := mem.Keys("")
+		for _, k := range keys {
+			snapshot += liveLen(mem, k)
+		}
+		if live != snapshot || live > valid {
+			t.Fatalf("live = %d, want the snapshot's %d (valid %d)", live, snapshot, valid)
 		}
 		if err != nil && torn {
 			t.Fatalf("torn tail must not be a hard error: %v", err)
@@ -55,7 +64,7 @@ func FuzzReplayLog(f *testing.F) {
 		// Clean replay: the valid prefix must itself replay to the same
 		// state (replay is deterministic and prefix-closed).
 		mem2 := NewMemStore()
-		valid2, torn2, err2 := replayLog(bytes.NewReader(data[:valid]), mem2)
+		valid2, _, torn2, err2 := replayLog(bytes.NewReader(data[:valid]), mem2)
 		if valid2 != valid || torn2 || err2 != nil {
 			t.Fatalf("replay of valid prefix diverged: %d %v %v", valid2, torn2, err2)
 		}

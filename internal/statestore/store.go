@@ -59,6 +59,14 @@ func (s *MemStore) Get(key string) ([]byte, bool, error) {
 	return append([]byte(nil), v...), true, nil
 }
 
+// valueLen returns the length of key's value without copying it.
+func (s *MemStore) valueLen(key string) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.data[key]
+	return len(v), ok
+}
+
 // Set implements Store.
 func (s *MemStore) Set(key string, value []byte) error {
 	s.mu.Lock()

@@ -64,7 +64,7 @@ func (c NoisyNeighborConfig) duration() time.Duration {
 // query count after both loops drain.
 func NoisyNeighbor(ctx context.Context, ds *dataset.Dataset, cfg NoisyNeighborConfig, heavy, quiet func(Sample)) (heavyIssued, quietIssued int) {
 	hs := NewZipfSampler(ds, cfg.ZipfS, cfg.Seed)
-	qs := NewUniformSampler(ds, cfg.Seed+1)
+	qs := newUniformSampler(ds, cfg.Seed+1)
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.duration())
 	defer cancel()

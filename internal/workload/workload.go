@@ -23,35 +23,28 @@ type Sample struct {
 	Group int
 }
 
-// Sampler produces a stream of queries drawn from a dataset.
-type Sampler interface {
-	// Next returns the next query. Implementations are safe for
-	// concurrent use.
-	Next() Sample
-}
-
-// UniformSampler draws examples uniformly at random with replacement.
-type UniformSampler struct {
+// uniformSampler draws examples uniformly at random with replacement.
+type uniformSampler struct {
 	ds *dataset.Dataset
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// NewUniformSampler returns a uniform sampler over ds.
-func NewUniformSampler(ds *dataset.Dataset, seed int64) *UniformSampler {
-	return &UniformSampler{ds: ds, rng: rand.New(rand.NewSource(seed))}
+// newUniformSampler returns a uniform sampler over ds.
+func newUniformSampler(ds *dataset.Dataset, seed int64) *uniformSampler {
+	return &uniformSampler{ds: ds, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Next implements Sampler.
-func (s *UniformSampler) Next() Sample {
+// Next returns the next query. It is safe for concurrent use.
+func (s *uniformSampler) Next() Sample {
 	s.mu.Lock()
 	i := s.rng.Intn(s.ds.Len())
 	s.mu.Unlock()
 	return s.sample(i)
 }
 
-func (s *UniformSampler) sample(i int) Sample {
+func (s *uniformSampler) sample(i int) Sample {
 	out := Sample{X: s.ds.X[i], Label: s.ds.Y[i], Group: -1}
 	if s.ds.Group != nil {
 		out.Group = s.ds.Group[i]
@@ -85,7 +78,7 @@ func NewZipfSampler(ds *dataset.Dataset, s float64, seed int64) *ZipfSampler {
 	}
 }
 
-// Next implements Sampler.
+// Next returns the next query. It is safe for concurrent use.
 func (z *ZipfSampler) Next() Sample {
 	i := z.perm[z.zipf.Rank()]
 	out := Sample{X: z.ds.X[i], Label: z.ds.Y[i], Group: -1}
@@ -109,7 +102,7 @@ func NewSequentialSampler(ds *dataset.Dataset) *SequentialSampler {
 	return &SequentialSampler{ds: ds}
 }
 
-// Next implements Sampler.
+// Next returns the next query. It is safe for concurrent use.
 func (s *SequentialSampler) Next() Sample {
 	s.mu.Lock()
 	i := s.next
@@ -182,33 +175,6 @@ func RunOpenLoop(ctx context.Context, rate float64, duration time.Duration, seed
 	return issued
 }
 
-// Burst describes one phase of a bursty arrival process.
-type Burst struct {
-	// Rate is the phase's arrival rate in queries/second.
-	Rate float64
-	// Duration is how long the phase lasts.
-	Duration time.Duration
-}
-
-// RunBursty runs the phases in order (looping if loop is true) until ctx
-// is done or one pass completes. It returns issued queries.
-func RunBursty(ctx context.Context, phases []Burst, loop bool, seed int64, fn func()) int {
-	issued := 0
-	for {
-		for _, ph := range phases {
-			select {
-			case <-ctx.Done():
-				return issued
-			default:
-			}
-			issued += RunOpenLoop(ctx, ph.Rate, ph.Duration, seed+int64(issued), fn)
-		}
-		if !loop {
-			return issued
-		}
-	}
-}
-
 // Degradable wraps a model container and can be switched into a degraded
 // mode where it predicts uniformly random labels — the "severe model
 // degradation" of Figure 8 (e.g. feature corruption upstream of the
@@ -271,102 +237,4 @@ func (d *Degradable) PredictBatch(xs [][]float64) ([]container.Prediction, error
 		out[i] = container.Prediction{Label: labels[i]}
 	}
 	return out, nil
-}
-
-// CumulativeError tracks the running average 0/1 error of a prediction
-// stream, the quantity plotted in Figure 8.
-type CumulativeError struct {
-	mu      sync.Mutex
-	queries int
-	errors  int
-	curve   []float64
-	every   int
-}
-
-// NewCumulativeError returns a tracker that records one curve point per
-// `every` queries (min 1).
-func NewCumulativeError(every int) *CumulativeError {
-	if every < 1 {
-		every = 1
-	}
-	return &CumulativeError{every: every}
-}
-
-// Observe records one prediction outcome.
-func (c *CumulativeError) Observe(correct bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.queries++
-	if !correct {
-		c.errors++
-	}
-	if c.queries%c.every == 0 {
-		c.curve = append(c.curve, float64(c.errors)/float64(c.queries))
-	}
-}
-
-// Rate returns the current cumulative error rate.
-func (c *CumulativeError) Rate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.queries == 0 {
-		return 0
-	}
-	return float64(c.errors) / float64(c.queries)
-}
-
-// Curve returns the recorded curve points.
-func (c *CumulativeError) Curve() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]float64(nil), c.curve...)
-}
-
-// WindowError tracks error over a trailing window, used to verify
-// recovery speed.
-type WindowError struct {
-	mu   sync.Mutex
-	ring []bool
-	next int
-	full bool
-}
-
-// NewWindowError returns a tracker over the last n outcomes.
-func NewWindowError(n int) *WindowError {
-	if n < 1 {
-		n = 1
-	}
-	return &WindowError{ring: make([]bool, n)}
-}
-
-// Observe records one prediction outcome.
-func (w *WindowError) Observe(correct bool) {
-	w.mu.Lock()
-	w.ring[w.next] = !correct
-	w.next++
-	if w.next == len(w.ring) {
-		w.next = 0
-		w.full = true
-	}
-	w.mu.Unlock()
-}
-
-// Rate returns the trailing-window error rate.
-func (w *WindowError) Rate() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := w.next
-	if w.full {
-		n = len(w.ring)
-	}
-	if n == 0 {
-		return 0
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		if w.ring[i] {
-			errs++
-		}
-	}
-	return float64(errs) / float64(n)
 }

@@ -21,7 +21,7 @@ func testDS(t *testing.T) *dataset.Dataset {
 
 func TestUniformSamplerCoverage(t *testing.T) {
 	ds := testDS(t)
-	s := NewUniformSampler(ds, 1)
+	s := newUniformSampler(ds, 1)
 	seen := map[int]bool{}
 	for i := 0; i < 2000; i++ {
 		smp := s.Next()
@@ -79,7 +79,7 @@ func TestSequentialSamplerWrapsAround(t *testing.T) {
 
 func TestSamplersGrouped(t *testing.T) {
 	ds := dataset.SpeechLike(dataset.SpeechConfig{N: 100, NumDialects: 4, NumSpeakers: 20, Dim: 8, NumPhonemes: 5, Seed: 1})
-	u := NewUniformSampler(ds, 1)
+	u := newUniformSampler(ds, 1)
 	if g := u.Next().Group; g < 0 || g >= 4 {
 		t.Fatalf("group = %d", g)
 	}
@@ -139,17 +139,6 @@ func TestRunOpenLoopRate(t *testing.T) {
 	}
 	if RunOpenLoop(context.Background(), 0, time.Second, 1, func() {}) != 0 {
 		t.Fatal("zero rate should issue nothing")
-	}
-}
-
-func TestRunBurstyPhases(t *testing.T) {
-	var n atomic.Int64
-	issued := RunBursty(context.Background(), []Burst{
-		{Rate: 500, Duration: 50 * time.Millisecond},
-		{Rate: 2000, Duration: 50 * time.Millisecond},
-	}, false, 1, func() { n.Add(1) })
-	if issued == 0 || issued != int(n.Load()) {
-		t.Fatalf("issued = %d executed = %d", issued, n.Load())
 	}
 }
 
@@ -226,50 +215,10 @@ func (z zeroClassModel) PredictBatch(xs [][]float64) ([]container.Prediction, er
 	return z.inner.PredictBatch(xs)
 }
 
-func TestCumulativeError(t *testing.T) {
-	c := NewCumulativeError(2)
-	if c.Rate() != 0 {
-		t.Fatal("empty rate should be 0")
-	}
-	c.Observe(true)
-	c.Observe(false)
-	c.Observe(false)
-	c.Observe(false)
-	if got := c.Rate(); math.Abs(got-0.75) > 1e-9 {
-		t.Fatalf("Rate = %v", got)
-	}
-	curve := c.Curve()
-	if len(curve) != 2 {
-		t.Fatalf("curve = %v", curve)
-	}
-	if math.Abs(curve[0]-0.5) > 1e-9 || math.Abs(curve[1]-0.75) > 1e-9 {
-		t.Fatalf("curve = %v", curve)
-	}
-}
-
-func TestWindowError(t *testing.T) {
-	w := NewWindowError(4)
-	if w.Rate() != 0 {
-		t.Fatal("empty rate should be 0")
-	}
-	for i := 0; i < 4; i++ {
-		w.Observe(false) // all errors
-	}
-	if w.Rate() != 1 {
-		t.Fatalf("Rate = %v", w.Rate())
-	}
-	for i := 0; i < 4; i++ {
-		w.Observe(true) // window now all correct
-	}
-	if w.Rate() != 0 {
-		t.Fatalf("Rate after recovery = %v", w.Rate())
-	}
-}
-
 func TestSamplersConcurrent(t *testing.T) {
 	ds := testDS(t)
-	samplers := []Sampler{
-		NewUniformSampler(ds, 1),
+	samplers := []interface{ Next() Sample }{
+		newUniformSampler(ds, 1),
 		NewZipfSampler(ds, 1.5, 1),
 		NewSequentialSampler(ds),
 	}
