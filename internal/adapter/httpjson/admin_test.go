@@ -103,7 +103,8 @@ func (v *versionedFixed) Info() container.Info {
 
 // A container of a newer version of a deployed model rolls it over through
 // /deploy: the reply is 200, the new version answers even a query cached
-// under the old one, and the old version is then refused.
+// under the old one, the old version is then refused, and the new version
+// again adds a replica.
 func TestAdminDeployRollsOverNewVersion(t *testing.T) {
 	s, cl := newTestServer(t)
 	h := s.Handler()
@@ -145,6 +146,19 @@ func TestAdminDeployRollsOverNewVersion(t *testing.T) {
 	rec = postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&fixedModel{name: "m0", label: 1})})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("v1 deploy after v2 = %d, want %d", rec.Code, http.StatusConflict)
+	}
+
+	// v2 again scales out under a fresh replica ID, which the status map and
+	// the exposition's replica labels are keyed by.
+	rec = postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&versionedFixed{fixedModel{name: "m0", label: 9}, 2})})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("second v2 deploy status = %d body=%s", rec.Code, rec.Body)
+	}
+	if st := cl.ReplicaStatuses("m0"); len(st) != 2 {
+		t.Fatalf("replicas after scaling v2 out = %v, want two distinct IDs", st)
+	}
+	if rec := doReq(t, h, http.MethodGet, "/metrics", ""); rec.Code != http.StatusOK {
+		t.Fatalf("/metrics after scaling v2 out = %d: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -140,10 +140,11 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 		cl.scheds[info.Name] = s
 	}
 	rep := &container.Replica{
-		ID:   fmt.Sprintf("%s/%d", info.String(), s.size()),
+		ID:   fmt.Sprintf("%s/%d", info.String(), s.deployed),
 		Pred: pred,
 		Stop: stop,
 	}
+	s.deployed++
 	rq := newReplicaQueue(rep, batching.NewQueue(pred, qcfg))
 	var retired []*replicaQueue
 	if deployed && info.Version > existing.Version {

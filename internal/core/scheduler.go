@@ -141,9 +141,10 @@ type scheduler struct {
 	rqs      []*replicaQueue // copy-on-write; snapshots are never mutated
 	tweights map[string]int  // tenant fair-batching weights, applied to every replica queue
 
-	cursor  atomic.Uint64 // free-running rotation cursor
-	picks   atomic.Uint64 // dispatch count, for ProbeEvery
-	version atomic.Int64  // deployed model version (cache keys); written by Deploy
+	cursor   atomic.Uint64 // free-running rotation cursor
+	picks    atomic.Uint64 // dispatch count, for ProbeEvery
+	version  atomic.Int64  // deployed model version (cache keys); written by Deploy
+	deployed int           // replicas ever deployed, numbering IDs (a roll-over shrinks the set); under Clipper.mu
 
 	submitted    atomic.Int64
 	hedgesIssued atomic.Int64

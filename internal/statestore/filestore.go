@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"sync"
 )
@@ -15,8 +16,7 @@ import (
 // learned personalization survives serving-node restarts.
 //
 // Every Set/Delete appends a record to the log before updating the
-// in-memory state; OpenFileStore replays the log. Compact rewrites the log
-// as a snapshot of live keys.
+// in-memory state; OpenFileStore replays the log.
 //
 // Record layout (little-endian): op u8 ('S' or 'D'), keyLen u16, key,
 // [valLen u32, val] (Set only).
@@ -35,6 +35,7 @@ type FileStore struct {
 	torn int64 // torn-tail bytes discarded at open
 	size int64 // bytes in the log
 	live int64 // bytes of the live keys' Set records
+	next int64 // after a failed compaction, the log size to try again at
 }
 
 // The self-compaction thresholds. compactRatio bounds the log at twice its
@@ -205,13 +206,17 @@ func (s *FileStore) appendRecord(op byte, key string, val []byte) error {
 	return nil
 }
 
-// maybeCompact rewrites the log once it passes both thresholds. The record
-// that triggered it is already durable and visible, so a failed rewrite is
-// not its caller's error: the old log stays in place and the next append
-// tries again.
+// maybeCompact rewrites the log once it passes both thresholds. A failed
+// rewrite is not the caller's error (its record is durable): it is logged,
+// and the next try waits for the log to double, so even one that keeps
+// failing copies at most one byte per byte appended.
 func (s *FileStore) maybeCompact() {
-	if s.size >= compactMinBytes && s.size >= compactRatio*s.live {
-		s.compactLocked()
+	if s.size < compactMinBytes || s.size < compactRatio*s.live || s.size < s.next {
+		return
+	}
+	if err := s.compactLocked(); err != nil {
+		s.next = 2 * s.size
+		log.Printf("statestore: compacting %s failed, next try at %d bytes: %v", s.path, s.next, err)
 	}
 }
 
@@ -252,16 +257,8 @@ func (s *FileStore) Keys(prefix string) ([]string, error) {
 // Len returns the number of live keys.
 func (s *FileStore) Len() int { return s.mem.Len() }
 
-// Compact rewrites the log as a snapshot containing only live keys,
-// bounding log growth. Concurrent mutations block for the duration.
-func (s *FileStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
-}
-
-// compactLocked writes the snapshot to a temporary file and renames it over
-// the log. The temporary file is opened for appending, so once the rename
+// compactLocked rewrites the log as a snapshot of the live keys: it writes
+// the snapshot to a temporary file and renames it over the log. The temporary file is opened for appending, so once the rename
 // succeeds its handle is the new log with no reopen; the old log is closed
 // only then, and any failure before leaves it open and appending.
 func (s *FileStore) compactLocked() error {
@@ -299,7 +296,7 @@ func (s *FileStore) compactLocked() error {
 	}
 	s.f.Close()
 	s.f, s.w = f, w
-	s.size, s.live = size, size
+	s.size, s.live, s.next = size, size, 0
 	return nil
 }
 

@@ -3,6 +3,7 @@ package statestore
 import (
 	"bytes"
 	"encoding/binary"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,7 +85,10 @@ func TestFileStoreCompact(t *testing.T) {
 	s.Set("cold", []byte("keep"))
 	s.Delete("hot")
 	before, _ := os.Stat(path)
-	if err := s.Compact(); err != nil {
+	s.mu.Lock()
+	err = s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	after, _ := os.Stat(path)
@@ -150,6 +154,65 @@ func TestFileStoreCompactsItself(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
 		t.Fatalf("compaction left its temporary file behind: %v", err)
+	}
+}
+
+// A compaction that keeps failing is logged and tried again only once the
+// log has doubled, not on every append, and appends go on meanwhile. With
+// 79-byte records, 50,000 overwrites try at 1 MiB and 2 MiB; the next try,
+// at 4 MiB, succeeds once the snapshot can be written.
+func TestFileStoreCompactionFailureBacksOff(t *testing.T) {
+	path := tempStorePath(t)
+	// A directory where the snapshot goes fails every rewrite.
+	if err := os.Mkdir(path+".compact", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 64)
+	set := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(val, uint64(i))
+			if err := s.Set("ctx/user", val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set(50000)
+	if n := strings.Count(logged.String(), "compacting"); n != 2 {
+		t.Fatalf("%d failed compactions logged over 50000 appends, want 2:\n%s", n, logged.String())
+	}
+
+	if err := os.Remove(path + ".compact"); err != nil {
+		t.Fatal(err)
+	}
+	set(5000)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(logged.String(), "compacting"); n != 2 {
+		t.Fatalf("%d failed compactions logged, want still 2:\n%s", n, logged.String())
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() >= 1<<20 {
+		t.Fatalf("log is %d bytes after the 4 MiB try, want compacted under 1 MiB", st.Size())
+	}
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok, _ := s2.Get("ctx/user"); !ok || !bytes.Equal(v, val) {
+		t.Fatalf("reopened value = %x, want the last write %x", v, val)
 	}
 }
 
