@@ -257,10 +257,10 @@ func (s *FileStore) Keys(prefix string) ([]string, error) {
 // Len returns the number of live keys.
 func (s *FileStore) Len() int { return s.mem.Len() }
 
-// compactLocked rewrites the log as a snapshot of the live keys: it writes
-// the snapshot to a temporary file and renames it over the log. The temporary file is opened for appending, so once the rename
-// succeeds its handle is the new log with no reopen; the old log is closed
-// only then, and any failure before leaves it open and appending.
+// compactLocked writes the live keys to a temporary file opened for
+// appending and renames it over the log, so once the rename succeeds its
+// handle is the new log with no reopen. The old log is closed only then;
+// any failure before leaves it open and appending.
 func (s *FileStore) compactLocked() error {
 	tmp := s.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
