@@ -15,7 +15,7 @@ import (
 // maxExported is the ceiling on the module's exported surface, as counted
 // by exportedNames. Lower it in the change that shrinks the count; raising
 // it needs a reason in that change.
-const maxExported = 1072
+const maxExported = 1062
 
 // TestExportedSurface is a ratchet on the exported API: it fails when the
 // count of exported names outside main packages and benchmark/ rises past

@@ -22,7 +22,7 @@ import (
 // of them being collected.
 func fairHarness(t *testing.T, m *gateModel, q *Queue, tenant string) {
 	t.Helper()
-	if _, err := q.SubmitTicket(context.Background(), tenant, []float64{0}); err != nil {
+	if _, err := startTicket(context.Background(), q, tenant, []float64{0}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -112,7 +112,7 @@ func TestDRRWeightedShares(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < preload; i++ {
 		for _, name := range names {
-			if _, err := q.SubmitTicket(ctx, name, []float64{float64(i)}); err != nil {
+			if _, err := startTicket(ctx, q, name, []float64{float64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +168,7 @@ func TestDRRRandomizedArrivals(t *testing.T) {
 		})
 		ctx := context.Background()
 		for i, name := range arrivals {
-			if _, err := q.SubmitTicket(ctx, name, []float64{float64(i)}); err != nil {
+			if _, err := startTicket(ctx, q, name, []float64{float64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,7 +199,10 @@ func TestDefaultTenantSharesRotation(t *testing.T) {
 			done <- err
 		}(i)
 		go func(i int) {
-			_, err := q.SubmitTenant(ctx, "tagged", []float64{float64(i)})
+			tk, err := startTicket(ctx, q, "tagged", []float64{float64(i)})
+			if err == nil {
+				err = (<-tk.Done()).Err
+			}
 			done <- err
 		}(i)
 	}
@@ -241,11 +244,11 @@ func TestTenantCloseFailsQueued(t *testing.T) {
 	fairHarness(t, m, q, "t")
 
 	ctx := context.Background()
-	pending, err := q.SubmitTicket(ctx, "t", []float64{2})
+	pending, err := startTicket(ctx, q, "t", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone, err := q.SubmitTicket(ctx, "other", []float64{3})
+	gone, err := startTicket(ctx, q, "other", []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +279,7 @@ func TestTenantCloseFailsQueued(t *testing.T) {
 }
 
 // TestTenantDepthBound: each sub-queue holds at most queueDepth requests.
-// Start to a full one is refused at once; a blocking submitter waits — until
-// its context expires, or until the collector makes room — while a submit to
+// Start to a full one is refused at once with ErrQueueFull, while a Start to
 // another tenant on the same replica goes straight in.
 func TestTenantDepthBound(t *testing.T) {
 	m := newGateModel()
@@ -288,50 +290,22 @@ func TestTenantDepthBound(t *testing.T) {
 
 	bg := context.Background()
 	for i := 0; i < queueDepth; i++ {
-		if _, err := q.SubmitTicket(bg, "A", []float64{float64(i)}); err != nil {
+		if _, err := startTicket(bg, q, "A", []float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var refused Request
 	if err := q.Start(bg, "A", &refused, []float64{-1}, func(Result) { t.Error("a refused Start fired its done") }); err != ErrQueueFull {
-		t.Fatalf("Start on a full sub-queue: err = %v, want ErrQueueFull without waiting", err)
+		t.Fatalf("Start on a full sub-queue: err = %v, want ErrQueueFull", err)
 	}
 	if refused.Cancel() {
 		t.Error("a refused Start left its request cancellable")
 	}
-	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := q.SubmitTicket(ctx, "A", []float64{-1}); err != context.DeadlineExceeded {
-		t.Fatalf("submit to a full sub-queue: err = %v after %v, want to block until DeadlineExceeded", err, time.Since(start))
-	}
-	start = time.Now()
-	if _, err := q.SubmitTicket(bg, "B", []float64{-2}); err != nil || time.Since(start) > time.Second {
-		t.Fatalf("submit to tenant B behind a full tenant A: err = %v after %v", err, time.Since(start))
+	if _, err := startTicket(bg, q, "B", []float64{-2}); err != nil {
+		t.Fatalf("Start on tenant B behind a full tenant A: %v", err)
 	}
 	if got := q.LoadStats().Queued; got != queueDepth+1 {
-		t.Fatalf("Queued = %d, want %d (A full, one in B, the refused submits not counted)", got, queueDepth+1)
-	}
-
-	// Room opens as soon as the collector pops from A.
-	admitted := make(chan error, 1)
-	go func() {
-		_, err := q.SubmitTicket(bg, "A", []float64{-3})
-		admitted <- err
-	}()
-	select {
-	case err := <-admitted:
-		t.Fatalf("submit to a full sub-queue returned (%v) before any pop", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	m.freeRun()
-	select {
-	case err := <-admitted:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked submitter never admitted after the collector made room")
+		t.Fatalf("Queued = %d, want %d (A full, one in B, the refused Start not counted)", got, queueDepth+1)
 	}
 }
 

@@ -61,13 +61,13 @@ func TestDefaultTenantIsFIFO(t *testing.T) {
 				rec := &batchRecorder{}
 				q := NewQueue(rec, QueueConfig{Controller: NewFixed(maxBatch), BatchTimeout: timeout, InFlight: inFlight})
 				var ref refFIFO
-				live := map[int]*Ticket{}
+				live := map[int]*ticket{}
 				id := 0
 				for burst := 0; burst < 60; burst++ {
-					var tks []*Ticket
+					var tks []*ticket
 					for n := 1 + rng.Intn(3*maxBatch); n > 0; n-- {
 						id++
-						tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(id)})
+						tk, err := startTicket(context.Background(), q, "", []float64{float64(id)})
 						if err != nil {
 							t.Fatal(err)
 						}

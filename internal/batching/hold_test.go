@@ -372,21 +372,21 @@ func await(t *testing.T, what string, cond func() bool) {
 // startWindow) with all slots but the last inside the gated model, one
 // request each, and the collector holding the last slot over n more, which
 // it returns the tickets of.
-func heldQueue(t *testing.T, inFlight, n int) (*gateModel, *Queue, []*Ticket) {
+func heldQueue(t *testing.T, inFlight, n int) (*gateModel, *Queue, []*ticket) {
 	t.Helper()
 	m := newGateModel()
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(64), InFlight: inFlight})
 	primeHold(q)
 	busy := int64(q.InFlight() - 1)
 	for i := int64(1); i <= busy; i++ {
-		if _, err := q.SubmitTicket(context.Background(), "", []float64{0}); err != nil {
+		if _, err := startTicket(context.Background(), q, "", []float64{0}); err != nil {
 			t.Fatal(err)
 		}
 		await(t, "a slot filled", func() bool { return m.calls.Load() == i })
 	}
-	tickets := make([]*Ticket, n)
+	tickets := make([]*ticket, n)
 	for i := range tickets {
-		tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i + 1)})
+		tk, err := startTicket(context.Background(), q, "", []float64{float64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func heldQueue(t *testing.T, inFlight, n int) (*gateModel, *Queue, []*Ticket) {
 }
 
 // resolve frees the gate and checks every held ticket got its own answer.
-func resolve(t *testing.T, m *gateModel, tickets []*Ticket) {
+func resolve(t *testing.T, m *gateModel, tickets []*ticket) {
 	t.Helper()
 	m.freeRun()
 	for i, tk := range tickets {
@@ -447,7 +447,7 @@ func TestHoldSurvivesWindowShrink(t *testing.T) {
 	defer m.freeRun()
 	q.win.setLimit(2)
 	await(t, "held requests dispatched", func() bool { return m.calls.Load() == startWindow })
-	tk, err := q.SubmitTicket(context.Background(), "", []float64{9})
+	tk, err := startTicket(context.Background(), q, "", []float64{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestAllCancelledMidHold(t *testing.T) {
 	// for them, and the slot then serves the next arrival.
 	m.release <- struct{}{}
 	await(t, "tombstones swept", func() bool { return q.LoadStats().Queued == 0 })
-	tk, err := q.SubmitTicket(context.Background(), "", []float64{9})
+	tk, err := startTicket(context.Background(), q, "", []float64{9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,9 +179,9 @@ func TestClaimedRequestsStayCounted(t *testing.T) {
 			})
 		q := NewQueue(pred, QueueConfig{Controller: NewFixed(8), BatchTimeout: 50 * time.Millisecond})
 		const submits = 3
-		var tks []*Ticket
+		var tks []*ticket
 		for i := 0; i < submits; i++ {
-			tk, err := q.SubmitTicket(context.Background(), tenant, []float64{1})
+			tk, err := startTicket(context.Background(), q, tenant, []float64{1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestCostDividesByTheWindow(t *testing.T) {
 			// a hold, so let that batch go overdue first.
 			time.Sleep(lat)
 		}
-		if _, err := q.SubmitTicket(context.Background(), "", []float64{0}); err != nil {
+		if _, err := startTicket(context.Background(), q, "", []float64{0}); err != nil {
 			t.Fatal(err)
 		}
 		await(t, "singleton dispatched", func() bool { return m.calls.Load() == i })

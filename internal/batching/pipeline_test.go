@@ -82,16 +82,16 @@ func TestQueueInFlightWindow(t *testing.T) {
 func TestCloseWhileWindowFull(t *testing.T) {
 	m := newGateModel()
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 2})
-	var flying []*Ticket
+	var flying []*ticket
 	for i := int64(1); i <= 2; i++ {
-		tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i)})
+		tk, err := startTicket(context.Background(), q, "", []float64{float64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		flying = append(flying, tk)
 		await(t, "slot filled", func() bool { return m.calls.Load() == i })
 	}
-	queued, err := q.SubmitTicket(context.Background(), "", []float64{3})
+	queued, err := startTicket(context.Background(), q, "", []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestQueuePipelineStress(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i)})
+				tk, err := startTicket(context.Background(), q, "", []float64{float64(i)})
 				if err != nil {
 					continue // queue closed before acceptance: nothing owed
 				}

@@ -19,9 +19,9 @@ type Result struct {
 }
 
 // Request is one submission: the caller's storage for a query while the queue
-// holds it (a fan-out allocates its requests in one slice, SubmitTenant pools
-// them) and the handle that withdraws it. Its state word is the queue's one
-// state machine, and the whole of the exactly-one-outcome contract:
+// holds it (a fan-out allocates its requests in one slice) and the handle that
+// withdraws it. Its state word is the queue's one state machine, and the whole
+// of the exactly-one-outcome contract:
 //
 //	           Start            take / drainClosed (claim)
 //	(caller) ────────▶ queued ────────────────────────────▶ claimed ──▶ done fires once
@@ -91,10 +91,9 @@ var ErrQueueClosed = errors.New("batching: queue closed")
 // ErrQueueFull is Start's refusal of a submission to a full sub-queue.
 var ErrQueueFull = errors.New("batching: tenant sub-queue full")
 
-// queueDepth bounds each tenant's sub-queue. At a full one SubmitTenant and
-// SubmitTicket block (ctx- and close-aware) until the collector makes room;
-// Start, whose caller has a deadline to keep, is refused. Per tenant, so a
-// flooding tenant cannot block a quiet one at the door.
+// queueDepth bounds each tenant's sub-queue; Start to a full one is refused
+// with ErrQueueFull. Per tenant, so a flooding tenant cannot shut a quiet one
+// out at the door.
 const queueDepth = 8192
 
 // QueueConfig parameterizes a per-replica batching queue.
@@ -165,7 +164,7 @@ type Queue struct {
 
 	// mu guards the one place requests wait and everything that orders
 	// them: the sub-queues, the DRR rotation, and the closed flag. Because
-	// closed lives under the same lock as the sub-queues, an enqueue either
+	// closed lives under the same lock as the sub-queues, a Start either
 	// sees it and fails or is visible to the collector's final drain.
 	mu          sync.Mutex
 	closed      bool
@@ -234,92 +233,51 @@ func (q *Queue) InFlight() int { return q.win.curLimit() }
 // pinned).
 func (q *Queue) Adaptive() *Adaptive { return q.adapt }
 
-// Submit is SubmitTenant on the default tenant.
+// Submit is Start on the default tenant plus a wait for its one Result. If
+// ctx ends first the request is withdrawn while still queued; one a batch
+// already claimed runs to completion and its Result goes unread.
 func (q *Queue) Submit(ctx context.Context, x []float64) (container.Prediction, error) {
-	return q.SubmitTenant(ctx, "", x)
-}
-
-// Start is the queue's one submit: it enqueues x on tenant's sub-queue in r
-// and returns without waiting. done receives the outcome under the completion
-// rule on Request; on an error r never reached the queue and done never fires.
-// Start never blocks (it takes q.mu, nothing else): a full sub-queue is
-// ErrQueueFull at once, so a worker with a deadline may call it.
-func (q *Queue) Start(ctx context.Context, tenant string, r *Request, x []float64, done func(Result)) error {
-	return q.start(ctx, tenant, r, x, done, false)
-}
-
-// start is Start; with wait it blocks for room in a full sub-queue instead.
-func (q *Queue) start(ctx context.Context, tenant string, r *Request, x []float64, done func(Result), wait bool) error {
-	r.x, r.enq, r.done = x, time.Now(), done
-	r.state.Store(reqQueued)
-	if err := q.enqueue(ctx, tenant, r, wait); err != nil {
-		r.x = nil              // a pooled ticket must not pin the input
-		r.state.Store(reqIdle) // never enqueued, still exclusively the caller's
-		return err
-	}
-	return nil
-}
-
-// SubmitTenant enqueues x on tenant's sub-queue and blocks until its
-// prediction is rendered, the context is cancelled, or the queue closes.
-func (q *Queue) SubmitTenant(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
-	t := ticketPool.Get().(*Ticket)
-	if err := q.start(ctx, tenant, &t.req, x, t.done, true); err != nil {
-		ticketPool.Put(t)
+	var r Request
+	ch := make(chan Result, 1)
+	if err := q.Start(ctx, "", &r, x, func(res Result) { ch <- res }); err != nil {
 		return container.Prediction{}, err
 	}
 	select {
-	case res := <-t.ch:
-		// Its one Result received, the ticket is ours alone again.
-		t.req.x = nil
-		ticketPool.Put(t)
+	case res := <-ch:
 		return res.Pred, res.Err
 	case <-ctx.Done():
-		// Withdraw it so the container does not compute a row nobody
-		// reads. If a batch already claimed it, it runs to completion and
-		// its Result goes unread; either way the ticket is left to the GC.
-		t.Cancel()
+		r.Cancel()
 		return container.Prediction{}, ctx.Err()
 	}
 }
 
-// enqueue is the one way into the queue: one critical section that either
-// fails (closed, or the tenant's sub-queue is full and the caller will not
-// wait, or ctx expired while it stayed full) or leaves req visible to the
-// collector, plus a wake-up when — and only when — the collector is parked.
-func (q *Queue) enqueue(ctx context.Context, tenant string, req *Request, wait bool) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
+// Start is the one way into the queue: it enqueues x on tenant's sub-queue
+// in r and returns without waiting. done receives the outcome under the
+// completion rule on Request; on an error (ctx already over, the queue
+// closed, or the tenant's sub-queue full) r never reached the queue and done
+// never fires. Start never blocks: it takes q.mu for one critical section
+// that leaves r visible to the collector, then wakes the collector when —
+// and only when — it is parked.
+func (q *Queue) Start(ctx context.Context, tenant string, r *Request, x []float64, done func(Result)) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	now := time.Now()
 	q.mu.Lock()
-	t := q.tenantLocked(tenant)
-	for !q.closed && t.n >= queueDepth {
-		if !wait {
-			q.mu.Unlock()
-			return ErrQueueFull
-		}
-		if t.space == nil {
-			t.space = make(chan struct{}) // closed by the next pop from t
-		}
-		space := t.space
-		q.mu.Unlock()
-		select {
-		case <-space:
-		case <-q.stop:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		q.mu.Lock()
-	}
 	if q.closed {
 		q.mu.Unlock()
 		return ErrQueueClosed
 	}
+	t := q.tenantLocked(tenant)
+	if t.n >= queueDepth {
+		q.mu.Unlock()
+		return ErrQueueFull
+	}
+	r.x, r.enq, r.done = x, now, done
+	r.state.Store(reqQueued)
 	q.load.queued.Add(1)
 	q.load.arrivals.Add(1)
-	q.push(t, req)
+	q.push(t, r)
 	wake := q.parked
 	q.parked = false
 	q.mu.Unlock()

@@ -51,6 +51,29 @@ func (m *gateModel) PredictBatch(xs [][]float64) ([]container.Prediction, error)
 	return out, nil
 }
 
+// ticket is a Start whose one Result arrives on a buffered channel, so a test
+// can wait on, select over or withdraw one submission.
+type ticket struct {
+	req Request
+	ch  chan Result
+}
+
+// startTicket Starts x on tenant's sub-queue of q with a fresh ticket.
+func startTicket(ctx context.Context, q *Queue, tenant string, x []float64) (*ticket, error) {
+	tk := &ticket{ch: make(chan Result, 1)}
+	if err := q.Start(ctx, tenant, &tk.req, x, func(r Result) { tk.ch <- r }); err != nil {
+		return nil, err
+	}
+	return tk, nil
+}
+
+// Done returns the channel that receives the ticket's one Result; after a
+// successful Cancel it never receives.
+func (tk *ticket) Done() <-chan Result { return tk.ch }
+
+// Cancel withdraws the submission; see Request.Cancel.
+func (tk *ticket) Cancel() bool { return tk.req.Cancel() }
+
 // TestStartCompletionLedger walks one queue through every way a Start can
 // end — a delivered row, a failed batch, Cancel, a context that has already
 // expired, the shutdown drain and a refusal after Close — with the serial
@@ -131,7 +154,7 @@ func TestSubmitTicketDelivers(t *testing.T) {
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(4), InFlight: 1})
 	defer q.Close()
 
-	tk, err := q.SubmitTicket(context.Background(), "", []float64{7})
+	tk, err := startTicket(context.Background(), q, "", []float64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +179,7 @@ func TestTicketCancelBeforeDispatch(t *testing.T) {
 	defer q.Close()
 
 	// Occupy the single pipeline slot so further submissions stay queued.
-	blocker, err := q.SubmitTicket(context.Background(), "", []float64{1})
+	blocker, err := startTicket(context.Background(), q, "", []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +187,7 @@ func TestTicketCancelBeforeDispatch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	tk, err := q.SubmitTicket(context.Background(), "", []float64{2})
+	tk, err := startTicket(context.Background(), q, "", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +239,9 @@ func TestTicketCancelRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(i)})
+			tk, err := startTicket(context.Background(), q, "", []float64{float64(i)})
 			if err != nil {
-				t.Errorf("SubmitTicket: %v", err)
+				t.Errorf("Start: %v", err)
 				return
 			}
 			if i%2 == 0 {
@@ -264,18 +287,18 @@ func TestTicketQueueCloseFailsPending(t *testing.T) {
 	m := newGateModel()
 	q := NewQueue(m, QueueConfig{Controller: NewFixed(1), InFlight: 1})
 
-	blocker, err := q.SubmitTicket(context.Background(), "", []float64{1})
+	blocker, err := startTicket(context.Background(), q, "", []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m.calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	pending, err := q.SubmitTicket(context.Background(), "", []float64{2})
+	pending, err := startTicket(context.Background(), q, "", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone, err := q.SubmitTicket(context.Background(), "", []float64{3})
+	gone, err := startTicket(context.Background(), q, "", []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +347,14 @@ func TestLoadStatsLifecycle(t *testing.T) {
 	}
 
 	// One batch in flight, one request queued behind it.
-	first, err := q.SubmitTicket(context.Background(), "", []float64{1})
+	first, err := startTicket(context.Background(), q, "", []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m.calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	second, err := q.SubmitTicket(context.Background(), "", []float64{2})
+	second, err := startTicket(context.Background(), q, "", []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}

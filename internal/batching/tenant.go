@@ -21,9 +21,8 @@ type tenantQueue struct {
 	weight  int64
 	buf     []*Request // len is zero or a power of two
 	head, n int
-	space   chan struct{} // non-nil while a submitter waits on a full ring
-	deficit int64         // unspent DRR credits, bounded by weight
-	served  int64         // requests dequeued into batches since queue start
+	deficit int64 // unspent DRR credits, bounded by weight
+	served  int64 // requests dequeued into batches since queue start
 }
 
 // push appends r to t's sub-queue. Callers hold q.mu and have checked
@@ -42,18 +41,14 @@ func (q *Queue) push(t *tenantQueue, r *Request) {
 	t.n++
 }
 
-// pop removes t's oldest request and lets submitters blocked on t's depth
-// bound retry. Callers hold q.mu and have checked t.n > 0.
+// pop removes t's oldest request. Callers hold q.mu and have checked
+// t.n > 0.
 func (q *Queue) pop(t *tenantQueue) *Request {
 	r := t.buf[t.head]
 	t.buf[t.head] = nil // do not pin delivered requests
 	t.head = (t.head + 1) & (len(t.buf) - 1)
 	if t.n--; t.n == 0 {
 		q.backlogged--
-	}
-	if t.space != nil {
-		close(t.space)
-		t.space = nil
 	}
 	return r
 }

@@ -96,8 +96,8 @@ func (l *submitLedger) settle(t *testing.T, q *Queue, batchErr error) {
 	}
 }
 
-// FuzzSubmitTenant drives random interleavings of submits (Start and
-// blocking, on the default tenant and named ones), weight changes,
+// FuzzSubmitTenant drives random interleavings of submits (Start on the
+// default tenant and named ones, and the blocking Submit), weight changes,
 // cancellations — by handle and by context — and a Close at a random
 // point through one queue — once with the serial window, whose collector
 // delivers inline, and once with two slots — and holds the result against
@@ -139,14 +139,14 @@ func fuzzSubmitTenant(t *testing.T, ops []byte, tenants []string, inFlight int) 
 			}
 		case op == 3: // reweight (0 clamps to 1)
 			q.SetTenantWeight(tenant, int(b>>5))
-		case op == 4: // blocking submit end to end
-			if _, err := q.SubmitTenant(bg, tenant, x); err != nil {
+		case op == 4: // blocking Submit end to end
+			if _, err := q.Submit(bg, x); err != nil {
 				l.enqueueErr(t, err)
 			}
-		default: // blocking submit racing its own context's cancellation
+		default: // blocking Submit racing its own context's cancellation
 			ctx, cancel := context.WithCancel(bg)
 			go cancel()
-			if _, err := q.SubmitTenant(ctx, tenant, x); err != nil {
+			if _, err := q.Submit(ctx, x); err != nil {
 				l.enqueueErr(t, err) // refused at the door, or withdrawn while queued
 			}
 		}

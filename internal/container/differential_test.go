@@ -204,16 +204,23 @@ func outcomeOf(r batching.Result) outcome {
 	return o
 }
 
+// startResult Starts x on q's default tenant and returns the channel its one
+// Result arrives on.
+func startResult(q *batching.Queue, x []float64) (<-chan batching.Result, error) {
+	ch := make(chan batching.Result, 1)
+	return ch, q.Start(context.Background(), "", new(batching.Request), x, func(r batching.Result) { ch <- r })
+}
+
 // submitAll submits rows in order and returns their outcomes in order.
 func submitAll(t *testing.T, q *batching.Queue, rows [][]float64) []outcome {
 	t.Helper()
 	chans := make([]<-chan batching.Result, len(rows))
 	for i, x := range rows {
-		tk, err := q.SubmitTicket(context.Background(), "", x)
+		ch, err := startResult(q, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans[i] = tk.Done()
+		chans[i] = ch
 	}
 	out := make([]outcome, len(rows))
 	for i, ch := range chans {
@@ -401,11 +408,10 @@ func TestRowShapeEqualsViewShape(t *testing.T) {
 			b := behaviour{info: info, scored: true, gate: make(chan struct{})}
 			bothShapes(t, b, loopback, 2, func(t *testing.T, d *deployment) any {
 				b := d.b
-				patientTk, err := d.q.SubmitTicket(context.Background(), "", []float64{1, 2})
+				patient, err := startResult(d.q, []float64{1, 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				patient := patientTk.Done()
 				ctx, cancel := context.WithCancel(context.Background())
 				gaveUp := make(chan error, 1)
 				go func() {
@@ -432,17 +438,15 @@ func TestRowShapeEqualsViewShape(t *testing.T) {
 			b := behaviour{info: info, gate: make(chan struct{})}
 			bothShapes(t, b, loopback, 1, func(t *testing.T, d *deployment) any {
 				b := d.b
-				inFlightTk, err := d.q.SubmitTicket(context.Background(), "", []float64{5})
+				inFlight, err := startResult(d.q, []float64{5})
 				if err != nil {
 					t.Fatal(err)
 				}
-				inFlight := inFlightTk.Done()
 				<-b.entered
-				queuedTk, err := d.q.SubmitTicket(context.Background(), "", []float64{6})
+				queued, err := startResult(d.q, []float64{6})
 				if err != nil {
 					t.Fatal(err)
 				}
-				queued := queuedTk.Done()
 				closed := make(chan struct{})
 				go func() { d.q.Close(); close(closed) }()
 				b.gate <- struct{}{}

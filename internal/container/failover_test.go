@@ -106,12 +106,11 @@ func TestPooledConnFailureDrainsWindow(t *testing.T) {
 				if idx == total/3 {
 					killOnce.Do(func() { d.kill(0) })
 				}
-				tk, err := q.SubmitTicket(context.Background(), "", []float64{float64(idx)})
+				ch, err := startResult(q, []float64{float64(idx)})
 				if err != nil {
 					t.Errorf("submit %d: %v", idx, err)
 					return
 				}
-				ch := tk.Done()
 				var o outcome
 				for res := range channelOnce(ch) {
 					o.results++

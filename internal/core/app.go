@@ -320,15 +320,14 @@ type pendingFetch struct {
 // waits for every selected model (subject to ctx).
 //
 // A synchronous cache pass runs first, so the common cache-hit path resolves
-// every model inline, and so does a lone miss with no deadline to race.
-// Anything else is a countdown (fanIn): each miss is started on its model's
-// scheduler with a completion, each follower registered with the cache, and
-// this goroutine parks once, to be woken by the last arrival, the deadline or
-// ctx — no goroutine, no channel and no timer is made per call. Starting never
-// blocks: a model whose sub-queue is full is missing at once, its claim aborted.
-// The deadline withdraws nothing: a straggler still completes and fills the
-// cache for the feedback join. ctx does: what is still queued is cancelled
-// and its cache claim aborted.
+// every model inline. Every miss is then a countdown (fanIn): each is started
+// on its model's scheduler with a completion, each follower registered with
+// the cache, and this goroutine parks once, to be woken by the last arrival,
+// the deadline or ctx — no goroutine, no channel and no timer is made per
+// call. Starting never blocks: a model whose sub-queue is full is missing at
+// once, its claim aborted. The deadline withdraws nothing: a straggler still
+// completes and fills the cache for the feedback join. ctx does: what is
+// still queued is cancelled and its cache claim aborted.
 func (a *Application) gather(ctx context.Context, indices []int, x []float64, deadline time.Time) []*container.Prediction {
 	preds := make([]*container.Prediction, len(a.cfg.Models))
 	if len(indices) == 0 {
@@ -367,13 +366,6 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 	if len(pending) == 0 {
 		return preds
 	}
-	if f := pending[0]; len(pending) == 1 && deadline.IsZero() && !f.follower {
-		p, err := a.scheds[f.idx].submit(ctx, a.tenant(), x)
-		if a.settle(f, p, err) {
-			keep(f.idx, p)
-		}
-		return preds
-	}
 
 	w := wakerPool.Get().(*waker)
 	fan := &fanIn{a: a, wake: w.ch, preds: preds, vals: vals, left: len(pending), fetches: make([]fetch, len(pending))}
@@ -391,26 +383,6 @@ func (a *Application) gather(ctx context.Context, indices []int, x []float64, de
 	return preds
 }
 
-// settle pays the cache what a finished fetch owes it — a leader Puts the
-// prediction or Aborts its claim — and reports whether p is an answer.
-func (a *Application) settle(f pendingFetch, p container.Prediction, err error) bool {
-	if f.leader {
-		if err != nil {
-			a.cl.cache.Abort(f.key)
-		} else {
-			// Cache a private copy of the scores: predictions decoded from a
-			// container RPC share one batch-wide backing array, and a cached
-			// entry must not pin the whole batch's scores for its lifetime.
-			stored := p
-			if len(p.Scores) > 0 {
-				stored.Scores = append([]float64(nil), p.Scores...)
-			}
-			a.cl.cache.Put(f.key, stored)
-		}
-	}
-	return err == nil
-}
-
 // fetch is one pendingFetch in flight: the storage its submission waits in
 // and the completions that carry its outcome into the fan-in.
 type fetch struct {
@@ -420,9 +392,26 @@ type fetch struct {
 }
 
 // done is the fetch's batching completion (it runs on the goroutine that
-// finished the batch and does not block): cache first, then arrive.
+// finished the batch and does not block). It pays the cache what the fetch
+// owes it first — a leader Puts the prediction or Aborts its claim — then
+// arrives.
 func (f *fetch) done(res batching.Result) {
-	f.fan.arrive(f.idx, res.Pred, f.fan.a.settle(f.pendingFetch, res.Pred, res.Err))
+	if c := f.fan.a.cl.cache; f.leader {
+		if res.Err != nil {
+			c.Abort(f.key)
+		} else {
+			// Cache a private copy of the scores: predictions decoded from
+			// a container RPC share one batch-wide backing array, and a
+			// cached entry must not pin the whole batch's scores for its
+			// lifetime.
+			stored := res.Pred
+			if len(stored.Scores) > 0 {
+				stored.Scores = append([]float64(nil), stored.Scores...)
+			}
+			c.Put(f.key, stored)
+		}
+	}
+	f.fan.arrive(f.idx, res.Pred, res.Err == nil)
 }
 
 // followed is the fetch's cache completion, fired by the leader it follows.
@@ -474,7 +463,10 @@ var wakerPool = sync.Pool{
 }
 
 // wait parks the worker until the last arrival, the deadline (zero: none) or
-// ctx, then closes the fan-in. Only ctx withdraws what is still queued.
+// ctx. Woken by the last arrival it returns at once: no arrival can follow,
+// so there is nothing to close, and the worker does not queue on mu behind
+// the arrival that woke it. Otherwise it closes the fan-in. Only ctx
+// withdraws what is still queued.
 func (fan *fanIn) wait(ctx context.Context, w *waker, deadline time.Time) {
 	var expired <-chan time.Time
 	if !deadline.IsZero() {
@@ -484,6 +476,9 @@ func (fan *fanIn) wait(ctx context.Context, w *waker, deadline time.Time) {
 	cancelled := false
 	select {
 	case <-w.ch:
+		w.timer.Stop()
+		wakerPool.Put(w)
+		return
 	case <-expired:
 	case <-ctx.Done():
 		cancelled = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -26,6 +27,16 @@ func waitIdle(t *testing.T, q *batching.Queue, want int64) batching.LoadStats {
 	}
 }
 
+// await spins until cond holds, failing the test after ten seconds.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("never happened: %s", what)
+		}
+	}
+}
+
 // TestControllersShareOneModel runs every controller that prices a
 // replica — JSQ cost, QoS admission, the window controller and
 // the hedge timer, with AIMD sizing batches — over one replica, then
@@ -33,9 +44,8 @@ func waitIdle(t *testing.T, q *batching.Queue, want int64) batching.LoadStats {
 // load model. Equalities, not tolerances: there is no second estimator
 // for any of them to have read.
 func TestControllersShareOneModel(t *testing.T) {
-	const minDelay = time.Microsecond
 	cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{
-		Hedge: HedgeConfig{Enabled: true, MinDelay: minDelay, BudgetFrac: 0.5},
+		Hedge: HedgeConfig{Enabled: true, BudgetFrac: 0.5},
 	}})
 	defer cl.Close()
 	rep, err := cl.Deploy(&stubModel{name: "m", label: 1, delay: time.Millisecond}, nil, batching.QueueConfig{
@@ -60,7 +70,7 @@ func TestControllersShareOneModel(t *testing.T) {
 	s := modelScheduler(t, cl, "m")
 	rq := s.snapshot()[0]
 	ls := waitIdle(t, rq.queue, queries)
-	if ls.PerQueryService <= 0 || ls.BatchLatency <= 0 || ls.Tail <= minDelay {
+	if ls.PerQueryService <= 0 || ls.BatchLatency <= 0 || ls.Tail <= hedgeMinDelay {
 		t.Fatalf("model still cold after %d queries: %+v", queries, ls)
 	}
 
@@ -87,7 +97,7 @@ func TestControllersShareOneModel(t *testing.T) {
 		t.Errorf("Adaptive batch latency = %v, model says %v", got, ls.BatchLatency)
 	}
 	// The hedge timer is the model's tail (above the floor, so it is the
-	// model and not MinDelay that was read).
+	// model and not hedgeMinDelay that was read).
 	if got := s.hedgeDelay(); got != ls.Tail {
 		t.Errorf("hedgeDelay = %v, model says %v", got, ls.Tail)
 	}
@@ -97,17 +107,16 @@ func TestControllersShareOneModel(t *testing.T) {
 // replica's load model, so it warms from any traffic the replica served —
 // including batches the scheduler never routed.
 func TestHedgeDelayWarmsFromQueueTraffic(t *testing.T) {
-	const minDelay = time.Microsecond
 	cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{
-		Hedge: HedgeConfig{Enabled: true, MinDelay: minDelay},
+		Hedge: HedgeConfig{Enabled: true},
 	}})
 	defer cl.Close()
 	if _, err := cl.Deploy(&stubModel{name: "m", label: 1, delay: 2 * time.Millisecond}, nil, serialQcfg()); err != nil {
 		t.Fatal(err)
 	}
 	s := modelScheduler(t, cl, "m")
-	if got := s.hedgeDelay(); got != minDelay {
-		t.Fatalf("cold hedgeDelay = %v, want the %v floor", got, minDelay)
+	if got := s.hedgeDelay(); got != hedgeMinDelay {
+		t.Fatalf("cold hedgeDelay = %v, want the %v floor", got, hedgeMinDelay)
 	}
 	q := cl.ReplicaQueues("m")[0]
 	const queries = 4

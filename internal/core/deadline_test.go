@@ -287,23 +287,32 @@ func TestSwapModelMidFlightCompletesEveryFetch(t *testing.T) {
 // four registered completions and the serial dispatchers run batches inline —
 // and allocates less than the goroutine-per-fetch gather did (44 per predict
 // and up to four goroutines at its last commit, by this same test; 34 now).
+// Hedged, each fetch is a timer and a context callback instead of a goroutine
+// parked on two copies: with every model stalled, the predict's own goroutine
+// is the only one it adds. A hedge timer that fires meanwhile finds no sibling
+// and ends, so the count settles; one parked goroutine per fetch kept it four
+// higher.
 func TestAllMissPredictSpawnsNothing(t *testing.T) {
 	names := []string{"m0", "m1", "m2", "m3"}
-	cl := New(Config{CacheSize: 4096})
-	defer cl.Close()
-	models := make([]*blockModel, len(names))
-	open := make(chan struct{})
-	close(open)
-	for i, n := range names {
-		models[i] = &blockModel{name: n, release: open}
-		if _, err := cl.Deploy(models[i], nil, serialQcfg()); err != nil {
+	deploy := func(hedged bool, release chan struct{}) (*Clipper, *Application, []*blockModel) {
+		cl := New(Config{CacheSize: 4096, Scheduler: SchedulerConfig{Hedge: HedgeConfig{Enabled: hedged}}})
+		models := make([]*blockModel, len(names))
+		for i, n := range names {
+			models[i] = &blockModel{name: n, release: release}
+			if _, err := cl.Deploy(models[i], nil, serialQcfg()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		app, err := cl.RegisterApp(AppConfig{Name: "app", Models: names, Policy: selection.NewExp4(0), SLO: time.Second})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return cl, app, models
 	}
-	app, err := cl.RegisterApp(AppConfig{Name: "app", Models: names, Policy: selection.NewExp4(0), SLO: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	open := make(chan struct{})
+	close(open)
+	cl, app, models := deploy(false, open)
+	defer cl.Close()
 	ctx := context.Background()
 	x := make([]float64, 16)
 	predict := func() {
@@ -313,6 +322,9 @@ func TestAllMissPredictSpawnsNothing(t *testing.T) {
 		}
 	}
 	predict()
+	for _, m := range models {
+		m.peak.Store(0) // the warm-up may have met a goroutine an earlier test left exiting
+	}
 	before := int64(runtime.NumGoroutine())
 	allocs := testing.AllocsPerRun(1000, predict)
 	for _, m := range models {
@@ -323,4 +335,99 @@ func TestAllMissPredictSpawnsNothing(t *testing.T) {
 	if !testutil.RaceEnabled() && allocs >= 44 {
 		t.Errorf("%v allocations per all-miss predict, want fewer than the 44 of the goroutine-per-fetch gather", allocs)
 	}
+
+	stall := make(chan struct{})
+	release := sync.OnceFunc(func() { close(stall) })
+	cl, app, models = deploy(true, stall)
+	defer cl.Close()
+	defer release() // first, so Close does not wait on a stalled batch
+	base := runtime.NumGoroutine()
+	answered := make(chan error)
+	go func() {
+		_, err := app.Predict(ctx, []float64{1})
+		answered <- err
+	}()
+	for _, m := range models {
+		await(t, "a batch in every model", func() bool { return m.calls.Load() == 1 })
+	}
+	await(t, "only the predict's goroutine added", func() bool { return runtime.NumGoroutine() <= base+1 })
+	release()
+	if err := <-answered; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A hedged fetch withdrawn by ctx while both its copies are still queued
+// ends once, with ctx's error: neither copy reaches a model, and its cache
+// claim is released exactly once (an Abort, where a prediction would Put).
+func TestHedgedCancelWithdrawsBothCopies(t *testing.T) {
+	cl := New(Config{CacheSize: 1024, Scheduler: SchedulerConfig{Hedge: HedgeConfig{Enabled: true, BudgetFrac: 1}}})
+	defer cl.Close()
+	models := []*blockModel{{name: "m", release: make(chan struct{})}, {name: "m", release: make(chan struct{})}}
+	for _, m := range models {
+		defer close(m.release) // before cl.Close, which waits for the parked batches
+		if _, err := cl.Deploy(m, nil, serialQcfg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app, err := cl.RegisterApp(AppConfig{Name: "app", Models: []string{"m"}, Policy: selection.NewStatic(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Park a batch in each replica, straight through its queue, so both
+	// copies of the fetch stay queued.
+	qs := cl.ReplicaQueues("m")
+	for i, q := range qs {
+		go q.Submit(context.Background(), []float64{float64(-1 - i)})
+	}
+	for _, q := range qs {
+		for q.LoadStats().InFlightQueries != 1 {
+			runtime.Gosched()
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	x := []float64{1}
+	gathered := make(chan []*container.Prediction)
+	go func() { gathered <- app.gather(ctx, app.all, x, time.Time{}) }()
+	for qs[0].LoadStats().Queued+qs[1].LoadStats().Queued != 2 {
+		runtime.Gosched() // the primary, then the hedge the stuck primary earns
+	}
+	cancel()
+	if preds := <-gathered; preds[0] != nil {
+		t.Fatalf("a cancelled gather returned %+v", preds[0])
+	}
+	key := cache.Key{Model: "m", Version: 1, QueryID: cache.HashQuery(x)}
+	for {
+		if hit, leader := cacheClaim(cl, key); hit {
+			t.Fatal("the cancelled fetch cached a prediction")
+		} else if leader {
+			break // released; the claim is ours now
+		}
+		runtime.Gosched()
+	}
+	for _, m := range models {
+		m.release <- struct{}{}
+	}
+	for _, q := range qs {
+		waitIdle(t, q, 1)
+	}
+	if _, leader := cacheClaim(cl, key); leader {
+		t.Error("the cancelled fetch released its cache claim twice")
+	}
+	cl.Cache().Abort(key)
+	for _, m := range models {
+		if rows := m.rows.Load(); rows != 1 {
+			t.Errorf("a replica computed %d rows, want only its parked one", rows)
+		}
+	}
+	if st, _ := cl.SchedulerStats("m"); st.HedgesIssued != 1 || st.HedgesWon+st.HedgesWasted+st.Failovers != 0 {
+		t.Errorf("scheduler stats %+v, want one hedge issued and no race settled", st)
+	}
+}
+
+// cacheClaim asks the cache for key: a hit, or the leadership of a miss
+// (false while another fetch holds the claim, which this then follows).
+func cacheClaim(cl *Clipper, key cache.Key) (hit, leader bool) {
+	_, hit, leader, _ = cl.Cache().Request(key)
+	return hit, leader
 }

@@ -1,11 +1,15 @@
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
-// TestHedgeBudgetBoundary pins hedgeBudgetOK's admission rule,
+// TestHedgeBudgetBoundary pins reserveHedge's admission rule,
 // issued+1 <= BudgetFrac * submitted, exactly at its boundary: the
 // budget admits the Nth hedge only once enough primaries have been
-// submitted to cover it, and admits nothing before the first submit.
+// submitted to cover it, admits nothing before the first submit, and
+// counts a hedge as issued exactly when it admits one.
 func TestHedgeBudgetBoundary(t *testing.T) {
 	s := newScheduler("m", SchedulerConfig{Hedge: HedgeConfig{Enabled: true, BudgetFrac: 0.1}})
 	cases := []struct {
@@ -24,10 +28,42 @@ func TestHedgeBudgetBoundary(t *testing.T) {
 	for _, c := range cases {
 		s.submitted.Store(c.submitted)
 		s.hedgesIssued.Store(c.issued)
-		if got := s.hedgeBudgetOK(); got != c.want {
-			t.Errorf("hedgeBudgetOK(submitted=%d, issued=%d) = %v, want %v",
-				c.submitted, c.issued, got, c.want)
+		want := c.issued
+		if c.want {
+			want++
 		}
+		if got := s.reserveHedge(); got != c.want || s.hedgesIssued.Load() != want {
+			t.Errorf("reserveHedge(submitted=%d, issued=%d) = %v leaving %d issued, want %v leaving %d",
+				c.submitted, c.issued, got, s.hedgesIssued.Load(), c.want, want)
+		}
+	}
+}
+
+// TestReserveHedgeConcurrent: hedge timers firing together at the budget's
+// boundary reserve exactly the budget, never more.
+func TestReserveHedgeConcurrent(t *testing.T) {
+	s := newScheduler("m", SchedulerConfig{Hedge: HedgeConfig{Enabled: true, BudgetFrac: 0.1}})
+	s.submitted.Store(100)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	won := 0
+	start := make(chan struct{})
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if s.reserveHedge() {
+				mu.Lock()
+				won++
+				mu.Unlock()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if won != 10 || s.hedgesIssued.Load() != 10 {
+		t.Fatalf("%d of 64 racing reservations succeeded, %d issued; want exactly 10 of 100 submitted at 10%%", won, s.hedgesIssued.Load())
 	}
 }
 

@@ -60,30 +60,20 @@ func ParseSchedPolicy(s string) (SchedPolicy, error) {
 	}
 }
 
-// defaultProbeEvery is the exploration period selected by
-// SchedulerConfig.ProbeEvery = 0.
-const defaultProbeEvery = 128
+// probeEvery is JSQ's exploration period: every probeEvery-th dispatch goes
+// round-robin regardless of cost estimates, so a replica the estimator has
+// written off (it was slow once; it keeps a stale high estimate because it
+// gets no traffic to prove otherwise) is periodically re-probed and can
+// rejoin.
+const probeEvery = 128
 
 // SchedulerConfig parameterizes cross-replica dispatch. The zero value
 // selects JSQ with hedging disabled.
 type SchedulerConfig struct {
 	// Policy is the dispatch strategy; the zero value is SchedJSQ.
 	Policy SchedPolicy
-	// ProbeEvery, under JSQ, routes every Nth dispatch round-robin
-	// regardless of cost estimates, so a replica the estimator has
-	// written off (it was slow once; it keeps a stale high EWMA because
-	// it gets no traffic to prove otherwise) is periodically re-probed
-	// and can rejoin. 0 selects 128; negative disables probing.
-	ProbeEvery int
 	// Hedge configures straggler hedging (off unless Hedge.Enabled).
 	Hedge HedgeConfig
-}
-
-func (c SchedulerConfig) probeEvery() int {
-	if c.ProbeEvery == 0 {
-		return defaultProbeEvery
-	}
-	return c.ProbeEvery
 }
 
 // connHealther is implemented by predictors whose replica exposes cheap
@@ -142,7 +132,7 @@ type scheduler struct {
 	tweights map[string]int  // tenant fair-batching weights, applied to every replica queue
 
 	cursor   atomic.Uint64 // free-running rotation cursor
-	picks    atomic.Uint64 // dispatch count, for ProbeEvery
+	picks    atomic.Uint64 // dispatch count, for probeEvery
 	version  atomic.Int64  // deployed model version (cache keys); written by Deploy
 	deployed int           // replicas ever deployed, numbering IDs (a roll-over shrinks the set); under Clipper.mu
 
@@ -283,13 +273,7 @@ func pickOrdered(rqs []*replicaQueue, i int) *replicaQueue {
 }
 
 // probeTick reports whether this dispatch is an exploration probe.
-func (s *scheduler) probeTick() bool {
-	pe := s.cfg.probeEvery()
-	if pe <= 0 {
-		return false
-	}
-	return s.picks.Add(1)%uint64(pe) == 0
-}
+func (s *scheduler) probeTick() bool { return s.picks.Add(1)%probeEvery == 0 }
 
 // route picks the replica for one more query and counts it; nil with
 // ErrUnknownModel when the model has no replicas.
@@ -302,37 +286,22 @@ func (s *scheduler) route() (*replicaQueue, error) {
 	return rq, nil
 }
 
-// submit routes one query and blocks for its prediction (hedged when
-// enabled). tenant names the sub-queue the query waits in; "" is the
-// default tenant every non-QoS application shares.
-func (s *scheduler) submit(ctx context.Context, tenant string, x []float64) (container.Prediction, error) {
-	rq, err := s.route()
-	if err != nil {
-		return container.Prediction{}, err
-	}
-	if !s.cfg.Hedge.Enabled {
-		return rq.queue.SubmitTenant(ctx, tenant, x)
-	}
-	return s.submitHedged(ctx, rq, tenant, x)
-}
-
 // start routes one query without waiting for it and never blocks: a full
-// sub-queue refuses (batching.ErrQueueFull) rather than wait for room. done
-// fires exactly once under batching.Request's completion rule — inline,
-// before start returns, when no replica would take the query — unless
-// r.Cancel withdraws it first.
+// sub-queue refuses (batching.ErrQueueFull) rather than wait for room. tenant
+// names the sub-queue the query waits in; "" is the default tenant every
+// non-QoS application shares. done fires exactly once under
+// batching.Request's completion rule — inline, before start returns, when no
+// replica would take the query — unless r.Cancel withdraws it first. A hedged
+// fetch (hedge.go) keeps its copies in requests of its own and leaves r idle:
+// ctx is what withdraws it, and done then fires with ctx's error.
 func (s *scheduler) start(ctx context.Context, tenant string, r *batching.Request, x []float64, done func(batching.Result)) {
 	rq, err := s.route()
-	if err == nil && s.cfg.Hedge.Enabled {
-		// One parked goroutine per hedged fetch (hedge.go); r stays idle,
-		// ctx is what withdraws it.
-		go func() {
-			p, err := s.submitHedged(ctx, rq, tenant, x)
-			done(batching.Result{Pred: p, Err: err})
-		}()
+	switch {
+	case err != nil:
+	case s.cfg.Hedge.Enabled:
+		s.startHedged(ctx, rq, tenant, x, done)
 		return
-	}
-	if err == nil {
+	default:
 		err = rq.queue.Start(ctx, tenant, r, x, done)
 	}
 	if err != nil {
@@ -375,7 +344,7 @@ type SchedulerStats struct {
 	HedgesWon    int64 `json:"hedges_won"`
 	HedgesWasted int64 `json:"hedges_wasted"`
 	// Failovers counts queries re-run on a sibling after their first
-	// replica returned an error (hedged mode only).
+	// replica returned an error or refused them (hedged mode only).
 	Failovers int64 `json:"failovers"`
 }
 

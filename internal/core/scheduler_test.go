@@ -24,13 +24,16 @@ type blockModel struct {
 	peak    atomic.Int64
 }
 
-// submitModel routes one query to a replica of model through its
-// scheduler, on the default tenant, and blocks for its prediction.
+// submitModel starts one query on model's scheduler, on the default tenant,
+// and waits for its one Result.
 func submitModel(cl *Clipper, ctx context.Context, model string, x []float64) (container.Prediction, error) {
 	cl.mu.Lock()
 	s := cl.scheds[model]
 	cl.mu.Unlock()
-	return s.submit(ctx, "", x)
+	ch := make(chan batching.Result, 1)
+	s.start(ctx, "", new(batching.Request), x, func(res batching.Result) { ch <- res })
+	res := <-ch
+	return res.Pred, res.Err
 }
 
 func (m *blockModel) Info() container.Info {
@@ -81,7 +84,7 @@ func modelScheduler(t *testing.T, cl *Clipper, model string) *scheduler {
 // TestSchedulerColdRoundRobins: before any replica has priced itself,
 // JSQ degrades to plain rotation so every replica warms up.
 func TestSchedulerColdRoundRobins(t *testing.T) {
-	cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{ProbeEvery: -1}})
+	cl := New(Config{CacheSize: -1})
 	defer cl.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Deploy(&stubModel{name: "m", label: i}, nil, serialQcfg()); err != nil {
@@ -108,7 +111,7 @@ func TestSchedulerColdRoundRobins(t *testing.T) {
 func TestJSQPrefersFastReplica(t *testing.T) {
 	fast := &stubModel{name: "m", label: 1, delay: time.Millisecond}
 	slow := &stubModel{name: "m", label: 1, delay: 40 * time.Millisecond}
-	cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{ProbeEvery: -1}})
+	cl := New(Config{CacheSize: -1})
 	defer cl.Close()
 	if _, err := cl.Deploy(fast, nil, serialQcfg()); err != nil {
 		t.Fatal(err)
@@ -143,7 +146,7 @@ func TestJSQPrefersFastReplica(t *testing.T) {
 // recovering-replica case the old comment promised but never tested.
 func TestSchedulerAllUnhealthyRotates(t *testing.T) {
 	for _, policy := range []SchedPolicy{SchedJSQ, SchedRoundRobin} {
-		cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{Policy: policy, ProbeEvery: -1}})
+		cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{Policy: policy}})
 		var reps []*container.Replica
 		for i := 0; i < 3; i++ {
 			rep, err := cl.Deploy(&stubModel{name: "m", label: i}, nil, serialQcfg())
@@ -191,12 +194,7 @@ func TestHedgeRescuesStalledPrimary(t *testing.T) {
 	stuck := &blockModel{name: "m", release: make(chan struct{})}
 	fast := &stubModel{name: "m", label: 7}
 	cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{
-		ProbeEvery: -1,
-		Hedge: HedgeConfig{
-			Enabled:    true,
-			MinDelay:   time.Millisecond,
-			BudgetFrac: 1.0,
-		},
+		Hedge: HedgeConfig{Enabled: true, BudgetFrac: 1.0},
 	}})
 	defer cl.Close()
 	defer close(stuck.release) // unblock the parked batch before Close
@@ -230,26 +228,6 @@ func TestHedgeRescuesStalledPrimary(t *testing.T) {
 	}
 }
 
-// TestHedgeBudget: the budget admits hedges only up to BudgetFrac of
-// offered load.
-func TestHedgeBudget(t *testing.T) {
-	s := newScheduler("m", SchedulerConfig{Hedge: HedgeConfig{Enabled: true, BudgetFrac: 0.1}})
-	s.submitted.Store(100)
-	s.hedgesIssued.Store(9)
-	if !s.hedgeBudgetOK() {
-		t.Fatal("budget denied hedge 10 of 100 at 10%")
-	}
-	s.hedgesIssued.Store(10)
-	if s.hedgeBudgetOK() {
-		t.Fatal("budget admitted hedge 11 of 100 at 10%")
-	}
-	s.submitted.Store(0)
-	s.hedgesIssued.Store(0)
-	if s.hedgeBudgetOK() {
-		t.Fatal("budget admitted a hedge before any load was offered")
-	}
-}
-
 // TestHedgeFailoverOnPrimaryError: in hedged mode an erroring replica's
 // requests fail over to a healthy sibling instead of surfacing the
 // error.
@@ -257,8 +235,7 @@ func TestHedgeFailoverOnPrimaryError(t *testing.T) {
 	bad := &errModel{name: "m"}
 	good := &stubModel{name: "m", label: 5}
 	cl := New(Config{CacheSize: -1, Scheduler: SchedulerConfig{
-		ProbeEvery: -1,
-		Hedge:      HedgeConfig{Enabled: true, BudgetFrac: 1.0},
+		Hedge: HedgeConfig{Enabled: true, BudgetFrac: 1.0},
 	}})
 	defer cl.Close()
 	if _, err := cl.Deploy(bad, nil, serialQcfg()); err != nil {

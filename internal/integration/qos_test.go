@@ -123,7 +123,7 @@ func TestNoisyNeighborQoS(t *testing.T) {
 // must land on the surviving replica's books.
 func TestQoSReplicaKillExactlyOne(t *testing.T) {
 	cl := core.New(core.Config{CacheSize: -1, Scheduler: core.SchedulerConfig{
-		Hedge: core.HedgeConfig{Enabled: true, MinDelay: time.Millisecond, BudgetFrac: 1.0},
+		Hedge: core.HedgeConfig{Enabled: true, BudgetFrac: 1.0},
 	}})
 	defer cl.Close()
 

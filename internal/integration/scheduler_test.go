@@ -75,7 +75,7 @@ func soloApp(t *testing.T, cl *core.Clipper) (app *core.Application, answered fu
 // TestSkewedReplicaHedgedTail: one of four replicas is 10x slower behind
 // real sockets. With JSQ routing and hedging on, the slow replica is
 // starved of traffic and the occasional query that does land there (the
-// ProbeEvery exploration tick) hedges out — so the measured p99 stays
+// every-128th-pick exploration probe) hedges out — so the measured p99 stays
 // below even a single slow service time, where blind round-robin would
 // pin ~1/4 of all queries at or above it.
 func TestSkewedReplicaHedgedTail(t *testing.T) {
@@ -84,7 +84,7 @@ func TestSkewedReplicaHedgedTail(t *testing.T) {
 		slowDelay = 10 * fastDelay
 	)
 	cl := core.New(core.Config{CacheSize: -1, Scheduler: core.SchedulerConfig{
-		Hedge: core.HedgeConfig{Enabled: true, MinDelay: 2 * time.Millisecond, BudgetFrac: 0.25},
+		Hedge: core.HedgeConfig{Enabled: true, BudgetFrac: 0.25},
 	}})
 	defer cl.Close()
 
@@ -162,7 +162,7 @@ func TestSkewedReplicaHedgedTail(t *testing.T) {
 // error-failover path — and the health monitor must excise the corpse.
 func TestMidHedgeReplicaDeath(t *testing.T) {
 	cl := core.New(core.Config{CacheSize: -1, Scheduler: core.SchedulerConfig{
-		Hedge: core.HedgeConfig{Enabled: true, MinDelay: time.Millisecond, BudgetFrac: 1.0},
+		Hedge: core.HedgeConfig{Enabled: true, BudgetFrac: 1.0},
 	}})
 	defer cl.Close()
 

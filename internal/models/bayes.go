@@ -14,14 +14,14 @@ type NaiveBayes struct {
 	name     string
 	mean     [][]float64 // [class][dim]
 	variance [][]float64 // [class][dim]
-	norm     [][]float64 // [class][dim]: 0.5*log(2π·variance), derived, never persisted
+	norm     [][]float64 // [class][dim]: 0.5*log(2π·variance), derived from variance
 	logPrior []float64   // [class]
 	dim      int
 }
 
-// newNaiveBayes is the one constructor (training and persist.go's decode):
-// it builds the Gaussian normaliser table the variances determine, so
-// scoring takes no logarithm and prediction never mutates the model.
+// newNaiveBayes builds the Gaussian normaliser table the variances
+// determine, so scoring takes no logarithm and prediction never mutates the
+// model.
 func newNaiveBayes(name string, mean, variance [][]float64, logPrior []float64, dim int) *NaiveBayes {
 	norm := make([][]float64, len(variance))
 	for c, vs := range variance {

@@ -73,7 +73,7 @@ func TestScoresFlatMatchesScores(t *testing.T) {
 
 // TestRowKernelsFlatMatchesScores holds the models PR 23 moved onto one
 // row kernel to the flat contract at their corners (kernelZoo: an empty
-// class, a zero-count leaf, persist round trips) over three seeds:
+// class, a zero-count leaf) over three seeds:
 // ScoresFlat over the 64-row batch is Scores row by row, and its Argmax is
 // Predict. TestScoresMatchReference ties Scores itself to the old
 // arithmetic.

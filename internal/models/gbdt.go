@@ -267,99 +267,3 @@ func (m *GBDT) scoresInto(x, out []float64) {
 		}
 	}
 }
-
-// gbdt persistence wire types live here to keep the format beside the
-// structure it encodes.
-
-type wireRegNode struct {
-	Feature     int
-	Threshold   float64
-	Left, Right int
-	Value       float64
-}
-
-type wireGBDT struct {
-	Name    string
-	Rounds  [][][]wireRegNode // [round][class] -> flattened nodes
-	LR      float64
-	Classes int
-	Dim     int
-}
-
-func gbdtToWire(m *GBDT) wireGBDT {
-	w := wireGBDT{Name: m.name, LR: m.lr, Classes: m.classes, Dim: m.dim}
-	for _, round := range m.trees {
-		var classTrees [][]wireRegNode
-		for _, tree := range round {
-			classTrees = append(classTrees, flattenRegTree(tree))
-		}
-		w.Rounds = append(w.Rounds, classTrees)
-	}
-	return w
-}
-
-func gbdtFromWire(w wireGBDT) (*GBDT, error) {
-	m := &GBDT{name: w.Name, lr: w.LR, classes: w.Classes, dim: w.Dim}
-	for _, round := range w.Rounds {
-		var trees []*regNode
-		for _, nodes := range round {
-			t, err := unflattenRegTree(nodes)
-			if err != nil {
-				return nil, err
-			}
-			trees = append(trees, t)
-		}
-		m.trees = append(m.trees, trees)
-	}
-	return m, nil
-}
-
-func flattenRegTree(root *regNode) []wireRegNode {
-	var out []wireRegNode
-	var walk func(n *regNode) int
-	walk = func(n *regNode) int {
-		idx := len(out)
-		out = append(out, wireRegNode{
-			Feature: n.feature, Threshold: n.threshold,
-			Left: -1, Right: -1, Value: n.value,
-		})
-		if !n.isLeaf() {
-			out[idx].Left = walk(n.left)
-			out[idx].Right = walk(n.right)
-		}
-		return idx
-	}
-	if root != nil {
-		walk(root)
-	}
-	return out
-}
-
-func unflattenRegTree(wire []wireRegNode) (*regNode, error) {
-	if len(wire) == 0 {
-		return nil, errEmptyTree
-	}
-	nodes := make([]*regNode, len(wire))
-	for i, wn := range wire {
-		nodes[i] = &regNode{feature: wn.Feature, threshold: wn.Threshold, value: wn.Value}
-	}
-	for i, wn := range wire {
-		if wn.Left >= 0 {
-			if wn.Left >= len(nodes) || wn.Right < 0 || wn.Right >= len(nodes) {
-				return nil, errCorruptTree
-			}
-			nodes[i].left = nodes[wn.Left]
-			nodes[i].right = nodes[wn.Right]
-		}
-	}
-	return nodes[0], nil
-}
-
-var (
-	errEmptyTree   = errTree("empty regression tree")
-	errCorruptTree = errTree("corrupt regression tree indices")
-)
-
-type errTree string
-
-func (e errTree) Error() string { return "models: " + string(e) }

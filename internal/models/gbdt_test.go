@@ -71,17 +71,6 @@ func TestGBDTScoresConsistent(t *testing.T) {
 	}
 }
 
-func TestGBDTPersistRoundTrip(t *testing.T) {
-	train, test := easyTask(t)
-	m := TrainGBDT("gbdt", train, GBDTConfig{Rounds: 6, Seed: 3})
-	loaded := roundTrip(t, m)
-	requireSamePredictions(t, m, loaded, test.X)
-	g := loaded.(*GBDT)
-	if len(g.trees) != 6 {
-		t.Fatalf("rounds after reload = %d", len(g.trees))
-	}
-}
-
 func TestGBDTDimCheck(t *testing.T) {
 	train, _ := easyTask(t)
 	m := TrainGBDT("gbdt", train, GBDTConfig{Rounds: 2, Seed: 1})
@@ -91,14 +80,4 @@ func TestGBDTDimCheck(t *testing.T) {
 		}
 	}()
 	m.Predict([]float64{1})
-}
-
-func TestUnflattenRegTreeCorruption(t *testing.T) {
-	if _, err := unflattenRegTree(nil); err == nil {
-		t.Fatal("empty tree accepted")
-	}
-	bad := []wireRegNode{{Feature: 0, Left: 5, Right: 6}}
-	if _, err := unflattenRegTree(bad); err == nil {
-		t.Fatal("corrupt indices accepted")
-	}
 }

@@ -118,47 +118,6 @@ func ErrorRate(m Model, xs [][]float64, ys []int) float64 {
 	return 1 - Accuracy(m, xs, ys)
 }
 
-// TopKAccuracy returns the fraction of examples whose true label is among
-// the model's k highest-scoring classes. The model must implement Scorer;
-// otherwise TopKAccuracy falls back to top-1 accuracy.
-func TopKAccuracy(m Model, xs [][]float64, ys []int, k int) float64 {
-	s, ok := m.(Scorer)
-	if !ok || k <= 1 {
-		return Accuracy(m, xs, ys)
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, x := range xs {
-		scores := s.Scores(x)
-		if inTopK(scores, ys[i], k) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs))
-}
-
-func inTopK(scores []float64, label, k int) bool {
-	if label < 0 || label >= len(scores) {
-		return false
-	}
-	target := scores[label]
-	higher := 0
-	for c, v := range scores {
-		if c == label {
-			continue
-		}
-		if v > target {
-			higher++
-			if higher >= k {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // predictBatchSerial implements PredictBatch in terms of Predict. Model
 // implementations use it unless they have a cheaper batch path.
 func predictBatchSerial(m Model, xs [][]float64) []int {

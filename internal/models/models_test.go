@@ -256,21 +256,6 @@ func TestAccuracyHelpers(t *testing.T) {
 	}
 }
 
-func TestTopKAccuracy(t *testing.T) {
-	train, test := easyTask(t)
-	m := TrainLogisticRegression("lr", train, DefaultLinearConfig())
-	top1 := TopKAccuracy(m, test.X, test.Y, 1)
-	top2 := TopKAccuracy(m, test.X, test.Y, 2)
-	if top2 < top1 {
-		t.Fatalf("top2 (%.3f) < top1 (%.3f)", top2, top1)
-	}
-	// Non-scorer falls back to top-1.
-	noop := NewNoOp("noop", 3, 0)
-	if TopKAccuracy(noop, test.X, test.Y, 5) != Accuracy(noop, test.X, test.Y) {
-		t.Fatal("non-scorer TopK should equal Accuracy")
-	}
-}
-
 func TestTable2Specs(t *testing.T) {
 	specs := Table2()
 	if len(specs) != 5 {
@@ -364,21 +349,5 @@ func TestSigmoid(t *testing.T) {
 		if math.Abs(sigmoid(z)+sigmoid(-z)-1) > 1e-12 {
 			t.Fatalf("sigmoid symmetry broken at %v", z)
 		}
-	}
-}
-
-func TestInTopK(t *testing.T) {
-	scores := []float64{0.1, 0.5, 0.3, 0.9}
-	if !inTopK(scores, 3, 1) {
-		t.Fatal("best class should be in top 1")
-	}
-	if inTopK(scores, 0, 2) {
-		t.Fatal("worst class should not be in top 2")
-	}
-	if !inTopK(scores, 2, 3) {
-		t.Fatal("third class should be in top 3")
-	}
-	if inTopK(scores, -1, 3) || inTopK(scores, 9, 3) {
-		t.Fatal("out-of-range labels are never in top k")
 	}
 }

@@ -129,9 +129,8 @@ func scoresRef(t *testing.T, m Model, x []float64) []float64 {
 // kernelZoo trains, for one seed, every model whose Scores PR 23 rewrote,
 // plus the corners of each kernel: a NaiveBayes with an empty class (the
 // logPrior = -Inf early-out), a tree and a forest with a zero-count leaf
-// (sum == 0), and each model again after a persist.go round trip (the
-// NaiveBayes table is derived on load, not read). The returned inputs are
-// 64 held-out rows; tied distances exercise KNN's heap order.
+// (sum == 0). The returned inputs are 64 held-out rows; tied distances
+// exercise KNN's heap order.
 func kernelZoo(t *testing.T, seed int64) ([]Model, [][]float64) {
 	t.Helper()
 	d := dataset.Gaussian(dataset.GaussianConfig{
@@ -163,9 +162,6 @@ func kernelZoo(t *testing.T, seed int64) ([]Model, [][]float64) {
 		forest,
 		TrainGBDT("gbdt", train, GBDTConfig{Rounds: 6, Seed: seed}),
 		TrainKNN("knn", &dup, 4),
-	}
-	for _, m := range ms { // the range length is fixed before the appends
-		ms = append(ms, roundTrip(t, m))
 	}
 	return ms, test.X[:64]
 }
