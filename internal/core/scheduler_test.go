@@ -228,6 +228,31 @@ func TestHedgeRescuesStalledPrimary(t *testing.T) {
 	}
 }
 
+// TestHedgeBudget: the budget admits hedges only up to BudgetFrac of
+// offered load, and counts each hedge it admits.
+func TestHedgeBudget(t *testing.T) {
+	s := newScheduler("m", SchedulerConfig{Hedge: HedgeConfig{Enabled: true, BudgetFrac: 0.1}})
+	s.submitted.Store(100)
+	s.hedgesIssued.Store(9)
+	if !s.reserveHedge() {
+		t.Fatal("budget denied hedge 10 of 100 at 10%")
+	}
+	if n := s.hedgesIssued.Load(); n != 10 {
+		t.Fatalf("admitted hedge left %d issued, want 10", n)
+	}
+	if s.reserveHedge() {
+		t.Fatal("budget admitted hedge 11 of 100 at 10%")
+	}
+	if n := s.hedgesIssued.Load(); n != 10 {
+		t.Fatalf("denied hedge left %d issued, want 10", n)
+	}
+	s.submitted.Store(0)
+	s.hedgesIssued.Store(0)
+	if s.reserveHedge() {
+		t.Fatal("budget admitted a hedge before any load was offered")
+	}
+}
+
 // TestHedgeFailoverOnPrimaryError: in hedged mode an erroring replica's
 // requests fail over to a healthy sibling instead of surfacing the
 // error.
