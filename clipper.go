@@ -216,8 +216,8 @@ func ServeContainer(p Predictor, addr string) (string, func() error, error) {
 // DialContainer connects conns RPC connections (0 selects 1) to a remote
 // model container; the result is a Predictor deployable with
 // (*Clipper).Deploy. Batch frames round-robin across the live connections
-// and a lost one is redialed with backoff. See docs/ARCHITECTURE.md for
-// when more than one connection pays.
+// and a lost one is redialed with backoff. See the RPC section of
+// docs/ARCHITECTURE.md for when more than one connection pays.
 func DialContainer(addr string, timeout time.Duration, conns int) (*container.Remote, error) {
 	return container.DialConns(addr, timeout, conns)
 }

@@ -16,14 +16,14 @@ import (
 	"time"
 )
 
-// CloseGrace is the drain window Close grants in-flight requests before
+// closeGrace is the drain window Close grants in-flight requests before
 // forcing connections shut, mirroring http.Server.Shutdown-with-timeout.
-const CloseGrace = 5 * time.Second
+const closeGrace = 5 * time.Second
 
 // CloseGracefully is every adapter's Close: its Shutdown, bounded by
-// CloseGrace.
+// closeGrace.
 func CloseGracefully(shutdown func(context.Context) error) error {
-	ctx, cancel := context.WithTimeout(context.Background(), CloseGrace)
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
 	defer cancel()
 	return shutdown(ctx)
 }

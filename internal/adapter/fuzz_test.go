@@ -26,7 +26,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 				t.Fatalf("predict round trip: % x != % x", enc, data)
 			}
 		}
-		if req, err := DecodeFeedbackRequest(data); err == nil {
+		if req, err := decodeFeedbackRequest(data); err == nil {
 			enc, encErr := AppendFeedbackRequest(nil, string(req.App), string(req.Context), req.Label, req.Input)
 			if encErr != nil {
 				t.Fatalf("re-encode failed on decoded feedback: %v", encErr)

@@ -58,7 +58,7 @@ func (h *handler) intern(name []byte) string {
 
 // handle decodes one request and encodes the operation's result into
 // scratch. Application-level failures travel as status bytes inside a
-// normal response frame — never as rpc.MsgError, which is reserved for
+// normal response frame — never as an rpc error frame, which is reserved for
 // transport-level faults (unknown method) — so typed gateway codes
 // survive the wire. arrived, the instant the frame was read, is where a
 // predict's deadline counts from.
@@ -68,7 +68,7 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 		req, err := DecodePredictRequest(payload)
 		if err != nil {
 			h.b.Reject(gateway.OpPredict, gateway.CodeBadRequest)
-			return AppendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: err.Error()}), nil
+			return appendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: err.Error()}), nil
 		}
 		res, err := h.b.Predict(context.Background(), gateway.PredictRequest{
 			App:     h.intern(req.App),
@@ -77,15 +77,15 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 			Arrived: arrived,
 		})
 		if err != nil {
-			return AppendError(scratch, err), nil
+			return appendError(scratch, err), nil
 		}
 		return AppendPredictResult(scratch, res), nil
 
 	case MethodGWFeedback:
-		req, err := DecodeFeedbackRequest(payload)
+		req, err := decodeFeedbackRequest(payload)
 		if err != nil {
 			h.b.Reject(gateway.OpFeedback, gateway.CodeBadRequest)
-			return AppendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: err.Error()}), nil
+			return appendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: err.Error()}), nil
 		}
 		ferr := h.b.Feedback(context.Background(), gateway.FeedbackRequest{
 			App:     h.intern(req.App),
@@ -93,7 +93,7 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 			Input:   req.Input,
 			Label:   int(req.Label),
 		})
-		return AppendStatus(scratch, ferr), nil
+		return appendStatus(scratch, ferr), nil
 
 	case MethodGWAppList:
 		return appendJSON(scratch, h.b.AppList())
@@ -101,11 +101,11 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 		return appendJSON(scratch, h.b.ModelList())
 	case MethodGWHealth:
 		h.b.Health()
-		return AppendStatus(scratch, nil), nil
+		return appendStatus(scratch, nil), nil
 	case MethodGWMetrics:
 		var buf bytes.Buffer
 		if err := h.b.WriteMetrics(&buf); err != nil {
-			return AppendError(scratch, err), nil
+			return appendError(scratch, err), nil
 		}
 		scratch = append(scratch, byte(gateway.CodeOK))
 		return append(scratch, buf.Bytes()...), nil
@@ -113,9 +113,9 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 		var req gateway.RegisterAppRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
 			h.b.Reject(gateway.OpRegisterApp, gateway.CodeBadRequest)
-			return AppendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: "bad JSON: " + err.Error()}), nil
+			return appendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: "bad JSON: " + err.Error()}), nil
 		}
-		return AppendStatus(scratch, h.b.RegisterApp(req)), nil
+		return appendStatus(scratch, h.b.RegisterApp(req)), nil
 	default:
 		return nil, fmt.Errorf("unknown method 0x%x", byte(method))
 	}
@@ -127,7 +127,7 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 func appendJSON(scratch []byte, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		return AppendError(scratch, &gateway.Error{Code: gateway.CodeInternal, Msg: err.Error()}), nil
+		return appendError(scratch, &gateway.Error{Code: gateway.CodeInternal, Msg: err.Error()}), nil
 	}
 	scratch = append(scratch, byte(gateway.CodeOK))
 	scratch = append(scratch, data...)

@@ -16,6 +16,7 @@ import (
 	"clipper/internal/batching"
 	"clipper/internal/container"
 	"clipper/internal/core"
+	"clipper/internal/gateway"
 	"clipper/internal/rpc"
 	"clipper/internal/selection"
 )
@@ -32,11 +33,11 @@ func TestAdminDeployEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: addr, SLOMillis: 10})
+	rec := postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: addr, SLOMillis: 10})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("deploy status = %d body=%s", rec.Code, rec.Body)
 	}
-	var resp DeployResponse
+	var resp gateway.DeployResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestAdminDeployEndpoint(t *testing.T) {
 func TestAdminDeployValidation(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{})
+	rec := postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing addr: %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: "127.0.0.1:1"})
+	rec = postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: "127.0.0.1:1"})
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("unreachable container: %d", rec.Code)
 	}
@@ -125,11 +126,11 @@ func TestAdminDeployRollsOverNewVersion(t *testing.T) {
 		return addr
 	}
 
-	rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&versionedFixed{fixedModel{name: "m0", label: 9}, 2})})
+	rec := postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: serve(&versionedFixed{fixedModel{name: "m0", label: 9}, 2})})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("v2 deploy status = %d body=%s", rec.Code, rec.Body)
 	}
-	var resp DeployResponse
+	var resp gateway.DeployResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +144,14 @@ func TestAdminDeployRollsOverNewVersion(t *testing.T) {
 		t.Fatalf("predict after the roll-over = %+v, %v; want v2's label 9", r, err)
 	}
 
-	rec = postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&fixedModel{name: "m0", label: 1})})
+	rec = postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: serve(&fixedModel{name: "m0", label: 1})})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("v1 deploy after v2 = %d, want %d", rec.Code, http.StatusConflict)
 	}
 
 	// v2 again scales out under a fresh replica ID, which the status map and
 	// the exposition's replica labels are keyed by.
-	rec = postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: serve(&versionedFixed{fixedModel{name: "m0", label: 9}, 2})})
+	rec = postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: serve(&versionedFixed{fixedModel{name: "m0", label: 9}, 2})})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("second v2 deploy status = %d body=%s", rec.Code, rec.Body)
 	}
@@ -217,7 +218,7 @@ func TestAdminReplicasLoadFields(t *testing.T) {
 	// Distinct inputs defeat the prediction cache so every request
 	// reaches the replicas and warms their service-time estimates.
 	for i := 0; i < 8; i++ {
-		rec := postJSON(t, h, "/api/v1/predict", PredictRequest{
+		rec := postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{
 			App: "demo", Input: []float64{float64(i)},
 		})
 		if rec.Code != http.StatusOK {
@@ -542,7 +543,7 @@ func TestAdminDeployWindow(t *testing.T) {
 	defer srv.Close()
 
 	for _, pin := range []int{0, 2} {
-		rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: addr, SLOMillis: 10, Conns: 2, InFlight: pin})
+		rec := postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: addr, SLOMillis: 10, Conns: 2, InFlight: pin})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("deploy (in_flight %d) status = %d body=%s", pin, rec.Code, rec.Body)
 		}
@@ -589,21 +590,21 @@ func TestAdminHealthEndpoint(t *testing.T) {
 	for id := range cl.ReplicaStatuses("m0") {
 		replicaID = id
 	}
-	rec := postJSON(t, h, "/api/v1/admin/health", HealthRequest{Replica: replicaID, Healthy: false})
+	rec := postJSON(t, h, "/api/v1/admin/health", healthRequest{Replica: replicaID, Healthy: false})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
 	}
 	if health := cl.ReplicaStatuses("m0"); health[replicaID].Healthy {
 		t.Fatal("mark-down not applied")
 	}
-	rec = postJSON(t, h, "/api/v1/admin/health", HealthRequest{Replica: replicaID, Healthy: true})
+	rec = postJSON(t, h, "/api/v1/admin/health", healthRequest{Replica: replicaID, Healthy: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	if health := cl.ReplicaStatuses("m0"); !health[replicaID].Healthy {
 		t.Fatal("mark-up not applied")
 	}
-	rec = postJSON(t, h, "/api/v1/admin/health", HealthRequest{Replica: "nope", Healthy: true})
+	rec = postJSON(t, h, "/api/v1/admin/health", healthRequest{Replica: "nope", Healthy: true})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown replica: %d", rec.Code)
 	}
@@ -619,11 +620,11 @@ func TestAdminDeployPooledConns(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rec := postJSON(t, h, "/api/v1/admin/deploy", DeployRequest{Addr: addr, SLOMillis: 10, Conns: 3})
+	rec := postJSON(t, h, "/api/v1/admin/deploy", gateway.DeployRequest{Addr: addr, SLOMillis: 10, Conns: 3})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("pooled deploy status = %d body=%s", rec.Code, rec.Body)
 	}
-	var resp DeployResponse
+	var resp gateway.DeployResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,14 @@ func TestRegisterAppEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/api/v1/admin/apps", RegisterAppRequest{
+	rec := postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "runtime-app", Models: []string{"m0", "m1"}, Policy: "thompson", SLOMillis: 50,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
 	}
 	// The new app serves immediately.
-	rec = postJSON(t, h, "/api/v1/predict", PredictRequest{App: "runtime-app", Input: []float64{1}})
+	rec = postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{App: "runtime-app", Input: []float64{1}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict on runtime app: %d %s", rec.Code, rec.Body)
 	}
@@ -42,20 +42,20 @@ func TestRegisterAppPolicies(t *testing.T) {
 func TestRegisterAppValidationErrors(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/admin/apps", RegisterAppRequest{
+	rec := postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "x", Models: []string{"m0"}, Policy: "bogus",
 	})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad policy: %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/api/v1/admin/apps", RegisterAppRequest{
+	rec = postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "x", Models: []string{"missing-model"},
 	})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("unknown model: %d", rec.Code)
 	}
 	// Duplicate name.
-	rec = postJSON(t, h, "/api/v1/admin/apps", RegisterAppRequest{
+	rec = postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "demo", Models: []string{"m0"},
 	})
 	if rec.Code != http.StatusConflict {
@@ -66,13 +66,13 @@ func TestRegisterAppValidationErrors(t *testing.T) {
 func TestPredictBatchEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/predict-batch", BatchPredictRequest{
+	rec := postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{
 		App: "demo", Inputs: [][]float64{{1}, {2}, {3}},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
 	}
-	var resp BatchPredictResponse
+	var resp batchPredictResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +89,17 @@ func TestPredictBatchEndpoint(t *testing.T) {
 func TestPredictBatchValidation(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/predict-batch", BatchPredictRequest{App: "demo"})
+	rec := postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{App: "demo"})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty inputs: %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/api/v1/predict-batch", BatchPredictRequest{
+	rec = postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{
 		App: "demo", Inputs: [][]float64{{1}, {}},
 	})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty row: %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/api/v1/predict-batch", BatchPredictRequest{
+	rec = postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{
 		App: "nope", Inputs: [][]float64{{1}},
 	})
 	if rec.Code != http.StatusNotFound {
@@ -109,7 +109,7 @@ func TestPredictBatchValidation(t *testing.T) {
 	for i := range huge {
 		huge[i] = []float64{1}
 	}
-	rec = postJSON(t, h, "/api/v1/predict-batch", BatchPredictRequest{App: "demo", Inputs: huge})
+	rec = postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{App: "demo", Inputs: huge})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch: %d", rec.Code)
 	}

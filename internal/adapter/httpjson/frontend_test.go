@@ -13,6 +13,7 @@ import (
 	"clipper/internal/batching"
 	"clipper/internal/container"
 	"clipper/internal/core"
+	"clipper/internal/gateway"
 	"clipper/internal/selection"
 )
 
@@ -67,7 +68,7 @@ func postJSON(t *testing.T, h http.Handler, path string, body interface{}) *http
 
 func TestPredictEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/v1/predict", PredictRequest{
+	rec := postJSON(t, s.Handler(), "/api/v1/predict", gateway.PredictRequest{
 		App: "demo", Input: []float64{1, 2, 3},
 	})
 	if rec.Code != http.StatusOK {
@@ -90,11 +91,11 @@ func TestPredictValidation(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/api/v1/predict", PredictRequest{App: "demo"})
+	rec := postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{App: "demo"})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty input: status = %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/api/v1/predict", PredictRequest{App: "nope", Input: []float64{1}})
+	rec = postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{App: "nope", Input: []float64{1}})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown app: status = %d", rec.Code)
 	}
@@ -116,7 +117,7 @@ func TestFeedbackEndpoint(t *testing.T) {
 	s, cl := newTestServer(t)
 	h := s.Handler()
 	for i := 0; i < 10; i++ {
-		rec := postJSON(t, h, "/api/v1/feedback", FeedbackRequest{
+		rec := postJSON(t, h, "/api/v1/feedback", gateway.FeedbackRequest{
 			App: "demo", Input: []float64{float64(i)}, Label: 1,
 		})
 		if rec.Code != http.StatusOK {
@@ -137,11 +138,11 @@ func TestFeedbackEndpoint(t *testing.T) {
 func TestFeedbackValidation(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/feedback", FeedbackRequest{App: "demo", Label: 1})
+	rec := postJSON(t, h, "/api/v1/feedback", gateway.FeedbackRequest{App: "demo", Label: 1})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty input: status = %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/api/v1/feedback", FeedbackRequest{App: "nope", Input: []float64{1}})
+	rec = postJSON(t, h, "/api/v1/feedback", gateway.FeedbackRequest{App: "nope", Input: []float64{1}})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown app: status = %d", rec.Code)
 	}
@@ -152,11 +153,11 @@ func TestContextualPredict(t *testing.T) {
 	h := s.Handler()
 	// Train context "u1" toward m1 (label 2).
 	for i := 0; i < 10; i++ {
-		postJSON(t, h, "/api/v1/feedback", FeedbackRequest{
+		postJSON(t, h, "/api/v1/feedback", gateway.FeedbackRequest{
 			App: "demo", Context: "u1", Input: []float64{float64(100 + i)}, Label: 2,
 		})
 	}
-	rec := postJSON(t, h, "/api/v1/predict", PredictRequest{
+	rec := postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{
 		App: "demo", Context: "u1", Input: []float64{555},
 	})
 	var resp PredictResponse
@@ -165,7 +166,7 @@ func TestContextualPredict(t *testing.T) {
 		t.Fatalf("contextual Label = %d, want 2", resp.Label)
 	}
 	// Global context is untrained: equal weights tie-break to 1.
-	rec = postJSON(t, h, "/api/v1/predict", PredictRequest{
+	rec = postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{
 		App: "demo", Input: []float64{556},
 	})
 	json.Unmarshal(rec.Body.Bytes(), &resp)
@@ -208,7 +209,7 @@ func TestListenAndServeRealSocket(t *testing.T) {
 	}
 	defer s.Close()
 
-	body, _ := json.Marshal(PredictRequest{App: "demo", Input: []float64{4, 5}})
+	body, _ := json.Marshal(gateway.PredictRequest{App: "demo", Input: []float64{4, 5}})
 	client := &http.Client{Timeout: 2 * time.Second}
 	resp, err := client.Post(fmt.Sprintf("http://%s/api/v1/predict", addr),
 		"application/json", bytes.NewReader(body))

@@ -1,7 +1,5 @@
 // Package httpjson is Clipper's REST adapter (paper §3): the gateway's
-// operations as JSON over net/http. It is wire-compatible with the
-// original frontend package — same paths, status codes, JSON shapes, and
-// error strings — but every handler body is now a thin decode → gateway
+// operations as JSON over net/http. Every handler is a decode → gateway
 // op → encode shell; validation and error classification live in
 // internal/gateway, shared with the stream adapter.
 //
@@ -33,21 +31,6 @@ import (
 	"clipper/internal/gateway"
 )
 
-// Request types are the gateway's wire shapes, re-exported so existing
-// clients of the frontend package keep compiling through its aliases.
-type (
-	// PredictRequest is the JSON body of POST /api/v1/predict.
-	PredictRequest = gateway.PredictRequest
-	// FeedbackRequest is the JSON body of POST /api/v1/feedback.
-	FeedbackRequest = gateway.FeedbackRequest
-	// BatchPredictRequest is the JSON body of POST /api/v1/predict-batch.
-	BatchPredictRequest = gateway.BatchPredictRequest
-	// RegisterAppRequest is the JSON body of POST /api/v1/admin/apps.
-	RegisterAppRequest = gateway.RegisterAppRequest
-	// DeployRequest is the JSON body of POST /api/v1/admin/deploy.
-	DeployRequest = gateway.DeployRequest
-)
-
 // PredictResponse is the JSON reply to a prediction.
 type PredictResponse struct {
 	Label       int     `json:"label"`
@@ -69,26 +52,19 @@ func toResponse(r gateway.PredictResult) PredictResponse {
 	}
 }
 
-// BatchPredictResponse carries one PredictResponse per input.
-type BatchPredictResponse struct {
+// batchPredictResponse carries one PredictResponse per input.
+type batchPredictResponse struct {
 	Results []PredictResponse `json:"results"`
 }
 
-// DeployResponse reports the deployed replica.
-type DeployResponse struct {
-	Model     string `json:"model"`
-	Version   int    `json:"version"`
-	ReplicaID string `json:"replica_id"`
-}
-
-// HealthRequest is the JSON body of POST /api/v1/admin/health.
-type HealthRequest struct {
+// healthRequest is the JSON body of POST /api/v1/admin/health.
+type healthRequest struct {
 	Replica string `json:"replica"`
 	Healthy bool   `json:"healthy"`
 }
 
-// StatusResponse is the JSON reply to feedback and admin mutations.
-type StatusResponse struct {
+// statusResponse is the JSON reply to feedback and admin mutations.
+type statusResponse struct {
 	OK bool `json:"ok"`
 }
 
@@ -180,7 +156,7 @@ func writeGatewayError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req := PredictRequest{Arrived: time.Now()}
+	req := gateway.PredictRequest{Arrived: time.Now()}
 	if !s.decodePost(w, r, gateway.OpPredict, &req) {
 		return
 	}
@@ -193,7 +169,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchPredictRequest
+	var req gateway.BatchPredictRequest
 	if !s.decodePost(w, r, gateway.OpPredictBatch, &req) {
 		return
 	}
@@ -202,7 +178,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, err)
 		return
 	}
-	out := BatchPredictResponse{Results: make([]PredictResponse, len(res))}
+	out := batchPredictResponse{Results: make([]PredictResponse, len(res))}
 	for i, pr := range res {
 		out.Results[i] = toResponse(pr)
 	}
@@ -210,7 +186,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req FeedbackRequest
+	var req gateway.FeedbackRequest
 	if !s.decodePost(w, r, gateway.OpFeedback, &req) {
 		return
 	}
@@ -218,11 +194,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StatusResponse{OK: true})
+	writeJSON(w, http.StatusOK, statusResponse{OK: true})
 }
 
 func (s *Server) handleRegisterApp(w http.ResponseWriter, r *http.Request) {
-	var req RegisterAppRequest
+	var req gateway.RegisterAppRequest
 	if !s.decodePost(w, r, gateway.OpRegisterApp, &req) {
 		return
 	}
@@ -230,7 +206,7 @@ func (s *Server) handleRegisterApp(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StatusResponse{OK: true})
+	writeJSON(w, http.StatusOK, statusResponse{OK: true})
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
@@ -242,11 +218,11 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatusResponse{OK: s.b.Health()})
+	writeJSON(w, http.StatusOK, statusResponse{OK: s.b.Health()})
 }
 
 func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	var req DeployRequest
+	var req gateway.DeployRequest
 	if !s.decodePost(w, r, gateway.OpDeploy, &req) {
 		return
 	}
@@ -255,7 +231,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DeployResponse{Model: res.Model, Version: res.Version, ReplicaID: res.ReplicaID})
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
@@ -271,7 +247,7 @@ func (s *Server) handleApplications(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSetHealth(w http.ResponseWriter, r *http.Request) {
-	var req HealthRequest
+	var req healthRequest
 	if !s.decodePost(w, r, gateway.OpSetHealth, &req) {
 		return
 	}
@@ -279,7 +255,7 @@ func (s *Server) handleSetHealth(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StatusResponse{OK: true})
+	writeJSON(w, http.StatusOK, statusResponse{OK: true})
 }
 
 // handleMetrics serves the node's telemetry as Prometheus text exposition

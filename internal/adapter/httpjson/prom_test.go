@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"clipper/internal/gateway"
 )
 
 var (
@@ -167,8 +169,8 @@ func splitPromLabels(block string) []string {
 func TestMetricsPrometheus(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	postJSON(t, h, "/api/v1/predict", PredictRequest{App: "demo", Input: []float64{1}})
-	postJSON(t, h, "/api/v1/feedback", FeedbackRequest{App: "demo", Input: []float64{1}, Label: 1})
+	postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{App: "demo", Input: []float64{1}})
+	postJSON(t, h, "/api/v1/feedback", gateway.FeedbackRequest{App: "demo", Input: []float64{1}, Label: 1})
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()
@@ -218,7 +220,7 @@ func TestMetricsPrometheusConcurrent(t *testing.T) {
 					return
 				default:
 					rec := postJSON(t, h, "/api/v1/predict",
-						PredictRequest{App: "demo", Input: []float64{float64(g), float64(i)}})
+						gateway.PredictRequest{App: "demo", Input: []float64{float64(g), float64(i)}})
 					if rec.Code != http.StatusOK {
 						t.Errorf("predict: %d", rec.Code)
 						return

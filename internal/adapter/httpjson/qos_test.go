@@ -10,6 +10,7 @@ import (
 	"clipper/internal/batching"
 	"clipper/internal/container"
 	"clipper/internal/core"
+	"clipper/internal/gateway"
 	"clipper/internal/selection"
 )
 
@@ -65,7 +66,7 @@ func TestApplicationsEndpoint(t *testing.T) {
 		t.Fatalf("demo status = %+v, want non-QoS", demo)
 	}
 
-	rec := postJSON(t, h, "/api/v1/admin/apps", RegisterAppRequest{
+	rec := postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "gold", Models: []string{"m0"}, Policy: "static:0",
 		Weight: 4, ShedPolicy: "reject", SLOMillis: 50,
 	})
@@ -82,7 +83,7 @@ func TestApplicationsEndpoint(t *testing.T) {
 	}
 
 	// Unknown shed policies are rejected at the door.
-	rec = postJSON(t, h, "/api/v1/admin/apps", RegisterAppRequest{
+	rec = postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "bad", Models: []string{"m0"}, ShedPolicy: "drop",
 	})
 	if rec.Code != http.StatusBadRequest {
@@ -118,7 +119,7 @@ func TestPredictShed503(t *testing.T) {
 	}
 
 	h := NewServer(cl).Handler()
-	rec := postJSON(t, h, "/api/v1/predict", PredictRequest{App: "gated", Input: []float64{2}})
+	rec := postJSON(t, h, "/api/v1/predict", gateway.PredictRequest{App: "gated", Input: []float64{2}})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("shed predict = %d body=%s, want 503", rec.Code, rec.Body)
 	}

@@ -57,9 +57,9 @@ type PredictReq struct {
 	Input   []float64
 }
 
-// FeedbackReq is a decoded feedback request, with the same aliasing
+// feedbackReq is a decoded feedback request, with the same aliasing
 // rules as PredictReq.
-type FeedbackReq struct {
+type feedbackReq struct {
 	App     []byte
 	Context []byte
 	Label   int64
@@ -110,9 +110,9 @@ func DecodePredictRequest(b []byte) (PredictReq, error) {
 	return req, err
 }
 
-// DecodeFeedbackRequest parses a MethodGWFeedback payload.
-func DecodeFeedbackRequest(b []byte) (FeedbackReq, error) {
-	var req FeedbackReq
+// decodeFeedbackRequest parses a MethodGWFeedback payload.
+func decodeFeedbackRequest(b []byte) (feedbackReq, error) {
+	var req feedbackReq
 	var err error
 	if req.App, b, err = splitStr16(b); err != nil {
 		return req, err
@@ -186,10 +186,10 @@ func AppendPredictResult(dst []byte, r gateway.PredictResult) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(r.Latency.Microseconds()))
 }
 
-// AppendError encodes err as a non-OK status: its gateway code byte plus
+// appendError encodes err as a non-OK status: its gateway code byte plus
 // the message. A nil-safe guard maps a spurious CodeOK to CodeInternal
 // so a zero status byte always means success on the wire.
-func AppendError(dst []byte, err error) []byte {
+func appendError(dst []byte, err error) []byte {
 	code := gateway.CodeOf(err)
 	if code == gateway.CodeOK {
 		code = gateway.CodeInternal
@@ -198,12 +198,12 @@ func AppendError(dst []byte, err error) []byte {
 	return append(dst, err.Error()...)
 }
 
-// AppendStatus encodes a bare success/failure status.
-func AppendStatus(dst []byte, err error) []byte {
+// appendStatus encodes a bare success/failure status.
+func appendStatus(dst []byte, err error) []byte {
 	if err == nil {
 		return append(dst, byte(gateway.CodeOK))
 	}
-	return AppendError(dst, err)
+	return appendError(dst, err)
 }
 
 // DecodePredictResult parses a predict response. A non-OK status comes

@@ -13,7 +13,7 @@ package batching
 // long; one with P lanes shows nothing until P+1. Throughput cannot answer
 // it — in an open loop it equals the offered load whatever the window is.
 //
-// A pinned window (InFlight > 0: every paper figure) has no Adaptive.
+// A pinned window (InFlight > 0: every paper figure) has no controller.
 
 import (
 	"sync"
@@ -86,13 +86,13 @@ type AdaptiveSnapshot struct {
 	FitB time.Duration
 }
 
-// Adaptive sizes one queue's pipeline window. NewQueue builds one for every
+// adaptive sizes one queue's pipeline window. NewQueue builds one for every
 // queue whose window is not pinned; the queue ticks it once per completed
 // batch. All methods are safe for concurrent use.
-type Adaptive struct {
+type adaptive struct {
 	mu    sync.Mutex
 	sem   *winSem    // the queue's window semaphore
-	model *LoadModel // the queue's load model
+	model *loadModel // the queue's load model
 
 	// Window loop: the line (a, b) is fitted at win, or win−dir·step probing.
 	win     int
@@ -107,12 +107,12 @@ type Adaptive struct {
 	ratio   float64
 }
 
-func newAdaptive(sem *winSem, m *LoadModel) *Adaptive {
-	return &Adaptive{sem: sem, model: m, win: sem.curLimit(), dir: 1}
+func newAdaptive(sem *winSem, m *loadModel) *adaptive {
+	return &adaptive{sem: sem, model: m, win: sem.curLimit(), dir: 1}
 }
 
-// Snapshot reports the controller's operating point for telemetry.
-func (a *Adaptive) Snapshot() AdaptiveSnapshot {
+// snapshot reports the controller's operating point for telemetry.
+func (a *adaptive) snapshot() AdaptiveSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return AdaptiveSnapshot{
@@ -132,7 +132,7 @@ func (a *Adaptive) Snapshot() AdaptiveSnapshot {
 // the load needs is never moved; any other batch returns before the lock.
 // The window semaphore is resized under the controller's lock, so a stale
 // decision can never overwrite a newer limit.
-func (a *Adaptive) tick(n int, lat time.Duration, bound bool) {
+func (a *adaptive) tick(n int, lat time.Duration, bound bool) {
 	if !bound {
 		return
 	}
@@ -160,7 +160,7 @@ func (a *Adaptive) tick(n int, lat time.Duration, bound bool) {
 // rests, twice as long per consecutive rejection, before fitting again.
 // There is no ceiling: a window the load cannot fill has no window-bound
 // batches, so the most batches the load keeps in flight bounds it (+ s).
-func (a *Adaptive) endPeriod() {
+func (a *adaptive) endPeriod() {
 	p := a.cur
 	a.cur = period{}
 	if a.skip > 0 {

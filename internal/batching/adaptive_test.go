@@ -127,7 +127,7 @@ func (r simReplica) check(t *testing.T, load string, n simNoise, seed int64) {
 		s.openLoop(r.openRate, r.secs, rng)
 	}
 	s.run(r.secs)
-	snap := s.adapt.Snapshot()
+	snap := s.adapt.snapshot()
 	run := fmt.Sprintf("%s loop, noise %s, seed %d", load, n.name, seed)
 	t.Logf("%s: window %2d, range [%d, %d], peak %d in flight, %d batches, %.0f qps, last verdict %s at %.3f of %v + %v·n",
 		run, s.w, s.minW, s.maxW, s.peak, len(s.batches), float64(len(s.sojourns))/r.secs,
@@ -161,9 +161,9 @@ func TestWindowSimIdleWindowStaysPut(t *testing.T) {
 		s := r.sim(simNoises[1], 7)
 		s.openLoop(20, 300, rand.New(rand.NewSource(8)))
 		s.run(301)
-		if s.minW != startWindow || s.maxW != startWindow || s.adapt.Snapshot().Verdict != "" {
+		if s.minW != startWindow || s.maxW != startWindow || s.adapt.snapshot().Verdict != "" {
 			t.Errorf("%s at 20 arrivals/s: window ranged over [%d, %d] (%+v), want it left at %d",
-				r.name, s.minW, s.maxW, s.adapt.Snapshot(), startWindow)
+				r.name, s.minW, s.maxW, s.adapt.snapshot(), startWindow)
 		}
 		if len(s.batches) < 5000 {
 			t.Errorf("%s: only %d batches served", r.name, len(s.batches))

@@ -13,7 +13,7 @@ import (
 )
 
 func TestAIMDDefaults(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: 20 * time.Millisecond})
+	a := NewAIMD(AIMDConfig{SLO: 20 * time.Millisecond}).(*aimd)
 	if a.Name() != "aimd" {
 		t.Fatalf("Name = %q", a.Name())
 	}
@@ -33,7 +33,7 @@ func TestAIMDAdditiveIncrease(t *testing.T) {
 }
 
 func TestAIMDIgnoresUnderCapProbes(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: 20 * time.Millisecond})
+	a := NewAIMD(AIMDConfig{SLO: 20 * time.Millisecond}).(*aimd)
 	a.cap = 10
 	a.Observe(3, time.Millisecond) // small batch, under SLO: no info
 	if got := a.MaxBatch(); got != 10 {
@@ -42,7 +42,7 @@ func TestAIMDIgnoresUnderCapProbes(t *testing.T) {
 }
 
 func TestAIMDMultiplicativeBackoff(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: 10 * time.Millisecond})
+	a := NewAIMD(AIMDConfig{SLO: 10 * time.Millisecond}).(*aimd)
 	a.cap = 100
 	a.Observe(100, 50*time.Millisecond)
 	if got := a.MaxBatch(); got != 90 {
@@ -56,7 +56,7 @@ func TestAIMDMultiplicativeBackoff(t *testing.T) {
 }
 
 func TestAIMDFloorAndCeiling(t *testing.T) {
-	a := NewAIMD(AIMDConfig{SLO: time.Millisecond})
+	a := NewAIMD(AIMDConfig{SLO: time.Millisecond}).(*aimd)
 	a.cap = 2
 	for i := 0; i < 50; i++ {
 		a.Observe(a.MaxBatch(), time.Second)
@@ -255,15 +255,15 @@ func TestQueueCloseFailsPending(t *testing.T) {
 	close(results)
 	sawClosed := false
 	for err := range results {
-		if errors.Is(err, ErrQueueClosed) {
+		if errors.Is(err, errQueueClosed) {
 			sawClosed = true
 		}
 	}
 	if !sawClosed {
-		t.Fatal("no pending request observed ErrQueueClosed")
+		t.Fatal("no pending request observed errQueueClosed")
 	}
 	// Submissions after close fail fast.
-	if _, err := q.Submit(context.Background(), []float64{1}); !errors.Is(err, ErrQueueClosed) {
+	if _, err := q.Submit(context.Background(), []float64{1}); !errors.Is(err, errQueueClosed) {
 		t.Fatalf("post-close err = %v", err)
 	}
 }

@@ -6,7 +6,7 @@
 // Two adaptive controllers choose the maximum batch size: an
 // additive-increase/multiplicative-decrease (AIMD) scheme — Clipper's
 // default — and a quantile-regression scheme that fits the P99
-// latency-vs-batch-size line and inverts it at the SLO. Fixed and
+// latency-vs-batch-size line and inverts it at the SLO. NewFixed and
 // no-batching controllers serve as baselines. Delayed batching (§4.3.2)
 // optionally holds a non-full batch briefly so bursty workloads can fill
 // it, analogous to Nagle's algorithm.
@@ -45,7 +45,7 @@ const (
 	// are tens to hundreds of queries (Figure 3); 4096 only stops a cap
 	// that runs away while no batch ever fills it.
 	capCeiling = 4096
-	// qrTau is the latency quantile QuantileReg bounds: the paper's P99.
+	// qrTau is the latency quantile quantileReg bounds: the paper's P99.
 	qrTau = 0.99
 	// qrWindow is the observations the quantile line is fitted over: the
 	// last 512 batches, about five of them above the 99th percentile.
@@ -55,11 +55,11 @@ const (
 	qrRefitEvery = 32
 )
 
-// AIMD is Clipper's default adaptive controller: additively grow the batch
+// aimd is Clipper's default adaptive controller: additively grow the batch
 // cap while probed latencies stay under the SLO, and back off
 // multiplicatively by a small factor (paper: 10%) when a batch overruns it.
 // The cap starts at one query and grows only as batches earn it.
-type AIMD struct {
+type aimd struct {
 	slo      time.Duration
 	additive int
 	backoff  float64
@@ -80,14 +80,14 @@ type AIMDConfig struct {
 }
 
 // NewAIMD returns an AIMD controller for the given SLO.
-func NewAIMD(cfg AIMDConfig) *AIMD {
+func NewAIMD(cfg AIMDConfig) Controller {
 	if cfg.Additive <= 0 {
 		cfg.Additive = 1
 	}
 	if cfg.Backoff <= 0 || cfg.Backoff >= 1 {
 		cfg.Backoff = 0.9
 	}
-	return &AIMD{
+	return &aimd{
 		slo:      cfg.SLO,
 		additive: cfg.Additive,
 		backoff:  cfg.Backoff,
@@ -96,10 +96,10 @@ func NewAIMD(cfg AIMDConfig) *AIMD {
 }
 
 // Name implements Controller.
-func (a *AIMD) Name() string { return "aimd" }
+func (a *aimd) Name() string { return "aimd" }
 
 // MaxBatch implements Controller.
-func (a *AIMD) MaxBatch() int {
+func (a *aimd) MaxBatch() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return int(a.cap)
@@ -109,7 +109,7 @@ func (a *AIMD) MaxBatch() int {
 // multiplicative backoff; a full-cap batch under the SLO probes upward.
 // Under-cap batches under the SLO carry no information about the cap and
 // are ignored.
-func (a *AIMD) Observe(batch int, latency time.Duration) {
+func (a *aimd) Observe(batch int, latency time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if latency > a.slo {
@@ -124,11 +124,11 @@ func (a *AIMD) Observe(batch int, latency time.Duration) {
 	}
 }
 
-// QuantileReg sizes batches by fitting the tau-quantile of latency as a
+// quantileReg sizes batches by fitting the tau-quantile of latency as a
 // linear function of batch size over a sliding window of observations and
 // inverting the fit at the SLO (paper §4.3.1's alternative strategy). Like
 // AIMD, the cap starts at one query.
-type QuantileReg struct {
+type quantileReg struct {
 	slo time.Duration
 
 	mu       sync.Mutex
@@ -147,22 +147,22 @@ type QuantileRegConfig struct {
 }
 
 // NewQuantileReg returns a quantile-regression controller.
-func NewQuantileReg(cfg QuantileRegConfig) *QuantileReg {
-	return &QuantileReg{slo: cfg.SLO, cap: 1}
+func NewQuantileReg(cfg QuantileRegConfig) Controller {
+	return &quantileReg{slo: cfg.SLO, cap: 1}
 }
 
 // Name implements Controller.
-func (q *QuantileReg) Name() string { return "quantile-regression" }
+func (q *quantileReg) Name() string { return "quantile-regression" }
 
 // MaxBatch implements Controller.
-func (q *QuantileReg) MaxBatch() int {
+func (q *quantileReg) MaxBatch() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.cap
 }
 
 // Observe implements Controller.
-func (q *QuantileReg) Observe(batch int, latency time.Duration) {
+func (q *quantileReg) Observe(batch int, latency time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.sizes[q.next] = float64(batch)
@@ -199,16 +199,16 @@ func (q *QuantileReg) Observe(batch int, latency time.Duration) {
 	}
 }
 
-// Fixed is a constant-cap controller. Cap 1 is the "no batching" baseline
+// fixed is a constant-cap controller. Cap 1 is the "no batching" baseline
 // of Figure 4; larger caps emulate TensorFlow Serving's hand-tuned static
 // batch sizes (§6).
-type Fixed struct {
+type fixed struct {
 	cap  int
 	name string
 }
 
 // NewFixed returns a controller pinned at cap (min 1).
-func NewFixed(cap int) *Fixed {
+func NewFixed(cap int) Controller {
 	if cap < 1 {
 		cap = 1
 	}
@@ -216,14 +216,14 @@ func NewFixed(cap int) *Fixed {
 	if cap == 1 {
 		name = "no-batching"
 	}
-	return &Fixed{cap: cap, name: name}
+	return &fixed{cap: cap, name: name}
 }
 
 // Name implements Controller.
-func (f *Fixed) Name() string { return f.name }
+func (f *fixed) Name() string { return f.name }
 
 // MaxBatch implements Controller.
-func (f *Fixed) MaxBatch() int { return f.cap }
+func (f *fixed) MaxBatch() int { return f.cap }
 
 // Observe implements Controller (no adaptation).
-func (f *Fixed) Observe(int, time.Duration) {}
+func (f *fixed) Observe(int, time.Duration) {}

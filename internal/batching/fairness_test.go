@@ -234,7 +234,7 @@ func TestDefaultTenantSharesRotation(t *testing.T) {
 }
 
 // TestTenantCloseFailsQueued: requests parked in tenant sub-queues at
-// Close get exactly one ErrQueueClosed result (drainClosed), and
+// Close get exactly one errQueueClosed result (drainClosed), and
 // cancelled ones get none.
 func TestTenantCloseFailsQueued(t *testing.T) {
 	m := newGateModel()
@@ -260,8 +260,8 @@ func TestTenantCloseFailsQueued(t *testing.T) {
 	close(m.release)
 	select {
 	case res := <-pending.Done():
-		if res.Err != nil && res.Err != ErrQueueClosed {
-			t.Fatalf("pending err = %v, want nil or ErrQueueClosed", res.Err)
+		if res.Err != nil && res.Err != errQueueClosed {
+			t.Fatalf("pending err = %v, want nil or errQueueClosed", res.Err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("tenant-queued ticket never resolved on close")

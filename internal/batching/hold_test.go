@@ -76,7 +76,7 @@ type simFlight struct {
 	reqs          []*simReq
 }
 
-// simMaxBatch is the simulation's batch cap (a Fixed(64) controller).
+// simMaxBatch is the simulation's batch cap (a NewFixed(64) controller).
 const simMaxBatch = 64
 
 // holdSim is the collector's policy in virtual time: a window of w slots in
@@ -90,7 +90,7 @@ const simMaxBatch = 64
 type holdSim struct {
 	w     int // the window; adapt moves it
 	hold  bool
-	adapt *Adaptive
+	adapt *adaptive
 
 	fixed, perItem float64
 	lanes          int
@@ -103,7 +103,7 @@ type holdSim struct {
 	flights    []simFlight // by finish time, ties in dispatch order
 	arrivals   []float64   // future arrival instants, ascending
 	collecting bool        // the collector has a slot reserved
-	load       LoadModel
+	load       loadModel
 
 	done       func(now float64) // a request completed (closed loop: schedules the next)
 	dispatches []float64
@@ -425,7 +425,7 @@ func TestHoldEndsOnWindowGrow(t *testing.T) {
 	defer q.Close()
 	defer m.freeRun()
 	for i := 0; i < periodFloor; i++ {
-		q.Adaptive().tick(1, time.Millisecond, true)
+		q.adapt.tick(1, time.Millisecond, true)
 	}
 	if w := q.InFlight(); w != startWindow+1 {
 		t.Fatalf("window = %d after one window-bound period, want the first probe at %d", w, startWindow+1)
@@ -490,8 +490,8 @@ func TestCloseMidHold(t *testing.T) {
 	// No batch completes: Close alone must end the hold, and drainClosed
 	// answers what was held.
 	for i, tk := range tickets {
-		if res := <-tk.Done(); !errors.Is(res.Err, ErrQueueClosed) {
-			t.Fatalf("held ticket %d after Close: %+v, want ErrQueueClosed", i, res)
+		if res := <-tk.Done(); !errors.Is(res.Err, errQueueClosed) {
+			t.Fatalf("held ticket %d after Close: %+v, want errQueueClosed", i, res)
 		}
 	}
 	m.freeRun()
@@ -571,7 +571,7 @@ func submitLedgerUnderHolds(t *testing.T, inFlight int) {
 			}
 		}(&ledgers[g], rand.New(rand.NewSource(int64(g))))
 	}
-	if a := q.Adaptive(); a != nil {
+	if a := q.adapt; a != nil {
 		submitted := make(chan struct{})
 		probed := make(chan map[int]bool)
 		go func() {
@@ -590,8 +590,8 @@ func submitLedgerUnderHolds(t *testing.T, inFlight int) {
 		}()
 		defer func() {
 			close(submitted)
-			if windows := <-probed; len(windows) < 3 || a.Snapshot().Verdict == "" {
-				t.Errorf("the limit did not move mid-stream: saw windows %v, %+v", windows, a.Snapshot())
+			if windows := <-probed; len(windows) < 3 || a.snapshot().Verdict == "" {
+				t.Errorf("the limit did not move mid-stream: saw windows %v, %+v", windows, a.snapshot())
 			}
 		}()
 	}

@@ -23,9 +23,9 @@ import (
 // a stuck one.
 const tailDevs = 2
 
-// LoadModel is one replica queue's occupancy and speed. The zero value is
+// loadModel is one replica queue's occupancy and speed. The zero value is
 // a cold model.
-type LoadModel struct {
+type loadModel struct {
 	queued          atomic.Int64 // requests submitted, not yet claimed by the collector
 	inflightBatches atomic.Int64 // batches currently inside the container
 	inflightReqs    atomic.Int64 // requests claimed into a batch and not yet answered
@@ -85,7 +85,7 @@ type LoadStats struct {
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // Stats snapshots the model.
-func (m *LoadModel) Stats() LoadStats {
+func (m *loadModel) Stats() LoadStats {
 	return LoadStats{
 		Queued:          int(m.queued.Load()),
 		InFlightBatches: int(m.inflightBatches.Load()),
@@ -107,7 +107,7 @@ func (m *LoadModel) Stats() LoadStats {
 // a serial container's per-query time already carries the wait inside it.
 // ok is false while the estimate is cold (no batch has completed yet), in
 // which case the caller should fall back to round-robin to warm it.
-func (m *LoadModel) Cost(window int) (cost time.Duration, ok bool) {
+func (m *loadModel) Cost(window int) (cost time.Duration, ok bool) {
 	per := m.perQuery.Value()
 	if per <= 0 {
 		return 0, false
@@ -117,12 +117,12 @@ func (m *LoadModel) Cost(window int) (cost time.Duration, ok bool) {
 }
 
 // Tail returns the high estimate of request sojourn, zero while cold.
-func (m *LoadModel) Tail() time.Duration {
+func (m *loadModel) Tail() time.Duration {
 	return seconds(m.sojourn.Value() + tailDevs*m.sojournDev.Value())
 }
 
 // arrivalRate is the smoothed enqueue rate per second, zero while cold.
-func (m *LoadModel) arrivalRate() float64 {
+func (m *loadModel) arrivalRate() float64 {
 	if gap := m.arrGap.Value(); gap > 0 {
 		return m.arrN.Value() / gap
 	}
@@ -131,7 +131,7 @@ func (m *LoadModel) arrivalRate() float64 {
 
 // sampleArrivals folds the enqueues since the previous call into the
 // arrival rate. Only the collector calls it.
-func (m *LoadModel) sampleArrivals(now time.Time) {
+func (m *loadModel) sampleArrivals(now time.Time) {
 	n := m.arrivals.Swap(0)
 	if !m.arrAt.IsZero() {
 		m.arrN.Observe(float64(n))
@@ -145,7 +145,7 @@ func (m *LoadModel) sampleArrivals(now time.Time) {
 // dispatch. This is the only writer of the estimates. Concurrent pipeline
 // workers may interleave; each cell is a CAS, and a deviation taken
 // against a mean one sample stale is still a deviation of the series.
-func (m *LoadModel) observe(n int, lat, oldestWait time.Duration) {
+func (m *loadModel) observe(n int, lat, oldestWait time.Duration) {
 	m.completed.Add(int64(n))
 	m.perQuery.Observe(lat.Seconds() / float64(n))
 	m.batchLat.Observe(lat.Seconds())
@@ -167,7 +167,7 @@ func (m *LoadModel) observe(n int, lat, oldestWait time.Duration) {
 func (q *Queue) LoadStats() LoadStats { return q.load.Stats() }
 
 // EstimateCost is the load model's price for one more query on this
-// replica at its current window; see LoadModel.Cost.
+// replica at its current window; see loadModel.Cost.
 func (q *Queue) EstimateCost() (cost time.Duration, ok bool) { return q.load.Cost(q.win.curLimit()) }
 
 // take accounts for r leaving the queue and reports whether the collector

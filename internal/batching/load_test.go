@@ -13,7 +13,7 @@ import (
 )
 
 func TestLoadModelCold(t *testing.T) {
-	var m LoadModel
+	var m loadModel
 	if cost, ok := m.Cost(1); ok || cost != 0 {
 		t.Fatalf("cold Cost = %v, %v; want 0, false", cost, ok)
 	}
@@ -36,12 +36,12 @@ func TestLoadModelTracksSeries(t *testing.T) {
 		name    string
 		batches int
 		lat     func(i int) time.Duration
-		check   func(t *testing.T, m *LoadModel)
+		check   func(t *testing.T, m *loadModel)
 	}{
 		{
 			name: "constant converges", batches: 60,
 			lat: func(int) time.Duration { return ms(3) },
-			check: func(t *testing.T, m *LoadModel) {
+			check: func(t *testing.T, m *loadModel) {
 				if got := m.perQuery.Value(); !within(got, 0.003/n, 1e-9) {
 					t.Errorf("per-query = %v, want %v", got, 0.003/n)
 				}
@@ -63,7 +63,7 @@ func TestLoadModelTracksSeries(t *testing.T) {
 				}
 				return ms(8)
 			},
-			check: func(t *testing.T, m *LoadModel) {
+			check: func(t *testing.T, m *loadModel) {
 				for name, got := range map[string]float64{
 					"per-query×n":   m.perQuery.Value() * n,
 					"batch latency": m.batchLat.Value(),
@@ -78,7 +78,7 @@ func TestLoadModelTracksSeries(t *testing.T) {
 		{
 			name: "stationary ±5% keeps the tail near the mean", batches: 400,
 			lat: func(int) time.Duration { return ms(4 * (0.95 + 0.1*rng.Float64())) },
-			check: func(t *testing.T, m *LoadModel) {
+			check: func(t *testing.T, m *loadModel) {
 				mean, tail := m.sojourn.Value(), m.Tail().Seconds()
 				if tail < mean || tail > 1.5*mean {
 					t.Errorf("Tail = %v outside [mean, 1.5·mean] for mean %v", tail, mean)
@@ -88,7 +88,7 @@ func TestLoadModelTracksSeries(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var m LoadModel
+			var m loadModel
 			for i := 0; i < c.batches; i++ {
 				m.observe(n, c.lat(i), 0)
 			}
@@ -104,7 +104,7 @@ func TestLoadModelTracksSeries(t *testing.T) {
 // put on one query: the model's per-query estimate is, bit for bit, a
 // default metrics.EWMA fed batch_latency/batch_size.
 func TestLoadModelPerQueryIsTheEWMASeries(t *testing.T) {
-	var m LoadModel
+	var m loadModel
 	var e metrics.EWMA
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -122,7 +122,7 @@ func TestLoadModelPerQueryIsTheEWMASeries(t *testing.T) {
 // CI): no observation is lost and every estimate stays inside the range
 // of what was observed.
 func TestLoadModelConcurrent(t *testing.T) {
-	var m LoadModel
+	var m loadModel
 	const writers, per, n = 8, 500, 4
 	stop := make(chan struct{})
 	var readers, wg sync.WaitGroup
@@ -247,8 +247,8 @@ func TestCostDividesByTheWindow(t *testing.T) {
 	if !ok || cost < lat || cost > lat*5/4 {
 		t.Fatalf("16 singletons in flight on a 16-wide replica: one more query priced at %v, want about one batch latency (%v)", cost, lat)
 	}
-	var shallow, deep LoadModel
-	for _, l := range []*LoadModel{&shallow, &deep} {
+	var shallow, deep loadModel
+	for _, l := range []*loadModel{&shallow, &deep} {
 		l.observe(1, lat, 0)
 	}
 	shallow.queued.Store(3)
@@ -269,7 +269,7 @@ func TestCostDividesByTheWindow(t *testing.T) {
 func TestRobustLatencyShrugsOffOutliers(t *testing.T) {
 	const body = 2 * time.Millisecond
 	rng := rand.New(rand.NewSource(3))
-	var m LoadModel
+	var m loadModel
 	var worstRobust, worstPlain float64
 	for i := 1; i <= 400; i++ {
 		lat := time.Duration(float64(body) * (0.97 + 0.06*rng.Float64()))
@@ -294,7 +294,7 @@ func TestRobustLatencyShrugsOffOutliers(t *testing.T) {
 // TestRobustLatencyFollowsAStep: clipping must not blind the cell to a real
 // change — a 3× step is within 10 % after twelve batches.
 func TestRobustLatencyFollowsAStep(t *testing.T) {
-	var m LoadModel
+	var m loadModel
 	for i := 0; i < 30; i++ {
 		m.observe(8, 2*time.Millisecond, 0)
 	}
@@ -311,7 +311,7 @@ func TestRobustLatencyFollowsAStep(t *testing.T) {
 // arrival 10 µs after the last sample, an instantaneous 100 000/s — does
 // not spike the rate.
 func TestArrivalRateIsARatioOfSums(t *testing.T) {
-	var m LoadModel
+	var m loadModel
 	if m.arrivalRate() != 0 {
 		t.Fatal("cold arrival rate is not zero")
 	}

@@ -65,13 +65,13 @@ func (p *windowProbe) PredictBatch(xs [][]float64) ([]container.Prediction, erro
 
 func TestQueueInFlightWindow(t *testing.T) {
 	q := NewQueue(&countingPredictor{}, QueueConfig{Controller: NewFixed(1)})
-	if got := q.InFlight(); got != startWindow || q.Adaptive() == nil {
-		t.Fatalf("InFlight 0 starts at %d (controller %v), want a measured window starting at %d", got, q.Adaptive(), startWindow)
+	if got := q.InFlight(); got != startWindow || q.adapt == nil {
+		t.Fatalf("InFlight 0 starts at %d (controller %v), want a measured window starting at %d", got, q.adapt, startWindow)
 	}
 	q.Close()
 	q = NewQueue(&countingPredictor{}, QueueConfig{Controller: NewFixed(1), InFlight: 1})
-	if got := q.InFlight(); got != 1 || q.Adaptive() != nil {
-		t.Fatalf("InFlight = %d (controller %v), want 1 and pinned", got, q.Adaptive())
+	if got := q.InFlight(); got != 1 || q.adapt != nil {
+		t.Fatalf("InFlight = %d (controller %v), want 1 and pinned", got, q.adapt)
 	}
 	q.Close()
 }
@@ -97,8 +97,8 @@ func TestCloseWhileWindowFull(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	go func() { q.Close(); close(closed) }()
-	if res := <-queued.Done(); !errors.Is(res.Err, ErrQueueClosed) {
-		t.Fatalf("queued behind a full window at Close: %+v, want ErrQueueClosed", res)
+	if res := <-queued.Done(); !errors.Is(res.Err, errQueueClosed) {
+		t.Fatalf("queued behind a full window at Close: %+v, want errQueueClosed", res)
 	}
 	m.freeRun()
 	<-closed

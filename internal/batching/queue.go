@@ -37,7 +37,7 @@ type Result struct {
 //
 // The completion rule, stated here and nowhere else: whoever claims a request
 // owes its done exactly one call — runBatch with the row's prediction or the
-// batch's error, drainClosed with ErrQueueClosed — on the goroutine that
+// batch's error, drainClosed with errQueueClosed — on the goroutine that
 // completed it: a batch's worker, or the collector itself while the window is
 // 1 and at shutdown. done must not block: that goroutine delivers the rest of
 // its batch, and at window 1 every later batch, only after it returns. Nothing
@@ -85,8 +85,8 @@ func putBatch(batch []*Request) {
 	batchPool.Put(batch[:0])
 }
 
-// ErrQueueClosed is returned for submissions to a closed queue.
-var ErrQueueClosed = errors.New("batching: queue closed")
+// errQueueClosed is returned for submissions to a closed queue.
+var errQueueClosed = errors.New("batching: queue closed")
 
 // ErrQueueFull is Start's refusal of a submission to a full sub-queue.
 var ErrQueueFull = errors.New("batching: tenant sub-queue full")
@@ -110,7 +110,7 @@ type QueueConfig struct {
 	// inside the container RPC the collector keeps assembling and
 	// dispatching more, overlapping serialization, network, and compute
 	// (each rpc connection already multiplexes requests).
-	// Zero means measured: the window starts at 4 and the queue's Adaptive
+	// Zero means measured: the window starts at 4 and its controller
 	// moves it, up to the replica's lanes or the load's demand, by what more
 	// batches in flight do to batch latency on this replica (adaptive.go).
 	// A positive value pins it; 1 is the paper's serial
@@ -121,7 +121,7 @@ type QueueConfig struct {
 	// many batches may be outstanding, Conns says how many can be *on the
 	// wire* at once. Over one connection, concurrent batch frames
 	// serialize behind each other's writes, so on transfer-bound links
-	// throughput scales with min(InFlight, Conns); see
+	// throughput scales with min(InFlight, Conns); see the RPC section of
 	// docs/ARCHITECTURE.md.
 	InFlight int
 }
@@ -159,7 +159,7 @@ type Queue struct {
 	done  chan struct{} // closed when the collector has drained and exited
 	wake  chan struct{} // buffered(1): "a request arrived" for a parked collector
 	win   *winSem       // pipeline window; only adapt ever resizes it
-	adapt *Adaptive     // nil when the window is pinned
+	adapt *adaptive     // nil when the window is pinned
 	wg    sync.WaitGroup
 
 	// mu guards the one place requests wait and everything that orders
@@ -178,7 +178,7 @@ type Queue struct {
 
 	// load is the replica's one load model (load.go): occupancy moved at
 	// every queue transition, speed estimates written once per batch.
-	load LoadModel
+	load loadModel
 
 	// Latency and batch-size telemetry for the experiments and the
 	// benchmark. No controller reads these.
@@ -229,9 +229,14 @@ func (q *Queue) Controller() Controller { return q.ctrl }
 // configuration, or where the window controller has it now.
 func (q *Queue) InFlight() int { return q.win.curLimit() }
 
-// Adaptive returns the queue's window controller (nil when the window is
-// pinned).
-func (q *Queue) Adaptive() *Adaptive { return q.adapt }
+// Window reports the measured window's operating point; ok is false when
+// the window is pinned.
+func (q *Queue) Window() (snap AdaptiveSnapshot, ok bool) {
+	if q.adapt == nil {
+		return snap, false
+	}
+	return q.adapt.snapshot(), true
+}
 
 // Submit is Start on the default tenant plus a wait for its one Result. If
 // ctx ends first the request is withdrawn while still queued; one a batch
@@ -266,7 +271,7 @@ func (q *Queue) Start(ctx context.Context, tenant string, r *Request, x []float6
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return ErrQueueClosed
+		return errQueueClosed
 	}
 	t := q.tenantLocked(tenant)
 	if t.n >= queueDepth {
@@ -291,7 +296,7 @@ func (q *Queue) Start(ctx context.Context, tenant string, r *Request, x []float6
 }
 
 // Close stops the dispatcher, waits for in-flight batches to deliver, and
-// fails queued requests with ErrQueueClosed.
+// fails queued requests with errQueueClosed.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	if !q.closed {
@@ -353,9 +358,16 @@ func (q *Queue) dispatchLoop() {
 // means keep it back rather than spend it on what is queued now. Only the
 // window's last free slot is held (while another is free no arrival can find
 // the pipeline shut), and only while rate·next — the arrivals expected before
-// the next in-flight batch should complete — is at least queued+2. The
-// derivation, and why no timer ends a hold: docs/ARCHITECTURE.md, "The hold
-// rule".
+// the next in-flight batch should complete — is at least queued+2.
+//
+// Derivation: holding for h makes the queued requests wait h longer, cost
+// queued·h; the rate·h that arrive meanwhile leave with them instead of
+// finding the pipeline shut until next, saving rate·h·(next − h). The gain
+// peaks at h* = (next − queued/rate)/2, and a hold is worth starting only
+// if one arrival is expected inside it, rate·h* ≥ 1: rate·next ≥ queued+2.
+// No timer ends a hold at h*: an idle runtime fires a sub-millisecond
+// timer up to 1 ms late (frameworks' sleepUntil says why), half a round
+// trip. Events end it instead: an arrival, a completion, a window resize.
 func holdLast(queued int, rate float64, next time.Duration, held, limit int) bool {
 	return limit > 1 && held == limit && queued > 0 && next > 0 &&
 		rate*next.Seconds() >= float64(queued+2)
@@ -509,6 +521,6 @@ func (q *Queue) drainClosed() {
 	}
 	q.mu.Unlock()
 	for _, r := range failed {
-		r.done(Result{Err: ErrQueueClosed})
+		r.done(Result{Err: errQueueClosed})
 	}
 }

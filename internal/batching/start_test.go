@@ -313,11 +313,11 @@ func TestTicketQueueCloseFailsPending(t *testing.T) {
 	}
 	// The pending ticket races Close's drain against the dispatcher's last
 	// collect: it must get exactly one Result either way — a prediction if
-	// the dispatcher won, ErrQueueClosed if the drain did.
+	// the dispatcher won, errQueueClosed if the drain did.
 	select {
 	case res := <-pending.Done():
-		if res.Err != nil && res.Err != ErrQueueClosed {
-			t.Fatalf("pending ticket err = %v, want nil or ErrQueueClosed", res.Err)
+		if res.Err != nil && res.Err != errQueueClosed {
+			t.Fatalf("pending ticket err = %v, want nil or errQueueClosed", res.Err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending ticket never resolved on close")

@@ -30,7 +30,7 @@ func (e *ledgerEntry) done(r Result) {
 // Starts are filed as they are issued; settle checks the lot.
 type submitLedger struct {
 	live, withdrawn, refused []*ledgerEntry
-	closed                   bool // Close has been called: ErrQueueClosed is now a legal outcome
+	closed                   bool // Close has been called: errQueueClosed is now a legal outcome
 }
 
 // start issues and files one Start (cancelNow: race an immediate Cancel
@@ -54,14 +54,14 @@ func (l *submitLedger) start(ctx context.Context, q *Queue, tenant string, x []f
 // own context may refuse.
 func (l *submitLedger) enqueueErr(t *testing.T, err error) {
 	t.Helper()
-	if !(l.closed && errors.Is(err, ErrQueueClosed)) && !errors.Is(err, context.Canceled) {
+	if !(l.closed && errors.Is(err, errQueueClosed)) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("submit refused with %v (closed=%v)", err, l.closed)
 	}
 }
 
 // settle waits for every live entry's done, closes the queue, and checks
 // each fired exactly once — with a prediction, a batch error the test caused
-// (batchErr, may be nil) or, after Close, ErrQueueClosed — that nothing
+// (batchErr, may be nil) or, after Close, errQueueClosed — that nothing
 // withdrawn or refused fired at all, and that the queue's occupancy is back
 // to zero.
 func (l *submitLedger) settle(t *testing.T, q *Queue, batchErr error) {
@@ -70,7 +70,7 @@ func (l *submitLedger) settle(t *testing.T, q *Queue, batchErr error) {
 		select {
 		case res := <-e.first:
 			e.res = res
-			if res.Err != nil && !(l.closed && res.Err == ErrQueueClosed) && !(batchErr != nil && errors.Is(res.Err, batchErr)) {
+			if res.Err != nil && !(l.closed && res.Err == errQueueClosed) && !(batchErr != nil && errors.Is(res.Err, batchErr)) {
 				t.Fatalf("start %d failed: %v", i, res.Err)
 			}
 		case <-time.After(10 * time.Second):

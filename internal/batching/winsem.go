@@ -7,7 +7,7 @@ import (
 )
 
 // winSem is the counting semaphore behind every queue's pipeline window.
-// It is resizable because an Adaptive controller moves its limit at
+// It is resizable because the window controller moves its limit at
 // runtime; a pinned window is a winSem nobody resizes.
 //
 // Only the queue's collector acquires; workers release from their own
@@ -109,7 +109,7 @@ func (w *winSem) setLimit(n int) {
 }
 
 // curLimit returns the current window limit. Lock-free: JSQ prices every
-// query with it (LoadModel.Cost).
+// query with it (loadModel.Cost).
 func (w *winSem) curLimit() int { return int(w.limit.Load()) }
 
 // close fails current and future acquires. Held slots may still release.

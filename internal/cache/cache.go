@@ -139,7 +139,7 @@ const probationDiv = 4
 const minShardCapacity = 64
 
 // Cache is a lock-striped prediction cache with probation+CLOCK eviction,
-// safe for concurrent use. Construct with New or NewSharded.
+// safe for concurrent use. Construct with New or newSharded.
 type Cache struct {
 	shards []shard
 	shift  uint // shard index = mix(QueryID) >> shift
@@ -151,16 +151,16 @@ type Cache struct {
 // reduced so every shard keeps useful rings). Capacity below 1 is
 // raised to 1.
 func New(capacity int) *Cache {
-	return NewSharded(capacity, 0)
+	return newSharded(capacity, 0)
 }
 
-// NewSharded returns a cache holding up to capacity predictions split over
+// newSharded returns a cache holding up to capacity predictions split over
 // the given number of shards. shards is rounded up to a power of two;
 // shards <= 0 selects the automatic sizing used by New. Shard counts that
 // would leave a shard with fewer than minShardCapacity slots are reduced,
-// so NewSharded(n, 1) is always exactly a single-mutex cache (the baseline
+// so newSharded(n, 1) is always exactly a single-mutex cache (the baseline
 // the parallel benchmarks compare against).
-func NewSharded(capacity, shards int) *Cache {
+func newSharded(capacity, shards int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -268,7 +268,7 @@ func TestStatsAndHitRate(t *testing.T) {
 }
 
 func TestShardStats(t *testing.T) {
-	c := NewSharded(256, 4)
+	c := newSharded(256, 4)
 	if c.Shards() != 4 {
 		t.Fatalf("shards = %d", c.Shards())
 	}
@@ -396,7 +396,7 @@ func TestShardCapacitySumsToTotal(t *testing.T) {
 		{1, 0}, {3, 0}, {100, 0}, {1 << 16, 0},
 		{1000, 4}, {1 << 12, 8}, {130, 2}, {1 << 16, 7},
 	} {
-		c := NewSharded(tc.capacity, tc.shards)
+		c := newSharded(tc.capacity, tc.shards)
 		sum := 0
 		for i := range c.shards {
 			s := &c.shards[i]
@@ -419,13 +419,13 @@ func TestShardCapacitySumsToTotal(t *testing.T) {
 	if n := New(4).Shards(); n != 1 {
 		t.Fatalf("New(4).Shards() = %d, want 1", n)
 	}
-	if n := NewSharded(1<<16, 1).Shards(); n != 1 {
-		t.Fatalf("NewSharded(_, 1).Shards() = %d, want 1", n)
+	if n := newSharded(1<<16, 1).Shards(); n != 1 {
+		t.Fatalf("newSharded(_, 1).Shards() = %d, want 1", n)
 	}
 }
 
 func TestKeysSpreadAcrossShards(t *testing.T) {
-	c := NewSharded(1<<12, 8)
+	c := newSharded(1<<12, 8)
 	if c.Shards() != 8 {
 		t.Fatalf("want 8 shards, got %d", c.Shards())
 	}
@@ -471,7 +471,7 @@ func TestShardIsWholeCacheLines(t *testing.T) {
 // -race. It also proves Stats stays exact: every Fetch/Request increments
 // exactly one of hits/misses.
 func TestConcurrentShardedStress(t *testing.T) {
-	c := NewSharded(1<<12, 8)
+	c := newSharded(1<<12, 8)
 	if c.Shards() < 2 {
 		t.Fatalf("stress test needs multiple shards, got %d", c.Shards())
 	}
@@ -563,7 +563,7 @@ func benchmarkCacheParallel(b *testing.B, c *Cache) {
 }
 
 // BenchmarkCacheParallel compares the lock-striped cache against a
-// single-mutex baseline (NewSharded with one shard) under parallel load:
+// single-mutex baseline (newSharded with one shard) under parallel load:
 //
 //	go test ./internal/cache/ -bench=CacheParallel -cpu=8
 func BenchmarkCacheParallel(b *testing.B) {
@@ -571,7 +571,7 @@ func BenchmarkCacheParallel(b *testing.B) {
 		benchmarkCacheParallel(b, New(1<<16))
 	})
 	b.Run("single-mutex", func(b *testing.B) {
-		benchmarkCacheParallel(b, NewSharded(1<<16, 1))
+		benchmarkCacheParallel(b, newSharded(1<<16, 1))
 	})
 }
 

@@ -78,7 +78,7 @@ func TestZipfHitRatioBeatsClock(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		rng := rand.New(rand.NewSource(1))
 		z := rand.NewZipf(rng, 1.1, 1, 7999)
-		got, clock := hitRatios(NewSharded(1024, shards), newRefClock(1024), z.Uint64, 200_000, 1_200_000)
+		got, clock := hitRatios(newSharded(1024, shards), newRefClock(1024), z.Uint64, 200_000, 1_200_000)
 		t.Logf("shards=%d: hit ratio %.4f, reference CLOCK %.4f", shards, got, clock)
 		if got < 0.825 {
 			t.Errorf("shards=%d: Zipf(1.1) hit ratio %.4f, want ≥ 0.825", shards, got)
@@ -94,7 +94,7 @@ func TestZipfHitRatioBeatsClock(t *testing.T) {
 func TestUniformHitRatioIsCapacityShare(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	next := func() uint64 { return uint64(rng.Intn(8000)) }
-	got, clock := hitRatios(NewSharded(1024, 8), newRefClock(1024), next, 200_000, 1_200_000)
+	got, clock := hitRatios(newSharded(1024, 8), newRefClock(1024), next, 200_000, 1_200_000)
 	t.Logf("hit ratio %.4f, reference CLOCK %.4f", got, clock)
 	if want := 1024.0 / 8000; got < want-0.01 || got > want+0.01 {
 		t.Fatalf("uniform hit ratio %.4f, want %.3f ± 0.01", got, want)
@@ -108,7 +108,7 @@ func TestRecentInsertsStayResident(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
-		c := NewSharded(n, 1)
+		c := newSharded(n, 1)
 		window := max(1, n/probationDiv)
 		var inserted []uint64
 		for op := 0; op < 4000; op++ {
@@ -137,7 +137,7 @@ func TestNoUnderFillWithoutHits(t *testing.T) {
 	for _, tc := range []struct{ capacity, shards int }{
 		{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {64, 1}, {1000, 1}, {1024, 8},
 	} {
-		c := NewSharded(tc.capacity, tc.shards)
+		c := newSharded(tc.capacity, tc.shards)
 		// Single shard: exactly Capacity() inserts fill it. Striped: ids
 		// spread unevenly, so insert until the emptiest shard is full too.
 		n := tc.capacity
@@ -223,7 +223,7 @@ func TestPolicyMatchesNaiveModel(t *testing.T) {
 		if seed < 4 {
 			n = int(seed) + 1 // capacities 1-4: probation-only, then 1+rest
 		}
-		c := NewSharded(n, 1)
+		c := newSharded(n, 1)
 		s := &c.shards[0]
 		m := &refModel{nprob: max(1, n/probationDiv)}
 		m.nprot = n - m.nprob

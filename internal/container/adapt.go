@@ -25,7 +25,7 @@ func (a rowsView) PredictView(v BatchView, out *PredictionView) error {
 	if err != nil {
 		return err
 	}
-	if err := Validate(preds, len(xs)); err != nil {
+	if err := validate(preds, len(xs)); err != nil {
 		return err
 	}
 	out.Reset()

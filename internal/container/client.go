@@ -57,8 +57,8 @@ func newRemote(p *rpc.Pool) (*Remote, error) {
 		p.Close()
 		return nil, err
 	}
-	info, err := DecodeInfo(raw.Data)
-	raw.Release() // DecodeInfo copied everything out
+	info, err := decodeInfo(raw.Data)
+	raw.Release() // decodeInfo copied everything out
 	if err != nil {
 		p.Close()
 		return nil, err
@@ -131,7 +131,7 @@ func (r *Remote) PredictViewContext(ctx context.Context, v *BatchView, deliver f
 	closed := r.closed
 	r.mu.Unlock()
 	if closed {
-		return ErrContainerClosed
+		return errContainerClosed
 	}
 	buf := encBufPool.Get().(*[]byte)
 	payload := AppendBatchView((*buf)[:0], v)

@@ -61,10 +61,10 @@ func TestInfoString(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := Validate(make([]Prediction, 3), 3); err != nil {
+	if err := validate(make([]Prediction, 3), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(make([]Prediction, 2), 3); err == nil {
+	if err := validate(make([]Prediction, 2), 3); err == nil {
 		t.Fatal("expected mismatch error")
 	}
 }
@@ -150,7 +150,7 @@ func TestRemoteClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-	if _, err := r.PredictBatch([][]float64{{1}}); !errors.Is(err, ErrContainerClosed) {
+	if _, err := r.PredictBatch([][]float64{{1}}); !errors.Is(err, errContainerClosed) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -205,58 +205,6 @@ func TestLoopbackConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestRegistryLifecycle(t *testing.T) {
-	reg := NewRegistry()
-	stopped := 0
-	repA := reg.Add(newFake("a"), func() { stopped++ })
-	reg.Add(newFake("a"), func() { stopped++ })
-	reg.Add(newFake("b"), nil)
-
-	if got := reg.Models(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Models = %v", got)
-	}
-	if got := reg.Replicas("a"); len(got) != 2 {
-		t.Fatalf("a replicas = %d", len(got))
-	}
-	if got := reg.Replicas("missing"); len(got) != 0 {
-		t.Fatalf("missing replicas = %d", len(got))
-	}
-
-	if !reg.Remove(repA.ID) {
-		t.Fatal("Remove failed")
-	}
-	if stopped != 1 {
-		t.Fatalf("stopped = %d", stopped)
-	}
-	if reg.Remove(repA.ID) {
-		t.Fatal("double Remove should report false")
-	}
-	if got := reg.Replicas("a"); len(got) != 1 {
-		t.Fatalf("a replicas after remove = %d", len(got))
-	}
-
-	reg.Close()
-	if stopped != 2 {
-		t.Fatalf("stopped after Close = %d", stopped)
-	}
-	if len(reg.Models()) != 0 {
-		t.Fatal("registry not emptied")
-	}
-}
-
-func TestRegistryUniqueIDs(t *testing.T) {
-	reg := NewRegistry()
-	defer reg.Close()
-	seen := map[string]bool{}
-	for i := 0; i < 10; i++ {
-		rep := reg.Add(newFake("m"), nil)
-		if seen[rep.ID] {
-			t.Fatalf("duplicate replica id %q", rep.ID)
-		}
-		seen[rep.ID] = true
 	}
 }
 

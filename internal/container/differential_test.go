@@ -432,7 +432,7 @@ func TestRowShapeEqualsViewShape(t *testing.T) {
 
 		// Close while a batch is inside the predictor: that batch still
 		// delivers, and the request queued behind it gets exactly one
-		// Result — its prediction or ErrQueueClosed, whichever side of the
+		// Result — its prediction or the queue-closed error, whichever side of the
 		// close it fell on.
 		t.Run(mode+"/Close mid-flight", func(t *testing.T) {
 			b := behaviour{info: info, gate: make(chan struct{})}

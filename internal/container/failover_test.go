@@ -3,7 +3,7 @@ package container_test
 // Connection-pool failover through the full stack: a batching.Queue
 // dispatching pipelined batches to a container.Remote backed by an
 // rpc.Pool, with one pooled connection killed mid-flight. The contract
-// under test is the one docs/ARCHITECTURE.md states for the pipeline:
+// under test is the completion rule (docs/ARCHITECTURE.md, Batching):
 // every submitted request receives exactly one Result — batches in flight
 // on the dead connection deliver error Results, batches on the surviving
 // connections (and all later batches) deliver predictions — and the

@@ -224,7 +224,7 @@ func TestPredictViewContextMatchesPredictBatch(t *testing.T) {
 func TestPredictViewContextErrorDeliversNothing(t *testing.T) {
 	boom := NewFuncView(Info{Name: "boom", Version: 1},
 		func(v BatchView, out *PredictionView) error {
-			return ErrContainerClosed
+			return errContainerClosed
 		})
 	remote, stop, err := Loopback(boom)
 	if err != nil {

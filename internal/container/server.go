@@ -58,7 +58,7 @@ func Handler(p Predictor) rpc.Handler {
 		case rpc.MethodPredict:
 			return predict(vp, payload, scratch)
 		case rpc.MethodInfo:
-			return EncodeInfo(p.Info()), nil
+			return encodeInfo(p.Info()), nil
 		default:
 			return nil, fmt.Errorf("container: unknown method %d", method)
 		}

@@ -85,13 +85,13 @@ type ViewPredictor interface {
 	PredictView(v BatchView, out *PredictionView) error
 }
 
-// ErrContainerClosed is returned by predictions issued to a closed
+// errContainerClosed is returned by predictions issued to a closed
 // container.
-var ErrContainerClosed = errors.New("container: closed")
+var errContainerClosed = errors.New("container: closed")
 
-// Validate checks that preds matches the batch size n, guarding against
+// validate checks that preds matches the batch size n, guarding against
 // misbehaving model containers.
-func Validate(preds []Prediction, n int) error { return checkCount(len(preds), n) }
+func validate(preds []Prediction, n int) error { return checkCount(len(preds), n) }
 
 // checkCount is the container contract — exactly one prediction per
 // input — in whichever form the predictions are held.
@@ -100,4 +100,16 @@ func checkCount(got, want int) error {
 		return fmt.Errorf("container: got %d predictions for %d inputs", got, want)
 	}
 	return nil
+}
+
+// Replica is one deployed copy of a model container. Clipper batches
+// independently per replica (paper §4.4.1) because replicas can have
+// different performance characteristics.
+type Replica struct {
+	// ID uniquely names this replica, e.g. "sklearn-svm:v1/0".
+	ID string
+	// Pred is the replica's prediction handle (local loopback or remote).
+	Pred Predictor
+	// Stop releases the replica's resources. May be nil.
+	Stop func()
 }

@@ -161,10 +161,10 @@ func AppendBatchView(dst []byte, v *BatchView) []byte {
 	return dst
 }
 
-// EncodeInfo serializes a model description.
+// encodeInfo serializes a model description.
 //
 // Layout: u16 nameLen, name bytes, i32 version, i32 inputDim, i32 classes.
-func EncodeInfo(info Info) []byte {
+func encodeInfo(info Info) []byte {
 	name := []byte(info.Name)
 	buf := make([]byte, 2+len(name)+12)
 	binary.LittleEndian.PutUint16(buf, uint16(len(name)))
@@ -176,8 +176,8 @@ func EncodeInfo(info Info) []byte {
 	return buf
 }
 
-// DecodeInfo reverses EncodeInfo.
-func DecodeInfo(buf []byte) (Info, error) {
+// decodeInfo reverses EncodeInfo.
+func decodeInfo(buf []byte) (Info, error) {
 	if len(buf) < 2 {
 		return Info{}, fmt.Errorf("container: info truncated")
 	}

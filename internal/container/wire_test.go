@@ -148,7 +148,7 @@ func TestPredictionsCodecTruncated(t *testing.T) {
 
 func TestInfoCodecRoundTrip(t *testing.T) {
 	in := Info{Name: "sklearn-svm", Version: 7, InputDim: 784, NumClasses: 10}
-	out, err := DecodeInfo(EncodeInfo(in))
+	out, err := decodeInfo(encodeInfo(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,9 @@ func TestInfoCodecRoundTrip(t *testing.T) {
 }
 
 func TestInfoCodecTruncated(t *testing.T) {
-	buf := EncodeInfo(Info{Name: "x", Version: 1})
+	buf := encodeInfo(Info{Name: "x", Version: 1})
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := DecodeInfo(buf[:cut]); err == nil {
+		if _, err := decodeInfo(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}

@@ -96,9 +96,10 @@ type Response struct {
 }
 
 // reserveDiv fixes the reply reserve: the straggler wait ends SLO/reserveDiv
-// before arrival + SLO, which is what the timer's granularity, Combine, the
-// response encode and write, and the client's own scheduler get. A constant
-// of the law, not a knob; derived in docs/ARCHITECTURE.md, "The deadline".
+// before arrival + SLO, which is what the timer firing late (up to 1 ms on
+// an idle runtime), Combine, the response encode and write (≈ 0.1 ms) and
+// the client's own scheduler get: 2 ms at the paper's 20 ms SLO. A tenth
+// scales with the SLO, so it is a constant of the law, not a knob.
 const reserveDiv = 10
 
 // Application is a registered application within a Clipper instance. Its
@@ -140,7 +141,7 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	apps := *cl.apps.Load()
 	if _, dup := apps[cfg.Name]; dup {
@@ -150,7 +151,7 @@ func (cl *Clipper) RegisterApp(cfg AppConfig) (*Application, error) {
 	all := make([]int, len(cfg.Models))
 	for i, m := range cfg.Models {
 		if scheds[i], all[i] = cl.scheds[m], i; scheds[i] == nil {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownModel, m)
+			return nil, fmt.Errorf("%w: %q", errUnknownModel, m)
 		}
 	}
 	app := &Application{

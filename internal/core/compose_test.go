@@ -93,8 +93,8 @@ func TestControllersShareOneModel(t *testing.T) {
 	}
 	// The window controller reports the model's batch latency, not one of
 	// its own.
-	if got := rq.queue.Adaptive().Snapshot().BatchLatency; got != ls.BatchLatency {
-		t.Errorf("Adaptive batch latency = %v, model says %v", got, ls.BatchLatency)
+	if snap, _ := rq.queue.Window(); snap.BatchLatency != ls.BatchLatency {
+		t.Errorf("window batch latency = %v, model says %v", snap.BatchLatency, ls.BatchLatency)
 	}
 	// The hedge timer is the model's tail (above the floor, so it is the
 	// model and not hedgeMinDelay that was read).

@@ -100,12 +100,12 @@ func New(cfg Config) *Clipper {
 	return cl
 }
 
-// ErrClosed is returned by operations on a closed Clipper.
-var ErrClosed = errors.New("core: clipper closed")
+// errClosed is returned by operations on a closed Clipper.
+var errClosed = errors.New("core: clipper closed")
 
-// ErrUnknownModel is returned when deploying an app over an undeployed
+// errUnknownModel is returned when deploying an app over an undeployed
 // model.
-var ErrUnknownModel = errors.New("core: unknown model")
+var errUnknownModel = errors.New("core: unknown model")
 
 // Deploy is how a model version reaches serving. The model's name and
 // version come from the predictor's Info, and each replica runs behind its
@@ -126,7 +126,7 @@ func (cl *Clipper) Deploy(pred container.Predictor, stop func(), qcfg batching.Q
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	existing, deployed := cl.infos[info.Name]
 	if deployed && info.Version < existing.Version {

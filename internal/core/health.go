@@ -14,9 +14,9 @@ import (
 // so failed containers are routed around and rediscovered when they
 // recover.
 
-// Pinger is implemented by predictors that support liveness probes
+// pinger is implemented by predictors that support liveness probes
 // (container.Remote does).
-type Pinger interface {
+type pinger interface {
 	Ping(ctx context.Context) error
 }
 
@@ -37,7 +37,7 @@ type HealthConfig struct {
 	FailureThreshold int
 }
 
-// HealthMonitor periodically probes every replica that implements Pinger
+// HealthMonitor periodically probes every replica that implements pinger
 // and marks replicas unhealthy after consecutive failures. Unhealthy
 // replicas are skipped by query routing until a probe succeeds again.
 type HealthMonitor struct {
@@ -79,14 +79,13 @@ func (m *HealthMonitor) run() {
 		case <-m.stop:
 			return
 		case <-ticker.C:
-			m.ProbeOnce()
+			m.probeOnce()
 		}
 	}
 }
 
-// ProbeOnce probes every replica once (exported for tests and manual
-// health sweeps).
-func (m *HealthMonitor) ProbeOnce() {
+// probeOnce probes every replica once.
+func (m *HealthMonitor) probeOnce() {
 	m.cl.mu.Lock()
 	var targets []*replicaQueue
 	for _, s := range m.cl.scheds {
@@ -96,12 +95,12 @@ func (m *HealthMonitor) ProbeOnce() {
 
 	var wg sync.WaitGroup
 	for _, rq := range targets {
-		p, ok := rq.replica.Pred.(Pinger)
+		p, ok := rq.replica.Pred.(pinger)
 		if !ok {
 			continue // unprobeable replicas are assumed healthy
 		}
 		wg.Add(1)
-		go func(rq *replicaQueue, p Pinger) {
+		go func(rq *replicaQueue, p pinger) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.Timeout)
 			defer cancel()

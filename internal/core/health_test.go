@@ -164,7 +164,7 @@ func TestProbeOnceIgnoresNonPingers(t *testing.T) {
 	}
 	mon := cl.StartHealthMonitor(HealthConfig{Interval: time.Hour})
 	defer mon.Stop()
-	mon.ProbeOnce()
+	mon.probeOnce()
 	if h := cl.ReplicaStatuses("m"); !h[rep.ID].Healthy {
 		t.Fatal("non-pinger replica must stay healthy")
 	}

@@ -12,8 +12,8 @@ package core
 // Metric naming follows the Prometheus conventions: a clipper_ prefix,
 // base units (seconds, entries, connections), _total on cumulative
 // counters, and label dimensions (model, replica, app, tenant, shard)
-// rather than name-embedded identifiers. The full inventory is
-// documented in docs/ARCHITECTURE.md.
+// rather than name-embedded identifiers. The full inventory is in the
+// Observability section of docs/ARCHITECTURE.md.
 
 import (
 	"sort"
@@ -253,25 +253,19 @@ func (cl *Clipper) registerCollectors() {
 	// --- Window controller (every queue whose window is not pinned) ---
 	cl.replicaGauge("clipper_adaptive_window", "Measured pipeline window (absent when InFlight pins it).",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			a := rq.queue.Adaptive()
-			if a == nil {
-				return 0, false
-			}
-			return float64(a.Snapshot().InFlight), true
+			snap, ok := rq.queue.Window()
+			return float64(snap.InFlight), ok
 		})
 	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency.",
 		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			a := rq.queue.Adaptive()
-			if a == nil {
-				return 0, false
-			}
-			return a.Snapshot().BatchLatency.Seconds(), true
+			snap, ok := rq.queue.Window()
+			return snap.BatchLatency.Seconds(), ok
 		})
 
 	// --- RPC connection pools (replicas exposing PoolStats) ---
 	poolGauge := func(name, help string, kind metrics.Kind, pick func(st rpc.PoolStats) float64) {
 		cl.replicaGauge(name, help, kind, func(rq *replicaQueue) (float64, bool) {
-			ps, ok := rq.replica.Pred.(PoolStatser)
+			ps, ok := rq.replica.Pred.(poolStatser)
 			if !ok {
 				return 0, false
 			}

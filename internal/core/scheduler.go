@@ -17,7 +17,7 @@ import (
 // (join-shortest-queue weighted by measured per-replica speed), with
 // hedged dispatch for stragglers layered on top (hedge.go). Every number
 // it routes by comes from the replica queue's load model
-// (batching.LoadModel), so a scheduling decision is a handful of atomic
+// (batching.LoadStats), so a scheduling decision is a handful of atomic
 // loads — no polling, no cross-queue locks, no estimator of its own.
 
 // SchedPolicy selects the cross-replica dispatch strategy.
@@ -276,11 +276,11 @@ func pickOrdered(rqs []*replicaQueue, i int) *replicaQueue {
 func (s *scheduler) probeTick() bool { return s.picks.Add(1)%probeEvery == 0 }
 
 // route picks the replica for one more query and counts it; nil with
-// ErrUnknownModel when the model has no replicas.
+// errUnknownModel when the model has no replicas.
 func (s *scheduler) route() (*replicaQueue, error) {
 	rq := s.pick()
 	if rq == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, s.model)
+		return nil, fmt.Errorf("%w: %q", errUnknownModel, s.model)
 	}
 	s.submitted.Add(1)
 	return rq, nil

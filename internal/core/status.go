@@ -4,9 +4,9 @@ import (
 	"clipper/internal/rpc"
 )
 
-// PoolStatser is implemented by predictors whose replica exposes RPC
+// poolStatser is implemented by predictors whose replica exposes RPC
 // connection telemetry (container.Remote does, pooled or not).
-type PoolStatser interface {
+type poolStatser interface {
 	PoolStats() rpc.PoolStats
 }
 
@@ -88,11 +88,12 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 	out := make(map[string]ReplicaStatus, len(rqs))
 	for _, rq := range rqs {
 		ls := rq.queue.LoadStats()
+		snap, measured := rq.queue.Window()
 		st := ReplicaStatus{
 			ID:               rq.replica.ID,
 			Healthy:          rq.health.healthy.Load(),
 			Window:           rq.queue.InFlight(),
-			WindowPinned:     rq.queue.Adaptive() == nil,
+			WindowPinned:     !measured,
 			Queued:           ls.Queued,
 			InFlightBatches:  ls.InFlightBatches,
 			InFlightQueries:  ls.InFlightQueries,
@@ -103,8 +104,7 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 			HedgesFrom:  rq.hedgesFrom.Load(),
 			HedgesWon:   rq.hedgesWon.Load(),
 		}
-		if a := rq.queue.Adaptive(); a != nil {
-			snap := a.Snapshot()
+		if measured {
 			st.WindowVerdict, st.WindowRatio = snap.Verdict, snap.Ratio
 			st.WindowFitAMillis = float64(snap.FitA) / 1e6
 			st.WindowFitBMillis = float64(snap.FitB) / 1e6
@@ -112,7 +112,7 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 		if cost, ok := rq.estCost(); ok {
 			st.EstCostMillis = float64(cost) / float64(1e6)
 		}
-		if ps, ok := rq.replica.Pred.(PoolStatser); ok {
+		if ps, ok := rq.replica.Pred.(poolStatser); ok {
 			s := ps.PoolStats()
 			st.LiveConns = s.Live
 			st.TotalConns = s.Conns

@@ -14,11 +14,11 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunAblationAIMD ablates the AIMD backoff factor: the paper chooses a
+// runAblationAIMD ablates the AIMD backoff factor: the paper chooses a
 // "small" 10% backoff (factor 0.9) over TCP's classic 50%. Against a
 // linear-latency container the gentler backoff converges to a higher
 // steady-state batch cap with less oscillation.
-func RunAblationAIMD(scale Scale) (Result, error) {
+func runAblationAIMD(scale Scale) (Result, error) {
 	res := Result{ID: "ablation-aimd", Title: "AIMD backoff factor ablation (DESIGN.md §5)"}
 
 	iters := 3000
@@ -57,9 +57,9 @@ func RunAblationAIMD(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// RunAblationExp3Eta ablates Exp3's learning rate η: convergence speed to
+// runAblationExp3Eta ablates Exp3's learning rate η: convergence speed to
 // the best arm vs stability.
-func RunAblationExp3Eta(scale Scale) (Result, error) {
+func runAblationExp3Eta(scale Scale) (Result, error) {
 	res := Result{ID: "ablation-eta", Title: "Exp3 learning-rate ablation (DESIGN.md §5)"}
 
 	maxQueries := 20000
@@ -102,9 +102,9 @@ func RunAblationExp3Eta(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// RunAblationCacheSize ablates the prediction cache capacity under a
+// runAblationCacheSize ablates the prediction cache capacity under a
 // Zipf-skewed content-recommendation workload (§4.2's motivating regime).
-func RunAblationCacheSize(scale Scale) (Result, error) {
+func runAblationCacheSize(scale Scale) (Result, error) {
 	res := Result{ID: "ablation-cache", Title: "Prediction cache size ablation (DESIGN.md §5)"}
 
 	lookups := 30000

@@ -13,11 +13,11 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunCacheFeedback reproduces the §4.2 claim: with a four-model ensemble,
+// runCacheFeedback reproduces the §4.2 claim: with a four-model ensemble,
 // prediction caching raises feedback-processing throughput by ~1.6× (the
 // paper: 6K → 11K observations/s) because the feedback join finds the
 // models' recent predictions in the cache instead of re-evaluating them.
-func RunCacheFeedback(scale Scale) (Result, error) {
+func runCacheFeedback(scale Scale) (Result, error) {
 	res := Result{ID: "cache16", Title: "Feedback Throughput With and Without Caching (paper §4.2)"}
 
 	nFeedback := 400
@@ -48,7 +48,7 @@ func RunCacheFeedback(scale Scale) (Result, error) {
 		for i, pr := range pairs {
 			pred := frameworks.NewSimPredictor(pr.m, pr.p, train.Dim, int64(i+1))
 			if _, err := cl.Deploy(pred, nil, batching.QueueConfig{
-				Controller: batching.NewAIMD(batching.AIMDConfig{SLO: Fig3SLO}),
+				Controller: batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO}),
 			}); err != nil {
 				cl.Close()
 				return nil, nil, err

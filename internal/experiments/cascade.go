@@ -13,13 +13,13 @@ import (
 	"clipper/internal/selection"
 )
 
-// RunCascade evaluates the model-composition extension (the paper's
+// runCascade evaluates the model-composition extension (the paper's
 // introduction motivates combining models; cascades are the canonical
 // latency-aware composition): a cheap linear model answers the
 // queries it is confident about, and only uncertain queries escalate to an
 // expensive kernel-machine ensemble. The cascade should approach the
 // ensemble's accuracy at a fraction of its mean latency.
-func RunCascade(scale Scale) (Result, error) {
+func runCascade(scale Scale) (Result, error) {
 	res := Result{ID: "extension-cascade", Title: "Cascade (model composition) extension"}
 
 	n := 1500
@@ -47,13 +47,13 @@ func RunCascade(scale Scale) (Result, error) {
 			Name: heavy.Name(), Fixed: 300 * time.Microsecond, PerItem: 1800 * time.Microsecond,
 		}, train.Dim, 2)
 		if _, err := cl.Deploy(cheapPred, nil, batching.QueueConfig{
-			Controller: batching.NewAIMD(batching.AIMDConfig{SLO: Fig3SLO}),
+			Controller: batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO}),
 		}); err != nil {
 			cl.Close()
 			return nil, nil, err
 		}
 		if _, err := cl.Deploy(heavyPred, nil, batching.QueueConfig{
-			Controller: batching.NewAIMD(batching.AIMDConfig{SLO: Fig3SLO}),
+			Controller: batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO}),
 		}); err != nil {
 			cl.Close()
 			return nil, nil, err

@@ -49,12 +49,12 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Runner executes one experiment.
-type Runner func(scale Scale) (Result, error)
+// runner executes one experiment.
+type runner func(scale Scale) (Result, error)
 
-var registry = map[string]Runner{}
+var registry = map[string]runner{}
 
-func register(id string, r Runner) {
+func register(id string, r runner) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
@@ -81,22 +81,22 @@ func Run(id string, scale Scale) (Result, error) {
 }
 
 func init() {
-	register("table1", RunTable1)
-	register("table2", RunTable2)
-	register("fig3", RunFig3)
-	register("fig4", RunFig4)
-	register("fig5", RunFig5)
-	register("fig6", RunFig6)
-	register("fig7", RunFig7)
-	register("fig8", RunFig8)
-	register("fig9", RunFig9)
-	register("fig10", RunFig10)
-	register("fig11", RunFig11)
-	register("cache16", RunCacheFeedback)
-	register("ablation-aimd", RunAblationAIMD)
-	register("ablation-eta", RunAblationExp3Eta)
-	register("ablation-cache", RunAblationCacheSize)
-	register("extension-cascade", RunCascade)
+	register("table1", runTable1)
+	register("table2", runTable2)
+	register("fig3", runFig3)
+	register("fig4", runFig4)
+	register("fig5", runFig5)
+	register("fig6", runFig6)
+	register("fig7", runFig7)
+	register("fig8", runFig8)
+	register("fig9", runFig9)
+	register("fig10", runFig10)
+	register("fig11", runFig11)
+	register("cache16", runCacheFeedback)
+	register("ablation-aimd", runAblationAIMD)
+	register("ablation-eta", runAblationExp3Eta)
+	register("ablation-cache", runAblationCacheSize)
+	register("extension-cascade", runCascade)
 }
 
 // rrSched pins an experiment's Clipper node to round-robin dispatch.

@@ -330,7 +330,7 @@ func TestFig4AdaptiveBeatsNoBatching(t *testing.T) {
 	// linear SVM's adaptive throughput must far exceed no-batching.
 	profile := frameworks.SKLearnLinearSVM()
 	adaptiveThr, adaptiveP99, err := driveQueue(profile,
-		batching.NewAIMD(batching.AIMDConfig{SLO: Fig3SLO}), 0, 128,
+		batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO}), 0, 128,
 		200*time.Millisecond, 400*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestFig4AdaptiveBeatsNoBatching(t *testing.T) {
 		t.Fatalf("adaptive %.0f qps not >> no-batching %.0f qps (paper: up to 26x)",
 			adaptiveThr, noneThr)
 	}
-	if adaptiveP99 > 4*Fig3SLO.Seconds() {
+	if adaptiveP99 > 4*fig3SLO.Seconds() {
 		t.Fatalf("adaptive p99 %.1fms far above SLO", adaptiveP99*1e3)
 	}
 }

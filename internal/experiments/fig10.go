@@ -13,7 +13,7 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunFig10 reproduces Figure 10: personalized model selection on the
+// runFig10 reproduces Figure 10: personalized model selection on the
 // speech (TIMIT-like) benchmark. A collection of dialect-specific models
 // plus one dialect-oblivious model is deployed; simulated users from
 // random dialects stream queries with feedback. Three arms are compared:
@@ -21,7 +21,7 @@ import (
 // Clipper's ensemble selection policy with per-user context state. The
 // policy's error falls with feedback and approaches (or beats) the oracle
 // dialect model.
-func RunFig10(scale Scale) (Result, error) {
+func runFig10(scale Scale) (Result, error) {
 	res := Result{ID: "fig10", Title: "Personalized Model Selection (paper Figure 10)"}
 
 	cfg := dataset.SpeechConfig{N: 4000, NumDialects: 4, NumSpeakers: 80, Dim: 64, NumPhonemes: 12, Seed: 10}

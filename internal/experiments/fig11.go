@@ -18,7 +18,7 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunFig11 reproduces Figure 11: the TensorFlow Serving comparison. Three
+// runFig11 reproduces Figure 11: the TensorFlow Serving comparison. Three
 // GPU-profile deep models of increasing input size and cost (MNIST-,
 // CIFAR-, ImageNet-like) are served by three systems: the
 // TensorFlow-Serving-like baseline (in-process, static batch), Clipper
@@ -27,7 +27,7 @@ import (
 // The paper's findings: Clipper's decoupled architecture reaches
 // comparable throughput and latency, and the Python container pays a
 // 15–20% throughput penalty.
-func RunFig11(scale Scale) (Result, error) {
+func runFig11(scale Scale) (Result, error) {
 	res := Result{ID: "fig11", Title: "TensorFlow Serving Comparison (paper Figure 11)"}
 
 	type bench struct {

@@ -9,16 +9,16 @@ import (
 	"clipper/internal/models"
 )
 
-// Fig3SLO is the latency objective all batching experiments target, as in
+// fig3SLO is the latency objective all batching experiments target, as in
 // the paper.
-const Fig3SLO = 20 * time.Millisecond
+const fig3SLO = 20 * time.Millisecond
 
-// RunFig3 reproduces Figure 3: the latency-vs-batch-size profile of each
+// runFig3 reproduces Figure 3: the latency-vs-batch-size profile of each
 // model container, measured end to end through the container RPC path.
 // The paper's headline observation — the maximum batch size within the
 // 20 ms SLO differs by >100× between the linear SVM and the kernel SVM —
 // is reported explicitly.
-func RunFig3(scale Scale) (Result, error) {
+func runFig3(scale Scale) (Result, error) {
 	res := Result{ID: "fig3", Title: "Model Container Latency Profiles (paper Figure 3)"}
 
 	trials := 3
@@ -62,10 +62,10 @@ func RunFig3(scale Scale) (Result, error) {
 				fmt.Sprintf("  batch=%4d  latency=%8.3fms", n, float64(mean.Microseconds())/1000))
 		}
 		stop()
-		maxBatch := profile.MaxBatchWithinSLO(Fig3SLO, 100000)
+		maxBatch := profile.MaxBatchWithinSLO(fig3SLO, 100000)
 		sloBatches[profile.Name] = maxBatch
 		res.Lines = append(res.Lines,
-			fmt.Sprintf("  max batch within %v SLO: %d", Fig3SLO, maxBatch))
+			fmt.Sprintf("  max batch within %v SLO: %d", fig3SLO, maxBatch))
 	}
 
 	lin := sloBatches["sklearn-linear-svm"]

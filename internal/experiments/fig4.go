@@ -13,10 +13,10 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunFig4 reproduces Figure 4: throughput and P99 latency of the adaptive
+// runFig4 reproduces Figure 4: throughput and P99 latency of the adaptive
 // (AIMD), quantile-regression and no-batching strategies on each model
 // container, under a 20 ms latency SLO.
-func RunFig4(scale Scale) (Result, error) {
+func runFig4(scale Scale) (Result, error) {
 	res := Result{ID: "fig4", Title: "Comparison of Dynamic Batching Strategies (paper Figure 4)"}
 
 	profiles := frameworks.Figure3Profiles()
@@ -37,10 +37,10 @@ func RunFig4(scale Scale) (Result, error) {
 		mk   func() batching.Controller
 	}{
 		{"adaptive", func() batching.Controller {
-			return batching.NewAIMD(batching.AIMDConfig{SLO: Fig3SLO, Additive: 8})
+			return batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO, Additive: 8})
 		}},
 		{"quantile-regression", func() batching.Controller {
-			return batching.NewQuantileReg(batching.QuantileRegConfig{SLO: Fig3SLO})
+			return batching.NewQuantileReg(batching.QuantileRegConfig{SLO: fig3SLO})
 		}},
 		{"no-batching", func() batching.Controller { return batching.NewFixed(1) }},
 	}

@@ -12,13 +12,13 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunFig5 reproduces Figure 5: the throughput gain from delayed batching.
+// runFig5 reproduces Figure 5: the throughput gain from delayed batching.
 // Two containers are driven at a moderate open-loop rate while the batch
 // wait timeout sweeps upward. The Spark-like SVM (efficient at small
 // batches) gains nothing; the Scikit-Learn BLAS SVM (high fixed cost,
 // near-total batch parallelism) needs the delay to form efficient batches
 // and keep up with the offered load.
-func RunFig5(scale Scale) (Result, error) {
+func runFig5(scale Scale) (Result, error) {
 	res := Result{ID: "fig5", Title: "Throughput Increase from Delayed Batching (paper Figure 5)"}
 
 	timeouts := []time.Duration{0, 1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}

@@ -20,13 +20,13 @@ import (
 	"clipper/internal/workload"
 )
 
-// RunFig6 reproduces Figure 6: scaling the model abstraction layer across
+// runFig6 reproduces Figure 6: scaling the model abstraction layer across
 // a GPU cluster. One replica runs locally; additional replicas are reached
 // over a simulated switch at 10 Gbps or 1 Gbps carrying the real RPC
 // bytes. On the fast network aggregate throughput scales nearly linearly;
 // on the slow network it plateaus once the aggregate prediction traffic
 // saturates the serving node's uplink — the paper's headline observation.
-func RunFig6(scale Scale) (Result, error) {
+func runFig6(scale Scale) (Result, error) {
 	res := Result{ID: "fig6", Title: "Scaling Across a GPU Cluster (paper Figure 6)"}
 
 	replicaCounts := []int{1, 2, 3, 4}

@@ -7,13 +7,13 @@ import (
 	"clipper/internal/models"
 )
 
-// RunFig7 reproduces Figure 7: ensemble prediction accuracy on the CIFAR
+// runFig7 reproduces Figure 7: ensemble prediction accuracy on the CIFAR
 // and ImageNet benchmarks. Five models (Table 2 stand-ins) are combined by
 // a uniform-weight linear ensemble; queries are additionally split by
 // ensemble agreement (4-agree / 5-agree) into confident and unsure groups,
 // showing that agreement-based confidence isolates a low-error confident
 // set — the basis of the robust-predictions mechanism (§5.2.1).
-func RunFig7(scale Scale) (Result, error) {
+func runFig7(scale Scale) (Result, error) {
 	res := Result{ID: "fig7", Title: "Ensemble Prediction Accuracy (paper Figure 7)"}
 
 	n := 2000
@@ -45,8 +45,8 @@ func RunFig7(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// EnsembleStats summarizes one Figure 7 panel.
-type EnsembleStats struct {
+// ensembleSummary summarizes one Figure 7 panel.
+type ensembleSummary struct {
 	BestSingleErr   float64
 	EnsembleErr     float64
 	Agree4ConfErr   float64
@@ -59,8 +59,8 @@ type EnsembleStats struct {
 
 // ensembleStats evaluates the ensemble, the best member, and the
 // agreement-split error rates on test.
-func ensembleStats(ens []models.Model, test *dataset.Dataset) EnsembleStats {
-	var stats EnsembleStats
+func ensembleStats(ens []models.Model, test *dataset.Dataset) ensembleSummary {
+	var stats ensembleSummary
 
 	bestErr := 1.0
 	for _, m := range ens {

@@ -9,14 +9,14 @@ import (
 	"clipper/internal/selection"
 )
 
-// RunFig8 reproduces Figure 8: the behavior of Exp3 and Exp4 under model
+// runFig8 reproduces Figure 8: the behavior of Exp3 and Exp4 under model
 // failure. Five models of varying accuracy serve 20K sequential queries
 // with immediate feedback; after 25% of the run the best model's
 // predictions are corrupted, and after 50% it recovers. The cumulative
 // average error of each static model and of both selection policies is
 // reported; the policies must converge near the best model, absorb the
 // failure, and re-converge after recovery.
-func RunFig8(scale Scale) (Result, error) {
+func runFig8(scale Scale) (Result, error) {
 	res := Result{ID: "fig8", Title: "Exp3 and Exp4 Under Model Failure (paper Figure 8)"}
 
 	totalQueries := 20000

@@ -14,13 +14,13 @@ import (
 	"clipper/internal/selection"
 )
 
-// RunFig9 reproduces Figure 9: the cost of stragglers as ensembles grow.
+// runFig9 reproduces Figure 9: the cost of stragglers as ensembles grow.
 // Ensembles of 2–16 model containers with heavy-tailed latency profiles
 // serve an Exp4 application twice: once blocking for every member
 // ("stragglers") and once with best-effort straggler mitigation at a 20 ms
 // deadline. Reported per size: (a) mean and P99 latency, (b) mean and P99
 // percentage of the ensemble missing at the deadline, and (c) accuracy.
-func RunFig9(scale Scale) (Result, error) {
+func runFig9(scale Scale) (Result, error) {
 	res := Result{ID: "fig9", Title: "Straggler Mitigation vs Ensemble Size (paper Figure 9)"}
 
 	sizes := []int{2, 4, 8, 16}
@@ -51,8 +51,8 @@ func RunFig9(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// StragglerRow is one Figure 9 data point.
-type StragglerRow struct {
+// stragglerRow is one Figure 9 data point.
+type stragglerRow struct {
 	MeanLat     float64
 	P99Lat      float64
 	MeanMissing float64
@@ -64,7 +64,7 @@ type StragglerRow struct {
 // container with jitter and rare long pauses), registers an Exp4 app with
 // or without a straggler deadline, and measures queries sequential
 // predictions.
-func runStragglerTrial(k int, mitigate bool, queries int, train, test *dataset.Dataset) (StragglerRow, error) {
+func runStragglerTrial(k int, mitigate bool, queries int, train, test *dataset.Dataset) (stragglerRow, error) {
 	cl := core.New(core.Config{CacheSize: -1, Scheduler: rrSched()})
 	defer cl.Close()
 
@@ -86,22 +86,22 @@ func runStragglerTrial(k int, mitigate bool, queries int, train, test *dataset.D
 		}
 		pred := frameworks.NewSimPredictor(m, profile, train.Dim, int64(i+77))
 		if _, err := cl.Deploy(pred, nil, batching.QueueConfig{
-			Controller: batching.NewAIMD(batching.AIMDConfig{SLO: Fig3SLO}),
+			Controller: batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO}),
 		}); err != nil {
-			return StragglerRow{}, err
+			return stragglerRow{}, err
 		}
 		modelNames[i] = m.Name()
 	}
 
 	slo := time.Duration(0)
 	if mitigate {
-		slo = Fig3SLO
+		slo = fig3SLO
 	}
 	app, err := cl.RegisterApp(core.AppConfig{
 		Name: "fig9", Models: modelNames, Policy: selection.NewExp4(0.3), SLO: slo,
 	})
 	if err != nil {
-		return StragglerRow{}, err
+		return stragglerRow{}, err
 	}
 
 	correct := 0
@@ -111,7 +111,7 @@ func runStragglerTrial(k int, mitigate bool, queries int, train, test *dataset.D
 		i := q % test.Len()
 		resp, err := app.Predict(ctx, test.X[i])
 		if err != nil {
-			return StragglerRow{}, err
+			return stragglerRow{}, err
 		}
 		if resp.Label == test.Y[i] {
 			correct++
@@ -122,7 +122,7 @@ func runStragglerTrial(k int, mitigate bool, queries int, train, test *dataset.D
 	}
 
 	latSnap := app.PredLatency.Snapshot()
-	return StragglerRow{
+	return stragglerRow{
 		MeanLat:     latSnap.Mean,
 		P99Lat:      latSnap.P99,
 		MeanMissing: missing.Mean(),

@@ -85,7 +85,7 @@ const scoresHeader = "=== scores: FNV-1a of every score's bits on a seeded split
 func scoreDigests() string {
 	train, test := mnistStandin(400).Split(0.7, 5)
 	lin := models.DefaultLinearConfig()
-	scorers := []models.Scorer{
+	scorers := []models.Model{
 		models.TrainNaiveBayes("bayes", train),
 		models.TrainDecisionTree("tree", train, models.TreeConfig{MaxDepth: 6, Seed: 2}),
 		models.TrainRandomForest("forest", train, models.DefaultTreeConfig()),
@@ -102,12 +102,12 @@ func scoreDigests() string {
 	for _, s := range scorers {
 		h := fnv.New64a()
 		for _, x := range test.X {
-			for _, v := range s.Scores(x) {
+			for _, v := range s.(models.Scorer).Scores(x) {
 				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
 				h.Write(word[:])
 			}
 		}
-		fmt.Fprintf(&b, "%-7s %016x\n", s.(models.Model).Name(), h.Sum64())
+		fmt.Fprintf(&b, "%-7s %016x\n", s.Name(), h.Sum64())
 	}
 	return b.String()
 }

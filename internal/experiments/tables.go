@@ -7,8 +7,8 @@ import (
 	"clipper/internal/models"
 )
 
-// RunTable1 reproduces Table 1: the benchmark dataset inventory.
-func RunTable1(scale Scale) (Result, error) {
+// runTable1 reproduces Table 1: the benchmark dataset inventory.
+func runTable1(scale Scale) (Result, error) {
 	res := Result{ID: "table1", Title: "Datasets (paper Table 1)"}
 	res.Lines = append(res.Lines,
 		fmt.Sprintf("%-15s %-6s %-9s %-24s %s", "Dataset", "Type", "Size", "Features", "Labels"))
@@ -19,9 +19,9 @@ func RunTable1(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// RunTable2 reproduces Table 2: the deep-model inventory used by the
+// runTable2 reproduces Table 2: the deep-model inventory used by the
 // ImageNet ensemble, with this reproduction's stand-in accuracies.
-func RunTable2(scale Scale) (Result, error) {
+func runTable2(scale Scale) (Result, error) {
 	res := Result{ID: "table2", Title: "Deep Learning Models (paper Table 2)"}
 
 	n := 2500

@@ -64,7 +64,7 @@ func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, err
 	}
 	// Block for the remainder of the simulated duration, if the real
 	// compute did not already exceed it.
-	SleepUntil(start.Add(target))
+	sleepUntil(start.Add(target))
 	return out, nil
 }
 
@@ -107,14 +107,23 @@ func (p *SimPredictor) PredictView(v container.BatchView, out *container.Predict
 			out.Append(p.predictRow(v.Row(r)))
 		}
 	}
-	SleepUntil(start.Add(target))
+	sleepUntil(start.Add(target))
 	return nil
 }
 
-// SleepUntil blocks until the deadline with sub-millisecond precision:
+// sleepUntil blocks until the deadline with sub-millisecond precision:
 // coarse time.Sleep for the bulk, then a bounded spin for the tail. The
 // spin tail is capped so concurrent containers do not monopolize CPUs.
-func SleepUntil(deadline time.Time) {
+//
+// Why spin: once every goroutine is parked, the runtime waits for the next
+// timer in netpoll, whose epoll_wait timeout is whole milliseconds and at
+// least 1 for any wait under 1 ms (runtime/netpoll_epoll.go). A plain
+// time.Sleep then wakes up to 1 ms late on an idle process, which shows as
+// a longer high-priority p99 and a lower SLO-met fraction in the
+// benchmark's scan_batch phases. The spin keeps a goroutine runnable, so
+// the runtime never enters that wait. The price is CPU, and a goroutine
+// that never blocks keeps a testing/synctest bubble's clock from moving.
+func sleepUntil(deadline time.Time) {
 	const spinWindow = 100 * time.Microsecond
 	for {
 		remaining := time.Until(deadline)
@@ -133,4 +142,4 @@ func SleepUntil(deadline time.Time) {
 }
 
 // Sleep blocks for approximately d with sub-millisecond precision.
-func Sleep(d time.Duration) { SleepUntil(time.Now().Add(d)) }
+func Sleep(d time.Duration) { sleepUntil(time.Now().Add(d)) }

@@ -22,7 +22,7 @@ const (
 	// bust its SLO (core.ErrSLOShed) — the caller should back off, the
 	// server did not malfunction.
 	CodeShed
-	CodeBadGateway
+	codeBadGateway
 	CodeInternal
 	numCodes
 )
@@ -52,7 +52,7 @@ func (c Code) HTTPStatus() int {
 		return http.StatusConflict
 	case CodeShed:
 		return http.StatusServiceUnavailable
-	case CodeBadGateway:
+	case codeBadGateway:
 		return http.StatusBadGateway
 	default:
 		return http.StatusInternalServerError

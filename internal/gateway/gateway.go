@@ -37,13 +37,13 @@ const (
 	OpPredictBatch
 	OpFeedback
 	OpRegisterApp
-	OpAppList
-	OpModelList
-	OpHealth
-	OpMetrics
+	opAppList
+	opModelList
+	opHealth
+	opMetrics
 	OpDeploy
-	OpReplicas
-	OpApplications
+	opReplicas
+	opApplications
 	OpSetHealth
 	numOps
 )

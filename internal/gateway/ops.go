@@ -55,8 +55,8 @@ type BatchPredictRequest struct {
 	Inputs  [][]float64 `json:"inputs"`
 }
 
-// MaxBatch bounds BatchPredictRequest.Inputs.
-const MaxBatch = 4096
+// maxBatch bounds BatchPredictRequest.Inputs.
+const maxBatch = 4096
 
 // RegisterAppRequest declares an application over deployed models.
 type RegisterAppRequest struct {
@@ -98,10 +98,10 @@ type DeployRequest struct {
 	// BatchTimeoutMicros optionally enables delayed batching.
 	BatchTimeoutMicros int `json:"batch_timeout_us,omitempty"`
 	// Conns sets the replica's RPC connection count; 0 selects 1 (see
-	// docs/ARCHITECTURE.md).
+	// "Tuning knobs" in docs/ARCHITECTURE.md).
 	Conns int `json:"conns,omitempty"`
 	// InFlight pins the dispatch pipeline window; 0 leaves it to be
-	// measured at run time (see docs/ARCHITECTURE.md).
+	// measured at run time (see "Tuning knobs" in docs/ARCHITECTURE.md).
 	InFlight int `json:"in_flight,omitempty"`
 }
 
@@ -137,8 +137,8 @@ func (b *Bound) PredictBatch(ctx context.Context, req BatchPredictRequest) (res 
 	if len(req.Inputs) == 0 {
 		return nil, fail(CodeBadRequest, "empty inputs")
 	}
-	if len(req.Inputs) > MaxBatch {
-		return nil, fail(CodeBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Inputs), MaxBatch))
+	if len(req.Inputs) > maxBatch {
+		return nil, fail(CodeBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Inputs), maxBatch))
 	}
 	app, ok := b.g.cl.App(req.App)
 	if !ok {
@@ -211,7 +211,7 @@ func (b *Bound) RegisterApp(req RegisterAppRequest) (err error) {
 
 // AppList returns the registered applications, name-sorted.
 func (b *Bound) AppList() []AppInfo {
-	defer b.begin(OpAppList)(nil)
+	defer b.begin(opAppList)(nil)
 	var out []AppInfo
 	for _, name := range b.g.cl.AppNames() {
 		app, ok := b.g.cl.App(name)
@@ -225,7 +225,7 @@ func (b *Bound) AppList() []AppInfo {
 
 // ModelList returns the deployed model names, sorted.
 func (b *Bound) ModelList() []string {
-	defer b.begin(OpModelList)(nil)
+	defer b.begin(opModelList)(nil)
 	models := b.g.cl.Models()
 	sort.Strings(models)
 	return models
@@ -233,7 +233,7 @@ func (b *Bound) ModelList() []string {
 
 // Health reports node liveness (always true once serving).
 func (b *Bound) Health() bool {
-	defer b.begin(OpHealth)(nil)
+	defer b.begin(opHealth)(nil)
 	return true
 }
 
@@ -249,7 +249,7 @@ func (b *Bound) Deploy(req DeployRequest) (res DeployResponse, err error) {
 	}
 	remote, derr := container.DialConns(req.Addr, 5*time.Second, req.Conns)
 	if derr != nil {
-		return res, fail(CodeBadGateway, "dialing container: "+derr.Error())
+		return res, fail(codeBadGateway, "dialing container: "+derr.Error())
 	}
 	slo := time.Duration(req.SLOMillis) * time.Millisecond
 	if slo <= 0 {
@@ -271,13 +271,13 @@ func (b *Bound) Deploy(req DeployRequest) (res DeployResponse, err error) {
 
 // Replicas returns one model's replica statuses.
 func (b *Bound) Replicas(model string) map[string]core.ReplicaStatus {
-	defer b.begin(OpReplicas)(nil)
+	defer b.begin(opReplicas)(nil)
 	return b.g.cl.ReplicaStatuses(model)
 }
 
 // AllReplicas returns every model's replica statuses.
 func (b *Bound) AllReplicas() map[string]map[string]core.ReplicaStatus {
-	defer b.begin(OpReplicas)(nil)
+	defer b.begin(opReplicas)(nil)
 	out := map[string]map[string]core.ReplicaStatus{}
 	for _, m := range b.g.cl.Models() {
 		out[m] = b.g.cl.ReplicaStatuses(m)
@@ -287,7 +287,7 @@ func (b *Bound) AllReplicas() map[string]map[string]core.ReplicaStatus {
 
 // Applications returns every application's QoS/serving snapshot.
 func (b *Bound) Applications() map[string]core.AppStatus {
-	defer b.begin(OpApplications)(nil)
+	defer b.begin(opApplications)(nil)
 	return b.g.cl.AppStatuses()
 }
 
@@ -308,6 +308,6 @@ func (b *Bound) SetHealth(replica string, healthy bool) (err error) {
 
 // WriteMetrics renders the node's Prometheus text exposition to w.
 func (b *Bound) WriteMetrics(w io.Writer) (err error) {
-	defer b.begin(OpMetrics)(&err)
+	defer b.begin(opMetrics)(&err)
 	return wrap(b.g.cl.Metrics().WritePrometheus(w))
 }

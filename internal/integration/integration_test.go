@@ -21,6 +21,7 @@ import (
 	"clipper/internal/core"
 	"clipper/internal/dataset"
 	"clipper/internal/frameworks"
+	"clipper/internal/gateway"
 	"clipper/internal/models"
 	"clipper/internal/selection"
 	"clipper/internal/statestore"
@@ -134,14 +135,14 @@ func TestFullStackPredictFeedbackLearns(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x, truth := test.X[i%test.Len()], test.Y[i%test.Len()]
 		var pr httpjson.PredictResponse
-		code := postJSON(t, base+"/api/v1/predict", httpjson.PredictRequest{App: "app", Input: x}, &pr)
+		code := postJSON(t, base+"/api/v1/predict", gateway.PredictRequest{App: "app", Input: x}, &pr)
 		if code != http.StatusOK {
 			t.Fatalf("predict status %d", code)
 		}
 		if pr.Label == truth {
 			correct++
 		}
-		code = postJSON(t, base+"/api/v1/feedback", httpjson.FeedbackRequest{App: "app", Input: x, Label: truth}, nil)
+		code = postJSON(t, base+"/api/v1/feedback", gateway.FeedbackRequest{App: "app", Input: x, Label: truth}, nil)
 		if code != http.StatusOK {
 			t.Fatalf("feedback status %d", code)
 		}

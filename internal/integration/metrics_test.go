@@ -10,8 +10,8 @@ import (
 	"sync"
 	"testing"
 
-	"clipper/internal/adapter/httpjson"
 	"clipper/internal/dataset"
+	"clipper/internal/gateway"
 	"clipper/internal/selection"
 )
 
@@ -57,7 +57,7 @@ func TestFullStackMetricsScrape(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := test.X[(w*perWorker+i)%test.Len()]
-				raw, err := json.Marshal(httpjson.PredictRequest{App: "app", Input: x})
+				raw, err := json.Marshal(gateway.PredictRequest{App: "app", Input: x})
 				if err != nil {
 					t.Error(err)
 					return

@@ -86,14 +86,14 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// ErrDuplicateFamily is wrapped by Register when the family name is
+// errDuplicateFamily is wrapped by Register when the family name is
 // already taken.
-var ErrDuplicateFamily = fmt.Errorf("metrics: family already registered")
+var errDuplicateFamily = fmt.Errorf("metrics: family already registered")
 
 // Register adds a family. The name must match the Prometheus metric-name
 // grammar and be unused; help is the HELP line text (escaped on write).
 func (r *Registry) Register(name, help string, kind Kind, collect CollectFunc) error {
-	if !ValidMetricName(name) {
+	if !validMetricName(name) {
 		return fmt.Errorf("metrics: invalid metric name %q", name)
 	}
 	if collect == nil {
@@ -110,7 +110,7 @@ func (r *Registry) Register(name, help string, kind Kind, collect CollectFunc) e
 		r.fams = make(map[string]*family)
 	}
 	if _, dup := r.fams[name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateFamily, name)
+		return fmt.Errorf("%w: %q", errDuplicateFamily, name)
 	}
 	r.fams[name] = &family{name: name, help: help, kind: kind, collect: collect}
 	return nil
@@ -209,7 +209,7 @@ func (a line) before(b line) bool {
 // renderSeries renders one sample line: name[suffix]{labels} value.
 func renderSeries(name string, s *Series) (line, error) {
 	full := name + s.Suffix
-	if !ValidMetricName(full) {
+	if !validMetricName(full) {
 		return line{}, fmt.Errorf("metrics: invalid series name %q", full)
 	}
 	var l line
@@ -218,7 +218,7 @@ func renderSeries(name string, s *Series) (line, error) {
 	if len(s.Labels) > 0 {
 		b.WriteByte('{')
 		for i, lb := range s.Labels {
-			if !ValidLabelName(lb.Name) {
+			if !validLabelName(lb.Name) {
 				return line{}, fmt.Errorf("metrics: invalid label name %q on %q", lb.Name, full)
 			}
 			if i > 0 {
@@ -263,9 +263,9 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// ValidMetricName reports whether name matches the Prometheus metric-name
+// validMetricName reports whether name matches the Prometheus metric-name
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]*.
-func ValidMetricName(name string) bool {
+func validMetricName(name string) bool {
 	if name == "" {
 		return false
 	}
@@ -282,9 +282,9 @@ func ValidMetricName(name string) bool {
 	return true
 }
 
-// ValidLabelName reports whether name matches the Prometheus label-name
+// validLabelName reports whether name matches the Prometheus label-name
 // grammar [a-zA-Z_][a-zA-Z0-9_]* and is not a reserved "__" name.
-func ValidLabelName(name string) bool {
+func validLabelName(name string) bool {
 	if name == "" || strings.HasPrefix(name, "__") {
 		return false
 	}

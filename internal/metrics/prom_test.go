@@ -89,7 +89,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := r.Register("fine_name", "x", KindGauge, ok); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("fine_name", "x", KindGauge, ok); !errors.Is(err, ErrDuplicateFamily) {
+	if err := r.Register("fine_name", "x", KindGauge, ok); !errors.Is(err, errDuplicateFamily) {
 		t.Errorf("duplicate register: %v", err)
 	}
 	fams := r.Families()
@@ -293,8 +293,8 @@ func TestNameValidators(t *testing.T) {
 		"has-dash":                 false,
 		"has space":                false,
 	} {
-		if got := ValidMetricName(name); got != want {
-			t.Errorf("ValidMetricName(%q) = %v", name, got)
+		if got := validMetricName(name); got != want {
+			t.Errorf("validMetricName(%q) = %v", name, got)
 		}
 	}
 	for name, want := range map[string]bool{
@@ -305,8 +305,8 @@ func TestNameValidators(t *testing.T) {
 		"a:b":      false,
 		"":         false,
 	} {
-		if got := ValidLabelName(name); got != want {
-			t.Errorf("ValidLabelName(%q) = %v", name, got)
+		if got := validLabelName(name); got != want {
+			t.Errorf("validLabelName(%q) = %v", name, got)
 		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"clipper/internal/dataset"
 )
 
-// NaiveBayes is a Gaussian naive Bayes classifier: per-class, per-feature
+// naiveBayes is a Gaussian naive Bayes classifier: per-class, per-feature
 // means and variances with a class prior. It is cheap at inference time
 // (O(dim × classes)) and typically less accurate than the discriminative
 // models, giving the selection-layer experiments a genuinely weaker arm.
-type NaiveBayes struct {
+type naiveBayes struct {
 	name     string
 	mean     [][]float64 // [class][dim]
 	variance [][]float64 // [class][dim]
@@ -22,7 +22,7 @@ type NaiveBayes struct {
 // newNaiveBayes builds the Gaussian normaliser table the variances
 // determine, so scoring takes no logarithm and prediction never mutates the
 // model.
-func newNaiveBayes(name string, mean, variance [][]float64, logPrior []float64, dim int) *NaiveBayes {
+func newNaiveBayes(name string, mean, variance [][]float64, logPrior []float64, dim int) *naiveBayes {
 	norm := make([][]float64, len(variance))
 	for c, vs := range variance {
 		norm[c] = make([]float64, len(vs))
@@ -30,11 +30,11 @@ func newNaiveBayes(name string, mean, variance [][]float64, logPrior []float64, 
 			norm[c][j] = 0.5 * math.Log(2*math.Pi*va)
 		}
 	}
-	return &NaiveBayes{name: name, mean: mean, variance: variance, norm: norm, logPrior: logPrior, dim: dim}
+	return &naiveBayes{name: name, mean: mean, variance: variance, norm: norm, logPrior: logPrior, dim: dim}
 }
 
 // TrainNaiveBayes fits Gaussian naive Bayes to ds with variance smoothing.
-func TrainNaiveBayes(name string, ds *dataset.Dataset) *NaiveBayes {
+func TrainNaiveBayes(name string, ds *dataset.Dataset) Model {
 	nc := ds.NumClasses
 	mean := make([][]float64, nc)
 	variance := make([][]float64, nc)
@@ -82,32 +82,32 @@ func TrainNaiveBayes(name string, ds *dataset.Dataset) *NaiveBayes {
 }
 
 // Name implements Model.
-func (m *NaiveBayes) Name() string { return m.name }
+func (m *naiveBayes) Name() string { return m.name }
 
 // NumClasses implements Model.
-func (m *NaiveBayes) NumClasses() int { return len(m.mean) }
+func (m *naiveBayes) NumClasses() int { return len(m.mean) }
 
 // Predict implements Model.
-func (m *NaiveBayes) Predict(x []float64) int {
+func (m *naiveBayes) Predict(x []float64) int {
 	return argmax(m.Scores(x))
 }
 
 // PredictBatch implements Model.
-func (m *NaiveBayes) PredictBatch(xs [][]float64) []int {
+func (m *naiveBayes) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(m, xs)
 }
 
 // Scores implements Scorer: per-class log joint likelihood.
-func (m *NaiveBayes) Scores(x []float64) []float64 {
+func (m *naiveBayes) Scores(x []float64) []float64 {
 	return scoresRow(m, len(m.mean), x)
 }
 
 // ScoresFlat implements FlatScorer.
-func (m *NaiveBayes) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (m *naiveBayes) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(m, m.name, m.dim, len(m.mean), data, rows, dim, out)
 }
 
-func (m *NaiveBayes) scoresInto(x, out []float64) {
+func (m *naiveBayes) scoresInto(x, out []float64) {
 	for c, mean := range m.mean {
 		ll := m.logPrior[c]
 		if !math.IsInf(ll, -1) {

@@ -1,10 +1,6 @@
 package models
 
-import (
-	"fmt"
-
-	"clipper/internal/dataset"
-)
+import "clipper/internal/dataset"
 
 // DeepSpec describes one of the "deep learning" models in the paper's
 // Table 2, which the ImageNet ensemble experiment (Figure 7) combines.
@@ -33,16 +29,8 @@ func Table2() []DeepSpec {
 	}
 }
 
-// String renders the spec like a Table 2 row.
-func (s DeepSpec) String() string {
-	if s.Inception > 0 {
-		return fmt.Sprintf("%s %s: %d Conv, %d FC, & %d Incept.", s.Framework, s.Name, s.Conv, s.FC, s.Inception)
-	}
-	return fmt.Sprintf("%s %s: %d Conv. and %d FC", s.Framework, s.Name, s.Conv, s.FC)
-}
-
 // Train trains the stand-in network for this spec on ds.
-func (s DeepSpec) Train(ds *dataset.Dataset) *MLP {
+func (s DeepSpec) Train(ds *dataset.Dataset) Model {
 	return TrainMLP(s.Framework+"/"+s.Name, ds, MLPConfig{
 		Hidden:       s.Hidden,
 		Epochs:       s.Epochs,

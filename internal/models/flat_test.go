@@ -175,10 +175,10 @@ func TestArgmaxExported(t *testing.T) {
 
 // bayesBatch trains a NaiveBayes at the serving shape (784 features, 10
 // classes) and flattens a 64-row batch for it.
-func bayesBatch(tb testing.TB) (m *NaiveBayes, data []float64, rows int, out []float64) {
+func bayesBatch(tb testing.TB) (m *naiveBayes, data []float64, rows int, out []float64) {
 	tb.Helper()
 	train, test := dataset.MNISTLike(464, 1).Split(400.0/464, 1)
-	m = TrainNaiveBayes("bayes", train)
+	m = TrainNaiveBayes("bayes", train).(*naiveBayes)
 	return m, flatten(test.X), test.Len(), make([]float64, test.Len()*m.NumClasses())
 }
 

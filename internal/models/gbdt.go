@@ -7,7 +7,7 @@ import (
 	"clipper/internal/dataset"
 )
 
-// GBDT is a multiclass gradient-boosted decision tree ensemble trained
+// gbdt is a multiclass gradient-boosted decision tree ensemble trained
 // with softmax cross-entropy (the algorithm family of XGBoost, which the
 // paper cites as a serving target). Each boosting round fits one
 // regression tree per class to the softmax residuals and applies a
@@ -17,7 +17,7 @@ import (
 // outputs — per-item cost grows with rounds × depth, placing GBDT between
 // the linear models and the kernel machine in the container latency
 // spectrum.
-type GBDT struct {
+type gbdt struct {
 	name    string
 	trees   [][]*regNode // [round][class]
 	lr      float64
@@ -72,7 +72,7 @@ func (n *regNode) eval(x []float64) float64 {
 }
 
 // TrainGBDT trains a boosted ensemble on ds.
-func TrainGBDT(name string, ds *dataset.Dataset, cfg GBDTConfig) *GBDT {
+func TrainGBDT(name string, ds *dataset.Dataset, cfg GBDTConfig) Model {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 20
 	}
@@ -95,7 +95,7 @@ func TrainGBDT(name string, ds *dataset.Dataset, cfg GBDTConfig) *GBDT {
 
 	n := ds.Len()
 	k := ds.NumClasses
-	m := &GBDT{name: name, lr: cfg.LearningRate, classes: k, dim: ds.Dim}
+	m := &gbdt{name: name, lr: cfg.LearningRate, classes: k, dim: ds.Dim}
 
 	// Current per-example, per-class scores F.
 	scores := make([][]float64, n)
@@ -238,28 +238,28 @@ func bestRegSplit(ds *dataset.Dataset, idx []int, grad []float64, cfg GBDTConfig
 }
 
 // Name implements Model.
-func (m *GBDT) Name() string { return m.name }
+func (m *gbdt) Name() string { return m.name }
 
 // NumClasses implements Model.
-func (m *GBDT) NumClasses() int { return m.classes }
+func (m *gbdt) NumClasses() int { return m.classes }
 
 // Predict implements Model.
-func (m *GBDT) Predict(x []float64) int { return argmax(m.Scores(x)) }
+func (m *gbdt) Predict(x []float64) int { return argmax(m.Scores(x)) }
 
 // PredictBatch implements Model.
-func (m *GBDT) PredictBatch(xs [][]float64) []int { return predictBatchSerial(m, xs) }
+func (m *gbdt) PredictBatch(xs [][]float64) []int { return predictBatchSerial(m, xs) }
 
 // Scores implements Scorer: the boosted per-class scores.
-func (m *GBDT) Scores(x []float64) []float64 {
+func (m *gbdt) Scores(x []float64) []float64 {
 	return scoresRow(m, m.classes, x)
 }
 
 // ScoresFlat implements FlatScorer.
-func (m *GBDT) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (m *gbdt) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(m, m.name, m.dim, m.classes, data, rows, dim, out)
 }
 
-func (m *GBDT) scoresInto(x, out []float64) {
+func (m *gbdt) scoresInto(x, out []float64) {
 	clear(out)
 	for _, round := range m.trees {
 		for c, tree := range round {

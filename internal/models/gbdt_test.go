@@ -8,7 +8,7 @@ import (
 
 func TestGBDTLearnsEasyTask(t *testing.T) {
 	train, test := easyTask(t)
-	m := TrainGBDT("gbdt", train, DefaultGBDTConfig())
+	m := TrainGBDT("gbdt", train, DefaultGBDTConfig()).(*gbdt)
 	requireAccuracy(t, m, test, 0.85)
 	if len(m.trees) != 20 {
 		t.Fatalf("rounds = %d", len(m.trees))
@@ -49,7 +49,7 @@ func TestGBDTMoreRoundsHelp(t *testing.T) {
 	})
 	train, test := d.Split(0.8, 1)
 	few := TrainGBDT("few", train, GBDTConfig{Rounds: 2, Depth: 3, Seed: 1})
-	many := TrainGBDT("many", train, GBDTConfig{Rounds: 30, Depth: 3, Seed: 1})
+	many := TrainGBDT("many", train, GBDTConfig{Rounds: 30, Depth: 3, Seed: 1}).(*gbdt)
 	fa := Accuracy(few, test.X, test.Y)
 	ma := Accuracy(many, test.X, test.Y)
 	if ma < fa {
@@ -59,7 +59,7 @@ func TestGBDTMoreRoundsHelp(t *testing.T) {
 
 func TestGBDTScoresConsistent(t *testing.T) {
 	train, test := easyTask(t)
-	m := TrainGBDT("gbdt", train, GBDTConfig{Rounds: 8, Seed: 2})
+	m := TrainGBDT("gbdt", train, GBDTConfig{Rounds: 8, Seed: 2}).(*gbdt)
 	for _, x := range test.X[:10] {
 		s := m.Scores(x)
 		if len(s) != m.NumClasses() {

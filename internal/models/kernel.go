@@ -7,7 +7,7 @@ import (
 	"clipper/internal/dataset"
 )
 
-// KernelMachine is an RBF-kernel classifier. Inference computes the RBF
+// kernelMachine is an RBF-kernel classifier. Inference computes the RBF
 // kernel between the query and every landmark (a sampled subset of the
 // training set) and applies a linear classifier over those kernel features
 // (the Nyström approximation to a kernel SVM).
@@ -16,11 +16,11 @@ import (
 // more than a linear model — reproducing the paper's observation (Figure 3c)
 // that the kernel SVM's feasible batch size under a 20 ms SLO is ~241×
 // smaller than the linear SVM's.
-type KernelMachine struct {
+type kernelMachine struct {
 	name      string
 	landmarks [][]float64
 	gamma     float64
-	linear    *LinearModel // over kernel-feature space
+	linear    *linearModel // over kernel-feature space
 	dim       int
 }
 
@@ -45,7 +45,7 @@ func DefaultKernelConfig() KernelConfig {
 
 // TrainKernelMachine trains an RBF kernel machine on ds. This stands in for
 // the paper's Scikit-Learn kernel SVM.
-func TrainKernelMachine(name string, ds *dataset.Dataset, cfg KernelConfig) *KernelMachine {
+func TrainKernelMachine(name string, ds *dataset.Dataset, cfg KernelConfig) Model {
 	if cfg.Landmarks <= 0 {
 		cfg.Landmarks = 256
 	}
@@ -62,7 +62,7 @@ func TrainKernelMachine(name string, ds *dataset.Dataset, cfg KernelConfig) *Ker
 	for i := range landmarks {
 		landmarks[i] = ds.X[perm[i]]
 	}
-	km := &KernelMachine{
+	km := &kernelMachine{
 		name:      name,
 		landmarks: landmarks,
 		gamma:     gamma,
@@ -80,11 +80,11 @@ func TrainKernelMachine(name string, ds *dataset.Dataset, cfg KernelConfig) *Ker
 	for i, x := range ds.X {
 		feat.X[i] = km.kernelFeatures(x)
 	}
-	km.linear = TrainLinearSVM(name+"/linear", feat, cfg.Linear)
+	km.linear = TrainLinearSVM(name+"/linear", feat, cfg.Linear).(*linearModel)
 	return km
 }
 
-func (m *KernelMachine) kernelFeatures(x []float64) []float64 {
+func (m *kernelMachine) kernelFeatures(x []float64) []float64 {
 	f := make([]float64, len(m.landmarks))
 	for i, l := range m.landmarks {
 		f[i] = math.Exp(-m.gamma * sqDist(x, l))
@@ -93,23 +93,23 @@ func (m *KernelMachine) kernelFeatures(x []float64) []float64 {
 }
 
 // Name implements Model.
-func (m *KernelMachine) Name() string { return m.name }
+func (m *kernelMachine) Name() string { return m.name }
 
 // NumClasses implements Model.
-func (m *KernelMachine) NumClasses() int { return m.linear.NumClasses() }
+func (m *kernelMachine) NumClasses() int { return m.linear.NumClasses() }
 
 // Predict implements Model.
-func (m *KernelMachine) Predict(x []float64) int {
+func (m *kernelMachine) Predict(x []float64) int {
 	return argmax(m.Scores(x))
 }
 
 // PredictBatch implements Model.
-func (m *KernelMachine) PredictBatch(xs [][]float64) []int {
+func (m *kernelMachine) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(m, xs)
 }
 
 // Scores implements Scorer.
-func (m *KernelMachine) Scores(x []float64) []float64 {
+func (m *kernelMachine) Scores(x []float64) []float64 {
 	checkDim(m.name, x, m.dim)
 	return m.linear.Scores(m.kernelFeatures(x))
 }
@@ -118,7 +118,7 @@ func (m *KernelMachine) Scores(x []float64) []float64 {
 // across every row — kernelFeatures allocates a landmarks-wide slice per
 // query on the serial path, which dominates small-batch garbage for this
 // model family.
-func (m *KernelMachine) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (m *kernelMachine) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	feat := make([]float64, len(m.landmarks))
 	nc := m.linear.NumClasses()

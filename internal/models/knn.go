@@ -2,11 +2,11 @@ package models
 
 import "clipper/internal/dataset"
 
-// KNN is a k-nearest-neighbors classifier over the full training set.
+// knn is a k-nearest-neighbors classifier over the full training set.
 // Like the kernel machine, its per-query cost scales with the stored
 // example count, making it one of the expensive containers in the latency
 // profile experiments.
-type KNN struct {
+type knn struct {
 	name       string
 	xs         [][]float64
 	ys         []int
@@ -17,14 +17,14 @@ type KNN struct {
 
 // TrainKNN "trains" a k-NN model by retaining (a reference to) the training
 // set. k <= 0 selects 5.
-func TrainKNN(name string, ds *dataset.Dataset, k int) *KNN {
+func TrainKNN(name string, ds *dataset.Dataset, k int) Model {
 	if k <= 0 {
 		k = 5
 	}
 	if k > ds.Len() {
 		k = ds.Len()
 	}
-	return &KNN{
+	return &knn{
 		name:       name,
 		xs:         ds.X,
 		ys:         ds.Y,
@@ -35,26 +35,26 @@ func TrainKNN(name string, ds *dataset.Dataset, k int) *KNN {
 }
 
 // Name implements Model.
-func (m *KNN) Name() string { return m.name }
+func (m *knn) Name() string { return m.name }
 
 // NumClasses implements Model.
-func (m *KNN) NumClasses() int { return m.numClasses }
+func (m *knn) NumClasses() int { return m.numClasses }
 
 // K returns the neighbor count.
-func (m *KNN) K() int { return m.k }
+func (m *knn) K() int { return m.k }
 
 // Predict implements Model.
-func (m *KNN) Predict(x []float64) int {
+func (m *knn) Predict(x []float64) int {
 	return argmax(m.Scores(x))
 }
 
 // PredictBatch implements Model.
-func (m *KNN) PredictBatch(xs [][]float64) []int {
+func (m *knn) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(m, xs)
 }
 
 // Scores implements Scorer: the neighbor vote share per class.
-func (m *KNN) Scores(x []float64) []float64 {
+func (m *knn) Scores(x []float64) []float64 {
 	return scoresRow(m, m.numClasses, x)
 }
 
@@ -63,7 +63,7 @@ func (m *KNN) Scores(x []float64) []float64 {
 // rows. The heap operations are inlined (container/heap's compare/swap
 // order, which the tests hold it to) because that package's interface{}
 // boxing costs an allocation per pushed neighbor.
-func (m *KNN) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (m *knn) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	h := make([]distEntry, 0, m.k)
 	for r := 0; r < rows; r++ {

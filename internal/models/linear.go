@@ -7,13 +7,13 @@ import (
 	"clipper/internal/dataset"
 )
 
-// LinearModel is a multiclass linear classifier: one weight vector and bias
+// linearModel is a multiclass linear classifier: one weight vector and bias
 // per class, predicting argmax_c (w_c · x + b_c). Both the linear SVM
 // (Pegasos, hinge loss) and logistic regression (softmax cross-entropy)
 // trainers produce this type; they differ only in training objective, and
 // hence accuracy, exactly as the paper's Scikit-Learn and Spark linear
 // models do.
-type LinearModel struct {
+type linearModel struct {
 	name    string
 	weights [][]float64 // [class][dim]
 	bias    []float64   // [class]
@@ -21,26 +21,26 @@ type LinearModel struct {
 }
 
 // Name implements Model.
-func (m *LinearModel) Name() string { return m.name }
+func (m *linearModel) Name() string { return m.name }
 
 // NumClasses implements Model.
-func (m *LinearModel) NumClasses() int { return len(m.weights) }
+func (m *linearModel) NumClasses() int { return len(m.weights) }
 
 // Dim returns the expected input dimensionality.
-func (m *LinearModel) Dim() int { return m.dim }
+func (m *linearModel) Dim() int { return m.dim }
 
 // Predict implements Model.
-func (m *LinearModel) Predict(x []float64) int {
+func (m *linearModel) Predict(x []float64) int {
 	return argmax(m.Scores(x))
 }
 
 // PredictBatch implements Model.
-func (m *LinearModel) PredictBatch(xs [][]float64) []int {
+func (m *linearModel) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(m, xs)
 }
 
 // Scores implements Scorer: one margin per class.
-func (m *LinearModel) Scores(x []float64) []float64 {
+func (m *linearModel) Scores(x []float64) []float64 {
 	checkDim(m.name, x, m.dim)
 	s := make([]float64, len(m.weights))
 	for c, w := range m.weights {
@@ -51,7 +51,7 @@ func (m *LinearModel) Scores(x []float64) []float64 {
 
 // ScoresFlat implements FlatScorer: per-class margins for every row of a
 // flat row-major tensor, with zero per-row allocations.
-func (m *LinearModel) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (m *linearModel) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	nc := len(m.weights)
 	for r := 0; r < rows; r++ {
@@ -85,7 +85,7 @@ func DefaultLinearConfig() LinearConfig {
 // TrainLinearSVM trains a one-vs-rest multiclass linear SVM with the Pegasos
 // stochastic sub-gradient algorithm (Shalev-Shwartz et al.). This stands in
 // for the paper's Scikit-Learn and PySpark linear SVMs.
-func TrainLinearSVM(name string, ds *dataset.Dataset, cfg LinearConfig) *LinearModel {
+func TrainLinearSVM(name string, ds *dataset.Dataset, cfg LinearConfig) Model {
 	m := newLinear(name, ds)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lambda := cfg.Lambda
@@ -145,7 +145,7 @@ func TrainLinearSVM(name string, ds *dataset.Dataset, cfg LinearConfig) *LinearM
 // TrainLogisticRegression trains multinomial logistic regression with SGD on
 // the softmax cross-entropy objective. This stands in for the paper's
 // Scikit-Learn logistic regression.
-func TrainLogisticRegression(name string, ds *dataset.Dataset, cfg LinearConfig) *LinearModel {
+func TrainLogisticRegression(name string, ds *dataset.Dataset, cfg LinearConfig) Model {
 	m := newLinear(name, ds)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lr := cfg.LearningRate
@@ -205,8 +205,8 @@ func stepNormalizer(ds *dataset.Dataset) float64 {
 	return 1
 }
 
-func newLinear(name string, ds *dataset.Dataset) *LinearModel {
-	m := &LinearModel{
+func newLinear(name string, ds *dataset.Dataset) *linearModel {
+	m := &linearModel{
 		name:    name,
 		weights: make([][]float64, ds.NumClasses),
 		bias:    make([]float64, ds.NumClasses),

@@ -7,14 +7,14 @@ import (
 	"clipper/internal/dataset"
 )
 
-// MLP is a fully connected neural network with ReLU hidden activations and
+// mlp is a fully connected neural network with ReLU hidden activations and
 // a softmax output, trained with mini-batch SGD on cross-entropy. The
 // "deep" models in the paper's Table 2 (VGG, GoogLeNet, ResNet, CaffeNet,
 // Inception) are represented by MLPs of varying width/depth wrapped in
 // framework latency profiles (internal/frameworks); what Clipper's layers
 // observe — differing accuracies and differing compute costs — is
 // preserved.
-type MLP struct {
+type mlp struct {
 	name    string
 	weights [][][]float64 // [layer][out][in]
 	biases  [][]float64   // [layer][out]
@@ -43,7 +43,7 @@ func DefaultMLPConfig() MLPConfig {
 }
 
 // TrainMLP trains a multi-layer perceptron on ds.
-func TrainMLP(name string, ds *dataset.Dataset, cfg MLPConfig) *MLP {
+func TrainMLP(name string, ds *dataset.Dataset, cfg MLPConfig) Model {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
 	}
@@ -57,7 +57,7 @@ func TrainMLP(name string, ds *dataset.Dataset, cfg MLPConfig) *MLP {
 
 	sizes := append([]int{ds.Dim}, cfg.Hidden...)
 	sizes = append(sizes, ds.NumClasses)
-	m := &MLP{name: name, dim: ds.Dim, classes: ds.NumClasses}
+	m := &mlp{name: name, dim: ds.Dim, classes: ds.NumClasses}
 	for l := 0; l+1 < len(sizes); l++ {
 		in, out := sizes[l], sizes[l+1]
 		w := make([][]float64, out)
@@ -88,7 +88,7 @@ func TrainMLP(name string, ds *dataset.Dataset, cfg MLPConfig) *MLP {
 }
 
 // sgdStep accumulates gradients over one mini-batch and applies them.
-func (m *MLP) sgdStep(ds *dataset.Dataset, idx []int, eta float64) {
+func (m *mlp) sgdStep(ds *dataset.Dataset, idx []int, eta float64) {
 	nL := len(m.weights)
 	gradW := make([][][]float64, nL)
 	gradB := make([][]float64, nL)
@@ -147,7 +147,7 @@ func (m *MLP) sgdStep(ds *dataset.Dataset, idx []int, eta float64) {
 
 // forward returns activations per layer (acts[0] = input, acts[L] = logits)
 // and pre-activations zs per hidden layer.
-func (m *MLP) forward(x []float64) (acts [][]float64, zs [][]float64) {
+func (m *mlp) forward(x []float64) (acts [][]float64, zs [][]float64) {
 	nL := len(m.weights)
 	acts = make([][]float64, nL+1)
 	zs = make([][]float64, nL)
@@ -174,23 +174,23 @@ func (m *MLP) forward(x []float64) (acts [][]float64, zs [][]float64) {
 }
 
 // Name implements Model.
-func (m *MLP) Name() string { return m.name }
+func (m *mlp) Name() string { return m.name }
 
 // NumClasses implements Model.
-func (m *MLP) NumClasses() int { return m.classes }
+func (m *mlp) NumClasses() int { return m.classes }
 
 // Predict implements Model.
-func (m *MLP) Predict(x []float64) int {
+func (m *mlp) Predict(x []float64) int {
 	return argmax(m.Scores(x))
 }
 
 // PredictBatch implements Model.
-func (m *MLP) PredictBatch(xs [][]float64) []int {
+func (m *mlp) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(m, xs)
 }
 
 // Scores implements Scorer: output logits.
-func (m *MLP) Scores(x []float64) []float64 {
+func (m *mlp) Scores(x []float64) []float64 {
 	checkDim(m.name, x, m.dim)
 	acts, _ := m.forward(x)
 	return acts[len(acts)-1]
@@ -200,7 +200,7 @@ func (m *MLP) Scores(x []float64) []float64 {
 // row-major tensor. Two ping-pong activation buffers are reused across
 // all rows and layers, so the whole batch costs two scratch allocations
 // instead of forward()'s two per layer per row.
-func (m *MLP) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (m *mlp) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	nL := len(m.weights)
 	maxW := 0

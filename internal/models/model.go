@@ -4,7 +4,7 @@
 // k-nearest neighbors, Gaussian naive Bayes, multi-layer perceptrons, and a
 // no-op model for overhead measurement. Every scoring model is a FlatScorer
 // whose flat path equals Scores bit for bit, and anything that depends only
-// on the parameters (NaiveBayes' normaliser table) is built once, at
+// on the parameters (naive Bayes' normaliser table) is built once, at
 // training or load, never while predicting.
 //
 // The paper serves models trained in Scikit-Learn, Spark MLlib, Caffe,

@@ -15,7 +15,7 @@ import (
 // also compiles and passes inside the PR 22 tree — that is how the
 // references were checked to be the parent's code and not a paraphrase.
 
-func bayesScoresRef(m *NaiveBayes, x []float64) []float64 {
+func bayesScoresRef(m *naiveBayes, x []float64) []float64 {
 	out := make([]float64, len(m.mean))
 	for c := range m.mean {
 		ll := m.logPrior[c]
@@ -33,7 +33,7 @@ func bayesScoresRef(m *NaiveBayes, x []float64) []float64 {
 	return out
 }
 
-func treeScoresRef(t *DecisionTree, x []float64) []float64 {
+func treeScoresRef(t *decisionTree, x []float64) []float64 {
 	counts := t.root.leafFor(x).classCounts
 	out := make([]float64, len(counts))
 	sum := 0.0
@@ -49,7 +49,7 @@ func treeScoresRef(t *DecisionTree, x []float64) []float64 {
 	return out
 }
 
-func forestScoresRef(f *RandomForest, x []float64) []float64 {
+func forestScoresRef(f *randomForest, x []float64) []float64 {
 	out := make([]float64, f.numClasses)
 	for _, t := range f.trees {
 		for i, v := range treeScoresRef(t, x) {
@@ -62,7 +62,7 @@ func forestScoresRef(f *RandomForest, x []float64) []float64 {
 	return out
 }
 
-func gbdtScoresRef(m *GBDT, x []float64) []float64 {
+func gbdtScoresRef(m *gbdt, x []float64) []float64 {
 	out := make([]float64, m.classes)
 	for _, round := range m.trees {
 		for c, tree := range round {
@@ -87,7 +87,7 @@ func (h *refHeap) Pop() interface{} {
 
 // knnScoresRef keeps the k nearest in a container/heap max-heap: the
 // compare/swap order KNN's inlined heap must reproduce for ties to agree.
-func knnScoresRef(m *KNN, x []float64) []float64 {
+func knnScoresRef(m *knn, x []float64) []float64 {
 	h := make(refHeap, 0, m.k)
 	for i, xi := range m.xs {
 		d := sqDist(x, xi)
@@ -111,15 +111,15 @@ func knnScoresRef(m *KNN, x []float64) []float64 {
 func scoresRef(t *testing.T, m Model, x []float64) []float64 {
 	t.Helper()
 	switch v := m.(type) {
-	case *NaiveBayes:
+	case *naiveBayes:
 		return bayesScoresRef(v, x)
-	case *DecisionTree:
+	case *decisionTree:
 		return treeScoresRef(v, x)
-	case *RandomForest:
+	case *randomForest:
 		return forestScoresRef(v, x)
-	case *GBDT:
+	case *gbdt:
 		return gbdtScoresRef(v, x)
-	case *KNN:
+	case *knn:
 		return knnScoresRef(v, x)
 	}
 	t.Fatalf("no reference scorer for %T", m)
@@ -140,13 +140,13 @@ func kernelZoo(t *testing.T, seed int64) ([]Model, [][]float64) {
 	sparse := *train
 	sparse.NumClasses++ // class 3 has no examples
 
-	hollow := TrainDecisionTree("tree-hollow", train, TreeConfig{MaxDepth: 4, Seed: seed})
+	hollow := TrainDecisionTree("tree-hollow", train, TreeConfig{MaxDepth: 4, Seed: seed}).(*decisionTree)
 	hollow.root = &treeNode{
 		feature: 0, threshold: test.X[0][0], // row 0 falls in the empty leaf
 		left:  &treeNode{feature: -1, classCounts: make([]float64, train.NumClasses)},
 		right: hollow.root,
 	}
-	forest := TrainRandomForest("rf-hollow", train, TreeConfig{Trees: 5, MaxDepth: 6, Seed: seed})
+	forest := TrainRandomForest("rf-hollow", train, TreeConfig{Trees: 5, MaxDepth: 6, Seed: seed}).(*randomForest)
 	forest.trees = append(forest.trees, hollow)
 
 	dup := *train

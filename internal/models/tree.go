@@ -48,9 +48,9 @@ func (n *treeNode) addShares(x, out []float64) {
 	}
 }
 
-// DecisionTree is a single CART classification tree trained with the Gini
+// decisionTree is a single CART classification tree trained with the Gini
 // impurity criterion.
-type DecisionTree struct {
+type decisionTree struct {
 	name       string
 	root       *treeNode
 	numClasses int
@@ -84,11 +84,11 @@ func DefaultTreeConfig() TreeConfig {
 
 // TrainDecisionTree trains one CART tree on ds. This stands in for a
 // Scikit-Learn decision tree.
-func TrainDecisionTree(name string, ds *dataset.Dataset, cfg TreeConfig) *DecisionTree {
+func TrainDecisionTree(name string, ds *dataset.Dataset, cfg TreeConfig) Model {
 	cfg = fillTreeDefaults(cfg, ds.Dim)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idx := identity(ds.Len())
-	return &DecisionTree{
+	return &decisionTree{
 		name:       name,
 		root:       growTree(ds, idx, cfg, rng, 0),
 		numClasses: ds.NumClasses,
@@ -97,51 +97,51 @@ func TrainDecisionTree(name string, ds *dataset.Dataset, cfg TreeConfig) *Decisi
 }
 
 // Name implements Model.
-func (t *DecisionTree) Name() string { return t.name }
+func (t *decisionTree) Name() string { return t.name }
 
 // NumClasses implements Model.
-func (t *DecisionTree) NumClasses() int { return t.numClasses }
+func (t *decisionTree) NumClasses() int { return t.numClasses }
 
 // Predict implements Model.
-func (t *DecisionTree) Predict(x []float64) int {
+func (t *decisionTree) Predict(x []float64) int {
 	checkDim(t.name, x, t.dim)
 	return argmax(t.root.leafFor(x).classCounts)
 }
 
 // PredictBatch implements Model.
-func (t *DecisionTree) PredictBatch(xs [][]float64) []int {
+func (t *decisionTree) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(t, xs)
 }
 
 // Scores implements Scorer: normalized leaf class counts.
-func (t *DecisionTree) Scores(x []float64) []float64 {
+func (t *decisionTree) Scores(x []float64) []float64 {
 	return scoresRow(t, t.numClasses, x)
 }
 
 // ScoresFlat implements FlatScorer.
-func (t *DecisionTree) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (t *decisionTree) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(t, t.name, t.dim, t.numClasses, data, rows, dim, out)
 }
 
-func (t *DecisionTree) scoresInto(x, out []float64) {
+func (t *decisionTree) scoresInto(x, out []float64) {
 	clear(out)
 	t.root.addShares(x, out)
 }
 
-// RandomForest is a bagged ensemble of CART trees with per-split feature
+// randomForest is a bagged ensemble of CART trees with per-split feature
 // subsampling. This stands in for the paper's Scikit-Learn random forest.
-type RandomForest struct {
+type randomForest struct {
 	name       string
-	trees      []*DecisionTree
+	trees      []*decisionTree
 	numClasses int
 	dim        int
 }
 
 // TrainRandomForest trains cfg.Trees bootstrap-sampled trees on ds.
-func TrainRandomForest(name string, ds *dataset.Dataset, cfg TreeConfig) *RandomForest {
+func TrainRandomForest(name string, ds *dataset.Dataset, cfg TreeConfig) Model {
 	cfg = fillTreeDefaults(cfg, ds.Dim)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rf := &RandomForest{name: name, numClasses: ds.NumClasses, dim: ds.Dim}
+	rf := &randomForest{name: name, numClasses: ds.NumClasses, dim: ds.Dim}
 	n := ds.Len()
 	sample := int(cfg.SampleFraction * float64(n))
 	if sample <= 0 {
@@ -152,7 +152,7 @@ func TrainRandomForest(name string, ds *dataset.Dataset, cfg TreeConfig) *Random
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		tree := &DecisionTree{
+		tree := &decisionTree{
 			name:       name,
 			root:       growTree(ds, idx, cfg, rng, 0),
 			numClasses: ds.NumClasses,
@@ -164,34 +164,34 @@ func TrainRandomForest(name string, ds *dataset.Dataset, cfg TreeConfig) *Random
 }
 
 // Name implements Model.
-func (f *RandomForest) Name() string { return f.name }
+func (f *randomForest) Name() string { return f.name }
 
 // NumClasses implements Model.
-func (f *RandomForest) NumClasses() int { return f.numClasses }
+func (f *randomForest) NumClasses() int { return f.numClasses }
 
 // Predict implements Model.
-func (f *RandomForest) Predict(x []float64) int {
+func (f *randomForest) Predict(x []float64) int {
 	return argmax(f.Scores(x))
 }
 
 // PredictBatch implements Model.
-func (f *RandomForest) PredictBatch(xs [][]float64) []int {
+func (f *randomForest) PredictBatch(xs [][]float64) []int {
 	return predictBatchSerial(f, xs)
 }
 
 // Scores implements Scorer: mean of per-tree leaf distributions.
-func (f *RandomForest) Scores(x []float64) []float64 {
+func (f *randomForest) Scores(x []float64) []float64 {
 	return scoresRow(f, f.numClasses, x)
 }
 
 // ScoresFlat implements FlatScorer.
-func (f *RandomForest) ScoresFlat(data []float64, rows, dim int, out []float64) {
+func (f *randomForest) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(f, f.name, f.dim, f.numClasses, data, rows, dim, out)
 }
 
 // scoresInto accumulates straight off the leaf counts, in tree order, so
 // the sum rounds exactly as adding each tree's Scores would.
-func (f *RandomForest) scoresInto(x, out []float64) {
+func (f *randomForest) scoresInto(x, out []float64) {
 	clear(out)
 	for _, t := range f.trees {
 		t.root.addShares(x, out)

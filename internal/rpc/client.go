@@ -50,11 +50,11 @@ type Client struct {
 	readErr error // why the client died; set with closed
 }
 
-// ConnStats is a point-in-time snapshot of one connection's write-side
+// connStats is a point-in-time snapshot of one connection's write-side
 // telemetry. The counters are cumulative over the connection's lifetime;
 // consumers (/metrics, the benchmark's rpc cells) difference successive
 // snapshots to derive rates.
-type ConnStats struct {
+type connStats struct {
 	// Alive reports whether the connection is still serving calls.
 	Alive bool
 	// BytesInFlight is the payload bytes being written at snapshot time.
@@ -69,9 +69,9 @@ type ConnStats struct {
 	WriteWait time.Duration
 }
 
-// Stats snapshots the connection's write-side telemetry.
-func (c *Client) Stats() ConnStats {
-	return ConnStats{
+// stats snapshots the connection's write-side telemetry.
+func (c *Client) stats() connStats {
+	return connStats{
 		Alive:         c.alive(),
 		BytesInFlight: c.bytesInFlight.Load(),
 		Writes:        c.writes.Load(),
@@ -129,7 +129,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(conn), nil
+	return newClient(conn), nil
 }
 
 // dialTCP connects to addr with Nagle's algorithm off: latency matters
@@ -145,9 +145,9 @@ func dialTCP(addr string, timeout time.Duration) (io.ReadWriteCloser, error) {
 	return conn, nil
 }
 
-// NewClient wraps an established connection (or any ReadWriteCloser, e.g. a
+// newClient wraps an established connection (or any ReadWriteCloser, e.g. a
 // bandwidth-limited simulated link) in a client and starts its read loop.
-func NewClient(conn io.ReadWriteCloser) *Client {
+func newClient(conn io.ReadWriteCloser) *Client {
 	c := &Client{
 		conn:    conn,
 		done:    make(chan struct{}),
@@ -180,7 +180,7 @@ func (c *Client) Err() error {
 }
 
 func (c *Client) readLoop() {
-	r := NewReader(c.conn)
+	r := newReader(c.conn)
 	for {
 		f, err := ReadFrame(r)
 		if err != nil {
@@ -193,7 +193,7 @@ func (c *Client) readLoop() {
 			// Response to a cancelled call (or stray id): nobody else
 			// will see this frame, so the read loop ends its lease.
 			f.Release()
-		case f.Type == MsgError:
+		case f.Type == msgError:
 			msg := string(f.Payload)
 			f.Release()
 			done(Payload{}, &RemoteError{Message: msg})
@@ -317,13 +317,13 @@ func (c *Client) roundTrip(ctx context.Context, typ MsgType, method Method, payl
 
 // Ping round-trips a heartbeat frame.
 func (c *Client) Ping(ctx context.Context) error {
-	p, err := c.roundTrip(ctx, MsgPing, 0, nil)
+	p, err := c.roundTrip(ctx, msgPing, 0, nil)
 	if err != nil {
 		return err
 	}
 	typ := p.frame.Type
 	p.Release()
-	if typ != MsgPong {
+	if typ != msgPong {
 		return fmt.Errorf("rpc: unexpected ping reply type %d", typ)
 	}
 	return nil

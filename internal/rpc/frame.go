@@ -17,7 +17,7 @@
 // in-flight calls fail — the survivors keep serving while the lost
 // connection is redialed with backoff, and a one-connection pool comes
 // back the same way. The frame wire format and both layers' failure
-// semantics are documented in docs/ARCHITECTURE.md.
+// semantics are in the RPC section of docs/ARCHITECTURE.md.
 package rpc
 
 import (
@@ -40,9 +40,9 @@ type MsgType uint8
 const (
 	MsgRequest  MsgType = 0
 	MsgResponse MsgType = 1
-	MsgError    MsgType = 2
-	MsgPing     MsgType = 3
-	MsgPong     MsgType = 4
+	msgError    MsgType = 2
+	msgPing     MsgType = 3
+	msgPong     MsgType = 4
 )
 
 // Method identifies the remote operation being invoked.
@@ -54,16 +54,16 @@ const (
 	MethodInfo    Method = 2
 )
 
-// MaxFrameSize bounds a single frame's payload (64 MiB), protecting both
+// maxFrameSize bounds a single frame's payload (64 MiB), protecting both
 // sides from corrupt length prefixes.
-const MaxFrameSize = 64 << 20
+const maxFrameSize = 64 << 20
 
 // Frame is one protocol message.
 //
 // Frames returned by ReadFrame are *leased*: their Payload aliases a
 // pooled body buffer, and the reader that consumed the frame must call
-// Release exactly once when the payload's lifetime ends (see the
-// "payload lifetime & release points" section of docs/ARCHITECTURE.md).
+// Release exactly once when the payload's lifetime ends (see "Payload
+// lifetime & release points" in docs/ARCHITECTURE.md).
 // Frames constructed by callers for WriteFrame carry no lease; Release
 // on them is a harmless no-op.
 type Frame struct {
@@ -159,8 +159,8 @@ func putBody(b *[]byte) {
 // field counts the 10 header bytes after it plus the payload.
 const headerLen = 14
 
-// ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
-var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
+// errFrameTooLarge is returned when a frame exceeds maxFrameSize.
+var errFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 
 // inlineFrameMax is the largest frame (header + payload) that WriteFrame
 // copies into one pooled buffer for a single Write. Larger payloads go out
@@ -188,8 +188,8 @@ type frameBuf struct {
 // serializing concurrent writers with a mutex therefore still cannot
 // interleave frames: both paths complete under one WriteFrame call.
 func WriteFrame(w io.Writer, f *Frame) error {
-	if len(f.Payload) > MaxFrameSize {
-		return ErrFrameTooLarge
+	if len(f.Payload) > maxFrameSize {
+		return errFrameTooLarge
 	}
 	fb := framePool.Get().(*frameBuf)
 	hdr := fb.b[:headerLen]
@@ -213,11 +213,11 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// NewReader returns the buffered reader a connection's read loop hands to
+// newReader returns the buffered reader a connection's read loop hands to
 // ReadFrame: off a bare socket every frame costs two reads (prefix, body);
 // through 64 KiB of buffer, frames that arrived together share one. bufio
 // reads a body larger than its buffer straight into the destination.
-func NewReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, 64<<10) }
+func newReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, 64<<10) }
 
 // ReadFrame reads one frame from r.
 //
@@ -243,8 +243,8 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n < 10 {
 		return nil, fmt.Errorf("rpc: short frame length %d", n)
 	}
-	if n-10 > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+	if n-10 > maxFrameSize {
+		return nil, errFrameTooLarge
 	}
 	var body []byte
 	bp := getBody(int(n))

@@ -82,8 +82,8 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if len(fr.Payload) > MaxFrameSize {
-				t.Fatalf("payload %d exceeds MaxFrameSize", len(fr.Payload))
+			if len(fr.Payload) > maxFrameSize {
+				t.Fatalf("payload %d exceeds maxFrameSize", len(fr.Payload))
 			}
 			fr.Release()
 		}

@@ -43,7 +43,7 @@ func (c *Client) pendingLen() int {
 // map when the frame write failed, leaking one entry per failed heartbeat.
 func TestPingWriteFailureDoesNotLeakPending(t *testing.T) {
 	conn := newStuckConn()
-	c := NewClient(conn)
+	c := newClient(conn)
 	defer c.Close()
 	for i := 0; i < 5; i++ {
 		if err := c.Ping(context.Background()); err == nil {
@@ -57,7 +57,7 @@ func TestPingWriteFailureDoesNotLeakPending(t *testing.T) {
 
 func TestCallWriteFailureDoesNotLeakPending(t *testing.T) {
 	conn := newStuckConn()
-	c := NewClient(conn)
+	c := newClient(conn)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

@@ -52,7 +52,7 @@ func TestCallReleaseDrainsLease(t *testing.T) {
 	waitLeasesSettle(t, base)
 }
 
-// TestErrorAndPingResponsesReleased: Call releases MsgError frames
+// TestErrorAndPingResponsesReleased: Call releases msgError frames
 // internally, and Ping releases its pong — neither hands a lease to the
 // caller.
 func TestErrorAndPingResponsesReleased(t *testing.T) {

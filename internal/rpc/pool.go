@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// ErrNoConns is returned by Pool calls while every pooled connection is
+// errNoConns is returned by Pool calls while every pooled connection is
 // down and awaiting redial.
-var ErrNoConns = errors.New("rpc: no live connections in pool")
+var errNoConns = errors.New("rpc: no live connections in pool")
 
 // Redial pacing for a dead connection: the first attempt waits
 // redialBackoff, each consecutive failure doubles the wait up to
@@ -51,7 +51,7 @@ type PoolConfig struct {
 // connections keep serving — and a monitor goroutine redials the lost
 // connection with exponential backoff until it is restored or the pool is
 // closed; a one-connection pool comes back the same way. While every
-// connection is down, calls fail fast with ErrNoConns.
+// connection is down, calls fail fast with errNoConns.
 type Pool struct {
 	cfg PoolConfig
 
@@ -93,7 +93,7 @@ func (p *Pool) Stats() PoolStats {
 		if c == nil {
 			continue
 		}
-		cs := c.Stats()
+		cs := c.stats()
 		if cs.Alive {
 			st.Live++
 		}
@@ -147,7 +147,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			}
 			return nil, err
 		}
-		p.slots[i].Store(NewClient(conn))
+		p.slots[i].Store(newClient(conn))
 	}
 	for i := range p.slots {
 		p.wg.Add(1)
@@ -202,7 +202,7 @@ func (p *Pool) monitor(i int) {
 			}
 			conn, err := p.cfg.Dial()
 			if err == nil {
-				p.slots[i].Store(NewClient(conn))
+				p.slots[i].Store(newClient(conn))
 				break
 			}
 		}
@@ -225,7 +225,7 @@ func (p *Pool) pick() (*Client, error) {
 	case <-p.stop:
 		return nil, ErrClientClosed
 	default:
-		return nil, ErrNoConns
+		return nil, errNoConns
 	}
 }
 

@@ -162,18 +162,18 @@ func TestPoolAllConnsDown(t *testing.T) {
 	d.setFail(errors.New("dial refused"))
 	d.kill(0)
 	d.kill(1)
-	// Once both monitors notice, calls fail fast with ErrNoConns.
+	// Once both monitors notice, calls fail fast with errNoConns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, err := p.Call(context.Background(), MethodPredict, []byte("x"))
-		if errors.Is(err, ErrNoConns) {
+		if errors.Is(err, errNoConns) {
 			break
 		}
 		if err == nil {
 			t.Fatal("call succeeded with every connection dead")
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("err = %v, want ErrNoConns", err)
+			t.Fatalf("err = %v, want errNoConns", err)
 		}
 		time.Sleep(time.Millisecond)
 	}

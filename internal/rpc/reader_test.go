@@ -52,7 +52,7 @@ func TestReaderParsesPipelinedFramesFromOneRead(t *testing.T) {
 		frames[i] = &Frame{ID: uint64(i), Type: MsgRequest, Method: MethodPredict, Payload: []byte(fmt.Sprintf("row-%03d", i))}
 	}
 	src := &segmentReader{data: encodeFrames(t, frames...), end: io.EOF}
-	r := NewReader(src)
+	r := newReader(src)
 	for i := 0; i < n; i++ {
 		f, err := ReadFrame(r)
 		if err != nil {
@@ -82,7 +82,7 @@ func TestReaderLargeFrameIntact(t *testing.T) {
 		&Frame{ID: 1, Type: MsgRequest, Payload: []byte("before")},
 		&Frame{ID: 2, Type: MsgRequest, Payload: big},
 		&Frame{ID: 3, Type: MsgRequest, Payload: []byte("after")})}
-	r := NewReader(src)
+	r := newReader(src)
 	for i, want := range [][]byte{[]byte("before"), big, []byte("after")} {
 		f, err := ReadFrame(r)
 		if err != nil {

@@ -75,7 +75,7 @@ func TestServerWriteFailureRecyclesLeases(t *testing.T) {
 	srv := NewServer(echoHandler)
 	go srv.ServeConn(failWriteConn{srvEnd})
 	defer srv.Close()
-	c := NewClient(cli)
+	c := newClient(cli)
 	defer c.Close()
 
 	for i := 0; i < 5; i++ {

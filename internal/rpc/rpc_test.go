@@ -29,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{ID: 1, Type: MsgPing}); err != nil {
+	if err := WriteFrame(&buf, &Frame{ID: 1, Type: msgPing}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadFrame(&buf)
@@ -43,13 +43,13 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFrame(&buf, &Frame{Payload: make([]byte, MaxFrameSize+1)})
-	if !errors.Is(err, ErrFrameTooLarge) {
+	err := WriteFrame(&buf, &Frame{Payload: make([]byte, maxFrameSize+1)})
+	if !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 	// A corrupt giant length prefix must be rejected on read too.
 	bad := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("read err = %v", err)
 	}
 }
@@ -263,7 +263,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 // TestListenAfterStop: a server stopped either way refuses new listeners
-// with ErrServerClosed.
+// with errServerClosed.
 func TestListenAfterStop(t *testing.T) {
 	stops := map[string]func(*Server) error{
 		"Close":    (*Server).Close,
@@ -277,8 +277,8 @@ func TestListenAfterStop(t *testing.T) {
 		if err := stop(srv); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := srv.Listen("127.0.0.1:0"); !errors.Is(err, ErrServerClosed) {
-			t.Fatalf("Listen after %s = %v, want ErrServerClosed", name, err)
+		if _, err := srv.Listen("127.0.0.1:0"); !errors.Is(err, errServerClosed) {
+			t.Fatalf("Listen after %s = %v, want errServerClosed", name, err)
 		}
 	}
 }
@@ -379,7 +379,7 @@ func TestServerSlowRequestDoesNotBlockPing(t *testing.T) {
 // delivery path now and report the cause.
 func TestPingReportsCauseOfDeath(t *testing.T) {
 	cli, srv := net.Pipe()
-	c := NewClient(cli)
+	c := newClient(cli)
 	defer c.Close()
 	go func() {
 		ReadFrame(srv) // the ping arrives and is never answered
@@ -395,7 +395,7 @@ func TestPingReportsCauseOfDeath(t *testing.T) {
 	}
 
 	cli, _ = net.Pipe()
-	c = NewClient(cli)
+	c = newClient(cli)
 	c.Close()
 	if err := c.Ping(context.Background()); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("Ping after a local Close = %v, want ErrClientClosed", err)

@@ -72,9 +72,9 @@ func putRespBuf(b *[]byte) bool {
 	return true
 }
 
-// ErrServerClosed is returned by Listen on a server that has been closed
+// errServerClosed is returned by Listen on a server that has been closed
 // or is shutting down.
-var ErrServerClosed = errors.New("rpc: server closed")
+var errServerClosed = errors.New("rpc: server closed")
 
 // Server accepts connections and dispatches framed requests to a Handler.
 // Requests are served concurrently — the read loop hands each request
@@ -121,7 +121,7 @@ func NewTimedServer(handler TimedHandler) *Server {
 // Listen starts accepting on addr ("host:port"; ":0" picks a free port) and
 // returns the bound address. Serving proceeds in the background until
 // Close or Shutdown; on a server already stopped by either it returns
-// ErrServerClosed.
+// errServerClosed.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -131,7 +131,7 @@ func (s *Server) Listen(addr string) (string, error) {
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return "", ErrServerClosed
+		return "", errServerClosed
 	}
 	s.listener = ln
 	s.wg.Add(1) // under mu: a racing Close must not see the counter at zero
@@ -220,18 +220,18 @@ func lingerClose(tcp *net.TCPConn) {
 // its buffer when Shutdown's deadline lands count as read: they are served
 // before the next read of the connection reports the deadline.
 func (s *Server) readLoop(conn io.ReadWriteCloser, writeMu *sync.Mutex, reqCh chan *Frame, reqWG *sync.WaitGroup) error {
-	r := NewReader(conn)
+	r := newReader(conn)
 	for {
 		f, err := ReadFrame(r)
 		if err != nil {
 			return err
 		}
 		switch f.Type {
-		case MsgPing:
+		case msgPing:
 			id := f.ID
 			f.Release()
 			writeMu.Lock()
-			WriteFrame(conn, &Frame{ID: id, Type: MsgPong})
+			WriteFrame(conn, &Frame{ID: id, Type: msgPong})
 			writeMu.Unlock()
 		case MsgRequest:
 			f.arrived = time.Now()
@@ -271,7 +271,7 @@ func (s *Server) serveRequest(conn io.ReadWriteCloser, writeMu *sync.Mutex, f, o
 	resp, err := s.handler(f.Method, f.Payload, (*scratch)[:0], f.arrived)
 	*out = Frame{ID: f.ID, Type: MsgResponse, Method: f.Method, Payload: resp}
 	if err != nil {
-		out.Type = MsgError
+		out.Type = msgError
 		out.Payload = []byte(err.Error())
 	}
 	writeMu.Lock()

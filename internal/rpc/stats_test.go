@@ -26,7 +26,7 @@ func TestClientWriteQueueStats(t *testing.T) {
 	defer srv.Close()
 	cli, conn := net.Pipe()
 	go srv.ServeConn(conn)
-	c := NewClient(&slowWriteConn{Conn: cli, delay: 2 * time.Millisecond})
+	c := newClient(&slowWriteConn{Conn: cli, delay: 2 * time.Millisecond})
 	defer c.Close()
 
 	const calls = 4
@@ -42,7 +42,7 @@ func TestClientWriteQueueStats(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := c.Stats()
+	st := c.stats()
 	if !st.Alive {
 		t.Fatal("client should be alive")
 	}

@@ -13,7 +13,7 @@ import (
 // non-trivial exercises of that interface — UCB1 needs per-arm pull counts
 // in its state, Thompson needs per-arm Beta posteriors.
 
-// UCB1 is the deterministic optimism-under-uncertainty bandit of Auer et
+// ucb1 is the deterministic optimism-under-uncertainty bandit of Auer et
 // al. (2002): pull the arm maximizing mean reward + sqrt(2 ln n / n_i).
 // Unlike Exp3 it assumes stochastic (non-adversarial) rewards, which makes
 // it faster to converge on stationary workloads but slower to react to
@@ -21,24 +21,24 @@ import (
 //
 // State layout: weights[2i] = arm i's pull count, weights[2i+1] = arm i's
 // cumulative reward.
-type UCB1 struct{}
+type ucb1 struct{}
 
 // NewUCB1 returns a UCB1 policy.
-func NewUCB1() *UCB1 { return &UCB1{} }
+func NewUCB1() Policy { return &ucb1{} }
 
 // Name implements Policy.
-func (p *UCB1) Name() string { return "ucb1" }
+func (p *ucb1) Name() string { return "ucb1" }
 
 // Init implements Policy.
-func (p *UCB1) Init(k int) State {
+func (p *ucb1) Init(k int) State {
 	return State{Weights: make([]float64, 2*k)}
 }
 
-func (p *UCB1) arms(s State) int { return len(s.Weights) / 2 }
+func (p *ucb1) arms(s State) int { return len(s.Weights) / 2 }
 
 // Select implements Policy: the unexplored arm with the lowest index, or
 // the arm with the highest upper confidence bound.
-func (p *UCB1) Select(s State, u float64) []int {
+func (p *ucb1) Select(s State, u float64) []int {
 	k := p.arms(s)
 	if k == 0 {
 		return nil
@@ -64,7 +64,7 @@ func (p *UCB1) Select(s State, u float64) []int {
 
 // Combine implements Policy: the queried arm's prediction; confidence is
 // its empirical mean reward.
-func (p *UCB1) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
+func (p *ucb1) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
 	for i, pr := range preds {
 		if pr == nil {
 			continue
@@ -79,36 +79,36 @@ func (p *UCB1) Combine(s State, preds []*container.Prediction) (container.Predic
 }
 
 // Observe implements Policy.
-func (p *UCB1) Observe(s State, feedback int, preds []*container.Prediction) State {
+func (p *ucb1) Observe(s State, feedback int, preds []*container.Prediction) State {
 	out := s.Clone()
 	for i, pr := range preds {
 		if pr == nil || 2*i+1 >= len(out.Weights) {
 			continue
 		}
 		out.Weights[2*i]++
-		out.Weights[2*i+1] += 1 - Loss(feedback, pr.Label)
+		out.Weights[2*i+1] += 1 - zeroOneLoss(feedback, pr.Label)
 		break
 	}
 	return out
 }
 
-// Thompson is Bernoulli Thompson sampling: each arm keeps a Beta(a, b)
+// thompson is Bernoulli Thompson sampling: each arm keeps a Beta(a, b)
 // posterior over its success probability; selection samples from each
 // posterior and plays the argmax. It typically matches or beats UCB1 on
 // stationary workloads and handles delayed feedback gracefully.
 //
 // State layout: weights[2i] = arm i's alpha (successes+1), weights[2i+1] =
 // arm i's beta (failures+1).
-type Thompson struct{}
+type thompson struct{}
 
 // NewThompson returns a Thompson-sampling policy.
-func NewThompson() *Thompson { return &Thompson{} }
+func NewThompson() Policy { return &thompson{} }
 
 // Name implements Policy.
-func (p *Thompson) Name() string { return "thompson" }
+func (p *thompson) Name() string { return "thompson" }
 
 // Init implements Policy: uniform Beta(1,1) priors.
-func (p *Thompson) Init(k int) State {
+func (p *thompson) Init(k int) State {
 	w := make([]float64, 2*k)
 	for i := range w {
 		w[i] = 1
@@ -119,7 +119,7 @@ func (p *Thompson) Init(k int) State {
 // Select implements Policy. The single uniform variate u seeds a small
 // deterministic generator so the policy remains a pure function of (state,
 // u), as the interface requires.
-func (p *Thompson) Select(s State, u float64) []int {
+func (p *thompson) Select(s State, u float64) []int {
 	k := len(s.Weights) / 2
 	if k == 0 {
 		return nil
@@ -138,7 +138,7 @@ func (p *Thompson) Select(s State, u float64) []int {
 
 // Combine implements Policy: the queried arm's prediction with its
 // posterior mean as confidence.
-func (p *Thompson) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
+func (p *thompson) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
 	for i, pr := range preds {
 		if pr == nil {
 			continue
@@ -156,13 +156,13 @@ func (p *Thompson) Combine(s State, preds []*container.Prediction) (container.Pr
 }
 
 // Observe implements Policy: Beta posterior update of the queried arm.
-func (p *Thompson) Observe(s State, feedback int, preds []*container.Prediction) State {
+func (p *thompson) Observe(s State, feedback int, preds []*container.Prediction) State {
 	out := s.Clone()
 	for i, pr := range preds {
 		if pr == nil || 2*i+1 >= len(out.Weights) {
 			continue
 		}
-		if Loss(feedback, pr.Label) == 0 {
+		if zeroOneLoss(feedback, pr.Label) == 0 {
 			out.Weights[2*i]++ // success -> alpha
 		} else {
 			out.Weights[2*i+1]++ // failure -> beta

@@ -6,8 +6,8 @@ import (
 	"clipper/internal/container"
 )
 
-// Exp3 is the single-model selection policy (paper §5.1): the randomized
-// Exp3 bandit algorithm of Auer et al. It queries exactly one model per
+// exp3 is the single-model selection policy (paper §5.1): the randomized
+// exp3 bandit algorithm of Auer et al. It queries exactly one model per
 // prediction — chosen with probability proportional to its weight — and on
 // feedback applies the importance-weighted exponential update
 //
@@ -16,25 +16,25 @@ import (
 // for the selected model i. It is cheap (one model evaluation per query)
 // and converges to the best single model; its accuracy is bounded by that
 // model's accuracy.
-type Exp3 struct {
+type exp3 struct {
 	// Eta is the learning rate η: how quickly the policy responds to
 	// recent feedback.
 	Eta float64
 }
 
 // NewExp3 returns an Exp3 policy. eta <= 0 selects 0.1.
-func NewExp3(eta float64) *Exp3 {
+func NewExp3(eta float64) Policy {
 	if eta <= 0 {
 		eta = 0.1
 	}
-	return &Exp3{Eta: eta}
+	return &exp3{Eta: eta}
 }
 
 // Name implements Policy.
-func (e *Exp3) Name() string { return "exp3" }
+func (e *exp3) Name() string { return "exp3" }
 
 // Init implements Policy: uniform unit weights.
-func (e *Exp3) Init(k int) State {
+func (e *exp3) Init(k int) State {
 	w := make([]float64, k)
 	for i := range w {
 		w[i] = 1
@@ -44,7 +44,7 @@ func (e *Exp3) Init(k int) State {
 
 // Select implements Policy: samples one model index from the weight
 // distribution using the supplied uniform variate.
-func (e *Exp3) Select(s State, u float64) []int {
+func (e *exp3) Select(s State, u float64) []int {
 	k := len(s.Weights)
 	if k == 0 {
 		return nil
@@ -71,7 +71,7 @@ func (e *Exp3) Select(s State, u float64) []int {
 // is the answer. Confidence is the selected model's selection probability —
 // the policy's own belief in that arm. With no prediction available
 // (straggler), it returns label −1 and zero confidence.
-func (e *Exp3) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
+func (e *exp3) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
 	sum := 0.0
 	for _, w := range s.Weights {
 		sum += w
@@ -91,7 +91,7 @@ func (e *Exp3) Combine(s State, preds []*container.Prediction) (container.Predic
 
 // Observe implements Policy: importance-weighted exponential update of the
 // selected model's weight.
-func (e *Exp3) Observe(s State, feedback int, preds []*container.Prediction) State {
+func (e *exp3) Observe(s State, feedback int, preds []*container.Prediction) State {
 	out := s.Clone()
 	sum := 0.0
 	for _, w := range out.Weights {
@@ -108,9 +108,9 @@ func (e *Exp3) Observe(s State, feedback int, preds []*container.Prediction) Sta
 		if pi <= 0 {
 			pi = minWeight
 		}
-		loss := Loss(feedback, p.Label)
+		loss := zeroOneLoss(feedback, p.Label)
 		out.Weights[i] *= math.Exp(-e.Eta * loss / pi)
-		break // Exp3 queries exactly one model
+		break // exp3 queries exactly one model
 	}
 	normalize(out.Weights)
 	return out

@@ -6,7 +6,7 @@ import (
 	"clipper/internal/container"
 )
 
-// Exp4 is the ensemble model selection policy (paper §5.2): every deployed
+// exp4 is the ensemble model selection policy (paper §5.2): every deployed
 // model is queried for every prediction, and the final answer is the
 // weight-combined ensemble output. Feedback updates each model's weight by
 // its own loss,
@@ -16,24 +16,24 @@ import (
 // the exponentially weighted forecaster over the model "experts". Unlike
 // Exp3, Exp4's accuracy can exceed that of the best single model, at the
 // cost of evaluating all models per query.
-type Exp4 struct {
+type exp4 struct {
 	// Eta is the learning rate η.
 	Eta float64
 }
 
 // NewExp4 returns an Exp4 policy. eta <= 0 selects 0.3.
-func NewExp4(eta float64) *Exp4 {
+func NewExp4(eta float64) Policy {
 	if eta <= 0 {
 		eta = 0.3
 	}
-	return &Exp4{Eta: eta}
+	return &exp4{Eta: eta}
 }
 
 // Name implements Policy.
-func (e *Exp4) Name() string { return "exp4" }
+func (e *exp4) Name() string { return "exp4" }
 
 // Init implements Policy: uniform unit weights.
-func (e *Exp4) Init(k int) State {
+func (e *exp4) Init(k int) State {
 	w := make([]float64, k)
 	for i := range w {
 		w[i] = 1
@@ -42,7 +42,7 @@ func (e *Exp4) Init(k int) State {
 }
 
 // Select implements Policy: Exp4 queries every model.
-func (e *Exp4) Select(s State, u float64) []int {
+func (e *exp4) Select(s State, u float64) []int {
 	out := make([]int, len(s.Weights))
 	for i := range out {
 		out[i] = i
@@ -56,7 +56,7 @@ func (e *Exp4) Select(s State, u float64) []int {
 // models whose predictions are missing — that agrees with the final
 // answer, so straggler-dropped predictions depress confidence exactly as
 // §5.2.2 prescribes.
-func (e *Exp4) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
+func (e *exp4) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
 	winner, _, agreeW, present := weightedVote(s.Weights, preds)
 	if present == 0 {
 		return winner, 0
@@ -73,13 +73,13 @@ func (e *Exp4) Combine(s State, preds []*container.Prediction) (container.Predic
 
 // Observe implements Policy: per-expert exponential update by individual
 // loss. Models with missing predictions are not updated.
-func (e *Exp4) Observe(s State, feedback int, preds []*container.Prediction) State {
+func (e *exp4) Observe(s State, feedback int, preds []*container.Prediction) State {
 	out := s.Clone()
 	for i, p := range preds {
 		if p == nil || i >= len(out.Weights) {
 			continue
 		}
-		out.Weights[i] *= math.Exp(-e.Eta * Loss(feedback, p.Label))
+		out.Weights[i] *= math.Exp(-e.Eta * zeroOneLoss(feedback, p.Label))
 	}
 	normalize(out.Weights)
 	return out

@@ -89,8 +89,8 @@ type Policy interface {
 	Observe(s State, feedback int, preds []*container.Prediction) State
 }
 
-// Loss is the bounded 0/1 prediction loss the bandit policies consume.
-func Loss(feedback, predicted int) float64 {
+// zeroOneLoss is the bounded 0/1 prediction loss the bandit policies consume.
+func zeroOneLoss(feedback, predicted int) float64 {
 	if feedback == predicted {
 		return 0
 	}

@@ -68,7 +68,7 @@ func TestStateCloneIndependent(t *testing.T) {
 }
 
 func TestLoss(t *testing.T) {
-	if Loss(1, 1) != 0 || Loss(1, 2) != 1 {
+	if zeroOneLoss(1, 1) != 0 || zeroOneLoss(1, 2) != 1 {
 		t.Fatal("0/1 loss broken")
 	}
 }
@@ -96,7 +96,7 @@ func TestExp3InitAndSelectDistribution(t *testing.T) {
 }
 
 func TestExp3SelectEdgeCases(t *testing.T) {
-	p := NewExp3(0)
+	p := NewExp3(0).(*exp3)
 	if p.Eta != 0.1 {
 		t.Fatalf("default eta = %v", p.Eta)
 	}
@@ -116,7 +116,7 @@ func TestExp3SelectEdgeCases(t *testing.T) {
 
 func TestExp3ConvergesToBestModel(t *testing.T) {
 	// Model 2 is right 90% of the time; the others 40%. After feedback
-	// Exp3 should concentrate selection probability on model 2.
+	// exp3 should concentrate selection probability on model 2.
 	p := NewExp3(0.1)
 	s := p.Init(3)
 	rng := rand.New(rand.NewSource(7))
@@ -317,7 +317,7 @@ func TestEpsilonGreedy(t *testing.T) {
 	if s2.Weights[0] <= s.Weights[0] {
 		t.Fatalf("correct prediction should raise estimate: %v -> %v", s.Weights[0], s2.Weights[0])
 	}
-	defaults := NewEpsilonGreedy(-1, 9)
+	defaults := NewEpsilonGreedy(-1, 9).(*epsilonGreedy)
 	if defaults.Epsilon != 0.1 || defaults.Alpha != 0.05 {
 		t.Fatalf("defaults = %+v", defaults)
 	}

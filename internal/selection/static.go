@@ -2,23 +2,23 @@ package selection
 
 import "clipper/internal/container"
 
-// Static always selects one fixed model. It is the baseline the paper's
+// static always selects one fixed model. It is the baseline the paper's
 // experiments compare against: a developer who deploys a single chosen
 // model (Figure 8's per-model curves, Figure 10's "static dialect" and "no
 // dialect" baselines).
-type Static struct {
+type static struct {
 	// Index is the fixed model to query.
 	Index int
 }
 
 // NewStatic returns a policy pinned to model index i.
-func NewStatic(i int) *Static { return &Static{Index: i} }
+func NewStatic(i int) Policy { return &static{Index: i} }
 
 // Name implements Policy.
-func (p *Static) Name() string { return "static" }
+func (p *static) Name() string { return "static" }
 
 // Init implements Policy. The state is unused but sized for consistency.
-func (p *Static) Init(k int) State {
+func (p *static) Init(k int) State {
 	w := make([]float64, k)
 	for i := range w {
 		w[i] = 1
@@ -27,7 +27,7 @@ func (p *Static) Init(k int) State {
 }
 
 // Select implements Policy.
-func (p *Static) Select(s State, u float64) []int {
+func (p *static) Select(s State, u float64) []int {
 	if p.Index < 0 || p.Index >= len(s.Weights) {
 		return nil
 	}
@@ -36,7 +36,7 @@ func (p *Static) Select(s State, u float64) []int {
 
 // Combine implements Policy: the fixed model's prediction, confidence 1
 // when present.
-func (p *Static) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
+func (p *static) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
 	for _, pr := range preds {
 		if pr != nil {
 			return *pr, 1
@@ -46,15 +46,15 @@ func (p *Static) Combine(s State, preds []*container.Prediction) (container.Pred
 }
 
 // Observe implements Policy: static policies do not learn.
-func (p *Static) Observe(s State, feedback int, preds []*container.Prediction) State {
+func (p *static) Observe(s State, feedback int, preds []*container.Prediction) State {
 	return s
 }
 
-// EpsilonGreedy is a simple exploration baseline: with probability epsilon
+// epsilonGreedy is a simple exploration baseline: with probability epsilon
 // it explores a model chosen by the randomness budget; otherwise it
 // exploits the lowest-estimated-loss model. It is included as an ablation
 // comparator for Exp3.
-type EpsilonGreedy struct {
+type epsilonGreedy struct {
 	// Epsilon is the exploration probability.
 	Epsilon float64
 	// Alpha is the loss-estimate EWMA factor.
@@ -63,22 +63,22 @@ type EpsilonGreedy struct {
 
 // NewEpsilonGreedy returns an epsilon-greedy policy with sensible defaults
 // for out-of-range arguments.
-func NewEpsilonGreedy(epsilon, alpha float64) *EpsilonGreedy {
+func NewEpsilonGreedy(epsilon, alpha float64) Policy {
 	if epsilon <= 0 || epsilon >= 1 {
 		epsilon = 0.1
 	}
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.05
 	}
-	return &EpsilonGreedy{Epsilon: epsilon, Alpha: alpha}
+	return &epsilonGreedy{Epsilon: epsilon, Alpha: alpha}
 }
 
 // Name implements Policy.
-func (p *EpsilonGreedy) Name() string { return "epsilon-greedy" }
+func (p *epsilonGreedy) Name() string { return "epsilon-greedy" }
 
 // Init implements Policy. Weights store estimated *reward* (1 − loss),
 // initialized optimistically to 1 so every arm is tried.
-func (p *EpsilonGreedy) Init(k int) State {
+func (p *epsilonGreedy) Init(k int) State {
 	w := make([]float64, k)
 	for i := range w {
 		w[i] = 1
@@ -87,7 +87,7 @@ func (p *EpsilonGreedy) Init(k int) State {
 }
 
 // Select implements Policy.
-func (p *EpsilonGreedy) Select(s State, u float64) []int {
+func (p *epsilonGreedy) Select(s State, u float64) []int {
 	k := len(s.Weights)
 	if k == 0 {
 		return nil
@@ -111,7 +111,7 @@ func (p *EpsilonGreedy) Select(s State, u float64) []int {
 
 // Combine implements Policy: the single queried model's prediction with
 // its estimated reward as confidence.
-func (p *EpsilonGreedy) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
+func (p *epsilonGreedy) Combine(s State, preds []*container.Prediction) (container.Prediction, float64) {
 	for i, pr := range preds {
 		if pr != nil {
 			conf := 0.0
@@ -126,13 +126,13 @@ func (p *EpsilonGreedy) Combine(s State, preds []*container.Prediction) (contain
 
 // Observe implements Policy: EWMA update of the queried arm's reward
 // estimate.
-func (p *EpsilonGreedy) Observe(s State, feedback int, preds []*container.Prediction) State {
+func (p *epsilonGreedy) Observe(s State, feedback int, preds []*container.Prediction) State {
 	out := s.Clone()
 	for i, pr := range preds {
 		if pr == nil || i >= len(out.Weights) {
 			continue
 		}
-		reward := 1 - Loss(feedback, pr.Label)
+		reward := 1 - zeroOneLoss(feedback, pr.Label)
 		out.Weights[i] = (1-p.Alpha)*out.Weights[i] + p.Alpha*reward
 		break
 	}

@@ -21,24 +21,24 @@ import (
 // Gbps converts gigabits per second to bytes per second.
 func Gbps(g float64) float64 { return g * 1e9 / 8 }
 
-// Limiter is a shared-wire rate limiter: Reserve(n) books n bytes of
+// limiter is a shared-wire rate limiter: Reserve(n) books n bytes of
 // transfer time on the wire and returns how long the caller must wait for
 // its transfer to complete. Reservations serialize, modeling a shared
 // full-duplex uplink direction.
-type Limiter struct {
+type limiter struct {
 	mu          sync.Mutex
 	bytesPerSec float64
 	nextFree    time.Time
 }
 
-// NewLimiter returns a limiter for a wire of the given capacity in bytes
+// newLimiter returns a limiter for a wire of the given capacity in bytes
 // per second. Non-positive capacity means unlimited.
-func NewLimiter(bytesPerSec float64) *Limiter {
-	return &Limiter{bytesPerSec: bytesPerSec}
+func newLimiter(bytesPerSec float64) *limiter {
+	return &limiter{bytesPerSec: bytesPerSec}
 }
 
 // Reserve books n bytes and returns the wait until the transfer completes.
-func (l *Limiter) Reserve(n int) time.Duration {
+func (l *limiter) Reserve(n int) time.Duration {
 	if l == nil || l.bytesPerSec <= 0 || n <= 0 {
 		return 0
 	}
@@ -57,8 +57,8 @@ func (l *Limiter) Reserve(n int) time.Duration {
 // Fabric models one serving node's network: all links share its uplink and
 // downlink budgets.
 type Fabric struct {
-	up      *Limiter // node -> containers (queries)
-	down    *Limiter // containers -> node (predictions)
+	up      *limiter // node -> containers (queries)
+	down    *limiter // containers -> node (predictions)
 	latency time.Duration
 }
 
@@ -66,8 +66,8 @@ type Fabric struct {
 // bytes per second (use Gbps) and one-way propagation latency.
 func NewFabric(bytesPerSec float64, latency time.Duration) *Fabric {
 	return &Fabric{
-		up:      NewLimiter(bytesPerSec),
-		down:    NewLimiter(bytesPerSec),
+		up:      newLimiter(bytesPerSec),
+		down:    newLimiter(bytesPerSec),
 		latency: latency,
 	}
 }
@@ -86,7 +86,7 @@ func (f *Fabric) NewLink() (nodeEnd, containerEnd io.ReadWriteCloser) {
 // latency, then forwards them to the underlying in-memory pipe.
 type pacedConn struct {
 	inner   net.Conn
-	limiter *Limiter
+	limiter *limiter
 	latency time.Duration
 }
 

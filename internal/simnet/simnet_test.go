@@ -17,18 +17,18 @@ func TestGbps(t *testing.T) {
 }
 
 func TestLimiterUnlimited(t *testing.T) {
-	var nilLimiter *Limiter
+	var nilLimiter *limiter
 	if nilLimiter.Reserve(1000) != 0 {
 		t.Fatal("nil limiter should never wait")
 	}
-	l := NewLimiter(0)
+	l := newLimiter(0)
 	if l.Reserve(1<<30) != 0 {
 		t.Fatal("unlimited limiter should never wait")
 	}
 }
 
 func TestLimiterPacing(t *testing.T) {
-	l := NewLimiter(1e6) // 1 MB/s
+	l := newLimiter(1e6) // 1 MB/s
 	// First reservation of 100KB should cost ~100ms.
 	w1 := l.Reserve(100_000)
 	if w1 < 80*time.Millisecond || w1 > 150*time.Millisecond {
@@ -42,7 +42,7 @@ func TestLimiterPacing(t *testing.T) {
 }
 
 func TestLimiterSharedAcrossCallers(t *testing.T) {
-	l := NewLimiter(10e6) // 10 MB/s
+	l := newLimiter(10e6) // 10 MB/s
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	maxWait := time.Duration(0)

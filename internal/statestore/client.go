@@ -8,31 +8,29 @@ import (
 	"clipper/internal/rpc"
 )
 
-// Client is a Store backed by a remote statestore server, reached over one
+// client is a Store backed by a remote statestore server, reached over one
 // rpc connection: concurrent calls multiplex on it, and a lost connection
 // is redialed with the rpc pool's backoff. Calls made while it is down
-// fail fast with rpc.ErrNoConns.
-type Client struct {
+// fail fast with the pool's "no live connections" error.
+type client struct {
 	pool *rpc.Pool
 }
 
-var _ Store = (*Client)(nil)
-
-// errEmptyKey refuses the one key a Client does not send.
+// errEmptyKey refuses the one key the client does not send.
 var errEmptyKey = errors.New("statestore: empty key")
 
 // DialStore connects to a statestore server at addr.
-func DialStore(addr string, timeout time.Duration) (*Client, error) {
+func DialStore(addr string, timeout time.Duration) (Store, error) {
 	pool, err := rpc.DialPool(addr, timeout, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{pool: pool}, nil
+	return &client{pool: pool}, nil
 }
 
 // call round-trips one request and returns a copy of the response,
 // taken before its leased frame is released.
-func (c *Client) call(method rpc.Method, payload []byte) ([]byte, error) {
+func (c *client) call(method rpc.Method, payload []byte) ([]byte, error) {
 	p, err := c.pool.Call(context.TODO(), method, payload)
 	if err != nil {
 		return nil, err
@@ -43,7 +41,7 @@ func (c *Client) call(method rpc.Method, payload []byte) ([]byte, error) {
 }
 
 // Get implements Store.
-func (c *Client) Get(key string) ([]byte, bool, error) {
+func (c *client) Get(key string) ([]byte, bool, error) {
 	if key == "" {
 		return nil, false, errEmptyKey
 	}
@@ -55,7 +53,7 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 }
 
 // Set implements Store.
-func (c *Client) Set(key string, value []byte) error {
+func (c *client) Set(key string, value []byte) error {
 	if key == "" {
 		return errEmptyKey
 	}
@@ -64,7 +62,7 @@ func (c *Client) Set(key string, value []byte) error {
 }
 
 // Delete implements Store.
-func (c *Client) Delete(key string) error {
+func (c *client) Delete(key string) error {
 	if key == "" {
 		return errEmptyKey
 	}
@@ -73,7 +71,7 @@ func (c *Client) Delete(key string) error {
 }
 
 // Keys implements Store.
-func (c *Client) Keys(prefix string) ([]string, error) {
+func (c *client) Keys(prefix string) ([]string, error) {
 	resp, err := c.call(methodKeys, []byte(prefix))
 	if err != nil {
 		return nil, err
@@ -82,7 +80,7 @@ func (c *Client) Keys(prefix string) ([]string, error) {
 }
 
 // Ping checks server liveness.
-func (c *Client) Ping() error { return c.pool.Ping(context.TODO()) }
+func (c *client) Ping() error { return c.pool.Ping(context.TODO()) }
 
 // Close implements Store.
-func (c *Client) Close() error { return c.pool.Close() }
+func (c *client) Close() error { return c.pool.Close() }

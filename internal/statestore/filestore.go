@@ -28,7 +28,7 @@ import (
 // store that sees one feedback per query grows without bound.
 type FileStore struct {
 	mu   sync.Mutex
-	mem  *MemStore
+	mem  *memStore
 	path string
 	f    *os.File
 	w    *bufio.Writer
@@ -65,7 +65,7 @@ const (
 // bound) still fails hard: truncating there would silently discard state
 // that *was* acknowledged, which is the operator's call, not ours.
 func OpenFileStore(path string) (*FileStore, error) {
-	mem := NewMemStore()
+	mem := newMemStore()
 	var torn, size, live int64
 	if f, err := os.Open(path); err == nil {
 		valid, l, tornTail, rerr := replayLog(f, mem)
@@ -106,7 +106,7 @@ const maxValueLen = 64 << 20
 // live keys' records within it; torn reports a mid-record EOF (a crash
 // tail — recoverable by truncating to valid). Corrupt records (bad opcode,
 // oversize value) return a hard error.
-func replayLog(r io.Reader, mem *MemStore) (valid, live int64, torn bool, err error) {
+func replayLog(r io.Reader, mem *memStore) (valid, live int64, torn bool, err error) {
 	br := bufio.NewReader(r)
 	var off int64
 	for {
@@ -172,7 +172,7 @@ func (s *FileStore) TornTail() int64 { return s.torn }
 func setLen(key string, n int) int64 { return int64(1 + 2 + len(key) + 4 + n) }
 
 // liveLen is the size of key's live Set record in mem, 0 if key is absent.
-func liveLen(mem *MemStore, key string) int64 {
+func liveLen(mem *memStore, key string) int64 {
 	if n, ok := mem.valueLen(key); ok {
 		return setLen(key, n)
 	}

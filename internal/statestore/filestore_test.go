@@ -392,7 +392,7 @@ func TestFileStoreKeysPrefix(t *testing.T) {
 }
 
 func TestFileStoreServesOverTCP(t *testing.T) {
-	// The durable store plugs into the same network server as MemStore.
+	// The durable store plugs into the same network server as the in-memory store.
 	s, err := OpenFileStore(tempStorePath(t))
 	if err != nil {
 		t.Fatal(err)

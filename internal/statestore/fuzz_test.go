@@ -41,7 +41,7 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add(seed.Bytes()[:seed.Len()-2])                // torn tail
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mem := NewMemStore()
+		mem := newMemStore()
 		valid, live, torn, err := replayLog(bytes.NewReader(data), mem)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid offset %d outside [0, %d]", valid, len(data))
@@ -63,7 +63,7 @@ func FuzzReplayLog(f *testing.F) {
 		}
 		// Clean replay: the valid prefix must itself replay to the same
 		// state (replay is deterministic and prefix-closed).
-		mem2 := NewMemStore()
+		mem2 := newMemStore()
 		valid2, _, torn2, err2 := replayLog(bytes.NewReader(data[:valid]), mem2)
 		if valid2 != valid || torn2 || err2 != nil {
 			t.Fatalf("replay of valid prefix diverged: %d %v %v", valid2, torn2, err2)
@@ -75,7 +75,7 @@ func FuzzReplayLog(f *testing.F) {
 }
 
 // FuzzStoreHandler feeds arbitrary (method, payload) pairs to the server's
-// handler over a MemStore: it must never panic, a set payload that decodes
+// handler over a memStore: it must never panic, a set payload that decodes
 // must then be returned by get, and every keys response must parse with
 // the client's decoder.
 func FuzzStoreHandler(f *testing.F) {
@@ -89,7 +89,7 @@ func FuzzStoreHandler(f *testing.F) {
 	f.Add(byte(0xff), []byte{})
 
 	f.Fuzz(func(t *testing.T, method byte, payload []byte) {
-		store := NewMemStore()
+		store := newMemStore()
 		store.Set("user/0", []byte("seed"))
 		h := handler(store)
 		resp, err := h(rpc.Method(method), payload, nil)

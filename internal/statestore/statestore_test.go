@@ -55,7 +55,7 @@ func TestMemStoreCopiesValues(t *testing.T) {
 }
 
 func TestMemStoreKeysPrefix(t *testing.T) {
-	s := NewMemStore()
+	s := newMemStore()
 	for _, k := range []string{"ctx/u1", "ctx/u2", "other/x"} {
 		s.Set(k, []byte("v"))
 	}
@@ -76,7 +76,7 @@ func TestMemStoreKeysPrefix(t *testing.T) {
 }
 
 func TestMemStoreConcurrent(t *testing.T) {
-	s := NewMemStore()
+	s := newMemStore()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -98,7 +98,7 @@ func TestMemStoreConcurrent(t *testing.T) {
 	}
 }
 
-func startStoreServer(t *testing.T) (*Client, func()) {
+func startStoreServer(t *testing.T) (*client, func()) {
 	t.Helper()
 	srv := NewServer(NewMemStore())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -110,7 +110,7 @@ func startStoreServer(t *testing.T) (*Client, func()) {
 		srv.Close()
 		t.Fatal(err)
 	}
-	return c, func() {
+	return c.(*client), func() {
 		c.Close()
 		srv.Close()
 	}

@@ -3,12 +3,12 @@
 // selection state (paper §5.3).
 //
 // The paper uses Redis; offline, this package provides an equivalent:
-// MemStore, a concurrency-safe in-memory key-value store; FileStore, the
+// NewMemStore, a concurrency-safe in-memory key-value store; FileStore, the
 // same behind an append-only log; and NewServer and DialStore, which put
 // any Store in a process of its own, as Redis would be. The server is an
 // rpc.Server and the client an rpc.Pool, so the state store speaks the
 // same frames as the model containers and the stream adapter; its four
-// methods are tabled in the RPC section of docs/ARCHITECTURE.md.
+// methods are tabled in the State store section of docs/ARCHITECTURE.md.
 package statestore
 
 import (
@@ -34,22 +34,20 @@ type Store interface {
 	Close() error
 }
 
-// MemStore is an in-memory Store, safe for concurrent use. The zero value
-// is not usable; construct with NewMemStore.
-type MemStore struct {
+// memStore is an in-memory Store, safe for concurrent use. The zero value
+// is not usable; construct with newMemStore.
+type memStore struct {
 	mu   sync.RWMutex
 	data map[string][]byte
 }
 
-var _ Store = (*MemStore)(nil)
-
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{data: make(map[string][]byte)}
-}
+func NewMemStore() Store { return newMemStore() }
+
+func newMemStore() *memStore { return &memStore{data: make(map[string][]byte)} }
 
 // Get implements Store.
-func (s *MemStore) Get(key string) ([]byte, bool, error) {
+func (s *memStore) Get(key string) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
@@ -60,7 +58,7 @@ func (s *MemStore) Get(key string) ([]byte, bool, error) {
 }
 
 // valueLen returns the length of key's value without copying it.
-func (s *MemStore) valueLen(key string) (int, bool) {
+func (s *memStore) valueLen(key string) (int, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
@@ -68,7 +66,7 @@ func (s *MemStore) valueLen(key string) (int, bool) {
 }
 
 // Set implements Store.
-func (s *MemStore) Set(key string, value []byte) error {
+func (s *memStore) Set(key string, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data[key] = append([]byte(nil), value...)
@@ -76,7 +74,7 @@ func (s *MemStore) Set(key string, value []byte) error {
 }
 
 // Delete implements Store.
-func (s *MemStore) Delete(key string) error {
+func (s *memStore) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.data, key)
@@ -84,7 +82,7 @@ func (s *MemStore) Delete(key string) error {
 }
 
 // Keys implements Store.
-func (s *MemStore) Keys(prefix string) ([]string, error) {
+func (s *memStore) Keys(prefix string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []string
@@ -98,11 +96,11 @@ func (s *MemStore) Keys(prefix string) ([]string, error) {
 }
 
 // Len returns the number of stored keys.
-func (s *MemStore) Len() int {
+func (s *memStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.data)
 }
 
 // Close implements Store (no-op for the in-memory store).
-func (s *MemStore) Close() error { return nil }
+func (s *memStore) Close() error { return nil }

@@ -21,20 +21,20 @@ import (
 
 // Arrival processes for OpenLoopConfig.Process.
 const (
-	// ProcessPoisson is a constant-rate Poisson process.
-	ProcessPoisson = "poisson"
-	// ProcessDiurnal modulates the rate sinusoidally around Rate —
+	// processPoisson is a constant-rate Poisson process.
+	processPoisson = "poisson"
+	// processDiurnal modulates the rate sinusoidally around Rate —
 	// the day/night swing of user-facing serving workloads.
-	ProcessDiurnal = "diurnal"
-	// ProcessFlash multiplies the rate by FlashX during a mid-run
+	processDiurnal = "diurnal"
+	// processFlash multiplies the rate by FlashX during a mid-run
 	// window — a flash crowd arriving on top of steady traffic.
-	ProcessFlash = "flash"
+	processFlash = "flash"
 )
 
 // OpenLoopConfig describes an open-loop arrival process over a user
 // population.
 type OpenLoopConfig struct {
-	// Process selects the arrival process; empty selects ProcessPoisson.
+	// Process selects the arrival process; empty selects processPoisson.
 	Process string
 	// Rate is the mean offered rate in queries/second.
 	Rate float64
@@ -67,7 +67,7 @@ type OpenLoopConfig struct {
 
 func (cfg *OpenLoopConfig) defaults() {
 	if cfg.Process == "" {
-		cfg.Process = ProcessPoisson
+		cfg.Process = processPoisson
 	}
 	if cfg.Users <= 0 {
 		cfg.Users = 1000
@@ -92,10 +92,10 @@ func (cfg *OpenLoopConfig) defaults() {
 // rateAt returns the instantaneous rate at elapsed time t.
 func (cfg *OpenLoopConfig) rateAt(t time.Duration) float64 {
 	switch cfg.Process {
-	case ProcessDiurnal:
+	case processDiurnal:
 		phase := 2 * math.Pi * float64(t) / float64(cfg.DiurnalPeriod)
 		return cfg.Rate * (1 + cfg.DiurnalAmp*math.Sin(phase))
-	case ProcessFlash:
+	case processFlash:
 		if t >= cfg.FlashStart && t < cfg.FlashStart+cfg.FlashDur {
 			return cfg.Rate * cfg.FlashX
 		}
@@ -109,16 +109,16 @@ func (cfg *OpenLoopConfig) rateAt(t time.Duration) float64 {
 // thinning envelope.
 func (cfg *OpenLoopConfig) peakRate() float64 {
 	switch cfg.Process {
-	case ProcessDiurnal:
+	case processDiurnal:
 		return cfg.Rate * (1 + cfg.DiurnalAmp)
-	case ProcessFlash:
+	case processFlash:
 		return cfg.Rate * cfg.FlashX
 	default:
 		return cfg.Rate
 	}
 }
 
-// RunOpenLoopProcess generates arrivals for cfg, invoking fn on its own
+// runOpenLoopProcess generates arrivals for cfg, invoking fn on its own
 // goroutine per arrival with the arrival's Zipf-popular user ID.
 // Non-homogeneous processes use thinning: candidates arrive at the peak
 // rate and are kept with probability rate(t)/peak, which samples an
@@ -126,7 +126,7 @@ func (cfg *OpenLoopConfig) peakRate() float64 {
 // integral. Arrivals are paced against absolute wall-clock targets so
 // sleep overshoot does not depress the offered rate. Returns the number
 // of issued arrivals after all in-flight fns finish.
-func RunOpenLoopProcess(ctx context.Context, cfg OpenLoopConfig, fn func(user int)) int {
+func runOpenLoopProcess(ctx context.Context, cfg OpenLoopConfig, fn func(user int)) int {
 	cfg.defaults()
 	peak := cfg.peakRate()
 	if cfg.Rate <= 0 || peak <= 0 || cfg.Duration <= 0 {
@@ -188,7 +188,7 @@ func MeasureOpenLoop(ctx context.Context, cfg OpenLoopConfig, call func(user int
 	var hist metrics.Histogram
 	var failed atomic.Int64
 	start := time.Now()
-	issued := RunOpenLoopProcess(ctx, cfg, func(user int) {
+	issued := runOpenLoopProcess(ctx, cfg, func(user int) {
 		t0 := time.Now()
 		if err := call(user); err != nil {
 			failed.Add(1)

@@ -9,8 +9,8 @@ set -eu
 cd "$(dirname "$0")/.."
 max_flags=18
 max_rows=13
-max_loc=16600
-max_arch_lines=947
+max_loc=16472
+max_arch_lines=593
 max_sleeps=71
 
 flags=$(grep -cE 'flag\.(String|Int|Bool|Duration|Float64)\(' cmd/clipper/main.go)
