@@ -365,9 +365,9 @@ func (q *Queue) dispatchLoop() {
 // finding the pipeline shut until next, saving rate·h·(next − h). The gain
 // peaks at h* = (next − queued/rate)/2, and a hold is worth starting only
 // if one arrival is expected inside it, rate·h* ≥ 1: rate·next ≥ queued+2.
-// No timer ends a hold at h*: an idle runtime fires a sub-millisecond
-// timer up to 1 ms late (frameworks' sleepUntil says why), half a round
-// trip. Events end it instead: an arrival, a completion, a window resize.
+// No timer ends a hold at h*: an idle runtime fires a node timer under 1 ms
+// up to 1 ms late (frameworks' sleepUntil says why and kicks only its own
+// waits), half a round trip. Events end it: arrival, completion, resize.
 func holdLast(queued int, rate float64, next time.Duration, held, limit int) bool {
 	return limit > 1 && held == limit && queued > 0 && next > 0 &&
 		rate*next.Seconds() >= float64(queued+2)

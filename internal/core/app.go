@@ -96,10 +96,10 @@ type Response struct {
 }
 
 // reserveDiv fixes the reply reserve: the straggler wait ends SLO/reserveDiv
-// before arrival + SLO, which is what the timer firing late (up to 1 ms on
-// an idle runtime), Combine, the response encode and write (≈ 0.1 ms) and
-// the client's own scheduler get: 2 ms at the paper's 20 ms SLO. A tenth
-// scales with the SLO, so it is a constant of the law, not a knob.
+// before arrival + SLO, which is what its timer firing late (node timers are
+// not kicked: up to 1 ms on an idle runtime), Combine, the response encode
+// and write (≈ 0.1 ms) and the client's own scheduler get: 2 ms at the
+// paper's 20 ms SLO. A tenth scales with the SLO: a constant, not a knob.
 const reserveDiv = 10
 
 // Application is a registered application within a Clipper instance. Its

@@ -2,7 +2,6 @@ package frameworks
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -111,35 +110,17 @@ func (p *SimPredictor) PredictView(v container.BatchView, out *container.Predict
 	return nil
 }
 
-// sleepUntil blocks until the deadline with sub-millisecond precision:
-// coarse time.Sleep for the bulk, then a bounded spin for the tail. The
-// spin tail is capped so concurrent containers do not monopolize CPUs.
-//
-// Why spin: once every goroutine is parked, the runtime waits for the next
-// timer in netpoll, whose epoll_wait timeout is whole milliseconds and at
-// least 1 for any wait under 1 ms (runtime/netpoll_epoll.go). A plain
-// time.Sleep then wakes up to 1 ms late on an idle process, which shows as
-// a longer high-priority p99 and a lower SLO-met fraction in the
-// benchmark's scan_batch phases. The spin keeps a goroutine runnable, so
-// the runtime never enters that wait. The price is CPU, and a goroutine
-// that never blocks keeps a testing/synctest bubble's clock from moving.
-func sleepUntil(deadline time.Time) {
-	const spinWindow = 100 * time.Microsecond
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return
-		}
-		if remaining > spinWindow {
-			time.Sleep(remaining - spinWindow)
-			continue
-		}
-		break
-	}
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-}
+// sleepUntil blocks until deadline; off Linux it is a plain time.Sleep,
+// and timerfd_linux.go replaces it with a kicked one. Two runtime facts
+// make the plain wait inexact on an idle process. Once every goroutine is
+// parked, the runtime waits for the next timer in netpoll, whose
+// epoll_wait timeout is whole milliseconds and at least 1 for any wait
+// under 1 ms (runtime/netpoll_epoll.go), so a 300 µs Sleep wakes about
+// 0.8 ms late. And spinning on runtime.Gosched to hide that is no cure: it
+// keeps the global run queue non-empty, so findRunnable skips netpoll and
+// socket readiness waits while the spin lasts, burns CPU, and never lets a
+// testing/synctest bubble's clock move.
+var sleepUntil = func(deadline time.Time) { time.Sleep(time.Until(deadline)) }
 
-// Sleep blocks for approximately d with sub-millisecond precision.
+// Sleep blocks for d with sub-millisecond precision on Linux.
 func Sleep(d time.Duration) { sleepUntil(time.Now().Add(d)) }

@@ -12,7 +12,6 @@ import (
 
 	"clipper/internal/container"
 	"clipper/internal/dataset"
-	"clipper/internal/frameworks"
 )
 
 // Sample is one workload query: the input vector and its true label.
@@ -137,42 +136,12 @@ func RunClosedLoop(ctx context.Context, workers, perWorker int, fn func(worker i
 	wg.Wait()
 }
 
-// RunOpenLoop issues queries at an average rate (queries/second) with
-// exponential inter-arrival gaps for the given duration, invoking fn on
-// its own goroutine per query (open loop: arrivals do not wait for
-// completions). Arrivals are paced against absolute wall-clock targets so
-// sleep overshoot does not depress the offered rate. It returns the number
-// of issued queries after all in-flight fns finish.
+// RunOpenLoop issues queries as a Poisson process at rate (queries/second)
+// for duration, invoking fn on its own goroutine per query (open loop:
+// arrivals do not wait for completions). It returns the number of issued
+// queries after all in-flight fns finish.
 func RunOpenLoop(ctx context.Context, rate float64, duration time.Duration, seed int64, fn func()) int {
-	if rate <= 0 {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(seed))
-	start := time.Now()
-	deadline := start.Add(duration)
-	next := start
-	var wg sync.WaitGroup
-	issued := 0
-	for next.Before(deadline) {
-		select {
-		case <-ctx.Done():
-			wg.Wait()
-			return issued
-		default:
-		}
-		if wait := time.Until(next); wait > 0 {
-			frameworks.Sleep(wait)
-		}
-		wg.Add(1)
-		issued++
-		go func() {
-			defer wg.Done()
-			fn()
-		}()
-		next = next.Add(time.Duration(rng.ExpFloat64() / rate * float64(time.Second)))
-	}
-	wg.Wait()
-	return issued
+	return runOpenLoopProcess(ctx, OpenLoopConfig{Rate: rate, Duration: duration, Seed: seed}, func(int) { fn() })
 }
 
 // Degradable wraps a model container and can be switched into a degraded
