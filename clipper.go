@@ -58,8 +58,6 @@ type (
 	// composition): cheap models answer confident queries, the rest
 	// escalate to the full policy.
 	CascadeConfig = core.CascadeConfig
-	// HealthConfig parameterizes replica health monitoring.
-	HealthConfig = core.HealthConfig
 	// SchedulerConfig parameterizes cross-replica dispatch:
 	// join-shortest-queue cost routing with optional straggler hedging.
 	SchedulerConfig = core.SchedulerConfig

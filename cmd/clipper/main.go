@@ -55,9 +55,7 @@ func main() {
 		schedName   = flag.String("sched", "jsq", "cross-replica dispatch policy: jsq (load-aware) or rr (round-robin)")
 		hedge       = flag.Bool("hedge", false, "hedge straggling requests onto the fastest sibling replica")
 		hedgeBudget = flag.Float64("hedge-budget", 0.1, "max hedges as a fraction of offered load (with -hedge)")
-		qos         = flag.Bool("qos", false, "opt the demo app into multi-tenant QoS: tenant-tagged fair batching plus SLO admission control")
-		weight      = flag.Int("weight", 1, "demo app fair-batching weight (with -qos)")
-		shedName    = flag.String("shed-policy", "reject", "SLO admission policy with -qos: none, reject, or degrade")
+		shedName    = flag.String("shed-policy", "none", "demo app SLO admission policy: none, reject, or degrade (reject or degrade also tags its submissions as a QoS tenant)")
 	)
 	flag.Parse()
 
@@ -150,23 +148,21 @@ func main() {
 		log.Fatal("nothing to serve: pass -containers or drop -no-demo")
 	}
 
-	appCfg := clipper.AppConfig{
+	if shed != clipper.ShedNone {
+		log.Printf("QoS on: shed policy %s", shed)
+	}
+	if _, err := cl.RegisterApp(clipper.AppConfig{
 		Name:   "demo",
 		Models: names,
 		Policy: clipper.NewExp4(0.3),
 		SLO:    *slo,
-	}
-	if *qos {
-		appCfg.Weight = *weight
-		appCfg.Shed = shed
-		log.Printf("QoS on: weight %d, shed policy %s", *weight, shed)
-	}
-	if _, err := cl.RegisterApp(appCfg); err != nil {
+		Shed:   shed,
+	}); err != nil {
 		log.Fatalf("register app: %v", err)
 	}
 
 	if *health > 0 {
-		mon := cl.StartHealthMonitor(clipper.HealthConfig{Interval: *health})
+		mon := cl.StartHealthMonitor(*health)
 		defer mon.Stop()
 	}
 

@@ -53,15 +53,7 @@ func main() {
 	// One deterministic input vector per user: a user's repeat queries are
 	// byte-identical, so Zipf-popular users exercise the prediction cache
 	// the way real per-user content queries do.
-	rng := rand.New(rand.NewSource(*seed))
-	inputs := make([][]float64, *users)
-	for i := range inputs {
-		x := make([]float64, *dim)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		inputs[i] = x
-	}
+	inputs := workload.RandomInputs(*users, *dim, *seed)
 
 	c, err := dialCaller(*proto, *target)
 	if err != nil {
@@ -99,21 +91,19 @@ func main() {
 	}
 
 	// Closed loop: workers issue back-to-back, users drawn Zipf per query.
+	// Calls ignore the window's context, so one still in flight when the
+	// window closes finishes instead of counting as an error.
 	userZipf := workload.NewZipf(*users, *zipfS, *seed)
-	var completed, errors atomic.Int64
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), *duration)
-	defer cancel()
-	workload.RunClosedLoop(ctx, *workers, 0, func(int) {
-		if err := call(userZipf.Rank()); err != nil {
+	var errors atomic.Int64
+	lat := workload.MeasureClosedLoop(*workers, 0, *duration, func(context.Context, int) error {
+		err := call(userZipf.Rank())
+		if err != nil {
 			errors.Add(1)
-		} else {
-			completed.Add(1)
 		}
+		return err
 	})
-	elapsed := time.Since(start)
 	fmt.Printf("completed=%d errors=%d throughput=%.1f qps\n",
-		completed.Load(), errors.Load(), float64(completed.Load())/elapsed.Seconds())
+		lat.Count(), errors.Load(), float64(lat.Count())/duration.Seconds())
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -21,6 +21,23 @@ var reqPool = sync.Pool{
 	},
 }
 
+// maxPooledReqBuf caps the request buffers reqPool retains. One large
+// predict grows its buffer to match, and a pooled buffer never shrinks, so
+// without the cap it would stay pinned for the life of the process (the
+// rpc and container byte pools apply the same 1 MiB rule).
+const maxPooledReqBuf = 1 << 20
+
+// putReqBuf returns bp to reqPool holding buf's storage, unless buf grew
+// past maxPooledReqBuf: then both are left to the GC and the pool refills
+// with default-sized buffers.
+func putReqBuf(bp *[]byte, buf []byte) {
+	if cap(buf) > maxPooledReqBuf {
+		return
+	}
+	*bp = buf[:0]
+	reqPool.Put(bp)
+}
+
 // Conn is a client connection to a stream server: the adapter's codec
 // over one rpc.Client. Safe for concurrent use. Many requests may be in
 // flight at once and complete in any order; Go pipelines a predict behind
@@ -55,9 +72,8 @@ func (c *Conn) Close() error { return c.rc.Close() }
 func (c *Conn) Go(app, cctx string, input []float64, cb func(gateway.PredictResult, error)) {
 	bp := reqPool.Get().(*[]byte)
 	buf, err := adapter.AppendPredictRequest((*bp)[:0], app, cctx, input)
-	*bp = buf[:0]
 	if err != nil {
-		reqPool.Put(bp)
+		putReqBuf(bp, buf)
 		cb(gateway.PredictResult{}, err)
 		return
 	}
@@ -70,7 +86,7 @@ func (c *Conn) Go(app, cctx string, input []float64, cb func(gateway.PredictResu
 		p.Release()
 		cb(res, err)
 	})
-	reqPool.Put(bp)
+	putReqBuf(bp, buf)
 }
 
 // Predict runs one prediction and waits for it. Gateway failures come
@@ -78,13 +94,12 @@ func (c *Conn) Go(app, cctx string, input []float64, cb func(gateway.PredictResu
 func (c *Conn) Predict(ctx context.Context, app, cctx string, input []float64) (gateway.PredictResult, error) {
 	bp := reqPool.Get().(*[]byte)
 	buf, err := adapter.AppendPredictRequest((*bp)[:0], app, cctx, input)
-	*bp = buf[:0]
 	if err != nil {
-		reqPool.Put(bp)
+		putReqBuf(bp, buf)
 		return gateway.PredictResult{}, err
 	}
 	p, err := c.rc.Call(ctx, adapter.MethodGWPredict, buf)
-	reqPool.Put(bp)
+	putReqBuf(bp, buf)
 	if err != nil {
 		return gateway.PredictResult{}, err
 	}
@@ -97,13 +112,12 @@ func (c *Conn) Predict(ctx context.Context, app, cctx string, input []float64) (
 func (c *Conn) Feedback(ctx context.Context, app, cctx string, label int, input []float64) error {
 	bp := reqPool.Get().(*[]byte)
 	buf, err := adapter.AppendFeedbackRequest((*bp)[:0], app, cctx, int64(label), input)
-	*bp = buf[:0]
 	if err != nil {
-		reqPool.Put(bp)
+		putReqBuf(bp, buf)
 		return err
 	}
 	err = c.status(ctx, adapter.MethodGWFeedback, buf, nil)
-	reqPool.Put(bp)
+	putReqBuf(bp, buf)
 	return err
 }
 

@@ -18,15 +18,9 @@ import (
 	"clipper/internal/metrics"
 )
 
-// Config parameterizes a TFServing instance.
-type Config struct {
-	// BatchSize is the hand-tuned static batch size (the paper uses 512
-	// for MNIST, 128 for CIFAR, 16 for ImageNet). Required.
-	BatchSize int
-	// BatchTimeout is the starvation-avoidance timeout: a non-full batch
-	// dispatches after this delay. Zero selects 1ms.
-	BatchTimeout time.Duration
-}
+// batchTimeout is the starvation-avoidance timeout: a non-full batch
+// dispatches after this delay.
+const batchTimeout = 5 * time.Millisecond
 
 // TFServing is the baseline serving system. It reuses the batching queue
 // machinery with a Fixed controller — precisely TensorFlow Serving's
@@ -41,18 +35,14 @@ type TFServing struct {
 	Latency *metrics.Histogram
 }
 
-// New returns a baseline server over the in-process model.
-func New(model container.Predictor, cfg Config) *TFServing {
-	if cfg.BatchSize < 1 {
-		cfg.BatchSize = 1
-	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = time.Millisecond
-	}
+// New returns a baseline server over the in-process model with a
+// hand-tuned static batch size (the paper uses 512 for MNIST, 128 for
+// CIFAR, 16 for ImageNet); sizes below 1 select 1.
+func New(model container.Predictor, batchSize int) *TFServing {
 	return &TFServing{
 		queue: batching.NewQueue(model, batching.QueueConfig{
-			Controller:   batching.NewFixed(cfg.BatchSize),
-			BatchTimeout: cfg.BatchTimeout,
+			Controller:   batching.NewFixed(batchSize),
+			BatchTimeout: batchTimeout,
 			InFlight:     1, // TF Serving executes one batch at a time
 		}),
 		model:   model,

@@ -37,7 +37,7 @@ func (e *echoModel) Batches() []int {
 
 func TestTFServingPredict(t *testing.T) {
 	m := &echoModel{}
-	s := New(m, Config{BatchSize: 8, BatchTimeout: time.Millisecond})
+	s := New(m, 8)
 	defer s.Close()
 	p, err := s.Predict(context.Background(), []float64{42})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestTFServingPredict(t *testing.T) {
 
 func TestTFServingStaticBatchCap(t *testing.T) {
 	m := &echoModel{}
-	s := New(m, Config{BatchSize: 4, BatchTimeout: 5 * time.Millisecond})
+	s := New(m, 4)
 	defer s.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -75,7 +75,7 @@ func TestTFServingTimeoutDispatch(t *testing.T) {
 	// A single query must not wait forever for the batch to fill: the
 	// timeout dispatches it.
 	m := &echoModel{}
-	s := New(m, Config{BatchSize: 512, BatchTimeout: 10 * time.Millisecond})
+	s := New(m, 512)
 	defer s.Close()
 	start := time.Now()
 	if _, err := s.Predict(context.Background(), []float64{1}); err != nil {
@@ -89,7 +89,7 @@ func TestTFServingTimeoutDispatch(t *testing.T) {
 
 func TestTFServingDefaults(t *testing.T) {
 	m := &echoModel{}
-	s := New(m, Config{BatchSize: 0})
+	s := New(m, 0)
 	defer s.Close()
 	if got := s.Queue().Controller().MaxBatch(); got != 1 {
 		t.Fatalf("default batch = %d", got)

@@ -26,45 +26,37 @@ type replicaHealth struct {
 	failures atomic.Int32 // consecutive probe/prediction failures
 }
 
-// HealthConfig parameterizes the monitor. Zero values select defaults.
-type HealthConfig struct {
-	// Interval between probe rounds; 0 selects 1s.
-	Interval time.Duration
-	// Timeout per probe; 0 selects 500ms.
-	Timeout time.Duration
-	// FailureThreshold is the number of consecutive failures before a
-	// replica is marked unhealthy; 0 selects 3.
-	FailureThreshold int
-}
+const (
+	// probeTimeout bounds one liveness probe.
+	probeTimeout = 500 * time.Millisecond
+	// failureThreshold is the number of consecutive failures before a
+	// replica is marked unhealthy.
+	failureThreshold = 3
+)
 
 // HealthMonitor periodically probes every replica that implements pinger
 // and marks replicas unhealthy after consecutive failures. Unhealthy
 // replicas are skipped by query routing until a probe succeeds again.
 type HealthMonitor struct {
-	cl  *Clipper
-	cfg HealthConfig
+	cl       *Clipper
+	interval time.Duration
 
 	stop chan struct{}
 	done chan struct{}
 	once sync.Once
 }
 
-// StartHealthMonitor begins background probing. Call Stop to halt it.
-func (cl *Clipper) StartHealthMonitor(cfg HealthConfig) *HealthMonitor {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 500 * time.Millisecond
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
+// StartHealthMonitor begins probing every interval (0 selects 1s). Call
+// Stop to halt it.
+func (cl *Clipper) StartHealthMonitor(interval time.Duration) *HealthMonitor {
+	if interval <= 0 {
+		interval = time.Second
 	}
 	m := &HealthMonitor{
-		cl:   cl,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cl:       cl,
+		interval: interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go m.run()
 	return m
@@ -72,7 +64,7 @@ func (cl *Clipper) StartHealthMonitor(cfg HealthConfig) *HealthMonitor {
 
 func (m *HealthMonitor) run() {
 	defer close(m.done)
-	ticker := time.NewTicker(m.cfg.Interval)
+	ticker := time.NewTicker(m.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -102,10 +94,10 @@ func (m *HealthMonitor) probeOnce() {
 		wg.Add(1)
 		go func(rq *replicaQueue, p pinger) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.Timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			if err := p.Ping(ctx); err != nil {
-				if int(rq.health.failures.Add(1)) >= m.cfg.FailureThreshold {
+				if int(rq.health.failures.Add(1)) >= failureThreshold {
 					rq.health.healthy.Store(false)
 				}
 				return

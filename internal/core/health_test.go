@@ -47,9 +47,7 @@ func TestHealthMonitorMarksDownAndRecovers(t *testing.T) {
 	}
 	app, _ := cl.RegisterApp(AppConfig{Name: "a", Models: []string{"m"}, Policy: selection.NewStatic(0)})
 
-	mon := cl.StartHealthMonitor(HealthConfig{
-		Interval: 10 * time.Millisecond, Timeout: 100 * time.Millisecond, FailureThreshold: 2,
-	})
+	mon := cl.StartHealthMonitor(10 * time.Millisecond)
 	defer mon.Stop()
 
 	// Fail the second replica's probes; after >= threshold rounds it
@@ -162,7 +160,7 @@ func TestProbeOnceIgnoresNonPingers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := cl.StartHealthMonitor(HealthConfig{Interval: time.Hour})
+	mon := cl.StartHealthMonitor(time.Hour)
 	defer mon.Stop()
 	mon.probeOnce()
 	if h := cl.ReplicaStatuses("m"); !h[rep.ID].Healthy {
@@ -173,7 +171,7 @@ func TestProbeOnceIgnoresNonPingers(t *testing.T) {
 func TestHealthMonitorStopIdempotent(t *testing.T) {
 	cl := New(Config{})
 	defer cl.Close()
-	mon := cl.StartHealthMonitor(HealthConfig{Interval: 5 * time.Millisecond})
+	mon := cl.StartHealthMonitor(5 * time.Millisecond)
 	mon.Stop()
 	mon.Stop()
 }
@@ -210,9 +208,7 @@ func TestHealthWithRemoteContainer(t *testing.T) {
 	}
 	app, _ := cl.RegisterApp(AppConfig{Name: "a", Models: []string{"m"}, Policy: selection.NewStatic(0)})
 
-	mon := cl.StartHealthMonitor(HealthConfig{
-		Interval: 10 * time.Millisecond, Timeout: 100 * time.Millisecond, FailureThreshold: 2,
-	})
+	mon := cl.StartHealthMonitor(10 * time.Millisecond)
 	defer mon.Stop()
 
 	srv.Close() // kill the container process

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/frameworks"
-	"clipper/internal/metrics"
 	"clipper/internal/models"
 	"clipper/internal/selection"
 	"clipper/internal/workload"
@@ -66,7 +64,7 @@ func runFig11(scale Scale) (Result, error) {
 
 		// System 1: TensorFlow-Serving-like baseline (in-process).
 		tfModel := frameworks.NewSimPredictor(models.NewNoOp(b.profile.Name, 10, 0), b.profile, b.dim, 1)
-		tfs := baseline.New(tfModel, baseline.Config{BatchSize: b.batch, BatchTimeout: 5 * time.Millisecond})
+		tfs := baseline.New(tfModel, b.batch)
 		thr, lat, err := driveSystem(func(ctx context.Context, x []float64) error {
 			_, err := tfs.Predict(ctx, x)
 			return err
@@ -147,60 +145,21 @@ func (p *pythonOverhead) PredictBatch(xs [][]float64) ([]container.Prediction, e
 }
 
 // driveSystem measures sustained throughput and mean latency of predictFn
-// under a closed-loop load. It runs two measurement repetitions and keeps
-// the higher-throughput one: with 40ms+ batches a window holds few batch
+// under a closed-loop load. It runs three measurement repetitions and keeps
+// the highest-throughput one: with 40ms+ batches a window holds few batch
 // completions, so single windows are quantization-noisy.
 func driveSystem(predictFn func(context.Context, []float64) error, dim, workers int, warm, measure time.Duration) (float64, float64, error) {
+	pool := workload.RandomInputs(256, dim, 4)
 	bestThr, bestLat := 0.0, 0.0
 	for rep := 0; rep < 3; rep++ {
-		thr, lat, err := driveSystemOnce(predictFn, dim, workers, warm, measure)
-		if err != nil {
-			return 0, 0, err
-		}
-		if thr > bestThr {
-			bestThr, bestLat = thr, lat
+		var k atomic.Int64
+		lat := workload.MeasureClosedLoop(workers, warm, measure, func(ctx context.Context, wk int) error {
+			i := k.Add(1)
+			return predictFn(ctx, pool[(int64(wk)*31+i)%int64(len(pool))])
+		})
+		if thr := float64(lat.Count()) / measure.Seconds(); thr > bestThr {
+			bestThr, bestLat = thr, lat.Mean()
 		}
 	}
 	return bestThr, bestLat, nil
-}
-
-func driveSystemOnce(predictFn func(context.Context, []float64) error, dim, workers int, warm, measure time.Duration) (float64, float64, error) {
-	rng := rand.New(rand.NewSource(4))
-	pool := make([][]float64, 256)
-	for i := range pool {
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		pool[i] = x
-	}
-
-	lat := metrics.NewHistogram()
-	var measuring atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var k atomic.Int64
-		workload.RunClosedLoop(ctx, workers, 0, func(wk int) {
-			i := k.Add(1)
-			x := pool[(int64(wk)*31+i)%int64(len(pool))]
-			start := time.Now()
-			if err := predictFn(ctx, x); err != nil {
-				return
-			}
-			if measuring.Load() {
-				lat.ObserveDuration(time.Since(start))
-			}
-		})
-	}()
-
-	time.Sleep(warm)
-	measuring.Store(true)
-	time.Sleep(measure)
-	measuring.Store(false)
-	cancel()
-	<-done
-	return float64(lat.Count()) / measure.Seconds(), lat.Mean(), nil
 }

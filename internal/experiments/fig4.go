@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"clipper/internal/batching"
 	"clipper/internal/frameworks"
-	"clipper/internal/metrics"
 	"clipper/internal/models"
 	"clipper/internal/workload"
 )
@@ -77,33 +75,10 @@ func driveQueue(profile frameworks.Profile, ctrl batching.Controller, batchTimeo
 	q := batching.NewQueue(pred, batching.QueueConfig{Controller: ctrl, BatchTimeout: batchTimeout, InFlight: 1})
 	defer q.Close()
 
-	lat := metrics.NewHistogram()
-	var measuring atomic.Bool
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		workload.RunClosedLoop(ctx, workers, 0, func(wk int) {
-			x := []float64{float64(wk)}
-			start := time.Now()
-			if _, err := q.Submit(ctx, x); err != nil {
-				return
-			}
-			if measuring.Load() {
-				lat.ObserveDuration(time.Since(start))
-			}
-		})
-	}()
-
-	time.Sleep(warm)
-	measuring.Store(true)
-	time.Sleep(measure)
-	measuring.Store(false)
-	cancel()
-	<-done
-
+	lat := workload.MeasureClosedLoop(workers, warm, measure, func(ctx context.Context, wk int) error {
+		_, err := q.Submit(ctx, []float64{float64(wk)})
+		return err
+	})
 	thr := float64(lat.Count()) / measure.Seconds()
 	return thr, lat.P99(), nil
 }

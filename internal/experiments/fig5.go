@@ -7,7 +7,6 @@ import (
 
 	"clipper/internal/batching"
 	"clipper/internal/frameworks"
-	"clipper/internal/metrics"
 	"clipper/internal/models"
 	"clipper/internal/workload"
 )
@@ -68,24 +67,17 @@ func driveOpenLoop(profile frameworks.Profile, batchTimeout time.Duration, rate 
 	})
 	defer q.Close()
 
-	lat := metrics.NewHistogram()
 	ctx, cancel := context.WithTimeout(context.Background(), duration+5*time.Second)
 	defer cancel()
-
-	start := time.Now()
-	workload.RunOpenLoop(ctx, rate, duration, 3, func() {
-		s := time.Now()
-		if _, err := q.Submit(ctx, []float64{1}); err != nil {
-			return
-		}
-		lat.ObserveDuration(time.Since(s))
+	res := workload.MeasureOpenLoop(ctx, workload.OpenLoopConfig{Rate: rate, Duration: duration, Seed: 3}, func(int) error {
+		_, err := q.Submit(ctx, []float64{1})
+		return err
 	})
-	elapsed := time.Since(start)
 
 	busy := q.BatchLatency.Sum() // container-busy seconds
 	capacity = 0
 	if busy > 0 {
-		capacity = float64(lat.Count()) / busy
+		capacity = float64(res.Completed) / busy
 	}
-	return float64(lat.Count()) / elapsed.Seconds(), lat.Mean(), q.BatchSizes.Mean(), capacity, nil
+	return res.QPS, res.Mean.Seconds(), q.BatchSizes.Mean(), capacity, nil
 }

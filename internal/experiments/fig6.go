@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/frameworks"
-	"clipper/internal/metrics"
 	"clipper/internal/models"
 	"clipper/internal/rpc"
 	"clipper/internal/selection"
@@ -113,43 +111,12 @@ func runReplicaScaling(n int, gbps float64, dim, workers int, warm, measure time
 	}
 
 	// Pre-generate distinct inputs so serialization carries real bytes.
-	rng := rand.New(rand.NewSource(9))
-	pool := make([][]float64, 512)
-	for i := range pool {
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		pool[i] = x
-	}
-
-	lat := metrics.NewHistogram()
-	var measuring atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var k atomic.Int64
-		workload.RunClosedLoop(ctx, workers, 0, func(wk int) {
-			i := k.Add(1)
-			x := pool[(int64(wk)*7919+i)%int64(len(pool))]
-			start := time.Now()
-			if _, err := app.Predict(ctx, x); err != nil {
-				return
-			}
-			if measuring.Load() {
-				lat.ObserveDuration(time.Since(start))
-			}
-		})
-	}()
-
-	time.Sleep(warm)
-	measuring.Store(true)
-	time.Sleep(measure)
-	measuring.Store(false)
-	cancel()
-	<-done
-
+	pool := workload.RandomInputs(512, dim, 9)
+	var k atomic.Int64
+	lat := workload.MeasureClosedLoop(workers, warm, measure, func(ctx context.Context, wk int) error {
+		i := k.Add(1)
+		_, err := app.Predict(ctx, pool[(int64(wk)*7919+i)%int64(len(pool))])
+		return err
+	})
 	return float64(lat.Count()) / measure.Seconds(), lat.Mean(), lat.P99(), nil
 }

@@ -276,9 +276,7 @@ func TestFullStackContainerFailureRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := cl.StartHealthMonitor(core.HealthConfig{
-		Interval: 10 * time.Millisecond, Timeout: 100 * time.Millisecond, FailureThreshold: 2,
-	})
+	mon := cl.StartHealthMonitor(10 * time.Millisecond)
 	defer mon.Stop()
 
 	// Baseline serving works.

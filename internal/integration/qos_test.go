@@ -81,12 +81,7 @@ func TestNoisyNeighborQoS(t *testing.T) {
 		}
 	}
 
-	heavyIssued, quietIssued := workload.NoisyNeighbor(ctx, qosDataset(), workload.NoisyNeighborConfig{
-		HeavyWorkers: 128,
-		QuietRate:    50,
-		Duration:     1500 * time.Millisecond,
-		Seed:         3,
-	}, heavyFn, quietFn)
+	heavyIssued, quietIssued := workload.NoisyNeighbor(ctx, qosDataset(), heavyFn, quietFn)
 	if heavyIssued == 0 || quietIssued == 0 {
 		t.Fatalf("scenario issued heavy=%d quiet=%d queries", heavyIssued, quietIssued)
 	}
@@ -132,9 +127,7 @@ func TestQoSReplicaKillExactlyOne(t *testing.T) {
 	survivor := &delayModel{name: "m", label: 2, delay: time.Millisecond}
 	defer serveReplica(t, cl, survivor).Close()
 
-	mon := cl.StartHealthMonitor(core.HealthConfig{
-		Interval: 10 * time.Millisecond, Timeout: 100 * time.Millisecond, FailureThreshold: 2,
-	})
+	mon := cl.StartHealthMonitor(10 * time.Millisecond)
 	defer mon.Stop()
 
 	// Loose SLOs: the admission gate must never fire here — this test is

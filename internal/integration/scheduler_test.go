@@ -171,9 +171,7 @@ func TestMidHedgeReplicaDeath(t *testing.T) {
 	survivor := &delayModel{name: "m", label: 2, delay: time.Millisecond}
 	defer serveReplica(t, cl, survivor).Close()
 
-	mon := cl.StartHealthMonitor(core.HealthConfig{
-		Interval: 10 * time.Millisecond, Timeout: 100 * time.Millisecond, FailureThreshold: 2,
-	})
+	mon := cl.StartHealthMonitor(10 * time.Millisecond)
 	defer mon.Stop()
 
 	app, answered := soloApp(t, cl)

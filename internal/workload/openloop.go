@@ -23,12 +23,20 @@ import (
 const (
 	// processPoisson is a constant-rate Poisson process.
 	processPoisson = "poisson"
-	// processDiurnal modulates the rate sinusoidally around Rate —
-	// the day/night swing of user-facing serving workloads.
+	// processDiurnal modulates the rate sinusoidally around Rate by
+	// diurnalAmp, one period per Duration: the day/night swing of
+	// user-facing serving workloads compressed into the run.
 	processDiurnal = "diurnal"
-	// processFlash multiplies the rate by FlashX during a mid-run
-	// window — a flash crowd arriving on top of steady traffic.
+	// processFlash multiplies the rate by flashX over the run's middle
+	// third: a flash crowd arriving on top of steady traffic.
 	processFlash = "flash"
+)
+
+const (
+	// diurnalAmp is the diurnal sinusoid's amplitude as a fraction of Rate.
+	diurnalAmp = 0.5
+	// flashX is the flash crowd's rate multiplier.
+	flashX = 4
 )
 
 // OpenLoopConfig describes an open-loop arrival process over a user
@@ -48,21 +56,6 @@ type OpenLoopConfig struct {
 	Users int
 	// ZipfS is the user popularity skew; values <= 1 select 1.2.
 	ZipfS float64
-
-	// DiurnalAmp is the sinusoid's amplitude as a fraction of Rate
-	// (0 < amp <= 1); 0 selects 0.5. Diurnal only.
-	DiurnalAmp float64
-	// DiurnalPeriod is the sinusoid's period; 0 selects Duration, one
-	// full day compressed into the run. Diurnal only.
-	DiurnalPeriod time.Duration
-
-	// FlashX is the flash-crowd rate multiplier; values <= 1 select 4.
-	// Flash only.
-	FlashX float64
-	// FlashStart is the crowd's arrival offset; 0 selects Duration/3.
-	FlashStart time.Duration
-	// FlashDur is how long the crowd stays; 0 selects Duration/3.
-	FlashDur time.Duration
 }
 
 func (cfg *OpenLoopConfig) defaults() {
@@ -72,32 +65,22 @@ func (cfg *OpenLoopConfig) defaults() {
 	if cfg.Users <= 0 {
 		cfg.Users = 1000
 	}
-	if cfg.DiurnalAmp <= 0 || cfg.DiurnalAmp > 1 {
-		cfg.DiurnalAmp = 0.5
-	}
-	if cfg.DiurnalPeriod <= 0 {
-		cfg.DiurnalPeriod = cfg.Duration
-	}
-	if cfg.FlashX <= 1 {
-		cfg.FlashX = 4
-	}
-	if cfg.FlashStart <= 0 {
-		cfg.FlashStart = cfg.Duration / 3
-	}
-	if cfg.FlashDur <= 0 {
-		cfg.FlashDur = cfg.Duration / 3
-	}
+}
+
+// flashWindow returns the flash crowd's start and end offsets.
+func (cfg *OpenLoopConfig) flashWindow() (start, end time.Duration) {
+	return cfg.Duration / 3, 2 * (cfg.Duration / 3)
 }
 
 // rateAt returns the instantaneous rate at elapsed time t.
 func (cfg *OpenLoopConfig) rateAt(t time.Duration) float64 {
 	switch cfg.Process {
 	case processDiurnal:
-		phase := 2 * math.Pi * float64(t) / float64(cfg.DiurnalPeriod)
-		return cfg.Rate * (1 + cfg.DiurnalAmp*math.Sin(phase))
+		phase := 2 * math.Pi * float64(t) / float64(cfg.Duration)
+		return cfg.Rate * (1 + diurnalAmp*math.Sin(phase))
 	case processFlash:
-		if t >= cfg.FlashStart && t < cfg.FlashStart+cfg.FlashDur {
-			return cfg.Rate * cfg.FlashX
+		if start, end := cfg.flashWindow(); t >= start && t < end {
+			return cfg.Rate * flashX
 		}
 		return cfg.Rate
 	default:
@@ -110,57 +93,62 @@ func (cfg *OpenLoopConfig) rateAt(t time.Duration) float64 {
 func (cfg *OpenLoopConfig) peakRate() float64 {
 	switch cfg.Process {
 	case processDiurnal:
-		return cfg.Rate * (1 + cfg.DiurnalAmp)
+		return cfg.Rate * (1 + diurnalAmp)
 	case processFlash:
-		return cfg.Rate * cfg.FlashX
+		return cfg.Rate * flashX
 	default:
 		return cfg.Rate
 	}
 }
 
-// runOpenLoopProcess generates arrivals for cfg, invoking fn on its own
-// goroutine per arrival with the arrival's Zipf-popular user ID.
+// arrivals generates cfg's arrival schedule: it calls emit with each
+// arrival's offset from the start of the run and its Zipf-popular user
+// ID, in order, until Duration or until emit returns false.
 // Non-homogeneous processes use thinning: candidates arrive at the peak
-// rate and are kept with probability rate(t)/peak, which samples an
-// exact non-homogeneous Poisson process without inverting its rate
-// integral. Arrivals are paced against absolute wall-clock targets so
-// sleep overshoot does not depress the offered rate. Returns the number
-// of issued arrivals after all in-flight fns finish.
-func runOpenLoopProcess(ctx context.Context, cfg OpenLoopConfig, fn func(user int)) int {
-	cfg.defaults()
+// rate and are kept with probability rate(t)/peak, which samples an exact
+// non-homogeneous Poisson process without inverting its rate integral.
+// The schedule follows from cfg alone, never from the clock.
+func (cfg *OpenLoopConfig) arrivals(emit func(at time.Duration, user int) bool) {
 	peak := cfg.peakRate()
-	if cfg.Rate <= 0 || peak <= 0 || cfg.Duration <= 0 {
-		return 0
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	users := NewZipf(cfg.Users, cfg.ZipfS, cfg.Seed+1)
+	for at := time.Duration(0); at < cfg.Duration; at += time.Duration(rng.ExpFloat64() / peak * float64(time.Second)) {
+		if accept := cfg.rateAt(at) / peak; accept >= 1 || rng.Float64() < accept {
+			if !emit(at, users.Rank()) {
+				return
+			}
+		}
+	}
+}
+
+// runOpenLoopProcess paces cfg's arrivals, invoking fn on its own
+// goroutine per arrival with the arrival's user ID. Arrivals are paced
+// against absolute targets from the start, so sleep overshoot does not
+// depress the offered rate. Returns the number of issued arrivals after
+// all in-flight fns finish.
+func runOpenLoopProcess(ctx context.Context, cfg OpenLoopConfig, fn func(user int)) int {
+	cfg.defaults()
+	if cfg.Rate <= 0 || cfg.Duration <= 0 {
+		return 0
+	}
 	start := time.Now()
-	deadline := start.Add(cfg.Duration)
-	next := start
 	var wg sync.WaitGroup
 	issued := 0
-	for next.Before(deadline) {
-		select {
-		case <-ctx.Done():
-			wg.Wait()
-			return issued
-		default:
+	cfg.arrivals(func(at time.Duration, user int) bool {
+		if ctx.Err() != nil {
+			return false
 		}
-		if wait := time.Until(next); wait > 0 {
+		if wait := time.Until(start.Add(at)); wait > 0 {
 			frameworks.Sleep(wait)
 		}
-		t := next.Sub(start)
-		if accept := cfg.rateAt(t) / peak; accept >= 1 || rng.Float64() < accept {
-			user := users.Rank()
-			wg.Add(1)
-			issued++
-			go func() {
-				defer wg.Done()
-				fn(user)
-			}()
-		}
-		next = next.Add(time.Duration(rng.ExpFloat64() / peak * float64(time.Second)))
-	}
+		wg.Add(1)
+		issued++
+		go func() {
+			defer wg.Done()
+			fn(user)
+		}()
+		return true
+	})
 	wg.Wait()
 	return issued
 }
@@ -176,8 +164,8 @@ type OpenLoopResult struct {
 	// Duration while stragglers finish); QPS is Completed over the same.
 	OfferedQPS float64
 	QPS        float64
-	// Latency quantiles over successful calls.
-	P50, P95, P99, P999 time.Duration
+	// Latency mean and quantiles over successful calls.
+	Mean, P50, P95, P99, P999 time.Duration
 }
 
 // MeasureOpenLoop runs cfg's arrival process against call and measures
@@ -202,6 +190,7 @@ func MeasureOpenLoop(ctx context.Context, cfg OpenLoopConfig, call func(user int
 		Issued:    issued,
 		Completed: int(hist.Count()),
 		Errors:    int(failed.Load()),
+		Mean:      time.Duration(hist.Mean() * float64(time.Second)),
 		P50:       q(0.50),
 		P95:       q(0.95),
 		P99:       q(0.99),

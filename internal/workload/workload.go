@@ -8,10 +8,12 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clipper/internal/container"
 	"clipper/internal/dataset"
+	"clipper/internal/metrics"
 )
 
 // Sample is one workload query: the input vector and its true label.
@@ -20,6 +22,15 @@ type Sample struct {
 	Label int
 	// Group is the example's dataset group (e.g. dialect), -1 if none.
 	Group int
+}
+
+// sampleAt returns ds's i-th example as a Sample.
+func sampleAt(ds *dataset.Dataset, i int) Sample {
+	out := Sample{X: ds.X[i], Label: ds.Y[i], Group: -1}
+	if ds.Group != nil {
+		out.Group = ds.Group[i]
+	}
+	return out
 }
 
 // uniformSampler draws examples uniformly at random with replacement.
@@ -40,15 +51,7 @@ func (s *uniformSampler) Next() Sample {
 	s.mu.Lock()
 	i := s.rng.Intn(s.ds.Len())
 	s.mu.Unlock()
-	return s.sample(i)
-}
-
-func (s *uniformSampler) sample(i int) Sample {
-	out := Sample{X: s.ds.X[i], Label: s.ds.Y[i], Group: -1}
-	if s.ds.Group != nil {
-		out.Group = s.ds.Group[i]
-	}
-	return out
+	return sampleAt(s.ds, i)
 }
 
 // ZipfSampler draws examples with Zipfian popularity: a few "hot" queries
@@ -79,12 +82,7 @@ func NewZipfSampler(ds *dataset.Dataset, s float64, seed int64) *ZipfSampler {
 
 // Next returns the next query. It is safe for concurrent use.
 func (z *ZipfSampler) Next() Sample {
-	i := z.perm[z.zipf.Rank()]
-	out := Sample{X: z.ds.X[i], Label: z.ds.Y[i], Group: -1}
-	if z.ds.Group != nil {
-		out.Group = z.ds.Group[i]
-	}
-	return out
+	return sampleAt(z.ds, z.perm[z.zipf.Rank()])
 }
 
 // SequentialSampler replays the dataset in order, wrapping around. It
@@ -107,17 +105,13 @@ func (s *SequentialSampler) Next() Sample {
 	i := s.next
 	s.next = (s.next + 1) % s.ds.Len()
 	s.mu.Unlock()
-	out := Sample{X: s.ds.X[i], Label: s.ds.Y[i], Group: -1}
-	if s.ds.Group != nil {
-		out.Group = s.ds.Group[i]
-	}
-	return out
+	return sampleAt(s.ds, i)
 }
 
-// RunClosedLoop runs workers concurrent clients, each issuing queries
+// runClosedLoop runs workers concurrent clients, each issuing queries
 // back-to-back until the context is done or each has issued perWorker
 // queries (0 = until ctx done). fn is called once per query.
-func RunClosedLoop(ctx context.Context, workers, perWorker int, fn func(worker int)) {
+func runClosedLoop(ctx context.Context, workers, perWorker int, fn func(worker int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -136,12 +130,53 @@ func RunClosedLoop(ctx context.Context, workers, perWorker int, fn func(worker i
 	wg.Wait()
 }
 
-// RunOpenLoop issues queries as a Poisson process at rate (queries/second)
-// for duration, invoking fn on its own goroutine per query (open loop:
-// arrivals do not wait for completions). It returns the number of issued
-// queries after all in-flight fns finish.
-func RunOpenLoop(ctx context.Context, rate float64, duration time.Duration, seed int64, fn func()) int {
-	return runOpenLoopProcess(ctx, OpenLoopConfig{Rate: rate, Duration: duration, Seed: seed}, func(int) { fn() })
+// MeasureClosedLoop runs workers clients issuing call back-to-back for
+// warm and then measure, the paper's closed-loop methodology. It returns
+// the latencies of the calls that succeed and complete inside the measure
+// window, so the window's throughput is Count()/measure.Seconds(). call
+// receives a context cancelled once the window ends, and the worker's
+// index. MeasureClosedLoop returns once every call has returned.
+func MeasureClosedLoop(workers int, warm, measure time.Duration, call func(ctx context.Context, worker int) error) *metrics.Histogram {
+	lat := metrics.NewHistogram()
+	var measuring atomic.Bool
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runClosedLoop(ctx, workers, 0, func(w int) {
+			start := time.Now()
+			if call(ctx, w) != nil {
+				return
+			}
+			if measuring.Load() {
+				lat.ObserveDuration(time.Since(start))
+			}
+		})
+	}()
+
+	time.Sleep(warm)
+	measuring.Store(true)
+	time.Sleep(measure)
+	measuring.Store(false)
+	cancel()
+	<-done
+	return lat
+}
+
+// RandomInputs returns n seeded standard-normal vectors of dimension dim,
+// drawn row by row from one source.
+func RandomInputs(n, dim int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, n)
+	for i := range xs {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		xs[i] = x
+	}
+	return xs
 }
 
 // Degradable wraps a model container and can be switched into a degraded

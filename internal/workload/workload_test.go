@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -95,7 +96,7 @@ func TestSamplersGrouped(t *testing.T) {
 
 func TestRunClosedLoopCount(t *testing.T) {
 	var n atomic.Int64
-	RunClosedLoop(context.Background(), 4, 25, func(w int) {
+	runClosedLoop(context.Background(), 4, 25, func(w int) {
 		n.Add(1)
 	})
 	if n.Load() != 100 {
@@ -113,7 +114,7 @@ func TestRunClosedLoopCancellation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunClosedLoop(ctx, 2, 0, func(w int) {
+		runClosedLoop(ctx, 2, 0, func(w int) {
 			n.Add(1)
 			time.Sleep(time.Millisecond)
 		})
@@ -127,9 +128,10 @@ func TestRunClosedLoopCancellation(t *testing.T) {
 
 func TestRunOpenLoopRate(t *testing.T) {
 	var n atomic.Int64
-	issued := RunOpenLoop(context.Background(), 1000, 200*time.Millisecond, 1, func() {
+	issued := MeasureOpenLoop(context.Background(), OpenLoopConfig{Rate: 1000, Duration: 200 * time.Millisecond, Seed: 1}, func(int) error {
 		n.Add(1)
-	})
+		return nil
+	}).Issued
 	if issued != int(n.Load()) {
 		t.Fatalf("issued %d != executed %d", issued, n.Load())
 	}
@@ -137,8 +139,99 @@ func TestRunOpenLoopRate(t *testing.T) {
 	if issued < 50 || issued > 600 {
 		t.Fatalf("issued %d queries at 1000qps for 200ms, want ~200", issued)
 	}
-	if RunOpenLoop(context.Background(), 0, time.Second, 1, func() {}) != 0 {
+	if MeasureOpenLoop(context.Background(), OpenLoopConfig{Rate: 0, Duration: time.Second, Seed: 1}, func(int) error { return nil }).Issued != 0 {
 		t.Fatal("zero rate should issue nothing")
+	}
+}
+
+// TestModulatedArrivals pins the diurnal and flash schedules per seed: the
+// arrival count, and how many fall inside the flash crowd's window (the
+// run's middle third). Arrival times come from seeded gaps, not from the
+// clock, so the pacer issues exactly the schedule's count however late its
+// sleeps wake.
+func TestModulatedArrivals(t *testing.T) {
+	for _, tc := range []struct {
+		process         string
+		seed            int64
+		arrivals, crowd int
+	}{
+		// Flash: 100 + 400 + 100 expected, 2/3 of them in the crowd.
+		{processFlash, 1, 608, 405},
+		{processFlash, 2, 626, 403},
+		// Diurnal: 300 expected over one full period, 1/3 in the middle.
+		{processDiurnal, 1, 290, 104},
+		{processDiurnal, 2, 341, 105},
+	} {
+		cfg := OpenLoopConfig{Process: tc.process, Rate: 2000, Duration: 150 * time.Millisecond, Seed: tc.seed}
+		cfg.defaults()
+		start, end := cfg.flashWindow()
+		arrivals, crowd := 0, 0
+		cfg.arrivals(func(at time.Duration, _ int) bool {
+			arrivals++
+			if at >= start && at < end {
+				crowd++
+			}
+			return true
+		})
+		if arrivals != tc.arrivals || crowd != tc.crowd {
+			t.Errorf("%s seed %d: %d arrivals, %d in the middle third; want %d, %d",
+				tc.process, tc.seed, arrivals, crowd, tc.arrivals, tc.crowd)
+		}
+		var ran atomic.Int64
+		if issued := runOpenLoopProcess(context.Background(), cfg, func(int) { ran.Add(1) }); issued != arrivals || int(ran.Load()) != arrivals {
+			t.Errorf("%s seed %d: the pacer issued %d and ran %d, want the schedule's %d",
+				tc.process, tc.seed, issued, ran.Load(), arrivals)
+		}
+	}
+}
+
+// TestMeasureClosedLoopCountsWindowSuccesses: the histogram holds only the
+// calls that succeed and complete inside the measure window. Each kind of
+// call has its own latency: a warm-up completion is instant, a success
+// takes 1 ms and a failure 30 ms, so the counted latencies show which
+// kinds got in.
+func TestMeasureClosedLoopCountsWindowSuccesses(t *testing.T) {
+	errFailed := errors.New("failed")
+	wait := func(ctx context.Context, d time.Duration) error {
+		select {
+		case <-time.After(d):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	var warmed atomic.Bool
+	var succeeded, failed atomic.Int64
+	const measure = 100 * time.Millisecond
+	lat := MeasureClosedLoop(2, 100*time.Millisecond, measure, func(ctx context.Context, worker int) error {
+		if worker == 0 {
+			if err := wait(ctx, 30*time.Millisecond); err != nil {
+				return err
+			}
+			failed.Add(1)
+			return errFailed
+		}
+		if !warmed.Swap(true) {
+			return nil // a warm-up completion
+		}
+		if err := wait(ctx, time.Millisecond); err != nil {
+			return err
+		}
+		succeeded.Add(1)
+		return nil
+	})
+	if failed.Load() == 0 || succeeded.Load() == 0 {
+		t.Fatalf("%d failures and %d successes ran, want both", failed.Load(), succeeded.Load())
+	}
+	n := lat.Count()
+	if n == 0 || n > succeeded.Load() {
+		t.Fatalf("counted %d calls, want between 1 and the %d successes", n, succeeded.Load())
+	}
+	if lo := lat.Quantile(0); lo < 0.5e-3 {
+		t.Errorf("fastest counted call took %.3f ms: the instant warm-up completion was counted", lo*1e3)
+	}
+	if hi := lat.Quantile(1); hi > 15e-3 {
+		t.Errorf("slowest counted call took %.3f ms: a 30 ms failure was counted", hi*1e3)
 	}
 }
 

@@ -76,12 +76,12 @@ MC_PID=$!
 mc_addr=$(wait_for_line "$workdir/mc.log" 's/.*serving on \([0-9.]*:[0-9]*\).*/\1/p')
 echo "check_prom: model container on $mc_addr"
 
-# -qos + -container-conns 2 light the admission and pool telemetry series
-# on top of the always-on families; the remote container's window is
-# measured (nothing pins it), so the adaptive families are there too.
+# -shed-policy + -container-conns 2 light the admission and pool telemetry
+# series on top of the always-on families; the remote container's window
+# is measured (nothing pins it), so the adaptive families are there too.
 "$workdir/clipper" -addr 127.0.0.1:0 -train 300 -dim 16 -classes 4 \
   -slo 50ms -containers "$mc_addr" -container-conns 2 \
-  -qos -shed-policy degrade >"$workdir/cl.log" 2>&1 &
+  -shed-policy degrade >"$workdir/cl.log" 2>&1 &
 CL_PID=$!
 cl_addr=$(wait_for_line "$workdir/cl.log" 's/.*serving app .* on http:\/\/\([0-9.:]*\) .*/\1/p')
 echo "check_prom: serving node on $cl_addr"
