@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"clipper/internal/batching"
-	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/dataset"
+	"clipper/internal/frameworks"
 	"clipper/internal/models"
 	"clipper/internal/selection"
 	"clipper/internal/workload"
@@ -39,16 +39,18 @@ func runFig10(scale Scale) (Result, error) {
 	cl := core.New(core.Config{CacheSize: 1 << 16, Scheduler: rrSched()})
 	defer cl.Close()
 	lcfg := models.LinearConfig{Epochs: 4, LearningRate: 0.05, Lambda: 1e-4, Seed: 2}
+	// No simulated latency: the accuracy experiments measure error, not time.
+	direct := frameworks.Profile{Name: "direct"}
 	for d := 0; d < cfg.NumDialects; d++ {
 		m := models.TrainLogisticRegression(fmt.Sprintf("dialect-%d", d), train.FilterGroup(d), lcfg)
-		if _, err := cl.Deploy(directPredictor{m, train.Dim}, nil,
+		if _, err := cl.Deploy(frameworks.NewSimPredictor(m, direct, train.Dim, 1), nil,
 			batching.QueueConfig{Controller: batching.NewFixed(16)}); err != nil {
 			return Result{}, err
 		}
 		modelNames = append(modelNames, m.Name())
 	}
 	oblivious := models.TrainLogisticRegression("no-dialect", train, lcfg)
-	if _, err := cl.Deploy(directPredictor{oblivious, train.Dim}, nil,
+	if _, err := cl.Deploy(frameworks.NewSimPredictor(oblivious, direct, train.Dim, 1), nil,
 		batching.QueueConfig{Controller: batching.NewFixed(16)}); err != nil {
 		return Result{}, err
 	}
@@ -129,28 +131,4 @@ func predictDirect(cl *core.Clipper, model string, ctx context.Context, x []floa
 		return -1
 	}
 	return p.Label
-}
-
-// directPredictor adapts a models.Model to container.Predictor without
-// simulated latency (the accuracy experiments measure error, not time).
-type directPredictor struct {
-	m   models.Model
-	dim int
-}
-
-func (d directPredictor) Info() container.Info {
-	return container.Info{Name: d.m.Name(), Version: 1, InputDim: d.dim, NumClasses: d.m.NumClasses()}
-}
-
-func (d directPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
-	out := make([]container.Prediction, len(xs))
-	scorer, _ := d.m.(models.Scorer)
-	for i, x := range xs {
-		p := container.Prediction{Label: d.m.Predict(x)}
-		if scorer != nil {
-			p.Scores = scorer.Scores(x)
-		}
-		out[i] = p
-	}
-	return out, nil
 }

@@ -102,7 +102,7 @@ func scoreDigests() string {
 	for _, s := range scorers {
 		h := fnv.New64a()
 		for _, x := range test.X {
-			for _, v := range s.(models.Scorer).Scores(x) {
+			for _, v := range models.Scores(s, x) {
 				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
 				h.Write(word[:])
 			}

@@ -175,11 +175,11 @@ func TestSimPredictorPredictionsAndLatency(t *testing.T) {
 
 // TestSimPredictorViewMatchesBatch pins the two shapes' contract:
 // PredictView must produce exactly PredictBatch's labels and scores, called
-// in process and end to end through a Loopback deployment. Every scoring
-// model is a FlatScorer, so a uniform view takes the flat branch for all of
-// them: the dense families on the small task, and bayes, tree, forest and
-// GBDT at the serving shape (784 features, 10 classes), held to the labels
-// and scores the models give row by row.
+// in process and end to end through a Loopback deployment. A uniform view
+// takes the flat branch for every model: the dense families on the small
+// task, and bayes, tree, forest and GBDT at the serving shape (784
+// features, 10 classes), held to the labels and scores the models give row
+// by row.
 func TestSimPredictorViewMatchesBatch(t *testing.T) {
 	d := dataset.Gaussian(dataset.GaussianConfig{
 		Name: "g", N: 300, Dim: 10, NumClasses: 3, Separation: 5, Noise: 1, Seed: 1,
@@ -208,7 +208,7 @@ func TestSimPredictorViewMatchesBatch(t *testing.T) {
 		}
 		byRow := make([]container.Prediction, len(xs))
 		for i, x := range xs {
-			byRow[i] = container.Prediction{Label: m.Predict(x), Scores: m.(models.Scorer).Scores(x)}
+			byRow[i] = container.Prediction{Label: m.Predict(x), Scores: models.Scores(m, x)}
 		}
 		requireSamePreds(t, m.Name()+"/batch", want, byRow)
 		requireSamePreds(t, m.Name()+"/local", predictView(t, p, xs), want)
@@ -244,8 +244,8 @@ func predictView(t *testing.T, p *SimPredictor, xs [][]float64) []container.Pred
 
 // raggedScorer scores rows of any width, which no trained model does (a
 // wrong-width row panics), so it is what can stand behind a ragged view. It
-// counts evaluations, Predict included, so a path that ran the model twice
-// over a row would show.
+// counts row evaluations, Predict's included, so a path that ran the model
+// twice over a row would show.
 type raggedScorer struct {
 	*models.NoOp
 	calls int
@@ -259,8 +259,14 @@ func (m *raggedScorer) scores(x []float64) []float64 {
 	return s
 }
 
-func (m *raggedScorer) Predict(x []float64) int      { m.calls++; return models.Argmax(m.scores(x)) }
-func (m *raggedScorer) Scores(x []float64) []float64 { m.calls++; return m.scores(x) }
+func (m *raggedScorer) ScoresFlat(data []float64, rows, dim int, out []float64) {
+	for r := 0; r < rows; r++ {
+		m.calls++
+		copy(out[r*3:(r+1)*3], m.scores(data[r*dim:(r+1)*dim]))
+	}
+}
+
+func (m *raggedScorer) Predict(x []float64) int { return models.Argmax(models.Scores(m, x)) }
 
 // TestSimPredictorRaggedViewMatchesBatch: a ragged view has no tensor to
 // hand ScoresFlat, so PredictView walks it row by row — one evaluation per
@@ -329,18 +335,18 @@ func requireSamePreds(t *testing.T, name string, got, want []container.Predictio
 	}
 }
 
-func TestSimPredictorNoScores(t *testing.T) {
-	m := models.NewNoOp("noop", 2, 0)
-	p := NewSimPredictor(m, NoOpContainer(), 0, 1)
-	preds, err := p.PredictBatch([][]float64{{1}, {2}})
+// TestSimPredictorNoOpScoresOneHot: a no-op prediction carries its label
+// and a one-hot score row on it, by both shapes.
+func TestSimPredictorNoOpScoresOneHot(t *testing.T) {
+	p := NewSimPredictor(models.NewNoOp("noop", 3, 2), NoOpContainer(), 0, 1)
+	xs := [][]float64{{1}, {2}}
+	preds, err := p.PredictBatch(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pr := range preds {
-		if pr.Scores != nil {
-			t.Fatal("no-op model should not emit scores")
-		}
-	}
+	want := container.Prediction{Label: 2, Scores: []float64{0, 0, 1}}
+	requireSamePreds(t, "noop/batch", preds, []container.Prediction{want, want})
+	requireSamePreds(t, "noop/view", predictView(t, p, xs), preds)
 }
 
 func TestSleepPrecision(t *testing.T) {

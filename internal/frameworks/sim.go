@@ -16,7 +16,6 @@ import (
 // latency-vs-batch-size curve while still returning meaningful outputs.
 type SimPredictor struct {
 	model   models.Model
-	scorer  models.Scorer // nil when the model has no scores
 	profile Profile
 	info    container.Info
 
@@ -29,10 +28,8 @@ var _ container.ViewPredictor = (*SimPredictor)(nil)
 // NewSimPredictor wraps model with profile. inputDim 0 disables input-shape
 // advertising.
 func NewSimPredictor(model models.Model, profile Profile, inputDim int, seed int64) *SimPredictor {
-	s, _ := model.(models.Scorer)
 	return &SimPredictor{
 		model:   model,
-		scorer:  s,
 		profile: profile,
 		info: container.Info{
 			Name:       model.Name(),
@@ -46,9 +43,6 @@ func NewSimPredictor(model models.Model, profile Profile, inputDim int, seed int
 
 // Info implements container.Predictor.
 func (p *SimPredictor) Info() container.Info { return p.info }
-
-// Profile returns the wrapped latency profile.
-func (p *SimPredictor) Profile() Profile { return p.profile }
 
 // PredictBatch implements container.Predictor.
 func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
@@ -67,24 +61,20 @@ func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, err
 	return out, nil
 }
 
-// predictRow evaluates one row exactly once: a Scorer's label is the
-// Argmax of its scores (models.Scorer's contract), so Predict is not run.
+// predictRow evaluates one row exactly once, as a one-row ScoresFlat: a
+// model's label is the Argmax of its scores, so Predict is not run.
 func (p *SimPredictor) predictRow(x []float64) (int, []float64) {
-	if p.scorer == nil {
-		return p.model.Predict(x), nil
-	}
-	scores := p.scorer.Scores(x)
+	scores := models.Scores(p.model, x)
 	return models.Argmax(scores), scores
 }
 
 // PredictView implements container.ViewPredictor: the same predictions
 // (labels and scores, bit for bit) as PredictBatch, written straight into
-// the flat response view. Every scoring model in package models is a
-// FlatScorer, so a uniform-width batch is tensor-native end to end: one
-// Size call shapes the pooled view, ScoresFlat fills its flat score tensor
-// in place, and labels are argmaxed off the rows — no per-query structures
-// on either side. Only ragged views and non-scoring models take the
-// per-row path through Append.
+// the flat response view. A uniform-width batch is tensor-native end to
+// end: one Size call shapes the pooled view, the model's ScoresFlat fills
+// its flat score tensor in place, and labels are argmaxed off the rows —
+// no per-query structures on either side. Only a ragged view, which has no
+// tensor to hand ScoresFlat, takes the per-row path through Append.
 func (p *SimPredictor) PredictView(v container.BatchView, out *container.PredictionView) error {
 	start := time.Now()
 	rows := v.Rows()
@@ -92,11 +82,10 @@ func (p *SimPredictor) PredictView(v container.BatchView, out *container.Predict
 	target := p.profile.BatchDuration(rows, p.rng)
 	p.mu.Unlock()
 
-	fs, flat := p.scorer.(models.FlatScorer)
-	if dim := v.Dim(); flat && rows > 0 && dim > 0 {
+	if dim := v.Dim(); rows > 0 && dim > 0 {
 		nc := p.info.NumClasses
 		scores := out.Size(rows, nc)
-		fs.ScoresFlat(v.Data, rows, dim, scores)
+		p.model.ScoresFlat(v.Data, rows, dim, scores)
 		for r := 0; r < rows; r++ {
 			out.Labels[r] = models.Argmax(scores[r*nc : (r+1)*nc])
 		}

@@ -88,21 +88,9 @@ func (m *naiveBayes) Name() string { return m.name }
 func (m *naiveBayes) NumClasses() int { return len(m.mean) }
 
 // Predict implements Model.
-func (m *naiveBayes) Predict(x []float64) int {
-	return argmax(m.Scores(x))
-}
+func (m *naiveBayes) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *naiveBayes) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(m, xs)
-}
-
-// Scores implements Scorer: per-class log joint likelihood.
-func (m *naiveBayes) Scores(x []float64) []float64 {
-	return scoresRow(m, len(m.mean), x)
-}
-
-// ScoresFlat implements FlatScorer.
+// ScoresFlat implements Model: per-class log joint likelihood.
 func (m *naiveBayes) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(m, m.name, m.dim, len(m.mean), data, rows, dim, out)
 }

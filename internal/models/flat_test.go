@@ -10,13 +10,13 @@ import (
 	"clipper/internal/testutil"
 )
 
-// The flat fast paths exist for the serving hot path (zero-copy tensor
-// decode); their contract is bit-for-bit equivalence with the per-query
-// Scores/Predict surface. Any drift here would silently change served
-// predictions depending on which decode path a container takes.
+// ScoresFlat serves whole batches off the zero-copy tensor decode; a row's
+// scores must not depend on the batch it arrives in, and its label is
+// their Argmax. Any drift here would silently change served predictions
+// depending on how the batching layer grouped the queries.
 
-// flatModels trains one of each scoring model family — every one is a
-// FlatScorer — on the shared easy task.
+// flatModels trains one of each trained model family on the shared easy
+// task.
 func flatModels(t *testing.T) []Model {
 	t.Helper()
 	train, _ := easyTask(t)
@@ -47,20 +47,15 @@ func TestScoresFlatMatchesScores(t *testing.T) {
 	data := flatten(xs)
 	dim := len(xs[0])
 	for _, m := range flatModels(t) {
-		fs, ok := m.(FlatScorer)
-		if !ok {
-			t.Fatalf("%s does not implement FlatScorer", m.Name())
-		}
-		sc := m.(Scorer)
 		nc := m.NumClasses()
 		out := make([]float64, len(xs)*nc)
 		// Dirty scratch: implementations must overwrite, not accumulate.
 		for i := range out {
 			out[i] = 999
 		}
-		fs.ScoresFlat(data, len(xs), dim, out)
+		m.ScoresFlat(data, len(xs), dim, out)
 		for r, x := range xs {
-			want := sc.Scores(x)
+			want := Scores(m, x)
 			got := out[r*nc : (r+1)*nc]
 			for c := range want {
 				if got[c] != want[c] {
@@ -71,9 +66,9 @@ func TestScoresFlatMatchesScores(t *testing.T) {
 	}
 }
 
-// TestRowKernelsFlatMatchesScores holds the models PR 23 moved onto one
-// row kernel to the flat contract at their corners (kernelZoo: an empty
-// class, a zero-count leaf) over three seeds:
+// TestRowKernelsFlatMatchesScores holds every family to the flat contract
+// at the row kernels' corners (kernelZoo: an empty class, a zero-count
+// leaf) over three seeds:
 // ScoresFlat over the 64-row batch is Scores row by row, and its Argmax is
 // Predict. TestScoresMatchReference ties Scores itself to the old
 // arithmetic.
@@ -87,10 +82,10 @@ func TestRowKernelsFlatMatchesScores(t *testing.T) {
 			for i := range out {
 				out[i] = 999
 			}
-			m.(FlatScorer).ScoresFlat(data, len(xs), dim, out)
+			m.ScoresFlat(data, len(xs), dim, out)
 			for r, x := range xs {
 				got := out[r*nc : (r+1)*nc]
-				for c, want := range m.(Scorer).Scores(x) {
+				for c, want := range Scores(m, x) {
 					if got[c] != want {
 						t.Fatalf("seed %d %s row %d class %d: flat %v, serial %v", seed, m.Name(), r, c, got[c], want)
 					}
@@ -110,12 +105,11 @@ func TestFlatArgmaxMatchesPredictBatch(t *testing.T) {
 	dim := len(xs[0])
 	for _, m := range flatModels(t) {
 		nc := m.NumClasses()
-		want := m.PredictBatch(xs)
 		scores := make([]float64, len(xs)*nc)
-		m.(FlatScorer).ScoresFlat(data, len(xs), dim, scores)
-		for r := range want {
-			if got := Argmax(scores[r*nc : (r+1)*nc]); got != want[r] {
-				t.Fatalf("%s row %d: flat label %d, serial %d", m.Name(), r, got, want[r])
+		m.ScoresFlat(data, len(xs), dim, scores)
+		for r, x := range xs {
+			if got, want := Argmax(scores[r*nc:(r+1)*nc]), m.Predict(x); got != want {
+				t.Fatalf("%s row %d: flat label %d, Predict %d", m.Name(), r, got, want)
 			}
 		}
 	}
@@ -125,20 +119,19 @@ func TestScoresFlatPerBatchAllocs(t *testing.T) {
 	// The point of the flat path: per-batch scratch, not per-row. Each
 	// family's ScoresFlat must allocate a constant number of slices
 	// regardless of row count (linear: 0; mlp: 2; kernel: 1; knn: 1), and
-	// the row-kernel models (bayes, tree, forest, gbdt) none at all.
+	// the row-kernel models (bayes, tree, forest, gbdt) and NoOp none at all.
 	_, test := easyTask(t)
 	xs := test.X[:32]
 	data := flatten(xs)
 	dim := len(xs[0])
 	maxAllocs := map[string]float64{
 		"flat-svm": 0, "flat-logreg": 0, "flat-mlp": 2, "flat-ksvm": 1, "flat-knn": 1,
-		"flat-bayes": 0, "flat-tree": 0, "flat-forest": 0, "flat-gbdt": 0,
+		"flat-bayes": 0, "flat-tree": 0, "flat-forest": 0, "flat-gbdt": 0, "flat-noop": 0,
 	}
-	for _, m := range flatModels(t) {
-		fs := m.(FlatScorer)
+	for _, m := range append(flatModels(t), NewNoOp("flat-noop", 3, 1)) {
 		out := make([]float64, len(xs)*m.NumClasses())
 		allocs := testing.AllocsPerRun(20, func() {
-			fs.ScoresFlat(data, len(xs), dim, out)
+			m.ScoresFlat(data, len(xs), dim, out)
 		})
 		if want := maxAllocs[m.Name()]; allocs > want {
 			t.Errorf("%s ScoresFlat allocates %v/batch, want <= %v", m.Name(), allocs, want)
@@ -148,7 +141,6 @@ func TestScoresFlatPerBatchAllocs(t *testing.T) {
 
 func TestScoresFlatDimMismatchPanics(t *testing.T) {
 	for _, m := range flatModels(t) {
-		fs := m.(FlatScorer)
 		func() {
 			defer func() {
 				r := recover()
@@ -159,7 +151,7 @@ func TestScoresFlatDimMismatchPanics(t *testing.T) {
 					t.Fatalf("%s panic = %v", m.Name(), r)
 				}
 			}()
-			fs.ScoresFlat(make([]float64, 6), 2, 3, make([]float64, 2*m.NumClasses()))
+			m.ScoresFlat(make([]float64, 6), 2, 3, make([]float64, 2*m.NumClasses()))
 		}()
 	}
 }

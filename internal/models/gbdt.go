@@ -244,17 +244,9 @@ func (m *gbdt) Name() string { return m.name }
 func (m *gbdt) NumClasses() int { return m.classes }
 
 // Predict implements Model.
-func (m *gbdt) Predict(x []float64) int { return argmax(m.Scores(x)) }
+func (m *gbdt) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *gbdt) PredictBatch(xs [][]float64) []int { return predictBatchSerial(m, xs) }
-
-// Scores implements Scorer: the boosted per-class scores.
-func (m *gbdt) Scores(x []float64) []float64 {
-	return scoresRow(m, m.classes, x)
-}
-
-// ScoresFlat implements FlatScorer.
+// ScoresFlat implements Model: the boosted per-class scores.
 func (m *gbdt) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(m, m.name, m.dim, m.classes, data, rows, dim, out)
 }

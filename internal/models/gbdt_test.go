@@ -61,7 +61,7 @@ func TestGBDTScoresConsistent(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainGBDT("gbdt", train, GBDTConfig{Rounds: 8, Seed: 2}).(*gbdt)
 	for _, x := range test.X[:10] {
-		s := m.Scores(x)
+		s := Scores(m, x)
 		if len(s) != m.NumClasses() {
 			t.Fatalf("scores len %d", len(s))
 		}

@@ -86,10 +86,15 @@ func TrainKernelMachine(name string, ds *dataset.Dataset, cfg KernelConfig) Mode
 
 func (m *kernelMachine) kernelFeatures(x []float64) []float64 {
 	f := make([]float64, len(m.landmarks))
+	m.featuresInto(x, f)
+	return f
+}
+
+// featuresInto overwrites f with x's RBF kernel value at every landmark.
+func (m *kernelMachine) featuresInto(x, f []float64) {
 	for i, l := range m.landmarks {
 		f[i] = math.Exp(-m.gamma * sqDist(x, l))
 	}
-	return f
 }
 
 // Name implements Model.
@@ -99,37 +104,18 @@ func (m *kernelMachine) Name() string { return m.name }
 func (m *kernelMachine) NumClasses() int { return m.linear.NumClasses() }
 
 // Predict implements Model.
-func (m *kernelMachine) Predict(x []float64) int {
-	return argmax(m.Scores(x))
-}
+func (m *kernelMachine) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *kernelMachine) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(m, xs)
-}
-
-// Scores implements Scorer.
-func (m *kernelMachine) Scores(x []float64) []float64 {
-	checkDim(m.name, x, m.dim)
-	return m.linear.Scores(m.kernelFeatures(x))
-}
-
-// ScoresFlat implements FlatScorer. One kernel-feature buffer is reused
-// across every row — kernelFeatures allocates a landmarks-wide slice per
-// query on the serial path, which dominates small-batch garbage for this
-// model family.
+// ScoresFlat implements Model. One kernel-feature buffer is reused across
+// every row, where kernelFeatures (training's path) allocates a
+// landmarks-wide slice per row. A row's features and margins are calls of
+// their own, for the reason scoresFlat gives.
 func (m *kernelMachine) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	feat := make([]float64, len(m.landmarks))
 	nc := m.linear.NumClasses()
 	for r := 0; r < rows; r++ {
-		x := data[r*dim : (r+1)*dim]
-		for i, l := range m.landmarks {
-			feat[i] = math.Exp(-m.gamma * sqDist(x, l))
-		}
-		s := out[r*nc : (r+1)*nc]
-		for c, w := range m.linear.weights {
-			s[c] = dot(w, feat) + m.linear.bias[c]
-		}
+		m.featuresInto(data[r*dim:(r+1)*dim], feat)
+		m.linear.scoresInto(feat, out[r*nc:(r+1)*nc])
 	}
 }

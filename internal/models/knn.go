@@ -40,29 +40,14 @@ func (m *knn) Name() string { return m.name }
 // NumClasses implements Model.
 func (m *knn) NumClasses() int { return m.numClasses }
 
-// K returns the neighbor count.
-func (m *knn) K() int { return m.k }
-
 // Predict implements Model.
-func (m *knn) Predict(x []float64) int {
-	return argmax(m.Scores(x))
-}
+func (m *knn) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *knn) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(m, xs)
-}
-
-// Scores implements Scorer: the neighbor vote share per class.
-func (m *knn) Scores(x []float64) []float64 {
-	return scoresRow(m, m.numClasses, x)
-}
-
-// ScoresFlat implements FlatScorer: neighbor vote shares for every row of
-// a flat row-major tensor, reusing one max-heap of the k nearest across
-// rows. The heap operations are inlined (container/heap's compare/swap
-// order, which the tests hold it to) because that package's interface{}
-// boxing costs an allocation per pushed neighbor.
+// ScoresFlat implements Model: the neighbor vote share per class for every
+// row of a flat row-major tensor, reusing one max-heap of the k nearest
+// across rows. The heap operations are inlined (container/heap's
+// compare/swap order, which the tests hold it to) because that package's
+// interface{} boxing costs an allocation per pushed neighbor.
 func (m *knn) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	h := make([]distEntry, 0, m.k)

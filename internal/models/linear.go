@@ -26,40 +26,17 @@ func (m *linearModel) Name() string { return m.name }
 // NumClasses implements Model.
 func (m *linearModel) NumClasses() int { return len(m.weights) }
 
-// Dim returns the expected input dimensionality.
-func (m *linearModel) Dim() int { return m.dim }
-
 // Predict implements Model.
-func (m *linearModel) Predict(x []float64) int {
-	return argmax(m.Scores(x))
-}
+func (m *linearModel) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *linearModel) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(m, xs)
-}
-
-// Scores implements Scorer: one margin per class.
-func (m *linearModel) Scores(x []float64) []float64 {
-	checkDim(m.name, x, m.dim)
-	s := make([]float64, len(m.weights))
-	for c, w := range m.weights {
-		s[c] = dot(w, x) + m.bias[c]
-	}
-	return s
-}
-
-// ScoresFlat implements FlatScorer: per-class margins for every row of a
-// flat row-major tensor, with zero per-row allocations.
+// ScoresFlat implements Model: one margin per class.
 func (m *linearModel) ScoresFlat(data []float64, rows, dim int, out []float64) {
-	checkFlat(m.name, rows, dim, m.dim, data)
-	nc := len(m.weights)
-	for r := 0; r < rows; r++ {
-		x := data[r*dim : (r+1)*dim]
-		s := out[r*nc : (r+1)*nc]
-		for c, w := range m.weights {
-			s[c] = dot(w, x) + m.bias[c]
-		}
+	scoresFlat(m, m.name, m.dim, len(m.weights), data, rows, dim, out)
+}
+
+func (m *linearModel) scoresInto(x, out []float64) {
+	for c, w := range m.weights {
+		out[c] = dot(w, x) + m.bias[c]
 	}
 }
 
@@ -160,7 +137,7 @@ func TrainLogisticRegression(name string, ds *dataset.Dataset, cfg LinearConfig)
 		eta := lr * normScale / (1 + 0.5*float64(e))
 		for _, i := range rng.Perm(ds.Len()) {
 			x, y := ds.X[i], ds.Y[i]
-			p := m.Scores(x)
+			p := Scores(m, x)
 			softmaxInPlace(p)
 			for c := range m.weights {
 				grad := p[c]

@@ -180,23 +180,9 @@ func (m *mlp) Name() string { return m.name }
 func (m *mlp) NumClasses() int { return m.classes }
 
 // Predict implements Model.
-func (m *mlp) Predict(x []float64) int {
-	return argmax(m.Scores(x))
-}
+func (m *mlp) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *mlp) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(m, xs)
-}
-
-// Scores implements Scorer: output logits.
-func (m *mlp) Scores(x []float64) []float64 {
-	checkDim(m.name, x, m.dim)
-	acts, _ := m.forward(x)
-	return acts[len(acts)-1]
-}
-
-// ScoresFlat implements FlatScorer: logits for every row of a flat
+// ScoresFlat implements Model: output logits for every row of a flat
 // row-major tensor. Two ping-pong activation buffers are reused across
 // all rows and layers, so the whole batch costs two scratch allocations
 // instead of forward()'s two per layer per row.

@@ -2,10 +2,12 @@
 // family the Clipper paper serves: linear SVMs (Pegasos), logistic
 // regression (SGD), RBF-kernel machines, decision trees and random forests,
 // k-nearest neighbors, Gaussian naive Bayes, multi-layer perceptrons, and a
-// no-op model for overhead measurement. Every scoring model is a FlatScorer
-// whose flat path equals Scores bit for bit, and anything that depends only
-// on the parameters (naive Bayes' normaliser table) is built once, at
-// training or load, never while predicting.
+// no-op model for overhead measurement. A model is one batch call,
+// ScoresFlat, over the flat row-major tensor a container receives (the
+// paper's predict_batch, §4.4 Listing 1); Scores and a model's label are
+// its one-row case. Anything that depends only on the parameters (naive
+// Bayes' normaliser table) is built once, at training or load, never while
+// predicting.
 //
 // The paper serves models trained in Scikit-Learn, Spark MLlib, Caffe,
 // TensorFlow and HTK; those frameworks are unavailable offline, so this
@@ -19,7 +21,7 @@ import (
 	"math"
 )
 
-// Model renders class predictions for dense feature vectors. All
+// Model scores dense feature vectors, a batch at a time. All
 // implementations in this package are safe for concurrent use after
 // training: prediction never mutates model state.
 type Model interface {
@@ -27,42 +29,31 @@ type Model interface {
 	Name() string
 	// NumClasses returns the number of classes the model discriminates.
 	NumClasses() int
-	// Predict returns the predicted class label for one input.
-	Predict(x []float64) int
-	// PredictBatch returns one predicted label per input. Batch
-	// prediction is the unit of work in Clipper's model containers
-	// (Listing 1 of the paper).
-	PredictBatch(xs [][]float64) []int
-}
-
-// Scorer is implemented by models that can expose per-class scores
-// (unnormalized or probabilistic). The ensemble selection policies use
-// scores when available and fall back to votes otherwise.
-type Scorer interface {
-	// Scores returns one score per class for the input; higher is more
-	// likely. len(Scores(x)) == NumClasses(), and the model's label is
-	// their Argmax, so a caller holding the scores need not call Predict.
-	Scores(x []float64) []float64
-}
-
-// FlatScorer is implemented by every scoring model in this package: batch
-// scoring over a flat row-major tensor — the shape container.BatchView
-// delivers after a zero-copy decode. Implementations score every row with
-// per-batch (not per-row) scratch and must produce exactly the values
-// Scores returns row by row; they exist so the serving hot path can skip
-// both the [][]float64 materialization and the per-query score allocation.
-type FlatScorer interface {
-	Scorer
 	// ScoresFlat fills out with one score per class per row, row-major:
 	// row r of the rows×dim tensor data scores into
-	// out[r*classes : (r+1)*classes]. len(data) must be ≥ rows*dim and
-	// len(out) ≥ rows*NumClasses(); dim must match the model's input
-	// dimensionality (implementations panic otherwise, as Predict does).
+	// out[r*classes : (r+1)*classes]; higher is more likely. len(data)
+	// must be ≥ rows*dim and len(out) ≥ rows*NumClasses(); dim must match
+	// the model's input dimensionality (implementations panic otherwise).
+	// Scratch is per batch, never per row, and out is overwritten, not
+	// accumulated into.
 	ScoresFlat(data []float64, rows, dim int, out []float64)
+	// Predict returns the predicted class label for one input: the Argmax
+	// of its Scores.
+	Predict(x []float64) int
 }
 
+// Scores returns x's scores, one per class: one row of m.ScoresFlat.
+func Scores(m Model, x []float64) []float64 {
+	out := make([]float64, m.NumClasses())
+	m.ScoresFlat(x, 1, len(x), out)
+	return out
+}
+
+// label is every model's Predict: the Argmax of x's scores.
+func label(m Model, x []float64) int { return argmax(Scores(m, x)) }
+
 // Argmax returns the index of the largest value in v (0 when empty) — the
-// label rule every Scorer shares, exported for consumers turning scores
+// label rule every model shares, exported for consumers turning scores
 // into labels.
 func Argmax(v []float64) int { return argmax(v) }
 
@@ -71,7 +62,10 @@ func Argmax(v []float64) int { return argmax(v) }
 // allocating nothing, from tables fixed when the model was built.
 type rowScorer interface{ scoresInto(x, out []float64) }
 
-// scoresFlat is ScoresFlat over a rowScorer: the one shared row loop.
+// scoresFlat is ScoresFlat over a rowScorer: the one shared row loop. The
+// row kernel stays a call of its own, not inlined into the loop: inlined,
+// the row loop's live values spill the kernel's loop index to the stack,
+// which made the linear margins ≈ 1.7× slower (go1.24, amd64).
 func scoresFlat(s rowScorer, name string, want, classes int, data []float64, rows, dim int, out []float64) {
 	checkFlat(name, rows, dim, want, data)
 	for r := 0; r < rows; r++ {
@@ -79,15 +73,8 @@ func scoresFlat(s rowScorer, name string, want, classes int, data []float64, row
 	}
 }
 
-// scoresRow is Scores over a model's flat kernel: one allocation, one row.
-func scoresRow(s FlatScorer, classes int, x []float64) []float64 {
-	out := make([]float64, classes)
-	s.ScoresFlat(x, 1, len(x), out)
-	return out
-}
-
 // checkFlat validates a flat tensor's shape against the model's expected
-// input dimensionality, mirroring checkDim's panic behavior.
+// input dimensionality.
 func checkFlat(name string, rows, dim, want int, data []float64) {
 	if dim != want {
 		panic(fmt.Sprintf("models: %s: input dim %d, want %d", name, dim, want))
@@ -103,10 +90,9 @@ func Accuracy(m Model, xs [][]float64, ys []int) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	pred := m.PredictBatch(xs)
 	correct := 0
-	for i, p := range pred {
-		if p == ys[i] {
+	for i, x := range xs {
+		if label(m, x) == ys[i] {
 			correct++
 		}
 	}
@@ -116,22 +102,6 @@ func Accuracy(m Model, xs [][]float64, ys []int) float64 {
 // ErrorRate returns 1 - Accuracy.
 func ErrorRate(m Model, xs [][]float64, ys []int) float64 {
 	return 1 - Accuracy(m, xs, ys)
-}
-
-// predictBatchSerial implements PredictBatch in terms of Predict. Model
-// implementations use it unless they have a cheaper batch path.
-func predictBatchSerial(m Model, xs [][]float64) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
-
-func checkDim(name string, x []float64, want int) {
-	if len(x) != want {
-		panic(fmt.Sprintf("models: %s: input dim %d, want %d", name, len(x), want))
-	}
 }
 
 // --- small linear-algebra helpers shared by the model implementations ---

@@ -31,8 +31,8 @@ func TestLinearSVMLearns(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainLinearSVM("svm", train, DefaultLinearConfig()).(*linearModel)
 	requireAccuracy(t, m, test, 0.9)
-	if m.NumClasses() != 3 || m.Dim() != 20 {
-		t.Fatalf("shape %d/%d", m.NumClasses(), m.Dim())
+	if m.NumClasses() != 3 || m.dim != 20 {
+		t.Fatalf("shape %d/%d", m.NumClasses(), m.dim)
 	}
 }
 
@@ -115,16 +115,16 @@ func TestKNNLearns(t *testing.T) {
 	train, test := easyTask(t)
 	m := TrainKNN("knn", train, 5).(*knn)
 	requireAccuracy(t, m, test, 0.9)
-	if m.K() != 5 {
-		t.Fatalf("K = %d", m.K())
+	if m.k != 5 {
+		t.Fatalf("k = %d", m.k)
 	}
 }
 
 func TestKNNKExceedsN(t *testing.T) {
 	d := dataset.Gaussian(dataset.GaussianConfig{Name: "tiny", N: 10, Dim: 4, NumClasses: 2, Separation: 5, Noise: 0.5, Seed: 1})
 	m := TrainKNN("knn", d, 50).(*knn)
-	if m.K() != 10 {
-		t.Fatalf("K clamped to %d, want 10", m.K())
+	if m.k != 10 {
+		t.Fatalf("k clamped to %d, want 10", m.k)
 	}
 	_ = m.Predict(d.X[0])
 }
@@ -167,37 +167,23 @@ func TestNoOp(t *testing.T) {
 	if m.Predict([]float64{1, 2}) != 3 {
 		t.Fatal("wrong constant label")
 	}
-	out := m.PredictBatch(make([][]float64, 5))
-	for _, y := range out {
-		if y != 3 {
-			t.Fatal("wrong batch label")
+	out := make([]float64, 2*10)
+	for i := range out {
+		out[i] = 999
+	}
+	m.ScoresFlat(make([]float64, 4), 2, 2, out)
+	for i, s := range out {
+		want := 0.0
+		if i%10 == 3 {
+			want = 1
+		}
+		if s != want {
+			t.Fatalf("score %d = %v, want a one-hot row on label 3", i, s)
 		}
 	}
 	bad := NewNoOp("noop", 2, 9)
 	if bad.Predict(nil) != 0 {
 		t.Fatal("out-of-range label should clamp to 0")
-	}
-}
-
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	train, test := easyTask(t)
-	ms := []Model{
-		TrainLinearSVM("svm", train, DefaultLinearConfig()),
-		TrainLogisticRegression("lr", train, DefaultLinearConfig()),
-		TrainNaiveBayes("nb", train),
-		TrainKNN("knn", train, 3),
-		TrainDecisionTree("tree", train, DefaultTreeConfig()),
-		TrainRandomForest("rf", train, DefaultTreeConfig()),
-		TrainMLP("mlp", train, DefaultMLPConfig()),
-	}
-	xs := test.X[:20]
-	for _, m := range ms {
-		batch := m.PredictBatch(xs)
-		for i, x := range xs {
-			if batch[i] != m.Predict(x) {
-				t.Fatalf("%s: batch[%d] != Predict", m.Name(), i)
-			}
-		}
 	}
 }
 
@@ -214,12 +200,8 @@ func TestScoresShapeAndArgmaxConsistency(t *testing.T) {
 		TrainKernelMachine("ksvm", train, KernelConfig{Landmarks: 64, Linear: DefaultLinearConfig(), Seed: 1}),
 	}
 	for _, m := range ms {
-		s, ok := m.(Scorer)
-		if !ok {
-			t.Fatalf("%s does not implement Scorer", m.Name())
-		}
 		for _, x := range test.X[:10] {
-			scores := s.Scores(x)
+			scores := Scores(m, x)
 			if len(scores) != m.NumClasses() {
 				t.Fatalf("%s: %d scores for %d classes", m.Name(), len(scores), m.NumClasses())
 			}

@@ -1,9 +1,9 @@
 package models
 
 // NoOp is a model that performs no computation and always predicts the
-// same class. The paper uses a "No-Op Container" (Figure 3d) to measure the
-// pure overhead of the model-container and RPC machinery; this is its
-// equivalent.
+// same class, scoring it one-hot. The paper uses a "No-Op Container"
+// (Figure 3d) to measure the pure overhead of the model-container and RPC
+// machinery; this is its equivalent.
 type NoOp struct {
 	name    string
 	classes int
@@ -28,13 +28,14 @@ func (m *NoOp) Name() string { return m.name }
 func (m *NoOp) NumClasses() int { return m.classes }
 
 // Predict implements Model.
-func (m *NoOp) Predict(x []float64) int { return m.label }
+func (m *NoOp) Predict(x []float64) int { return label(m, x) }
 
-// PredictBatch implements Model.
-func (m *NoOp) PredictBatch(xs [][]float64) []int {
-	out := make([]int, len(xs))
-	for i := range out {
-		out[i] = m.label
+// ScoresFlat implements Model: a one-hot row on the label for every row,
+// whatever the input.
+func (m *NoOp) ScoresFlat(data []float64, rows, dim int, out []float64) {
+	out = out[:rows*m.classes]
+	clear(out)
+	for r := 0; r < rows; r++ {
+		out[r*m.classes+m.label] = 1
 	}
-	return out
 }

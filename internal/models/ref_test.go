@@ -9,11 +9,35 @@ import (
 	"clipper/internal/dataset"
 )
 
-// Reference scorers: the per-row Scores bodies as PR 22 shipped them, kept
-// here so the table- and kernel-based models are held to the old arithmetic
-// with ==, not to themselves. This file uses nothing PR 23 added, so it
-// also compiles and passes inside the PR 22 tree — that is how the
-// references were checked to be the parent's code and not a paraphrase.
+// Reference scorers: the per-row Scores bodies every model family had
+// before ScoresFlat became its only scoring call, kept here so each model
+// is held to the old arithmetic with ==, not to itself. The bodies were
+// checked against the methods they replace, inside the tree that still had
+// them, to be that code and not a paraphrase.
+
+// linearScoresRef is one margin per class.
+func linearScoresRef(m *linearModel, x []float64) []float64 {
+	s := make([]float64, len(m.weights))
+	for c, w := range m.weights {
+		s[c] = dot(w, x) + m.bias[c]
+	}
+	return s
+}
+
+// kernelScoresRef is the linear margins over the landmark features.
+func kernelScoresRef(m *kernelMachine, x []float64) []float64 {
+	f := make([]float64, len(m.landmarks))
+	for i, l := range m.landmarks {
+		f[i] = math.Exp(-m.gamma * sqDist(x, l))
+	}
+	return linearScoresRef(m.linear, f)
+}
+
+// mlpScoresRef is the output logits of training's forward pass.
+func mlpScoresRef(m *mlp, x []float64) []float64 {
+	acts, _ := m.forward(x)
+	return acts[len(acts)-1]
+}
 
 func bayesScoresRef(m *naiveBayes, x []float64) []float64 {
 	out := make([]float64, len(m.mean))
@@ -121,13 +145,19 @@ func scoresRef(t *testing.T, m Model, x []float64) []float64 {
 		return gbdtScoresRef(v, x)
 	case *knn:
 		return knnScoresRef(v, x)
+	case *linearModel:
+		return linearScoresRef(v, x)
+	case *kernelMachine:
+		return kernelScoresRef(v, x)
+	case *mlp:
+		return mlpScoresRef(v, x)
 	}
 	t.Fatalf("no reference scorer for %T", m)
 	return nil
 }
 
-// kernelZoo trains, for one seed, every model whose Scores PR 23 rewrote,
-// plus the corners of each kernel: a NaiveBayes with an empty class (the
+// kernelZoo trains, for one seed, one model of every family, plus the
+// corners of the row kernels: a NaiveBayes with an empty class (the
 // logPrior = -Inf early-out), a tree and a forest with a zero-count leaf
 // (sum == 0). The returned inputs are 64 held-out rows; tied distances
 // exercise KNN's heap order.
@@ -162,6 +192,10 @@ func kernelZoo(t *testing.T, seed int64) ([]Model, [][]float64) {
 		forest,
 		TrainGBDT("gbdt", train, GBDTConfig{Rounds: 6, Seed: seed}),
 		TrainKNN("knn", &dup, 4),
+		TrainLinearSVM("svm", train, DefaultLinearConfig()),
+		TrainLogisticRegression("logreg", train, DefaultLinearConfig()),
+		TrainKernelMachine("ksvm", train, KernelConfig{Landmarks: 64, Linear: DefaultLinearConfig(), Seed: seed}),
+		TrainMLP("mlp", train, MLPConfig{Hidden: []int{16, 8}, Epochs: 2, Seed: seed}),
 	}
 	return ms, test.X[:64]
 }
@@ -174,7 +208,7 @@ func TestScoresMatchReference(t *testing.T) {
 			name := fmt.Sprintf("seed %d model %d (%s)", seed, i, m.Name())
 			for r, x := range xs {
 				want := scoresRef(t, m, x)
-				got := m.(Scorer).Scores(x)
+				got := Scores(m, x)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d scores, reference has %d", name, len(got), len(want))
 				}

@@ -103,22 +103,9 @@ func (t *decisionTree) Name() string { return t.name }
 func (t *decisionTree) NumClasses() int { return t.numClasses }
 
 // Predict implements Model.
-func (t *decisionTree) Predict(x []float64) int {
-	checkDim(t.name, x, t.dim)
-	return argmax(t.root.leafFor(x).classCounts)
-}
+func (t *decisionTree) Predict(x []float64) int { return label(t, x) }
 
-// PredictBatch implements Model.
-func (t *decisionTree) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(t, xs)
-}
-
-// Scores implements Scorer: normalized leaf class counts.
-func (t *decisionTree) Scores(x []float64) []float64 {
-	return scoresRow(t, t.numClasses, x)
-}
-
-// ScoresFlat implements FlatScorer.
+// ScoresFlat implements Model: normalized leaf class counts.
 func (t *decisionTree) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(t, t.name, t.dim, t.numClasses, data, rows, dim, out)
 }
@@ -170,27 +157,15 @@ func (f *randomForest) Name() string { return f.name }
 func (f *randomForest) NumClasses() int { return f.numClasses }
 
 // Predict implements Model.
-func (f *randomForest) Predict(x []float64) int {
-	return argmax(f.Scores(x))
-}
+func (f *randomForest) Predict(x []float64) int { return label(f, x) }
 
-// PredictBatch implements Model.
-func (f *randomForest) PredictBatch(xs [][]float64) []int {
-	return predictBatchSerial(f, xs)
-}
-
-// Scores implements Scorer: mean of per-tree leaf distributions.
-func (f *randomForest) Scores(x []float64) []float64 {
-	return scoresRow(f, f.numClasses, x)
-}
-
-// ScoresFlat implements FlatScorer.
+// ScoresFlat implements Model: mean of per-tree leaf distributions.
 func (f *randomForest) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	scoresFlat(f, f.name, f.dim, f.numClasses, data, rows, dim, out)
 }
 
 // scoresInto accumulates straight off the leaf counts, in tree order, so
-// the sum rounds exactly as adding each tree's Scores would.
+// the sum rounds exactly as adding each tree's scores would.
 func (f *randomForest) scoresInto(x, out []float64) {
 	clear(out)
 	for _, t := range f.trees {
