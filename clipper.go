@@ -26,7 +26,8 @@
 //	})
 //	resp, _ := app.Predict(ctx, features)
 //
-// See examples/ for complete programs and docs/ARCHITECTURE.md for the
+// See Example_quickstart and the other example_*_test.go programs (go test
+// -v -run Example . prints their traces) and docs/ARCHITECTURE.md for the
 // request lifecycle, the wire format, and the tuning knobs.
 package clipper
 
@@ -135,8 +136,6 @@ type (
 	Controller = batching.Controller
 	// AIMDConfig parameterizes NewAIMD.
 	AIMDConfig = batching.AIMDConfig
-	// QuantileRegConfig parameterizes NewQuantileReg.
-	QuantileRegConfig = batching.QuantileRegConfig
 )
 
 // Selection types.
@@ -165,8 +164,9 @@ func ParseShedPolicy(s string) (ShedPolicy, error) { return core.ParseShedPolicy
 // NewAIMD returns Clipper's default adaptive batch-size controller.
 func NewAIMD(cfg AIMDConfig) Controller { return batching.NewAIMD(cfg) }
 
-// NewQuantileReg returns the quantile-regression batch-size controller.
-func NewQuantileReg(cfg QuantileRegConfig) Controller { return batching.NewQuantileReg(cfg) }
+// NewQuantileReg returns the quantile-regression batch-size controller for
+// the batch-latency objective slo.
+func NewQuantileReg(slo time.Duration) Controller { return batching.NewQuantileReg(slo) }
 
 // NewFixedBatch returns a static batch-size controller (1 = no batching).
 func NewFixedBatch(n int) Controller { return batching.NewFixed(n) }
@@ -179,9 +179,6 @@ func NewExp4(eta float64) Policy { return selection.NewExp4(eta) }
 
 // NewStaticPolicy returns a policy pinned to one model index.
 func NewStaticPolicy(i int) Policy { return selection.NewStatic(i) }
-
-// NewThompson returns the Thompson-sampling single-model selection policy.
-func NewThompson() Policy { return selection.NewThompson() }
 
 // NewMemStore returns an in-memory selection-state store.
 func NewMemStore() Store { return statestore.NewMemStore() }

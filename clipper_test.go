@@ -90,7 +90,7 @@ func TestPublicAPIRemoteContainer(t *testing.T) {
 func TestPublicAPIControllers(t *testing.T) {
 	for _, c := range []clipper.Controller{
 		clipper.NewAIMD(clipper.AIMDConfig{SLO: time.Millisecond}),
-		clipper.NewQuantileReg(clipper.QuantileRegConfig{SLO: time.Millisecond}),
+		clipper.NewQuantileReg(time.Millisecond),
 		clipper.NewFixedBatch(3),
 	} {
 		if c.MaxBatch() < 1 {

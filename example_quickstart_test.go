@@ -1,10 +1,4 @@
-// Quickstart: deploy one model, register an application, predict, and send
-// feedback — the minimal Clipper workflow.
-//
-// Run with:
-//
-//	go run ./examples/quickstart
-package main
+package clipper_test
 
 import (
 	"context"
@@ -18,7 +12,17 @@ import (
 	"clipper/internal/models"
 )
 
-func main() {
+// Example_quickstart is the minimal Clipper workflow: train a small model,
+// deploy it behind an adaptive batching queue (Deploy with AIMD tuned to a
+// 20 ms batch-latency SLO via DefaultQueueConfig), register an application
+// over it, issue predictions, and send feedback. Start here.
+//
+// The three calls — clipper.New, Deploy, RegisterApp — are the shape of the
+// package doc's quickstart. The application sets no AppConfig.SLO, so every
+// reply waits for the model and the output is exact; app.PredLatency holds
+// the latency histogram. Next steps: TestExampleCluster for remote
+// containers and replicas, TestExampleCascade for model composition.
+func Example_quickstart() {
 	// 1. Train a model. Any container.Predictor works; here a linear SVM
 	// on a synthetic digit-like task, wrapped in a Scikit-Learn-style
 	// latency profile.
@@ -41,7 +45,6 @@ func main() {
 		Name:   "quickstart",
 		Models: []string{"digits-svm"},
 		Policy: clipper.NewExp3(0.1),
-		SLO:    50 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -63,10 +66,14 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("served 50 predictions: %d correct, latency %s\n",
-		correct, app.PredLatency.Snapshot())
+	fmt.Printf("served 50 predictions: %d correct\n", correct)
 
 	// 5. The prediction cache made the feedback joins free.
 	hits, misses := cl.Cache().Stats()
 	fmt.Printf("prediction cache: %d hits, %d misses\n", hits, misses)
+
+	// Output:
+	// trained digits-svm: test accuracy 0.792
+	// served 50 predictions: 36 correct
+	// prediction cache: 50 hits, 50 misses
 }

@@ -1,13 +1,4 @@
-// Speech personalization — the paper's TIMIT scenario (§5.3, Figure 10).
-// Dialect-specific phoneme models plus a dialect-oblivious model are
-// deployed; per-user selection contexts let Clipper learn each user's best
-// model (or combination) from feedback, beating both a one-size-fits-all
-// model and the user's nominal dialect model.
-//
-// Run with:
-//
-//	go run ./examples/speechpersonalization
-package main
+package clipper_test
 
 import (
 	"context"
@@ -21,7 +12,18 @@ import (
 	"clipper/internal/models"
 )
 
-func main() {
+// Example_speechPersonalization is the paper's TIMIT speech scenario (§5.3,
+// Figure 10): dialect-specific phoneme models plus one dialect-oblivious
+// model are deployed, and per-user selection contexts let Clipper learn
+// each user's best model (or combination) from feedback. Personalized
+// selection beats both the one-size-fits-all model and the user's nominal
+// dialect model.
+//
+// What to look at: PredictContext/FeedbackContext with a per-user context
+// id. The selection state is keyed by context and persisted in the state
+// store, which is what makes personalization survive restarts when a
+// durable store is configured.
+func Example_speechPersonalization() {
 	cfg := dataset.SpeechConfig{
 		N: 5000, NumDialects: 4, NumSpeakers: 80, Dim: 64, NumPhonemes: 12, Seed: 10,
 	}
@@ -30,17 +32,23 @@ func main() {
 
 	cl := clipper.New(clipper.Config{})
 	defer cl.Close()
+	deploy := func(m models.Model, seed int64) {
+		pred := frameworks.NewSimPredictor(m, frameworks.SKLearnLogisticRegression(), ds.Dim, seed)
+		if _, err := cl.Deploy(pred, nil, clipper.DefaultQueueConfig(20*time.Millisecond)); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	// One model per dialect plus a dialect-oblivious model.
 	lcfg := models.LinearConfig{Epochs: 4, LearningRate: 0.05, Lambda: 1e-4, Seed: 2}
 	names := make([]string, 0, cfg.NumDialects+1)
 	for d := 0; d < cfg.NumDialects; d++ {
 		m := models.TrainLogisticRegression(fmt.Sprintf("dialect-%d", d), train.FilterGroup(d), lcfg)
-		deploy(cl, m, ds.Dim, int64(d))
+		deploy(m, int64(d))
 		names = append(names, m.Name())
 	}
 	oblivious := models.TrainLogisticRegression("no-dialect", train, lcfg)
-	deploy(cl, oblivious, ds.Dim, 99)
+	deploy(oblivious, 99)
 	names = append(names, oblivious.Name())
 
 	app, err := cl.RegisterApp(clipper.AppConfig{
@@ -91,11 +99,10 @@ func main() {
 	// the models that fit their dialect.
 	state, _ := app.State("user-0")
 	fmt.Printf("user-0 (dialect 0) model weights: %.3f\n", state.Weights)
-}
 
-func deploy(cl *clipper.Clipper, m models.Model, dim int, seed int64) {
-	pred := frameworks.NewSimPredictor(m, frameworks.SKLearnLogisticRegression(), dim, seed)
-	if _, err := cl.Deploy(pred, nil, clipper.DefaultQueueConfig(20*time.Millisecond)); err != nil {
-		log.Fatal(err)
-	}
+	// Output:
+	// per-user personalization over 24 users:
+	//   error in first 10 interactions: 0.271
+	//   error in last  10 interactions: 0.246
+	// user-0 (dialect 0) model weights: [3.993 0.016 0.027 0.073 0.891]
 }

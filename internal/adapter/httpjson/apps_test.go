@@ -13,7 +13,7 @@ func TestRegisterAppEndpoint(t *testing.T) {
 	h := s.Handler()
 
 	rec := postJSON(t, h, "/api/v1/admin/apps", gateway.RegisterAppRequest{
-		Name: "runtime-app", Models: []string{"m0", "m1"}, Policy: "thompson", SLOMillis: 50,
+		Name: "runtime-app", Models: []string{"m0", "m1"}, Policy: "exp3", SLOMillis: 50,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
@@ -26,13 +26,13 @@ func TestRegisterAppEndpoint(t *testing.T) {
 }
 
 func TestRegisterAppPolicies(t *testing.T) {
-	for _, policy := range []string{"", "exp3", "exp4", "ucb1", "thompson", "epsilon-greedy", "static:1"} {
+	for _, policy := range []string{"", "exp3", "exp4", "static:1"} {
 		p, err := gateway.ParsePolicy(policy)
 		if err != nil || p == nil {
 			t.Fatalf("policy %q: %v", policy, err)
 		}
 	}
-	for _, bad := range []string{"nope", "static:x"} {
+	for _, bad := range []string{"nope", "static:x", "ucb1", "thompson", "epsilon-greedy"} {
 		if _, err := gateway.ParsePolicy(bad); err == nil {
 			t.Fatalf("policy %q accepted", bad)
 		}

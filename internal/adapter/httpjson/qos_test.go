@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -110,6 +111,12 @@ func TestPredictShed503(t *testing.T) {
 	}
 	if _, err := warm.Predict(t.Context(), []float64{1}); err != nil {
 		t.Fatal(err)
+	}
+	// A predict returns once its reply is delivered, but runBatch feeds the
+	// load model only after every reply is out: wait for the count, or the
+	// gate can still read a cold cost and admit.
+	for q := cl.ReplicaQueues("slow")[0]; q.LoadStats().Completed != 1; {
+		runtime.Gosched()
 	}
 	if _, err := cl.RegisterApp(core.AppConfig{
 		Name: "gated", Models: []string{"slow"}, Policy: selection.NewStatic(0),

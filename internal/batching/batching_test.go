@@ -96,7 +96,7 @@ func TestQuantileRegConvergesToProfileOptimum(t *testing.T) {
 	lat := func(n int) time.Duration {
 		return time.Millisecond + time.Duration(n)*100*time.Microsecond
 	}
-	q := NewQuantileReg(QuantileRegConfig{SLO: slo})
+	q := NewQuantileReg(slo)
 	for i := 0; i < 2000; i++ {
 		n := q.MaxBatch()
 		q.Observe(n, lat(n))
@@ -108,7 +108,7 @@ func TestQuantileRegConvergesToProfileOptimum(t *testing.T) {
 }
 
 func TestQuantileRegName(t *testing.T) {
-	q := NewQuantileReg(QuantileRegConfig{SLO: time.Millisecond})
+	q := NewQuantileReg(time.Millisecond)
 	if q.Name() != "quantile-regression" {
 		t.Fatalf("Name = %q", q.Name())
 	}

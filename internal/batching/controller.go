@@ -140,15 +140,10 @@ type quantileReg struct {
 	cap      int
 }
 
-// QuantileRegConfig parameterizes NewQuantileReg.
-type QuantileRegConfig struct {
-	// SLO is the batch-latency objective. Required.
-	SLO time.Duration
-}
-
-// NewQuantileReg returns a quantile-regression controller.
-func NewQuantileReg(cfg QuantileRegConfig) Controller {
-	return &quantileReg{slo: cfg.SLO, cap: 1}
+// NewQuantileReg returns a quantile-regression controller for the
+// batch-latency objective slo.
+func NewQuantileReg(slo time.Duration) Controller {
+	return &quantileReg{slo: slo, cap: 1}
 }
 
 // Name implements Controller.

@@ -32,20 +32,11 @@ func (cl *Clipper) Metrics() *metrics.Registry { return cl.prom }
 // eachReplica calls fn for every (model, replica) pair in deterministic
 // order: models sorted by name, replicas in deployment order.
 func (cl *Clipper) eachReplica(fn func(model string, rq *replicaQueue)) {
-	cl.mu.Lock()
-	models := make([]string, 0, len(cl.scheds))
-	scheds := make(map[string]*scheduler, len(cl.scheds))
-	for name, s := range cl.scheds {
-		models = append(models, name)
-		scheds[name] = s
-	}
-	cl.mu.Unlock()
-	sort.Strings(models)
-	for _, m := range models {
-		for _, rq := range scheds[m].snapshot() {
-			fn(m, rq)
+	cl.eachScheduler(func(model string, s *scheduler) {
+		for _, rq := range s.snapshot() {
+			fn(model, rq)
 		}
-	}
+	})
 }
 
 // eachScheduler calls fn for every model's scheduler in name order.

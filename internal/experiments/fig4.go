@@ -38,7 +38,7 @@ func runFig4(scale Scale) (Result, error) {
 			return batching.NewAIMD(batching.AIMDConfig{SLO: fig3SLO, Additive: 8})
 		}},
 		{"quantile-regression", func() batching.Controller {
-			return batching.NewQuantileReg(batching.QuantileRegConfig{SLO: fig3SLO})
+			return batching.NewQuantileReg(fig3SLO)
 		}},
 		{"no-batching", func() batching.Controller { return batching.NewFixed(1) }},
 	}

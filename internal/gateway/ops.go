@@ -64,9 +64,8 @@ type RegisterAppRequest struct {
 	Name string `json:"name"`
 	// Models lists deployed model names, in policy index order.
 	Models []string `json:"models"`
-	// Policy selects the selection policy: "exp3", "exp4", "ucb1",
-	// "thompson", "epsilon-greedy" or "static:<index>". Empty selects
-	// exp4.
+	// Policy selects the selection policy: "exp3", "exp4" or
+	// "static:<index>". Empty selects exp4.
 	Policy string `json:"policy,omitempty"`
 	// SLOMillis bounds the reply (core.AppConfig.SLO); 0 waits for all models.
 	SLOMillis int `json:"slo_ms,omitempty"`

@@ -6,20 +6,14 @@ import (
 	"clipper/internal/selection"
 )
 
-// ParsePolicy maps a policy name to a selection.Policy: "" or "exp4",
-// "exp3", "ucb1", "thompson", "epsilon-greedy", or "static:<index>".
+// ParsePolicy maps a policy name to one of the paper's selection policies:
+// "" or "exp4", "exp3", or "static:<index>". Any other name is an error.
 func ParsePolicy(name string) (selection.Policy, error) {
 	switch {
 	case name == "" || name == "exp4":
 		return selection.NewExp4(0), nil
 	case name == "exp3":
 		return selection.NewExp3(0), nil
-	case name == "ucb1":
-		return selection.NewUCB1(), nil
-	case name == "thompson":
-		return selection.NewThompson(), nil
-	case name == "epsilon-greedy":
-		return selection.NewEpsilonGreedy(0, 0), nil
 	case len(name) > 7 && name[:7] == "static:":
 		var idx int
 		if _, err := fmt.Sscanf(name[7:], "%d", &idx); err != nil {

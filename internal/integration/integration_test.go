@@ -332,7 +332,7 @@ func TestFullStackPublicAPITypesInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	app, err := cl.RegisterApp(clipper.AppConfig{
-		Name: "a", Models: []string{"fn"}, Policy: clipper.NewThompson(),
+		Name: "a", Models: []string{"fn"}, Policy: clipper.NewExp3(0.1),
 	})
 	if err != nil {
 		t.Fatal(err)

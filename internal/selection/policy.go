@@ -18,7 +18,7 @@
 //
 // Two bandit policies from Auer et al. are provided: Exp3 (single-model
 // selection, minimal overhead) and Exp4 (ensemble combination, higher
-// accuracy at higher cost), plus static baselines used by the experiments.
+// accuracy at higher cost), plus the static baseline the experiments compare against.
 package selection
 
 import (

@@ -296,33 +296,6 @@ func TestStaticPolicy(t *testing.T) {
 	}
 }
 
-func TestEpsilonGreedy(t *testing.T) {
-	p := NewEpsilonGreedy(0.2, 0.1)
-	s := p.Init(3)
-	// Exploit path picks the best arm.
-	s.Weights = []float64{0.1, 0.9, 0.5}
-	if sel := p.Select(s, 0.9); sel[0] != 1 {
-		t.Fatalf("exploit selected %v", sel)
-	}
-	// Explore path maps the variate across arms.
-	if sel := p.Select(s, 0.0); sel[0] != 0 {
-		t.Fatalf("explore(0) selected %v", sel)
-	}
-	if sel := p.Select(s, 0.19); sel[0] != 2 {
-		t.Fatalf("explore(0.19) selected %v", sel)
-	}
-	// Observe shifts the reward estimate.
-	preds := []*container.Prediction{pp(0), nil, nil}
-	s2 := p.Observe(s, 0, preds) // correct: reward 1
-	if s2.Weights[0] <= s.Weights[0] {
-		t.Fatalf("correct prediction should raise estimate: %v -> %v", s.Weights[0], s2.Weights[0])
-	}
-	defaults := NewEpsilonGreedy(-1, 9).(*epsilonGreedy)
-	if defaults.Epsilon != 0.1 || defaults.Alpha != 0.05 {
-		t.Fatalf("defaults = %+v", defaults)
-	}
-}
-
 func TestNormalizeGuards(t *testing.T) {
 	ws := []float64{math.NaN(), 1}
 	normalize(ws)
@@ -378,5 +351,44 @@ func TestExp3LongRunNumericalStability(t *testing.T) {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
 			t.Fatalf("unstable weights after long run: %v", s.Weights)
 		}
+	}
+}
+
+// runBandit plays a stationary Bernoulli bandit for n rounds and returns
+// the fraction of plays on each arm.
+func runBandit(t *testing.T, p Policy, armAcc []float64, n int, seed int64) []float64 {
+	t.Helper()
+	s := p.Init(len(armAcc))
+	rng := rand.New(rand.NewSource(seed))
+	plays := make([]float64, len(armAcc))
+	for q := 0; q < n; q++ {
+		sel := p.Select(s, rng.Float64())
+		if len(sel) != 1 {
+			t.Fatalf("%s selected %d arms", p.Name(), len(sel))
+		}
+		arm := sel[0]
+		plays[arm]++
+		label := 0
+		if rng.Float64() > armAcc[arm] {
+			label = 1 // wrong
+		}
+		preds := make([]*container.Prediction, len(armAcc))
+		preds[arm] = &container.Prediction{Label: label}
+		s = p.Observe(s, 0, preds)
+	}
+	for i := range plays {
+		plays[i] /= float64(n)
+	}
+	return plays
+}
+
+func TestBanditsBeatUniformRandom(t *testing.T) {
+	// The single-model policy should play the best arm far more than 1/k
+	// under a clear gap.
+	arms := []float64{0.3, 0.35, 0.95, 0.4}
+	p := NewExp3(0.1)
+	plays := runBandit(t, p, arms, 4000, 7)
+	if plays[2] < 0.5 {
+		t.Errorf("%s best-arm share = %.3f, want >= 0.5", p.Name(), plays[2])
 	}
 }
