@@ -14,8 +14,8 @@
 //	    -d '{"app":"demo","input":[0.1, ... 64 floats ...]}'
 //	loadgen -proto stream -target localhost:7001 -rate 500
 //
-// Both listeners serve the same gateway core: an app registered over one
-// protocol is immediately served on the other.
+// Both listeners serve the same gateway core: the stream one carries
+// predict and feedback, and an app registered over REST is served on both.
 package main
 
 import (

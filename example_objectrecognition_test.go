@@ -28,10 +28,10 @@ import (
 func TestExampleObjectRecognition(t *testing.T) {
 	// A CIFAR-like object recognition task (reduced dims for a fast demo).
 	ds := dataset.Gaussian(dataset.GaussianConfig{
-		Name: "objects", N: 2500, Dim: 96, NumClasses: 10,
+		Name: "objects", N: 3000, Dim: 96, NumClasses: 10,
 		Separation: 3.2, Noise: 1.0, LabelNoise: 0.04, Seed: 33,
 	})
-	train, test := ds.Split(0.8, 5)
+	train, test := ds.Split(2.0/3, 5)
 
 	cl := clipper.New(clipper.Config{})
 	defer cl.Close()
@@ -69,18 +69,20 @@ func TestExampleObjectRecognition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Queries walk the test set in order: a repeated input is answered from
-	// the prediction cache (by design — selection happens above the cache),
-	// which hides the injected failure. The 500-point set wraps 200 queries
-	// into the degraded phase.
+	// Queries walk the test set in order, and each phase takes fresh ones:
+	// a repeated input is answered from the prediction cache (by design —
+	// selection happens above the cache), which would hide the injected
+	// failure. The 1,000-point set holds the three phases' 900 queries.
 	ctx := context.Background()
 	nextQuery := 0
 	phase := func(name string, queries int) float64 {
+		if nextQuery+queries > test.Len() {
+			t.Fatalf("%s needs %d fresh queries, %d are left", name, queries, test.Len()-nextQuery)
+		}
 		correct, defaults := 0, 0
 		for i := 0; i < queries; i++ {
-			idx := nextQuery % test.Len()
+			x, truth := test.X[nextQuery], test.Y[nextQuery]
 			nextQuery++
-			x, truth := test.X[idx], test.Y[idx]
 			resp, err := app.Predict(ctx, x)
 			if err != nil {
 				t.Fatal(err)

@@ -6,9 +6,9 @@
 // client — the same two model containers use — so request leases,
 // response scratch, graceful drain and the pipelined client's delivery
 // rule are implemented once. The adapters themselves are subpackages —
-// httpjson (the REST API) and stream (the binary protocol: pipelined
-// requests with correlation IDs) — each a thin shell over one
-// internal/gateway core.
+// httpjson (the REST API, every operation) and stream (the binary data
+// plane: pipelined predicts and feedback with correlation IDs) — each a
+// thin shell over one internal/gateway core.
 package adapter
 
 import (

@@ -1,9 +1,7 @@
 package adapter
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -94,42 +92,7 @@ func (h *handler) handle(method rpc.Method, payload, scratch []byte, arrived tim
 			Label:   int(req.Label),
 		})
 		return appendStatus(scratch, ferr), nil
-
-	case MethodGWAppList:
-		return appendJSON(scratch, h.b.AppList())
-	case MethodGWModelList:
-		return appendJSON(scratch, h.b.ModelList())
-	case MethodGWHealth:
-		h.b.Health()
-		return appendStatus(scratch, nil), nil
-	case MethodGWMetrics:
-		var buf bytes.Buffer
-		if err := h.b.WriteMetrics(&buf); err != nil {
-			return appendError(scratch, err), nil
-		}
-		scratch = append(scratch, byte(gateway.CodeOK))
-		return append(scratch, buf.Bytes()...), nil
-	case MethodGWRegisterApp:
-		var req gateway.RegisterAppRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			h.b.Reject(gateway.OpRegisterApp, gateway.CodeBadRequest)
-			return appendError(scratch, &gateway.Error{Code: gateway.CodeBadRequest, Msg: "bad JSON: " + err.Error()}), nil
-		}
-		return appendStatus(scratch, h.b.RegisterApp(req)), nil
 	default:
 		return nil, fmt.Errorf("unknown method 0x%x", byte(method))
 	}
-}
-
-// appendJSON encodes v exactly as the HTTP adapter does (json.Encoder
-// semantics, trailing newline included) behind an OK status byte, so the
-// JSON bodies are byte-identical across protocols.
-func appendJSON(scratch []byte, v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return appendError(scratch, &gateway.Error{Code: gateway.CodeInternal, Msg: err.Error()}), nil
-	}
-	scratch = append(scratch, byte(gateway.CodeOK))
-	scratch = append(scratch, data...)
-	return append(scratch, '\n'), nil
 }

@@ -1,7 +1,6 @@
 package httpjson
 
 import (
-	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -60,57 +59,5 @@ func TestRegisterAppValidationErrors(t *testing.T) {
 	})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("duplicate app: %d", rec.Code)
-	}
-}
-
-func TestPredictBatchEndpoint(t *testing.T) {
-	s, _ := newTestServer(t)
-	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{
-		App: "demo", Inputs: [][]float64{{1}, {2}, {3}},
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
-	}
-	var resp batchPredictResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 3 {
-		t.Fatalf("results = %d", len(resp.Results))
-	}
-	for i, r := range resp.Results {
-		if r.Label != 1 { // equal weights tie-break to m0's label 1
-			t.Fatalf("result %d label = %d", i, r.Label)
-		}
-	}
-}
-
-func TestPredictBatchValidation(t *testing.T) {
-	s, _ := newTestServer(t)
-	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{App: "demo"})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty inputs: %d", rec.Code)
-	}
-	rec = postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{
-		App: "demo", Inputs: [][]float64{{1}, {}},
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty row: %d", rec.Code)
-	}
-	rec = postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{
-		App: "nope", Inputs: [][]float64{{1}},
-	})
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown app: %d", rec.Code)
-	}
-	huge := make([][]float64, 5000)
-	for i := range huge {
-		huge[i] = []float64{1}
-	}
-	rec = postJSON(t, h, "/api/v1/predict-batch", gateway.BatchPredictRequest{App: "demo", Inputs: huge})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("oversized batch: %d", rec.Code)
 	}
 }

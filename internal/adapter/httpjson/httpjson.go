@@ -1,12 +1,13 @@
 // Package httpjson is Clipper's REST adapter (paper §3): the gateway's
 // operations as JSON over net/http. Every handler is a decode → gateway
 // op → encode shell; validation and error classification live in
-// internal/gateway, shared with the stream adapter.
+// internal/gateway, shared with the stream adapter. Predict and feedback
+// are served here and on the stream adapter; every other endpoint is
+// served here alone.
 //
 // Endpoints:
 //
 //	POST /api/v1/predict        {"app","context","input":[...]}
-//	POST /api/v1/predict-batch  {"app","context","inputs":[[...],...]}
 //	POST /api/v1/feedback       {"app","context","input":[...],"label"}
 //	GET  /api/v1/apps
 //	GET  /api/v1/models
@@ -52,11 +53,6 @@ func toResponse(r gateway.PredictResult) PredictResponse {
 	}
 }
 
-// batchPredictResponse carries one PredictResponse per input.
-type batchPredictResponse struct {
-	Results []PredictResponse `json:"results"`
-}
-
 // healthRequest is the JSON body of POST /api/v1/admin/health.
 type healthRequest struct {
 	Replica string `json:"replica"`
@@ -93,7 +89,6 @@ func New(g *gateway.Gateway) *Server {
 	s.mux.HandleFunc("/api/v1/admin/applications", s.handleApplications)
 	s.mux.HandleFunc("/api/v1/admin/health", s.handleSetHealth)
 	s.mux.HandleFunc("/api/v1/admin/apps", s.handleRegisterApp)
-	s.mux.HandleFunc("/api/v1/predict-batch", s.handlePredictBatch)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s
 }
@@ -166,23 +161,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, toResponse(res))
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	var req gateway.BatchPredictRequest
-	if !s.decodePost(w, r, gateway.OpPredictBatch, &req) {
-		return
-	}
-	res, err := s.b.PredictBatch(r.Context(), req)
-	if err != nil {
-		writeGatewayError(w, err)
-		return
-	}
-	out := batchPredictResponse{Results: make([]PredictResponse, len(res))}
-	for i, pr := range res {
-		out.Results[i] = toResponse(pr)
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {

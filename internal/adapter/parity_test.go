@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -427,60 +426,18 @@ func TestAdapterShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestStreamColdOps: the JSON-bodied cold operations round-trip over the
-// wire and match the HTTP bodies.
-func TestStreamColdOps(t *testing.T) {
-	cl := newParityNode(t)
-	gw := gateway.New(cl)
-	s := stream.New(gw)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c, err := stream.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	ctx := context.Background()
-	if err := c.Health(ctx); err != nil {
-		t.Fatalf("health: %v", err)
-	}
-	models, err := c.ModelList(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(models) != "[m0 m1 slow]" {
-		t.Fatalf("models = %v", models)
-	}
-	apps, err := c.AppList(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(apps) != 4 {
-		t.Fatalf("apps = %+v, want 4", apps)
-	}
-	if err := c.RegisterApp(ctx, gateway.RegisterAppRequest{
+// TestRegisterOverHTTPServesOverStream: both adapters bind one gateway
+// core, so an app registered over REST is served at once on the binary
+// protocol.
+func TestRegisterOverHTTPServesOverStream(t *testing.T) {
+	callers := startAdapters(t, newParityNode(t))
+	hc, sc := callers[0].(*httpCaller), callers[1]
+	if o := hc.post("/api/v1/admin/apps", gateway.RegisterAppRequest{
 		Name: "rt", Models: []string{"m0"}, Policy: "static:0",
-	}); err != nil {
-		t.Fatalf("register: %v", err)
+	}, nil); o.Code != gateway.CodeOK {
+		t.Fatalf("register over http = %+v", o)
 	}
-	// Registered over the wire, served immediately (same gateway core).
-	if res, err := c.Predict(ctx, "rt", "", []float64{1}); err != nil || res.Label != 1 {
-		t.Fatalf("predict on rt = %+v, %v", res, err)
-	}
-	// Conflict surfaces with its typed code.
-	err = c.RegisterApp(ctx, gateway.RegisterAppRequest{Name: "rt", Models: []string{"m0"}})
-	if gateway.CodeOf(err) != gateway.CodeConflict {
-		t.Fatalf("duplicate register = %v, want conflict", err)
-	}
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains([]byte(text), []byte("clipper_gateway_requests_total")) {
-		t.Fatalf("metrics scrape missing gateway family:\n%.400s", text)
+	if o := sc.predict("rt", []float64{1}); o.Code != gateway.CodeOK || o.Label != 1 {
+		t.Fatalf("predict on rt over stream = %+v, want label 1 from m0", o)
 	}
 }

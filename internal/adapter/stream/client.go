@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -116,55 +115,12 @@ func (c *Conn) Feedback(ctx context.Context, app, cctx string, label int, input 
 		putReqBuf(bp, buf)
 		return err
 	}
-	err = c.status(ctx, adapter.MethodGWFeedback, buf, nil)
+	p, err := c.rc.Call(ctx, adapter.MethodGWFeedback, buf)
 	putReqBuf(bp, buf)
+	if err != nil {
+		return err
+	}
+	_, err = adapter.DecodeStatus(p.Data)
+	p.Release()
 	return err
-}
-
-// status runs one op that answers with a status byte and a body. A
-// non-nil body is handed the body bytes, which alias the leased response
-// and are valid only until it returns.
-func (c *Conn) status(ctx context.Context, method rpc.Method, payload []byte, body func([]byte) error) error {
-	p, err := c.rc.Call(ctx, method, payload)
-	if err != nil {
-		return err
-	}
-	defer p.Release()
-	b, err := adapter.DecodeStatus(p.Data)
-	if err != nil || body == nil {
-		return err
-	}
-	return body(b)
-}
-
-// AppList returns the registered applications.
-func (c *Conn) AppList(ctx context.Context) (apps []gateway.AppInfo, err error) {
-	err = c.status(ctx, adapter.MethodGWAppList, nil, func(b []byte) error { return json.Unmarshal(b, &apps) })
-	return apps, err
-}
-
-// ModelList returns the deployed model names, sorted.
-func (c *Conn) ModelList(ctx context.Context) (models []string, err error) {
-	err = c.status(ctx, adapter.MethodGWModelList, nil, func(b []byte) error { return json.Unmarshal(b, &models) })
-	return models, err
-}
-
-// Health checks node liveness.
-func (c *Conn) Health(ctx context.Context) error {
-	return c.status(ctx, adapter.MethodGWHealth, nil, nil)
-}
-
-// Metrics fetches the Prometheus text exposition.
-func (c *Conn) Metrics(ctx context.Context) (text string, err error) {
-	err = c.status(ctx, adapter.MethodGWMetrics, nil, func(b []byte) error { text = string(b); return nil })
-	return text, err
-}
-
-// RegisterApp registers an application at runtime.
-func (c *Conn) RegisterApp(ctx context.Context, req gateway.RegisterAppRequest) error {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return c.status(ctx, adapter.MethodGWRegisterApp, payload, nil)
 }

@@ -1,19 +1,19 @@
-// Package stream is Clipper's binary adapter: the gateway's whole
-// operation surface over length-prefixed rpc frames on one persistent
-// connection. Requests are correlated by frame ID and answered in
-// completion order — a fast query overtakes a straggler on the same
-// socket instead of queueing behind it (no head-of-line blocking, the
-// tail-latency failure mode of one-at-a-time transports) — and a client
-// that keeps one request outstanding has a plain request/response
-// protocol. The hot predict path round-trips without allocating in the
-// framing or payload codec on either side — request encode buffers and
-// response bodies are leased from pools — so the adapter measures the
-// gateway itself rather than its own serialization.
-//
-// Admin and scrape operations share the connection with predicts: the
-// server's read loop never runs a handler (every request goes to an
-// rpc.Server worker), so a slow scrape delays neither the frames behind
-// it nor the responses that overtake it.
+// Package stream is Clipper's binary adapter: the data plane — predict
+// and feedback, the paper's two application calls — over length-prefixed
+// rpc frames on one persistent connection. Management (registration,
+// listings, health, the metrics scrape) is served by the REST adapter
+// alone. Requests are correlated by frame ID and answered in completion
+// order — a fast query overtakes a straggler on the same socket instead
+// of queueing behind it (no head-of-line blocking, the tail-latency
+// failure mode of one-at-a-time transports) — and a client that keeps
+// one request outstanding has a plain request/response protocol. The hot
+// predict path round-trips without allocating in the framing or payload
+// codec on either side — request encode buffers and response bodies are
+// leased from pools — so the adapter measures the gateway itself rather
+// than its own serialization. The server's read loop never runs a
+// handler (every request goes to an rpc.Server worker), so a slow
+// predict delays neither the frames behind it nor the responses that
+// overtake it.
 package stream
 
 import (
@@ -25,7 +25,7 @@ import (
 	"clipper/internal/rpc"
 )
 
-// Server serves pipelined gateway operations over framed TCP.
+// Server serves pipelined predicts and feedback over framed TCP.
 type Server struct {
 	srv *rpc.Server
 }

@@ -17,7 +17,6 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/gateway"
-	"clipper/internal/metrics"
 	"clipper/internal/rpc"
 	"clipper/internal/selection"
 )
@@ -68,11 +67,9 @@ func newNode(t *testing.T) *core.Clipper {
 
 // newStreamNode serves newNode's apps on one stream server and returns a
 // connected client.
-func newStreamNode(t *testing.T) (*Server, *Conn) { return serveNode(t, newNode(t)) }
-
-func serveNode(t *testing.T, cl *core.Clipper) (*Server, *Conn) {
+func newStreamNode(t *testing.T) (*Server, *Conn) {
 	t.Helper()
-	srv := NewServer(cl)
+	srv := NewServer(newNode(t))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -86,24 +83,12 @@ func serveNode(t *testing.T, cl *core.Clipper) (*Server, *Conn) {
 	return srv, conn
 }
 
-// newSlowScrapeNode is newStreamNode on a node whose every metrics scrape
-// takes 40ms, so that scrape holds a cold op reliably in flight.
-func newSlowScrapeNode(t *testing.T) (*Server, *Conn) {
-	cl := newNode(t)
-	cl.Metrics().MustRegister("test_slow_scrape", "Holds every scrape for 40ms.", metrics.KindGauge,
-		func(dst []metrics.Series) []metrics.Series {
-			time.Sleep(40 * time.Millisecond)
-			return dst
-		})
-	return serveNode(t, cl)
-}
-
-// scrape starts a metrics scrape over conn and returns where its outcome
-// lands.
-func scrape(conn *Conn) <-chan error {
+// predictSlow starts a blocking predict on the slow app over conn and
+// returns where its outcome lands: the Call path, in flight beside Go's.
+func predictSlow(conn *Conn) <-chan error {
 	ch := make(chan error, 1)
 	go func() {
-		_, err := conn.Metrics(context.Background())
+		_, err := conn.Predict(context.Background(), "slow", "", []float64{-1})
 		ch <- err
 	}()
 	return ch
@@ -171,11 +156,11 @@ func TestExactlyOncePipelined(t *testing.T) {
 }
 
 // TestServerKillMidStream: the server force-closes connections (expired
-// drain context) while predicts and a scrape are in flight; every
-// outstanding correlation ID still gets exactly one callback, and the
-// scrape its error.
+// drain context) while pipelined predicts and a blocking one are in
+// flight; every outstanding correlation ID still gets exactly one
+// callback, and the blocking predict its error.
 func TestServerKillMidStream(t *testing.T) {
-	srv, conn := newSlowScrapeNode(t)
+	srv, conn := newStreamNode(t)
 
 	const n = 8
 	counts := make([]atomic.Int32, n)
@@ -187,14 +172,14 @@ func TestServerKillMidStream(t *testing.T) {
 			wg.Done()
 		})
 	}
-	scraped := scrape(conn)
+	blocked := predictSlow(conn)
 	time.Sleep(5 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired drain window: force-close now
 	srv.Shutdown(ctx)
 	wg.Wait()
-	if err := <-scraped; err == nil {
-		t.Fatal("scrape in flight at the kill succeeded")
+	if err := <-blocked; err == nil {
+		t.Fatal("blocking predict in flight at the kill succeeded")
 	}
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
@@ -212,10 +197,10 @@ func TestServerKillMidStream(t *testing.T) {
 }
 
 // TestClientCloseMidStream: Close from the client side fires every
-// pending callback exactly once with rpc.ErrClientClosed — the scrape in
-// flight included — and later calls fail immediately.
+// pending callback exactly once with rpc.ErrClientClosed — the blocking
+// predict in flight included — and later calls fail immediately.
 func TestClientCloseMidStream(t *testing.T) {
-	_, conn := newSlowScrapeNode(t)
+	_, conn := newStreamNode(t)
 
 	const n = 4
 	counts := make([]atomic.Int32, n)
@@ -231,12 +216,12 @@ func TestClientCloseMidStream(t *testing.T) {
 			wg.Done()
 		})
 	}
-	scraped := scrape(conn)
+	blocked := predictSlow(conn)
 	time.Sleep(5 * time.Millisecond)
 	conn.Close()
 	wg.Wait()
-	if err := <-scraped; !errors.Is(err, rpc.ErrClientClosed) {
-		t.Fatalf("scrape in flight at Close = %v, want rpc.ErrClientClosed", err)
+	if err := <-blocked; !errors.Is(err, rpc.ErrClientClosed) {
+		t.Fatalf("blocking predict in flight at Close = %v, want rpc.ErrClientClosed", err)
 	}
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {

@@ -17,13 +17,8 @@ import (
 // model container (or vice versa) fails loudly instead of decoding as
 // garbage.
 const (
-	MethodGWPredict     rpc.Method = 0x10
-	MethodGWFeedback    rpc.Method = 0x11
-	MethodGWAppList     rpc.Method = 0x12
-	MethodGWModelList   rpc.Method = 0x13
-	MethodGWHealth      rpc.Method = 0x14
-	MethodGWMetrics     rpc.Method = 0x15
-	MethodGWRegisterApp rpc.Method = 0x16
+	MethodGWPredict  rpc.Method = 0x10
+	MethodGWFeedback rpc.Method = 0x11
 )
 
 // Binary layouts, all little-endian:
@@ -34,11 +29,6 @@ const (
 //	                  u8 code!=0 | error message bytes
 //	status response   u8 code | error message bytes when code != 0
 //	flags             bit0 used_default, bit1 degraded
-//
-// The cold admin/introspection ops (app list, model list, register,
-// metrics) carry a status byte followed by the same JSON (or Prometheus
-// text) bodies the HTTP adapter serves, so their payloads are
-// byte-identical across protocols.
 
 const (
 	flagUsedDefault = 1 << 0

@@ -6,7 +6,10 @@ package adapter_test
 // data-plane-only stream server; the two agreed byte for byte, and what
 // binrpc answered was recorded in testdata/binrpc_wire.golden. The one
 // binary adapter left must answer the same script with the same bytes and
-// count the same operations.
+// count the same operations. Since the binary protocol became the data
+// plane alone, the golden's predict, feedback and 0x7f lines are still
+// binrpc's; its lines for methods 0x12–0x16 were re-recorded as the
+// unknown-method error frames they now answer.
 
 import (
 	"bytes"
@@ -53,12 +56,15 @@ func wireScript(t *testing.T) []wireOp {
 		{adapter.MethodGWPredict, predict("nope", 1)},
 		{adapter.MethodGWFeedback, feedback},
 		{adapter.MethodGWFeedback, feedback[:len(feedback)-3]},
-		{adapter.MethodGWAppList, nil},
-		{adapter.MethodGWModelList, nil},
-		{adapter.MethodGWHealth, nil},
-		{adapter.MethodGWRegisterApp, register},
-		{adapter.MethodGWRegisterApp, register}, // duplicate: conflict
-		{adapter.MethodGWMetrics, nil},
+		// 0x12–0x16 once carried app list, model list, health, register
+		// and metrics; those are served over REST alone, so each answers
+		// an unknown-method error frame.
+		{0x12, nil},
+		{0x13, nil},
+		{0x14, nil},
+		{0x16, register},
+		{0x16, register},
+		{0x15, nil},
 		{0x7f, nil}, // no such method
 	}
 }
@@ -66,7 +72,7 @@ func wireScript(t *testing.T) []wireOp {
 // playWire sends ops over a raw connection, one at a time, and renders
 // one line per reply: correlation ID, frame type, method, payload. What
 // differs from run to run is masked: the latency_µs field that ends a
-// predict result, and the metrics body.
+// predict result.
 func playWire(t *testing.T, addr string, ops []wireOp) string {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
@@ -86,11 +92,8 @@ func playWire(t *testing.T, addr string, ops []wireOp) string {
 		}
 		body := hex.EncodeToString(f.Payload)
 		ok := f.Type == rpc.MsgResponse && len(f.Payload) > 0 && f.Payload[0] == byte(gateway.CodeOK)
-		switch {
-		case ok && op.method == adapter.MethodGWPredict:
+		if ok && op.method == adapter.MethodGWPredict {
 			body = body[:len(body)-16] + "<latency_us>"
-		case ok && op.method == adapter.MethodGWMetrics:
-			body = "00<metrics>"
 		}
 		fmt.Fprintf(&out, "id=%d type=%d method=0x%02x payload=%s\n", f.ID, f.Type, byte(f.Method), body)
 		f.Release()

@@ -9,7 +9,7 @@ import (
 
 // Code classifies an operation failure independent of transport. Each
 // adapter maps codes onto its wire: httpjson to HTTP status codes, the
-// framed adapters to a status byte.
+// stream adapter to a status byte.
 type Code uint8
 
 // Error codes. The zero value is success and never appears on an Error.
@@ -17,7 +17,7 @@ const (
 	CodeOK Code = iota
 	CodeBadRequest
 	CodeNotFound
-	CodeConflict
+	codeConflict
 	// CodeShed is the QoS admission gate refusing a query predicted to
 	// bust its SLO (core.ErrSLOShed) — the caller should back off, the
 	// server did not malfunction.
@@ -48,7 +48,7 @@ func (c Code) HTTPStatus() int {
 		return http.StatusBadRequest
 	case CodeNotFound:
 		return http.StatusNotFound
-	case CodeConflict:
+	case codeConflict:
 		return http.StatusConflict
 	case CodeShed:
 		return http.StatusServiceUnavailable

@@ -34,7 +34,6 @@ type Op uint8
 // Gateway operations.
 const (
 	OpPredict Op = iota
-	OpPredictBatch
 	OpFeedback
 	OpRegisterApp
 	opAppList
@@ -49,7 +48,7 @@ const (
 )
 
 var opNames = [numOps]string{
-	"predict", "predict_batch", "feedback", "register_app",
+	"predict", "feedback", "register_app",
 	"app_list", "model_list", "health", "metrics",
 	"deploy", "replicas", "applications", "set_health",
 }

@@ -13,9 +13,8 @@ import (
 )
 
 // The wire-facing request/response types live here, JSON tags included,
-// so httpjson serves them directly and the framed adapters reuse the
-// same shapes for their JSON-bodied operations — one schema, three
-// transports.
+// so httpjson serves them directly; the stream adapter decodes its
+// binary layouts into the same PredictRequest and FeedbackRequest.
 
 // PredictRequest asks for one prediction.
 type PredictRequest struct {
@@ -47,16 +46,6 @@ type FeedbackRequest struct {
 	Input   []float64 `json:"input"`
 	Label   int       `json:"label"`
 }
-
-// BatchPredictRequest asks for many predictions in one call.
-type BatchPredictRequest struct {
-	App     string      `json:"app"`
-	Context string      `json:"context,omitempty"`
-	Inputs  [][]float64 `json:"inputs"`
-}
-
-// maxBatch bounds BatchPredictRequest.Inputs.
-const maxBatch = 4096
 
 // RegisterAppRequest declares an application over deployed models.
 type RegisterAppRequest struct {
@@ -128,35 +117,6 @@ func (b *Bound) Predict(ctx context.Context, req PredictRequest) (res PredictRes
 	return fromResponse(resp), nil
 }
 
-// PredictBatch runs many predictions; it fails atomically on the first
-// invalid input or serving error, matching the HTTP endpoint's
-// historical behavior.
-func (b *Bound) PredictBatch(ctx context.Context, req BatchPredictRequest) (res []PredictResult, err error) {
-	defer b.begin(OpPredictBatch)(&err)
-	if len(req.Inputs) == 0 {
-		return nil, fail(CodeBadRequest, "empty inputs")
-	}
-	if len(req.Inputs) > maxBatch {
-		return nil, fail(CodeBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Inputs), maxBatch))
-	}
-	app, ok := b.g.cl.App(req.App)
-	if !ok {
-		return nil, fail(CodeNotFound, fmt.Sprintf("unknown app %q", req.App))
-	}
-	res = make([]PredictResult, len(req.Inputs))
-	for i, x := range req.Inputs {
-		if len(x) == 0 {
-			return nil, fail(CodeBadRequest, fmt.Sprintf("input %d is empty", i))
-		}
-		resp, perr := app.PredictContext(ctx, req.Context, x)
-		if perr != nil {
-			return nil, wrap(perr)
-		}
-		res[i] = fromResponse(resp)
-	}
-	return res, nil
-}
-
 func fromResponse(r core.Response) PredictResult {
 	return PredictResult{
 		Label:       r.Label,
@@ -203,7 +163,7 @@ func (b *Bound) RegisterApp(req RegisterAppRequest) (err error) {
 		Shed:                shed,
 	})
 	if rerr != nil {
-		return fail(CodeConflict, rerr.Error())
+		return fail(codeConflict, rerr.Error())
 	}
 	return nil
 }
@@ -239,7 +199,7 @@ func (b *Bound) Health() bool {
 // Deploy dials a remote model container and deploys it: a newer version
 // of a deployed model rolls it over, the same version adds a replica. A
 // dial failure maps to CodeBadGateway (the container is unreachable), a
-// deploy failure to CodeConflict (e.g. a version older than the deployed
+// deploy failure to codeConflict (e.g. a version older than the deployed
 // one) — the two cases operators must tell apart.
 func (b *Bound) Deploy(req DeployRequest) (res DeployResponse, err error) {
 	defer b.begin(OpDeploy)(&err)
@@ -262,7 +222,7 @@ func (b *Bound) Deploy(req DeployRequest) (res DeployResponse, err error) {
 	rep, rerr := b.g.cl.Deploy(remote, func() { remote.Close() }, qcfg)
 	if rerr != nil {
 		remote.Close()
-		return res, fail(CodeConflict, rerr.Error())
+		return res, fail(codeConflict, rerr.Error())
 	}
 	info := remote.Info()
 	return DeployResponse{Model: info.Name, Version: info.Version, ReplicaID: rep.ID}, nil

@@ -2,7 +2,7 @@ package models
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"clipper/internal/dataset"
 )
@@ -215,7 +215,7 @@ func bestRegSplit(ds *dataset.Dataset, idx []int, grad []float64, cfg GBDTConfig
 		for j, i := range idx {
 			vals[j] = fv{v: ds.X[i][f], g: grad[i]}
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		slices.SortFunc(vals, func(a, b fv) int { return cmpValue(a.v, b.v) })
 		leftG, leftN := 0.0, 0.0
 		for j := 0; j < len(vals)-1; j++ {
 			leftG += vals[j].g

@@ -3,7 +3,7 @@ package models
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"clipper/internal/dataset"
 )
@@ -291,7 +291,7 @@ func bestSplit(ds *dataset.Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (
 		for j, i := range idx {
 			vals[j] = fv{v: ds.X[i][f], y: ds.Y[i]}
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		slices.SortFunc(vals, func(a, b fv) int { return cmpValue(a.v, b.v) })
 		for c := range leftCounts {
 			leftCounts[c] = 0
 		}
@@ -314,4 +314,17 @@ func bestSplit(ds *dataset.Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (
 		}
 	}
 	return feat, thresh, ok
+}
+
+// cmpValue orders feature values for the split search's sort. It is < 0
+// exactly when a < b, so slices.SortFunc makes the moves a sort with the
+// less function a < b makes, and the scan sees the same order.
+func cmpValue(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }

@@ -4,8 +4,8 @@ package rpc_test
 // contract — every request frame released once, every response scratch
 // recycled once — and its counters cover them too. These tests drive the
 // stream adapter through the two ways a connection dies under in-flight
-// requests, and through cold operations sharing a connection with
-// pipelined predicts, and require both counters back at baseline.
+// requests, and through quick predicts sharing a connection with slow
+// ones, and require both counters back at baseline.
 
 import (
 	"context"
@@ -20,23 +20,17 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/gateway"
-	"clipper/internal/metrics"
 	"clipper/internal/rpc"
 	"clipper/internal/selection"
 )
 
 // newSlowStream serves "app" over a model that takes 30ms per batch, so
-// requests are reliably in flight when the connection is cut, "quick"
-// over an instant model, and a metrics scrape that takes 30ms.
+// requests are reliably in flight when the connection is cut, and
+// "quick" over an instant model.
 func newSlowStream(t *testing.T) (*stream.Server, *stream.Conn) {
 	t.Helper()
 	cl := core.New(core.Config{})
 	t.Cleanup(cl.Close)
-	cl.Metrics().MustRegister("test_slow_scrape", "Holds every scrape for 30ms.", metrics.KindGauge,
-		func(dst []metrics.Series) []metrics.Series {
-			time.Sleep(30 * time.Millisecond)
-			return dst
-		})
 	quick := container.NewFunc(container.Info{Name: "quick", Version: 1, NumClasses: 2},
 		func(xs [][]float64) ([]container.Prediction, error) {
 			return make([]container.Prediction, len(xs)), nil
@@ -122,19 +116,18 @@ func TestStreamShutdownExpiredContext(t *testing.T) {
 	settle(t, "response bufs", rpc.ActiveRespBufs, bufs)
 }
 
-// TestColdOpsDoNotBlockPipeline: admin and scrape operations share one
-// connection with pipelined predicts and hold none of them up. Behind 64
-// predicts on the slow model go a scrape, an app list and a registration,
-// then 64 predicts on the quick model; every quick predict finishes
-// before the scrape issued ahead of it and before the last slow predict,
-// and every callback fires exactly once.
-func TestColdOpsDoNotBlockPipeline(t *testing.T) {
+// TestSlowPredictsDoNotBlockPipeline: quick predicts share one
+// connection with slow ones and are held up by none of them. Behind 64
+// predicts on the slow model go 64 predicts on the quick model; every
+// quick predict finishes before the last slow predict, and every
+// callback fires exactly once.
+func TestSlowPredictsDoNotBlockPipeline(t *testing.T) {
 	leases, bufs := rpc.ActiveLeases(), rpc.ActiveRespBufs()
 	_, conn := newSlowStream(t)
 
 	const n = 64
 	var seq atomic.Int64 // completion order
-	var slowDone, quickDone, coldDone [n]atomic.Int64
+	var slowDone, quickDone [n]atomic.Int64
 	var fired [2 * n]atomic.Int32
 	var wg sync.WaitGroup
 	predicts := func(app string, base int, done *[n]atomic.Int64) {
@@ -150,27 +143,7 @@ func TestColdOpsDoNotBlockPipeline(t *testing.T) {
 			})
 		}
 	}
-	ctx := context.Background()
-	cold := []func() error{
-		func() error { _, err := conn.Metrics(ctx); return err },
-		func() error { _, err := conn.AppList(ctx); return err },
-		func() error {
-			return conn.RegisterApp(ctx, gateway.RegisterAppRequest{Name: "late", Models: []string{"quick"}, Policy: "static:0"})
-		},
-	}
-
 	predicts("app", 0, &slowDone)
-	for i, op := range cold {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := op(); err != nil {
-				t.Errorf("cold op %d: %v", i, err)
-			}
-			coldDone[i].Store(seq.Add(1))
-		}()
-	}
-	time.Sleep(5 * time.Millisecond) // the cold ops are on the wire ahead of the quick predicts
 	predicts("quick", n, &quickDone)
 	wg.Wait()
 
@@ -179,9 +152,8 @@ func TestColdOpsDoNotBlockPipeline(t *testing.T) {
 		lastQuick = max(lastQuick, quickDone[i].Load())
 		lastSlow = max(lastSlow, slowDone[i].Load())
 	}
-	if scraped := coldDone[0].Load(); lastQuick > scraped || lastQuick > lastSlow {
-		t.Errorf("last quick predict finished %d-th; the scrape ahead of it %d-th, the last slow predict %d-th",
-			lastQuick, scraped, lastSlow)
+	if lastQuick > lastSlow {
+		t.Errorf("last quick predict finished %d-th, the last slow predict ahead of it %d-th", lastQuick, lastSlow)
 	}
 	for i := range fired {
 		if c := fired[i].Load(); c != 1 {

@@ -186,10 +186,13 @@ func TestModulatedArrivals(t *testing.T) {
 }
 
 // TestMeasureClosedLoopCountsWindowSuccesses: the histogram holds only the
-// calls that succeed and complete inside the measure window. Each kind of
-// call has its own latency: a warm-up completion is instant, a success
-// takes 1 ms and a failure 30 ms, so the counted latencies show which
-// kinds got in.
+// calls that succeed and complete inside the measure window. The kinds of
+// call are told apart by what they return, not by how long they take:
+// worker 0 fails every call, and worker 1's first call is an instant
+// warm-up success. A run whose worker 1 then only waits out the window
+// and returns its error must count nothing; a run whose worker 1 then
+// succeeds every millisecond must count some of those successes and no
+// more calls than there were successes.
 func TestMeasureClosedLoopCountsWindowSuccesses(t *testing.T) {
 	errFailed := errors.New("failed")
 	wait := func(ctx context.Context, d time.Duration) error {
@@ -200,38 +203,42 @@ func TestMeasureClosedLoopCountsWindowSuccesses(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	var warmed atomic.Bool
-	var succeeded, failed atomic.Int64
-	const measure = 100 * time.Millisecond
-	lat := MeasureClosedLoop(2, 100*time.Millisecond, measure, func(ctx context.Context, worker int) error {
-		if worker == 0 {
-			if err := wait(ctx, 30*time.Millisecond); err != nil {
+	run := func(succeed bool) (counted, succeeded, failed int64) {
+		var warmed atomic.Bool
+		var ok, bad atomic.Int64
+		lat := MeasureClosedLoop(2, 100*time.Millisecond, 100*time.Millisecond, func(ctx context.Context, worker int) error {
+			if worker == 0 {
+				if err := wait(ctx, time.Millisecond); err != nil {
+					return err
+				}
+				bad.Add(1)
+				return errFailed
+			}
+			if !warmed.Swap(true) {
+				return nil // a warm-up completion
+			}
+			if !succeed {
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			if err := wait(ctx, time.Millisecond); err != nil {
 				return err
 			}
-			failed.Add(1)
-			return errFailed
-		}
-		if !warmed.Swap(true) {
-			return nil // a warm-up completion
-		}
-		if err := wait(ctx, time.Millisecond); err != nil {
-			return err
-		}
-		succeeded.Add(1)
-		return nil
-	})
-	if failed.Load() == 0 || succeeded.Load() == 0 {
-		t.Fatalf("%d failures and %d successes ran, want both", failed.Load(), succeeded.Load())
+			ok.Add(1)
+			return nil
+		})
+		return lat.Count(), ok.Load(), bad.Load()
 	}
-	n := lat.Count()
-	if n == 0 || n > succeeded.Load() {
-		t.Fatalf("counted %d calls, want between 1 and the %d successes", n, succeeded.Load())
+
+	if n, _, failed := run(false); failed == 0 || n != 0 {
+		t.Fatalf("counted %d calls when only %d failures and a warm-up completion ran, want 0 (and failures > 0)", n, failed)
 	}
-	if lo := lat.Quantile(0); lo < 0.5e-3 {
-		t.Errorf("fastest counted call took %.3f ms: the instant warm-up completion was counted", lo*1e3)
+	n, succeeded, failed := run(true)
+	if failed == 0 || succeeded == 0 {
+		t.Fatalf("%d failures and %d successes ran, want both", failed, succeeded)
 	}
-	if hi := lat.Quantile(1); hi > 15e-3 {
-		t.Errorf("slowest counted call took %.3f ms: a 30 ms failure was counted", hi*1e3)
+	if n == 0 || n > succeeded {
+		t.Fatalf("counted %d calls, want between 1 and the %d successes", n, succeeded)
 	}
 }
 
