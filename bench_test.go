@@ -1,15 +1,14 @@
 package clipper_test
 
-// bench_test.go exposes every table and figure of the paper's evaluation
-// as a testing.B benchmark, one per artifact (experiments.IDs lists
-// them). Each benchmark runs its experiment at Quick scale and reports
-// the headline metric(s) via b.ReportMetric, printing the full report with
-// -v. The cmd/bench tool runs the same experiments at Full scale.
+// bench_test.go measures the overhead Clipper itself adds on its request
+// paths: predict (serial and parallel), feedback, and a REST round trip.
+// The paper's tables and figures are not benchmarks: cmd/bench runs them
+// (bench -experiment fig4 -scale quick|full), and TestQuickGolden pins
+// their Quick-scale output.
 //
-// Run all with:
+// Run with:
 //
-//	go test -bench=. -benchmem
-//	go test -bench=BenchmarkFig4 -v        # include the rendered figure
+//	go test -run='^$' -bench=. -benchmem .
 
 import (
 	"bytes"
@@ -22,84 +21,7 @@ import (
 	"time"
 
 	"clipper"
-	"clipper/internal/experiments"
 )
-
-// runExperiment executes one registered experiment once per benchmark
-// invocation, logging its rendered output.
-func runExperiment(b *testing.B, id string) experiments.Result {
-	b.Helper()
-	var last experiments.Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, experiments.Quick)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.String())
-	return last
-}
-
-// BenchmarkTable1Datasets regenerates Table 1 (dataset inventory).
-func BenchmarkTable1Datasets(b *testing.B) { runExperiment(b, "table1") }
-
-// BenchmarkTable2DeepModels regenerates Table 2 (deep model inventory with
-// stand-in accuracies).
-func BenchmarkTable2DeepModels(b *testing.B) { runExperiment(b, "table2") }
-
-// BenchmarkFig3LatencyProfiles regenerates Figure 3 (container latency vs
-// batch size, plus the linear/kernel SLO-batch ratio).
-func BenchmarkFig3LatencyProfiles(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkFig4BatchingStrategies regenerates Figure 4 (AIMD vs quantile
-// regression vs no batching: throughput and P99).
-func BenchmarkFig4BatchingStrategies(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkFig5DelayedBatching regenerates Figure 5 (throughput gain from
-// the batch wait timeout).
-func BenchmarkFig5DelayedBatching(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkFig6ReplicaScaling regenerates Figure 6 (replica scaling over
-// 10 Gbps and 1 Gbps networks).
-func BenchmarkFig6ReplicaScaling(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7EnsembleAccuracy regenerates Figure 7 (ensemble accuracy
-// and agreement-based confidence splits).
-func BenchmarkFig7EnsembleAccuracy(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig8ModelFailure regenerates Figure 8 (Exp3/Exp4 under model
-// degradation and recovery).
-func BenchmarkFig8ModelFailure(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9Stragglers regenerates Figure 9 (straggler mitigation:
-// latency, missing predictions, accuracy vs ensemble size).
-func BenchmarkFig9Stragglers(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10Personalization regenerates Figure 10 (personalized model
-// selection on the speech benchmark).
-func BenchmarkFig10Personalization(b *testing.B) { runExperiment(b, "fig10") }
-
-// BenchmarkFig11TFServingComparison regenerates Figure 11 (TensorFlow
-// Serving vs Clipper C++/Python containers).
-func BenchmarkFig11TFServingComparison(b *testing.B) { runExperiment(b, "fig11") }
-
-// BenchmarkCacheFeedbackThroughput regenerates the §4.2 caching claim
-// (1.6x feedback throughput).
-func BenchmarkCacheFeedbackThroughput(b *testing.B) { runExperiment(b, "cache16") }
-
-// BenchmarkAblationAIMDBackoff runs the AIMD backoff-factor ablation.
-func BenchmarkAblationAIMDBackoff(b *testing.B) { runExperiment(b, "ablation-aimd") }
-
-// BenchmarkAblationExp3Eta runs the Exp3 learning-rate ablation.
-func BenchmarkAblationExp3Eta(b *testing.B) { runExperiment(b, "ablation-eta") }
-
-// BenchmarkAblationCacheEviction runs the cache-size ablation.
-func BenchmarkAblationCacheEviction(b *testing.B) { runExperiment(b, "ablation-cache") }
-
-// BenchmarkExtensionCascade runs the model-composition (cascade) extension
-// experiment: cheap-model fast path vs the full ensemble.
-func BenchmarkExtensionCascade(b *testing.B) { runExperiment(b, "extension-cascade") }
 
 // BenchmarkPredictPath measures the end-to-end single-model prediction
 // path (cache + queue + loopback-free container) in isolation — the

@@ -9,7 +9,7 @@
 //
 // Then:
 //
-//	curl -s localhost:8080/api/v1/apps
+//	curl -s localhost:8080/api/v1/admin/applications
 //	curl -s -X POST localhost:8080/api/v1/predict \
 //	    -d '{"app":"demo","input":[0.1, ... 64 floats ...]}'
 //	loadgen -proto stream -target localhost:7001 -rate 500
@@ -176,7 +176,7 @@ func main() {
 	defer rest.Close()
 	log.Printf("Clipper serving app %q on http://%s (SLO %v)", "demo", bound, *slo)
 	log.Printf("Prometheus scrape endpoint: http://%s/metrics", bound)
-	fmt.Printf("try: curl -s http://%s/api/v1/apps\n", bound)
+	fmt.Printf("try: curl -s http://%s/api/v1/admin/applications\n", bound)
 
 	type gracefulServer interface {
 		Shutdown(context.Context) error

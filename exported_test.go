@@ -15,7 +15,7 @@ import (
 // maxExported is the ceiling on the module's exported surface, as counted
 // by exportedNames. Lower it in the change that shrinks the count; raising
 // it needs a reason in that change.
-const maxExported = 767
+const maxExported = 761
 
 // TestExportedSurface is a ratchet on the exported API: it fails when the
 // count of exported names outside main packages and benchmark/ rises past
@@ -39,13 +39,11 @@ func TestExportedSurface(t *testing.T) {
 var localExportAllowlist = map[string]string{
 	"clipper/internal/adapter.PredictReq":         "DecodePredictRequest's result",
 	"clipper/internal/baseline.TFServing":         "baseline.New's result",
-	"clipper/internal/batching.AdaptiveSnapshot":  "Queue.Window's result",
-	"clipper/internal/batching.TenantLoad":        "Queue.TenantStats' element",
 	"clipper/internal/container.Local":            "NewLocal's result",
 	"clipper/internal/core.HealthMonitor":         "StartHealthMonitor's result",
 	"clipper/internal/core.TenantStatus":          "ReplicaStatus.Tenants' element",
 	"clipper/internal/dataset.TableRow":           "Table1's element",
-	"clipper/internal/gateway.AppInfo":            "Bound.AppList's element",
+	"clipper/internal/experiments.Result":         "Run's result",
 	"clipper/internal/experiments.Scale":          "the type of Quick, Full and Run's scale",
 	"clipper/internal/metrics.Summary":            "Histogram.Snapshot's result",
 	"clipper/internal/models.DeepSpec":            "Table2's element",

@@ -3,12 +3,15 @@ package adapter
 import (
 	"bytes"
 	"testing"
+
+	"clipper/internal/gateway"
 )
 
 // FuzzDecodePredictRequest drives every wire decoder with arbitrary
 // bytes: none may panic or over-read, and a payload that decodes as a
 // predict or feedback request must re-encode to the identical bytes (the
 // layout is canonical, so decode∘encode is the identity on valid input).
+// A status response decodes to nil exactly when it leads with CodeOK.
 func FuzzDecodePredictRequest(f *testing.F) {
 	seed, _ := AppendPredictRequest(nil, "demo", "user-7", []float64{1, 2.5, -3})
 	f.Add(seed)
@@ -37,6 +40,9 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		}
 		// Response decoders must tolerate any server bytes.
 		DecodePredictResult(data)
-		DecodeStatus(data)
+		ok := len(data) > 0 && gateway.Code(data[0]) == gateway.CodeOK
+		if err := DecodeStatus(data); (err == nil) != ok {
+			t.Fatalf("DecodeStatus(% x) = %v", data, err)
+		}
 	})
 }

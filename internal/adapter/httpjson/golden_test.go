@@ -12,8 +12,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"clipper/internal/core"
 )
 
 func doReq(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -56,9 +54,9 @@ func TestGoldenWireFormat(t *testing.T) {
 		{"healthz", http.MethodGet, "/healthz", "",
 			200, "{\"ok\":true}\n"},
 		{"models", http.MethodGet, "/api/v1/models", "",
-			200, "[\"m0\",\"m1\"]\n"},
+			404, "404 page not found\n"},
 		{"apps", http.MethodGet, "/api/v1/apps", "",
-			200, "[{\"name\":\"demo\",\"models\":[\"m0\",\"m1\"]}]\n"},
+			404, "404 page not found\n"},
 		{"deploy missing addr", http.MethodPost, "/api/v1/admin/deploy", `{}`,
 			400, "{\"error\":\"addr required\"}\n"},
 		{"predict-batch gone", http.MethodPost, "/api/v1/predict-batch", `{"app":"demo","inputs":[[1]]}`,
@@ -116,7 +114,7 @@ func TestGoldenPredictShape(t *testing.T) {
 }
 
 // TestGoldenMetricsContentType pins the Prometheus exposition content
-// type and the empty-node apps body.
+// type.
 func TestGoldenMetricsContentType(t *testing.T) {
 	s, _ := newTestServer(t)
 	rec := doReq(t, s.Handler(), http.MethodGet, "/metrics", "")
@@ -125,14 +123,5 @@ func TestGoldenMetricsContentType(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	// A node with no apps serves JSON null, not [] — pinned because
-	// changing it breaks clients that distinguish the two.
-	empty := core.New(core.Config{})
-	t.Cleanup(empty.Close)
-	rec = doReq(t, NewServer(empty).Handler(), http.MethodGet, "/api/v1/apps", "")
-	if got := rec.Body.String(); got != "null\n" {
-		t.Fatalf("empty apps body = %q, want null\\n", got)
 	}
 }

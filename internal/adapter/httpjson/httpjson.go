@@ -9,8 +9,6 @@
 //
 //	POST /api/v1/predict        {"app","context","input":[...]}
 //	POST /api/v1/feedback       {"app","context","input":[...],"label"}
-//	GET  /api/v1/apps
-//	GET  /api/v1/models
 //	GET  /healthz
 //	POST /api/v1/admin/apps     register an application over deployed models
 //	POST /api/v1/admin/deploy   dial + deploy a model container
@@ -81,8 +79,6 @@ func New(g *gateway.Gateway) *Server {
 	s := &Server{b: g.Bind("http"), mux: http.NewServeMux()}
 	s.mux.HandleFunc("/api/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/api/v1/feedback", s.handleFeedback)
-	s.mux.HandleFunc("/api/v1/apps", s.handleApps)
-	s.mux.HandleFunc("/api/v1/models", s.handleModels)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/api/v1/admin/deploy", s.handleDeploy)
 	s.mux.HandleFunc("/api/v1/admin/replicas", s.handleReplicas)
@@ -185,14 +181,6 @@ func (s *Server) handleRegisterApp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, statusResponse{OK: true})
-}
-
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.b.AppList())
-}
-
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.b.ModelList())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

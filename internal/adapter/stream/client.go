@@ -120,7 +120,7 @@ func (c *Conn) Feedback(ctx context.Context, app, cctx string, label int, input 
 	if err != nil {
 		return err
 	}
-	_, err = adapter.DecodeStatus(p.Data)
+	err = adapter.DecodeStatus(p.Data)
 	p.Release()
 	return err
 }

@@ -221,15 +221,14 @@ func DecodePredictResult(b []byte) (gateway.PredictResult, error) {
 	return r, nil
 }
 
-// DecodeStatus parses a status-plus-body response, returning the body
-// bytes (aliasing b — copy before the payload lease ends) or a typed
-// error carrying the wire code.
-func DecodeStatus(b []byte) ([]byte, error) {
+// DecodeStatus parses a status response: nil for CodeOK, otherwise a
+// typed error carrying the wire code and message.
+func DecodeStatus(b []byte) error {
 	if len(b) < 1 {
-		return nil, errTruncated
+		return errTruncated
 	}
 	if code := gateway.Code(b[0]); code != gateway.CodeOK {
-		return nil, &gateway.Error{Code: code, Msg: string(b[1:])}
+		return &gateway.Error{Code: code, Msg: string(b[1:])}
 	}
-	return b[1:], nil
+	return nil
 }

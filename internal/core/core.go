@@ -22,7 +22,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,17 +227,6 @@ func (cl *Clipper) modelReplicas(model string) []*replicaQueue {
 		return nil
 	}
 	return s.snapshot()
-}
-
-// AppNames returns the sorted names of registered applications.
-func (cl *Clipper) AppNames() []string {
-	apps := *cl.apps.Load()
-	names := make([]string, 0, len(apps))
-	for name := range apps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Cache returns the prediction cache (nil when disabled).

@@ -2,26 +2,29 @@ package core
 
 // Prometheus collector wiring: every family the serving stack exposes at
 // GET /metrics is registered here, once, when the Clipper is constructed.
-// Collectors enumerate the live replica/app/tenant population at scrape
-// time (modelReplicas / AppStatuses snapshots), so models deployed or
-// apps registered after startup appear on the next scrape with no
-// additional wiring — and the predict hot path never executes a single
-// instruction for exposition: collection reads the same atomics the hot
-// path already updates.
+// Apart from the cache's, each family is a row of a table over one
+// snapshot: replicaFamilies over the replica snapshots (modelSnaps),
+// schedFamilies over the model snapshots, appFamilies over the app
+// snapshots (appSnaps) — the same snapshots the admin JSON renders. A
+// row is a name, HELP text, TYPE and a function of one snapshot entry,
+// and one loop per table registers it. Snapshots are read at scrape time,
+// so models deployed or apps registered after startup appear on the next
+// scrape with no additional wiring, and the predict hot path never
+// executes a single instruction for exposition.
 //
 // Metric naming follows the Prometheus conventions: a clipper_ prefix,
-// base units (seconds, entries, connections), _total on cumulative
-// counters, and label dimensions (model, replica, app, tenant, shard)
-// rather than name-embedded identifiers. The full inventory is in the
-// Observability section of docs/ARCHITECTURE.md.
+// base units (seconds, entries, connections; durations via
+// Duration.Seconds), _total on cumulative counters, and label dimensions
+// (model, replica, app, tenant, shard) rather than name-embedded
+// identifiers. The full inventory is in the Observability section of
+// docs/ARCHITECTURE.md.
 
 import (
-	"sort"
 	"strconv"
 
+	"clipper/internal/batching"
 	"clipper/internal/cache"
 	"clipper/internal/metrics"
-	"clipper/internal/rpc"
 )
 
 // Metrics returns the node's Prometheus registry. The frontend serves it
@@ -29,93 +32,51 @@ import (
 // avoid the clipper_ prefix to stay collision-free).
 func (cl *Clipper) Metrics() *metrics.Registry { return cl.prom }
 
-// eachReplica calls fn for every (model, replica) pair in deterministic
-// order: models sorted by name, replicas in deployment order.
-func (cl *Clipper) eachReplica(fn func(model string, rq *replicaQueue)) {
-	cl.eachScheduler(func(model string, s *scheduler) {
-		for _, rq := range s.snapshot() {
-			fn(model, rq)
-		}
-	})
+// family is one metric family as a table row over snapshot entries of
+// type S. parts names the locked replica-snapshot parts the row reads.
+type family[S any] struct {
+	name, help string
+	kind       metrics.Kind
+	parts      snapParts
+	add        addFunc[S]
 }
 
-// eachScheduler calls fn for every model's scheduler in name order.
-func (cl *Clipper) eachScheduler(fn func(model string, s *scheduler)) {
-	cl.mu.Lock()
-	models := make([]string, 0, len(cl.scheds))
-	scheds := make(map[string]*scheduler, len(cl.scheds))
-	for name, s := range cl.scheds {
-		models = append(models, name)
-		scheds[name] = s
+// addFunc appends a family's series for one snapshot entry s, labelled ls.
+type addFunc[S any] func(dst []metrics.Series, s *S, ls []metrics.Label) []metrics.Series
+
+// value is a row of one series per entry.
+func value[S any](fn func(s *S) float64) addFunc[S] {
+	return valueIf(func(s *S) (float64, bool) { return fn(s), true })
+}
+
+// valueIf is a row of one series per entry for which fn reports ok.
+func valueIf[S any](fn func(s *S) (float64, bool)) addFunc[S] {
+	return func(dst []metrics.Series, s *S, ls []metrics.Label) []metrics.Series {
+		if v, ok := fn(s); ok {
+			dst = append(dst, metrics.Series{Labels: ls, Value: v})
+		}
+		return dst
 	}
-	cl.mu.Unlock()
-	sort.Strings(models)
-	for _, m := range models {
-		fn(m, scheds[m])
+}
+
+// histogram is a row of one histogram per entry.
+func histogram[S any](fn func(s *S) *metrics.Histogram) addFunc[S] {
+	return func(dst []metrics.Series, s *S, ls []metrics.Label) []metrics.Series {
+		return metrics.AppendHistogram(dst, fn(s), ls...)
 	}
 }
 
-// replicaGauge registers a per-replica gauge/counter family whose value
-// fn reads from the replica pair at scrape time.
-func (cl *Clipper) replicaGauge(name, help string, kind metrics.Kind, fn func(rq *replicaQueue) (float64, bool)) {
-	cl.prom.MustRegister(name, help, kind, func(dst []metrics.Series) []metrics.Series {
-		cl.eachReplica(func(model string, rq *replicaQueue) {
-			v, ok := fn(rq)
-			if !ok {
-				return
-			}
+// perTenant is a row of one series per fair-batching tenant on a replica.
+func perTenant(fn func(t batching.TenantLoad) float64) addFunc[replicaSnap] {
+	return func(dst []metrics.Series, r *replicaSnap, ls []metrics.Label) []metrics.Series {
+		for _, t := range r.tenants {
 			dst = append(dst, metrics.Series{
-				Labels: []metrics.Label{{Name: "model", Value: model}, {Name: "replica", Value: rq.replica.ID}},
-				Value:  v,
-			})
-		})
-		return dst
-	})
-}
-
-// replicaHistogram registers a per-replica histogram family backed by a
-// queue-owned histogram.
-func (cl *Clipper) replicaHistogram(name, help string, fn func(rq *replicaQueue) *metrics.Histogram) {
-	cl.prom.MustRegister(name, help, metrics.KindHistogram, func(dst []metrics.Series) []metrics.Series {
-		cl.eachReplica(func(model string, rq *replicaQueue) {
-			dst = metrics.AppendHistogram(dst, fn(rq),
-				metrics.Label{Name: "model", Value: model},
-				metrics.Label{Name: "replica", Value: rq.replica.ID})
-		})
-		return dst
-	})
-}
-
-// schedCounter registers a per-model scheduler counter family.
-func (cl *Clipper) schedCounter(name, help string, kind metrics.Kind, fn func(st SchedulerStats) float64) {
-	cl.prom.MustRegister(name, help, kind, func(dst []metrics.Series) []metrics.Series {
-		cl.eachScheduler(func(model string, s *scheduler) {
-			dst = append(dst, metrics.Series{
-				Labels: []metrics.Label{{Name: "model", Value: model}},
-				Value:  fn(s.stats()),
-			})
-		})
-		return dst
-	})
-}
-
-// appCounter registers a per-application family from AppStatus.
-func (cl *Clipper) appCounter(name, help string, kind metrics.Kind, fn func(st AppStatus) float64) {
-	cl.prom.MustRegister(name, help, kind, func(dst []metrics.Series) []metrics.Series {
-		sts := cl.AppStatuses()
-		names := make([]string, 0, len(sts))
-		for name := range sts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, app := range names {
-			dst = append(dst, metrics.Series{
-				Labels: []metrics.Label{{Name: "app", Value: app}},
-				Value:  fn(sts[app]),
+				Labels: append(ls[:len(ls):len(ls)], metrics.Label{Name: "tenant", Value: t.Tenant}),
+				Value:  fn(t),
 			})
 		}
 		return dst
-	})
+	}
 }
 
 func boolGauge(b bool) float64 {
@@ -123,6 +84,110 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// replicaFamilies are the per-replica families, labelled {model, replica}.
+var replicaFamilies = []family[replicaSnap]{
+	// Batching queues and replica load (the scheduler's JSQ inputs).
+	{"clipper_queue_queued", "Requests buffered in the batching queue, not yet collected.", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.load.Queued) })},
+	{"clipper_queue_in_flight_batches", "Batches currently inside the container RPC.", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.load.InFlightBatches) })},
+	{"clipper_queue_in_flight_queries", "Queries across the batches in flight.", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.load.InFlightQueries) })},
+	{"clipper_queue_completed_queries_total", "Queries answered by this replica.", metrics.KindCounter, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.load.Completed) })},
+	{"clipper_queue_arrival_rate", "Smoothed rate of requests entering the batching queue, per second (0 while cold).", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return r.load.ArrivalRate })},
+	{"clipper_queue_dispatch_holds_total", "Dispatches for which the collector held the pipeline's last free slot.", metrics.KindCounter, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.load.Holds) })},
+	{"clipper_queue_dispatch_hold_seconds_total", "Total time the collector held the pipeline's last free slot.", metrics.KindCounter, 0,
+		value(func(r *replicaSnap) float64 { return r.load.HoldTime.Seconds() })},
+	{"clipper_queue_window", "Current dispatch pipeline window (pinned, or where the window controller has it).", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.window) })},
+	{"clipper_queue_max_batch", "Batching controller's current maximum batch size.", metrics.KindGauge, snapMaxBatch,
+		value(func(r *replicaSnap) float64 { return float64(r.maxBatch) })},
+	{"clipper_replica_healthy", "1 when the health monitor considers the replica available.", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return boolGauge(r.healthy) })},
+	{"clipper_replica_service_ewma_seconds", "Smoothed per-query service time (0 while cold).", metrics.KindGauge, 0,
+		value(func(r *replicaSnap) float64 { return r.load.PerQueryService.Seconds() })},
+	{"clipper_replica_est_cost_seconds", "Scheduler's estimated completion time for one more query (absent while cold).", metrics.KindGauge, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return r.cost.Seconds(), r.costed })},
+	{"clipper_replica_hedges_from_total", "Hedges fired while this replica held the primary request.", metrics.KindCounter, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.hedgesFrom) })},
+	{"clipper_replica_hedges_won_total", "Hedge races this replica answered first.", metrics.KindCounter, 0,
+		value(func(r *replicaSnap) float64 { return float64(r.hedgesWon) })},
+	{"clipper_batch_size", "Dispatched batch sizes (queries per batch).", metrics.KindHistogram, 0,
+		histogram(func(r *replicaSnap) *metrics.Histogram { return r.queue.BatchSizes })},
+	{"clipper_batch_latency_seconds", "Per-batch container round-trip latency.", metrics.KindHistogram, 0,
+		histogram(func(r *replicaSnap) *metrics.Histogram { return r.queue.BatchLatency })},
+	{"clipper_queue_delay_seconds", "Per-request time spent queued before dispatch.", metrics.KindHistogram, 0,
+		histogram(func(r *replicaSnap) *metrics.Histogram { return r.queue.QueueDelay })},
+
+	// Window controller (every queue whose window is not pinned).
+	{"clipper_adaptive_window", "Measured pipeline window (absent when InFlight pins it).", metrics.KindGauge, snapWindow,
+		valueIf(func(r *replicaSnap) (float64, bool) { return float64(r.adaptive.InFlight), r.measured })},
+	{"clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency.", metrics.KindGauge, snapWindow,
+		valueIf(func(r *replicaSnap) (float64, bool) { return r.adaptive.BatchLatency.Seconds(), r.measured })},
+
+	// RPC connection pools (replicas exposing PoolStats).
+	{"clipper_pool_conns", "Dialed connection slots in the replica's RPC pool.", metrics.KindGauge, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return float64(r.pool.Conns), r.pooled })},
+	{"clipper_pool_live_conns", "Pool slots holding a live connection.", metrics.KindGauge, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return float64(r.pool.Live), r.pooled })},
+	{"clipper_pool_bytes_in_flight", "Payload bytes being written across live connections.", metrics.KindGauge, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return float64(r.pool.BytesInFlight), r.pooled })},
+	{"clipper_pool_writes_total", "Request frames written across live connections.", metrics.KindCounter, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return float64(r.pool.Writes), r.pooled })},
+	{"clipper_pool_write_queued_total", "Writes that queued behind another in-progress frame write (transfer-bound signal).", metrics.KindCounter, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return float64(r.pool.WriteQueued), r.pooled })},
+	{"clipper_pool_write_wait_seconds_total", "Total time writes spent queued behind other writes.", metrics.KindCounter, 0,
+		valueIf(func(r *replicaSnap) (float64, bool) { return r.pool.WriteWait.Seconds(), r.pooled })},
+
+	// Per-tenant fair-batching state, labelled {model, replica, tenant}.
+	{"clipper_tenant_queued", "Tenant sub-queue backlog on a replica (fair batching engaged).", metrics.KindGauge, snapTenants,
+		perTenant(func(t batching.TenantLoad) float64 { return float64(t.Queued) })},
+	{"clipper_tenant_served_total", "Queries dequeued into batches per tenant on a replica.", metrics.KindCounter, snapTenants,
+		perTenant(func(t batching.TenantLoad) float64 { return float64(t.Served) })},
+}
+
+// schedFamilies are the cross-replica scheduler's families, labelled {model}.
+var schedFamilies = []family[modelSnap]{
+	{"clipper_sched_replicas", "Replicas deployed for the model.", metrics.KindGauge, 0,
+		value(func(m *modelSnap) float64 { return float64(m.sched.Replicas) })},
+	{"clipper_sched_submitted_total", "Queries routed through the scheduler.", metrics.KindCounter, 0,
+		value(func(m *modelSnap) float64 { return float64(m.sched.Submitted) })},
+	{"clipper_sched_hedges_issued_total", "Straggler hedges issued.", metrics.KindCounter, 0,
+		value(func(m *modelSnap) float64 { return float64(m.sched.HedgesIssued) })},
+	{"clipper_sched_hedges_won_total", "Hedge races the hedge won.", metrics.KindCounter, 0,
+		value(func(m *modelSnap) float64 { return float64(m.sched.HedgesWon) })},
+	{"clipper_sched_hedges_wasted_total", "Hedge races the primary won anyway.", metrics.KindCounter, 0,
+		value(func(m *modelSnap) float64 { return float64(m.sched.HedgesWasted) })},
+	{"clipper_sched_failovers_total", "Queries re-run on a sibling after a primary error.", metrics.KindCounter, 0,
+		value(func(m *modelSnap) float64 { return float64(m.sched.Failovers) })},
+}
+
+// appFamilies are the per-application (multi-tenant QoS) families,
+// labelled {app}.
+var appFamilies = []family[appSnap]{
+	{"clipper_app_predictions_total", "Predictions served (admission-degraded included).", metrics.KindCounter, 0,
+		value(func(a *appSnap) float64 { return float64(a.Predictions) })},
+	{"clipper_app_feedbacks_total", "Feedback observations folded into selection state.", metrics.KindCounter, 0,
+		value(func(a *appSnap) float64 { return float64(a.Feedbacks) })},
+	{"clipper_app_defaults_total", "Responses that fell back to the default label.", metrics.KindCounter, 0,
+		value(func(a *appSnap) float64 { return float64(a.Defaults) })},
+	{"clipper_app_sheds_total", "Queries rejected by the SLO admission gate.", metrics.KindCounter, 0,
+		value(func(a *appSnap) float64 { return float64(a.Sheds) })},
+	{"clipper_app_degrades_total", "Queries answered degraded (stale cache or default) by the admission gate.", metrics.KindCounter, 0,
+		value(func(a *appSnap) float64 { return float64(a.Degrades) })},
+	{"clipper_app_qos", "1 when the app opted into multi-tenant QoS.", metrics.KindGauge, 0,
+		value(func(a *appSnap) float64 { return boolGauge(a.QoS) })},
+	{"clipper_app_weight", "Fair-batching weight (effective).", metrics.KindGauge, 0,
+		value(func(a *appSnap) float64 { return float64(a.Weight) })},
+	{"clipper_app_slo_seconds", "Latency SLO (0 = none set).", metrics.KindGauge, 0,
+		value(func(a *appSnap) float64 { return a.SLOMillis / 1e3 })},
+	{"clipper_app_latency_seconds", "End-to-end prediction latency per application.", metrics.KindHistogram, 0,
+		histogram(func(a *appSnap) *metrics.Histogram { return a.latency })},
 }
 
 // registerCollectors wires every family. Called once from New; cl's maps
@@ -176,182 +241,31 @@ func (cl *Clipper) registerCollectors() {
 			total(func(st cache.ShardStat) int64 { return st.Evictions }))
 	}
 
-	// --- Batching queues + replica load (the scheduler's JSQ inputs) ---
-	cl.replicaGauge("clipper_queue_queued", "Requests buffered in the batching queue, not yet collected.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.LoadStats().Queued), true
-		})
-	cl.replicaGauge("clipper_queue_in_flight_batches", "Batches currently inside the container RPC.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.LoadStats().InFlightBatches), true
-		})
-	cl.replicaGauge("clipper_queue_in_flight_queries", "Queries across the batches in flight.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.LoadStats().InFlightQueries), true
-		})
-	cl.replicaGauge("clipper_queue_completed_queries_total", "Queries answered by this replica.",
-		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.LoadStats().Completed), true
-		})
-	cl.replicaGauge("clipper_queue_arrival_rate", "Smoothed rate of requests entering the batching queue, per second (0 while cold).",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return rq.queue.LoadStats().ArrivalRate, true
-		})
-	cl.replicaGauge("clipper_queue_dispatch_holds_total", "Dispatches for which the collector held the pipeline's last free slot.",
-		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.LoadStats().Holds), true
-		})
-	cl.replicaGauge("clipper_queue_dispatch_hold_seconds_total", "Total time the collector held the pipeline's last free slot.",
-		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
-			return rq.queue.LoadStats().HoldTime.Seconds(), true
-		})
-	cl.replicaGauge("clipper_queue_window", "Current dispatch pipeline window (pinned, or where the window controller has it).",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.InFlight()), true
-		})
-	cl.replicaGauge("clipper_queue_max_batch", "Batching controller's current maximum batch size.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.queue.Controller().MaxBatch()), true
-		})
-	cl.replicaGauge("clipper_replica_healthy", "1 when the health monitor considers the replica available.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return boolGauge(rq.health.healthy.Load()), true
-		})
-	cl.replicaGauge("clipper_replica_service_ewma_seconds", "Smoothed per-query service time (0 while cold).",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			return rq.queue.LoadStats().PerQueryService.Seconds(), true
-		})
-	cl.replicaGauge("clipper_replica_est_cost_seconds", "Scheduler's estimated completion time for one more query (absent while cold).",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			cost, ok := rq.estCost()
-			return cost.Seconds(), ok
-		})
-	cl.replicaGauge("clipper_replica_hedges_from_total", "Hedges fired while this replica held the primary request.",
-		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.hedgesFrom.Load()), true
-		})
-	cl.replicaGauge("clipper_replica_hedges_won_total", "Hedge races this replica answered first.",
-		metrics.KindCounter, func(rq *replicaQueue) (float64, bool) {
-			return float64(rq.hedgesWon.Load()), true
-		})
-	cl.replicaHistogram("clipper_batch_size", "Dispatched batch sizes (queries per batch).",
-		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.BatchSizes })
-	cl.replicaHistogram("clipper_batch_latency_seconds", "Per-batch container round-trip latency.",
-		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.BatchLatency })
-	cl.replicaHistogram("clipper_queue_delay_seconds", "Per-request time spent queued before dispatch.",
-		func(rq *replicaQueue) *metrics.Histogram { return rq.queue.QueueDelay })
-
-	// --- Window controller (every queue whose window is not pinned) ---
-	cl.replicaGauge("clipper_adaptive_window", "Measured pipeline window (absent when InFlight pins it).",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			snap, ok := rq.queue.Window()
-			return float64(snap.InFlight), ok
-		})
-	cl.replicaGauge("clipper_adaptive_batch_latency_seconds", "The load model's smoothed per-batch latency.",
-		metrics.KindGauge, func(rq *replicaQueue) (float64, bool) {
-			snap, ok := rq.queue.Window()
-			return snap.BatchLatency.Seconds(), ok
-		})
-
-	// --- RPC connection pools (replicas exposing PoolStats) ---
-	poolGauge := func(name, help string, kind metrics.Kind, pick func(st rpc.PoolStats) float64) {
-		cl.replicaGauge(name, help, kind, func(rq *replicaQueue) (float64, bool) {
-			ps, ok := rq.replica.Pred.(poolStatser)
-			if !ok {
-				return 0, false
+	for _, f := range replicaFamilies {
+		r.MustRegister(f.name, f.help, f.kind, func(dst []metrics.Series) []metrics.Series {
+			for _, m := range cl.modelSnaps(f.parts) {
+				for i := range m.replicas {
+					rs := &m.replicas[i]
+					dst = f.add(dst, rs, []metrics.Label{{Name: "model", Value: m.model}, {Name: "replica", Value: rs.id}})
+				}
 			}
-			return pick(ps.PoolStats()), true
+			return dst
 		})
 	}
-	poolGauge("clipper_pool_conns", "Dialed connection slots in the replica's RPC pool.",
-		metrics.KindGauge, func(st rpc.PoolStats) float64 { return float64(st.Conns) })
-	poolGauge("clipper_pool_live_conns", "Pool slots holding a live connection.",
-		metrics.KindGauge, func(st rpc.PoolStats) float64 { return float64(st.Live) })
-	poolGauge("clipper_pool_bytes_in_flight", "Payload bytes being written across live connections.",
-		metrics.KindGauge, func(st rpc.PoolStats) float64 { return float64(st.BytesInFlight) })
-	poolGauge("clipper_pool_writes_total", "Request frames written across live connections.",
-		metrics.KindCounter, func(st rpc.PoolStats) float64 { return float64(st.Writes) })
-	poolGauge("clipper_pool_write_queued_total", "Writes that queued behind another in-progress frame write (transfer-bound signal).",
-		metrics.KindCounter, func(st rpc.PoolStats) float64 { return float64(st.WriteQueued) })
-	poolGauge("clipper_pool_write_wait_seconds_total", "Total time writes spent queued behind other writes.",
-		metrics.KindCounter, func(st rpc.PoolStats) float64 { return st.WriteWait.Seconds() })
-
-	// --- Cross-replica scheduler ---
-	cl.schedCounter("clipper_sched_replicas", "Replicas deployed for the model.",
-		metrics.KindGauge, func(st SchedulerStats) float64 { return float64(st.Replicas) })
-	cl.schedCounter("clipper_sched_submitted_total", "Queries routed through the scheduler.",
-		metrics.KindCounter, func(st SchedulerStats) float64 { return float64(st.Submitted) })
-	cl.schedCounter("clipper_sched_hedges_issued_total", "Straggler hedges issued.",
-		metrics.KindCounter, func(st SchedulerStats) float64 { return float64(st.HedgesIssued) })
-	cl.schedCounter("clipper_sched_hedges_won_total", "Hedge races the hedge won.",
-		metrics.KindCounter, func(st SchedulerStats) float64 { return float64(st.HedgesWon) })
-	cl.schedCounter("clipper_sched_hedges_wasted_total", "Hedge races the primary won anyway.",
-		metrics.KindCounter, func(st SchedulerStats) float64 { return float64(st.HedgesWasted) })
-	cl.schedCounter("clipper_sched_failovers_total", "Queries re-run on a sibling after a primary error.",
-		metrics.KindCounter, func(st SchedulerStats) float64 { return float64(st.Failovers) })
-
-	// --- Applications (multi-tenant QoS surface) ---
-	cl.appCounter("clipper_app_predictions_total", "Predictions served (admission-degraded included).",
-		metrics.KindCounter, func(st AppStatus) float64 { return float64(st.Predictions) })
-	cl.appCounter("clipper_app_feedbacks_total", "Feedback observations folded into selection state.",
-		metrics.KindCounter, func(st AppStatus) float64 { return float64(st.Feedbacks) })
-	cl.appCounter("clipper_app_defaults_total", "Responses that fell back to the default label.",
-		metrics.KindCounter, func(st AppStatus) float64 { return float64(st.Defaults) })
-	cl.appCounter("clipper_app_sheds_total", "Queries rejected by the SLO admission gate.",
-		metrics.KindCounter, func(st AppStatus) float64 { return float64(st.Sheds) })
-	cl.appCounter("clipper_app_degrades_total", "Queries answered degraded (stale cache or default) by the admission gate.",
-		metrics.KindCounter, func(st AppStatus) float64 { return float64(st.Degrades) })
-	cl.appCounter("clipper_app_qos", "1 when the app opted into multi-tenant QoS.",
-		metrics.KindGauge, func(st AppStatus) float64 { return boolGauge(st.QoS) })
-	cl.appCounter("clipper_app_weight", "Fair-batching weight (effective).",
-		metrics.KindGauge, func(st AppStatus) float64 { return float64(st.Weight) })
-	cl.appCounter("clipper_app_slo_seconds", "Latency SLO (0 = none set).",
-		metrics.KindGauge, func(st AppStatus) float64 { return st.SLOMillis / 1e3 })
-	r.MustRegister("clipper_app_latency_seconds", "End-to-end prediction latency per application.",
-		metrics.KindHistogram, func(dst []metrics.Series) []metrics.Series {
-			registered := *cl.apps.Load()
-			apps := make([]*Application, 0, len(registered))
-			for _, a := range registered {
-				apps = append(apps, a)
-			}
-			sort.Slice(apps, func(i, j int) bool { return apps[i].cfg.Name < apps[j].cfg.Name })
-			for _, a := range apps {
-				dst = metrics.AppendHistogram(dst, a.PredLatency, metrics.Label{Name: "app", Value: a.cfg.Name})
+	for _, f := range schedFamilies {
+		r.MustRegister(f.name, f.help, f.kind, func(dst []metrics.Series) []metrics.Series {
+			for _, m := range cl.modelSnaps(f.parts) {
+				dst = f.add(dst, &m, []metrics.Label{{Name: "model", Value: m.model}})
 			}
 			return dst
 		})
-
-	// --- Per-tenant fair-batching state ---
-	r.MustRegister("clipper_tenant_queued", "Tenant sub-queue backlog on a replica (fair batching engaged).",
-		metrics.KindGauge, func(dst []metrics.Series) []metrics.Series {
-			cl.eachReplica(func(model string, rq *replicaQueue) {
-				for _, tl := range rq.queue.TenantStats() {
-					dst = append(dst, metrics.Series{
-						Labels: tenantLabels(model, rq.replica.ID, tl.Tenant),
-						Value:  float64(tl.Queued),
-					})
-				}
-			})
+	}
+	for _, f := range appFamilies {
+		r.MustRegister(f.name, f.help, f.kind, func(dst []metrics.Series) []metrics.Series {
+			for _, a := range cl.appSnaps() {
+				dst = f.add(dst, &a, []metrics.Label{{Name: "app", Value: a.Name}})
+			}
 			return dst
 		})
-	r.MustRegister("clipper_tenant_served_total", "Queries dequeued into batches per tenant on a replica.",
-		metrics.KindCounter, func(dst []metrics.Series) []metrics.Series {
-			cl.eachReplica(func(model string, rq *replicaQueue) {
-				for _, tl := range rq.queue.TenantStats() {
-					dst = append(dst, metrics.Series{
-						Labels: tenantLabels(model, rq.replica.ID, tl.Tenant),
-						Value:  float64(tl.Served),
-					})
-				}
-			})
-			return dst
-		})
-}
-
-func tenantLabels(model, replica, tenant string) []metrics.Label {
-	return []metrics.Label{
-		{Name: "model", Value: model},
-		{Name: "replica", Value: replica},
-		{Name: "tenant", Value: tenant},
 	}
 }

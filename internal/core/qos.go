@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"clipper/internal/cache"
 	"clipper/internal/container"
+	"clipper/internal/metrics"
 )
 
 // Multi-tenant QoS (paper §5.2.2 taken to its admission-control
@@ -213,10 +215,28 @@ func (a *Application) status() AppStatus {
 
 // AppStatuses snapshots every registered application, keyed by name.
 func (cl *Clipper) AppStatuses() map[string]AppStatus {
-	apps := *cl.apps.Load()
-	out := make(map[string]AppStatus, len(apps))
-	for name, a := range apps {
-		out[name] = a.status()
+	snaps := cl.appSnaps()
+	out := make(map[string]AppStatus, len(snaps))
+	for _, s := range snaps {
+		out[s.Name] = s.AppStatus
 	}
+	return out
+}
+
+// appSnap is one application's read-out: its status and the histogram
+// its latency figures come from.
+type appSnap struct {
+	AppStatus
+	latency *metrics.Histogram
+}
+
+// appSnaps reads every registered application, in name order.
+func (cl *Clipper) appSnaps() []appSnap {
+	apps := *cl.apps.Load()
+	out := make([]appSnap, 0, len(apps))
+	for _, a := range apps {
+		out = append(out, appSnap{a.status(), a.PredLatency})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

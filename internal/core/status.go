@@ -1,6 +1,10 @@
 package core
 
 import (
+	"sort"
+	"time"
+
+	"clipper/internal/batching"
 	"clipper/internal/rpc"
 )
 
@@ -87,46 +91,140 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 	rqs := cl.modelReplicas(model)
 	out := make(map[string]ReplicaStatus, len(rqs))
 	for _, rq := range rqs {
-		ls := rq.queue.LoadStats()
-		snap, measured := rq.queue.Window()
-		st := ReplicaStatus{
-			ID:               rq.replica.ID,
-			Healthy:          rq.health.healthy.Load(),
-			Window:           rq.queue.InFlight(),
-			WindowPinned:     !measured,
-			Queued:           ls.Queued,
-			InFlightBatches:  ls.InFlightBatches,
-			InFlightQueries:  ls.InFlightQueries,
-			CompletedQueries: ls.Completed,
-			ServiceEWMAMillis: float64(ls.PerQueryService) /
-				float64(1e6),
-			ArrivalRate: ls.ArrivalRate,
-			HedgesFrom:  rq.hedgesFrom.Load(),
-			HedgesWon:   rq.hedgesWon.Load(),
-		}
-		if measured {
-			st.WindowVerdict, st.WindowRatio = snap.Verdict, snap.Ratio
-			st.WindowFitAMillis = float64(snap.FitA) / 1e6
-			st.WindowFitBMillis = float64(snap.FitB) / 1e6
-		}
-		if cost, ok := rq.estCost(); ok {
-			st.EstCostMillis = float64(cost) / float64(1e6)
-		}
-		if ps, ok := rq.replica.Pred.(poolStatser); ok {
-			s := ps.PoolStats()
-			st.LiveConns = s.Live
-			st.TotalConns = s.Conns
-		}
-		for _, tl := range rq.queue.TenantStats() {
-			st.Tenants = append(st.Tenants, TenantStatus{
-				Tenant:  tl.Tenant,
-				Weight:  tl.Weight,
-				Queued:  tl.Queued,
-				Served:  tl.Served,
-				Deficit: tl.Deficit,
-			})
-		}
-		out[rq.replica.ID] = st
+		r := rq.snap(snapWindow | snapTenants)
+		out[r.id] = r.status()
 	}
 	return out
+}
+
+// status renders the snapshot as the admin JSON: durations in
+// milliseconds, float64(d)/1e6.
+func (r *replicaSnap) status() ReplicaStatus {
+	st := ReplicaStatus{
+		ID:                r.id,
+		Healthy:           r.healthy,
+		Window:            r.window,
+		WindowPinned:      !r.measured,
+		Queued:            r.load.Queued,
+		InFlightBatches:   r.load.InFlightBatches,
+		InFlightQueries:   r.load.InFlightQueries,
+		CompletedQueries:  r.load.Completed,
+		ServiceEWMAMillis: float64(r.load.PerQueryService) / float64(1e6),
+		ArrivalRate:       r.load.ArrivalRate,
+		HedgesFrom:        r.hedgesFrom,
+		HedgesWon:         r.hedgesWon,
+	}
+	if r.measured {
+		st.WindowVerdict, st.WindowRatio = r.adaptive.Verdict, r.adaptive.Ratio
+		st.WindowFitAMillis = float64(r.adaptive.FitA) / 1e6
+		st.WindowFitBMillis = float64(r.adaptive.FitB) / 1e6
+	}
+	if r.costed {
+		st.EstCostMillis = float64(r.cost) / float64(1e6)
+	}
+	if r.pooled {
+		st.LiveConns = r.pool.Live
+		st.TotalConns = r.pool.Conns
+	}
+	for _, tl := range r.tenants {
+		st.Tenants = append(st.Tenants, TenantStatus{
+			Tenant:  tl.Tenant,
+			Weight:  tl.Weight,
+			Queued:  tl.Queued,
+			Served:  tl.Served,
+			Deficit: tl.Deficit,
+		})
+	}
+	return st
+}
+
+// snapParts names the parts of a replica snapshot that take a lock. A
+// read-out names the parts it renders, so a scrape takes each lock only in
+// the families that show that part; the rest of a snapshot is atomic loads.
+type snapParts uint8
+
+const (
+	snapWindow   snapParts = 1 << iota // the window controller's operating point
+	snapTenants                        // the queue's fair-batching tenants
+	snapMaxBatch                       // the batching controller's cap
+)
+
+// modelSnap is one model's read-out: its scheduler counters and its
+// replicas in deployment order.
+type modelSnap struct {
+	model    string
+	sched    SchedulerStats
+	replicas []replicaSnap
+}
+
+// replicaSnap is one replica's read-out. Counts and durations stay as the
+// replica keeps them; each rendering converts them to its own units.
+type replicaSnap struct {
+	id         string
+	healthy    bool
+	load       batching.LoadStats
+	window     int // the dispatch window now, pinned or measured
+	cost       time.Duration
+	costed     bool // cost is known: the load model is warm
+	pool       rpc.PoolStats
+	pooled     bool // the replica has an RPC pool
+	hedgesFrom int64
+	hedgesWon  int64
+	queue      *batching.Queue // its histograms, read where they are rendered
+
+	measured bool                      // snapWindow: the window is not pinned
+	adaptive batching.AdaptiveSnapshot // snapWindow, when measured
+	tenants  []batching.TenantLoad     // snapTenants
+	maxBatch int                       // snapMaxBatch
+}
+
+// modelSnaps reads every model: models in name order, replicas in
+// deployment order.
+func (cl *Clipper) modelSnaps(parts snapParts) []modelSnap {
+	cl.mu.Lock()
+	out := make([]modelSnap, 0, len(cl.scheds))
+	scheds := make(map[string]*scheduler, len(cl.scheds))
+	for name, s := range cl.scheds {
+		out = append(out, modelSnap{model: name})
+		scheds[name] = s
+	}
+	cl.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].model < out[j].model })
+	for i := range out {
+		s := scheds[out[i].model]
+		rqs := s.snapshot()
+		out[i].sched = s.stats()
+		out[i].replicas = make([]replicaSnap, len(rqs))
+		for j, rq := range rqs {
+			out[i].replicas[j] = rq.snap(parts)
+		}
+	}
+	return out
+}
+
+// snap reads the replica, taking the locks of the named parts only.
+func (rq *replicaQueue) snap(parts snapParts) replicaSnap {
+	r := replicaSnap{
+		id:         rq.replica.ID,
+		healthy:    rq.health.healthy.Load(),
+		load:       rq.queue.LoadStats(),
+		window:     rq.queue.InFlight(),
+		hedgesFrom: rq.hedgesFrom.Load(),
+		hedgesWon:  rq.hedgesWon.Load(),
+		queue:      rq.queue,
+	}
+	r.cost, r.costed = rq.estCost()
+	if ps, ok := rq.replica.Pred.(poolStatser); ok {
+		r.pool, r.pooled = ps.PoolStats(), true
+	}
+	if parts&snapWindow != 0 {
+		r.adaptive, r.measured = rq.queue.Window()
+	}
+	if parts&snapTenants != 0 {
+		r.tenants = rq.queue.TenantStats()
+	}
+	if parts&snapMaxBatch != 0 {
+		r.maxBatch = rq.queue.Controller().MaxBatch()
+	}
+	return r
 }

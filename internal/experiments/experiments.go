@@ -1,11 +1,11 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment has a runner returning structured results
 // plus a textual rendering that prints the same rows/series the paper
-// reports. cmd/bench drives them from the command line; bench_test.go
-// exposes each as a testing.B benchmark.
+// reports. cmd/bench drives them from the command line, and
+// TestQuickGolden pins their Quick-scale output.
 //
-// Runners accept a Scale: Quick shrinks sweeps and durations for CI and
-// benchmarks; Full runs the paper-shaped parameter grids.
+// Runners accept a Scale: Quick shrinks sweeps and durations for tests;
+// Full runs the paper-shaped parameter grids.
 package experiments
 
 import (
@@ -21,8 +21,7 @@ type Scale int
 
 // Scales.
 const (
-	// Quick runs a reduced sweep suitable for tests and benchmarks
-	// (seconds).
+	// Quick runs a reduced sweep suitable for tests (seconds).
 	Quick Scale = iota
 	// Full runs the paper-shaped grids (minutes).
 	Full

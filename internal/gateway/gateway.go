@@ -36,8 +36,6 @@ const (
 	OpPredict Op = iota
 	OpFeedback
 	OpRegisterApp
-	opAppList
-	opModelList
 	opHealth
 	opMetrics
 	OpDeploy
@@ -49,7 +47,7 @@ const (
 
 var opNames = [numOps]string{
 	"predict", "feedback", "register_app",
-	"app_list", "model_list", "health", "metrics",
+	"health", "metrics",
 	"deploy", "replicas", "applications", "set_health",
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"clipper/internal/batching"
@@ -69,12 +68,6 @@ type RegisterAppRequest struct {
 	// ShedPolicy selects SLO admission control: "none" (default),
 	// "reject", or "degrade".
 	ShedPolicy string `json:"shed_policy,omitempty"`
-}
-
-// AppInfo is one registered application in an AppList.
-type AppInfo struct {
-	Name   string   `json:"name"`
-	Models []string `json:"models"`
 }
 
 // DeployRequest dials and deploys a remote model container.
@@ -166,28 +159,6 @@ func (b *Bound) RegisterApp(req RegisterAppRequest) (err error) {
 		return fail(codeConflict, rerr.Error())
 	}
 	return nil
-}
-
-// AppList returns the registered applications, name-sorted.
-func (b *Bound) AppList() []AppInfo {
-	defer b.begin(opAppList)(nil)
-	var out []AppInfo
-	for _, name := range b.g.cl.AppNames() {
-		app, ok := b.g.cl.App(name)
-		if !ok {
-			continue
-		}
-		out = append(out, AppInfo{Name: name, Models: app.ModelNames()})
-	}
-	return out
-}
-
-// ModelList returns the deployed model names, sorted.
-func (b *Bound) ModelList() []string {
-	defer b.begin(opModelList)(nil)
-	models := b.g.cl.Models()
-	sort.Strings(models)
-	return models
 }
 
 // Health reports node liveness (always true once serving).
