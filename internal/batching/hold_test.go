@@ -73,7 +73,7 @@ type simReq struct {
 type simFlight struct {
 	start, finish float64
 	last          bool // left with the window's last free slot
-	reqs          []*simReq
+	lo, hi        int  // its requests, holdSim.reqs[lo:hi]
 }
 
 // simMaxBatch is the simulation's batch cap (a NewFixed(64) controller).
@@ -99,16 +99,18 @@ type holdSim struct {
 	laneFree []float64
 
 	now        float64
-	queue      []*simReq
+	reqs       []simReq    // the requests in arrival order: a batch takes the oldest queued
+	queued     int         // reqs[queued:] wait in the queue
 	flights    []simFlight // by finish time, ties in dispatch order
-	arrivals   []float64   // future arrival instants, ascending
+	arrivals   []float64   // future arrival instants, descending: the next is last
 	collecting bool        // the collector has a slot reserved
 	load       loadModel
 
 	done       func(now float64) // a request completed (closed loop: schedules the next)
 	dispatches []float64
-	batches    []int
-	sojourns   []float64
+	batches    int     // batches dispatched
+	served     int     // requests completed
+	sojournSum float64 // their sojourns, summed in completion order
 	everHeld   int
 	peak       int // the most batches ever in flight at once
 	minW, maxW int // the window's range since the last call of measured
@@ -135,10 +137,16 @@ func (s *holdSim) measured() *holdSim {
 }
 
 func (s *holdSim) arriveAt(at float64) {
-	i := sort.SearchFloat64s(s.arrivals, at)
-	s.arrivals = append(s.arrivals, 0)
-	copy(s.arrivals[i+1:], s.arrivals[i:])
-	s.arrivals[i] = at
+	i := sort.Search(len(s.arrivals), func(i int) bool { return s.arrivals[i] <= at })
+	s.arrivals = slices.Insert(s.arrivals, i, at)
+}
+
+// nextArrival is the next arrival instant, +Inf when none is scheduled.
+func (s *holdSim) nextArrival() float64 {
+	if len(s.arrivals) == 0 {
+		return math.Inf(1)
+	}
+	return s.arrivals[len(s.arrivals)-1]
 }
 
 // reserve is the collector entering collect with a freshly acquired slot.
@@ -179,38 +187,40 @@ func (s *holdSim) serve(n int) float64 {
 }
 
 func (s *holdSim) dispatch() {
-	for s.reserve(); s.collecting && len(s.queue) > 0; s.reserve() {
+	for s.reserve(); s.collecting && s.queued < len(s.reqs); s.reserve() {
+		queue := s.reqs[s.queued:]
 		if s.hold && len(s.flights) > 0 {
 			oldest := math.Inf(1)
 			for _, f := range s.flights {
 				oldest = min(oldest, f.start)
 			}
 			next := seconds(oldest + s.load.robustLat.Value() - s.now)
-			if holdLast(len(s.queue), s.load.arrivalRate(), next, len(s.flights)+1, s.w) {
-				for _, r := range s.queue {
-					r.held = true
+			if holdLast(len(queue), s.load.arrivalRate(), next, len(s.flights)+1, s.w) {
+				for i := range queue {
+					queue[i].held = true
 				}
 				return
 			}
 		}
-		n := min(len(s.queue), simMaxBatch)
-		f := simFlight{start: s.now, finish: s.serve(n), last: len(s.flights)+1 >= s.w, reqs: s.queue[:n:n]}
+		n := min(len(queue), simMaxBatch)
+		f := simFlight{start: s.now, finish: s.serve(n), last: len(s.flights)+1 >= s.w, lo: s.queued, hi: s.queued + n}
 		i := sort.Search(len(s.flights), func(i int) bool { return s.flights[i].finish > f.finish })
 		s.flights = slices.Insert(s.flights, i, f)
 		s.peak = max(s.peak, len(s.flights))
 		s.dispatches = append(s.dispatches, s.now)
-		s.batches = append(s.batches, n)
-		s.queue = s.queue[n:]
+		s.batches++
+		s.queued += n
 		s.collecting = false
 	}
 }
 
 // complete is runBatch's tail for one finished batch.
 func (s *holdSim) complete(f simFlight) {
+	reqs := s.reqs[f.lo:f.hi]
 	lat := seconds(s.now - f.start)
-	s.load.observe(len(f.reqs), lat, seconds(f.start-f.reqs[0].arrived))
+	s.load.observe(len(reqs), lat, seconds(f.start-reqs[0].arrived))
 	if s.adapt != nil {
-		s.adapt.tick(len(f.reqs), lat, f.last)
+		s.adapt.tick(len(reqs), lat, f.last)
 		if w := s.adapt.sem.curLimit(); w != s.w {
 			if !f.last {
 				s.idleMoves++
@@ -219,8 +229,9 @@ func (s *holdSim) complete(f simFlight) {
 			s.minW, s.maxW = min(s.minW, w), max(s.maxW, w)
 		}
 	}
-	for _, r := range f.reqs {
-		s.sojourns = append(s.sojourns, s.now-r.arrived)
+	for _, r := range reqs {
+		s.served++
+		s.sojournSum += s.now - r.arrived
 		if r.held {
 			s.everHeld++
 		}
@@ -233,10 +244,7 @@ func (s *holdSim) complete(f simFlight) {
 func (s *holdSim) run(until float64) {
 	for {
 		s.dispatch()
-		next := math.Inf(1)
-		if len(s.arrivals) > 0 {
-			next = s.arrivals[0]
-		}
+		next := s.nextArrival()
 		if len(s.flights) > 0 {
 			next = min(next, s.flights[0].finish)
 		}
@@ -246,14 +254,32 @@ func (s *holdSim) run(until float64) {
 		s.now = next
 		for len(s.flights) > 0 && s.flights[0].finish <= s.now {
 			f := s.flights[0]
-			s.flights = s.flights[1:]
+			s.flights = slices.Delete(s.flights, 0, 1) // in place: a window's worth to shift
 			s.complete(f)
 		}
-		for len(s.arrivals) > 0 && s.arrivals[0] <= s.now {
-			s.arrivals = s.arrivals[1:]
+		for s.nextArrival() <= s.now {
+			s.arrivals = s.arrivals[:len(s.arrivals)-1]
 			s.load.arrivals.Add(1)
-			s.queue = append(s.queue, &simReq{arrived: s.now})
+			if len(s.reqs) == cap(s.reqs) {
+				s.compact()
+			}
+			s.reqs = append(s.reqs, simReq{arrived: s.now})
 		}
+	}
+}
+
+// compact drops the completed requests from the front of reqs, so the log
+// is as long as what is queued or in flight, not the whole run.
+func (s *holdSim) compact() {
+	lo := s.queued
+	for _, f := range s.flights {
+		lo = min(lo, f.lo)
+	}
+	s.reqs = s.reqs[:copy(s.reqs, s.reqs[lo:])]
+	s.queued -= lo
+	for i := range s.flights {
+		s.flights[i].lo -= lo
+		s.flights[i].hi -= lo
 	}
 }
 
@@ -274,15 +300,10 @@ func (s *holdSim) openLoop(rate, until float64, rng *rand.Rand) {
 	for at := 0.0; at < until; at += rng.ExpFloat64() / rate {
 		s.arrivals = append(s.arrivals, at)
 	}
+	slices.Reverse(s.arrivals)
 }
 
-func mean(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
+func (s *holdSim) meanSojourn() float64 { return s.sojournSum / float64(s.served) }
 
 // closedLoopSim is a closed loop of 26 clients, each sending its next
 // request a short think time (exponential, mean s/20) after the reply to its
@@ -311,10 +332,10 @@ func (s *holdSim) maxGap() (gap float64) {
 func TestHoldSimClosedLoop(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		greedy, held := closedLoopSim(false, seed), closedLoopSim(true, seed)
-		g, h := mean(greedy.sojourns), mean(held.sojourns)
+		g, h := greedy.meanSojourn(), held.meanSojourn()
 		even := held.fixed / float64(held.w)
 		t.Logf("seed %d: greedy %d done, mean sojourn %.3f ms, max dispatch gap %.2f × s/w; rule %d done, %.3f ms, %.2f × s/w",
-			seed, len(greedy.sojourns), g*1e3, greedy.maxGap()/even, len(held.sojourns), h*1e3, held.maxGap()/even)
+			seed, greedy.served, g*1e3, greedy.maxGap()/even, held.served, h*1e3, held.maxGap()/even)
 		// The simulation has the fault: greedy's four dispatches bunch and
 		// then none happens for most of a round trip.
 		if greedy.maxGap() < 2.5*even {
@@ -325,9 +346,9 @@ func TestHoldSimClosedLoop(t *testing.T) {
 			t.Errorf("seed %d: dispatches still clumped: max gap %.3f ms > 1.5 × s/w = %.3f ms", seed, held.maxGap()*1e3, 1.5*even*1e3)
 		}
 		// ... and requests wait less, so the same clients get more done.
-		if h > 0.98*g || len(held.sojourns) <= len(greedy.sojourns) {
+		if h > 0.98*g || held.served <= greedy.served {
 			t.Errorf("seed %d: mean sojourn with the rule %.3f ms (%d done), greedy %.3f ms (%d done)",
-				seed, h*1e3, len(held.sojourns), g*1e3, len(greedy.sojourns))
+				seed, h*1e3, held.served, g*1e3, greedy.served)
 		}
 	}
 }
@@ -338,9 +359,9 @@ func TestHoldSimOpenLoopIsNearlySilent(t *testing.T) {
 			s := &holdSim{w: 4, fixed: 0.0023, hold: true}
 			s.openLoop(load*float64(s.w)/s.fixed, 4, rand.New(rand.NewSource(seed)))
 			s.run(5)
-			frac := float64(s.everHeld) / float64(len(s.sojourns))
+			frac := float64(s.everHeld) / float64(s.served)
 			t.Logf("λs/w = %.1f seed %d: %d of %d requests ever held (%.3f), mean sojourn %.2f ms",
-				load, seed, s.everHeld, len(s.sojourns), frac, mean(s.sojourns)*1e3)
+				load, seed, s.everHeld, s.served, frac, s.meanSojourn()*1e3)
 			if frac > 0.05 {
 				t.Errorf("λs/w = %.1f seed %d: %.3f of requests were held, want ≤ 0.05", load, seed, frac)
 			}

@@ -56,8 +56,8 @@ func (i Info) String() string { return fmt.Sprintf("%s:v%d", i.Name, i.Version) 
 //	interface Predictor<X,Y> { List<List<Y>> pred_batch(List<X> inputs); }
 //
 // Implementations must be safe for concurrent use: the batching queue's
-// dispatch pipeline keeps up to QueueConfig.InFlight batches (unpinned: up
-// to 16) concurrently in flight per replica.
+// dispatch pipeline keeps up to QueueConfig.InFlight batches (unpinned: as
+// many as its measured window allows) concurrently in flight per replica.
 type Predictor interface {
 	// Info returns the model's identity and shape.
 	Info() Info

@@ -133,11 +133,12 @@ func TrainLogisticRegression(name string, ds *dataset.Dataset, cfg LinearConfig)
 	// curvature bound of the logistic loss grows with ||x||^2), so one
 	// LearningRate works across input dimensionalities.
 	normScale := stepNormalizer(ds)
+	p := make([]float64, ds.NumClasses) // one sample's class probabilities
 	for e := 0; e < cfg.Epochs; e++ {
 		eta := lr * normScale / (1 + 0.5*float64(e))
 		for _, i := range rng.Perm(ds.Len()) {
 			x, y := ds.X[i], ds.Y[i]
-			p := Scores(m, x)
+			m.scoresInto(x, p)
 			softmaxInPlace(p)
 			for c := range m.weights {
 				grad := p[c]

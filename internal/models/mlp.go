@@ -57,55 +57,87 @@ func TrainMLP(name string, ds *dataset.Dataset, cfg MLPConfig) Model {
 
 	sizes := append([]int{ds.Dim}, cfg.Hidden...)
 	sizes = append(sizes, ds.NumClasses)
-	m := &mlp{name: name, dim: ds.Dim, classes: ds.NumClasses}
-	for l := 0; l+1 < len(sizes); l++ {
-		in, out := sizes[l], sizes[l+1]
-		w := make([][]float64, out)
-		scale := math.Sqrt(2.0 / float64(in)) // He init for ReLU
-		for o := range w {
-			w[o] = make([]float64, in)
-			for i := range w[o] {
-				w[o][i] = rng.NormFloat64() * scale
+	m := newMLP(name, sizes)
+	for l, w := range m.weights {
+		scale := math.Sqrt(2.0 / float64(sizes[l])) // He init for ReLU
+		for _, row := range w {
+			for i := range row {
+				row[i] = rng.NormFloat64() * scale
 			}
 		}
-		m.weights = append(m.weights, w)
-		m.biases = append(m.biases, make([]float64, out))
 	}
+	// SGD's scratch, allocated once: the gradients are an mlp of m's shape,
+	// acts[l+1] holds layer l's outputs (acts[0] is the sample) and
+	// deltas[l] hidden layer l's delta.
+	grad, deltas := newMLP(name, sizes), zeros(sizes[1:len(sizes)-1])
+	acts := append([][]float64{nil}, zeros(sizes[1:])...)
 
 	n := ds.Len()
 	for e := 0; e < cfg.Epochs; e++ {
 		eta := cfg.LearningRate / (1 + 0.3*float64(e))
 		perm := rng.Perm(n)
 		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			m.sgdStep(ds, perm[start:end], eta)
+			m.sgdStep(ds, perm[start:min(start+cfg.BatchSize, n)], eta, grad, acts, deltas)
 		}
 	}
 	return m
 }
 
-// sgdStep accumulates gradients over one mini-batch and applies them.
-func (m *mlp) sgdStep(ds *dataset.Dataset, idx []int, eta float64) {
-	nL := len(m.weights)
-	gradW := make([][][]float64, nL)
-	gradB := make([][]float64, nL)
-	for l := range m.weights {
-		gradW[l] = make([][]float64, len(m.weights[l]))
-		for o := range gradW[l] {
-			gradW[l][o] = make([]float64, len(m.weights[l][o]))
+// newMLP returns an mlp with the given layer widths (input first, classes
+// last) and every parameter zero.
+func newMLP(name string, sizes []int) *mlp {
+	m := &mlp{name: name, dim: sizes[0], classes: sizes[len(sizes)-1], biases: zeros(sizes[1:])}
+	for l := 1; l < len(sizes); l++ {
+		w := make([][]float64, sizes[l])
+		for o := range w {
+			w[o] = make([]float64, sizes[l-1])
 		}
-		gradB[l] = make([]float64, len(m.biases[l]))
+		m.weights = append(m.weights, w)
 	}
+	return m
+}
 
+// zeros returns one zeroed vector of each length.
+func zeros(lens []int) [][]float64 {
+	out := make([][]float64, len(lens))
+	for i, n := range lens {
+		out[i] = make([]float64, n)
+	}
+	return out
+}
+
+// layer is the one forward kernel, which ScoresFlat and training share:
+// out[o] = w[o]·in + b[o], through a ReLU on a hidden layer; the last layer
+// gives raw logits.
+func (m *mlp) layer(l int, in, out []float64) {
+	hidden := l < len(m.weights)-1
+	for o, w := range m.weights[l] {
+		z := dot(w, in) + m.biases[l][o]
+		if hidden && z < 0 {
+			z = 0
+		}
+		out[o] = z
+	}
+}
+
+// sgdStep accumulates one mini-batch's gradients into grad, which it clears
+// first, and applies them. acts and deltas are TrainMLP's scratch.
+func (m *mlp) sgdStep(ds *dataset.Dataset, idx []int, eta float64, grad *mlp, acts, deltas [][]float64) {
+	for l := range grad.weights {
+		for _, row := range grad.weights[l] {
+			clear(row)
+		}
+		clear(grad.biases[l])
+	}
+	nL := len(m.weights)
 	for _, i := range idx {
-		acts, zs := m.forward(ds.X[i])
+		acts[0] = ds.X[i]
+		for l := range m.weights {
+			m.layer(l, acts[l], acts[l+1])
+		}
 		// Output delta: softmax cross-entropy gradient.
-		out := append([]float64(nil), acts[nL]...)
-		softmaxInPlace(out)
-		delta := out
+		delta := acts[nL]
+		softmaxInPlace(delta)
 		delta[ds.Y[i]] -= 1
 		for l := nL - 1; l >= 0; l-- {
 			in := acts[l]
@@ -113,22 +145,24 @@ func (m *mlp) sgdStep(ds *dataset.Dataset, idx []int, eta float64) {
 				if delta[o] == 0 {
 					continue
 				}
-				axpy(delta[o], in, gradW[l][o])
-				gradB[l][o] += delta[o]
+				axpy(delta[o], in, grad.weights[l][o])
+				grad.biases[l][o] += delta[o]
 			}
 			if l == 0 {
 				break
 			}
-			// Back-propagate through weights then the ReLU at layer l-1.
-			prev := make([]float64, len(in))
+			// Back-propagate through weights then the ReLU at layer l-1,
+			// whose gradient is 0 where its output is (z <= 0).
+			prev := deltas[l-1]
+			clear(prev)
 			for o, w := range m.weights[l] {
 				if delta[o] == 0 {
 					continue
 				}
 				axpy(delta[o], w, prev)
 			}
-			for j := range prev {
-				if zs[l-1][j] <= 0 {
+			for j, a := range in {
+				if a == 0 {
 					prev[j] = 0
 				}
 			}
@@ -139,38 +173,10 @@ func (m *mlp) sgdStep(ds *dataset.Dataset, idx []int, eta float64) {
 	scale := eta / float64(len(idx))
 	for l := range m.weights {
 		for o := range m.weights[l] {
-			axpy(-scale, gradW[l][o], m.weights[l][o])
-			m.biases[l][o] -= scale * gradB[l][o]
+			axpy(-scale, grad.weights[l][o], m.weights[l][o])
+			m.biases[l][o] -= scale * grad.biases[l][o]
 		}
 	}
-}
-
-// forward returns activations per layer (acts[0] = input, acts[L] = logits)
-// and pre-activations zs per hidden layer.
-func (m *mlp) forward(x []float64) (acts [][]float64, zs [][]float64) {
-	nL := len(m.weights)
-	acts = make([][]float64, nL+1)
-	zs = make([][]float64, nL)
-	acts[0] = x
-	for l := 0; l < nL; l++ {
-		out := make([]float64, len(m.weights[l]))
-		for o, w := range m.weights[l] {
-			out[o] = dot(w, acts[l]) + m.biases[l][o]
-		}
-		zs[l] = out
-		if l == nL-1 {
-			acts[l+1] = out // logits, no activation
-		} else {
-			relu := make([]float64, len(out))
-			for j, v := range out {
-				if v > 0 {
-					relu[j] = v
-				}
-			}
-			acts[l+1] = relu
-		}
-	}
-	return acts, zs
 }
 
 // Name implements Model.
@@ -183,35 +189,26 @@ func (m *mlp) NumClasses() int { return m.classes }
 func (m *mlp) Predict(x []float64) int { return label(m, x) }
 
 // ScoresFlat implements Model: output logits for every row of a flat
-// row-major tensor. Two ping-pong activation buffers are reused across
-// all rows and layers, so the whole batch costs two scratch allocations
-// instead of forward()'s two per layer per row.
+// row-major tensor, through training's layer kernel. Two ping-pong buffers
+// hold the hidden activations, so a batch costs two scratch allocations
+// whatever its rows and depth.
 func (m *mlp) ScoresFlat(data []float64, rows, dim int, out []float64) {
 	checkFlat(m.name, rows, dim, m.dim, data)
 	nL := len(m.weights)
 	maxW := 0
-	for l := range m.weights {
-		if w := len(m.weights[l]); w > maxW {
-			maxW = w
-		}
+	for _, b := range m.biases {
+		maxW = max(maxW, len(b))
 	}
 	cur, next := make([]float64, maxW), make([]float64, maxW)
 	for r := 0; r < rows; r++ {
 		in := data[r*dim : (r+1)*dim]
-		for l := 0; l < nL; l++ {
-			dst := next[:len(m.weights[l])]
+		for l := range m.weights {
+			dst := next[:len(m.biases[l])]
 			if l == nL-1 {
 				dst = out[r*m.classes : (r+1)*m.classes]
 			}
-			for o, w := range m.weights[l] {
-				z := dot(w, in) + m.biases[l][o]
-				if l < nL-1 && z < 0 {
-					z = 0 // hidden ReLU; the output layer stays raw logits
-				}
-				dst[o] = z
-			}
-			in = dst
-			cur, next = next, cur
+			m.layer(l, in, dst)
+			in, cur, next = dst, next, cur
 		}
 	}
 }

@@ -162,6 +162,32 @@ func TestMLPDeepLearns(t *testing.T) {
 	requireAccuracy(t, m, test, 0.85)
 }
 
+// TestTrainingAllocsIndependentOfRows: the SGD trainers allocate their
+// scratch once per training run, never per sample, so doubling the
+// training set at a fixed epoch count allocates nothing more.
+func TestTrainingAllocsIndependentOfRows(t *testing.T) {
+	for _, tr := range []struct {
+		name  string
+		train func(*dataset.Dataset) Model
+	}{
+		{"mlp", func(ds *dataset.Dataset) Model {
+			return TrainMLP("mlp", ds, MLPConfig{Hidden: []int{16, 8}, Epochs: 3, Seed: 1})
+		}},
+		{"logreg", func(ds *dataset.Dataset) Model { return TrainLogisticRegression("logreg", ds, DefaultLinearConfig()) }},
+	} {
+		var allocs [2]float64
+		for i, rows := range []int{200, 400} {
+			ds := dataset.Gaussian(dataset.GaussianConfig{
+				Name: "rows", N: rows, Dim: 16, NumClasses: 4, Separation: 2, Noise: 1.5, Seed: 5,
+			})
+			allocs[i] = testing.AllocsPerRun(2, func() { tr.train(ds) })
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %v allocations training on 200 rows, %v on 400", tr.name, allocs[0], allocs[1])
+		}
+	}
+}
+
 func TestNoOp(t *testing.T) {
 	m := NewNoOp("noop", 10, 3)
 	if m.Predict([]float64{1, 2}) != 3 {

@@ -33,10 +33,39 @@ func kernelScoresRef(m *kernelMachine, x []float64) []float64 {
 	return linearScoresRef(m.linear, f)
 }
 
-// mlpScoresRef is the output logits of training's forward pass.
+// mlpScoresRef is the output logits of mlpForwardRef.
 func mlpScoresRef(m *mlp, x []float64) []float64 {
-	acts, _ := m.forward(x)
+	acts, _ := mlpForwardRef(m, x)
 	return acts[len(acts)-1]
+}
+
+// mlpForwardRef is the per-row forward pass training used before it
+// shared ScoresFlat's layer kernel: activations per layer (acts[0] = input,
+// acts[L] = logits) and pre-activations zs per hidden layer.
+func mlpForwardRef(m *mlp, x []float64) (acts [][]float64, zs [][]float64) {
+	nL := len(m.weights)
+	acts = make([][]float64, nL+1)
+	zs = make([][]float64, nL)
+	acts[0] = x
+	for l := 0; l < nL; l++ {
+		out := make([]float64, len(m.weights[l]))
+		for o, w := range m.weights[l] {
+			out[o] = dot(w, acts[l]) + m.biases[l][o]
+		}
+		zs[l] = out
+		if l == nL-1 {
+			acts[l+1] = out // logits, no activation
+		} else {
+			relu := make([]float64, len(out))
+			for j, v := range out {
+				if v > 0 {
+					relu[j] = v
+				}
+			}
+			acts[l+1] = relu
+		}
+	}
+	return acts, zs
 }
 
 func bayesScoresRef(m *naiveBayes, x []float64) []float64 {

@@ -3,6 +3,7 @@ package models
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -64,6 +65,57 @@ func TestTreeScoresPinned(t *testing.T) {
 			if got[i] != want[seed][i] {
 				t.Errorf("seed %d: %s, want %s", seed, got[i], want[seed][i])
 			}
+		}
+	}
+}
+
+// mlpWeightDigests trains the five Table 2 stand-ins on a small seeded split
+// and returns one FNV-1a digest per network over the bits of every weight
+// and bias, layer by layer.
+func mlpWeightDigests() []string {
+	train, _ := dataset.Gaussian(dataset.GaussianConfig{
+		Name: "deep", N: 300, Dim: 16, NumClasses: 4, Separation: 2, Noise: 1.5, Seed: 5,
+	}).Split(0.8, 5)
+	var out []string
+	var word [8]byte
+	put := func(h hash.Hash64, vs []float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	for _, s := range Table2() {
+		m := s.Train(train).(*mlp)
+		h := fnv.New64a()
+		for l := range m.weights {
+			for _, w := range m.weights[l] {
+				put(h, w)
+			}
+			put(h, m.biases[l])
+		}
+		out = append(out, fmt.Sprintf("%s %016x", m.Name(), h.Sum64()))
+	}
+	return out
+}
+
+// TestMLPWeightsPinned pins the SGD trainer to the bit on networks of one
+// and two hidden layers, so a change to its arithmetic or its order (the
+// ReLU mask, how a mini-batch's gradients accumulate) shows even where the
+// scores it leads to still round alike. amd64 only, as above.
+func TestMLPWeightsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the digests pin amd64's weight bits")
+	}
+	want := []string{
+		"Caffe/VGG 40eb338c9f3e6d8d",
+		"Caffe/GoogLeNet a12b5a252c5fadb4",
+		"Caffe/ResNet 5fcd999daa767bda",
+		"Caffe/CaffeNet 303cd2dce0a561d7",
+		"TensorFlow/Inception 2c6bbda39890c7e7",
+	}
+	for i, got := range mlpWeightDigests() {
+		if got != want[i] {
+			t.Errorf("%s, want %s", got, want[i])
 		}
 	}
 }
