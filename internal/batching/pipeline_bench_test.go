@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"clipper/internal/container"
-	"clipper/internal/frameworks"
+	"clipper/internal/kick"
 )
 
 // latencyPredictor simulates a container with a fixed round-trip latency
@@ -92,7 +92,7 @@ func (p *laneReplica) PredictBatch(xs [][]float64) ([]container.Prediction, erro
 		p.lanes <- struct{}{}
 		defer func() { <-p.lanes }()
 	}
-	frameworks.Sleep(p.fixed + time.Duration(len(xs))*p.perItem)
+	kick.SleepUntil(time.Now().Add(p.fixed + time.Duration(len(xs))*p.perItem))
 	return make([]container.Prediction, len(xs)), nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"clipper/internal/container"
+	"clipper/internal/kick"
 	"clipper/internal/metrics"
 )
 
@@ -365,9 +367,9 @@ func (q *Queue) dispatchLoop() {
 // finding the pipeline shut until next, saving rate·h·(next − h). The gain
 // peaks at h* = (next − queued/rate)/2, and a hold is worth starting only
 // if one arrival is expected inside it, rate·h* ≥ 1: rate·next ≥ queued+2.
-// No timer ends a hold at h*: an idle runtime fires a node timer under 1 ms
-// up to 1 ms late (frameworks' sleepUntil says why and kicks only its own
-// waits), half a round trip. Events end it: arrival, completion, resize.
+// No timer ends a hold at h*. Events do (arrival, completion, resize): each
+// arrival re-decides it with one more queued and a nearer next, and a hold
+// whose expected arrivals do not come ends at the next completion.
 func holdLast(queued int, rate float64, next time.Duration, held, limit int) bool {
 	return limit > 1 && held == limit && queued > 0 && next > 0 &&
 		rate*next.Seconds() >= float64(queued+2)
@@ -418,7 +420,7 @@ func (q *Queue) collect() []*Request {
 			return batch
 		}
 		if len(batch) > 0 && timeout == nil {
-			timer := time.NewTimer(q.timeout)
+			timer := kick.NewTimer(q.timeout)
 			defer timer.Stop()
 			timeout = timer.C
 		}
@@ -455,6 +457,7 @@ func (q *Queue) runBatch(batch []*Request, last bool) {
 	}()
 	dispatch := time.Now()
 	v := container.GetBatchView()
+	v.Data = slices.Grow(v.Data, n*len(batch[0].x)) // sized once, not grown row by row
 	var oldestWait time.Duration
 	for _, r := range batch {
 		v.AppendRow(r.x)

@@ -11,6 +11,7 @@ import (
 	"clipper/internal/batching"
 	"clipper/internal/cache"
 	"clipper/internal/container"
+	"clipper/internal/kick"
 	"clipper/internal/metrics"
 	"clipper/internal/selection"
 )
@@ -27,8 +28,8 @@ type AppConfig struct {
 	Policy selection.Policy
 	// SLO bounds the reply, counted from the request's arrival (§5.2.2): the
 	// wait for selected models ends SLO/reserveDiv before it and Combine runs
-	// with whatever predictions have arrived. Zero waits for all selected
-	// models (no mitigation).
+	// with whatever predictions have arrived (the reserve pays for the reply,
+	// not a late timer). Zero waits for all selected models (no mitigation).
 	SLO time.Duration
 	// ConfidenceThreshold enables robust predictions (§5.2.1): below it,
 	// the response carries UsedDefault=true and DefaultLabel. Zero
@@ -96,10 +97,10 @@ type Response struct {
 }
 
 // reserveDiv fixes the reply reserve: the straggler wait ends SLO/reserveDiv
-// before arrival + SLO, which is what its timer firing late (node timers are
-// not kicked: up to 1 ms on an idle runtime), Combine, the response encode
-// and write (≈ 0.1 ms) and the client's own scheduler get: 2 ms at the
-// paper's 20 ms SLO. A tenth scales with the SLO: a constant, not a knob.
+// before arrival + SLO (2 ms at the paper's 20 ms SLO), on a kicked timer.
+// The reserve pays for Combine, the response encode and write (≈ 0.1 ms),
+// the client, and a CPU-saturated run queue, which wakes the worker up to
+// ≈ 1 ms late. A tenth scales with the SLO: a constant, not a knob.
 const reserveDiv = 10
 
 // Application is a registered application within a Clipper instance. Its
@@ -448,16 +449,16 @@ func (fan *fanIn) arrive(idx int, p container.Prediction, ok bool) {
 }
 
 // waker is what a gathering worker parks on: the channel the last arrival
-// signals and the timer that ends the wait at the deadline. Pooled, so the
-// wait allocates nothing; a waker is pooled stopped and drained.
+// signals and the kicked timer that ends the wait at the deadline. Pooled,
+// so the wait allocates nothing; a waker is pooled stopped and drained.
 type waker struct {
 	ch    chan struct{}
-	timer *time.Timer
+	timer kick.Timer
 }
 
 var wakerPool = sync.Pool{
 	New: func() any {
-		t := time.NewTimer(time.Hour)
+		t := kick.NewTimer(time.Hour)
 		t.Stop()
 		return &waker{ch: make(chan struct{}, 1), timer: t}
 	},

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clipper/internal/batching"
+	"clipper/internal/kick"
 )
 
 // Hedged dispatch (the tail-at-scale treatment of the paper's §4.3
@@ -166,7 +167,7 @@ type hedgedFetch struct {
 	live    [3]bool       // being started or queued, its Result still owed
 	alt     *replicaQueue // the sibling a second copy (hedge or failover) went to
 	err     error         // the first copy's error, surfaced if no copy succeeds
-	timer   *time.Timer
+	timer   kick.Timer
 	unwatch func() bool // stops the ctx callback
 }
 
@@ -177,7 +178,7 @@ func (s *scheduler) startHedged(ctx context.Context, primary *replicaQueue, tena
 	h.live[copyPrimary] = true
 	delay := s.hedgeDelay()
 	h.mu.Lock() // the callbacks take mu, so they find both set
-	h.timer = time.AfterFunc(delay, h.fire)
+	h.timer = kick.AfterFunc(delay, h.fire)
 	h.unwatch = context.AfterFunc(ctx, h.cancel)
 	h.mu.Unlock()
 	h.start(copyPrimary, primary)

@@ -11,6 +11,7 @@ import (
 	"clipper/internal/container"
 	"clipper/internal/core"
 	"clipper/internal/frameworks"
+	"clipper/internal/kick"
 	"clipper/internal/models"
 	"clipper/internal/selection"
 	"clipper/internal/workload"
@@ -140,7 +141,7 @@ type pythonOverhead struct {
 func (p *pythonOverhead) Info() container.Info { return p.inner.Info() }
 
 func (p *pythonOverhead) PredictBatch(xs [][]float64) ([]container.Prediction, error) {
-	frameworks.Sleep(time.Duration(len(xs)) * p.perItem)
+	kick.SleepUntil(time.Now().Add(time.Duration(len(xs)) * p.perItem))
 	return p.inner.PredictBatch(xs)
 }
 

@@ -3,8 +3,6 @@ package frameworks
 import (
 	"context"
 	"math/rand"
-	"net"
-	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -347,44 +345,4 @@ func TestSimPredictorNoOpScoresOneHot(t *testing.T) {
 	want := container.Prediction{Label: 2, Scores: []float64{0, 0, 1}}
 	requireSamePreds(t, "noop/batch", preds, []container.Prediction{want, want})
 	requireSamePreds(t, "noop/view", predictView(t, p, xs), preds)
-}
-
-func TestSleepPrecision(t *testing.T) {
-	for _, d := range []time.Duration{200 * time.Microsecond, 2 * time.Millisecond} {
-		start := time.Now()
-		Sleep(d)
-		got := time.Since(start)
-		if got < d {
-			t.Fatalf("Sleep(%v) returned early after %v", d, got)
-		}
-		if got > d+5*time.Millisecond {
-			t.Fatalf("Sleep(%v) overslept: %v", d, got)
-		}
-	}
-}
-
-// TestSleepExactOnIdleRuntime: a sub-millisecond Sleep on an otherwise idle
-// process wakes near its deadline, not at netpoll's 1 ms epoll_wait floor.
-// The listener stands in for the node's sockets, so netpoll is live as it
-// is in a serving process. Only the median is bounded: the tail follows
-// the machine's load.
-func TestSleepExactOnIdleRuntime(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	const wait = 300 * time.Microsecond
-	over := make([]time.Duration, 40)
-	for i := range over {
-		start := time.Now()
-		Sleep(wait)
-		over[i] = time.Since(start) - wait
-	}
-	slices.Sort(over)
-	med := over[len(over)/2]
-	if med >= 250*time.Microsecond {
-		t.Fatalf("median overshoot of Sleep(%v) = %v, want < 250µs (all: %v)", wait, med, over)
-	}
-	t.Logf("median overshoot of Sleep(%v): %v", wait, med)
 }

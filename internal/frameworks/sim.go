@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clipper/internal/container"
+	"clipper/internal/kick"
 	"clipper/internal/models"
 )
 
@@ -57,7 +58,7 @@ func (p *SimPredictor) PredictBatch(xs [][]float64) ([]container.Prediction, err
 	}
 	// Block for the remainder of the simulated duration, if the real
 	// compute did not already exceed it.
-	sleepUntil(start.Add(target))
+	kick.SleepUntil(start.Add(target))
 	return out, nil
 }
 
@@ -95,21 +96,6 @@ func (p *SimPredictor) PredictView(v container.BatchView, out *container.Predict
 			out.Append(p.predictRow(v.Row(r)))
 		}
 	}
-	sleepUntil(start.Add(target))
+	kick.SleepUntil(start.Add(target))
 	return nil
 }
-
-// sleepUntil blocks until deadline; off Linux it is a plain time.Sleep,
-// and timerfd_linux.go replaces it with a kicked one. Two runtime facts
-// make the plain wait inexact on an idle process. Once every goroutine is
-// parked, the runtime waits for the next timer in netpoll, whose
-// epoll_wait timeout is whole milliseconds and at least 1 for any wait
-// under 1 ms (runtime/netpoll_epoll.go), so a 300 µs Sleep wakes about
-// 0.8 ms late. And spinning on runtime.Gosched to hide that is no cure: it
-// keeps the global run queue non-empty, so findRunnable skips netpoll and
-// socket readiness waits while the spin lasts, burns CPU, and never lets a
-// testing/synctest bubble's clock move.
-var sleepUntil = func(deadline time.Time) { time.Sleep(time.Until(deadline)) }
-
-// Sleep blocks for d with sub-millisecond precision on Linux.
-func Sleep(d time.Duration) { sleepUntil(time.Now().Add(d)) }

@@ -1,4 +1,4 @@
-package frameworks
+package kick
 
 import (
 	"os"
@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// TestSleepReusesTimerfds: waits share a bounded list of timerfds, so many
-// concurrent waits leave at most cap(wakeFds) open fds behind.
+// TestSleepReusesTimerfds: waits and timers share a bounded list of
+// timerfds, so many concurrent waits leave at most cap(wakeFds) open fds
+// behind.
 func TestSleepReusesTimerfds(t *testing.T) {
 	openFds := func() int {
 		es, err := os.ReadDir("/proc/self/fd")
@@ -25,7 +26,10 @@ func TestSleepReusesTimerfds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range waits {
-				Sleep(50 * time.Microsecond)
+				SleepUntil(time.Now().Add(50 * time.Microsecond))
+				k := NewTimer(50 * time.Microsecond)
+				<-k.C
+				k.Stop()
 			}
 		}()
 	}

@@ -15,7 +15,7 @@ import (
 	"sync"
 	"time"
 
-	"clipper/internal/frameworks"
+	"clipper/internal/kick"
 )
 
 // Gbps converts gigabits per second to bytes per second.
@@ -93,10 +93,7 @@ type pacedConn struct {
 // Write books wire time for p and blocks until the simulated transfer
 // completes before delivering the bytes.
 func (c *pacedConn) Write(p []byte) (int, error) {
-	wait := c.limiter.Reserve(len(p)) + c.latency
-	if wait > 0 {
-		frameworks.Sleep(wait)
-	}
+	kick.SleepUntil(time.Now().Add(c.limiter.Reserve(len(p)) + c.latency))
 	return c.inner.Write(p)
 }
 

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clipper/internal/frameworks"
+	"clipper/internal/kick"
 	"clipper/internal/metrics"
 )
 
@@ -138,9 +138,7 @@ func runOpenLoopProcess(ctx context.Context, cfg OpenLoopConfig, fn func(user in
 		if ctx.Err() != nil {
 			return false
 		}
-		if wait := time.Until(start.Add(at)); wait > 0 {
-			frameworks.Sleep(wait)
-		}
+		kick.SleepUntil(start.Add(at))
 		wg.Add(1)
 		issued++
 		go func() {
