@@ -358,23 +358,8 @@ func (s *shard) promoteLocked(e *slot) {
 	s.promotions++
 }
 
-// Len returns the number of live entries.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.index)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Capacity returns the maximum number of entries.
 func (c *Cache) Capacity() int { return c.cap }
-
-// Shards returns the number of lock stripes.
-func (c *Cache) Shards() int { return len(c.shards) }
 
 // Stats returns cumulative hit and miss counts, aggregated exactly across
 // shards.

@@ -15,6 +15,15 @@ import (
 	"clipper/internal/container"
 )
 
+// liveEntries is the cache's live entry count, summed over its stripes.
+func liveEntries(c *Cache) int {
+	n := 0
+	for _, st := range c.ShardStats() {
+		n += st.Entries
+	}
+	return n
+}
+
 func key(id uint64) Key { return Key{Model: "m", Version: 1, QueryID: id} }
 
 func pred(label int) container.Prediction { return container.Prediction{Label: label} }
@@ -109,8 +118,8 @@ func TestPutFetch(t *testing.T) {
 	if !ok || v.Label != 7 {
 		t.Fatalf("Fetch = %+v, %v", v, ok)
 	}
-	if c.Len() != 1 || c.Capacity() != 4 {
-		t.Fatalf("Len=%d Cap=%d", c.Len(), c.Capacity())
+	if liveEntries(c) != 1 || c.Capacity() != 4 {
+		t.Fatalf("entries=%d Cap=%d", liveEntries(c), c.Capacity())
 	}
 }
 
@@ -122,8 +131,8 @@ func TestPutOverwrite(t *testing.T) {
 	if v.Label != 2 {
 		t.Fatalf("Label = %d", v.Label)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if liveEntries(c) != 1 {
+		t.Fatalf("entries = %d", liveEntries(c))
 	}
 }
 
@@ -132,8 +141,8 @@ func TestEvictionCapacity(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		c.Put(key(i), pred(int(i)))
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	if liveEntries(c) != 3 {
+		t.Fatalf("entries = %d, want 3", liveEntries(c))
 	}
 	// The most recent insert always survives.
 	if _, ok := c.Fetch(key(9)); !ok {
@@ -269,9 +278,6 @@ func TestStatsAndHitRate(t *testing.T) {
 
 func TestShardStats(t *testing.T) {
 	c := newSharded(256, 4)
-	if c.Shards() != 4 {
-		t.Fatalf("shards = %d", c.Shards())
-	}
 	const n = 64
 	for i := 0; i < n; i++ {
 		c.Put(key(uint64(i)), pred(i))
@@ -293,8 +299,8 @@ func TestShardStats(t *testing.T) {
 	if hits != h || misses != m {
 		t.Fatalf("per-shard sums (%d,%d) != aggregate (%d,%d)", hits, misses, h, m)
 	}
-	if entries != c.Len() {
-		t.Fatalf("per-shard entries %d != Len %d", entries, c.Len())
+	if entries != n {
+		t.Fatalf("per-shard entries %d, want the %d keys put", entries, n)
 	}
 	if hits != n || misses != n {
 		t.Fatalf("hits=%d misses=%d, want %d each", hits, misses, n)
@@ -356,8 +362,8 @@ func TestConcurrentPutFetchManyKeys(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if liveEntries(c) > c.Capacity() {
+		t.Fatalf("%d entries exceed capacity %d", liveEntries(c), c.Capacity())
 	}
 }
 
@@ -368,7 +374,7 @@ func TestLenNeverExceedsCapacityProperty(t *testing.T) {
 		for _, k := range keys {
 			c.Put(key(k), pred(int(k)))
 		}
-		return c.Len() <= cap
+		return liveEntries(c) <= cap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -410,24 +416,24 @@ func TestShardCapacitySumsToTotal(t *testing.T) {
 			t.Fatalf("cap=%d shards=%d: slot sum=%d Capacity=%d",
 				tc.capacity, tc.shards, sum, c.Capacity())
 		}
-		if n := c.Shards(); n&(n-1) != 0 || n < 1 {
+		if n := len(c.ShardStats()); n&(n-1) != 0 || n < 1 {
 			t.Fatalf("shard count %d not a power of two", n)
 		}
 	}
 	// Tiny caches must collapse to a single shard, so small capacities
 	// have exact single-shard eviction semantics.
-	if n := New(4).Shards(); n != 1 {
-		t.Fatalf("New(4).Shards() = %d, want 1", n)
+	if n := len(New(4).ShardStats()); n != 1 {
+		t.Fatalf("len(New(4).ShardStats()) = %d, want 1", n)
 	}
-	if n := newSharded(1<<16, 1).Shards(); n != 1 {
-		t.Fatalf("newSharded(_, 1).Shards() = %d, want 1", n)
+	if n := len(newSharded(1<<16, 1).ShardStats()); n != 1 {
+		t.Fatalf("len(newSharded(_, 1).ShardStats()) = %d, want 1", n)
 	}
 }
 
 func TestKeysSpreadAcrossShards(t *testing.T) {
 	c := newSharded(1<<12, 8)
-	if c.Shards() != 8 {
-		t.Fatalf("want 8 shards, got %d", c.Shards())
+	if len(c.ShardStats()) != 8 {
+		t.Fatalf("want 8 shards, got %d", len(c.ShardStats()))
 	}
 	load := func(ids func(i int) uint64, n int) (lo, hi int) {
 		per := make([]int, len(c.shards))
@@ -472,8 +478,8 @@ func TestShardIsWholeCacheLines(t *testing.T) {
 // exactly one of hits/misses.
 func TestConcurrentShardedStress(t *testing.T) {
 	c := newSharded(1<<12, 8)
-	if c.Shards() < 2 {
-		t.Fatalf("stress test needs multiple shards, got %d", c.Shards())
+	if len(c.ShardStats()) < 2 {
+		t.Fatalf("stress test needs multiple shards, got %d", len(c.ShardStats()))
 	}
 	const (
 		goroutines = 16
@@ -527,8 +533,8 @@ func TestConcurrentShardedStress(t *testing.T) {
 	if h+m != ops.Load() {
 		t.Fatalf("Stats lost updates: hits=%d misses=%d, want sum %d", h, m, ops.Load())
 	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if liveEntries(c) > c.Capacity() {
+		t.Fatalf("%d entries exceed capacity %d", liveEntries(c), c.Capacity())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,8 @@ type stubModel struct {
 
 	mu    sync.Mutex
 	calls int
+
+	poolReads atomic.Int64 // PoolStats calls, when wrapped as a poolStubModel
 }
 
 func (s *stubModel) Info() container.Info {

@@ -65,12 +65,29 @@ func parityNode(t *testing.T) *Clipper {
 	return cl
 }
 
-// scrapeText renders the node's registry.
+// scrapeText renders the node's registry, and checks that the scrape
+// read each pooled replica's pool once: every family renders from one
+// read of its source.
 func scrapeText(t *testing.T, cl *Clipper) string {
 	t.Helper()
+	poolReads := func() (reads, pooled int64) {
+		for _, model := range cl.Models() {
+			for _, rq := range cl.modelReplicas(model) {
+				if p, ok := rq.replica.Pred.(*poolStubModel); ok {
+					reads += p.poolReads.Load()
+					pooled++
+				}
+			}
+		}
+		return reads, pooled
+	}
+	before, pooled := poolReads()
 	var buf strings.Builder
 	if err := cl.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if after, _ := poolReads(); after-before != pooled {
+		t.Errorf("one scrape called PoolStats %d times over %d pooled replicas, want once each", after-before, pooled)
 	}
 	return buf.String()
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +21,7 @@ type poolStubModel struct {
 }
 
 func (p *poolStubModel) PoolStats() rpc.PoolStats {
+	p.poolReads.Add(1)
 	return rpc.PoolStats{
 		Conns: 4, Live: 3,
 		BytesInFlight: 128, Writes: 10, WriteQueued: 2,
@@ -188,6 +192,24 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		if err := cl.Metrics().WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
+		// One scrape shows one state of the cache: each aggregate is the
+		// sum of the shard series beside it.
+		sums := map[string]float64{}
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(l, "clipper_cache_") {
+				continue
+			}
+			v, err := strconv.ParseFloat(l[strings.LastIndexByte(l, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("bad sample %q: %v", l, err)
+			}
+			sums[l[:strings.IndexAny(l, "{ ")]] += v
+		}
+		for _, agg := range []string{"hits_total", "misses_total", "entries"} {
+			if a, s := sums["clipper_cache_"+agg], sums["clipper_cache_shard_"+agg]; a != s {
+				t.Errorf("scrape %d: clipper_cache_%s = %v, its shard series sum to %v", i, agg, a, s)
+			}
+		}
 		if i == 20 {
 			// A replica joining mid-scrape-storm must not trip collection.
 			if _, err := cl.Deploy(&stubModel{name: "m"}, nil, qcfg()); err != nil {
@@ -232,5 +254,39 @@ func TestMetricsPredictPathZeroAllocs(t *testing.T) {
 	after := testing.AllocsPerRun(200, predict)
 	if after > before {
 		t.Errorf("predict path allocations grew after scrape: %.2f -> %.2f allocs/op", before, after)
+	}
+}
+
+// BenchmarkScrape renders the node's registry over 4 pooled replicas (two
+// models of two replicas) and 2 QoS apps that have served traffic.
+func BenchmarkScrape(b *testing.B) {
+	cl := New(Config{CacheSize: 1024})
+	b.Cleanup(cl.Close)
+	for _, model := range []string{"m", "n"} {
+		for r := 0; r < 2; r++ {
+			if _, err := cl.Deploy(&poolStubModel{stubModel{name: model, label: 3}}, nil, qcfg()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i, model := range []string{"m", "n"} {
+		app, err := cl.RegisterApp(AppConfig{
+			Name: fmt.Sprintf("app%d", i), Models: []string{model},
+			SLO: time.Second, Weight: 2, Shed: ShedReject,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for q := 0; q < 64; q++ {
+			if _, err := app.PredictContext(context.Background(), "", []float64{float64(q)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := cl.Metrics().WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

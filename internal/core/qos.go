@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"clipper/internal/cache"
@@ -230,13 +229,12 @@ type appSnap struct {
 	latency *metrics.Histogram
 }
 
-// appSnaps reads every registered application, in name order.
+// appSnaps reads every registered application, in no particular order.
 func (cl *Clipper) appSnaps() []appSnap {
 	apps := *cl.apps.Load()
 	out := make([]appSnap, 0, len(apps))
 	for _, a := range apps {
 		out = append(out, appSnap{a.status(), a.PredLatency})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

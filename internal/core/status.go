@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"clipper/internal/batching"
@@ -91,7 +90,7 @@ func (cl *Clipper) ReplicaStatuses(model string) map[string]ReplicaStatus {
 	rqs := cl.modelReplicas(model)
 	out := make(map[string]ReplicaStatus, len(rqs))
 	for _, rq := range rqs {
-		r := rq.snap(snapWindow | snapTenants)
+		r := rq.snap()
 		out[r.id] = r.status()
 	}
 	return out
@@ -138,17 +137,6 @@ func (r *replicaSnap) status() ReplicaStatus {
 	return st
 }
 
-// snapParts names the parts of a replica snapshot that take a lock. A
-// read-out names the parts it renders, so a scrape takes each lock only in
-// the families that show that part; the rest of a snapshot is atomic loads.
-type snapParts uint8
-
-const (
-	snapWindow   snapParts = 1 << iota // the window controller's operating point
-	snapTenants                        // the queue's fair-batching tenants
-	snapMaxBatch                       // the batching controller's cap
-)
-
 // modelSnap is one model's read-out: its scheduler counters and its
 // replicas in deployment order.
 type modelSnap struct {
@@ -172,38 +160,36 @@ type replicaSnap struct {
 	hedgesWon  int64
 	queue      *batching.Queue // its histograms, read where they are rendered
 
-	measured bool                      // snapWindow: the window is not pinned
-	adaptive batching.AdaptiveSnapshot // snapWindow, when measured
-	tenants  []batching.TenantLoad     // snapTenants
-	maxBatch int                       // snapMaxBatch
+	measured bool                      // the window is not pinned
+	adaptive batching.AdaptiveSnapshot // the window controller's operating point, when measured
+	tenants  []batching.TenantLoad     // the queue's fair-batching tenants
+	maxBatch int                       // the batching controller's cap
 }
 
-// modelSnaps reads every model: models in name order, replicas in
-// deployment order.
-func (cl *Clipper) modelSnaps(parts snapParts) []modelSnap {
+// modelSnaps reads every model, in no particular order: its scheduler
+// counters and its replicas in deployment order.
+func (cl *Clipper) modelSnaps() []modelSnap {
 	cl.mu.Lock()
 	out := make([]modelSnap, 0, len(cl.scheds))
-	scheds := make(map[string]*scheduler, len(cl.scheds))
+	scheds := make([]*scheduler, 0, len(cl.scheds))
 	for name, s := range cl.scheds {
 		out = append(out, modelSnap{model: name})
-		scheds[name] = s
+		scheds = append(scheds, s)
 	}
 	cl.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].model < out[j].model })
-	for i := range out {
-		s := scheds[out[i].model]
+	for i, s := range scheds {
 		rqs := s.snapshot()
 		out[i].sched = s.stats()
 		out[i].replicas = make([]replicaSnap, len(rqs))
 		for j, rq := range rqs {
-			out[i].replicas[j] = rq.snap(parts)
+			out[i].replicas[j] = rq.snap()
 		}
 	}
 	return out
 }
 
-// snap reads the replica, taking the locks of the named parts only.
-func (rq *replicaQueue) snap(parts snapParts) replicaSnap {
+// snap reads the replica once: every figure any read-out renders.
+func (rq *replicaQueue) snap() replicaSnap {
 	r := replicaSnap{
 		id:         rq.replica.ID,
 		healthy:    rq.health.healthy.Load(),
@@ -212,19 +198,13 @@ func (rq *replicaQueue) snap(parts snapParts) replicaSnap {
 		hedgesFrom: rq.hedgesFrom.Load(),
 		hedgesWon:  rq.hedgesWon.Load(),
 		queue:      rq.queue,
+		tenants:    rq.queue.TenantStats(),
+		maxBatch:   rq.queue.Controller().MaxBatch(),
 	}
 	r.cost, r.costed = rq.estCost()
 	if ps, ok := rq.replica.Pred.(poolStatser); ok {
 		r.pool, r.pooled = ps.PoolStats(), true
 	}
-	if parts&snapWindow != 0 {
-		r.adaptive, r.measured = rq.queue.Window()
-	}
-	if parts&snapTenants != 0 {
-		r.tenants = rq.queue.TenantStats()
-	}
-	if parts&snapMaxBatch != 0 {
-		r.maxBatch = rq.queue.Controller().MaxBatch()
-	}
+	r.adaptive, r.measured = rq.queue.Window()
 	return r
 }

@@ -19,7 +19,6 @@
 package gateway
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -78,7 +77,14 @@ type Gateway struct {
 
 	mu       sync.RWMutex
 	adapters map[string]*instr
-	order    []string // sorted adapter labels, for deterministic scrapes
+}
+
+// metricFamilies are the gateway's metric families, in the order collect fills
+// them.
+var metricFamilies = []metrics.Family{
+	{Name: "clipper_gateway_requests_total", Help: "Gateway operations started, by protocol adapter and operation.", Kind: metrics.KindCounter},
+	{Name: "clipper_gateway_errors_total", Help: "Gateway operations failed, by adapter, operation, and error code.", Kind: metrics.KindCounter},
+	{Name: "clipper_gateway_latency_seconds", Help: "Gateway operation latency by adapter and operation.", Kind: metrics.KindHistogram},
 }
 
 // New returns a gateway over cl and registers the gateway metric
@@ -86,70 +92,40 @@ type Gateway struct {
 // keeps the first gateway's families: the names are taken.
 func New(cl *core.Clipper) *Gateway {
 	g := &Gateway{cl: cl, adapters: make(map[string]*instr)}
-	reg := cl.Metrics()
-	_ = reg.Register("clipper_gateway_requests_total",
-		"Gateway operations started, by protocol adapter and operation.",
-		metrics.KindCounter, func(dst []metrics.Series) []metrics.Series {
-			return g.eachOp(dst, func(dst []metrics.Series, adapter string, op Op, st *opStats) []metrics.Series {
-				return append(dst, metrics.Series{
-					Labels: []metrics.Label{{Name: "adapter", Value: adapter}, {Name: "op", Value: op.String()}},
-					Value:  float64(st.reqs.Value()),
-				})
-			})
-		})
-	_ = reg.Register("clipper_gateway_errors_total",
-		"Gateway operations failed, by adapter, operation, and error code.",
-		metrics.KindCounter, func(dst []metrics.Series) []metrics.Series {
-			return g.eachOp(dst, func(dst []metrics.Series, adapter string, op Op, st *opStats) []metrics.Series {
-				for c := Code(0); c < numCodes; c++ {
-					v := st.errs[c].Value()
-					if v == 0 {
-						continue // all-zero error series would drown the scrape
-					}
-					dst = append(dst, metrics.Series{
-						Labels: []metrics.Label{
-							{Name: "adapter", Value: adapter},
-							{Name: "op", Value: op.String()},
-							{Name: "code", Value: c.String()},
-						},
-						Value: float64(v),
-					})
-				}
-				return dst
-			})
-		})
-	_ = reg.Register("clipper_gateway_latency_seconds",
-		"Gateway operation latency by adapter and operation.",
-		metrics.KindHistogram, func(dst []metrics.Series) []metrics.Series {
-			return g.eachOp(dst, func(dst []metrics.Series, adapter string, op Op, st *opStats) []metrics.Series {
-				return metrics.AppendHistogram(dst, &st.lat,
-					metrics.Label{Name: "adapter", Value: adapter},
-					metrics.Label{Name: "op", Value: op.String()})
-			})
-		})
+	_ = cl.Metrics().RegisterGroup(metricFamilies, g.collect)
 	return g
 }
 
 // Clipper returns the underlying node.
 func (g *Gateway) Clipper() *core.Clipper { return g.cl }
 
-// eachOp walks every bound adapter's touched (op) cells in deterministic
-// order. Untouched cells are skipped so a freshly bound adapter does not
-// flood the scrape with zero series.
-func (g *Gateway) eachOp(dst []metrics.Series, fn func([]metrics.Series, string, Op, *opStats) []metrics.Series) []metrics.Series {
+// collect fills the gateway families from one read of every bound
+// adapter's touched (op) cells. Untouched cells are skipped so a freshly
+// bound adapter does not flood the scrape with zero series, and so are
+// all-zero error series.
+func (g *Gateway) collect(dst [][]metrics.Series) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, name := range g.order {
-		in := g.adapters[name]
+	for name, in := range g.adapters {
 		for op := Op(0); op < numOps; op++ {
 			st := &in.ops[op]
-			if st.reqs.Value() == 0 {
+			reqs := st.reqs.Value()
+			if reqs == 0 {
 				continue
 			}
-			dst = fn(dst, name, op, st)
+			ls := []metrics.Label{{Name: "adapter", Value: name}, {Name: "op", Value: op.String()}}
+			dst[0] = append(dst[0], metrics.Series{Labels: ls, Value: float64(reqs)})
+			for c := Code(0); c < numCodes; c++ {
+				if v := st.errs[c].Value(); v != 0 {
+					dst[1] = append(dst[1], metrics.Series{
+						Labels: append(ls[:2:2], metrics.Label{Name: "code", Value: c.String()}),
+						Value:  float64(v),
+					})
+				}
+			}
+			dst[2] = metrics.AppendHistogram(dst[2], &st.lat, ls...)
 		}
 	}
-	return dst
 }
 
 // Bind returns the adapter's operation handle, creating its
@@ -161,8 +137,6 @@ func (g *Gateway) Bind(adapter string) *Bound {
 	if !ok {
 		in = &instr{}
 		g.adapters[adapter] = in
-		g.order = append(g.order, adapter)
-		sort.Strings(g.order)
 	}
 	g.mu.Unlock()
 	return &Bound{g: g, in: in}

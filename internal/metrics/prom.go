@@ -10,9 +10,12 @@ package metrics
 //
 //   - Hot paths update Counters/EWMAs/Histograms exactly as before —
 //     registration adds no code to them.
-//   - A Registry holds metric *families* (name + HELP + TYPE) bound to
-//     CollectFuncs. Collection happens only inside WritePrometheus, at
-//     scrape time, by reading the live atomics.
+//   - A Registry holds groups of metric families (name + HELP + TYPE).
+//     Each group has one collect call that reads its source once and
+//     fills the series of every family in the group, so all of a group's
+//     families show the same state of the source. Register adds a group
+//     of one family. Collection happens only inside WritePrometheus, at
+//     scrape time, once per group, by reading the live atomics.
 //   - WritePrometheus renders deterministic output: families in sorted
 //     name order, series in sorted label order with a histogram's
 //     buckets in increasing le, label values escaped, duplicate series
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,108 +65,135 @@ type Series struct {
 	Value  float64
 }
 
-// CollectFunc appends a family's current series to dst and returns the
-// extended slice. It is called at scrape time only and must be safe for
-// concurrent use with the measurement paths it reads. Returning dst
-// unchanged (no series yet — e.g. no replica deployed) suppresses the
-// family entirely for that scrape, HELP/TYPE included.
-type CollectFunc func(dst []Series) []Series
+// Family names one metric family: its name, which must match the
+// Prometheus metric-name grammar, its HELP line text (escaped on write) and
+// its TYPE.
+type Family struct {
+	Name string
+	Help string
+	Kind Kind
+}
 
-type family struct {
-	name    string
-	help    string
-	kind    Kind
-	collect CollectFunc
+// group is families filled by one collect call.
+type group struct {
+	fams    []Family
+	collect func(dst [][]Series)
 }
 
 // Registry is a set of metric families exposed together by
 // WritePrometheus. The zero value is ready to use; methods are safe for
 // concurrent use.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu     sync.Mutex
+	groups []group
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// errDuplicateFamily is wrapped by Register when the family name is
+// errDuplicateFamily is wrapped by RegisterGroup when a family name is
 // already taken.
 var errDuplicateFamily = fmt.Errorf("metrics: family already registered")
 
-// Register adds a family. The name must match the Prometheus metric-name
-// grammar and be unused; help is the HELP line text (escaped on write).
-func (r *Registry) Register(name, help string, kind Kind, collect CollectFunc) error {
-	if !validMetricName(name) {
-		return fmt.Errorf("metrics: invalid metric name %q", name)
-	}
+// Register adds one family. collect appends the family's current series
+// to dst and returns the extended slice; returning dst unchanged (no
+// series yet — e.g. no replica deployed) suppresses the family for that
+// scrape, HELP and TYPE included.
+func (r *Registry) Register(name, help string, kind Kind, collect func(dst []Series) []Series) error {
 	if collect == nil {
 		return fmt.Errorf("metrics: nil collector for %q", name)
 	}
-	switch kind {
-	case KindCounter, KindGauge, KindHistogram, KindUntyped:
-	default:
-		return fmt.Errorf("metrics: invalid kind %q for %q", kind, name)
+	return r.RegisterGroup([]Family{{name, help, kind}}, func(dst [][]Series) { dst[0] = collect(dst[0]) })
+}
+
+// RegisterGroup adds families that one read of a source fills: at each
+// scrape, collect is called once with one empty series slice per family,
+// in fams order, and appends family i's series to dst[i]. It runs at
+// scrape time only and must be safe for concurrent use with the
+// measurement paths it reads. A family left without series is suppressed
+// for that scrape. Either every family is added or, on error, none is.
+func (r *Registry) RegisterGroup(fams []Family, collect func(dst [][]Series)) error {
+	if collect == nil {
+		return fmt.Errorf("metrics: nil collector for %v", fams)
+	}
+	for _, f := range fams {
+		if !validMetricName(f.Name) {
+			return fmt.Errorf("metrics: invalid metric name %q", f.Name)
+		}
+		switch f.Kind {
+		case KindCounter, KindGauge, KindHistogram, KindUntyped:
+		default:
+			return fmt.Errorf("metrics: invalid kind %q for %q", f.Kind, f.Name)
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.fams == nil {
-		r.fams = make(map[string]*family)
+	taken := r.families()
+	for _, f := range fams {
+		if slices.Contains(taken, f.Name) {
+			return fmt.Errorf("%w: %q", errDuplicateFamily, f.Name)
+		}
+		taken = append(taken, f.Name)
 	}
-	if _, dup := r.fams[name]; dup {
-		return fmt.Errorf("%w: %q", errDuplicateFamily, name)
-	}
-	r.fams[name] = &family{name: name, help: help, kind: kind, collect: collect}
+	r.groups = append(r.groups, group{fams: slices.Clone(fams), collect: collect})
 	return nil
-}
-
-// MustRegister is Register, panicking on error. Use it for static wiring
-// where a registration failure is a programming bug.
-func (r *Registry) MustRegister(name, help string, kind Kind, collect CollectFunc) {
-	if err := r.Register(name, help, kind, collect); err != nil {
-		panic(err)
-	}
 }
 
 // Families returns the registered family names in sorted order.
 func (r *Registry) Families() []string {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
+	names := r.families()
 	r.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
 
-// WritePrometheus renders every family in text exposition format:
-// families in name order, each non-empty family as a HELP line, a TYPE
-// line, and its series ordered by label set, then name suffix, then le as
-// a number, so a histogram's buckets rise. Collection errors are
-// impossible by construction; the returned error is a write error or an
-// invariant violation (illegal label name or le, duplicate series) from a
-// collector.
+// families lists the registered family names. r.mu must be held.
+func (r *Registry) families() []string {
+	var names []string
+	for _, g := range r.groups {
+		for _, f := range g.fams {
+			names = append(names, f.Name)
+		}
+	}
+	return names
+}
+
+// WritePrometheus calls every group's collect once, then renders every
+// family in text exposition format: families in name order, each
+// non-empty family as a HELP line, a TYPE line, and its series ordered by
+// label set, then name suffix, then le as a number, so a histogram's
+// buckets rise. Collection errors are impossible by construction; the
+// returned error is a write error or an invariant violation (illegal
+// label name or le, duplicate series) from a collector.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
+	groups := slices.Clone(r.groups)
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+
+	type filled struct {
+		*Family
+		series []Series
+	}
+	var fams []filled
+	for _, g := range groups {
+		dst := make([][]Series, len(g.fams))
+		g.collect(dst)
+		for i := range g.fams {
+			fams = append(fams, filled{&g.fams[i], dst[i]})
+		}
+	}
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 
 	var buf strings.Builder
-	scratch := make([]Series, 0, 64)
 	lines := make([]line, 0, 64)
 	for _, f := range fams {
-		scratch = f.collect(scratch[:0])
-		if len(scratch) == 0 {
+		if len(f.series) == 0 {
 			continue
 		}
 		lines = lines[:0]
-		for i := range scratch {
-			l, err := renderSeries(f.name, &scratch[i])
+		for i := range f.series {
+			l, err := renderSeries(f.Name, &f.series[i])
 			if err != nil {
 				return err
 			}
@@ -175,13 +206,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 		buf.WriteString("# HELP ")
-		buf.WriteString(f.name)
+		buf.WriteString(f.Name)
 		buf.WriteByte(' ')
-		buf.WriteString(escapeHelp(f.help))
+		buf.WriteString(escapeHelp(f.Help))
 		buf.WriteString("\n# TYPE ")
-		buf.WriteString(f.name)
+		buf.WriteString(f.Name)
 		buf.WriteByte(' ')
-		buf.WriteString(string(f.kind))
+		buf.WriteString(string(f.Kind))
 		buf.WriteByte('\n')
 		for _, l := range lines {
 			buf.WriteString(l.text)
@@ -343,16 +374,6 @@ func escapeHelp(v string) string {
 	return b.String()
 }
 
-// ---- Collector helpers ----
-
-// GaugeCollector exposes the result of fn as a single gauge series,
-// evaluated at scrape time.
-func GaugeCollector(fn func() float64, labels ...Label) CollectFunc {
-	return func(dst []Series) []Series {
-		return append(dst, Series{Labels: labels, Value: fn()})
-	}
-}
-
 // The le ladder every histogram is exposed on: each power of two from
 // 2^-20 (≈ 1 µs, in seconds) to 2^12 (4,096, the batch cap), then +Inf.
 // Each edge is a bucket's upper edge, so every cumulative count is exact,
@@ -371,7 +392,7 @@ var ladderLE = func() (le [ladderMax - ladderMin + 2]string) {
 // AppendHistogram appends h as Prometheus histogram series to dst: a
 // cumulative _bucket series per le of the ladder, then _sum and _count,
 // all carrying labels. The buckets and _count come from one read of h's
-// counts, so le="+Inf" equals _count. Use it inside CollectFuncs that
+// counts, so le="+Inf" equals _count. Use it inside collectors that
 // expose labeled populations.
 func AppendHistogram(dst []Series, h *Histogram, labels ...Label) []Series {
 	var c [numBuckets]uint64

@@ -16,15 +16,24 @@ import (
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 
+	// A group: one collect call fills both families, whose output
+	// interleaves with the other families' in name order.
 	var hits Counter
 	hits.Add(42)
-	r.MustRegister("test_hits_total", "total hits", KindCounter,
-		GaugeCollector(func() float64 { return float64(hits.Value()) }))
+	reads := 0
+	if err := r.RegisterGroup([]Family{
+		{"test_hits_total", "total hits", KindCounter},
+		{"test_temperature", `weird "help" with \ and
+newline`, KindGauge},
+	}, func(dst [][]Series) {
+		reads++
+		dst[0] = append(dst[0], Series{Value: float64(hits.Value())})
+		dst[1] = append(dst[1], Series{Value: -1.5})
+	}); err != nil {
+		t.Fatal(err)
+	}
 
-	r.MustRegister("test_temperature", `weird "help" with \ and
-newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
-
-	r.MustRegister("test_queue_depth", "per-replica depth", KindGauge,
+	mustRegister(t, r, "test_queue_depth", "per-replica depth", KindGauge,
 		func(dst []Series) []Series {
 			// Deliberately unsorted: the writer must order series.
 			dst = append(dst, Series{Labels: []Label{{"model", "svm"}, {"replica", "b/1"}}, Value: 2})
@@ -32,7 +41,7 @@ newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
 			return dst
 		})
 
-	r.MustRegister("test_latency_seconds", "latency histogram", KindHistogram,
+	mustRegister(t, r, "test_latency_seconds", "latency histogram", KindHistogram,
 		func(dst []Series) []Series {
 			// Deliberately unordered: buckets print in increasing numeric le.
 			le := func(v string) []Label { return []Label{{"le", v}} }
@@ -44,7 +53,7 @@ newline`, KindGauge, GaugeCollector(func() float64 { return -1.5 }))
 				Series{Suffix: "_bucket", Labels: le("2"), Value: 1})
 		})
 
-	r.MustRegister("test_empty", "never present", KindGauge,
+	mustRegister(t, r, "test_empty", "never present", KindGauge,
 		func(dst []Series) []Series { return dst })
 
 	var buf strings.Builder
@@ -72,6 +81,17 @@ test_temperature -1.5
 	if got := buf.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+	if reads != 1 {
+		t.Errorf("the group was read %d times in one scrape, want 1", reads)
+	}
+}
+
+// mustRegister registers a family or fails the test.
+func mustRegister(t *testing.T, r *Registry, name, help string, kind Kind, collect func([]Series) []Series) {
+	t.Helper()
+	if err := r.Register(name, help, kind, collect); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRegisterValidation(t *testing.T) {
@@ -92,6 +112,16 @@ func TestRegisterValidation(t *testing.T) {
 	if err := r.Register("fine_name", "x", KindGauge, ok); !errors.Is(err, errDuplicateFamily) {
 		t.Errorf("duplicate register: %v", err)
 	}
+	// A group registers all of its families or none.
+	if err := r.RegisterGroup([]Family{{"group_a", "x", KindGauge}, {"fine_name", "x", KindGauge}}, func([][]Series) {}); !errors.Is(err, errDuplicateFamily) {
+		t.Errorf("group over a taken name: %v", err)
+	}
+	if err := r.RegisterGroup([]Family{{"group_a", "x", KindGauge}, {"group_a", "x", KindGauge}}, func([][]Series) {}); !errors.Is(err, errDuplicateFamily) {
+		t.Errorf("group naming a family twice: %v", err)
+	}
+	if err := r.RegisterGroup([]Family{{"group_a", "x", KindGauge}}, nil); err == nil {
+		t.Error("accepted nil group collector")
+	}
 	fams := r.Families()
 	if len(fams) != 1 || fams[0] != "fine_name" {
 		t.Errorf("families: %v", fams)
@@ -101,7 +131,7 @@ func TestRegisterValidation(t *testing.T) {
 func TestWriteErrors(t *testing.T) {
 	t.Run("duplicate series", func(t *testing.T) {
 		r := NewRegistry()
-		r.MustRegister("dup_gauge", "x", KindGauge, func(dst []Series) []Series {
+		mustRegister(t, r, "dup_gauge", "x", KindGauge, func(dst []Series) []Series {
 			dst = append(dst, Series{Labels: []Label{{"a", "1"}}, Value: 1})
 			dst = append(dst, Series{Labels: []Label{{"a", "1"}}, Value: 2})
 			return dst
@@ -112,7 +142,7 @@ func TestWriteErrors(t *testing.T) {
 	})
 	t.Run("bad label name", func(t *testing.T) {
 		r := NewRegistry()
-		r.MustRegister("bad_label", "x", KindGauge, func(dst []Series) []Series {
+		mustRegister(t, r, "bad_label", "x", KindGauge, func(dst []Series) []Series {
 			return append(dst, Series{Labels: []Label{{"0day", "1"}}, Value: 1})
 		})
 		if err := r.WritePrometheus(&strings.Builder{}); err == nil {
@@ -121,7 +151,7 @@ func TestWriteErrors(t *testing.T) {
 	})
 	t.Run("reserved label name", func(t *testing.T) {
 		r := NewRegistry()
-		r.MustRegister("rsv_label", "x", KindGauge, func(dst []Series) []Series {
+		mustRegister(t, r, "rsv_label", "x", KindGauge, func(dst []Series) []Series {
 			return append(dst, Series{Labels: []Label{{"__name__", "1"}}, Value: 1})
 		})
 		if err := r.WritePrometheus(&strings.Builder{}); err == nil {
@@ -130,7 +160,7 @@ func TestWriteErrors(t *testing.T) {
 	})
 	t.Run("bad le", func(t *testing.T) {
 		r := NewRegistry()
-		r.MustRegister("bad_le", "x", KindHistogram, func(dst []Series) []Series {
+		mustRegister(t, r, "bad_le", "x", KindHistogram, func(dst []Series) []Series {
 			return append(dst, Series{Suffix: "_bucket", Labels: []Label{{"le", "high"}}, Value: 1})
 		})
 		if err := r.WritePrometheus(&strings.Builder{}); err == nil {
@@ -139,7 +169,7 @@ func TestWriteErrors(t *testing.T) {
 	})
 	t.Run("bad suffix", func(t *testing.T) {
 		r := NewRegistry()
-		r.MustRegister("bad_suffix", "x", KindGauge, func(dst []Series) []Series {
+		mustRegister(t, r, "bad_suffix", "x", KindGauge, func(dst []Series) []Series {
 			return append(dst, Series{Suffix: " nope", Value: 1})
 		})
 		if err := r.WritePrometheus(&strings.Builder{}); err == nil {
@@ -205,7 +235,7 @@ func TestWritePrometheusBucketOrder(t *testing.T) {
 	r := NewRegistry()
 	h := NewHistogram()
 	h.Observe(100)
-	r.MustRegister("order_size", "h", KindHistogram, func(dst []Series) []Series {
+	mustRegister(t, r, "order_size", "h", KindHistogram, func(dst []Series) []Series {
 		dst = AppendHistogram(dst, h, Label{"replica", "b"})
 		return AppendHistogram(dst, h, Label{"replica", "a"})
 	})
@@ -246,11 +276,14 @@ func TestWritePrometheusConcurrent(t *testing.T) {
 	var c Counter
 	h := NewHistogram()
 	var e EWMA
-	r.MustRegister("cc_total", "c", KindCounter,
-		GaugeCollector(func() float64 { return float64(c.Value()) }))
-	r.MustRegister("cc_lat_seconds", "h", KindHistogram,
+	mustRegister(t, r, "cc_total", "c", KindCounter, func(dst []Series) []Series {
+		return append(dst, Series{Value: float64(c.Value())})
+	})
+	mustRegister(t, r, "cc_lat_seconds", "h", KindHistogram,
 		func(dst []Series) []Series { return AppendHistogram(dst, h) })
-	r.MustRegister("cc_ewma", "e", KindGauge, GaugeCollector(e.Value))
+	mustRegister(t, r, "cc_ewma", "e", KindGauge, func(dst []Series) []Series {
+		return append(dst, Series{Value: e.Value()})
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

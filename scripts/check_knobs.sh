@@ -9,7 +9,7 @@ set -eu
 cd "$(dirname "$0")/.."
 max_flags=16
 max_rows=13
-max_loc=15239
+max_loc=15229
 max_arch_lines=593
 max_sleeps=68
 

@@ -13,6 +13,8 @@
 #     histograms whose series each list their buckets in increasing le with
 #     counts that never fall, whose le="+Inf" bucket equals _count, and
 #     which all carry the same le ladder within a family
+#   * each cache aggregate (hits, misses, entries) equals the sum of its
+#     per-shard series: one scrape shows one state of the cache
 #   * the families each subsystem is expected to export are present
 #
 # No dependencies beyond POSIX sh + awk + curl-or-wget and the go
@@ -177,6 +179,27 @@ END {
   }
   if (bad) exit 1
   print "check_prom: histograms hold their invariants"
+}
+' "$workdir/metrics.txt"
+
+echo "check_prom: checking cache aggregates against their shard series"
+awk '
+/^#/ || /^$/ { next }
+{
+  name = $0; sub(/[{ ].*/, "", name)
+  if (name ~ /^clipper_cache_(hits_total|misses_total|entries)$/) agg[substr(name, 15)] = $NF
+  else if (name ~ /^clipper_cache_shard_(hits_total|misses_total|entries)$/) sum[substr(name, 21)] += $NF
+}
+END {
+  n = split("hits_total misses_total entries", want, " ")
+  for (i = 1; i <= n; i++) {
+    k = want[i]
+    if (!(k in agg) || !(k in sum) || agg[k] + 0 != sum[k] + 0) {
+      print "clipper_cache_" k " = " agg[k] ", its clipper_cache_shard_" k " series sum to " sum[k]; bad = 1
+    }
+  }
+  if (bad) exit 1
+  print "check_prom: cache aggregates equal the sums of their shard series"
 }
 ' "$workdir/metrics.txt"
 
